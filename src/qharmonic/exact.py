@@ -34,13 +34,15 @@ class IrrationalCoefficient(QHarmonicError):
     """A coefficient expected to be rational has a nonzero zeta-component."""
 
 
-Rational = Fraction
 Scalar = Union[Fraction, "CycloNumber"]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into a Fraction; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def render_rational(value: Fraction) -> str:
@@ -298,11 +300,6 @@ class CycloNumber:
         return f"CycloNumber({self.order}; {' + '.join(terms) or '0'})"
 
 
-def cyclo_invert(a: CycloNumber) -> CycloNumber:
-    """Functional form of :meth:`CycloNumber.inverse`."""
-    return a.inverse()
-
-
 def is_rational(a: Scalar) -> tuple[bool, Fraction | None]:
     """Whether a scalar lies in Q; returns (flag, value-or-None)."""
     if isinstance(a, (int, Fraction)):
@@ -500,10 +497,6 @@ class TPoly:
         for e, c in self.coeffs.items():
             out = out + (img ** e) * c
         return out
-
-    def shift_t(self, delta) -> "TPoly":
-        """Substitute t -> t + delta."""
-        return self.affine_t(1, delta)
 
     def map_coeffs(self, fn) -> "TPoly":
         return TPoly({e: fn(c) for e, c in self.coeffs.items()})

@@ -1,5 +1,5 @@
 """Multi-index combinatorics: weights, depths, i-heights, constrained index
-enumeration, and the box-filling patterns that drive the t-interpolation."""
+enumeration, and the box-filling patterns of the t-interpolation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,21 +12,6 @@ MultiIndex = tuple[int, ...]
 COMMA = 0        # keep the split
 PLUS = 1         # merge, adding the parts
 MINUSPLUS = 2    # merge, adding the parts minus one
-
-_invalid_contraction_tally = 0
-
-
-def invalid_contraction_tally() -> int:
-    """Count of contractions discarded for producing a nonpositive part.
-    Structurally this never happens (each merged block of b parts loses at
-    most b-1), so tests pin the tally at zero."""
-    return _invalid_contraction_tally
-
-
-def reset_invalid_contraction_tally() -> None:
-    global _invalid_contraction_tally
-    _invalid_contraction_tally = 0
-
 
 def weight(parts: MultiIndex) -> int:
     return sum(parts)
@@ -45,11 +30,6 @@ def height(parts: MultiIndex, i: int) -> int:
 
 def heights(parts: MultiIndex, r: int) -> tuple[int, ...]:
     return tuple(height(parts, i) for i in range(1, r + 1))
-
-
-def stats(parts: MultiIndex, r: int) -> tuple[int, int, tuple[int, ...]]:
-    """(weight, depth, (1-height, ..., r-height))."""
-    return weight(parts), depth(parts), heights(parts, r)
 
 
 def parse_index(text: str) -> MultiIndex:
@@ -146,9 +126,8 @@ def enumerate_indices(profile: HeightProfile) -> tuple[MultiIndex, ...]:
 
 
 def contract(parts: MultiIndex, boxes: tuple[int, ...]) -> MultiIndex | None:
-    """Apply a box filling between adjacent parts.  Returns None (and counts
-    toward the diagnostics tally) if a merged part comes out nonpositive."""
-    global _invalid_contraction_tally
+    """Apply a box filling between adjacent parts.  Returns None if a merged
+    part comes out nonpositive."""
     out = []
     cur = parts[0]
     for box, nxt in zip(boxes, parts[1:]):
@@ -161,7 +140,6 @@ def contract(parts: MultiIndex, boxes: tuple[int, ...]) -> MultiIndex | None:
             cur += nxt - 1
     out.append(cur)
     if any(p <= 0 for p in out):
-        _invalid_contraction_tally += 1
         return None
     return tuple(out)
 
@@ -184,17 +162,4 @@ def enumerate_patterns(parts: MultiIndex, minusplus: bool = True):
         if contracted is None:
             continue
         out.append((contracted, l - len(contracted)))
-    return tuple(out)
-
-
-def block_sums(parts: MultiIndex, blocks: MultiIndex) -> MultiIndex:
-    """Sum consecutive runs of `parts` whose lengths are given by `blocks`
-    (a composition of depth(parts))."""
-    if sum(blocks) != len(parts):
-        raise ValueError("blocks must compose the depth")
-    out = []
-    pos = 0
-    for b in blocks:
-        out.append(sum(parts[pos:pos + b]))
-        pos += b
     return tuple(out)

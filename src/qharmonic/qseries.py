@@ -1,9 +1,12 @@
 """Direct summation of finite multiple harmonic q-series and their truncated
-polylogarithm companions.
+polylogarithm companions, with exact scalar arithmetic.
 
-Everything here is literal: nested sums over decreasing tuples of summation
-indices, with exact scalar arithmetic.  The generating-function module is
-checked against these evaluators, never the other way around.
+zbar, zbar_star, z and z_star are defined by a literal nested sum over
+decreasing tuples of summation indices.  The interpolated sums zbar_t and
+z_t, the truncated polylogarithms L_poly and z_float run one prefix-sum
+recursion over the summation levels instead, in O(depth * n) operations.
+The generating-function module is checked against these evaluators, never
+the other way around.
 """
 from __future__ import annotations
 
@@ -12,24 +15,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .exact import (
     CycloNumber,
     QHarmonicError,
     Scalar,
     TPoly,
-    is_rational,
     scalar_inverse,
     scalar_pow,
-    scalar_to_json,
 )
 from .indices import (
     HeightProfile,
     MultiIndex,
     enumerate_indices,
     enumerate_patterns,
-    weight,
 )
 
 
@@ -102,44 +102,50 @@ def _check_parts(parts: MultiIndex):
         raise ValueError(f"index parts must be positive: {parts!r}")
 
 
-def _decreasing_tuples(n: int, l: int, strict: bool):
-    pool = range(1, n)
-    combos = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
-    for combo in combos:
-        yield tuple(sorted(combo, reverse=True))
+def _summand(params: SeriesParams, inv_den):
+    """The summand q^((k-1)m) * inv_den(m)^k: over (1-q^m) for zbar, over the
+    q-integer for z."""
+    return lambda k, m: _qpow(params, (k - 1) * m) * scalar_pow(inv_den(params, m), k)
 
 
-def _zbar_raw(parts: MultiIndex, params: SeriesParams, strict: bool = True) -> Scalar:
-    if parts == (0,):
-        # literal sum of q^(-m); at q = zeta_n this is the conventional -1
-        total: Scalar = Fraction(0)
-        qinv = scalar_inverse(params.q)
-        for m in range(1, params.n):
-            total = total + scalar_pow(qinv, m)
-        return total
-    _check_parts(parts)
-    if not parts:
-        return Fraction(1)
-    total = Fraction(0)
-    for ms in _decreasing_tuples(params.n, len(parts), strict):
-        term: Scalar = Fraction(1)
-        for k, m in zip(parts, ms):
-            term = term * _qpow(params, (k - 1) * m) * scalar_pow(_inv_one_minus_qm(params, m), k)
-        total = total + term
-    return total
-
-
-def _z_raw(parts: MultiIndex, params: SeriesParams, strict: bool = True) -> Scalar:
-    _check_parts(parts)
-    if not parts:
-        return Fraction(1)
+def _literal_sum(parts: MultiIndex, params: SeriesParams, inv_den, strict: bool) -> Scalar:
+    """The definition: the summand product summed over decreasing tuples."""
+    f = _summand(params, inv_den)
+    pool, l = range(1, params.n), len(parts)
+    tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
     total: Scalar = Fraction(0)
-    for ms in _decreasing_tuples(params.n, len(parts), strict):
+    for ascending in tuples:
         term: Scalar = Fraction(1)
-        for k, m in zip(parts, ms):
-            term = term * _qpow(params, (k - 1) * m) * scalar_pow(_inv_qint(params, m), k)
+        for k, m in zip(parts, reversed(ascending)):
+            term = term * f(k, m)
         total = total + term
     return total
+
+
+def _level_sums(parts: MultiIndex, n: int, factor, eq=None) -> list:
+    """Prefix-sum recursion over the summation levels of a nonempty index.
+
+    Entry m - 1 is the sum over n > m = m_1 >= m_2 >= ... >= m_l > 0 of
+    factor(k_1, m_1) * ... * factor(k_l, m_l), each equality m_i = m_(i+1)
+    weighted by `eq` (None keeps the sum strict).  Each level keeps one
+    running sum over m, so the cost is O(l * n) operations."""
+    *upper, last = parts
+    vals = [factor(last, m) for m in range(1, n)]
+    for k in reversed(upper):
+        running, new = 0, []
+        for m, below in enumerate(vals, 1):
+            inner = running if eq is None else running + eq * below
+            new.append(factor(k, m) * inner)
+            running = running + below
+        vals = new
+    return vals
+
+
+def _interpolated(parts: MultiIndex, params: SeriesParams, inv_den) -> TPoly:
+    _check_parts(parts)
+    if not parts:
+        return TPoly.one()
+    return sum(_level_sums(parts, params.n, _summand(params, inv_den), TPoly.t()), TPoly.zero())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -147,47 +153,49 @@ def zbar(parts: MultiIndex, params: SeriesParams) -> Scalar:
     """Sum over n > m_1 > ... > m_l > 0 of q^((k_1-1)m_1 + ...) divided by
     (1-q^(m_1))^(k_1) * ... ; the depth-one index (0) is the literal sum of
     q^(-m) over the same range."""
-    return _zbar_raw(parts, params, strict=True)
+    if parts != (0,):  # (0) passes: its summand is q^(-m)
+        _check_parts(parts)
+    return _literal_sum(parts, params, _inv_one_minus_qm, strict=True)
 
 
 @lru_cache(maxsize=1 << 16)
 def zbar_star(parts: MultiIndex, params: SeriesParams) -> Scalar:
     """Non-strict variant (m_1 >= m_2 >= ... >= m_l)."""
-    return _zbar_raw(parts, params, strict=False)
+    if parts != (0,):
+        _check_parts(parts)
+    return _literal_sum(parts, params, _inv_one_minus_qm, strict=False)
 
 
 @lru_cache(maxsize=1 << 16)
 def z(parts: MultiIndex, params: SeriesParams) -> Scalar:
     """Variant with q-integer denominators ((1-q^m)/(1-q)) and the same
     numerator powers."""
-    return _z_raw(parts, params, strict=True)
+    _check_parts(parts)
+    return _literal_sum(parts, params, _inv_qint, strict=True)
 
 
 @lru_cache(maxsize=1 << 16)
 def z_star(parts: MultiIndex, params: SeriesParams) -> Scalar:
-    return _z_raw(parts, params, strict=False)
+    _check_parts(parts)
+    return _literal_sum(parts, params, _inv_qint, strict=False)
 
 
 @lru_cache(maxsize=1 << 16)
 def zbar_t(parts: MultiIndex, params: SeriesParams) -> TPoly:
-    """t-interpolation: sum over three-letter box fillings of the contracted
-    value times t^(depth drop).  t = 0 recovers zbar, t = 1 the star sum."""
-    out = TPoly.zero()
-    for contracted, texp in enumerate_patterns(parts, minusplus=True):
-        out = out + TPoly({texp: Fraction(1)}) * zbar(contracted, params)
-    return out
+    """t-interpolation: the weakly decreasing sum with each equality of
+    summation indices weighted by t.  t = 0 recovers zbar, t = 1 the star
+    sum.  It equals the sum over three-letter box fillings of t^(depth drop)
+    times zbar of the contraction, because the summands f_k satisfy
+    f_a(m) f_b(m) = f_(a+b)(m) + f_(a+b-1)(m)."""
+    return _interpolated(parts, params, _inv_one_minus_qm)
 
 
 @lru_cache(maxsize=1 << 16)
 def z_t(parts: MultiIndex, params: SeriesParams) -> TPoly:
-    """t-interpolation of the q-integer variant; merged letters change the
-    weight, compensated by powers of (1 - q)."""
-    k = weight(parts)
-    out = TPoly.zero()
-    for contracted, texp in enumerate_patterns(parts, minusplus=True):
-        factor = scalar_pow(1 - params.q, k - weight(contracted))
-        out = out + TPoly({texp: Fraction(1)}) * (factor * z(contracted, params))
-    return out
+    """t-interpolation of the q-integer variant.  In the box-filling form,
+    merged letters change the weight, compensated by powers of (1 - q); the
+    summands satisfy h_a(m) h_b(m) = h_(a+b)(m) + (1-q) h_(a+b-1)(m)."""
+    return _interpolated(parts, params, _inv_qint)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -327,27 +335,18 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "plain") -> Z
     plain:  sum over n > m_1 > ... > m_l > 0 of z^(m_1) over the usual
             denominator product;
     star:   non-strict inner indices;
-    interp: two-letter (comma/plus) t-interpolation of the plain variant.
+    interp: two-letter (comma/plus) t-interpolation of the plain variant,
+            i.e. each equality of summation indices weighted by t (the
+            summands 1/(1-q^m)^k multiply by adding exponents).
     """
     _check_parts(parts)
-    if variant == "interp":
-        out = ZPoly.zero()
-        for contracted, texp in enumerate_patterns(parts, minusplus=False):
-            out = out + L_poly(contracted, params, "plain") * TPoly({texp: Fraction(1)})
-        return out
-    if variant not in ("plain", "star"):
+    weights = {"plain": None, "star": 1, "interp": TPoly.t()}
+    if variant not in weights:
         raise ValueError(f"unknown variant {variant!r}")
     if not parts:
         return ZPoly.one()
-    acc: dict[int, Scalar] = {}
-    for ms in _decreasing_tuples(params.n, len(parts), strict=(variant == "plain")):
-        term: Scalar = Fraction(1)
-        for k, m in zip(parts, ms):
-            term = term * scalar_pow(_inv_one_minus_qm(params, m), k)
-        acc[ms[0]] = acc.get(ms[0], Fraction(0)) + term
-    out = ZPoly({e: TPoly.const(c) for e, c in acc.items() if c})
-    assert out.degree() < params.n
-    return out
+    factor = lambda k, m: scalar_pow(_inv_one_minus_qm(params, m), k)
+    return ZPoly(dict(enumerate(_level_sums(parts, params.n, factor, weights[variant]), 1)))
 
 
 def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:
@@ -379,7 +378,7 @@ def x_sum_or_zero(k: int, l: int, h=(), j: int = -1, params: SeriesParams = None
 # ---------------------------------------------------------------------------
 
 def z_float(parts: MultiIndex, n: int) -> complex:
-    """The q-integer variant at q = exp(2*pi*i/n), evaluated by a prefix-sum
+    """The q-integer variant at q = exp(2*pi*i/n), evaluated by the prefix-sum
     recursion over the summation levels (O(depth * n))."""
     _check_parts(parts)
     if not parts:
@@ -387,35 +386,21 @@ def z_float(parts: MultiIndex, n: int) -> complex:
     roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
     one_minus_q = 1 - roots[1 % n]
 
-    def level_values(k: int) -> list[complex]:
-        vals = [0j] * n
-        for m in range(1, n):
-            qint = (1 - roots[(m) % n]) / one_minus_q
-            vals[m] = roots[((k - 1) * m) % n] / qint ** k
-        return vals
+    def factor(k: int, m: int) -> complex:
+        qint = (1 - roots[m % n]) / one_minus_q
+        return roots[((k - 1) * m) % n] / qint ** k
 
-    acc = [1.0 + 0j] * (n + 1)
-    for k in reversed(parts):
-        f = level_values(k)
-        new = [0j] * (n + 1)
-        running = 0j
-        for m in range(1, n + 1):
-            # new[m] = sum over m' < m of f(m') * acc[m']
-            new[m] = running
-            if m <= n - 1:
-                running += f[m] * acc[m]
-        acc = new
-    return acc[n]
+    total = 0j  # left to right: sum() may compensate rounding on newer Pythons
+    for value in _level_sums(parts, n, factor):
+        total += value
+    return total
 
 
 def z_t_float(parts: MultiIndex, n: int, t: float) -> complex:
     """Two-letter (comma/plus) t-interpolation of z_float; merges preserve
     the weight, so no (1-q) compensation appears."""
+    _check_parts(parts)
     out = 0j
     for contracted, texp in enumerate_patterns(parts, minusplus=False):
         out += z_float(contracted, n) * (t ** texp)
     return out
-
-
-def render_scalar(a: Scalar):
-    return scalar_to_json(a)

@@ -210,10 +210,6 @@ class Series:
     def constant_term(self) -> TPoly:
         return self.terms.get((0,) * len(self.ring.variables), TPoly.zero())
 
-    def degrees_of(self, name: str) -> set[int]:
-        i = self.ring._index[name]
-        return {exps[i] for exps in self.terms}
-
     def assert_no_negative_exponents(self) -> "Series":
         for exps in self.terms:
             if any(e < 0 for e in exps):

@@ -75,12 +75,25 @@ def test_compute_usage_errors(capsys):
     assert run(capsys, "compute", "wat", "--n", "3")[0] == 2
 
 
+def test_compute_zero_denominator_is_usage_error(capsys):
+    assert run(capsys, "compute", "zbar", "--n", "3", "--q", "1/0",
+               "--index", "2")[0] == 2
+
+
 def test_compute_domain_errors(capsys):
     # q = 1 and premature roots of unity are rejected by the exact layer
     assert run(capsys, "compute", "zbar", "--n", "3", "--q", "1",
                "--index", "2")[0] == 3
     assert run(capsys, "compute", "eval-const", "--k", "4", "--l", "1",
                "--n", "3")[0] == 3
+
+
+@pytest.mark.parametrize("kind,index", [
+    ("zbar-t", "3,-1"), ("zbar-t", "0"), ("z-t", "2,0"),
+])
+def test_compute_interpolated_rejects_nonpositive_parts(capsys, kind, index):
+    assert run(capsys, "compute", kind, "--n", "5", "--q", "1/2",
+               "--index", index)[0] == 3
 
 
 def test_verify_report_schema(capsys):

@@ -12,10 +12,8 @@ from qharmonic.indices import (
     enumerate_patterns,
     height,
     heights,
-    invalid_contraction_tally,
     parse_index,
     render_index,
-    reset_invalid_contraction_tally,
     weight,
 )
 
@@ -117,9 +115,3 @@ def test_minusplus_weight_drop():
         assert weight(contracted) >= weight((2, 2, 1)) - texp
         assert weight(contracted) <= weight((2, 2, 1))
 
-
-def test_invalid_contraction_tally_is_quiet():
-    reset_invalid_contraction_tally()
-    list(enumerate_patterns((1, 1, 1), minusplus=True))
-    # the enumeration skips invalid fillings without touching the tally
-    assert invalid_contraction_tally() == 0

@@ -1,11 +1,12 @@
 import cmath
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from qharmonic.exact import CycloNumber, TPoly, is_rational, scalar_eq, scalar_pow
-from qharmonic.indices import HeightProfile, enumerate_indices
+from qharmonic.indices import HeightProfile, enumerate_indices, enumerate_patterns
 from qharmonic.qseries import (
     InvalidQ,
     L_poly,
@@ -100,6 +101,57 @@ def test_interpolation_endpoints():
         tz = z_t(parts, HALF)
         assert scalar_eq(tz.eval(Fraction(0)), z(parts, HALF))
         assert scalar_eq(tz.eval(Fraction(1)), z_star(parts, HALF))
+
+
+def _literal_L(parts, sp, strict):
+    """Sum of z^(m_1) / prod (1 - q^(m_i))^(k_i) over decreasing tuples."""
+    pool = range(1, sp.n)
+    combos = combinations(pool, len(parts)) if strict else \
+        combinations_with_replacement(pool, len(parts))
+    inv = {m: scalar_pow(1 - scalar_pow(sp.q, m), -1) for m in pool}
+    acc = {}
+    for combo in combos:
+        ms = combo[::-1]
+        term = Fraction(1)
+        for k, m in zip(parts, ms):
+            term = term * scalar_pow(inv[m], k)
+        top = ms[0] if ms else 0
+        acc[top] = acc.get(top, 0) + term
+    return ZPoly(acc)
+
+
+def test_prefix_sums_match_box_filling_expansion():
+    # the interpolated sums against the 3^(l-1) / 2^(l-1) box-filling
+    # expansion over the literal definitions, on a seeded grid of n, q, index
+    rng = random.Random(20261017)
+    rationals = (Fraction(1, 2), Fraction(-3), Fraction(5, 7), Fraction(2))
+    t = TPoly.t()
+    for i in range(40):
+        n = rng.randint(2, 9)
+        sp = SeriesParams(n, CycloNumber.zeta(n) if i % 5 == 0 else rationals[i % 5 - 1])
+        parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+        zbar_exp, z_exp, L_exp = TPoly.zero(), TPoly.zero(), ZPoly.zero()
+        for c, e in enumerate_patterns(parts, minusplus=True):
+            zbar_exp = zbar_exp + t ** e * zbar(c, sp)
+            z_exp = z_exp + t ** e * (scalar_pow(1 - sp.q, sum(parts) - sum(c)) * z(c, sp))
+        for c, e in enumerate_patterns(parts, minusplus=False):
+            L_exp = L_exp + _literal_L(c, sp, strict=True) * t ** e
+        tag = (n, sp.q, parts)
+        assert zbar_t(parts, sp) == zbar_exp, tag
+        assert z_t(parts, sp) == z_exp, tag
+        assert L_poly(parts, sp, "interp") == L_exp, tag
+        assert L_poly(parts, sp, "plain") == _literal_L(parts, sp, strict=True), tag
+        assert L_poly(parts, sp, "star") == _literal_L(parts, sp, strict=False), tag
+
+
+def test_interpolated_sums_reject_nonpositive_parts():
+    for fn in (zbar_t, z_t):
+        with pytest.raises(ValueError):
+            fn((2, 0), HALF)
+        with pytest.raises(ValueError):
+            fn((0,), HALF)
+    with pytest.raises(ValueError):
+        z_t_float((3, -1), 5, 0.5)
 
 
 def test_interpolated_spot_value():
