@@ -232,6 +232,8 @@ def _select_instances(args: argparse.Namespace) -> list[tuple[str, dict]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     if args.cap is not None:
         _guard_cap(args.cap, args.allow_large_cap)
     instances = _select_instances(args)

@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 
 from .exact import (
     CycloNumber,
+    IrrationalCoefficient,
     QHarmonicError,
     Scalar,
     TPoly,
@@ -56,6 +57,14 @@ from .series import Series, SeriesRing
 
 class ZeroPochhammerDenominator(QHarmonicError):
     """A q-shifted factorial in a denominator vanished."""
+
+
+class NonzeroConstantTerm(QHarmonicError):
+    """A series that must vanish at the origin has a nonzero constant term."""
+
+
+class SampleTooSmall(QHarmonicError):
+    """The graded profile sample ran out before reaching the requested size."""
 
 
 ONE_MINUS_T = TPoly({0: Fraction(1), 1: Fraction(-1)})
@@ -139,7 +148,8 @@ def x_from_u(r: int, cap: int) -> XSeriesSet:
         xs.append(acc)
     final = SeriesRing(names, cap)
     done = tuple(s.assert_no_negative_exponents().in_ring(final) for s in xs)
-    assert done[0].constant_term().is_zero()
+    if not done[0].constant_term().is_zero():
+        raise NonzeroConstantTerm("x1(u) has a nonzero constant term")
     return XSeriesSet(r=r, ring=final, x=done)
 
 
@@ -545,7 +555,9 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
     cases = _lemma21_cases(r)
     per_case = -(-lemma_samples // len(cases))
     sampled = _lemma21_instances(r, per_case)
-    assert sum(len(v) for v in sampled.values()) >= lemma_samples
+    got = sum(len(v) for v in sampled.values())
+    if got < lemma_samples:
+        raise SampleTooSmall(f"only {got} of {lemma_samples} Lemma 2.1 instances at r = {r}")
     for case, insts in sampled.items():
         for inst in insts:
             record(f"lemma2_1[{case}]{inst}", _check_lemma21(case, inst, params))
@@ -714,7 +726,8 @@ def zbar_depth1_rational(n: int, m: int) -> Fraction:
     if m == 0:
         return Fraction(-1)
     flag, value = is_rational(zbar((m,), zeta_params(n)))
-    assert flag, "depth-one values at roots of unity are rational"
+    if not flag:
+        raise IrrationalCoefficient(f"depth-one value ({m},) at zeta_{n} is not rational")
     return value
 
 
@@ -924,7 +937,8 @@ def ftilde_polys(k: int, ring: SeriesRing) -> list[Series]:
 
 
 def _log_one_plus(w: Series) -> Series:
-    assert w.constant_term().is_zero()
+    if not w.constant_term().is_zero():
+        raise NonzeroConstantTerm("log(1 + w) needs w without a constant term")
     out = w.ring.zero()
     power = w.ring.one()
     for m in range(1, w.ring.cap + 1):

@@ -42,7 +42,8 @@ class SeriesParams:
     """Truncation length n and base point q (exact scalar).
 
     Validation rejects q with q^m = 1 for any 1 <= m < n, which would put a
-    zero into a denominator."""
+    zero into a denominator.  An int or a rational-valued CycloNumber q is
+    stored as a Fraction."""
 
     n: int
     q: Scalar
@@ -51,9 +52,13 @@ class SeriesParams:
         if not isinstance(self.n, int) or self.n < 1:
             raise InvalidQ(f"truncation length must be a positive int, got {self.n!r}")
         q = self.q
+        if isinstance(q, CycloNumber) and q.as_rational() is not None:
+            # It compares and hashes equal to the same value in every other
+            # field, so the sum caches would hand one field's values to another.
+            q = q.as_rational()
         if isinstance(q, int):
-            object.__setattr__(self, "q", Fraction(q))
-            q = self.q
+            q = Fraction(q)
+        object.__setattr__(self, "q", q)
         if isinstance(q, Fraction):
             if q == 1 and self.n >= 2:
                 raise InvalidQ("q = 1")

@@ -9,10 +9,19 @@ Products are truncation-exact as long as every operand holds only terms of
 nonnegative total degree; the Laurent assembly phases in :mod:`qharmonic.genfun`
 run inside enlarged working rings and re-ring to ordinary power series after
 asserting that all negative exponents have cancelled.
+
+Multiplication sorts the right operand's terms by capped degree once; since
+capped degree is additive, each left term's inner loop stops at the first
+partner that would exceed the cap, so dropped pairs are never formed.  A
+Laurent floor is still checked against every pair, pruned or not.  Both the
+product and the inversion recurrence add raw scalar products into one
+{t-exponent: scalar} dict per output exponent and build each TPoly once at
+the end, not one intermediate TPoly per term pair.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
@@ -104,20 +113,22 @@ class SeriesRing:
     # -- term helpers -------------------------------------------------------
 
     def capped_degree(self, exps: tuple[int, ...]) -> int:
+        if not self.uncapped:
+            return sum(exps)
         return sum(exps[i] for i in self._capped_idx)
 
     def check_exponents(self, exps: tuple[int, ...]) -> bool:
         """True when the term is admissible; raises on floor violations,
         returns False when it exceeds the cap (to be dropped)."""
-        li = self._laurent_idx
-        for i, e in enumerate(exps):
-            if e < 0:
-                if i != li:
-                    raise FloorExceeded(
-                        f"negative exponent of {self.variables[i]} in a non-laurent slot")
-                if e < self.laurent_floor:
-                    raise FloorExceeded(
-                        f"{self.laurent_var}^{e} below floor {self.laurent_floor}")
+        if min(exps, default=0) < 0:
+            for i, e in enumerate(exps):
+                if e < 0:
+                    if i != self._laurent_idx:
+                        raise FloorExceeded(
+                            f"negative exponent of {self.variables[i]} in a non-laurent slot")
+                    if e < self.laurent_floor:
+                        raise FloorExceeded(
+                            f"{self.laurent_var}^{e} below floor {self.laurent_floor}")
         return self.capped_degree(exps) <= self.cap
 
     # -- constructors -------------------------------------------------------
@@ -169,6 +180,16 @@ class SeriesRing:
 
 def _term_sort_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _accumulate(slot: dict[int, Scalar], left, right) -> None:
+    """Add the t-polynomial product of two coefficient item views into the
+    raw {t-exponent: scalar} dict `slot` (zeros are dropped later, by TPoly)."""
+    for a, x in left:
+        for b, y in right:
+            k = a + b
+            v = x * y
+            slot[k] = slot[k] + v if k in slot else v
 
 
 class Series:
@@ -277,18 +298,30 @@ class Series:
             return NotImplemented
         self._check_same_ring(other)
         ring = self.ring
-        out: dict[tuple[int, ...], TPoly] = {}
+        li = ring._laurent_idx
+        if li is not None and other.terms:
+            # A floor violation raises even for a pair the pruning below skips.
+            low = min(e[li] for e in other.terms)
+            for e1 in self.terms:
+                if e1[li] + low < ring.laurent_floor:
+                    for e2 in other.terms:
+                        ring.check_exponents(tuple(map(add, e1, e2)))
+        degree = ring.capped_degree
+        right = sorted(((degree(e), e, c.coeffs.items()) for e, c in other.terms.items()),
+                       key=itemgetter(0))
+        acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if not ring.check_exponents(exps):
-                    continue
-                s = out.get(exps, TPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return Series(ring, out)
+            room = ring.cap - degree(e1)
+            t1 = c1.coeffs.items()
+            for d2, e2, t2 in right:
+                if d2 > room:
+                    break
+                exps = tuple(map(add, e1, e2))
+                slot = acc.get(exps)
+                if slot is None:
+                    slot = acc[exps] = {}
+                _accumulate(slot, t1, t2)
+        return Series(ring, {e: TPoly(slot) for e, slot in acc.items()})
 
     __rmul__ = __mul__
 
@@ -317,22 +350,26 @@ class Series:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
         inv0 = scalar_inverse(c0.coeffs[0])
+        neg_inv0 = -inv0
         zero_t = (0,) * len(ring.variables)
         inv_terms: dict[tuple[int, ...], TPoly] = {zero_t: TPoly.const(inv0)}
-        nonconst = [(e, c) for e, c in self.terms.items() if e != zero_t]
+        nonconst = sorted(((sum(e), e, c.coeffs.items())
+                           for e, c in self.terms.items() if e != zero_t),
+                          key=itemgetter(0))
         for target in ring.exponents_up_to_cap():
             if target == zero_t:
                 continue
-            acc = TPoly.zero()
-            for e, c in nonconst:
-                rest = tuple(a - b for a, b in zip(target, e))
-                if any(r < 0 for r in rest):
-                    continue
-                known = inv_terms.get(rest)
+            room = sum(target)
+            acc: dict[int, Scalar] = {}
+            for d, e, tc in nonconst:
+                if d > room:
+                    break
+                known = inv_terms.get(tuple(map(sub, target, e)))
                 if known is not None:
-                    acc = acc + c * known
-            if not acc.is_zero():
-                inv_terms[target] = acc * (-inv0)
+                    _accumulate(acc, tc, known.coeffs.items())
+            tp = TPoly({k: v * neg_inv0 for k, v in acc.items()})
+            if not tp.is_zero():
+                inv_terms[target] = tp
         return Series(ring, inv_terms)
 
     # -- structure maps -----------------------------------------------------

@@ -121,6 +121,15 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_job(capsys, jobs):
+    code = main(["verify", "--suite", "chu_vandermonde", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_verify_cap_guard(capsys):
     assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9")[0] == 2
     assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9",

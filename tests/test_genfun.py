@@ -6,8 +6,11 @@ from qharmonic.exact import TPoly
 from qharmonic.genfun import (
     IdentityReport,
     PINNED_QHS_WITNESS,
+    NonzeroConstantTerm,
     PPoly,
+    SampleTooSmall,
     ZeroPochhammerDenominator,
+    _log_one_plus,
     eval_constant_index,
     exponents_of_profile,
     f_r1,
@@ -20,6 +23,7 @@ from qharmonic.genfun import (
     mat_mul,
     p_poly,
     pascal_T,
+    phi_system_checks,
     profile_from_exponents,
     psi_bruteforce,
     psi_product,
@@ -76,6 +80,14 @@ def test_substitutions_invert_each_other(r):
     rt = roundtrip_u(r, 5)
     ring = rt[0].ring
     assert rt == tuple(ring.var(f"u{i}") for i in range(1, r + 3))
+
+
+def test_invariant_violations_raise_package_errors():
+    ring = SeriesRing(("w",), 3)
+    with pytest.raises(NonzeroConstantTerm):
+        _log_one_plus(ring.one() + ring.var("w"))
+    with pytest.raises(SampleTooSmall):
+        phi_system_checks(3, 1, Fraction(1, 2), 2, lemma_samples=10**6)
 
 
 def test_x_from_u_rejects_bad_arguments():

@@ -41,6 +41,17 @@ def test_params_reject_unit_roots():
         SeriesParams(4, CycloNumber.zeta(2))
 
 
+def test_rational_cyclotomic_q_is_stored_as_fraction():
+    half = Fraction(1, 2)
+    at5 = SeriesParams(4, CycloNumber.from_rational(5, half))
+    assert type(at5.q) is Fraction and at5 == SeriesParams(4, half)
+    zbar.cache_clear()
+    assert type(zbar((2,), at5)) is Fraction
+    # a value cached under an order-5 q must not reach a caller in Q(zeta_7)
+    at7 = SeriesParams(4, CycloNumber.from_rational(7, half))
+    assert zbar((2,), at7) + CycloNumber.zeta(7) == CycloNumber(7, [Fraction(1150, 441), 1])
+
+
 def test_depth_one_spots():
     assert zbar((1,), SeriesParams(2, Fraction(1, 2))) == 2
     # n=3, q=1/2: 1/(1-1/2) + 1/(1-1/4) = 2 + 4/3

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qharmonic.exact import TPoly
+from qharmonic.exact import CycloNumber, TPoly, scalar_inverse
 from qharmonic.series import (
     FloorExceeded,
     NegativeExponentSurvived,
@@ -173,3 +173,131 @@ def test_first_mismatch_reports_location():
     loc = a.first_mismatch(b)
     assert loc is not None
     assert a.first_mismatch(a) is None
+
+
+# -- differential check of the multiply and invert kernels -------------------
+# Both sides of lemma3_2_roundtrip multiply and invert through these kernels,
+# so the references below, written out here, are their independent check.
+
+def ref_mul(a: Series, b: Series) -> Series:
+    """Every term pair, checked against the ring one by one."""
+    ring = a.ring
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            if not ring.check_exponents(exps):
+                continue
+            s = out.get(exps, TPoly.zero()) + c1 * c2
+            if s.is_zero():
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+    return Series(ring, out)
+
+
+def ref_invert(s: Series) -> Series:
+    """The coefficient recurrence with TPoly accumulation."""
+    ring = s.ring
+    inv0 = scalar_inverse(s.constant_term().coeffs[0])
+    zero = (0,) * len(ring.variables)
+    inv = {zero: TPoly.const(inv0)}
+    for target in ring.exponents_up_to_cap():
+        if target == zero:
+            continue
+        acc = TPoly.zero()
+        for e, c in s.terms.items():
+            if e != zero:
+                known = inv.get(tuple(x - y for x, y in zip(target, e)))
+                if known is not None:
+                    acc = acc + c * known
+        if not acc.is_zero():
+            inv[target] = acc * (-inv0)
+    return Series(ring, inv)
+
+
+def outcome(fn):
+    try:
+        return "ok", fn().to_json()
+    except FloorExceeded as exc:
+        return "floor", str(exc)
+
+
+def rand_scalar(rng: random.Random, order):
+    frac = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if order is None or rng.random() < 0.2:
+        return frac
+    return CycloNumber(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(rng.randint(1, 4))])
+
+
+def rand_coeff(rng: random.Random, order) -> TPoly:
+    return TPoly({rng.randint(0, 3): rand_scalar(rng, order)
+                  for _ in range(rng.randint(1, 3))})
+
+
+def rand_terms(ring: SeriesRing, rng: random.Random, order, size: int) -> Series:
+    """Up to `size` terms of capped degree at most the cap; a Laurent exponent
+    is rarely at the floor, so that some products raise and most do not."""
+    terms = {}
+    for _ in range(size):
+        room = rng.randint(0, ring.cap)
+        exps = []
+        for v in ring.variables:
+            if v in ring.uncapped:
+                e = rng.randint(0, 3)
+            elif v == ring.laurent_var:
+                e = ring.laurent_floor if rng.random() < 0.02 else rng.randint(-1, 2)
+            else:
+                e = rng.randint(0, room)
+                room -= e
+            exps.append(e)
+        terms[tuple(exps)] = rand_coeff(rng, order)
+    return Series(ring, terms)
+
+
+@pytest.mark.parametrize("order", [None, 7])
+def test_mul_matches_all_pairs_reference(order):
+    rng = random.Random(f"series-mul:{order}")
+    rings = [
+        SeriesRing(("x", "y"), 5),
+        SeriesRing(("x", "y", "z"), 3, uncapped=("z",)),
+        SeriesRing(("x", "u"), 4, laurent_var="u", laurent_floor=-3),
+        SeriesRing(("u", "x", "z"), 3, uncapped=("z",), laurent_var="u", laurent_floor=-2),
+    ]
+    raised = 0
+    for ring in rings:
+        for _ in range(10):
+            a = rand_terms(ring, rng, order, rng.randint(0, 12))
+            b = rand_terms(ring, rng, order, rng.randint(0, 12))
+            got = outcome(lambda: a * b)
+            assert got == outcome(lambda: ref_mul(a, b))
+            if got[0] == "ok":
+                assert a * b == ref_mul(a, b)
+            else:
+                raised += 1
+    assert raised
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_invert_matches_recurrence_reference(order):
+    rng = random.Random(f"series-invert:{order}")
+    for ring in (SeriesRing(("x",), 7), SeriesRing(("x", "y"), 5),
+                 SeriesRing(("x", "y", "w"), 3)):
+        for _ in range(5):
+            s = rand_terms(ring, rng, order, rng.randint(0, 8))
+            unit = rand_scalar(rng, order) or Fraction(1)
+            s = s - ring.scalar(s.constant_term()) + ring.scalar(unit)
+            assert s.invert() == ref_invert(s)
+            assert s.invert().to_json() == ref_invert(s).to_json()
+
+
+def test_floor_violation_raises_even_above_the_cap():
+    ring = SeriesRing(("x", "u"), 2, laurent_var="u", laurent_floor=-2)
+    a = ring.monomial({"x": 3, "u": -2})
+    b = ring.monomial({"x": 3, "u": -1})
+    # x^6 u^-3 has capped degree 3 > 2 and u^-3 below the floor
+    with pytest.raises(FloorExceeded, match=r"u\^-3 below floor -2"):
+        _ = a * b
+    with pytest.raises(FloorExceeded):
+        ref_mul(a, b)
