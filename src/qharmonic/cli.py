@@ -237,6 +237,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.cap is not None:
         _guard_cap(args.cap, args.allow_large_cap)
     instances = _select_instances(args)
+    if not instances:
+        given = [f"--{flag} {value}" for flag, value
+                 in (("n", args.n), ("r", args.r), ("q", args.q)) if value is not None]
+        raise UsageError(f"no instances of {args.suite} match {' '.join(given)}")
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_verify_worker, instances, chunksize=1))

@@ -490,13 +490,15 @@ class TPoly:
         return total
 
     def affine_t(self, a, b) -> "TPoly":
-        """Substitute t -> a*t + b (a, b rational)."""
+        """Substitute t -> a*t + b (a, b rational), adding the binomial
+        expansion c·C(e,j)·a^j·b^(e−j) of every term into one dict."""
         a, b = Fraction(a), Fraction(b)
-        out = TPoly.zero()
-        img = TPoly({1: a, 0: b}) if b else TPoly({1: a})
+        out: dict[int, Scalar] = {}
         for e, c in self.coeffs.items():
-            out = out + (img ** e) * c
-        return out
+            for j in range(e + 1) if b else (e,):
+                v = c * (comb(e, j) * a ** j * b ** (e - j))
+                out[j] = out[j] + v if j in out else v
+        return TPoly(out)
 
     def map_coeffs(self, fn) -> "TPoly":
         return TPoly({e: fn(c) for e, c in self.coeffs.items()})

@@ -280,18 +280,18 @@ def p_poly(r: int, shift: int, xset: XSeriesSet | Sequence[Series]) -> PPoly:
 
 def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
     """Ψ as the two-sided product: Π_j P^{t−1}(1−q^j) / Π_j P^t(1−q^j),
-    the P's evaluated over the composed x(u) series."""
+    the P's evaluated over the composed x(u) series.
+
+    Only the denominator is multiplied out.  The x(u) series and q are
+    t-free, so t -> t−1 applied to every coefficient is a ring map that
+    sends P^t to P^{t−1}; the numerator is the denominator under it."""
     params = SeriesParams(n, q)
     xset = x_from_u(r, cap)
-    p_minus = p_poly(r, -1, xset)
     p_plain = p_poly(r, 0, xset)
-    num = xset.ring.one()
     den = xset.ring.one()
     for j in range(1, n):
-        tval = 1 - scalar_pow(params.q, j)
-        num = num * p_minus.eval_scalar(tval)
-        den = den * p_plain.eval_scalar(tval)
-    return num * den.invert()
+        den = den * p_plain.eval_scalar(1 - scalar_pow(params.q, j))
+    return series_affine_t(den, 1, -1) / den
 
 
 def profile_from_exponents(r: int, exps: Sequence[int]) -> HeightProfile:
@@ -657,42 +657,50 @@ def render_q(q: Scalar) -> str:
 # the r = 1 polynomial family and the weight/depth closed forms
 # ---------------------------------------------------------------------------
 
-def u_poly(n: int) -> Series:
+def u_poly(n: int, cap: int | None = None) -> Series:
     """The degree/height counting polynomial
 
         U_n^t = Σ_{a+b≤n−1} 1/(n−a−b) C(n−a−1, b) C(n−b−1, a)
                 · t^{n−a−b−1} (1+u₁)^a (1−tu₂)^b (u₃−u₁u₂)^{n−a−b−1},
 
-    an exact polynomial (cap 2n is never reached)."""
+    an exact polynomial at the default cap 2n (which is never reached).
+
+    With a cap, U_n^t truncated at that cap: every factor has nonnegative
+    degree, so truncating the products is exact, and the terms with
+    n−a−b−1 > cap are skipped, since (u₃−u₁u₂)^m has minimum degree m."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ring = SeriesRing(("u1", "u2", "u3"), 2 * n)
+    ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
+    top_m = min(n - 1, ring.cap)
     base_a = ring.one() + ring.var("u1")
     base_b = ring.one() - ring.var("u2") * T
     base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
     pow_a = [ring.one()]
     pow_b = [ring.one()]
     pow_c = [ring.one()]
-    for _ in range(n):
+    for _ in range(n - 1):
         pow_a.append(pow_a[-1] * base_a)
         pow_b.append(pow_b[-1] * base_b)
+    for _ in range(top_m):
         pow_c.append(pow_c[-1] * base_c)
     out = ring.zero()
     for a in range(n):
         for b in range(n - a):
             m = n - a - b - 1
+            if m > top_m:
+                continue
             c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
             out = out + pow_a[a] * pow_b[b] * pow_c[m] * TPoly({m: c})
     return out
 
 
 def u_poly_ratio(n: int, cap: int) -> Series:
-    """U^{t−1}/U^t as a series in (u₁,u₂,u₃) truncated at cap."""
-    full = u_poly(n)
-    ring = SeriesRing(("u1", "u2", "u3"), cap)
-    den = full.in_ring(ring)
-    num = series_affine_t(den, 1, -1)
-    return num * den.invert()
+    """U^{t−1}/U^t as a series in (u₁,u₂,u₃) truncated at cap.
+
+    U_n^{t−1} is U_n^t under t -> t−1 applied to every coefficient (the
+    u-variables are t-free), so only U_n^t is built, at the cap."""
+    den = u_poly(n, cap)
+    return series_affine_t(den, 1, -1) / den
 
 
 def u_special(n: int) -> Series:
@@ -867,7 +875,11 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
 
 def kpow_generating(k: int, n: int, vcap: int) -> Series:
     """Σ_l (value of the repeated-entry k sum) v^l as the two-sided product
-    over powers of the primitive root; every coefficient is forced into Q."""
+    over powers of the primitive root; every coefficient is forced into Q.
+
+    Only the denominator Π_j (c_j + t·d_j·v) is multiplied out: v and the
+    c_j, d_j are t-free, so the numerator Π_j (c_j + (t−1)·d_j·v) is the
+    denominator under t -> t−1 applied to every coefficient."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if vcap < 0:
@@ -876,20 +888,17 @@ def kpow_generating(k: int, n: int, vcap: int) -> Series:
     zeta = params.q
     ring = SeriesRing(("v",), vcap)
 
-    def product(sigma: TPoly) -> Series:
-        out = ring.one()
-        for j in range(1, n):
-            tj = scalar_pow(zeta, j)
-            if k == 1:
-                const = (1 - tj) * (1 - tj)
-                vcoef = sigma * (-(1 - tj))
-            else:
-                const = scalar_pow(1 - tj, k)
-                vcoef = sigma * (-scalar_pow(tj, k - 1))
-            out = out * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
-        return out
-
-    ratio = product(T_MINUS_ONE) * product(T).invert()
+    den = ring.one()
+    for j in range(1, n):
+        tj = scalar_pow(zeta, j)
+        if k == 1:
+            const = (1 - tj) * (1 - tj)
+            vcoef = T * (-(1 - tj))
+        else:
+            const = scalar_pow(1 - tj, k)
+            vcoef = T * (-scalar_pow(tj, k - 1))
+        den = den * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
+    ratio = series_affine_t(den, 1, -1) / den
     return ratio.map_coeffs(lambda tp: tp.rationalized())
 
 
@@ -914,7 +923,7 @@ def kpow_ratio_closed(k: int, n: int, vcap: int) -> Series:
         c = _eva_c(k, n, i)
         num[(i,)] = (T_MINUS_ONE ** i) * c
         den[(i,)] = (T ** i) * c
-    return Series(ring, num) * Series(ring, den).invert()
+    return Series(ring, num) / Series(ring, den)
 
 
 def ftilde_polys(k: int, ring: SeriesRing) -> list[Series]:

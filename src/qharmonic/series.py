@@ -13,10 +13,20 @@ asserting that all negative exponents have cancelled.
 Multiplication sorts the right operand's terms by capped degree once; since
 capped degree is additive, each left term's inner loop stops at the first
 partner that would exceed the cap, so dropped pairs are never formed.  A
-Laurent floor is still checked against every pair, pruned or not.  Both the
-product and the inversion recurrence add raw scalar products into one
-{t-exponent: scalar} dict per output exponent and build each TPoly once at
-the end, not one intermediate TPoly per term pair.
+Laurent floor is still checked against every pair, pruned or not.
+
+Division ``num / den`` solves ``den * Q = num`` target by target in graded
+order (a triangular solve, since den's constant term is a t-free unit);
+``invert()`` is ``one / den``, so one recurrence serves both.  The product
+and the division add raw scalar products into one {t-exponent: scalar} dict
+per output exponent and build each TPoly once at the end, not one
+intermediate TPoly per term pair.
+
+The public constructor ``Series(ring, terms)`` validates every exponent
+tuple against the ring.  Kernel outputs whose keys are admissible by
+construction (products pruned at the cap, sums and maps over keys already
+in the ring, division targets enumerated up to the cap) go through the
+private ``Series._trusted``, which only drops zero coefficients.
 """
 from __future__ import annotations
 
@@ -208,6 +218,17 @@ class Series:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, ring: SeriesRing,
+                 terms: Mapping[tuple[int, ...], TPoly]) -> "Series":
+        """A Series over terms whose exponent tuples are admissible in ring
+        by construction: zero coefficients are dropped, exponents are not
+        re-checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "terms", {e: tp for e, tp in terms.items() if tp.coeffs})
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
 
@@ -250,7 +271,7 @@ class Series:
         for exps, tp in self.terms.items():
             if ring.check_exponents(exps):
                 out[exps] = tp
-        return Series(ring, out)
+        return Series._trusted(ring, out)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -271,12 +292,12 @@ class Series:
                 out.pop(exps, None)
             else:
                 out[exps] = s
-        return Series(self.ring, out)
+        return Series._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.ring, {e: -tp for e, tp in self.terms.items()})
+        return Series._trusted(self.ring, {e: -tp for e, tp in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
@@ -293,7 +314,7 @@ class Series:
             tp = as_tpoly(other)
             if tp.is_zero():
                 return self.ring.zero()
-            return Series(self.ring, {e: c * tp for e, c in self.terms.items()})
+            return Series._trusted(self.ring, {e: c * tp for e, c in self.terms.items()})
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_ring(other)
@@ -321,7 +342,7 @@ class Series:
                 if slot is None:
                     slot = acc[exps] = {}
                 _accumulate(slot, t1, t2)
-        return Series(ring, {e: TPoly(slot) for e, slot in acc.items()})
+        return Series._trusted(ring, {e: TPoly(slot) for e, slot in acc.items()})
 
     __rmul__ = __mul__
 
@@ -336,49 +357,62 @@ class Series:
             exp >>= 1
         return out
 
-    def invert(self) -> "Series":
-        """Multiplicative inverse up to the cap.
+    def __truediv__(self, other):
+        """Quotient up to the cap: solves other * Q = self target by target.
 
-        Requires an all-nonnegative-exponent series over capped variables
-        whose constant term is a t-free invertible scalar."""
+        Both operands must be all-nonnegative-exponent series over capped
+        variables, and the divisor's constant term a t-free invertible
+        scalar.  Each target's coefficient is inv0 · (self[target] −
+        Σ other[e] · Q[target − e]) over the divisor's non-constant terms e,
+        which are sorted by degree so the sum stops at the target's degree."""
+        if not isinstance(other, Series):
+            return NotImplemented
+        self._check_same_ring(other)
         ring = self.ring
         if ring.uncapped:
-            raise NonUnitConstantTerm("inversion with uncapped variables is unsupported")
+            raise NonUnitConstantTerm("division with uncapped variables is unsupported")
+        other.assert_no_negative_exponents()
         self.assert_no_negative_exponents()
-        c0 = self.constant_term()
+        c0 = other.constant_term()
         if c0.is_zero() or c0.degree() != 0:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
-        inv0 = scalar_inverse(c0.coeffs[0])
-        neg_inv0 = -inv0
+        neg_inv0 = -scalar_inverse(c0.coeffs[0])
         zero_t = (0,) * len(ring.variables)
-        inv_terms: dict[tuple[int, ...], TPoly] = {zero_t: TPoly.const(inv0)}
         nonconst = sorted(((sum(e), e, c.coeffs.items())
-                           for e, c in self.terms.items() if e != zero_t),
+                           for e, c in other.terms.items() if e != zero_t),
                           key=itemgetter(0))
+        num = self.terms
+        quot: dict[tuple[int, ...], TPoly] = {}
         for target in ring.exponents_up_to_cap():
-            if target == zero_t:
-                continue
             room = sum(target)
             acc: dict[int, Scalar] = {}
             for d, e, tc in nonconst:
                 if d > room:
                     break
-                known = inv_terms.get(tuple(map(sub, target, e)))
+                known = quot.get(tuple(map(sub, target, e)))
                 if known is not None:
                     _accumulate(acc, tc, known.coeffs.items())
+            given = num.get(target)
+            if given is not None:
+                for k, v in given.coeffs.items():
+                    acc[k] = acc[k] - v if k in acc else -v
             tp = TPoly({k: v * neg_inv0 for k, v in acc.items()})
-            if not tp.is_zero():
-                inv_terms[target] = tp
-        return Series(ring, inv_terms)
+            if tp.coeffs:
+                quot[target] = tp
+        return Series._trusted(ring, quot)
+
+    def invert(self) -> "Series":
+        """Multiplicative inverse up to the cap (see __truediv__)."""
+        return self.ring.one() / self
 
     # -- structure maps -----------------------------------------------------
 
     def map_terms(self, fn: Callable[[tuple[int, ...], TPoly], TPoly]) -> "Series":
-        return Series(self.ring, {e: fn(e, c) for e, c in self.terms.items()})
+        return Series._trusted(self.ring, {e: fn(e, c) for e, c in self.terms.items()})
 
     def map_coeffs(self, fn: Callable[[TPoly], TPoly]) -> "Series":
-        return Series(self.ring, {e: fn(c) for e, c in self.terms.items()})
+        return Series._trusted(self.ring, {e: fn(c) for e, c in self.terms.items()})
 
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""

@@ -130,6 +130,20 @@ def test_verify_rejects_fewer_than_one_job(capsys, jobs):
     assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "thm1_3", "--n", "99"], "no instances of thm1_3 match --n 99"),
+    (["--suite", "lemma4_1", "--r", "9"], "no instances of lemma4_1 match --r 9"),
+    (["--suite", "thm1_1", "--n", "3", "--r", "1", "--q", "9/7"],
+     "no instances of thm1_1 match --n 3 --r 1 --q 9/7"),
+])
+def test_verify_filter_matching_nothing_is_usage_error(capsys, argv, message):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_cap_guard(capsys):
     assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9")[0] == 2
     assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9",

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qharmonic.exact import TPoly
+from qharmonic.exact import CycloNumber, TPoly, scalar_pow
 from qharmonic.genfun import (
     IdentityReport,
     PINNED_QHS_WITNESS,
@@ -48,8 +49,8 @@ from qharmonic.genfun import (
     xi_ones_coeff,
 )
 from qharmonic.indices import HeightProfile
-from qharmonic.qseries import zbar_t, zeta_params
-from qharmonic.series import SeriesRing
+from qharmonic.qseries import SeriesParams, zbar_t, zeta_params
+from qharmonic.series import Series, SeriesRing
 
 T = TPoly.t()
 
@@ -362,3 +363,66 @@ def test_mismatch_helpers_locate_first_difference():
     }
     assert scalar_mismatch(Fraction(1), Fraction(1)) is None
     assert scalar_mismatch(Fraction(1), Fraction(2)) == {"lhs": "1", "rhs": "2"}
+
+
+# -- the t -> t-1 numerators against the two-product formulas -----------------
+
+T_MINUS_ONE = TPoly({0: Fraction(-1), 1: Fraction(1)})
+
+
+def ref_psi_product(n, r, q, cap):
+    """Both products multiplied out, then num * den^-1."""
+    params = SeriesParams(n, q)
+    xset = x_from_u(r, cap)
+    p_minus, p_plain = p_poly(r, -1, xset), p_poly(r, 0, xset)
+    num = den = xset.ring.one()
+    for j in range(1, n):
+        tval = 1 - scalar_pow(params.q, j)
+        num = num * p_minus.eval_scalar(tval)
+        den = den * p_plain.eval_scalar(tval)
+    return num * den.invert()
+
+
+def ref_kpow_generating(k, n, vcap):
+    zeta = zeta_params(n).q
+    ring = SeriesRing(("v",), vcap)
+
+    def product(sigma):
+        out = ring.one()
+        for j in range(1, n):
+            tj = scalar_pow(zeta, j)
+            if k == 1:
+                const, vcoef = (1 - tj) * (1 - tj), sigma * (-(1 - tj))
+            else:
+                const, vcoef = scalar_pow(1 - tj, k), sigma * (-scalar_pow(tj, k - 1))
+            out = out * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
+        return out
+
+    ratio = product(T_MINUS_ONE) * product(T).invert()
+    return ratio.map_coeffs(lambda tp: tp.rationalized())
+
+
+def test_psi_product_matches_two_product_formula():
+    rng = random.Random("psi-two-products")
+    for kind in ("zeta", "zeta", "zeta", "1/2", "-3", "random", "random"):
+        n, r, cap = rng.randint(3, 5), rng.randint(1, 2), rng.randint(1, 3)
+        q = {"zeta": CycloNumber.zeta(n), "1/2": Fraction(1, 2), "-3": Fraction(-3),
+             "random": Fraction(rng.randint(1, 9), rng.randint(2, 9))}[kind]
+        assert psi_product(n, r, q, cap).to_json() == ref_psi_product(n, r, q, cap).to_json()
+
+
+def test_kpow_generating_matches_two_product_formula():
+    rng = random.Random("kpow-two-products")
+    for k in (1, 1, 2, 2, 3, 3, 4):
+        n, vcap = rng.randint(2, 8), rng.randint(1, 5)
+        assert kpow_generating(k, n, vcap).to_json() == ref_kpow_generating(k, n, vcap).to_json()
+
+
+def test_u_poly_at_a_cap_is_the_truncated_polynomial():
+    for n in range(1, 9):
+        full = u_poly(n)
+        for cap in range(0, 8):
+            ring = SeriesRing(("u1", "u2", "u3"), cap)
+            den = full.in_ring(ring)
+            assert u_poly(n, cap) == den
+            assert u_poly_ratio(n, cap) == series_affine_t(den, 1, -1) * den.invert()

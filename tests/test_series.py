@@ -301,3 +301,114 @@ def test_floor_violation_raises_even_above_the_cap():
         _ = a * b
     with pytest.raises(FloorExceeded):
         ref_mul(a, b)
+
+
+# -- division, the t -> a*t + b map and the unchecked constructor ------------
+
+def rand_unit(ring: SeriesRing, rng: random.Random, order, size: int) -> Series:
+    """A random series whose constant term is a nonzero t-free scalar."""
+    s = rand_terms(ring, rng, order, size)
+    unit = rand_scalar(rng, order) or Fraction(1)
+    return s - ring.scalar(s.constant_term()) + ring.scalar(unit)
+
+
+@pytest.mark.parametrize("order", [None, 5, 7])
+def test_division_matches_multiply_by_inverse(order):
+    rng = random.Random(f"series-div:{order}")
+    for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4),
+                 SeriesRing(("x", "y", "w"), 3)):
+        for _ in range(5):
+            a = rand_terms(ring, rng, order, rng.randint(0, 8))
+            b = rand_unit(ring, rng, order, rng.randint(0, 8))
+            q = a / b
+            assert q.to_json() == (a * b.invert()).to_json()
+            assert q * b == a
+
+
+def test_division_errors_match_inversion():
+    ring = SeriesRing(("x", "y"), 3)
+    a = ring.var("x") + ring.scalar(3)
+    for bad in (ring.var("x"), ring.zero(), ring.one() * TPoly.t() + ring.one()):
+        with pytest.raises(NonUnitConstantTerm):
+            bad.invert()
+        with pytest.raises(NonUnitConstantTerm):
+            _ = a / bad
+    with pytest.raises(ValueError, match="different rings"):
+        _ = a / SeriesRing(("x", "y"), 4).one()
+    uncapped = SeriesRing(("x", "z"), 3, uncapped=("z",))
+    with pytest.raises(NonUnitConstantTerm):
+        uncapped.one().invert()
+    with pytest.raises(NonUnitConstantTerm):
+        _ = uncapped.var("z") / uncapped.one()
+    laurent = SeriesRing(("x", "u"), 3, laurent_var="u", laurent_floor=-2)
+    low = laurent.monomial({"x": 2, "u": -1})
+    with pytest.raises(NegativeExponentSurvived):
+        (laurent.one() + low).invert()
+    with pytest.raises(NegativeExponentSurvived):
+        _ = low / laurent.one()
+    with pytest.raises(TypeError):
+        _ = a / 2
+
+
+def ref_affine_t(tp: TPoly, a, b) -> TPoly:
+    """Substitute t -> a*t + b one power of the image at a time."""
+    img = TPoly({1: Fraction(a), 0: Fraction(b)})
+    out = TPoly.zero()
+    for e, c in tp.coeffs.items():
+        out = out + (img ** e) * c
+    return out
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_affine_t_matches_power_loop(order):
+    rng = random.Random(f"affine-t:{order}")
+    for _ in range(40):
+        tp = TPoly({rng.randint(0, 6): rand_scalar(rng, order)
+                    for _ in range(rng.randint(0, 5))})
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        b = rng.choice((Fraction(0), Fraction(-1), Fraction(1),
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
+        got = tp.affine_t(a, b)
+        assert got.to_json() == ref_affine_t(tp, a, b).to_json()
+    assert TPoly({2: Fraction(3)}).affine_t(1, -1) == TPoly({0: 3, 1: -6, 2: 3})
+
+
+def assert_admissible(s: Series):
+    """The result equals its own re-validation: no zero coefficient, no term
+    above the cap, none below a floor or negative in a non-Laurent slot."""
+    assert all(tp.coeffs for tp in s.terms.values())
+    assert s.terms == Series(s.ring, s.terms).terms
+
+
+@pytest.mark.parametrize("order", [None, 7])
+def test_unchecked_results_are_admissible(order):
+    rng = random.Random(f"series-trusted:{order}")
+    rings = [
+        SeriesRing(("x", "y"), 4),
+        SeriesRing(("x", "y", "z"), 3, uncapped=("z",)),
+        SeriesRing(("x", "u"), 4, laurent_var="u", laurent_floor=-3),
+    ]
+    for ring in rings:
+        smaller = SeriesRing(ring.variables, ring.cap - 1, uncapped=ring.uncapped,
+                             laurent_var=ring.laurent_var,
+                             laurent_floor=ring.laurent_floor)
+        for _ in range(8):
+            a = rand_terms(ring, rng, order, rng.randint(0, 10))
+            b = rand_terms(ring, rng, order, rng.randint(0, 10))
+            c = rand_scalar(rng, order)
+            results = [
+                a + b, a - b, a + (-a), -a, a * c, a * 0, c * a,
+                a.map_coeffs(lambda tp: tp * TPoly.t()),
+                a.map_coeffs(lambda tp: tp - tp),
+                a.map_terms(lambda e, tp: tp if sum(e) % 2 else TPoly.zero()),
+                a.in_ring(smaller),
+            ]
+            try:
+                results.append(a * b)
+            except FloorExceeded:
+                pass
+            if not ring.uncapped and ring.laurent_var is None:
+                unit = rand_unit(ring, rng, order, rng.randint(0, 8))
+                results += [a / unit, unit.invert()]
+            for s in results:
+                assert_admissible(s)

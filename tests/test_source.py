@@ -14,3 +14,16 @@ def test_package_has_no_bare_asserts():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_unchecked_series_constructor_stays_in_series_module():
+    # Series._trusted skips exponent validation; only the series kernels,
+    # whose outputs are admissible by construction, may call it.
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "series.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr == "_trusted")
+             or (isinstance(node, ast.Name) and node.id == "_trusted")]
+    assert found == []
+    series = next(path for path in SOURCES if path.name == "series.py")
+    assert "_trusted" in series.read_text()
