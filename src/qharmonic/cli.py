@@ -11,11 +11,13 @@ import argparse
 import cmath
 import csv
 import json
+import math
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .exact import QHarmonicError, TPoly, parse_rational, render_rational
+from .exact import QHarmonicError, TPoly, render_rational
 from .genfun import eval_constant_index, u_poly, xi_ones_coeff
 from .identities import (
     InvalidParams,
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_CRASH = 4
 CAP_GUARD = 8
 
 
@@ -318,20 +321,39 @@ def _dense(tp: TPoly, width: int) -> list[Fraction]:
 # xi-check
 # ---------------------------------------------------------------------------
 
+def _parse_t(text: str) -> float:
+    """One --t sample: a float literal or a rational "p/q"."""
+    try:
+        t = float(Fraction(text)) if "/" in text else float(text)
+    except ValueError:
+        raise UsageError(f"cannot parse --t value {text!r}")
+    except (ZeroDivisionError, OverflowError):
+        t = math.inf
+    if not math.isfinite(t):
+        raise ValueError(f"--t value {text.strip()!r} is not a finite float")
+    return t
+
+
 def _cmd_xi_check(args: argparse.Namespace) -> int:
     ls = _parse_int_list(args.l)
-    ts = [float(parse_rational(p)) if "/" in p else float(p)
-          for p in args.t.split(",")]
+    ts = [_parse_t(p) for p in args.t.split(",")]
     ns = _parse_int_list(args.n)
-    if sorted(ns) != ns:
-        raise UsageError("--n values must be increasing for the convergence check")
+    if not ls:
+        raise UsageError("--l needs at least one depth")
+    if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise UsageError(f"--n must be strictly increasing integers >= 1, got {args.n!r}")
     rows = []
     ok = True
     for l in ls:
         coeff = xi_ones_coeff(l)
         for t in ts:
-            target = complex(float(coeff.eval(Fraction(t)))) * (-2j * cmath.pi) ** l
-            errs = [abs(z_t_float((1,) * l, n, t) - target) for n in ns]
+            try:
+                target = complex(float(coeff.eval(Fraction(t)))) * (-2j * cmath.pi) ** l
+                errs = [abs(z_t_float((1,) * l, n, t) - target) for n in ns]
+            except OverflowError:
+                errs = [math.inf]
+            if not all(map(math.isfinite, errs)):
+                raise ValueError(f"t = {t!r} overflows a float at depth {l}")
             # relative error degenerates at a zero target; fall back to absolute
             rel = errs[-1] / abs(target) if target != 0 else errs[-1]
             conv = all(a > b for a, b in zip(errs, errs[1:])) and rel < 0.1
@@ -430,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidParams, QHarmonicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception:
+        # any other exception is a defect, not a failed check (EXIT_FAIL)
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ This module builds both sides of every verified statement:
 
 * the change of variables between the u-parameters of the height generating
   function and the x-parameters of the polylogarithm generating functions,
-  assembled in Laurent working rings and re-rung to ordinary power series
-  after the guaranteed cancellation of negative exponents;
+  written out term by term in closed form, next to a Pascal-matrix assembly
+  of u(x) that clears its poles by a power of x₁;
 * the product representation of the height generating function (via the
   characteristic polynomial P) next to its brute-force definition (via
   profile sums);
@@ -67,6 +67,10 @@ class SampleTooSmall(QHarmonicError):
     """The graded profile sample ran out before reaching the requested size."""
 
 
+class UncancelledPole(QHarmonicError):
+    """A negative power of x₁ survived the Pascal-matrix assembly of u(x)."""
+
+
 ONE_MINUS_T = TPoly({0: Fraction(1), 1: Fraction(-1)})
 T_MINUS_ONE = TPoly({1: Fraction(1), 0: Fraction(-1)})
 NEG_T = TPoly({1: Fraction(-1)})
@@ -89,17 +93,6 @@ def u_ring(r: int, cap: int) -> SeriesRing:
     return SeriesRing(u_variable_names(r), cap)
 
 
-def _work_ring(names: tuple[str, ...], laurent: str, r: int, cap: int) -> SeriesRing:
-    # headroom cap + r + 1 so that terms carrying the deepest monomial
-    # exponent laurent^(-r) still reach total degree cap after cancellation
-    return SeriesRing(
-        names,
-        cap + r + 1,
-        laurent_var=laurent,
-        laurent_floor=-(r + 1) * max(cap, 1),
-    )
-
-
 @dataclass(frozen=True)
 class XSeriesSet:
     """The r+2 composed x-series (or formal x-variables) sharing one ring."""
@@ -113,84 +106,74 @@ class XSeriesSet:
             raise ValueError("need r+2 series")
 
 
+def _change_of_variables(names: tuple[str, ...], r: int, cap: int,
+                         sign: int) -> tuple[Series, ...]:
+    """w₁,…,w_{r+2} over the variables `names` = v₁,…,v_{r+2}, term by term;
+    σ = sign = −1 gives x(u) and σ = +1 gives u(x).  With a = r+2−i,
+
+        w₁ = Σ_{s≥1} σ^{s−1} v₁^s,
+        w_i = Σ_{j=i}^{r+1} σ^{j−i} C(j−2, i−2) v_j
+              + v_{r+2} Σ_{s≥0} σ^{s+a} C(s+a+i−2, i−2) v₁^s,
+
+    because the subtracted Σ_j σ^{j−i} C(j−2, i−2) v_{r+2}/v₁^{r+2−j} is
+    exactly the negative-power part of v_{r+2} v₁^{−a} (1−σv₁)^{−(i−1)}."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    ring = SeriesRing(names, cap)
+    v1, last = names[0], names[-1]
+
+    def total(terms) -> Series:
+        return sum((ring.monomial(e, Fraction(c)) for c, e in terms), ring.zero())
+
+    ws = [total((sign ** (s - 1), {v1: s}) for s in range(1, cap + 1))]
+    for i in range(2, r + 3):
+        a = r + 2 - i
+        ws.append(total([(sign ** (j - i) * binomial(j - 2, i - 2), {names[j - 1]: 1})
+                         for j in range(i, r + 2)]
+                        + [(sign ** (s + a) * binomial(s + a + i - 2, i - 2), {last: 1, v1: s})
+                           for s in range(cap)]))
+    return tuple(ws)
+
+
 def x_from_u(r: int, cap: int) -> XSeriesSet:
     """The x-parameters as power series in u₁,…,u_{r+2}.
 
     x₁ = u₁/(1+u₁) and, for i ≥ 2,
 
         x_i = Σ_{j=i}^{r+1} (−1)^{j−i} C(j−2, i−2) (u_j − u_{r+2}/u₁^{r+2−j})
-              + u_{r+2} / (u₁^{r+2−i} (1+u₁)^{i−1}).
+              + u_{r+2} / (u₁^{r+2−i} (1+u₁)^{i−1}),
 
-    Assembled in a Laurent working ring; the negative u₁-exponents cancel
-    identically, which is asserted before re-ringing to the final cap.
+    written out term by term (see _change_of_variables).
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    names = u_variable_names(r)
-    work = _work_ring(names, "u1", r, cap)
-    u1 = work.var("u1")
-    inv = (work.one() + u1).invert()
-    inv_pows = [work.one()]
-    for _ in range(r + 1):
-        inv_pows.append(inv_pows[-1] * inv)
-    last = f"u{r + 2}"
-    xs = [u1 * inv]
-    for i in range(2, r + 3):
-        acc = work.zero()
-        for j in range(i, r + 2):
-            coeff = Fraction((-1) ** (j - i) * binomial(j - 2, i - 2))
-            acc = acc + (
-                work.var(f"u{j}") - work.monomial({last: 1, "u1": -(r + 2 - j)})
-            ) * coeff
-        acc = acc + work.monomial({last: 1, "u1": -(r + 2 - i)}) * inv_pows[i - 1]
-        xs.append(acc)
-    final = SeriesRing(names, cap)
-    done = tuple(s.assert_no_negative_exponents().in_ring(final) for s in xs)
-    if not done[0].constant_term().is_zero():
-        raise NonzeroConstantTerm("x1(u) has a nonzero constant term")
-    return XSeriesSet(r=r, ring=final, x=done)
+    xs = _change_of_variables(u_variable_names(r), r, cap, -1)
+    return XSeriesSet(r=r, ring=xs[0].ring, x=xs)
 
 
 def u_from_x(r: int, cap: int) -> tuple[Series, ...]:
     """The inverse substitution: u₁ = x₁/(1−x₁) and, for i ≥ 2,
 
         u_i = Σ_{j=i}^{r+1} C(j−2, i−2) (x_j − x_{r+2}/x₁^{r+2−j})
-              + x_{r+2} / (x₁^{r+2−i} (1−x₁)^{i−1}).
+              + x_{r+2} / (x₁^{r+2−i} (1−x₁)^{i−1}),
+
+    written out term by term (see _change_of_variables).
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    names = x_variable_names(r)
-    work = _work_ring(names, "x1", r, cap)
-    x1 = work.var("x1")
-    inv = (work.one() - x1).invert()
-    inv_pows = [work.one()]
-    for _ in range(r + 1):
-        inv_pows.append(inv_pows[-1] * inv)
-    last = f"x{r + 2}"
-    us = [x1 * inv]
-    for i in range(2, r + 3):
-        acc = work.zero()
-        for j in range(i, r + 2):
-            coeff = Fraction(binomial(j - 2, i - 2))
-            acc = acc + (
-                work.var(f"x{j}") - work.monomial({last: 1, "x1": -(r + 2 - j)})
-            ) * coeff
-        acc = acc + work.monomial({last: 1, "x1": -(r + 2 - i)}) * inv_pows[i - 1]
-        us.append(acc)
-    final = SeriesRing(names, cap)
-    return tuple(s.assert_no_negative_exponents().in_ring(final) for s in us)
+    return _change_of_variables(x_variable_names(r), r, cap, 1)
 
 
 def u_from_x_matrix(r: int, cap: int) -> tuple[Series, ...]:
     """Same substitution as u_from_x, but with rows 2..r+1 assembled through
     the upper-triangular binomial matrix acting on the difference vector,
-    plus the displayed correction column."""
+    plus the displayed correction column.
+
+    Every row is multiplied by x₁^{r+1}, which clears the negative powers,
+    and multiplied out with series products and one inversion in an
+    ordinary ring of cap + r + 1; x₁ is then shifted back down by r + 1.
+    A term below x₁^{r+1} at that point is a pole that did not cancel."""
     names = x_variable_names(r)
-    work = _work_ring(names, "x1", r, cap)
+    lift = r + 1
+    work = SeriesRing(names, cap + lift)
     x1 = work.var("x1")
     inv = (work.one() - x1).invert()
     inv_pows = [work.one()]
@@ -199,18 +182,25 @@ def u_from_x_matrix(r: int, cap: int) -> tuple[Series, ...]:
     last = f"x{r + 2}"
     mat, _ = pascal_T(r)
     vec = [
-        work.var(f"x{b + 2}") - work.monomial({last: 1, "x1": -(r - b)})
+        work.monomial({f"x{b + 2}": 1, "x1": lift}) - work.monomial({last: 1, "x1": b + 1})
         for b in range(r)
     ]
-    us = [x1 * inv]
+    rows = [work.var("x1", lift + 1) * inv]
     for a in range(r):
-        acc = work.monomial({last: 1, "x1": -(r - a)}) * inv_pows[a + 1]
+        acc = work.monomial({last: 1, "x1": a + 1}) * inv_pows[a + 1]
         for b in range(a, r):
             acc = acc + vec[b] * Fraction(mat[a][b])
-        us.append(acc)
-    us.append(work.monomial({last: 1}) * inv_pows[r + 1])
+        rows.append(acc)
+    rows.append(work.monomial({last: 1, "x1": lift}) * inv_pows[r + 1])
     final = SeriesRing(names, cap)
-    return tuple(s.assert_no_negative_exponents().in_ring(final) for s in us)
+
+    def shift_down(row: Series) -> Series:
+        low = min((e[0] for e in row.terms), default=lift)
+        if low < lift:
+            raise UncancelledPole(f"x1^{low - lift} survived in u_from_x_matrix({r}, {cap})")
+        return Series(final, {(e[0] - lift,) + e[1:]: tp for e, tp in row.terms.items()})
+
+    return tuple(map(shift_down, rows))
 
 
 def formal_x(r: int, cap: int, extra: Sequence[str] = (), uncapped: Sequence[str] = ()) -> XSeriesSet:

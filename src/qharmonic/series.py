@@ -2,18 +2,12 @@
 
 The truncation cap is a total-degree bound over the ring's *capped*
 variables; designated variables (the polylogarithm variable z in practice)
-are exempt and never truncated.  One variable may carry a Laurent floor,
-allowing bounded negative exponents during change-of-variable assembly.
-
-Products are truncation-exact as long as every operand holds only terms of
-nonnegative total degree; the Laurent assembly phases in :mod:`qharmonic.genfun`
-run inside enlarged working rings and re-ring to ordinary power series after
-asserting that all negative exponents have cancelled.
+are exempt and never truncated.  Every exponent is nonnegative, so products
+are truncation-exact.
 
 Multiplication sorts the right operand's terms by capped degree once; since
 capped degree is additive, each left term's inner loop stops at the first
-partner that would exceed the cap, so dropped pairs are never formed.  A
-Laurent floor is still checked against every pair, pruned or not.
+partner that would exceed the cap, so dropped pairs are never formed.
 
 Division ``num / den`` solves ``den * Q = num`` target by target in graded
 order (a triangular solve, since den's constant term is a t-free unit);
@@ -48,54 +42,27 @@ class NonUnitConstantTerm(QHarmonicError):
     """Series inversion needs a t-free invertible constant term."""
 
 
-class FloorExceeded(QHarmonicError):
-    """An exponent dropped below the ring's Laurent floor."""
-
-
-class NegativeExponentSurvived(QHarmonicError):
-    """A negative exponent remained after a cancellation that should have
-    removed all of them."""
-
-
 class SeriesRing:
-    """Shared shape data for Series values: variable names, truncation cap,
-    the subset of capped variables, and an optional Laurent floor."""
+    """Shared shape data for Series values: variable names, truncation cap
+    and the subset of capped variables."""
 
-    __slots__ = ("variables", "cap", "uncapped", "laurent_var", "laurent_floor",
-                 "_index", "_capped_idx", "_laurent_idx")
+    __slots__ = ("variables", "cap", "uncapped", "_index", "_capped_idx")
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        cap: int,
-        uncapped: Iterable[str] = (),
-        laurent_var: str | None = None,
-        laurent_floor: int = 0,
-    ) -> None:
+    def __init__(self, variables: Sequence[str], cap: int,
+                 uncapped: Iterable[str] = ()) -> None:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         uncapped = frozenset(uncapped)
         if not uncapped <= set(variables):
             raise ValueError("uncapped names not among variables")
-        if laurent_var is not None and laurent_var not in variables:
-            raise ValueError("laurent variable not among variables")
-        if laurent_var is None and laurent_floor != 0:
-            raise ValueError("laurent floor without laurent variable")
-        if laurent_floor > 0:
-            raise ValueError("laurent floor must be <= 0")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", int(cap))
         object.__setattr__(self, "uncapped", uncapped)
-        object.__setattr__(self, "laurent_var", laurent_var)
-        object.__setattr__(self, "laurent_floor", int(laurent_floor))
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
         object.__setattr__(
             self, "_capped_idx",
             tuple(i for i, v in enumerate(variables) if v not in uncapped))
-        object.__setattr__(
-            self, "_laurent_idx",
-            None if laurent_var is None else variables.index(laurent_var))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SeriesRing is immutable")
@@ -106,19 +73,15 @@ class SeriesRing:
             and self.variables == other.variables
             and self.cap == other.cap
             and self.uncapped == other.uncapped
-            and self.laurent_var == other.laurent_var
-            and self.laurent_floor == other.laurent_floor
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.cap, self.uncapped,
-                     self.laurent_var, self.laurent_floor))
+        return hash((self.variables, self.cap, self.uncapped))
 
     def __repr__(self) -> str:
         return (f"SeriesRing({self.variables}, cap={self.cap}"
                 + (f", uncapped={sorted(self.uncapped)}" if self.uncapped else "")
-                + (f", laurent=({self.laurent_var},{self.laurent_floor})"
-                   if self.laurent_var else "") + ")")
+                + ")")
 
     # -- term helpers -------------------------------------------------------
 
@@ -128,17 +91,10 @@ class SeriesRing:
         return sum(exps[i] for i in self._capped_idx)
 
     def check_exponents(self, exps: tuple[int, ...]) -> bool:
-        """True when the term is admissible; raises on floor violations,
-        returns False when it exceeds the cap (to be dropped)."""
+        """True when the term is admissible, False when it exceeds the cap
+        (to be dropped); raises ValueError on a negative exponent."""
         if min(exps, default=0) < 0:
-            for i, e in enumerate(exps):
-                if e < 0:
-                    if i != self._laurent_idx:
-                        raise FloorExceeded(
-                            f"negative exponent of {self.variables[i]} in a non-laurent slot")
-                    if e < self.laurent_floor:
-                        raise FloorExceeded(
-                            f"{self.laurent_var}^{e} below floor {self.laurent_floor}")
+            raise ValueError(f"negative exponent in {exps}")
         return self.capped_degree(exps) <= self.cap
 
     # -- constructors -------------------------------------------------------
@@ -252,19 +208,11 @@ class Series:
     def constant_term(self) -> TPoly:
         return self.terms.get((0,) * len(self.ring.variables), TPoly.zero())
 
-    def assert_no_negative_exponents(self) -> "Series":
-        for exps in self.terms:
-            if any(e < 0 for e in exps):
-                raise NegativeExponentSurvived(
-                    f"term {exps} kept a negative exponent")
-        return self
-
     # -- ring changes -------------------------------------------------------
 
     def in_ring(self, ring: SeriesRing) -> "Series":
-        """Recast into a ring with the same variable names (cap/floor may
-        differ).  Terms above the new cap are dropped; negative exponents
-        must be representable in the new ring."""
+        """Recast into a ring with the same variable names (the cap may
+        differ).  Terms above the new cap are dropped."""
         if ring.variables != self.ring.variables:
             raise ValueError("variable mismatch in re-ring")
         out: dict[tuple[int, ...], TPoly] = {}
@@ -319,14 +267,6 @@ class Series:
             return NotImplemented
         self._check_same_ring(other)
         ring = self.ring
-        li = ring._laurent_idx
-        if li is not None and other.terms:
-            # A floor violation raises even for a pair the pruning below skips.
-            low = min(e[li] for e in other.terms)
-            for e1 in self.terms:
-                if e1[li] + low < ring.laurent_floor:
-                    for e2 in other.terms:
-                        ring.check_exponents(tuple(map(add, e1, e2)))
         degree = ring.capped_degree
         right = sorted(((degree(e), e, c.coeffs.items()) for e, c in other.terms.items()),
                        key=itemgetter(0))
@@ -360,9 +300,8 @@ class Series:
     def __truediv__(self, other):
         """Quotient up to the cap: solves other * Q = self target by target.
 
-        Both operands must be all-nonnegative-exponent series over capped
-        variables, and the divisor's constant term a t-free invertible
-        scalar.  Each target's coefficient is inv0 · (self[target] −
+        Both operands must be series over capped variables only, and the
+        divisor's constant term a t-free invertible scalar.  Each target's coefficient is inv0 · (self[target] −
         Σ other[e] · Q[target − e]) over the divisor's non-constant terms e,
         which are sorted by degree so the sum stops at the target's degree."""
         if not isinstance(other, Series):
@@ -371,8 +310,6 @@ class Series:
         ring = self.ring
         if ring.uncapped:
             raise NonUnitConstantTerm("division with uncapped variables is unsupported")
-        other.assert_no_negative_exponents()
-        self.assert_no_negative_exponents()
         c0 = other.constant_term()
         if c0.is_zero() or c0.degree() != 0:
             raise NonUnitConstantTerm(
@@ -470,12 +407,9 @@ class Series:
         pow_cache: dict[tuple[int, int], Series] = {}
 
         def image_power(i: int, e: int) -> Series:
-            key = (i, e)
-            got = pow_cache.get(key)
+            got = pow_cache.get((i, e))
             if got is None:
-                base = images[i]
-                got = base.invert() ** (-e) if e < 0 else base ** e
-                pow_cache[key] = got
+                got = pow_cache[(i, e)] = images[i] ** e
             return got
 
         total = target.zero()

@@ -147,7 +147,7 @@ def test_criterion_09_substitution_roundtrip():
     assert max(p["cap"] for p in grid if p["r"] <= 3) == 5
     _run_all("lemma3_2_roundtrip")
     for r in (1, 2, 3):
-        x_from_u(r, 5)     # raises if a negative exponent survives
+        x_from_u(r, 5)     # builds without error at the grid's largest cap
     for r in range(1, 6):
         mat, inv = pascal_T(r)
         identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -220,6 +221,65 @@ def test_xi_check_rejects_short_run(capsys):
 
 def test_xi_check_requires_increasing_n(capsys):
     assert run(capsys, "xi-check", "--n", "400,50")[0] == 2
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--n="], 2, "--n must be strictly increasing integers >= 1, got ''"),
+    (["--l="], 2, "--l needs at least one depth"),
+    (["--n", "0"], 2, "got '0'"),
+    (["--n", "0,50"], 2, "got '0,50'"),
+    (["--n", "10,20,20"], 2, "got '10,20,20'"),
+    (["--t", "abc"], 2, "cannot parse --t value 'abc'"),
+    (["--t="], 2, "cannot parse --t value ''"),
+    (["--t", "0,,1"], 2, "cannot parse --t value ''"),
+    (["--t", "inf"], 3, "--t value 'inf' is not a finite float"),
+    (["--t", "nan"], 3, "--t value 'nan' is not a finite float"),
+    (["--t", "1/0"], 3, "--t value '1/0' is not a finite float"),
+    (["--t", "1e400"], 3, "--t value '1e400' is not a finite float"),
+    (["--t", "1e308"], 3, "t = 1e+308 overflows a float at depth 2"),
+    (["--l", "3", "--t", "1e200", "--n", "5,9"], 3, "t = 1e+200 overflows a float at depth 3"),
+])
+def test_xi_check_bad_input_is_one_line_error(capsys, argv, code, message):
+    assert main(["xi-check", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_unexpected_exception_is_a_crash_not_a_failure(monkeypatch, capsys):
+    import qharmonic.cli as cli
+
+    def boom(args):
+        raise RuntimeError("kaboom")
+
+    monkeypatch.setattr(cli, "_cmd_table", boom)
+    assert cli.EXIT_CRASH == 4
+    assert main(["table", "gsum", "--n", "3"]) == cli.EXIT_CRASH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().endswith("RuntimeError: kaboom")
+
+
+# sha256 of the `verify --suite S` stdout (reports and summary line) for the
+# suites built on the u <-> x change of variables and the series kernels;
+# the reports must stay byte-identical when those are rewritten.
+PINNED_REPORTS = {
+    "lemma3_2_roundtrip": "88b0958ad00b5a7e94bc5ab1ae6a7fa63f3aedf03dd9edaf9cdbda7c1e9692e1",
+    "lemma4_1": "7a573e8d11c12358d24e8d2411b44674568bf93f04a505f2c230e65b9e5671d1",
+    "pt_special": "84ba0d2ee82c9840feaa25827527a27b2856f7ad7657b770a9055c3e36dbe062",
+    "thm1_1": "928fab8ec077fcc6ff843bf65264920496efb4268caf8e4ca9a33b9b544382b8",
+    "reflection": "dc42065de8f5e5840229bc9abdfcfbbd6490d30282eca8fdb73fe9bc5dc33c50",
+    "half_t_self_dual": "f581a65fff4c0f024c1b4af1199010ce008731a568ca6baca960c9f1ee8f14b2",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_REPORTS))
+def test_verify_report_bytes_are_pinned(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[suite]
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -10,6 +10,7 @@ from qharmonic.genfun import (
     NonzeroConstantTerm,
     PPoly,
     SampleTooSmall,
+    UncancelledPole,
     ZeroPochhammerDenominator,
     _log_one_plus,
     eval_constant_index,
@@ -41,6 +42,7 @@ from qharmonic.genfun import (
     tpoly_mismatch,
     u_collapsed,
     u_from_x,
+    u_from_x_matrix,
     u_poly,
     u_poly_ratio,
     u_special,
@@ -89,6 +91,16 @@ def test_invariant_violations_raise_package_errors():
         _log_one_plus(ring.one() + ring.var("w"))
     with pytest.raises(SampleTooSmall):
         phi_system_checks(3, 1, Fraction(1, 2), 2, lemma_samples=10**6)
+
+
+def test_matrix_form_raises_on_an_uncancelled_pole(monkeypatch):
+    # a wrong last diagonal entry leaves x4 * x1^2 uncancelled in row u3,
+    # which is x1^-1 after the shift by r + 1 = 3
+    mat, inv = pascal_T(2)
+    wrong = (mat[0], (mat[1][0], mat[1][1] + 1))
+    monkeypatch.setattr("qharmonic.genfun.pascal_T", lambda r: (wrong, inv))
+    with pytest.raises(UncancelledPole, match=r"x1\^-1 survived"):
+        u_from_x_matrix(2, 3)
 
 
 def test_x_from_u_rejects_bad_arguments():
