@@ -58,7 +58,6 @@ from .genfun import (
     psi_product,
     sum_formula,
     u_poly,
-    verify_phi_system,
     xi_ones_coeff,
 )
 from .identities import (
@@ -82,8 +81,7 @@ __all__ = [
     "z", "z_star", "z_t", "z_t_float", "zbar", "zbar_star", "zbar_t",
     "zeta_params",
     "IdentityReport", "PPoly", "eval_constant_index", "kpow_generating",
-    "psi_bruteforce", "psi_product", "sum_formula", "u_poly",
-    "verify_phi_system", "xi_ones_coeff",
+    "psi_bruteforce", "psi_product", "sum_formula", "u_poly", "xi_ones_coeff",
     "InvalidParams", "UnknownIdentity", "check_identity", "default_instances",
     "list_identities",
     "__version__",

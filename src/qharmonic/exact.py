@@ -9,9 +9,13 @@ Three scalar kinds are used throughout the package:
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
 
-``TPoly`` is a sparse polynomial in the interpolation variable t whose
-coefficients are exact scalars.  Series coefficients everywhere in the
-package are TPoly values, so t is never truncated.
+``SparsePoly`` is the one sparse univariate polynomial core: an immutable
+{exponent: coefficient} map whose add-with-cancellation loop (``_add_into``)
+and raw product kernel (``_accumulate``) the series module shares.
+``TPoly`` is its instance in the interpolation variable t, with exact scalar
+coefficients; ``qseries.ZPoly`` is its instance in z, with TPoly
+coefficients.  Series coefficients everywhere in the package are TPoly
+values, so t is never truncated.
 """
 from __future__ import annotations
 
@@ -360,45 +364,70 @@ def scalar_from_json(obj) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in t
+# sparse univariate polynomials: the shared core
 # ---------------------------------------------------------------------------
 
-class TPoly:
-    """Sparse polynomial in the interpolation variable t with exact scalar
-    coefficients.  Zero coefficients are never stored."""
+def _add_into(out: dict, items) -> dict:
+    """Add (key, coefficient) items into `out`, deleting every key whose sum
+    cancels to zero; returns `out`."""
+    for k, c in items:
+        if k in out:
+            c = out[k] + c
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
+    return out
+
+
+def _accumulate(slot: dict, left, right) -> None:
+    """Add the polynomial product of two (exponent, coefficient) item views
+    into the raw dict `slot`; zero sums stay until the caller drops them."""
+    for a, x in left:
+        for b, y in right:
+            k = a + b
+            v = x * y
+            slot[k] = slot[k] + v if k in slot else v
+
+
+class SparsePoly:
+    """Immutable sparse polynomial in one variable, stored as
+    {exponent: coefficient} with zero coefficients never stored.
+
+    A subclass names its variable (`var`), the operand types promoted to
+    constants (`scalars`), how a raw coefficient is lifted (`_lift`) and how
+    a coefficient renders in JSON (`_render`)."""
 
     __slots__ = ("coeffs",)
+    var: str
+    scalars: tuple
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None) -> None:
-        clean: dict[int, Scalar] = {}
+    def __init__(self, coeffs: Mapping | None = None) -> None:
+        clean = {}
         if coeffs:
+            lift = self._lift
             for e, c in coeffs.items():
                 if e < 0:
-                    raise ValueError("negative t-exponent")
-                if isinstance(c, int):
-                    c = Fraction(c)
+                    raise ValueError(f"negative {self.var}-exponent")
+                c = lift(c)
                 if c:
                     clean[e] = c
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _from_raw(cls, raw: Mapping):
+        """A value over raw coefficients that are already lifted and keyed
+        by nonnegative exponents: only zeros are dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", {e: c for e, c in raw.items() if c})
+        return out
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("TPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def const(cls, c) -> "TPoly":
-        return cls({0: Fraction(c) if isinstance(c, int) else c})
-
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls({1: Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "TPoly":
+    def zero(cls):
         return cls()
-
-    @classmethod
-    def one(cls) -> "TPoly":
-        return cls({0: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -409,59 +438,60 @@ class TPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            other = TPoly.const(other)
-        if not isinstance(other, TPoly):
+    def _promote(self, other):
+        """`other` as a value of this class, or None for a foreign type."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, self.scalars):
+            return type(self)({0: other})
+        return None
+
+    # -- kernels: private, so a tracer that wraps the arithmetic methods
+    #    labels each call by the class whose method made it --------------
+
+    def _add(self, other):
+        other = self._promote(other)
+        if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return TPoly(out)
+        return self._from_raw(_add_into(dict(self.coeffs), other.coeffs.items()))
+
+    def _mul(self, other):
+        if isinstance(other, self.scalars):
+            return self._from_raw({e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        out: dict = {}
+        _accumulate(out, self.coeffs.items(), other.coeffs.items())
+        return self._from_raw(out)
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __add__(self, other):
+        return self._add(other)
 
     __radd__ = __add__
 
+    def __mul__(self, other):
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
     def __neg__(self):
-        return TPoly({e: -c for e, c in self.coeffs.items()})
+        return self._from_raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            other = TPoly.const(other)
-        if not isinstance(other, TPoly):
+        other = self._promote(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            if not other:
-                return TPoly.zero()
-            return TPoly({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        out: dict[int, Scalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, exp: int):
         if exp < 0:
-            raise ValueError("negative TPoly power")
-        out, base = TPoly.one(), self
+            raise ValueError(f"negative {type(self).__name__} power")
+        out, base = type(self)({0: 1}), self
         while exp:
             if exp & 1:
                 out = out * base
@@ -469,18 +499,80 @@ class TPoly:
             exp >>= 1
         return out
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            other = TPoly.const(other)
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(scalar_eq(c, other.coeffs[e]) for e, c in self.coeffs.items())
+    # -- comparison / serialization -----------------------------------------
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def __eq__(self, other) -> bool:
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        # dict equality compares coefficients with ==, under which a
+        # rational-valued CycloNumber equals the same Fraction
+        return self.coeffs == other.coeffs
+
+    def map_coeffs(self, fn):
+        return type(self)({e: fn(c) for e, c in self.coeffs.items()})
+
+    def first_mismatch(self, other):
+        """(exponent, lhs coefficient, rhs coefficient) at the lowest
+        exponent where the two differ, a missing one reading as zero; None
+        when they are equal."""
+        zero = self._lift(0)
+        for e in sorted(self.coeffs.keys() | other.coeffs.keys()):
+            a = self.coeffs.get(e, zero)
+            b = other.coeffs.get(e, zero)
+            if a != b:
+                return e, a, b
+        return None
+
+    def to_json(self) -> dict:
+        render = self._render
+        return {f"{self.var}^{e}": render(c) for e, c in sorted(self.coeffs.items())}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({json.dumps(self.to_json())})"
+
+
+# ---------------------------------------------------------------------------
+# polynomials in t
+# ---------------------------------------------------------------------------
+
+class TPoly(SparsePoly):
+    """Sparse polynomial in the interpolation variable t with exact scalar
+    coefficients; ints are stored as Fractions."""
+
+    __slots__ = ()
+    var = "t"
+    scalars = (int, Fraction, CycloNumber)
+
+    @staticmethod
+    def _lift(c):
+        return Fraction(c) if isinstance(c, int) else c
+
+    _render = staticmethod(scalar_to_json)
+
+    # Defined here, not inherited, so that TPoly arithmetic is its own
+    # method (and its own span under a tracer).
+    def __add__(self, other):
+        return self._add(other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return self._mul(other)
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def const(cls, c) -> "TPoly":
+        return cls({0: c})
+
+    @classmethod
+    def t(cls) -> "TPoly":
+        return cls({1: Fraction(1)})
+
+    @classmethod
+    def one(cls) -> "TPoly":
+        return cls({0: Fraction(1)})
 
     def eval(self, value: Scalar) -> Scalar:
         """Value at t = value."""
@@ -499,9 +591,6 @@ class TPoly:
                 v = c * (comb(e, j) * a ** j * b ** (e - j))
                 out[j] = out[j] + v if j in out else v
         return TPoly(out)
-
-    def map_coeffs(self, fn) -> "TPoly":
-        return TPoly({e: fn(c) for e, c in self.coeffs.items()})
 
     def rationalized(self) -> "TPoly":
         """Copy with every coefficient forced into Q.
@@ -530,18 +619,10 @@ class TPoly:
                 break
             c = rem[rd] * dlead_inv
             quot[rd - dd] = c
-            for e, dc in divisor.coeffs.items():
-                s = rem.get(rd - dd + e, 0) - c * dc
-                if s:
-                    rem[rd - dd + e] = s
-                else:
-                    rem.pop(rd - dd + e, None)
+            _add_into(rem, ((rd - dd + e, -c * dc) for e, dc in divisor.coeffs.items()))
         if rem:
             raise ArithmeticError("non-exact TPoly division")
         return TPoly(quot)
-
-    def to_json(self) -> dict:
-        return {f"t^{e}": scalar_to_json(c) for e, c in sorted(self.coeffs.items())}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TPoly":
@@ -551,9 +632,6 @@ class TPoly:
                 raise ValueError(f"bad TPoly key {key!r}")
             out[int(key[2:])] = scalar_from_json(val)
         return cls(out)
-
-    def __repr__(self) -> str:
-        return f"TPoly({json.dumps(self.to_json())})"
 
 
 def as_tpoly(value) -> TPoly:

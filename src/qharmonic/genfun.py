@@ -168,14 +168,14 @@ def u_from_x_matrix(r: int, cap: int) -> tuple[Series, ...]:
     plus the displayed correction column.
 
     Every row is multiplied by x₁^{r+1}, which clears the negative powers,
-    and multiplied out with series products and one inversion in an
-    ordinary ring of cap + r + 1; x₁ is then shifted back down by r + 1.
+    and multiplied out with series products in an ordinary ring of
+    cap + r + 1, where 1/(1−x₁) is the geometric series Σ x₁^s summed from
+    monomials; x₁ is then shifted back down by r + 1.
     A term below x₁^{r+1} at that point is a pole that did not cancel."""
     names = x_variable_names(r)
     lift = r + 1
     work = SeriesRing(names, cap + lift)
-    x1 = work.var("x1")
-    inv = (work.one() - x1).invert()
+    inv = sum((work.var("x1", s) for s in range(work.cap + 1)), work.zero())
     inv_pows = [work.one()]
     for _ in range(r + 1):
         inv_pows.append(inv_pows[-1] * inv)
@@ -391,14 +391,11 @@ def series_mismatch(a: Series, b: Series) -> dict | None:
 
 
 def tpoly_mismatch(a: TPoly, b: TPoly) -> dict | None:
-    if a == b:
+    hit = a.first_mismatch(b)
+    if hit is None:
         return None
-    for e in sorted(set(a.coeffs) | set(b.coeffs)):
-        ca = a.coeffs.get(e, Fraction(0))
-        cb = b.coeffs.get(e, Fraction(0))
-        if not scalar_eq(ca, cb):
-            return {"t_power": e, "lhs": scalar_to_json(ca), "rhs": scalar_to_json(cb)}
-    return None
+    e, lc, rc = hit
+    return {"t_power": e, "lhs": scalar_to_json(lc), "rhs": scalar_to_json(rc)}
 
 
 def zpoly_mismatch(a: ZPoly, b: ZPoly) -> dict | None:
@@ -620,27 +617,6 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
         record(f"c_i[{i}]", series_mismatch(ci * prod_t[i], xv[r + 2] * prod_m[i - 1]))
 
     return tuple(checks)
-
-
-def verify_phi_system(n: int, r: int, q: Scalar, cap: int,
-                      lemma_samples: int = 51) -> IdentityReport:
-    checks = phi_system_checks(n, r, q, cap, lemma_samples)
-    failures = [{"check": name, **mm} for name, mm in checks if mm is not None]
-    return IdentityReport(
-        identity="phi_system",
-        params={"n": n, "r": r, "q": render_q(q), "cap": cap},
-        status="pass" if not failures else "fail",
-        lhs=f"{len(checks)} subchecks",
-        rhs="all equal" if not failures else f"{len(failures)} mismatched",
-        mismatch=failures[0] if failures else None,
-    )
-
-
-def render_q(q: Scalar) -> str:
-    flag, value = is_rational(q)
-    if flag:
-        return render_rational(value)
-    return "zeta"
 
 
 # ---------------------------------------------------------------------------

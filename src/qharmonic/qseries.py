@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Mapping
 
 from .exact import (
     CycloNumber,
     QHarmonicError,
     Scalar,
+    SparsePoly,
     TPoly,
     scalar_inverse,
     scalar_pow,
@@ -217,120 +217,28 @@ def g_sum(profile: HeightProfile, params: SeriesParams) -> TPoly:
 # truncated polylogarithms: polynomials in z of degree < n
 # ---------------------------------------------------------------------------
 
-class ZPoly:
+class ZPoly(SparsePoly):
     """Polynomial in the polylogarithm variable z with TPoly coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    var = "z"
+    scalars = (int, Fraction, CycloNumber, TPoly)
 
-    def __init__(self, coeffs: Mapping[int, TPoly] | None = None) -> None:
-        clean: dict[int, TPoly] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError("negative z-exponent")
-                if not isinstance(c, TPoly):
-                    c = TPoly.const(c)
-                if not c.is_zero():
-                    clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
+    @staticmethod
+    def _lift(c) -> TPoly:
+        return c if isinstance(c, TPoly) else TPoly.const(c)
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("ZPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls()
+    _render = staticmethod(TPoly.to_json)
 
     @classmethod
     def one(cls) -> "ZPoly":
         return cls({0: TPoly.one()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
-            other = ZPoly({0: other})
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, TPoly.zero()) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return ZPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ZPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
-            other = ZPoly({0: other})
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
-            tp = other if isinstance(other, TPoly) else TPoly.const(other)
-            return ZPoly({e: c * tp for e, c in self.coeffs.items()})
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out: dict[int, TPoly] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, TPoly.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return ZPoly(out)
-
-    __rmul__ = __mul__
-
     def shift_z(self, s: int) -> "ZPoly":
         return ZPoly({e + s: c for e, c in self.coeffs.items()})
 
     def eval_z_one(self) -> TPoly:
-        out = TPoly.zero()
-        for c in self.coeffs.values():
-            out = out + c
-        return out
-
-    def map_coeffs(self, fn) -> "ZPoly":
-        return ZPoly({e: fn(c) for e, c in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(c == other.coeffs[e] for e, c in self.coeffs.items())
-
-    def first_mismatch(self, other: "ZPoly"):
-        for e in sorted(set(self.coeffs) | set(other.coeffs)):
-            a = self.coeffs.get(e, TPoly.zero())
-            b = other.coeffs.get(e, TPoly.zero())
-            if a != b:
-                return e, a, b
-        return None
-
-    def to_json(self) -> dict:
-        return {f"z^{e}": c.to_json() for e, c in sorted(self.coeffs.items())}
-
-    def __repr__(self) -> str:
-        return f"ZPoly({self.to_json()})"
+        return sum(self.coeffs.values(), TPoly.zero())
 
 
 @lru_cache(maxsize=1 << 14)

@@ -14,13 +14,16 @@ order (a triangular solve, since den's constant term is a t-free unit);
 ``invert()`` is ``one / den``, so one recurrence serves both.  The product
 and the division add raw scalar products into one {t-exponent: scalar} dict
 per output exponent and build each TPoly once at the end, not one
-intermediate TPoly per term pair.
+intermediate TPoly per term pair.  That product kernel and the
+add-with-cancellation loop of ``+`` are the ones TPoly and ZPoly use; both
+live in :mod:`qharmonic.exact`.
 
 The public constructor ``Series(ring, terms)`` validates every exponent
 tuple against the ring.  Kernel outputs whose keys are admissible by
 construction (products pruned at the cap, sums and maps over keys already
 in the ring, division targets enumerated up to the cap) go through the
-private ``Series._trusted``, which only drops zero coefficients.
+private ``Series._trusted``, which only drops zero coefficients; the TPoly
+coefficients the two kernels add up go through ``TPoly._from_raw`` alike.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from .exact import (
     QHarmonicError,
     Scalar,
     TPoly,
+    _accumulate,
+    _add_into,
     as_tpoly,
     scalar_inverse,
 )
@@ -148,16 +153,6 @@ def _term_sort_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-def _accumulate(slot: dict[int, Scalar], left, right) -> None:
-    """Add the t-polynomial product of two coefficient item views into the
-    raw {t-exponent: scalar} dict `slot` (zeros are dropped later, by TPoly)."""
-    for a, x in left:
-        for b, y in right:
-            k = a + b
-            v = x * y
-            slot[k] = slot[k] + v if k in slot else v
-
-
 class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring."""
@@ -233,14 +228,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_ring(other)
-        out = dict(self.terms)
-        for exps, tp in other.terms.items():
-            s = out.get(exps, TPoly.zero()) + tp
-            if s.is_zero():
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Series._trusted(self.ring, out)
+        return Series._trusted(self.ring, _add_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -282,7 +270,7 @@ class Series:
                 if slot is None:
                     slot = acc[exps] = {}
                 _accumulate(slot, t1, t2)
-        return Series._trusted(ring, {e: TPoly(slot) for e, slot in acc.items()})
+        return Series._trusted(ring, {e: TPoly._from_raw(slot) for e, slot in acc.items()})
 
     __rmul__ = __mul__
 
@@ -301,9 +289,10 @@ class Series:
         """Quotient up to the cap: solves other * Q = self target by target.
 
         Both operands must be series over capped variables only, and the
-        divisor's constant term a t-free invertible scalar.  Each target's coefficient is inv0 · (self[target] −
-        Σ other[e] · Q[target − e]) over the divisor's non-constant terms e,
-        which are sorted by degree so the sum stops at the target's degree."""
+        divisor's constant term a t-free invertible scalar.  Each target's
+        coefficient is inv0 · (self[target] − Σ other[e] · Q[target − e])
+        over the divisor's non-constant terms e, which are sorted by degree
+        so the sum stops at the target's degree."""
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_ring(other)
@@ -334,7 +323,7 @@ class Series:
             if given is not None:
                 for k, v in given.coeffs.items():
                     acc[k] = acc[k] - v if k in acc else -v
-            tp = TPoly({k: v * neg_inv0 for k, v in acc.items()})
+            tp = TPoly._from_raw({k: v * neg_inv0 for k, v in acc.items()})
             if tp.coeffs:
                 quot[target] = tp
         return Series._trusted(ring, quot)
@@ -376,15 +365,8 @@ class Series:
         """Evaluate a polynomially-supported variable at 1 by merging
         exponents (exact; no truncation interplay for uncapped variables)."""
         i = self.ring._index[name]
-        out: dict[tuple[int, ...], TPoly] = {}
-        for exps, tp in self.terms.items():
-            key = exps[:i] + (0,) + exps[i + 1:]
-            s = out.get(key, TPoly.zero()) + tp
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Series(self.ring, out)
+        merged = ((exps[:i] + (0,) + exps[i + 1:], tp) for exps, tp in self.terms.items())
+        return Series(self.ring, _add_into({}, merged))
 
     def substitute(self, bindings: Mapping[str, "Series"], target: SeriesRing) -> "Series":
         """Ring-morphism substitution: replace each bound variable by its

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
@@ -19,6 +20,8 @@ from qharmonic.exact import (
     scalar_pow,
     scalar_to_json,
 )
+from qharmonic.genfun import tpoly_mismatch, zpoly_mismatch
+from qharmonic.qseries import ZPoly
 
 
 def test_cyclotomic_polynomials():
@@ -154,3 +157,217 @@ def test_binomial_outside_triangle():
     assert binomial(5, -1) == 0
     assert binomial(3, 7) == 0
     assert binomial(0, 0) == 1
+
+
+# -- the shared sparse core against plain dict loops --------------------------
+#
+# A TPoly is modelled as {t-exponent: scalar} and a ZPoly as
+# {z-exponent: {t-exponent: scalar}}; the loops below know nothing of the
+# package's kernels.
+
+def is_zero_value(c):
+    return not c
+
+
+def ref_add(a, b, cadd=add):
+    out = dict(a)
+    for e, c in b.items():
+        s = cadd(out[e], c) if e in out else c
+        if is_zero_value(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def ref_mul(a, b, cadd=add, cmul=mul):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = ref_add(out, {e1 + e2: cmul(c1, c2)}, cadd)
+    return out
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def as_tdict(tp):
+    return dict(tp.coeffs)
+
+
+def zpoly(d):
+    return ZPoly({e: TPoly(c) for e, c in d.items()})
+
+
+def as_zdict(zp):
+    return {e: dict(tp.coeffs) for e, tp in zp.coeffs.items()}
+
+
+def ref_tjson(d):
+    return {f"t^{e}": scalar_to_json(c) for e, c in sorted(d.items())}
+
+
+def ref_zjson(d):
+    return {f"z^{e}": ref_tjson(c) for e, c in sorted(d.items())}
+
+
+Z5 = CycloNumber.zeta(5)
+SCALAR_POOLS = {
+    "Q": [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4)],
+    "Q(zeta5)": [Fraction(1), Fraction(-1), Z5, -Z5, Z5 * Z5 + Fraction(1, 3),
+                 CycloNumber.from_rational(5, Fraction(1, 2))],
+}
+
+
+def random_tdict(rng, pool, span=4):
+    return {e: rng.choice(pool) for e in range(span) if rng.random() < 0.7}
+
+
+def random_zdict(rng, pool, span=4):
+    out = {}
+    for e in range(span):
+        if rng.random() < 0.7:
+            td = random_tdict(rng, pool, 3)
+            if td:
+                out[e] = td
+    return out
+
+
+def cancelling_partner(rng, d, neg, make):
+    """A random value whose sum with d cancels at some exponents."""
+    other = make()
+    for e, c in d.items():
+        if rng.random() < 0.5:
+            other[e] = neg(c)
+    return other
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_POOLS))
+def test_tpoly_core_matches_dict_loops(field):
+    rng = random.Random(f"tpoly:{field}")
+    pool = SCALAR_POOLS[field]
+    cancelled = 0
+    for _ in range(60):
+        da = random_tdict(rng, pool)
+        db = cancelling_partner(rng, da, lambda c: -c, lambda: random_tdict(rng, pool))
+        a, b = TPoly(da), TPoly(db)
+        total = ref_add(da, db)
+        cancelled += len(set(da) & set(db)) - len(set(total) & set(da) & set(db))
+        assert as_tdict(a + b) == total
+        assert as_tdict(a - b) == ref_add(da, ref_neg(db))
+        assert as_tdict(-a) == ref_neg(da)
+        assert as_tdict(a * b) == ref_mul(da, db)
+        power = {0: Fraction(1)}
+        for k in range(4):
+            assert as_tdict(a ** k) == power
+            power = ref_mul(power, da)
+        assert (a - a).is_zero() and a + (-a) == TPoly.zero()
+        assert (a + b).to_json() == ref_tjson(total)
+        assert (a == b) == (ref_add(da, ref_neg(db)) == {})
+        for s in (2, Fraction(-3, 5), Z5, -Z5):
+            ds = {0: Fraction(s) if isinstance(s, int) else s}
+            assert as_tdict(a + s) == as_tdict(s + a) == ref_add(da, ds)
+            assert as_tdict(a - s) == ref_add(da, ref_neg(ds))
+            assert as_tdict(s - a) == ref_add(ds, ref_neg(da))
+            assert as_tdict(a * s) == as_tdict(s * a) == ref_mul(da, ds)
+        assert (a * 0).is_zero() and (0 * a).is_zero()
+    assert cancelled > 20
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_POOLS))
+def test_zpoly_core_matches_dict_loops(field):
+    rng = random.Random(f"zpoly:{field}")
+    pool = SCALAR_POOLS[field]
+    cancelled = 0
+    for _ in range(40):
+        da = random_zdict(rng, pool)
+        db = cancelling_partner(rng, da, ref_neg, lambda: random_zdict(rng, pool))
+        a, b = zpoly(da), zpoly(db)
+        total = ref_add(da, db, ref_add)
+        cancelled += len(set(da) & set(db)) - len(set(total) & set(da) & set(db))
+        assert as_zdict(a + b) == total
+        assert as_zdict(a - b) == ref_add(da, {e: ref_neg(c) for e, c in db.items()}, ref_add)
+        assert as_zdict(a * b) == ref_mul(da, db, ref_add, ref_mul)
+        assert as_zdict(a ** 2) == ref_mul(da, da, ref_add, ref_mul)
+        assert (a - a).is_zero()
+        assert (a + b).to_json() == ref_zjson(total)
+        tp = TPoly(random_tdict(rng, pool))
+        for s in (3, Fraction(1, 7), Z5, tp):
+            ds = {0: as_tdict(TPoly.const(s) if not isinstance(s, TPoly) else s)}
+            ds = {e: c for e, c in ds.items() if c}
+            assert as_zdict(a + s) == as_zdict(s + a) == ref_add(da, ds, ref_add)
+            assert as_zdict(s - a) == ref_add(ds, {e: ref_neg(c) for e, c in da.items()},
+                                              ref_add)
+            assert as_zdict(a * s) == as_zdict(s * a) == ref_mul(da, ds, ref_add, ref_mul)
+    assert cancelled > 10
+
+
+def test_core_keeps_errors_and_cross_order_equality():
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        TPoly({-1: Fraction(1)})
+    with pytest.raises(ValueError, match="negative z-exponent"):
+        ZPoly({-1: TPoly.one()})
+    with pytest.raises(ValueError, match="negative TPoly power"):
+        TPoly.t() ** -1
+    half = Fraction(1, 2)
+    at5, at7 = (CycloNumber.from_rational(o, half) for o in (5, 7))
+    t5 = TPoly({0: at5, 2: CycloNumber.from_rational(5, 3)})
+    t7 = TPoly({0: at7, 2: CycloNumber.from_rational(7, 3)})
+    tq = TPoly({0: half, 2: Fraction(3)})
+    assert t5 == tq and tq == t5 and t5 == t7 and not t5 != t7
+    assert TPoly.const(half) == at7 and at5 == TPoly.const(half)
+    assert ZPoly({1: t5}) == ZPoly({1: tq}) and ZPoly({1: t7}) == ZPoly({1: t5})
+    assert t5 != TPoly({0: Z5}) and ZPoly({1: t5}) != ZPoly({1: TPoly({0: Z5})})
+    assert t5.to_json() == tq.to_json() == {"t^0": "1/2", "t^2": "3"}
+
+
+# Reference first-mismatch loops, written out without the shared core.
+
+def loop_tpoly_mismatch(a, b):
+    if a == b:
+        return None
+    for e in sorted(set(a.coeffs) | set(b.coeffs)):
+        ca = a.coeffs.get(e, Fraction(0))
+        cb = b.coeffs.get(e, Fraction(0))
+        if not scalar_eq(ca, cb):
+            return {"t_power": e, "lhs": scalar_to_json(ca), "rhs": scalar_to_json(cb)}
+    return None
+
+
+def loop_zpoly_mismatch(a, b):
+    for e in sorted(set(a.coeffs) | set(b.coeffs)):
+        x = a.coeffs.get(e, TPoly.zero())
+        y = b.coeffs.get(e, TPoly.zero())
+        if x != y:
+            return {"z_power": e, "lhs": x.to_json(), "rhs": y.to_json()}
+    return None
+
+
+def perturbed(rng, d, make):
+    """d with up to three coefficients replaced, dropped or added."""
+    out = dict(d)
+    for _ in range(rng.randrange(4)):
+        e = rng.randrange(5)
+        if rng.random() < 0.3:
+            out.pop(e, None)
+        else:
+            out[e] = make()
+    return out
+
+
+@pytest.mark.parametrize("field", sorted(SCALAR_POOLS))
+def test_mismatch_formatters_match_the_old_loops(field):
+    rng = random.Random(f"mismatch:{field}")
+    pool = SCALAR_POOLS[field] + [CycloNumber.from_rational(7, Fraction(1, 2))]
+    hits = 0
+    for _ in range(80):
+        da = random_tdict(rng, pool, 5)
+        a, b = TPoly(da), TPoly(perturbed(rng, da, lambda: rng.choice(pool)))
+        assert tpoly_mismatch(a, b) == loop_tpoly_mismatch(a, b)
+        za = random_zdict(rng, pool, 5)
+        zb = perturbed(rng, za, lambda: random_tdict(rng, pool, 3))
+        x, y = zpoly(za), zpoly(zb)
+        assert zpoly_mismatch(x, y) == loop_zpoly_mismatch(x, y)
+        hits += (tpoly_mismatch(a, b) is not None) + (zpoly_mismatch(x, y) is not None)
+    assert hits > 40

@@ -27,3 +27,8 @@ def test_unchecked_series_constructor_stays_in_series_module():
     assert found == []
     series = next(path for path in SOURCES if path.name == "series.py")
     assert "_trusted" in series.read_text()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qharmonic.__all__ if not hasattr(qharmonic, name)]
+    assert missing == []
