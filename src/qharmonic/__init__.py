@@ -51,7 +51,6 @@ from .qseries import (
 )
 from .genfun import (
     IdentityReport,
-    PPoly,
     eval_constant_index,
     kpow_generating,
     psi_bruteforce,
@@ -80,7 +79,7 @@ __all__ = [
     "InvalidQ", "L_poly", "SeriesParams", "ZPoly", "g_sum", "theta_q", "x_sum",
     "z", "z_star", "z_t", "z_t_float", "zbar", "zbar_star", "zbar_t",
     "zeta_params",
-    "IdentityReport", "PPoly", "eval_constant_index", "kpow_generating",
+    "IdentityReport", "eval_constant_index", "kpow_generating",
     "psi_bruteforce", "psi_product", "sum_formula", "u_poly", "xi_ones_coeff",
     "InvalidParams", "UnknownIdentity", "check_identity", "default_instances",
     "list_identities",

@@ -17,7 +17,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .exact import QHarmonicError, TPoly, render_rational
+from .exact import QHarmonicError, TPoly, parse_rational, render_rational, scalar_to_json
 from .genfun import eval_constant_index, u_poly, xi_ones_coeff
 from .identities import (
     InvalidParams,
@@ -25,7 +25,6 @@ from .identities import (
     check_identity,
     default_instances,
     list_identities,
-    q_value,
 )
 from .indices import HeightProfile
 from .qseries import (
@@ -95,8 +94,11 @@ def _series_json(s) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -123,8 +125,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         ns = _parse_int_list(args.n)
         if len(ns) != 1:
             raise UsageError("compute takes a single --n")
+        if args.q == "zeta":
+            return zeta_params(ns[0])
         try:
-            qv = q_value(args.q, ns[0])
+            qv = parse_rational(args.q)
         except ValueError:
             raise UsageError(f"cannot parse q spec {args.q!r}")
         return SeriesParams(ns[0], qv)
@@ -134,7 +138,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if kind in ("zbar", "zbar_star"):
         parts = _parse_index(args.index)
         fn = zbar if kind == "zbar" else zbar_star
-        payload = json.dumps(_scalar_json(fn(parts, sp)), separators=(",", ":"))
+        payload = _json_line(scalar_to_json(fn(parts, sp)))
     elif kind in ("zbar_t", "z_t"):
         parts = _parse_index(args.index)
         fn = zbar_t if kind == "zbar_t" else z_t
@@ -173,11 +177,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         payload = _compute_csv(payload)
     _emit(payload + "\n", args.out)
     return EXIT_OK
-
-
-def _scalar_json(value):
-    from .exact import scalar_to_json
-    return scalar_to_json(value)
 
 
 def _compute_csv(payload: str) -> str:
@@ -356,7 +355,8 @@ def _cmd_xi_check(args: argparse.Namespace) -> int:
                 raise ValueError(f"t = {t!r} overflows a float at depth {l}")
             # relative error degenerates at a zero target; fall back to absolute
             rel = errs[-1] / abs(target) if target != 0 else errs[-1]
-            conv = all(a > b for a, b in zip(errs, errs[1:])) and rel < 0.1
+            # an exact match (error 0) counts as converged
+            conv = all(a > b or b == 0 for a, b in zip(errs, errs[1:])) and rel < 0.1
             ok = ok and conv
             rows.append({
                 "l": l, "t": t,

@@ -605,25 +605,6 @@ class TPoly(SparsePoly):
             out[e] = value
         return TPoly(out)
 
-    def divexact(self, divisor: "TPoly") -> "TPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
-        if divisor.is_zero():
-            raise DivisionByZero("TPoly division by zero")
-        rem = dict(self.coeffs)
-        dd = divisor.degree()
-        dlead_inv = scalar_inverse(divisor.coeffs[dd])
-        quot: dict[int, Scalar] = {}
-        while rem:
-            rd = max(rem)
-            if rd < dd:
-                break
-            c = rem[rd] * dlead_inv
-            quot[rd - dd] = c
-            _add_into(rem, ((rd - dd + e, -c * dc) for e, dc in divisor.coeffs.items()))
-        if rem:
-            raise ArithmeticError("non-exact TPoly division")
-        return TPoly(quot)
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "TPoly":
         out = {}

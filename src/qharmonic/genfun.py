@@ -33,6 +33,7 @@ from .exact import (
     IrrationalCoefficient,
     QHarmonicError,
     Scalar,
+    SparsePoly,
     TPoly,
     binomial,
     is_rational,
@@ -41,7 +42,7 @@ from .exact import (
     scalar_pow,
     scalar_to_json,
 )
-from .indices import HeightProfile
+from .indices import HeightProfile, bounded_compositions
 from .qseries import (
     SeriesParams,
     ZPoly,
@@ -93,19 +94,6 @@ def u_ring(r: int, cap: int) -> SeriesRing:
     return SeriesRing(u_variable_names(r), cap)
 
 
-@dataclass(frozen=True)
-class XSeriesSet:
-    """The r+2 composed x-series (or formal x-variables) sharing one ring."""
-
-    r: int
-    ring: SeriesRing
-    x: tuple[Series, ...]
-
-    def __post_init__(self):
-        if len(self.x) != self.r + 2:
-            raise ValueError("need r+2 series")
-
-
 def _change_of_variables(names: tuple[str, ...], r: int, cap: int,
                          sign: int) -> tuple[Series, ...]:
     """w₁,…,w_{r+2} over the variables `names` = v₁,…,v_{r+2}, term by term;
@@ -137,7 +125,7 @@ def _change_of_variables(names: tuple[str, ...], r: int, cap: int,
     return tuple(ws)
 
 
-def x_from_u(r: int, cap: int) -> XSeriesSet:
+def x_from_u(r: int, cap: int) -> tuple[Series, ...]:
     """The x-parameters as power series in u₁,…,u_{r+2}.
 
     x₁ = u₁/(1+u₁) and, for i ≥ 2,
@@ -147,8 +135,7 @@ def x_from_u(r: int, cap: int) -> XSeriesSet:
 
     written out term by term (see _change_of_variables).
     """
-    xs = _change_of_variables(u_variable_names(r), r, cap, -1)
-    return XSeriesSet(r=r, ring=xs[0].ring, x=xs)
+    return _change_of_variables(u_variable_names(r), r, cap, -1)
 
 
 def u_from_x(r: int, cap: int) -> tuple[Series, ...]:
@@ -203,59 +190,24 @@ def u_from_x_matrix(r: int, cap: int) -> tuple[Series, ...]:
     return tuple(map(shift_down, rows))
 
 
-def formal_x(r: int, cap: int, extra: Sequence[str] = (), uncapped: Sequence[str] = ()) -> XSeriesSet:
-    """Formal x-variables in a fresh ring (optionally with extra variables,
-    e.g. an uncapped z slot for the polylogarithm generating functions)."""
-    ring = SeriesRing(x_variable_names(r) + tuple(extra), cap, uncapped=uncapped)
-    return XSeriesSet(r=r, ring=ring, x=tuple(ring.var(f"x{i}") for i in range(1, r + 3)))
-
-
 def roundtrip_u(r: int, cap: int) -> tuple[Series, ...]:
     """u_i(x₁(u),…,x_{r+2}(u)) for every i; the identity map when the two
     substitutions invert each other."""
     xs = x_from_u(r, cap)
-    bindings = {f"x{i + 1}": xs.x[i] for i in range(r + 2)}
-    return tuple(u.substitute(bindings, xs.ring) for u in u_from_x(r, cap))
+    bindings = {f"x{i + 1}": x for i, x in enumerate(xs)}
+    return tuple(u.substitute(bindings, xs[0].ring) for u in u_from_x(r, cap))
 
 
 # ---------------------------------------------------------------------------
 # the characteristic polynomial P and the two Psi constructions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PPoly:
-    """Monic degree-(r+1) polynomial in an abstract variable with Series
-    coefficients; shift tags whether t was replaced by t−1."""
-
-    r: int
-    shift: int
-    coeffs: tuple[Series, ...]      # ascending powers, length r+2
-
-    def __post_init__(self):
-        if self.shift not in (0, -1):
-            raise ValueError("shift must be 0 (t) or -1 (t-1)")
-        if len(self.coeffs) != self.r + 2:
-            raise ValueError("need r+2 coefficients")
-        if self.coeffs[-1] != self.coeffs[-1].ring.one():
-            raise ValueError("leading coefficient must be 1")
-
-    @property
-    def ring(self) -> SeriesRing:
-        return self.coeffs[0].ring
-
-    def eval_scalar(self, value: Scalar) -> Series:
-        out = self.coeffs[0]
-        power: Scalar = 1
-        for c in self.coeffs[1:]:
-            power = power * value
-            out = out + c * power
-        return out
-
-
-def p_poly(r: int, shift: int, xset: XSeriesSet | Sequence[Series]) -> PPoly:
-    """P(T) = T^{r+1} − (x₁ + σx₂)T^r − σ Σ_{i=0}^{r−1} (x_{r+2−i} − x₁x_{r+1−i})T^i
-    with σ = t or t−1 according to the shift."""
-    xs = xset.x if isinstance(xset, XSeriesSet) else tuple(xset)
+def p_poly(r: int, shift: int, xs: Sequence[Series]) -> tuple[Series, ...]:
+    """The coefficients, in ascending powers of T, of the monic
+    P(T) = T^{r+1} − (x₁ + σx₂)T^r − σ Σ_{i=0}^{r−1} (x_{r+2−i} − x₁x_{r+1−i})T^i
+    with σ = t (shift 0) or t−1 (shift −1)."""
+    if shift not in (0, -1):
+        raise ValueError("shift must be 0 (t) or -1 (t-1)")
     if len(xs) != r + 2:
         raise ValueError("need r+2 x-series")
     sigma = T if shift == 0 else T_MINUS_ONE
@@ -265,7 +217,19 @@ def p_poly(r: int, shift: int, xset: XSeriesSet | Sequence[Series]) -> PPoly:
     cs[r] = -(xs[0] + xs[1] * sigma)
     for i in range(r):
         cs[i] = -((xs[r + 1 - i] - xs[0] * xs[r - i]) * sigma)
-    return PPoly(r=r, shift=shift, coeffs=tuple(cs))
+    return tuple(cs)
+
+
+def eval_p(coeffs: Sequence[Series], value: Scalar) -> Series:
+    """Σ_i coeffs[i]·value^i.  Each coefficient is scaled by a scalar power:
+    Horner's rule would scale the growing partial sum instead, which is
+    slower once the coefficients have different supports (r ≥ 2)."""
+    out = coeffs[0]
+    power: Scalar = 1
+    for c in coeffs[1:]:
+        power = power * value
+        out = out + c * power
+    return out
 
 
 def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
@@ -276,11 +240,10 @@ def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
     t-free, so t -> t−1 applied to every coefficient is a ring map that
     sends P^t to P^{t−1}; the numerator is the denominator under it."""
     params = SeriesParams(n, q)
-    xset = x_from_u(r, cap)
-    p_plain = p_poly(r, 0, xset)
-    den = xset.ring.one()
+    p_plain = p_poly(r, 0, x_from_u(r, cap))
+    den = p_plain[0].ring.one()
     for j in range(1, n):
-        den = den * p_plain.eval_scalar(1 - scalar_pow(params.q, j))
+        den = den * eval_p(p_plain, 1 - scalar_pow(params.q, j))
     return series_affine_t(den, 1, -1) / den
 
 
@@ -390,20 +353,14 @@ def series_mismatch(a: Series, b: Series) -> dict | None:
     return {"term": where or {"1": 0}, "lhs": lt.to_json(), "rhs": rt.to_json()}
 
 
-def tpoly_mismatch(a: TPoly, b: TPoly) -> dict | None:
+def poly_mismatch(a: SparsePoly, b: SparsePoly) -> dict | None:
+    """The lowest power where two TPolys (or two ZPolys) differ, keyed
+    "t_power" (or "z_power"), with both coefficients in JSON."""
     hit = a.first_mismatch(b)
     if hit is None:
         return None
     e, lc, rc = hit
-    return {"t_power": e, "lhs": scalar_to_json(lc), "rhs": scalar_to_json(rc)}
-
-
-def zpoly_mismatch(a: ZPoly, b: ZPoly) -> dict | None:
-    hit = a.first_mismatch(b)
-    if hit is None:
-        return None
-    e, lt, rt = hit
-    return {"z_power": e, "lhs": lt.to_json(), "rhs": rt.to_json()}
+    return {f"{a.var}_power": e, "lhs": a._render(lc), "rhs": a._render(rc)}
 
 
 def scalar_mismatch(a: Scalar, b: Scalar) -> dict | None:
@@ -490,7 +447,7 @@ def _check_lemma21(case: str, inst: tuple, params: SeriesParams) -> dict | None:
             + x_sum_or_zero(k - 1, l, hd, r - 2, params)
             - x_sum_or_zero(k - 1, l, hd, r - 1, params)
         )
-        return zpoly_mismatch(lhs, rhs)
+        return poly_mismatch(lhs, rhs)
     if case == "ii":
         k, l, h, j = inst
         lhs = theta_q(
@@ -502,7 +459,7 @@ def _check_lemma21(case: str, inst: tuple, params: SeriesParams) -> dict | None:
             x_sum_or_zero(k - 1, l, hd, j - 1, params)
             - x_sum_or_zero(k - 1, l, hd, j, params)
         )
-        return zpoly_mismatch(lhs, rhs)
+        return poly_mismatch(lhs, rhs)
     # case iii, multiplied through by (1 - z)
     k, l, h = inst
     diff = x_sum_or_zero(k, l, h, -1, params) - x_sum_or_zero(k, l, h, 0, params)
@@ -515,12 +472,15 @@ def _check_lemma21(case: str, inst: tuple, params: SeriesParams) -> dict | None:
         + tail.shift_z(1)
         - ZPoly({params.n: tail.eval_z_one()})
     )
-    return zpoly_mismatch(lhs, rhs)
+    return poly_mismatch(lhs, rhs)
+
+
+# profile-sum recurrence instances checked per (n, r, q, cap)
+LEMMA_SAMPLES = 51
 
 
 @lru_cache(maxsize=256)
-def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
-                      lemma_samples: int = 51) -> tuple[tuple[str, dict | None], ...]:
+def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, dict | None], ...]:
     """Every subcheck of the z-side machinery at one (n, r, q, cap):
 
     * the three profile-sum recurrences on a graded sample of profiles,
@@ -540,11 +500,11 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
         checks.append((name, mm))
 
     cases = _lemma21_cases(r)
-    per_case = -(-lemma_samples // len(cases))
+    per_case = -(-LEMMA_SAMPLES // len(cases))
     sampled = _lemma21_instances(r, per_case)
     got = sum(len(v) for v in sampled.values())
-    if got < lemma_samples:
-        raise SampleTooSmall(f"only {got} of {lemma_samples} Lemma 2.1 instances at r = {r}")
+    if got < LEMMA_SAMPLES:
+        raise SampleTooSmall(f"only {got} of {LEMMA_SAMPLES} Lemma 2.1 instances at r = {r}")
     for case, insts in sampled.items():
         for inst in insts:
             record(f"lemma2_1[{case}]{inst}", _check_lemma21(case, inst, params))
@@ -586,15 +546,15 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
     record("prop2_2[base]", series_mismatch(lhs, rhs))
 
     # Cor 2.3:  (P^t(Θ) − z·P^{t−1}(Θ)) Φ_{r−1} = z·x_{r+2} − zⁿ·x_{r+2}·Φ(1)
-    xset = XSeriesSet(r=r, ring=ring, x=tuple(xv[i] for i in range(1, r + 3)))
-    pp = p_poly(r, 0, xset)
-    pm = p_poly(r, -1, xset)
+    xs = tuple(xv[i] for i in range(1, r + 3))
+    pp = p_poly(r, 0, xs)
+    pm = p_poly(r, -1, xs)
     powers = [phis[r - 1]]
     for _ in range(r + 1):
         powers.append(_series_theta(powers[-1], params))
 
-    def apply_p(poly: PPoly) -> Series:
-        return sum((poly.coeffs[i] * powers[i] for i in range(r + 2)), ring.zero())
+    def apply_p(coeffs: tuple[Series, ...]) -> Series:
+        return sum((coeffs[i] * powers[i] for i in range(r + 2)), ring.zero())
 
     lhs = apply_p(pp) - _series_shift_z(apply_p(pm), 1)
     rhs = zv * xv[r + 2] - ring.var("z", params.n) * xv[r + 2] * phi1
@@ -605,8 +565,8 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int,
     prod_m = [one]
     for j in range(1, n):
         tval = 1 - scalar_pow(params.q, j)
-        prod_t.append(prod_t[-1] * pp.eval_scalar(tval))
-        prod_m.append(prod_m[-1] * pm.eval_scalar(tval))
+        prod_t.append(prod_t[-1] * eval_p(pp, tval))
+        prod_m.append(prod_m[-1] * eval_p(pm, tval))
     record("thm2_4", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
     # closed coefficients:  c_i·Π_{j≤i} P^t(1−q^j) = x_{r+2}·Π_{j<i} P^{t−1}(1−q^j)
@@ -705,24 +665,6 @@ def zbar_depth1_rational(n: int, m: int) -> Fraction:
     return value
 
 
-def _bounded_compositions(total: int, mins: Sequence[int], maxs: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    n = len(mins)
-
-    def rec(i: int, left: int, prefix: tuple[int, ...]):
-        if i == n:
-            if left == 0:
-                yield prefix
-            return
-        tail_min = sum(mins[i + 1:])
-        tail_max = sum(maxs[i + 1:])
-        lo = max(mins[i], left - tail_max)
-        hi = min(maxs[i], left - tail_min)
-        for v in range(lo, hi + 1):
-            yield from rec(i + 1, left - v, prefix + (v,))
-
-    yield from rec(0, total, ())
-
-
 def _t_blend(weights: dict[int, Fraction], l: int, style: str) -> TPoly:
     """Σ_{i₀} w(i₀)·A^{i₀}·B^{l−i₀} with (A,B) = (1−t, −t) or (t−1, t)."""
     first = ONE_MINUS_T if style == "reflect" else T_MINUS_ONE
@@ -766,11 +708,11 @@ def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
             pref = Fraction((-1) ** m, n ** (m + 1))
             jmins = (0,) + (1,) * m
             jmaxs = (n - 1,) * (m + 1)
-            for js in _bounded_compositions(k, jmins, jmaxs):
+            for js in bounded_compositions(k, jmins, jmaxs):
                 coeff = 1
                 for j in js:
                     coeff *= binomial(n, j + 1)
-                for is_ in _bounded_compositions(l, (0,) * (m + 1), js):
+                for is_ in bounded_compositions(l, (0,) * (m + 1), js):
                     i0 = is_[0]
                     weights[i0] = weights.get(i0, Fraction(0)) + pref * coeff
         return _t_blend(weights, l, "reflect")
@@ -781,18 +723,18 @@ def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
             jmins = (0,) + (1,) * m
             jmaxs = (n - 1,) * (m + 1)
             for sj in range(k + 1):
-                for js in _bounded_compositions(sj, jmins, jmaxs):
+                for js in bounded_compositions(sj, jmins, jmaxs):
                     cj = 1
                     for j in js:
                         cj *= binomial(n, j + 1)
-                    for ls in _bounded_compositions(k - sj, (0,) * (m + 1), (k,) * (m + 1)):
+                    for ls in bounded_compositions(k - sj, (0,) * (m + 1), (k,) * (m + 1)):
                         cl = Fraction(cj)
                         for la in ls:
                             cl *= zbar_depth1_rational(n, la)
                         if not cl:
                             continue
                         imins = (0,) + (1,) * m
-                        for is_ in _bounded_compositions(l, imins, js):
+                        for is_ in bounded_compositions(l, imins, js):
                             i0 = is_[0]
                             weights[i0] = weights.get(i0, Fraction(0)) + pref * cl
         return _t_blend(weights, l, "reflect")
@@ -826,7 +768,7 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
         pref = Fraction((-1) ** m, denom)
         imins = (0,) + (1,) * m
         imaxs = (n - 1,) * (m + 1)
-        for is_ in _bounded_compositions(l, imins, imaxs):
+        for is_ in bounded_compositions(l, imins, imaxs):
             c = pref
             for i in is_:
                 c *= factor(i)
@@ -946,10 +888,6 @@ def h_series(k: int, n: int, vcap: int) -> Series:
     return _project_to_v(acc.coefficient_of("u", n), vcap) * n
 
 
-def h_poly_k3(n: int, vcap: int) -> Series:
-    return h_series(3, n, vcap)
-
-
 def h_closed_k3(n: int, vcap: int) -> Series:
     """−n Σ_{i<n} 1/(i+1) [C(n+i, 3i+2) + (−1)^i C(n+2i+1, 3i+2)] (t v)^{i+1}."""
     ring = SeriesRing(("v",), vcap)
@@ -1014,7 +952,7 @@ def xi_ones_coeff(l: int) -> TPoly:
     for m in range(l + 1):
         imins = (0,) + (1,) * m
         imaxs = (l,) * (m + 1)
-        for is_ in _bounded_compositions(l, imins, imaxs):
+        for is_ in bounded_compositions(l, imins, imaxs):
             c = Fraction((-1) ** m)
             for i in is_:
                 c /= factorial(i + 1)
@@ -1051,17 +989,6 @@ def _qhs_terms(upper: Sequence[Scalar], lower: Sequence[Scalar], q: Scalar,
             current = current * (Fraction(1) / Fraction(den))
         terms.append(current)
     return terms
-
-
-def qhs_truncated(upper: Sequence[Scalar], lower: Sequence[Scalar], q: Scalar,
-                  arg: Scalar, trunc: int) -> Scalar:
-    """Σ_{i=0}^{trunc} (upper; q)_i / ((q, lower; q)_i) · arg^i."""
-    if trunc < 0:
-        raise ValueError("trunc must be >= 0")
-    total: Scalar = Fraction(0)
-    for term in _qhs_terms(upper, lower, q, arg, trunc):
-        total = total + term
-    return total
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
@@ -1145,23 +1072,26 @@ def _ordered_s_values(den_bound: int, num_bound: int) -> list[Fraction]:
     )
 
 
-def search_qhs_witness(
-    coord_bound: int = 8,
-    t_values: Sequence[Fraction] = (Fraction(2), Fraction(3), Fraction(1, 2)),
-    s_den_bound: int = 12,
-    s_num_bound: int = 24,
-    q: Fraction = Fraction(1, 2),
-    n: int = 5,
-) -> QhsWitness | None:
+# bounds of the witness search: x₁ and x₂ with |numerator| and denominator
+# at most 8, these t, s = p/d with 0 ≤ p ≤ 24 and 1 ≤ d ≤ 12; q = 1/2, n = 5
+QHS_COORD_BOUND = 8
+QHS_T_VALUES = (Fraction(2), Fraction(3), Fraction(1, 2))
+QHS_S_DEN_BOUND = 12
+QHS_S_NUM_BOUND = 24
+QHS_Q = Fraction(1, 2)
+QHS_N = 5
+
+
+def search_qhs_witness() -> QhsWitness | None:
     """Deterministic bounded search: pick x₁, x₂ and t, choose the
     t-discriminant to be s², solve for x₃, and keep the first candidate whose
     shifted discriminant is also a rational square and whose derived data
     stays away from every forbidden zero."""
-    coords = _ordered_rationals(coord_bound)
-    svals = _ordered_s_values(s_den_bound, s_num_bound)
+    coords = _ordered_rationals(QHS_COORD_BOUND)
+    svals = _ordered_s_values(QHS_S_DEN_BOUND, QHS_S_NUM_BOUND)
     for x1 in coords:
         for x2 in coords:
-            for t in t_values:
+            for t in QHS_T_VALUES:
                 b = x1 + t * x2
                 for s in svals:
                     x3 = x1 * x2 + (s * s - b * b) / (4 * t)
@@ -1172,14 +1102,14 @@ def search_qhs_witness(
                     sm = _rational_sqrt(disc)
                     if sm is None:
                         continue
-                    w = QhsWitness(x1=x1, x2=x2, x3=x3, t=t, q=q, n=n,
+                    w = QhsWitness(x1=x1, x2=x2, x3=x3, t=t, q=QHS_Q, n=QHS_N,
                                    s_t=s, s_tm1=sm)
                     if validate_qhs_witness(w):
                         return w
     return None
 
 
-# first hit of search_qhs_witness() at the default bounds; frozen so the
+# first hit of search_qhs_witness() at the bounds above; frozen so the
 # check is reproducible without re-searching
 PINNED_QHS_WITNESS: QhsWitness | None = QhsWitness(
     x1=Fraction(0),

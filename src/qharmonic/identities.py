@@ -19,9 +19,7 @@ from .exact import (
     TPoly,
     binomial,
     parse_rational,
-    scalar_eq,
     scalar_pow,
-    scalar_to_json,
 )
 from .genfun import (
     IdentityReport,
@@ -29,24 +27,25 @@ from .genfun import (
     T_MINUS_ONE,
     eval_constant_index,
     h_closed_k3,
-    h_poly_k3,
+    h_series,
     kpow_generating,
     kpow_ratio_closed,
     mat_mul,
     p_poly,
     pascal_T,
     phi_system_checks,
+    poly_mismatch,
     psi_bruteforce,
     psi_product,
     qhs_phi_coefficients,
     reflect_companion,
     roundtrip_u,
+    scalar_mismatch,
     search_qhs_witness,
     series_affine_t,
     series_eval_t,
     series_mismatch,
     sum_formula,
-    tpoly_mismatch,
     u_from_x,
     u_from_x_matrix,
     u_poly_ratio,
@@ -125,6 +124,17 @@ def _aggregate(identity: str, params: dict, checks: list[tuple[str, dict | None]
     )
 
 
+def _compare(identity: str, params: dict, a: Series, b: Series,
+             lhs: str, rhs: str) -> IdentityReport:
+    """Report of a check that compares two series."""
+    mm = series_mismatch(a, b)
+    return IdentityReport(
+        identity=identity, params=params,
+        status="pass" if mm is None else "fail",
+        lhs=lhs, rhs=rhs, mismatch=mm,
+    )
+
+
 @lru_cache(maxsize=64)
 def _psi_brute(n: int, r: int, q: Scalar, cap: int) -> Series:
     return psi_bruteforce(n, r, q, cap)
@@ -139,14 +149,10 @@ def _run_thm1_1(params: dict) -> IdentityReport:
     r = _int_param(params, "r", 1, 4)
     cap = _int_param(params, "cap", 1, 8)
     q = _q_param(params, n)
-    mm = series_mismatch(_psi_brute(n, r, q, cap), psi_product(n, r, q, cap))
-    return IdentityReport(
-        identity="thm1_1", params=params,
-        status="pass" if mm is None else "fail",
-        lhs="height generating function from profile sums",
-        rhs="two-sided product over the characteristic polynomial",
-        mismatch=mm,
-    )
+    return _compare("thm1_1", params,
+                    _psi_brute(n, r, q, cap), psi_product(n, r, q, cap),
+                    "height generating function from profile sums",
+                    "two-sided product over the characteristic polynomial")
 
 
 def _run_reflection(params: dict) -> IdentityReport:
@@ -155,14 +161,8 @@ def _run_reflection(params: dict) -> IdentityReport:
     cap = _int_param(params, "cap", 1, 8)
     q = _q_param(params, n)
     a = _psi_brute(n, r, q, cap)
-    mm = series_mismatch(a * reflect_companion(a), a.ring.one())
-    return IdentityReport(
-        identity="reflection", params=params,
-        status="pass" if mm is None else "fail",
-        lhs="psi(t) * psi(1-t; second block negated)",
-        rhs="1",
-        mismatch=mm,
-    )
+    return _compare("reflection", params, a * reflect_companion(a), a.ring.one(),
+                    "psi(t) * psi(1-t; second block negated)", "1")
 
 
 def _run_half_t(params: dict) -> IdentityReport:
@@ -171,30 +171,18 @@ def _run_half_t(params: dict) -> IdentityReport:
     cap = _int_param(params, "cap", 1, 8)
     q = _q_param(params, n)
     half = series_eval_t(_psi_brute(n, r, q, cap), Fraction(1, 2))
-    mm = series_mismatch(
-        half * half.negate_vars(half.ring.variables[1:]), half.ring.one())
-    return IdentityReport(
-        identity="half_t_self_dual", params=params,
-        status="pass" if mm is None else "fail",
-        lhs="psi at t=1/2 times its negated-block twin",
-        rhs="1",
-        mismatch=mm,
-    )
+    return _compare("half_t_self_dual", params,
+                    half * half.negate_vars(half.ring.variables[1:]), half.ring.one(),
+                    "psi at t=1/2 times its negated-block twin", "1")
 
 
 def _run_thm1_3(params: dict) -> IdentityReport:
     n = _int_param(params, "n", 2, 16)
     cap = _int_param(params, "cap", 1, 8)
-    a = _psi_brute(n, 1, CycloNumber.zeta(n), cap)
-    b = u_poly_ratio(n, cap)
-    mm = series_mismatch(a, b)
-    return IdentityReport(
-        identity="thm1_3", params=params,
-        status="pass" if mm is None else "fail",
-        lhs="psi at the primitive root, rank one",
-        rhs="ratio of the closed counting polynomials",
-        mismatch=mm,
-    )
+    return _compare("thm1_3", params,
+                    _psi_brute(n, 1, CycloNumber.zeta(n), cap), u_poly_ratio(n, cap),
+                    "psi at the primitive root, rank one",
+                    "ratio of the closed counting polynomials")
 
 
 def _run_cor1_4_triple(params: dict) -> IdentityReport:
@@ -206,8 +194,8 @@ def _run_cor1_4_triple(params: dict) -> IdentityReport:
         a = sum_formula(n, k, l, "eq13")
         b = sum_formula(n, k, l, "eq14")
         c = g_sum(HeightProfile(k, l), zp).rationalized()
-        checks.append((f"double-sum=depth-one-sum[l={l}]", tpoly_mismatch(a, b)))
-        checks.append((f"double-sum=brute[l={l}]", tpoly_mismatch(a, c)))
+        checks.append((f"double-sum=depth-one-sum[l={l}]", poly_mismatch(a, b)))
+        checks.append((f"double-sum=brute[l={l}]", poly_mismatch(a, c)))
     return _aggregate("cor1_4_triple", params, checks,
                       "both closed sum formulas vs direct summation",
                       "all three agree")
@@ -220,7 +208,7 @@ def _run_eq1_2_equiv(params: dict) -> IdentityReport:
     for l in range(1, k + 1):
         a = sum_formula(n, k, l, "eq12")
         b = sum_formula(n, k, l, "btt314")
-        checks.append((f"l={l}", tpoly_mismatch(a, b)))
+        checks.append((f"l={l}", poly_mismatch(a, b)))
     return _aggregate("eq1_2_equiv", params, checks,
                       "tail-sum form vs head-sum rearrangement",
                       "equal for every depth")
@@ -237,8 +225,8 @@ def _run_cor1_5(params: dict) -> IdentityReport:
         ev = eval_constant_index(k, l, n)
         br = zbar_t((k,) * l, zp).rationalized()
         kc = gen.coefficient({"v": l})
-        checks.append((f"closed=brute[l={l}]", tpoly_mismatch(ev, br)))
-        checks.append((f"closed=product[l={l}]", tpoly_mismatch(ev, kc)))
+        checks.append((f"closed=brute[l={l}]", poly_mismatch(ev, br)))
+        checks.append((f"closed=product[l={l}]", poly_mismatch(ev, kc)))
     return _aggregate("cor1_5", params, checks,
                       "constant-index closed form vs brute vs v-series",
                       "all three agree")
@@ -281,7 +269,7 @@ def _run_lemma3_1(params: dict) -> IdentityReport:
                     for kj, aj in zip(parts, sub):
                         coeff *= binomial(kj - 1, aj - 1)
                     rhs = rhs + zbar_t(sub, sp) * coeff
-                checks.append((f"k={parts}", tpoly_mismatch(lhs, rhs)))
+                checks.append((f"k={parts}", poly_mismatch(lhs, rhs)))
     return _aggregate("lemma3_1", params, checks,
                       "polylog at z=1 vs binomial-weighted harmonic sums",
                       "equal for every index")
@@ -315,10 +303,10 @@ def _run_lemma4_1(params: dict) -> IdentityReport:
     cap = _int_param(params, "cap", 1, 4)
     xs = x_from_u(r, cap)
     kept = u_variable_names(r)[:r + 1]
-    last = xs.ring.var(f"u{r + 2}")
+    last = xs[0].ring.var(f"u{r + 2}")
     checks = []
     for i in range(1, r + 3):
-        s = xs.x[i - 1]
+        s = xs[i - 1]
         for v in kept:
             s = s.set_var_zero(v)
         c = (-1) ** ((r - i) % 2) * binomial(r, r + 2 - i)
@@ -333,15 +321,16 @@ def _run_pt_special(params: dict) -> IdentityReport:
     cap = _int_param(params, "cap", 1, 4)
     xs = x_from_u(r, cap)
     pp = p_poly(r, 0, xs)
+    ring = xs[0].ring
     kept = u_variable_names(r)[:r + 1]
-    last = xs.ring.var(f"u{r + 2}")
+    last = ring.var(f"u{r + 2}")
     checks = []
     for idx in range(r + 2):
-        s = pp.coeffs[idx]
+        s = pp[idx]
         for v in kept:
             s = s.set_var_zero(v)
         if idx == r + 1:
-            expected = xs.ring.one()
+            expected = ring.one()
         else:
             c = -((-1) ** (idx % 2)) * binomial(r, idx)
             expected = last * TPoly({1: Fraction(c)})
@@ -370,7 +359,7 @@ def _run_k3_closed(params: dict) -> IdentityReport:
     n = _int_param(params, "n", 2, 10)
     vcap = _int_param(params, "vcap", 1, 8)
     zp = zeta_params(n)
-    h_log = h_poly_k3(n, vcap)
+    h_log = h_series(3, n, vcap)
     checks = [("log-extraction=closed",
                series_mismatch(h_log, h_closed_k3(n, vcap)))]
     gen = kpow_generating(3, n, vcap)
@@ -383,7 +372,7 @@ def _run_k3_closed(params: dict) -> IdentityReport:
     for l in range(vcap + 1):
         br = zbar_t((3,) * l, zp).rationalized()
         checks.append((f"product=brute[l={l}]",
-                       tpoly_mismatch(gen.coefficient({"v": l}), br)))
+                       poly_mismatch(gen.coefficient({"v": l}), br)))
     return _aggregate("k3_closed", params, checks,
                       "repeated-threes family: log form, quotient, t-weighting",
                       "all equal")
@@ -419,14 +408,9 @@ def _run_btt_3_13(params: dict) -> IdentityReport:
         (l,): TPoly.const(Fraction(-zbar_depth1_rational(n, l), n))
         for l in range(cap + 1)
     })
-    mm = series_mismatch(lhs, rhs)
-    return IdentityReport(
-        identity="btt_3_13", params=params,
-        status="pass" if mm is None else "fail",
-        lhs="first u over the shifted binomial expansion",
-        rhs="depth-one values at the primitive root, weight zero read as -1",
-        mismatch=mm,
-    )
+    return _compare("btt_3_13", params, lhs, rhs,
+                    "first u over the shifted binomial expansion",
+                    "depth-one values at the primitive root, weight zero read as -1")
 
 
 def _run_remark_qhs(params: dict) -> IdentityReport:
@@ -448,10 +432,7 @@ def _run_remark_qhs(params: dict) -> IdentityReport:
                        "pinned": w.to_json()}))
     closed, hyper = qhs_phi_coefficients(w)
     for i, (a, b) in enumerate(zip(closed, hyper), start=1):
-        checks.append((
-            f"z^{i}",
-            None if a == b else {"lhs": scalar_to_json(a), "rhs": scalar_to_json(b)},
-        ))
+        checks.append((f"z^{i}", scalar_mismatch(a, b)))
     return _aggregate("remark_qhs", dict(params, witness=w.to_json()), checks,
                       "closed coefficients vs truncated hypergeometric series",
                       "representation exact at the witness")
@@ -479,11 +460,7 @@ def _run_z_zbar_scaling(params: dict) -> IdentityReport:
             ("qint-t1", z_t(parts, sp).eval(Fraction(1)), z_star(parts, sp)),
         ]
         for name, a, b in pairs:
-            checks.append((
-                f"{name}[{tag}]",
-                None if scalar_eq(a, b) else {
-                    "lhs": scalar_to_json(a), "rhs": scalar_to_json(b)},
-            ))
+            checks.append((f"{name}[{tag}]", scalar_mismatch(a, b)))
     return _aggregate("z_zbar_scaling", params, checks,
                       "q-integer vs one-minus-q normalizations, both interpolations",
                       "consistent on the sampled grid")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -30,22 +31,6 @@ def height(parts: MultiIndex, i: int) -> int:
 
 def heights(parts: MultiIndex, r: int) -> tuple[int, ...]:
     return tuple(height(parts, i) for i in range(1, r + 1))
-
-
-def parse_index(text: str) -> MultiIndex:
-    text = text.strip()
-    if text in ("()", ""):
-        return ()
-    parts = tuple(int(p) for p in text.split(","))
-    if any(p < 1 for p in parts):
-        raise ValueError(f"index parts must be positive: {text!r}")
-    return parts
-
-
-def render_index(parts: MultiIndex) -> str:
-    if not parts:
-        return "()"
-    return ",".join(str(p) for p in parts)
 
 
 @dataclass(frozen=True)
@@ -87,18 +72,31 @@ class HeightProfile:
         return len(self.h)
 
 
+def bounded_compositions(total: int, mins: Sequence[int],
+                         maxs: Sequence[int]) -> Iterator[MultiIndex]:
+    """All integer tuples summing to `total` with mins[i] <= entry i <=
+    maxs[i], in lexicographic order."""
+    n = len(mins)
+
+    def rec(i: int, left: int, prefix: MultiIndex):
+        if i == n:
+            if left == 0:
+                yield prefix
+            return
+        tail_min = sum(mins[i + 1:])
+        tail_max = sum(maxs[i + 1:])
+        lo = max(mins[i], left - tail_max)
+        hi = min(maxs[i], left - tail_min)
+        for v in range(lo, hi + 1):
+            yield from rec(i + 1, left - v, prefix + (v,))
+
+    yield from rec(0, total, ())
+
+
 @lru_cache(maxsize=None)
 def compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
     """All tuples of `parts` positive integers summing to `total`, lex order."""
-    if parts == 0:
-        return ((),) if total == 0 else ()
-    if parts == 1:
-        return ((total,),) if total >= 1 else ()
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(bounded_compositions(total, (1,) * parts, (total,) * parts))
 
 
 @lru_cache(maxsize=None)

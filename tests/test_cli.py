@@ -89,6 +89,26 @@ def test_compute_domain_errors(capsys):
                "--n", "3")[0] == 3
 
 
+@pytest.mark.parametrize("q", ["zeta", "1/2"])
+def test_compute_zero_modulus_is_domain_error(capsys, q):
+    assert main(["compute", "zbar", "--n", "0", "--q", q, "--index", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "q spec" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "zbar", "--n", "5", "--index", "1"],
+    ["verify", "--suite", "lemma4_1"],
+    ["table", "gsum", "--n", "3"],
+])
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {str(target)!r}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("kind,index", [
     ("zbar-t", "3,-1"), ("zbar-t", "0"), ("z-t", "2,0"),
 ])
@@ -219,6 +239,17 @@ def test_xi_check_rejects_short_run(capsys):
     assert out.strip().split("\n")[-1] == "not converged"
 
 
+def test_xi_check_exact_match_converges(capsys):
+    # depth 0: every sum and its limit are exactly 1, so every error is 0
+    code, out = run(capsys, "xi-check", "--l", "0", "--n", "5,10")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[-1] == "converged"
+    rows = [json.loads(line) for line in lines[:-1]]
+    assert [row["errors"] for row in rows] == [["0.000000e+00"] * 2] * 3
+    assert all(row["converging"] for row in rows)
+
+
 def test_xi_check_requires_increasing_n(capsys):
     assert run(capsys, "xi-check", "--n", "400,50")[0] == 2
 
@@ -272,6 +303,7 @@ PINNED_REPORTS = {
     "thm1_1": "928fab8ec077fcc6ff843bf65264920496efb4268caf8e4ca9a33b9b544382b8",
     "reflection": "dc42065de8f5e5840229bc9abdfcfbbd6490d30282eca8fdb73fe9bc5dc33c50",
     "half_t_self_dual": "f581a65fff4c0f024c1b4af1199010ce008731a568ca6baca960c9f1ee8f14b2",
+    "all": "175eedeb5545f9436f01b34860a0e0cb7a57362ae8aa08611857a3255425124b",
 }
 
 

@@ -8,29 +8,29 @@ from qharmonic.genfun import (
     IdentityReport,
     PINNED_QHS_WITNESS,
     NonzeroConstantTerm,
-    PPoly,
     SampleTooSmall,
     UncancelledPole,
     ZeroPochhammerDenominator,
     _log_one_plus,
+    _qhs_terms,
     eval_constant_index,
+    eval_p,
     exponents_of_profile,
     f_r1,
-    formal_x,
     ftilde_polys,
     h_closed_k3,
-    h_poly_k3,
+    h_series,
     kpow_generating,
     kpow_ratio_closed,
     mat_mul,
     p_poly,
     pascal_T,
     phi_system_checks,
+    poly_mismatch,
     profile_from_exponents,
     psi_bruteforce,
     psi_product,
     qhs_phi_coefficients,
-    qhs_truncated,
     reflect_companion,
     roundtrip_u,
     scalar_mismatch,
@@ -39,7 +39,6 @@ from qharmonic.genfun import (
     series_eval_t,
     series_mismatch,
     sum_formula,
-    tpoly_mismatch,
     u_collapsed,
     u_from_x,
     u_from_x_matrix,
@@ -48,10 +47,11 @@ from qharmonic.genfun import (
     u_special,
     validate_qhs_witness,
     x_from_u,
+    x_variable_names,
     xi_ones_coeff,
 )
 from qharmonic.indices import HeightProfile
-from qharmonic.qseries import SeriesParams, zbar_t, zeta_params
+from qharmonic.qseries import SeriesParams, ZPoly, zbar_t, zeta_params
 from qharmonic.series import Series, SeriesRing
 
 T = TPoly.t()
@@ -59,13 +59,11 @@ T = TPoly.t()
 
 def test_x_from_u_r1_explicit():
     """At r=1 the composed series have a closed shape small enough to write out."""
-    xset = x_from_u(1, 6)
-    ring = xset.ring
+    xs = x_from_u(1, 6)
+    ring = xs[0].ring
     u1, u2, u3 = ring.var("u1"), ring.var("u2"), ring.var("u3")
     inv = (ring.one() + u1).invert()
-    assert xset.x[0] == u1 * inv
-    assert xset.x[1] == u2 - u3 * inv
-    assert xset.x[2] == u3 * inv * inv
+    assert xs == (u1 * inv, u2 - u3 * inv, u3 * inv * inv)
 
 
 def test_u_from_x_r1_explicit():
@@ -85,12 +83,14 @@ def test_substitutions_invert_each_other(r):
     assert rt == tuple(ring.var(f"u{i}") for i in range(1, r + 3))
 
 
-def test_invariant_violations_raise_package_errors():
+def test_invariant_violations_raise_package_errors(monkeypatch):
     ring = SeriesRing(("w",), 3)
     with pytest.raises(NonzeroConstantTerm):
         _log_one_plus(ring.one() + ring.var("w"))
-    with pytest.raises(SampleTooSmall):
-        phi_system_checks(3, 1, Fraction(1, 2), 2, lemma_samples=10**6)
+    monkeypatch.setattr("qharmonic.genfun.LEMMA_SAMPLES", 10**6)
+    phi_system_checks.cache_clear()
+    with pytest.raises(SampleTooSmall, match="only 377 of 1000000 "):
+        phi_system_checks(3, 1, Fraction(1, 2), 2)
 
 
 def test_matrix_form_raises_on_an_uncancelled_pole(monkeypatch):
@@ -123,28 +123,27 @@ def test_profile_exponent_roundtrip():
         assert profile_from_exponents(r, exps) == prof
 
 
+def formal_xs(r, cap):
+    ring = SeriesRing(x_variable_names(r), cap)
+    return tuple(map(ring.var, ring.variables))
+
+
 def test_p_poly_r1_coefficients():
     """T^2 - (x1 + s*x2) T - s (x3 - x1 x2), with s = t or t-1."""
-    fx = formal_x(1, 4)
-    x1, x2, x3 = fx.x
+    x1, x2, x3 = fx = formal_xs(1, 4)
     plain = p_poly(1, 0, fx)
-    assert plain.coeffs[2] == fx.ring.one()
-    assert plain.coeffs[1] == -(x1 + x2 * T)
-    assert plain.coeffs[0] == -((x3 - x1 * x2) * T)
+    assert plain == (-((x3 - x1 * x2) * T), -(x1 + x2 * T), x1.ring.one())
     shifted = p_poly(1, -1, fx)
-    assert shifted.coeffs[1] == -(x1 + x2 * (T - TPoly.one()))
-    assert shifted.coeffs[0] == -((x3 - x1 * x2) * (T - TPoly.one()))
+    assert shifted[1] == -(x1 + x2 * (T - TPoly.one()))
+    assert shifted[0] == -((x3 - x1 * x2) * (T - TPoly.one()))
 
 
 def test_p_poly_validation():
-    fx = formal_x(1, 4)
+    fx = formal_xs(1, 4)
     with pytest.raises(ValueError):
         p_poly(1, 2, fx)
     with pytest.raises(ValueError):
         p_poly(2, 0, fx)
-    ring = fx.ring
-    with pytest.raises(ValueError):
-        PPoly(r=1, shift=0, coeffs=(ring.one(), ring.one(), ring.zero()))
 
 
 @pytest.mark.parametrize("n,r,cap", [(3, 1, 3), (2, 2, 2), (4, 1, 2)])
@@ -250,9 +249,9 @@ def test_kpow_generating_structure():
     assert gen == kpow_ratio_closed(2, 4, 3)
 
 
-def test_h_poly_k3_matches_closed_form():
-    assert h_poly_k3(3, 3) == h_closed_k3(3, 3)
-    assert h_poly_k3(4, 2) == h_closed_k3(4, 2)
+def test_h_series_k3_matches_closed_form():
+    assert h_series(3, 3, 3) == h_closed_k3(3, 3)
+    assert h_series(3, 4, 2) == h_closed_k3(4, 2)
 
 
 def test_ftilde_explicit_k2():
@@ -316,15 +315,13 @@ def test_xi_ones_coeff_first_values():
         xi_ones_coeff(-1)
 
 
-def test_qhs_truncated_basics():
+def test_qhs_terms_basics():
     q = Fraction(1, 2)
-    assert qhs_truncated((q,), (q,), q, Fraction(3), 0) == 1
-    value = qhs_truncated((Fraction(1, 3),), (), q, Fraction(1, 4), 1)
-    assert value == Fraction(4, 3)
-    with pytest.raises(ValueError):
-        qhs_truncated((), (), q, Fraction(1), -1)
+    assert _qhs_terms((q,), (q,), q, Fraction(3), 0) == [1]
+    # (1 - 1/3) / (1 - 1/2) * 1/4
+    assert _qhs_terms((Fraction(1, 3),), (), q, Fraction(1, 4), 1) == [1, Fraction(1, 3)]
     with pytest.raises(ZeroPochhammerDenominator):
-        qhs_truncated((Fraction(1),), (Fraction(2),), q, Fraction(1), 2)
+        _qhs_terms((Fraction(1),), (Fraction(2),), q, Fraction(1), 2)
 
 
 def test_pinned_witness_is_valid():
@@ -369,9 +366,12 @@ def test_mismatch_helpers_locate_first_difference():
     assert series_mismatch(a, a) is None
     hit = series_mismatch(a, ring.var("u1"))
     assert hit == {"term": {"u2": 1}, "lhs": {"t^0": "1"}, "rhs": {}}
-    assert tpoly_mismatch(T, T) is None
-    assert tpoly_mismatch(T, TPoly.one()) == {
+    assert poly_mismatch(T, T) is None
+    assert poly_mismatch(T, TPoly.one()) == {
         "t_power": 0, "lhs": "0", "rhs": "1",
+    }
+    assert poly_mismatch(ZPoly({2: T}), ZPoly({1: T, 2: T})) == {
+        "z_power": 1, "lhs": {}, "rhs": {"t^1": "1"},
     }
     assert scalar_mismatch(Fraction(1), Fraction(1)) is None
     assert scalar_mismatch(Fraction(1), Fraction(2)) == {"lhs": "1", "rhs": "2"}
@@ -382,16 +382,31 @@ def test_mismatch_helpers_locate_first_difference():
 T_MINUS_ONE = TPoly({0: Fraction(-1), 1: Fraction(1)})
 
 
+def eval_by_horner(coeffs, value):
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * value + c
+    return out
+
+
+def test_p_evaluation_matches_horner():
+    xs = x_from_u(2, 3)
+    for shift in (0, -1):
+        coeffs = p_poly(2, shift, xs)
+        for value in (Fraction(0), Fraction(-3, 4), 1 - CycloNumber.zeta(5) ** 2):
+            assert eval_p(coeffs, value) == eval_by_horner(coeffs, value)
+
+
 def ref_psi_product(n, r, q, cap):
     """Both products multiplied out, then num * den^-1."""
     params = SeriesParams(n, q)
-    xset = x_from_u(r, cap)
-    p_minus, p_plain = p_poly(r, -1, xset), p_poly(r, 0, xset)
-    num = den = xset.ring.one()
+    xs = x_from_u(r, cap)
+    p_minus, p_plain = p_poly(r, -1, xs), p_poly(r, 0, xs)
+    num = den = xs[0].ring.one()
     for j in range(1, n):
         tval = 1 - scalar_pow(params.q, j)
-        num = num * p_minus.eval_scalar(tval)
-        den = den * p_plain.eval_scalar(tval)
+        num = num * eval_by_horner(p_minus, tval)
+        den = den * eval_by_horner(p_plain, tval)
     return num * den.invert()
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qharmonic.indices import (
@@ -5,6 +7,7 @@ from qharmonic.indices import (
     MINUSPLUS,
     PLUS,
     HeightProfile,
+    bounded_compositions,
     compositions,
     contract,
     depth,
@@ -12,8 +15,6 @@ from qharmonic.indices import (
     enumerate_patterns,
     height,
     heights,
-    parse_index,
-    render_index,
     weight,
 )
 
@@ -28,16 +29,6 @@ def test_weight_depth_height():
         height(k, 0)
     assert heights(k, 2) == (2, 1)
     assert weight(()) == 0 and depth(()) == 0
-
-
-def test_parse_render_round_trip():
-    assert parse_index("2,1,1") == (2, 1, 1)
-    assert render_index((2, 1, 1)) == "2,1,1"
-    assert parse_index("") == ()
-    assert parse_index("()") == ()
-    assert render_index(()) == "()"
-    with pytest.raises(ValueError):
-        parse_index("2,0")
 
 
 def test_composition_counts():
@@ -57,6 +48,21 @@ def test_composition_counts():
 def test_compositions_lex_order():
     got = compositions(4, 2)
     assert got == ((1, 3), (2, 2), (3, 1))
+    for total in range(-1, 8):
+        for parts in range(0, 5):
+            want = tuple(c for c in product(range(1, total + 1), repeat=parts)
+                         if sum(c) == total)
+            assert compositions(total, parts) == want
+
+
+def test_bounded_compositions_respect_bounds_in_lex_order():
+    mins, maxs = (0, 1, 2), (3, 2, 4)
+    got = tuple(bounded_compositions(6, mins, maxs))
+    want = tuple(c for c in product(*(range(a, b + 1) for a, b in zip(mins, maxs)))
+                 if sum(c) == 6)
+    assert got == want and len(got) == 6
+    assert tuple(bounded_compositions(0, (), ())) == ((),)
+    assert tuple(bounded_compositions(20, mins, maxs)) == ()
 
 
 def test_enumerate_indices_by_profile():
