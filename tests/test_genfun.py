@@ -249,7 +249,7 @@ def test_kpow_generating_structure():
     assert gen == kpow_ratio_closed(2, 4, 3)
 
 
-def test_h_series_k3_matches_closed_form():
+def test_h_poly_k3_matches_closed_form():
     assert h_series(3, 3, 3) == h_closed_k3(3, 3)
     assert h_series(3, 4, 2) == h_closed_k3(4, 2)
 
@@ -315,7 +315,7 @@ def test_xi_ones_coeff_first_values():
         xi_ones_coeff(-1)
 
 
-def test_qhs_terms_basics():
+def test_qhs_truncated_basics():
     q = Fraction(1, 2)
     assert _qhs_terms((q,), (q,), q, Fraction(3), 0) == [1]
     # (1 - 1/3) / (1 - 1/2) * 1/4
