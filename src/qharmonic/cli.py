@@ -278,7 +278,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.kind not in ("gsum", "eval"):
+        raise UsageError(f"unknown table kind {args.kind!r}")
+    # a selection without rows is a usage error, not a header-only table
     ns = _parse_int_list(args.n) if args.n else []
+    if not ns:
+        raise UsageError(f"table {args.kind} needs at least one --n")
+    min_k = 1 if args.kind == "eval" else 0
+    if args.k < min_k:
+        raise UsageError(f"table {args.kind} needs --k >= {min_k}, got {args.k}")
+    if args.kind == "eval" and args.l < 0:
+        raise UsageError(f"table eval needs --l >= 0, got {args.l}")
     rows: list[tuple[tuple[int, ...], TPoly]] = []
     if args.kind == "gsum":
         for n in ns:
@@ -287,13 +297,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 for l in range(k + 1):
                     rows.append(((n, k, l),
                                  g_sum(HeightProfile(k, l), zp).rationalized()))
-    elif args.kind == "eval":
+    else:
         for n in ns:
             for k in range(1, min(args.k, 3) + 1):
                 for l in range(args.l + 1):
                     rows.append(((n, k, l), eval_constant_index(k, l, n)))
-    else:
-        raise UsageError(f"unknown table kind {args.kind!r}")
 
     width = max((tp.degree() + 1 for _, tp in rows if not tp.is_zero()), default=0)
     columns = ["n", "k", "l"] + [f"t^{e}" for e in range(width)]

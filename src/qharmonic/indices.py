@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -73,24 +73,29 @@ class HeightProfile:
 
 
 def bounded_compositions(total: int, mins: Sequence[int],
-                         maxs: Sequence[int]) -> Iterator[MultiIndex]:
+                         maxs: Sequence[int]) -> list[MultiIndex]:
     """All integer tuples summing to `total` with mins[i] <= entry i <=
     maxs[i], in lexicographic order."""
     n = len(mins)
+    # tail_min[i], tail_max[i]: the bounds' sums over entries i + 1, ..., n - 1
+    tail_min, tail_max = [0] * n, [0] * n
+    for i in range(n - 2, -1, -1):
+        tail_min[i] = tail_min[i + 1] + mins[i + 1]
+        tail_max[i] = tail_max[i + 1] + maxs[i + 1]
+    out: list[MultiIndex] = []
 
     def rec(i: int, left: int, prefix: MultiIndex):
         if i == n:
             if left == 0:
-                yield prefix
+                out.append(prefix)
             return
-        tail_min = sum(mins[i + 1:])
-        tail_max = sum(maxs[i + 1:])
-        lo = max(mins[i], left - tail_max)
-        hi = min(maxs[i], left - tail_min)
+        lo = max(mins[i], left - tail_max[i])
+        hi = min(maxs[i], left - tail_min[i])
         for v in range(lo, hi + 1):
-            yield from rec(i + 1, left - v, prefix + (v,))
+            rec(i + 1, left - v, prefix + (v,))
 
-    yield from rec(0, total, ())
+    rec(0, total, ())
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -7,6 +7,16 @@ z_t, the truncated polylogarithms L_poly and z_float run one prefix-sum
 recursion over the summation levels instead, in O(depth * n) operations.
 The generating-function module is checked against these evaluators, never
 the other way around.
+
+Two bounded caches share work between calls.  `_factor` is the single table
+of summands f_k(m) (for zbar, for z over the q-integer, and for the
+polylogarithms), which the literal sums and the recursion both read.
+`_levels` holds the per-m level vectors of zbar_t, z_t and L_poly: the
+vector of (k_1, ..., k_l) is one level step above the cached vector of its
+tail (k_2, ..., k_l), so the indices of a profile sum (g_sum, x_sum and
+brute Psi) that share a tail share its levels.  Both are keyed by the
+parameters, and the values are exact, so no result depends on what the
+caches hold.
 """
 from __future__ import annotations
 
@@ -90,16 +100,24 @@ def _qpow(params: SeriesParams, e: int) -> Scalar:
 
 
 @lru_cache(maxsize=1 << 12)
-def _inv_one_minus_qm(params: SeriesParams, m: int) -> Scalar:
+def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
+    """The summand of part k at summation index m, one table for every
+    evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the q-integer
+    (1-q^m)/(1-q) for "z", and 1/(1-q^m)^k for the polylogarithms ("L").
+    Part 0 occurs only in the literal zbar((0,)), whose summand is q^(-m).
+    Higher parts multiply up from part k - 1, which this table also holds."""
+    if kind == "L":
+        inv = _factor(params, "zbar", 1, m)
+        return inv if k == 1 else _factor(params, "L", k - 1, m) * inv
+    if k == 0:
+        return _qpow(params, -m)
+    if k > 1:
+        return _factor(params, kind, k - 1, m) * _qpow(params, m) * _factor(params, kind, 1, m)
+    if kind == "z":
+        # inverse of the q-integer, computed from the quotient itself so
+        # that the modified and unmodified evaluators stay independent
+        return scalar_inverse((1 - _qpow(params, m)) * scalar_inverse(1 - params.q))
     return scalar_inverse(1 - _qpow(params, m))
-
-
-@lru_cache(maxsize=1 << 12)
-def _inv_qint(params: SeriesParams, m: int) -> Scalar:
-    # inverse of the q-integer (1 - q^m)/(1 - q), computed from the quotient
-    # itself so the modified/unmodified evaluators stay independent
-    qint = (1 - _qpow(params, m)) * scalar_inverse(1 - params.q)
-    return scalar_inverse(qint)
 
 
 def _check_parts(parts: MultiIndex):
@@ -107,50 +125,70 @@ def _check_parts(parts: MultiIndex):
         raise ValueError(f"index parts must be positive: {parts!r}")
 
 
-def _summand(params: SeriesParams, inv_den):
-    """The summand q^((k-1)m) * inv_den(m)^k: over (1-q^m) for zbar, over the
-    q-integer for z."""
-    return lambda k, m: _qpow(params, (k - 1) * m) * scalar_pow(inv_den(params, m), k)
-
-
-def _literal_sum(parts: MultiIndex, params: SeriesParams, inv_den, strict: bool) -> Scalar:
+def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: bool) -> Scalar:
     """The definition: the summand product summed over decreasing tuples."""
-    f = _summand(params, inv_den)
     pool, l = range(1, params.n), len(parts)
     tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
     total: Scalar = Fraction(0)
     for ascending in tuples:
         term: Scalar = Fraction(1)
         for k, m in zip(parts, reversed(ascending)):
-            term = term * f(k, m)
+            term = term * _factor(params, kind, k, m)
         total = total + term
     return total
 
 
-def _level_sums(parts: MultiIndex, n: int, factor, eq=None) -> list:
-    """Prefix-sum recursion over the summation levels of a nonempty index.
+def _level_step(k: int, below, factor, eq) -> list:
+    """One summation level of the prefix-sum recursion.
 
-    Entry m - 1 is the sum over n > m = m_1 >= m_2 >= ... >= m_l > 0 of
-    factor(k_1, m_1) * ... * factor(k_l, m_l), each equality m_i = m_(i+1)
-    weighted by `eq` (None keeps the sum strict).  Each level keeps one
-    running sum over m, so the cost is O(l * n) operations."""
+    `below` is the level vector of a tail (k_2, ..., k_l): entry m - 1 sums
+    over the tuples with m_2 = m.  The result is the level vector of
+    (k, k_2, ..., k_l): entry m - 1 is factor(k, m) times the sum of the
+    entries of `below` at m_2 < m, plus `eq` times its entry at m_2 = m
+    (None keeps the sum strict).  One running sum, so O(n) operations."""
+    running, new = 0, []
+    for m, value in enumerate(below, 1):
+        inner = running if eq is None else running + eq * value
+        new.append(factor(k, m) * inner)
+        running = running + value
+    return new
+
+
+def _level_sums(parts: MultiIndex, n: int, factor) -> list:
+    """The strict level sums of a nonempty index for an uncached factor
+    (z_float's complex one): entry m - 1 is the sum over
+    n > m = m_1 > ... > m_l > 0 of factor(k_1, m_1) * ... * factor(k_l, m_l)."""
     *upper, last = parts
     vals = [factor(last, m) for m in range(1, n)]
     for k in reversed(upper):
-        running, new = 0, []
-        for m, below in enumerate(vals, 1):
-            inner = running if eq is None else running + eq * below
-            new.append(factor(k, m) * inner)
-            running = running + below
-        vals = new
+        vals = _level_step(k, vals, factor, None)
     return vals
 
 
-def _interpolated(parts: MultiIndex, params: SeriesParams, inv_den) -> TPoly:
+_EQ_WEIGHTS = {"strict": None, "star": 1, "t": TPoly.t()}
+
+
+@lru_cache(maxsize=128)
+def _levels(parts: MultiIndex, params: SeriesParams, kind: str, eq: str) -> tuple:
+    """The level sums of a nonempty index with the summands of `kind` (see
+    _factor), each equality m_i = m_(i+1) weighted by _EQ_WEIGHTS[eq].
+
+    The vector of (k_1, ..., k_l) is one _level_step above the vector of
+    its tail (k_2, ..., k_l), read from this cache, so every index that
+    shares a tail shares its levels; the enumerated index sets are closed
+    under taking tails.  `eq` is a string key because TPoly is unhashable."""
+    factor = lambda k, m: _factor(params, kind, k, m)
+    if len(parts) == 1:
+        return tuple(factor(parts[0], m) for m in range(1, params.n))
+    below = _levels(parts[1:], params, kind, eq)
+    return tuple(_level_step(parts[0], below, factor, _EQ_WEIGHTS[eq]))
+
+
+def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:
     _check_parts(parts)
     if not parts:
         return TPoly.one()
-    return sum(_level_sums(parts, params.n, _summand(params, inv_den), TPoly.t()), TPoly.zero())
+    return sum(_levels(parts, params, kind, "t"), TPoly.zero())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -160,7 +198,7 @@ def zbar(parts: MultiIndex, params: SeriesParams) -> Scalar:
     q^(-m) over the same range."""
     if parts != (0,):  # (0) passes: its summand is q^(-m)
         _check_parts(parts)
-    return _literal_sum(parts, params, _inv_one_minus_qm, strict=True)
+    return _literal_sum(parts, params, "zbar", strict=True)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -168,7 +206,7 @@ def zbar_star(parts: MultiIndex, params: SeriesParams) -> Scalar:
     """Non-strict variant (m_1 >= m_2 >= ... >= m_l)."""
     if parts != (0,):
         _check_parts(parts)
-    return _literal_sum(parts, params, _inv_one_minus_qm, strict=False)
+    return _literal_sum(parts, params, "zbar", strict=False)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -176,13 +214,13 @@ def z(parts: MultiIndex, params: SeriesParams) -> Scalar:
     """Variant with q-integer denominators ((1-q^m)/(1-q)) and the same
     numerator powers."""
     _check_parts(parts)
-    return _literal_sum(parts, params, _inv_qint, strict=True)
+    return _literal_sum(parts, params, "z", strict=True)
 
 
 @lru_cache(maxsize=1 << 16)
 def z_star(parts: MultiIndex, params: SeriesParams) -> Scalar:
     _check_parts(parts)
-    return _literal_sum(parts, params, _inv_qint, strict=False)
+    return _literal_sum(parts, params, "z", strict=False)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -192,7 +230,7 @@ def zbar_t(parts: MultiIndex, params: SeriesParams) -> TPoly:
     sum.  It equals the sum over three-letter box fillings of t^(depth drop)
     times zbar of the contraction, because the summands f_k satisfy
     f_a(m) f_b(m) = f_(a+b)(m) + f_(a+b-1)(m)."""
-    return _interpolated(parts, params, _inv_one_minus_qm)
+    return _interpolated(parts, params, "zbar")
 
 
 @lru_cache(maxsize=1 << 16)
@@ -200,7 +238,7 @@ def z_t(parts: MultiIndex, params: SeriesParams) -> TPoly:
     """t-interpolation of the q-integer variant.  In the box-filling form,
     merged letters change the weight, compensated by powers of (1 - q); the
     summands satisfy h_a(m) h_b(m) = h_(a+b)(m) + (1-q) h_(a+b-1)(m)."""
-    return _interpolated(parts, params, _inv_qint)
+    return _interpolated(parts, params, "z")
 
 
 @lru_cache(maxsize=1 << 14)
@@ -253,13 +291,12 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "plain") -> Z
             summands 1/(1-q^m)^k multiply by adding exponents).
     """
     _check_parts(parts)
-    weights = {"plain": None, "star": 1, "interp": TPoly.t()}
-    if variant not in weights:
+    eq = {"plain": "strict", "star": "star", "interp": "t"}.get(variant)
+    if eq is None:
         raise ValueError(f"unknown variant {variant!r}")
     if not parts:
         return ZPoly.one()
-    factor = lambda k, m: scalar_pow(_inv_one_minus_qm(params, m), k)
-    return ZPoly(dict(enumerate(_level_sums(parts, params.n, factor, weights[variant]), 1)))
+    return ZPoly(dict(enumerate(_levels(parts, params, "L", eq), 1)))
 
 
 def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:

@@ -207,10 +207,32 @@ def test_table_eval_rows(capsys):
     assert "3,1,2,1/3,1/3" in lines
 
 
-def test_table_empty_is_header_only(capsys):
-    code, out = run(capsys, "table", "eval", "--n", "3", "--k", "0")
+@pytest.mark.parametrize("argv, message", [
+    (["gsum"], "table gsum needs at least one --n"),
+    (["eval", "--k", "2"], "table eval needs at least one --n"),
+    (["gsum", "--n", "5..3"], "table gsum needs at least one --n"),
+    (["gsum", "--n", "3", "--k", "-1"], "table gsum needs --k >= 0, got -1"),
+    (["eval", "--n", "3", "--k", "-2"], "table eval needs --k >= 1, got -2"),
+    (["eval", "--n", "3", "--l", "-1"], "table eval needs --l >= 0, got -1"),
+    (["eval", "--n", "3", "--k", "0"], "table eval needs --k >= 1, got 0"),
+], ids=["gsum-no-n", "eval-no-n", "empty-n-range", "gsum-negative-k",
+        "eval-negative-k", "eval-negative-l", "eval-k0"])
+def test_table_without_rows_is_usage_error(capsys, argv, message):
+    code = main(["table", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_table_smallest_selections_have_rows(capsys):
+    # --k 0 is a one-row gsum table, and --l 0 still lists depth 0 for eval
+    code, out = run(capsys, "table", "gsum", "--n", "3", "--k", "0")
     assert code == 0
-    assert out == "n,k,l\n"
+    assert out == "n,k,l,t^0\n3,0,0,1\n"
+    code, out = run(capsys, "table", "eval", "--n", "3", "--k", "1", "--l", "0")
+    assert code == 0
+    assert out == "n,k,l,t^0\n3,1,0,1\n"
 
 
 def test_table_json_format(capsys):

@@ -5,8 +5,10 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from qharmonic.exact import CycloNumber, TPoly, is_rational, scalar_eq, scalar_pow
-from qharmonic.indices import HeightProfile, enumerate_indices, enumerate_patterns
+from qharmonic import genfun, indices, qseries
+from qharmonic.exact import CycloNumber, TPoly, is_rational, scalar_eq, scalar_pow, scalar_to_json
+from qharmonic.genfun import psi_bruteforce
+from qharmonic.indices import HeightProfile, compositions, enumerate_indices, enumerate_patterns
 from qharmonic.qseries import (
     InvalidQ,
     L_poly,
@@ -271,3 +273,50 @@ def test_rationality_of_profile_sums_at_primitive_root():
         for profile in [HeightProfile(3, 2, (1,)), HeightProfile(4, 2),
                         HeightProfile(4, 2, (2,))]:
             g_sum(profile, zp).rationalized()
+
+
+def _clear_caches():
+    for mod in (indices, qseries, genfun):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _history_values(n, q, clear_each=False, clear_levels_every=None):
+    """Every cached evaluator on the indices of weight <= 4, the profile sums
+    of weight <= 4 and brute Psi, in an order where later indices reuse the
+    tails of earlier ones."""
+    params = SeriesParams(n, q)
+    calls = []
+    for k in range(1, 5):
+        for l in range(1, k + 1):
+            for parts in compositions(k, l):
+                calls += [(fn, parts, params) for fn in (zbar, z, zbar_t, z_t)]
+                calls += [(L_poly, parts, params, v) for v in ("plain", "star", "interp")]
+    calls += [(g_sum, HeightProfile(k, l), params) for k in range(5) for l in range(k + 1)]
+    calls.append((psi_bruteforce, n, 1, q, 3))
+    out = []
+    for i, (fn, *args) in enumerate(calls):
+        if clear_each:
+            _clear_caches()
+        elif clear_levels_every and i % clear_levels_every == 0:
+            qseries._levels.cache_clear()
+        value = fn(*args)
+        out.append(value.to_json() if hasattr(value, "to_json") else scalar_to_json(value))
+    return out
+
+
+@pytest.mark.parametrize("n, q, other_q", [
+    (7, CycloNumber.zeta(7), CycloNumber.zeta(7) ** 3),
+    (6, Fraction(2, 3), Fraction(-3)),
+], ids=["zeta7", "two-thirds"])
+def test_results_do_not_depend_on_cache_history(n, q, other_q):
+    fresh = _history_values(n, q, clear_each=True)
+    _clear_caches()
+    partway = _history_values(n, q, clear_levels_every=5)
+    # fill every cache at another q of the same n first
+    _clear_caches()
+    _history_values(n, other_q)
+    prefilled = _history_values(n, q)
+    assert partway == fresh
+    assert prefilled == fresh

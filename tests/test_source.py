@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import qharmonic
@@ -32,3 +34,31 @@ def test_unchecked_series_constructor_stays_in_series_module():
 def test_every_exported_name_resolves():
     missing = [name for name in qharmonic.__all__ if not hasattr(qharmonic, name)]
     assert missing == []
+
+
+def _package_caches() -> dict:
+    """Every lru_cache defined in the package, by module and qualified name,
+    found in module and class namespaces."""
+    found = {}
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        mod = importlib.import_module(f"qharmonic.{path.stem}")
+        spaces = [vars(mod)] + [vars(c) for c in vars(mod).values()
+                                if inspect.isclass(c) and c.__module__ == mod.__name__]
+        for space in spaces:
+            for obj in space.values():
+                if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == mod.__name__:
+                    found[f"{path.stem}.{obj.__qualname__}"] = obj.cache_info().maxsize
+    return found
+
+
+def test_qseries_caches_are_bounded():
+    # qseries caches are keyed by SeriesParams, so an unbounded one would grow
+    # with every base point a long run touches.
+    caches = _package_caches()
+    assert len(caches) == 21
+    qseries = {name: size for name, size in caches.items() if name.startswith("qseries.")}
+    assert "qseries._levels" in qseries and "qseries._factor" in qseries
+    assert [name for name, size in qseries.items() if size is None] == []
+    assert sum(size is None for size in caches.values()) == 7
