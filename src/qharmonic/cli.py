@@ -25,6 +25,7 @@ from .identities import (
     check_identity,
     default_instances,
     list_identities,
+    sharing_key,
 )
 from .indices import HeightProfile
 from .qseries import (
@@ -198,9 +199,46 @@ def _compute_csv(payload: str) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_worker(item: tuple[str, dict]) -> dict:
+def _verify_worker(item: tuple[str, dict]) -> tuple[dict, str | None]:
+    """The report of one instance, and the traceback if it crashed.
+
+    A package error or ValueError propagates and stops the run; any other
+    exception is a defect of this instance alone, reported as "error"."""
     ident, params = item
-    return check_identity(ident, params).to_json()
+    try:
+        return check_identity(ident, params).to_json(), None
+    except (QHarmonicError, ValueError):
+        raise
+    except Exception as exc:
+        report = {"identity": ident, "params": params, "status": "error",
+                  "lhs": None, "rhs": None,
+                  "mismatch": {"error": f"{type(exc).__name__}: {exc}"}}
+        return report, traceback.format_exc()
+
+
+def _verify_group(group: list[tuple[int, tuple[str, dict]]]) -> list:
+    return [(i, _verify_worker(item)) for i, item in group]
+
+
+def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
+    """(report, traceback) per instance, in instance order.
+
+    With several jobs, the instances that read one cached builder (same
+    sharing_key) go to one worker as one task, so each builder is built
+    once; the largest groups go first, ties in first-seen order."""
+    if jobs == 1:
+        return [_verify_worker(item) for item in instances]
+    groups: dict = {}
+    for i, item in enumerate(instances):
+        key = sharing_key(*item)
+        groups.setdefault(i if key is None else key, []).append((i, item))
+    tasks = sorted(groups.values(), key=len, reverse=True)
+    results: list = [None] * len(instances)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for done in pool.map(_verify_group, tasks):
+            for i, result in done:
+                results[i] = result
+    return results
 
 
 def _select_instances(args: argparse.Namespace) -> list[tuple[str, dict]]:
@@ -243,13 +281,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         given = [f"--{flag} {value}" for flag, value
                  in (("n", args.n), ("r", args.r), ("q", args.q)) if value is not None]
         raise UsageError(f"no instances of {args.suite} match {' '.join(given)}")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_verify_worker, instances, chunksize=1))
-    else:
-        reports = [_verify_worker(item) for item in instances]
+    results = _run_instances(instances, args.jobs)
+    reports = [rep for rep, _ in results]
+    for _, trace in results:
+        if trace is not None:
+            sys.stderr.write(trace)
 
-    counts = {"pass": 0, "fail": 0, "skip": 0}
+    counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for rep in reports:
         counts[rep["status"]] += 1
     if args.format == "csv":
@@ -268,8 +306,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         body = "".join(_json_line(rep) + "\n" for rep in reports)
     _emit(body, args.out)
+    errors = f" / {counts['error']} errors" if counts["error"] else ""
     print(f"{counts['pass']} passed / {counts['fail']} failed / "
-          f"{counts['skip']} skipped")
+          f"{counts['skip']} skipped{errors}")
+    if counts["error"]:
+        return EXIT_CRASH
     return EXIT_OK if counts["fail"] == 0 else EXIT_FAIL
 
 

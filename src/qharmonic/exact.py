@@ -512,6 +512,10 @@ class SparsePoly:
     def map_coeffs(self, fn):
         return type(self)({e: fn(c) for e, c in self.coeffs.items()})
 
+    def shift(self, s: int):
+        """The product with var^s (s >= 0): every exponent moves up by s."""
+        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
+
     def first_mismatch(self, other):
         """(exponent, lhs coefficient, rhs coefficient) at the lowest
         exponent where the two differ, a missing one reading as zero; None

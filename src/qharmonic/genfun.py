@@ -46,6 +46,7 @@ from .indices import HeightProfile, bounded_compositions
 from .qseries import (
     SeriesParams,
     ZPoly,
+    _qpow,
     g_sum,
     theta_q,
     x_sum,
@@ -393,8 +394,9 @@ def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> Series:
 
 
 def _series_theta(s: Series, params: SeriesParams) -> Series:
-    # z is the last ring variable
-    return s.map_terms(lambda e, c: c * (1 - scalar_pow(params.q, e[-1])))
+    # z is the last ring variable; one eigenvalue 1 - q^e per z-exponent e
+    eigen = {z: 1 - _qpow(params, z) for z in {e[-1] for e in s.terms}}
+    return s.map_terms(lambda e, c: c * eigen[e[-1]])
 
 
 def _series_shift_z(s: Series, d: int) -> Series:
@@ -464,12 +466,12 @@ def _check_lemma21(case: str, inst: tuple, params: SeriesParams) -> dict | None:
     k, l, h = inst
     diff = x_sum_or_zero(k, l, h, -1, params) - x_sum_or_zero(k, l, h, 0, params)
     th = theta_q(diff, params)
-    lhs = th - th.shift_z(1)
+    lhs = th - th.shift(1)
     tail = x_sum_or_zero(k - 1, l - 1, h, -1, params)
     rhs = (
         tail * T
-        - tail.shift_z(1) * T
-        + tail.shift_z(1)
+        - tail.shift(1) * T
+        + tail.shift(1)
         - ZPoly({params.n: tail.eval_z_one()})
     )
     return poly_mismatch(lhs, rhs)

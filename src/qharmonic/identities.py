@@ -537,6 +537,24 @@ _REGISTRY: dict[str, tuple] = {
 }
 
 
+_PSI_SUITES = ("thm1_1", "reflection", "half_t_self_dual", "thm1_3")
+
+
+def sharing_key(ident: str, params: dict) -> tuple | None:
+    """The arguments of the cached builder an instance reads: ("phi", n, r,
+    q, cap) for phi_system_checks and ("psi", n, r, q, cap) for _psi_brute.
+    Instances with one key share the build when they run in one process;
+    None for an instance that shares nothing."""
+    if ident in _PHI_SLICES:
+        builder = "phi"
+    elif ident in _PSI_SUITES:
+        builder = "psi"
+    else:
+        return None
+    r = 1 if ident == "thm1_3" else params.get("r")
+    return (builder, params.get("n"), r, params.get("q", "zeta"), params.get("cap"))
+
+
 def list_identities() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 

@@ -144,11 +144,12 @@ def _level_step(k: int, below, factor, eq) -> list:
     `below` is the level vector of a tail (k_2, ..., k_l): entry m - 1 sums
     over the tuples with m_2 = m.  The result is the level vector of
     (k, k_2, ..., k_l): entry m - 1 is factor(k, m) times the sum of the
-    entries of `below` at m_2 < m, plus `eq` times its entry at m_2 = m
-    (None keeps the sum strict).  One running sum, so O(n) operations."""
+    entries of `below` at m_2 < m, plus eq(entry at m_2 = m), the weighted
+    equality (None keeps the sum strict).  One running sum, so O(n)
+    operations."""
     running, new = 0, []
     for m, value in enumerate(below, 1):
-        inner = running if eq is None else running + eq * value
+        inner = running if eq is None else running + eq(value)
         new.append(factor(k, m) * inner)
         running = running + value
     return new
@@ -165,18 +166,25 @@ def _level_sums(parts: MultiIndex, n: int, factor) -> list:
     return vals
 
 
-_EQ_WEIGHTS = {"strict": None, "star": 1, "t": TPoly.t()}
+def _times_t(value):
+    """value * t as an exponent shift; a scalar becomes the monomial value * t."""
+    return value.shift(1) if isinstance(value, TPoly) else TPoly({1: value})
+
+
+_EQ_WEIGHTS = {"strict": None, "star": lambda value: value, "t": _times_t}
 
 
 @lru_cache(maxsize=128)
 def _levels(parts: MultiIndex, params: SeriesParams, kind: str, eq: str) -> tuple:
     """The level sums of a nonempty index with the summands of `kind` (see
-    _factor), each equality m_i = m_(i+1) weighted by _EQ_WEIGHTS[eq].
+    _factor), each equality m_i = m_(i+1) weighted by _EQ_WEIGHTS[eq]:
+    excluded ("strict"), by 1 ("star") or by t ("t").
 
     The vector of (k_1, ..., k_l) is one _level_step above the vector of
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
-    under taking tails.  `eq` is a string key because TPoly is unhashable."""
+    under taking tails.  `eq` is the string key of its weight, so that the
+    cache key stays hashable."""
     factor = lambda k, m: _factor(params, kind, k, m)
     if len(parts) == 1:
         return tuple(factor(parts[0], m) for m in range(1, params.n))
@@ -271,9 +279,6 @@ class ZPoly(SparsePoly):
     @classmethod
     def one(cls) -> "ZPoly":
         return cls({0: TPoly.one()})
-
-    def shift_z(self, s: int) -> "ZPoly":
-        return ZPoly({e + s: c for e, c in self.coeffs.items()})
 
     def eval_z_one(self) -> TPoly:
         return sum(self.coeffs.values(), TPoly.zero())

@@ -339,3 +339,110 @@ def test_verify_report_bytes_are_pinned(capsys, suite):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def _clear_caches():
+    from qharmonic import exact, genfun, identities, indices, qseries
+    for mod in (exact, indices, qseries, genfun, identities):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+# the suites that share a cached builder: phi_system_checks for the first
+# five, brute Psi for the last three
+SHARED_BUILDER_SUITES = ["lemma2_1", "prop2_2", "cor2_3", "thm2_4", "c_i",
+                         "thm1_1", "reflection", "half_t_self_dual"]
+
+
+@pytest.mark.parametrize("suite", SHARED_BUILDER_SUITES)
+def test_grouped_dispatch_is_byte_identical(capsys, suite):
+    # each run starts from cleared caches, so the workers build for themselves
+    _clear_caches()
+    code3, parallel = run(capsys, "verify", "--suite", suite, "--n", "2..4", "--jobs", "3")
+    _clear_caches()
+    code1, serial = run(capsys, "verify", "--suite", suite, "--n", "2..4", "--jobs", "1")
+    assert code1 == code3 == 0
+    assert parallel == serial
+
+
+def test_sharing_keys_name_the_builder():
+    from qharmonic.identities import sharing_key
+    phi = {"n": 3, "r": 2, "q": "1/2", "cap": 3}
+    assert sharing_key("lemma2_1", phi) == sharing_key("c_i", phi) == ("phi", 3, 2, "1/2", 3)
+    psi = {"n": 4, "r": 1, "q": "zeta", "cap": 5}
+    assert sharing_key("thm1_1", psi) == sharing_key("half_t_self_dual", psi) \
+        == sharing_key("thm1_3", {"n": 4, "cap": 5}) == ("psi", 4, 1, "zeta", 5)
+    assert sharing_key("cor1_5", {"k": 1, "n": 3, "lmax": 4}) is None
+
+
+def test_every_instance_goes_through_check_identity_once(tmp_path, monkeypatch, capsys):
+    import qharmonic.cli as cli
+
+    log = tmp_path / "calls.tsv"
+    check = cli.check_identity
+
+    def recorded(ident, params):
+        # the pool workers are forked, so they log to a file, not to a list
+        with open(log, "a") as fh:
+            fh.write(f"{ident}\t{json.dumps(params, sort_keys=True)}\n")
+        return check(ident, params)
+
+    monkeypatch.setattr(cli, "check_identity", recorded)
+    argv = ["verify", "--suite", "all", "--n", "2", "--q", "zeta", "--jobs", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    lines = out.rstrip("\n").split("\n")
+    reports = [json.loads(line) for line in lines[:-1]]
+    want = [(ident, json.dumps(params, sort_keys=True))
+            for ident, params in cli._select_instances(cli._build_parser().parse_args(argv))]
+    calls = [tuple(line.split("\t")) for line in log.read_text().splitlines()]
+    assert sorted(calls) == sorted(want) and len(set(calls)) == len(calls)
+    assert len(reports) == len(want)
+    # the reports come back in instance order (a report may add parameters)
+    assert [(rep["identity"], {key: rep["params"][key] for key in json.loads(params)})
+            for rep, (_, params) in zip(reports, want)] == [
+        (ident, json.loads(params)) for ident, params in want]
+    assert lines[-1] == f"{len(want)} passed / 0 failed / 0 skipped"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_crashing_instance_is_contained(monkeypatch, capsys, jobs):
+    from qharmonic import identities
+
+    runner, grid = identities._REGISTRY["lemma4_1"]
+
+    def crashes_at_r2(params):
+        if params["r"] == 2:
+            raise RuntimeError("kaboom")
+        return runner(params)
+
+    monkeypatch.setitem(identities._REGISTRY, "lemma4_1", (crashes_at_r2, grid))
+    code = main(["verify", "--suite", "lemma4_1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 4
+    lines = captured.out.rstrip("\n").split("\n")
+    assert lines[-1] == "3 passed / 0 failed / 0 skipped / 1 errors"
+    reports = [json.loads(line) for line in lines[:-1]]
+    assert [rep["params"]["r"] for rep in reports] == [1, 2, 3, 4]
+    assert [rep["status"] for rep in reports] == ["pass", "error", "pass", "pass"]
+    assert reports[1] == {"identity": "lemma4_1", "params": {"r": 2, "cap": 2},
+                          "status": "error", "lhs": None, "rhs": None,
+                          "mismatch": {"error": "RuntimeError: kaboom"}}
+    assert "Traceback" not in captured.out
+    assert captured.err.startswith("Traceback")
+    assert captured.err.rstrip().endswith("RuntimeError: kaboom")
+
+
+def test_package_error_in_an_instance_still_stops_the_run(monkeypatch, capsys):
+    from qharmonic import identities
+
+    def invalid(params):
+        raise identities.InvalidParams("r=9 outside [1, 5]")
+
+    monkeypatch.setitem(identities._REGISTRY, "lemma4_1",
+                        (invalid, identities._REGISTRY["lemma4_1"][1]))
+    assert main(["verify", "--suite", "lemma4_1", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r=9 outside [1, 5]\n"

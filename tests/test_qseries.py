@@ -190,12 +190,48 @@ def test_g_sum_respects_head_bound():
     assert g_sum(profile, HALF) == total
 
 
+def _random_scalar(rng, order):
+    """A random element of Q (order None) or of Q(zeta_order), order prime;
+    zero about one time in ten."""
+    if rng.random() < 0.1:
+        return Fraction(0) if order is None else CycloNumber(order, [0])
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in range(1 if order is None else order - 1)]
+    return coeffs[0] if order is None else CycloNumber(order, coeffs)
+
+
+@pytest.mark.parametrize("order", [None, 5, 7], ids=["rational", "zeta5", "zeta7"])
+def test_t_step_as_shift_matches_tpoly_product(order):
+    # _level_step weights an equality by t with an exponent shift; the
+    # reference multiplies by the TPoly t, starting from level-one vectors
+    # of bare scalars and stepping up through t-polynomial vectors
+    rng = random.Random(20261018 + (order or 0))
+    t = TPoly.t()
+    times_t = qseries._EQ_WEIGHTS["t"]
+    for _ in range(25):
+        n = rng.randint(2, 8)
+        table = {(k, m): _random_scalar(rng, order) for k in (1, 2, 3) for m in range(1, n)}
+        factor = lambda k, m: table[k, m]
+        below = [_random_scalar(rng, order) for _ in range(1, n)]
+        for _ in range(3):
+            k = rng.randint(1, 3)
+            got = qseries._level_step(k, below, factor, times_t)
+            running, want = 0, []
+            for m, value in enumerate(below, 1):
+                assert times_t(value) == t * value
+                want.append(factor(k, m) * (running + t * value))
+                running = running + value
+            assert [p.to_json() for p in got] == [p.to_json() for p in want]
+            below = got
+
+
 def test_zpoly_arithmetic():
     a = ZPoly({1: TPoly.one(), 2: TPoly.t()})
     b = ZPoly({0: TPoly.const(Fraction(2))})
     assert (a * b).coeffs[1] == TPoly.const(Fraction(2))
     assert (a + a).coeffs[2] == TPoly.t() * 2
     assert a.eval_z_one() == TPoly.one() + TPoly.t()
+    assert a.shift(2) == ZPoly({3: TPoly.one(), 4: TPoly.t()})
 
 
 def test_L_recovers_zbar_at_q_power():
