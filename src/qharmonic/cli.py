@@ -234,10 +234,20 @@ def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
         groups.setdefault(i if key is None else key, []).append((i, item))
     tasks = sorted(groups.values(), key=len, reverse=True)
     results: list = [None] * len(instances)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
         for done in pool.map(_verify_group, tasks):
             for i, result in done:
                 results[i] = result
+    except BaseException:
+        # A package error stops the run, so no other report is read: drop the
+        # queued groups and stop the running ones rather than wait for them.
+        # ProcessPoolExecutor has no public call for that before Python 3.14.
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
     return results
 
 

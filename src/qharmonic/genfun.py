@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .exact import (
@@ -42,7 +42,7 @@ from .exact import (
     scalar_pow,
     scalar_to_json,
 )
-from .indices import HeightProfile, bounded_compositions
+from .indices import HeightProfile
 from .qseries import (
     SeriesParams,
     ZPoly,
@@ -73,9 +73,7 @@ class UncancelledPole(QHarmonicError):
     """A negative power of x₁ survived the Pascal-matrix assembly of u(x)."""
 
 
-ONE_MINUS_T = TPoly({0: Fraction(1), 1: Fraction(-1)})
 T_MINUS_ONE = TPoly({1: Fraction(1), 0: Fraction(-1)})
-NEG_T = TPoly({1: Fraction(-1)})
 T = TPoly.t()
 
 
@@ -667,15 +665,57 @@ def zbar_depth1_rational(n: int, m: int) -> Fraction:
     return value
 
 
-def _t_blend(weights: dict[int, Fraction], l: int, style: str) -> TPoly:
-    """Σ_{i₀} w(i₀)·A^{i₀}·B^{l−i₀} with (A,B) = (1−t, −t) or (t−1, t)."""
-    first = ONE_MINUS_T if style == "reflect" else T_MINUS_ONE
-    second = NEG_T if style == "reflect" else T
-    out = TPoly.zero()
-    for i0, w in weights.items():
-        if w:
-            out = out + (first ** i0) * (second ** (l - i0)) * w
+def _y_add(acc: list, poly: Sequence, scale) -> list:
+    """acc + scale·poly on y-coefficient lists."""
+    out = list(acc) + [0] * (len(poly) - len(acc))
+    for i, c in enumerate(poly):
+        out[i] += scale * c
     return out
+
+
+def _y_mul(p: Sequence, q: Sequence) -> list:
+    """p·q on y-coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for a, pa in enumerate(p):
+        if pa:
+            for b, qb in enumerate(q):
+                out[a + b] += pa * qb
+    return out
+
+
+def _geometric_series(base: int, sign: int, P: Sequence[Sequence], k: int) -> list[list]:
+    """Numerators of S = Σ_m sign^m·P^m / base^(m+1) = 1/(base − sign·P) up to
+    x^k: S = Σ_x T_x·x^x / base^(x+1), each T_x a list of y-coefficients.
+
+    P[j] is the y-coefficient list of the x^j term of P; P[0] is not read,
+    since P has no constant term. T_0 = 1 and
+    T_x = sign·Σ_{j≥1} base^(j−1)·P_j·T_(x−j), so integer P keeps every T_x
+    integral."""
+    out: list[list] = [[1]]
+    for x in range(1, k + 1):
+        acc: list = [0]
+        for j in range(1, min(x, len(P) - 1) + 1):
+            acc = _y_add(acc, _y_mul(P[j], out[x - j]), sign * base ** (j - 1))
+        out.append(acc)
+    return out
+
+
+def _t_blend(weights: dict[int, Fraction], l: int, style: str) -> TPoly:
+    """Σ_{i₀} w(i₀)·A^{i₀}·B^{l−i₀} with (A,B) = (1−t, −t) or (t−1, t),
+    expanded binomially over the weights' common denominator: the
+    t^(l−i₀+a) coefficient of A^{i₀}·B^{l−i₀} is C(i₀, a)·(−1)^(l−i₀+a),
+    resp. C(i₀, a)·(−1)^(i₀−a)."""
+    den = lcm(*(w.denominator for w in weights.values()))
+    out = [0] * (l + 1)
+    for i0, w in weights.items():
+        if not w:
+            continue
+        w = w.numerator * (den // w.denominator)
+        for a in range(i0 + 1):
+            e = l - i0 + a
+            c = comb(i0, a) * w
+            out[e] += -c if (e if style == "reflect" else i0 - a) & 1 else c
+    return TPoly({e: Fraction(c, den) for e, c in enumerate(out) if c})
 
 
 def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
@@ -685,6 +725,8 @@ def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
     eq14:   the variant carrying depth-one values (weight-zero read as −1);
     eq12:   its t=0 collapse  −(1/n) Σ_{j=l}^{k} C(n, j+1)·(depth-one value);
     btt314: the rearranged t=0 collapse over j < l (needs l ≥ 1).
+
+    eq13 and eq14 are read off one generating series (see `sum_formulas`).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -704,48 +746,75 @@ def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
             Fraction(0),
         )
         return TPoly.const(total / n)
+    return sum_formulas(n, k, form)[l]
+
+
+def sum_formulas(n: int, k: int, form: str) -> tuple[TPoly, ...]:
+    """`sum_formula(n, k, l, form)` for every depth l = 0, ..., k, for the
+    forms eq13 and eq14, all read off one generating series S in x (the
+    weight) and y (the depth).
+
+    With B_j = C(n, j+1), which vanishes for j ≥ n:
+
+    eq13:  S = Σ_m (−1)^m P^m / n^(m+1),  P = Σ_{j≥1} B_j·(1 + y + … + y^j)·x^j;
+    eq14:  S = −D·Σ_m P^m / n^(m+1),  P = D·Σ_{j≥1} B_j·(y + … + y^j)·x^j,
+           D = Σ_m (depth-one value of weight m)·x^m, weight zero read as −1.
+
+    The head entry i₀ gets the weight
+    w(i₀) = Σ_{j₀≥i₀} B_{j₀}·[x^(k−j₀) y^(l−i₀)] S, blended by `_t_blend`."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if k < 0:
+        raise ValueError("need k >= 0")
+    top = min(k, n - 1)
+    heads = [binomial(n, j + 1) for j in range(top + 1)]
     if form == "eq13":
-        weights: dict[int, Fraction] = {}
-        for m in range(k + 1):
-            pref = Fraction((-1) ** m, n ** (m + 1))
-            jmins = (0,) + (1,) * m
-            jmaxs = (n - 1,) * (m + 1)
-            for js in bounded_compositions(k, jmins, jmaxs):
-                coeff = 1
-                for j in js:
-                    coeff *= binomial(n, j + 1)
-                for is_ in bounded_compositions(l, (0,) * (m + 1), js):
-                    i0 = is_[0]
-                    weights[i0] = weights.get(i0, Fraction(0)) + pref * coeff
-        return _t_blend(weights, l, "reflect")
-    if form == "eq14":
+        base = n
+        P = [[]] + [[heads[j]] * (j + 1) for j in range(1, top + 1)]
+        num = _geometric_series(n, -1, P, k)
+    elif form == "eq14":
+        # clear the denominators of D: S = −D_int·Σ_m P_int^m / (n·den)^(m+1)
+        depth1 = [zbar_depth1_rational(n, m) for m in range(k + 1)]
+        den = lcm(*(v.denominator for v in depth1))
+        d_int = [int(v * den) for v in depth1]
+        base = n * den
+        ys = [[]] + [[0] + [heads[j]] * j for j in range(1, top + 1)]
+        P = [[]]
+        for x in range(1, k + 1):
+            row: list[int] = []
+            for j in range(1, min(x, top) + 1):
+                row = _y_add(row, ys[j], d_int[x - j])
+            P.append(row)
+        series = _geometric_series(base, 1, P, k)
+        num = []
+        for x in range(k + 1):
+            row = []
+            for i in range(x + 1):
+                row = _y_add(row, series[x - i], -d_int[i] * base ** i)
+            num.append(row)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    out = []
+    for l in range(k + 1):
         weights = {}
-        for m in range(k + 1):
-            pref = Fraction(-1, n ** (m + 1))
-            jmins = (0,) + (1,) * m
-            jmaxs = (n - 1,) * (m + 1)
-            for sj in range(k + 1):
-                for js in bounded_compositions(sj, jmins, jmaxs):
-                    cj = 1
-                    for j in js:
-                        cj *= binomial(n, j + 1)
-                    for ls in bounded_compositions(k - sj, (0,) * (m + 1), (k,) * (m + 1)):
-                        cl = Fraction(cj)
-                        for la in ls:
-                            cl *= zbar_depth1_rational(n, la)
-                        if not cl:
-                            continue
-                        imins = (0,) + (1,) * m
-                        for is_ in bounded_compositions(l, imins, js):
-                            i0 = is_[0]
-                            weights[i0] = weights.get(i0, Fraction(0)) + pref * cl
-        return _t_blend(weights, l, "reflect")
-    raise ValueError(f"unknown form {form!r}")
+        for i0 in range(min(l, top) + 1):
+            total = 0
+            for j0 in range(i0, top + 1):
+                row = num[k - j0]
+                if l - i0 < len(row):
+                    total += heads[j0] * row[l - i0] * base ** j0
+            weights[i0] = Fraction(total, base ** (k + 1))
+        out.append(_t_blend(weights, l, "reflect"))
+    return tuple(out)
 
 
 def eval_constant_index(k: int, l: int, n: int) -> TPoly:
     """Closed forms for the constant-index values at the primitive n-th root,
-    repeated entry k ∈ {1, 2, 3} taken l times."""
+    repeated entry k ∈ {1, 2, 3} taken l times.
+
+    With the factors f_i (i < n) below, N = n (k = 1, 2) or n² (k = 3) and
+    F = Σ_{i≥1} f_i·x^i, the head entry i₀ gets the weight
+    w(i₀) = f_{i₀}·[x^(l−i₀)] Σ_m (−1)^m F^m / N^(m+1), blended by `_t_blend`."""
     if k not in (1, 2, 3):
         raise ValueError("closed forms exist for k in {1, 2, 3}")
     if l < 0 or n < 2:
@@ -764,18 +833,13 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
         )
         style = "direct"
 
-    weights: dict[int, Fraction] = {}
-    for m in range(l + 1):
-        denom = n ** (2 * m + 2) if k == 3 else n ** (m + 1)
-        pref = Fraction((-1) ** m, denom)
-        imins = (0,) + (1,) * m
-        imaxs = (n - 1,) * (m + 1)
-        for is_ in bounded_compositions(l, imins, imaxs):
-            c = pref
-            for i in is_:
-                c *= factor(i)
-            if c:
-                weights[is_[0]] = weights.get(is_[0], Fraction(0)) + c
+    factors = [factor(i) for i in range(min(l, n - 1) + 1)]
+    # clear the denominators of F: the series is den·Σ_m (−1)^m F_int^m / (N·den)^(m+1)
+    den = lcm(*(f.denominator for f in factors))
+    base = (n * n if k == 3 else n) * den
+    num = _geometric_series(base, -1, [[]] + [[int(f * den)] for f in factors[1:]], l)
+    weights = {i0: f * Fraction(den * num[l - i0][0], base ** (l - i0 + 1))
+               for i0, f in enumerate(factors)}
     return _t_blend(weights, l, style)
 
 
@@ -947,19 +1011,18 @@ def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 
 def xi_ones_coeff(l: int) -> TPoly:
     """Rational-polynomial factor of the all-ones limit value (the power of
-    −2πi is carried separately by the caller)."""
+    −2πi is carried separately by the caller).
+
+    With E = Σ_{i≥1} x^i/(i+1)! = (eˣ − 1)/x − 1, the series
+    Σ_m (−1)^m E^m = 1/(1 + E) = x/(eˣ − 1) = Σ_j B_j·x^j/j! (Bernoulli
+    numbers, B_1 = −1/2), so the head entry i₀ gets the weight
+    w(i₀) = B_(l−i₀) / ((i₀+1)!·(l−i₀)!), blended by `_t_blend`."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    out = TPoly.zero()
-    for m in range(l + 1):
-        imins = (0,) + (1,) * m
-        imaxs = (l,) * (m + 1)
-        for is_ in bounded_compositions(l, imins, imaxs):
-            c = Fraction((-1) ** m)
-            for i in is_:
-                c /= factorial(i + 1)
-            out = out + (ONE_MINUS_T ** is_[0]) * (NEG_T ** (l - is_[0])) * c
-    return out
+    E = [[]] + [[Fraction(1, factorial(i + 1))] for i in range(1, l + 1)]
+    bern = _geometric_series(1, -1, E, l)
+    weights = {i0: Fraction(bern[l - i0][0]) / factorial(i0 + 1) for i0 in range(l + 1)}
+    return _t_blend(weights, l, "reflect")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .genfun import (
     series_eval_t,
     series_mismatch,
     sum_formula,
+    sum_formulas,
     u_from_x,
     u_from_x_matrix,
     u_poly_ratio,
@@ -190,9 +191,7 @@ def _run_cor1_4_triple(params: dict) -> IdentityReport:
     k = _int_param(params, "k", 0, 8)
     zp = zeta_params(n)
     checks = []
-    for l in range(k + 1):
-        a = sum_formula(n, k, l, "eq13")
-        b = sum_formula(n, k, l, "eq14")
+    for l, a, b in zip(range(k + 1), sum_formulas(n, k, "eq13"), sum_formulas(n, k, "eq14")):
         c = g_sum(HeightProfile(k, l), zp).rationalized()
         checks.append((f"double-sum=depth-one-sum[l={l}]", poly_mismatch(a, b)))
         checks.append((f"double-sum=brute[l={l}]", poly_mismatch(a, c)))

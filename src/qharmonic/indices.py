@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Sequence
+from itertools import combinations, product
 
 MultiIndex = tuple[int, ...]
 
@@ -72,36 +71,17 @@ class HeightProfile:
         return len(self.h)
 
 
-def bounded_compositions(total: int, mins: Sequence[int],
-                         maxs: Sequence[int]) -> list[MultiIndex]:
-    """All integer tuples summing to `total` with mins[i] <= entry i <=
-    maxs[i], in lexicographic order."""
-    n = len(mins)
-    # tail_min[i], tail_max[i]: the bounds' sums over entries i + 1, ..., n - 1
-    tail_min, tail_max = [0] * n, [0] * n
-    for i in range(n - 2, -1, -1):
-        tail_min[i] = tail_min[i + 1] + mins[i + 1]
-        tail_max[i] = tail_max[i + 1] + maxs[i + 1]
-    out: list[MultiIndex] = []
-
-    def rec(i: int, left: int, prefix: MultiIndex):
-        if i == n:
-            if left == 0:
-                out.append(prefix)
-            return
-        lo = max(mins[i], left - tail_max[i])
-        hi = min(maxs[i], left - tail_min[i])
-        for v in range(lo, hi + 1):
-            rec(i + 1, left - v, prefix + (v,))
-
-    rec(0, total, ())
-    return out
-
-
 @lru_cache(maxsize=None)
 def compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
-    """All tuples of `parts` positive integers summing to `total`, lex order."""
-    return tuple(bounded_compositions(total, (1,) * parts, (total,) * parts))
+    """All tuples of `parts` positive integers summing to `total`, lex order.
+
+    The parts are the gaps between 0, parts − 1 increasing cut points in
+    1, ..., total − 1, and total; `combinations` yields the cut points, and
+    so the tuples, in lex order."""
+    if parts == 0 or total < parts:
+        return ((),) if total == parts == 0 else ()
+    return tuple(tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+                 for cuts in combinations(range(1, total), parts - 1))
 
 
 @lru_cache(maxsize=None)

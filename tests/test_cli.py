@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -10,6 +11,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_compute_xi_coeff_at_depth_60(capsys):
+    code, out = run(capsys, "compute", "xi-coeff", "--l", "60")
+    assert code == 0
+    coeffs = json.loads(out)
+    # at t = 0 only the head weight w(60) = B_0 / 61! survives
+    assert coeffs["t^0"] == f"1/{math.factorial(61)}"
+    assert max(int(key[2:]) for key in coeffs) <= 60
 
 
 def test_compute_interpolated_pair(capsys):
@@ -446,3 +456,13 @@ def test_package_error_in_an_instance_still_stops_the_run(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: r=9 outside [1, 5]\n"
+
+
+def test_package_error_in_a_group_stops_the_pool(capsys):
+    # the phi groups reject cap 7 at once while the psi groups accept it and
+    # take seconds; the run must exit 3 on the first error either way
+    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7",
+                 "--allow-large-cap", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap=7 outside [1, 6]\n"

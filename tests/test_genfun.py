@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from qharmonic.exact import CycloNumber, TPoly, scalar_pow
+from qharmonic.exact import CycloNumber, TPoly, binomial, scalar_pow
 from qharmonic.genfun import (
     IdentityReport,
     PINNED_QHS_WITNESS,
@@ -39,6 +40,7 @@ from qharmonic.genfun import (
     series_eval_t,
     series_mismatch,
     sum_formula,
+    sum_formulas,
     u_collapsed,
     u_from_x,
     u_from_x_matrix,
@@ -49,6 +51,7 @@ from qharmonic.genfun import (
     x_from_u,
     x_variable_names,
     xi_ones_coeff,
+    zbar_depth1_rational,
 )
 from qharmonic.indices import HeightProfile
 from qharmonic.qseries import SeriesParams, ZPoly, zbar_t, zeta_params
@@ -453,3 +456,138 @@ def test_u_poly_at_a_cap_is_the_truncated_polynomial():
             den = full.in_ring(ring)
             assert u_poly(n, cap) == den
             assert u_poly_ratio(n, cap) == series_affine_t(den, 1, -1) * den.invert()
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against their composition loops
+#
+# The package reads each closed form off a generating series. The loops
+# below are the weighted sums over bounded compositions that the series
+# sum up, with the blend taken as TPoly powers.
+# ---------------------------------------------------------------------------
+
+def ref_bounded_compositions(total, mins, maxs):
+    """All integer tuples summing to `total` with mins[i] <= entry i <=
+    maxs[i], in lexicographic order."""
+    n = len(mins)
+    tail_min, tail_max = [0] * n, [0] * n
+    for i in range(n - 2, -1, -1):
+        tail_min[i] = tail_min[i + 1] + mins[i + 1]
+        tail_max[i] = tail_max[i + 1] + maxs[i + 1]
+    out = []
+
+    def rec(i, left, prefix):
+        if i == n:
+            if left == 0:
+                out.append(prefix)
+            return
+        for v in range(max(mins[i], left - tail_max[i]), min(maxs[i], left - tail_min[i]) + 1):
+            rec(i + 1, left - v, prefix + (v,))
+
+    rec(0, total, ())
+    return out
+
+
+def ref_blend(weights, l, style):
+    one_minus_t = TPoly({0: 1, 1: -1})
+    first = one_minus_t if style == "reflect" else -one_minus_t
+    second = -T if style == "reflect" else T
+    out = TPoly.zero()
+    for i0, w in weights.items():
+        if w:
+            out = out + (first ** i0) * (second ** (l - i0)) * w
+    return out
+
+
+def ref_sum_formulas(n, k, form):
+    """eq13 or eq14 for every depth l <= k; the enumeration of the outer
+    tuples is shared across depths, the inner one runs per depth."""
+    weights = [{} for _ in range(k + 1)]
+
+    def add(m, js, c):
+        imins = (0,) * (m + 1) if form == "eq13" else (0,) + (1,) * m
+        for l in range(k + 1):
+            for is_ in ref_bounded_compositions(l, imins, js):
+                weights[l][is_[0]] = weights[l].get(is_[0], Fraction(0)) + c
+
+    for m in range(k + 1):
+        jmins, jmaxs = (0,) + (1,) * m, (n - 1,) * (m + 1)
+        if form == "eq13":
+            for js in ref_bounded_compositions(k, jmins, jmaxs):
+                coeff = Fraction((-1) ** m, n ** (m + 1))
+                for j in js:
+                    coeff *= binomial(n, j + 1)
+                add(m, js, coeff)
+            continue
+        for sj in range(k + 1):
+            for js in ref_bounded_compositions(sj, jmins, jmaxs):
+                cj = Fraction(-1, n ** (m + 1))
+                for j in js:
+                    cj *= binomial(n, j + 1)
+                for ls in ref_bounded_compositions(k - sj, (0,) * (m + 1), (k,) * (m + 1)):
+                    cl = cj
+                    for la in ls:
+                        cl *= zbar_depth1_rational(n, la)
+                    if cl:
+                        add(m, js, cl)
+    return [ref_blend(w, l, "reflect") for l, w in enumerate(weights)]
+
+
+def ref_eval_constant_index(k, l, n):
+    if k == 1:
+        factor = lambda i: Fraction(binomial(n, i + 1))
+    elif k == 2:
+        factor = lambda i: Fraction(binomial(n + i, 2 * i + 1), i + 1)
+    else:
+        factor = lambda i: Fraction(
+            binomial(n + i, 3 * i + 2) + (-1) ** i * binomial(n + 2 * i + 1, 3 * i + 2), i + 1)
+    weights = {}
+    for m in range(l + 1):
+        c0 = Fraction((-1) ** m, n ** (2 * m + 2) if k == 3 else n ** (m + 1))
+        for is_ in ref_bounded_compositions(l, (0,) + (1,) * m, (n - 1,) * (m + 1)):
+            c = c0
+            for i in is_:
+                c *= factor(i)
+            weights[is_[0]] = weights.get(is_[0], Fraction(0)) + c
+    return ref_blend(weights, l, "reflect" if k == 1 else "direct")
+
+
+def ref_xi_ones_coeff(l):
+    weights = {}
+    for m in range(l + 1):
+        for is_ in ref_bounded_compositions(l, (0,) + (1,) * m, (l,) * (m + 1)):
+            c = Fraction((-1) ** m)
+            for i in is_:
+                c /= factorial(i + 1)
+            weights[is_[0]] = weights.get(is_[0], Fraction(0)) + c
+    return ref_blend(weights, l, "reflect")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sum_formulas_match_composition_loops(n):
+    for k in range(9):
+        for form in ("eq13", "eq14"):
+            want = ref_sum_formulas(n, k, form)
+            assert list(sum_formulas(n, k, form)) == want, (n, k, form)
+            assert [sum_formula(n, k, l, form) for l in range(k + 1)] == want, (n, k, form)
+
+
+def test_sum_formulas_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        sum_formulas(1, 2, "eq13")
+    with pytest.raises(ValueError):
+        sum_formulas(3, -1, "eq14")
+    with pytest.raises(ValueError):
+        sum_formulas(3, 2, "eq12")
+
+
+def test_eval_constant_index_matches_composition_loops():
+    for k in (1, 2, 3):
+        for n in range(2, 9):
+            for l in range(7):
+                assert eval_constant_index(k, l, n) == ref_eval_constant_index(k, l, n), (k, n, l)
+
+
+def test_xi_ones_coeff_matches_composition_loops():
+    for l in range(13):
+        assert xi_ones_coeff(l) == ref_xi_ones_coeff(l), l

@@ -7,7 +7,6 @@ from qharmonic.indices import (
     MINUSPLUS,
     PLUS,
     HeightProfile,
-    bounded_compositions,
     compositions,
     contract,
     depth,
@@ -55,14 +54,16 @@ def test_compositions_lex_order():
             assert compositions(total, parts) == want
 
 
-def test_bounded_compositions_respect_bounds_in_lex_order():
-    mins, maxs = (0, 1, 2), (3, 2, 4)
-    got = tuple(bounded_compositions(6, mins, maxs))
-    want = tuple(c for c in product(*(range(a, b + 1) for a, b in zip(mins, maxs)))
-                 if sum(c) == 6)
-    assert got == want and len(got) == 6
-    assert tuple(bounded_compositions(0, (), ())) == ((),)
-    assert tuple(bounded_compositions(20, mins, maxs)) == ()
+def test_compositions_bounds_and_empty_ranges():
+    got = compositions(6, 3)
+    assert got == ((1, 1, 4), (1, 2, 3), (1, 3, 2), (1, 4, 1), (2, 1, 3),
+                   (2, 2, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1), (4, 1, 1))
+    assert all(1 <= v <= 4 for c in got for v in c)
+    # no tuple fits: too few units, none to share, or a negative total
+    assert compositions(2, 3) == ()
+    assert compositions(0, 1) == ()
+    assert compositions(-1, 0) == ()
+    assert compositions(0, 0) == ((),)
 
 
 def test_enumerate_indices_by_profile():
