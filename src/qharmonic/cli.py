@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .exact import QHarmonicError, TPoly, parse_rational, render_rational, scalar_to_json
-from .genfun import eval_constant_index, u_poly, xi_ones_coeff
+from .genfun import IdentityReport, eval_constant_index, u_poly, xi_ones_coeff
 from .identities import (
     InvalidParams,
     UnknownIdentity,
@@ -120,19 +120,23 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     kind = args.kind.replace("-", "_")
     need_nq = kind in ("zbar", "zbar_star", "zbar_t", "z_t", "g_sum", "L")
 
-    def params() -> SeriesParams:
-        if args.n is None:
-            raise UsageError("--n is required for this kind")
+    def single_n() -> int:
         ns = _parse_int_list(args.n)
         if len(ns) != 1:
             raise UsageError("compute takes a single --n")
+        return ns[0]
+
+    def params() -> SeriesParams:
+        if args.n is None:
+            raise UsageError("--n is required for this kind")
+        n = single_n()
         if args.q == "zeta":
-            return zeta_params(ns[0])
+            return zeta_params(n)
         try:
             qv = parse_rational(args.q)
         except ValueError:
             raise UsageError(f"cannot parse q spec {args.q!r}")
-        return SeriesParams(ns[0], qv)
+        return SeriesParams(n, qv)
 
     if need_nq:
         sp = params()
@@ -156,17 +160,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif kind == "eval_const":
         if args.k is None or args.l is None or args.n is None:
             raise UsageError("eval_const needs --k, --l and --n")
-        ns = _parse_int_list(args.n)
-        if len(ns) != 1:
-            raise UsageError("compute takes a single --n")
-        payload = _json_line(eval_constant_index(args.k, args.l, ns[0]).to_json())
+        payload = _json_line(eval_constant_index(args.k, args.l, single_n()).to_json())
     elif kind == "u_poly":
         if args.n is None:
             raise UsageError("u_poly needs --n")
-        ns = _parse_int_list(args.n)
-        if len(ns) != 1:
-            raise UsageError("compute takes a single --n")
-        payload = _json_line(_series_json(u_poly(ns[0])))
+        payload = _json_line(_series_json(u_poly(single_n())))
     elif kind == "xi_coeff":
         if args.l is None:
             raise UsageError("xi_coeff needs --l")
@@ -210,10 +208,9 @@ def _verify_worker(item: tuple[str, dict]) -> tuple[dict, str | None]:
     except (QHarmonicError, ValueError):
         raise
     except Exception as exc:
-        report = {"identity": ident, "params": params, "status": "error",
-                  "lhs": None, "rhs": None,
-                  "mismatch": {"error": f"{type(exc).__name__}: {exc}"}}
-        return report, traceback.format_exc()
+        report = IdentityReport(ident, params, "error",
+                                mismatch={"error": f"{type(exc).__name__}: {exc}"})
+        return report.to_json(), traceback.format_exc()
 
 
 def _verify_group(group: list[tuple[int, tuple[str, dict]]]) -> list:

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, lcm
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .exact import (
     CycloNumber,
@@ -257,17 +258,6 @@ def profile_from_exponents(r: int, exps: Sequence[int]) -> HeightProfile:
     return HeightProfile(k, l, tuple(h[1:]), -1)
 
 
-def exponents_of_profile(profile: HeightProfile) -> tuple[int, ...]:
-    h = profile.h
-    r = len(h)
-    out = [profile.k - profile.l - sum(h), profile.l - (h[0] if h else 0)]
-    for i in range(1, r):
-        out.append(h[i - 1] - h[i])
-    if r:
-        out.append(h[r - 1])
-    return tuple(out)
-
-
 def psi_bruteforce(n: int, r: int, q: Scalar, cap: int) -> Series:
     """Ψ from its definition: the profile sums attached to every u-monomial
     of total degree ≤ cap."""
@@ -316,7 +306,8 @@ class IdentityReport:
 
     A fail must always locate its first mismatching coefficient; skip is
     reserved for checks whose prerequisites are absent (the hypergeometric
-    witness being the only case).
+    witness being the only case); error marks an instance that crashed, with
+    the exception as its mismatch.
     """
 
     identity: str
@@ -327,7 +318,7 @@ class IdentityReport:
     mismatch: dict | None = field(default=None)
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail", "skip"):
+        if self.status not in ("pass", "fail", "skip", "error"):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == "fail" and self.mismatch is None:
             raise ValueError("failing report without a mismatch location")
@@ -480,7 +471,7 @@ LEMMA_SAMPLES = 51
 
 
 @lru_cache(maxsize=256)
-def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, dict | None], ...]:
+def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple[tuple[str, dict | None], ...]]:
     """Every subcheck of the z-side machinery at one (n, r, q, cap):
 
     * the three profile-sum recurrences on a graded sample of profiles,
@@ -490,14 +481,15 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
     * the closed product formula for its z-coefficients,
     * the value at z=1 against the two-sided product.
 
-    Returns (check name, mismatch or None) pairs; check names are prefixed by
-    the statement they belong to so callers can slice.
+    Returns the (check name, mismatch or None) pairs of each statement,
+    keyed by the statement: lemma2_1, prop2_2, cor2_3, thm2_4 and c_i.  Check
+    names start with their statement.
     """
     params = SeriesParams(n, q)
-    checks: list[tuple[str, dict | None]] = []
+    checks: dict[str, list[tuple[str, dict | None]]] = {}
 
-    def record(name: str, mm: dict | None):
-        checks.append((name, mm))
+    def record(statement: str, detail: str, mm: dict | None):
+        checks.setdefault(statement, []).append((statement + detail, mm))
 
     cases = _lemma21_cases(r)
     per_case = -(-LEMMA_SAMPLES // len(cases))
@@ -507,7 +499,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
         raise SampleTooSmall(f"only {got} of {LEMMA_SAMPLES} Lemma 2.1 instances at r = {r}")
     for case, insts in sampled.items():
         for inst in insts:
-            record(f"lemma2_1[{case}]{inst}", _check_lemma21(case, inst, params))
+            record("lemma2_1", f"[{case}]{inst}", _check_lemma21(case, inst, params))
 
     phis = {j: phi_bruteforce(n, r, q, j, cap) for j in range(-1, r)}
     ring = phis[-1].ring
@@ -519,19 +511,19 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
     lhs = xv[r + 1] * _series_theta(phis[r - 1], params)
     inner = phis[r - 2] - phis[r - 1] if r >= 2 else phis[-1] - phis[0] - one
     rhs = xv[1] * xv[r + 1] * phis[r - 1] + xv[r + 2] * inner
-    record("prop2_2[top]", series_mismatch(lhs, rhs))
+    record("prop2_2", "[top]", series_mismatch(lhs, rhs))
 
     # (E2)  x_{j+2}·Θ(Φ_j − Φ_{j+1}) = x_{j+3}(Φ_{j−1} − Φ_j),  j = 1..r−2
     for j in range(1, r - 1):
         lhs = xv[j + 2] * _series_theta(phis[j] - phis[j + 1], params)
         rhs = xv[j + 3] * (phis[j - 1] - phis[j])
-        record(f"prop2_2[mid j={j}]", series_mismatch(lhs, rhs))
+        record("prop2_2", f"[mid j={j}]", series_mismatch(lhs, rhs))
 
     # (E3)  x₂·Θ(Φ₀ − Φ₁) = x₃(Φ − Φ₀ − 1),  only for r ≥ 2
     if r >= 2:
         lhs = xv[2] * _series_theta(phis[0] - phis[1], params)
         rhs = xv[3] * (phis[-1] - phis[0] - one)
-        record("prop2_2[join]", series_mismatch(lhs, rhs))
+        record("prop2_2", "[join]", series_mismatch(lhs, rhs))
 
     # (E4)  (1−z)·Θ(Φ − Φ₀) = (t(1−z) + z)x₂Φ − t(1−z)x₂ − zⁿx₂Φ(1)
     phi1 = phis[-1].set_var_one("z")
@@ -543,7 +535,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
         - (one - zv) * xv[2] * T
         - ring.var("z", params.n) * xv[2] * phi1
     )
-    record("prop2_2[base]", series_mismatch(lhs, rhs))
+    record("prop2_2", "[base]", series_mismatch(lhs, rhs))
 
     # Cor 2.3:  (P^t(Θ) − z·P^{t−1}(Θ)) Φ_{r−1} = z·x_{r+2} − zⁿ·x_{r+2}·Φ(1)
     xs = tuple(xv[i] for i in range(1, r + 3))
@@ -558,7 +550,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
 
     lhs = apply_p(pp) - _series_shift_z(apply_p(pm), 1)
     rhs = zv * xv[r + 2] - ring.var("z", params.n) * xv[r + 2] * phi1
-    record("cor2_3", series_mismatch(lhs, rhs))
+    record("cor2_3", "", series_mismatch(lhs, rhs))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
     prod_t = [one]
@@ -567,16 +559,16 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> tuple[tuple[str, d
         tval = 1 - scalar_pow(params.q, j)
         prod_t.append(prod_t[-1] * eval_p(pp, tval))
         prod_m.append(prod_m[-1] * eval_p(pm, tval))
-    record("thm2_4", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
+    record("thm2_4", "", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
     # closed coefficients:  c_i·Π_{j≤i} P^t(1−q^j) = x_{r+2}·Π_{j<i} P^{t−1}(1−q^j)
-    record("c_i[z^0]", series_mismatch(
+    record("c_i", "[z^0]", series_mismatch(
         phis[r - 1].coefficient_of("z", 0), ring.zero()))
     for i in range(1, n):
         ci = phis[r - 1].coefficient_of("z", i)
-        record(f"c_i[{i}]", series_mismatch(ci * prod_t[i], xv[r + 2] * prod_m[i - 1]))
+        record("c_i", f"[{i}]", series_mismatch(ci * prod_t[i], xv[r + 2] * prod_m[i - 1]))
 
-    return tuple(checks)
+    return MappingProxyType({statement: tuple(pairs) for statement, pairs in checks.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -627,30 +619,6 @@ def u_poly_ratio(n: int, cap: int) -> Series:
     u-variables are t-free), so only U_n^t is built, at the cap."""
     den = u_poly(n, cap)
     return series_affine_t(den, 1, -1) / den
-
-
-def u_special(n: int) -> Series:
-    """U_n^t(0, 0, u₃) = Σ_{i<n} 1/(i+1) C(n+i, 2i+1) (t u₃)^i."""
-    ring = SeriesRing(("u3",), max(n - 1, 0))
-    terms = {}
-    for i in range(n):
-        c = Fraction(binomial(n + i, 2 * i + 1), i + 1)
-        if c:
-            terms[(i,)] = TPoly({i: c})
-    return Series(ring, terms)
-
-
-def u_collapsed(n: int) -> Series:
-    """The double sum Σ_{0≤i,j≤n−1} C(n, i+j+1) u₁^j (−t u₂)^i, which the
-    Chu-Vandermonde identity equates with U_n^t at u₃ = u₁u₂."""
-    ring = SeriesRing(("u1", "u2"), 2 * n)
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            c = binomial(n, i + j + 1)
-            if c:
-                terms[(j, i)] = TPoly({i: Fraction((-1) ** i * c)})
-    return Series(ring, terms)
 
 
 @lru_cache(maxsize=None)
@@ -812,7 +780,8 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
     """Closed forms for the constant-index values at the primitive n-th root,
     repeated entry k ∈ {1, 2, 3} taken l times.
 
-    With the factors f_i (i < n) below, N = n (k = 1, 2) or n² (k = 3) and
+    With the factors f_i = C(n, i+1) (k = 1) or `_eva_c(k, n, i)` (k = 2, 3)
+    for i < n, N = n (k = 1, 2) or n² (k = 3) and
     F = Σ_{i≥1} f_i·x^i, the head entry i₀ gets the weight
     w(i₀) = f_{i₀}·[x^(l−i₀)] Σ_m (−1)^m F^m / N^(m+1), blended by `_t_blend`."""
     if k not in (1, 2, 3):
@@ -820,27 +789,15 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
     if l < 0 or n < 2:
         raise ValueError("need l >= 0 and n >= 2")
 
-    if k == 1:
-        factor = lambda i: Fraction(binomial(n, i + 1))
-        style = "reflect"
-    elif k == 2:
-        factor = lambda i: Fraction(binomial(n + i, 2 * i + 1), i + 1)
-        style = "direct"
-    else:
-        factor = lambda i: Fraction(
-            binomial(n + i, 3 * i + 2) + (-1) ** i * binomial(n + 2 * i + 1, 3 * i + 2),
-            i + 1,
-        )
-        style = "direct"
-
-    factors = [factor(i) for i in range(min(l, n - 1) + 1)]
+    factors = [Fraction(binomial(n, i + 1)) if k == 1 else _eva_c(k, n, i)
+               for i in range(min(l, n - 1) + 1)]
     # clear the denominators of F: the series is den·Σ_m (−1)^m F_int^m / (N·den)^(m+1)
     den = lcm(*(f.denominator for f in factors))
     base = (n * n if k == 3 else n) * den
     num = _geometric_series(base, -1, [[]] + [[int(f * den)] for f in factors[1:]], l)
     weights = {i0: f * Fraction(den * num[l - i0][0], base ** (l - i0 + 1))
                for i0, f in enumerate(factors)}
-    return _t_blend(weights, l, style)
+    return _t_blend(weights, l, "reflect" if k == 1 else "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -964,31 +921,6 @@ def h_closed_k3(n: int, vcap: int) -> Series:
         c = _eva_c(3, n, i) * (-n)
         terms[(i + 1,)] = TPoly({i + 1: c})
     return Series(ring, terms)
-
-
-def f_r1(choice: str, cap: int = 4) -> Series:
-    """The explicit r=1 subset-product polynomials in (u, u₁, u₂, u₃):
-
-        F11 = 1 − (2 + u₁ − t(u₂ + u₁u₂ − u₃))/(1+u₁) · u + (1 − tu₂)/(1+u₁) · u²
-        F12 = 1 − (1 − tu₂)/(1+u₁) · u
-    """
-    ring = SeriesRing(("u", "u1", "u2", "u3"), cap)
-    inv = (ring.one() + ring.var("u1")).invert()
-    b2 = (ring.one() - ring.var("u2") * T) * inv
-    if choice == "F12":
-        return ring.one() - b2 * ring.var("u")
-    if choice == "F11":
-        num = (
-            ring.scalar(Fraction(2))
-            + ring.var("u1")
-            - (
-                ring.var("u2")
-                + ring.var("u1") * ring.var("u2")
-                - ring.var("u3")
-            ) * T
-        )
-        return ring.one() - num * inv * ring.var("u") + b2 * ring.var("u", 2)
-    raise ValueError(f"unknown choice {choice!r}")
 
 
 def pascal_T(r: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -84,10 +84,6 @@ class SeriesParams:
         else:
             raise InvalidQ(f"q must be an exact scalar, got {type(q).__name__}")
 
-    @property
-    def kind(self) -> str:
-        return "cyclotomic" if isinstance(self.q, CycloNumber) else "rational"
-
 
 def zeta_params(n: int) -> SeriesParams:
     """Parameters at the fixed primitive n-th root of unity."""

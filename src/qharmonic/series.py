@@ -203,19 +203,6 @@ class Series:
     def constant_term(self) -> TPoly:
         return self.terms.get((0,) * len(self.ring.variables), TPoly.zero())
 
-    # -- ring changes -------------------------------------------------------
-
-    def in_ring(self, ring: SeriesRing) -> "Series":
-        """Recast into a ring with the same variable names (the cap may
-        differ).  Terms above the new cap are dropped."""
-        if ring.variables != self.ring.variables:
-            raise ValueError("variable mismatch in re-ring")
-        out: dict[tuple[int, ...], TPoly] = {}
-        for exps, tp in self.terms.items():
-            if ring.check_exponents(exps):
-                out[exps] = tp
-        return Series._trusted(ring, out)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_ring(self, other: "Series"):

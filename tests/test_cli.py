@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -420,14 +421,15 @@ def test_every_instance_goes_through_check_identity_once(tmp_path, monkeypatch, 
 def test_crashing_instance_is_contained(monkeypatch, capsys, jobs):
     from qharmonic import identities
 
-    runner, grid = identities._REGISTRY["lemma4_1"]
+    check = identities._REGISTRY["lemma4_1"]
 
-    def crashes_at_r2(params):
-        if params["r"] == 2:
+    def crashes_at_r2(r, cap):
+        if r == 2:
             raise RuntimeError("kaboom")
-        return runner(params)
+        return check.runner(r=r, cap=cap)
 
-    monkeypatch.setitem(identities._REGISTRY, "lemma4_1", (crashes_at_r2, grid))
+    monkeypatch.setitem(identities._REGISTRY, "lemma4_1",
+                        dataclasses.replace(check, runner=crashes_at_r2))
     code = main(["verify", "--suite", "lemma4_1", "--jobs", jobs])
     captured = capsys.readouterr()
     assert code == 4
@@ -447,11 +449,11 @@ def test_crashing_instance_is_contained(monkeypatch, capsys, jobs):
 def test_package_error_in_an_instance_still_stops_the_run(monkeypatch, capsys):
     from qharmonic import identities
 
-    def invalid(params):
+    def invalid(r, cap):
         raise identities.InvalidParams("r=9 outside [1, 5]")
 
     monkeypatch.setitem(identities._REGISTRY, "lemma4_1",
-                        (invalid, identities._REGISTRY["lemma4_1"][1]))
+                        dataclasses.replace(identities._REGISTRY["lemma4_1"], runner=invalid))
     assert main(["verify", "--suite", "lemma4_1", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -111,10 +111,12 @@ def test_negative_exponents_are_rejected():
 
 
 def test_in_ring_projection():
+    # the constructor drops the terms above the cap, so it recasts a series
+    # into a ring with the same variables and a lower cap
     big = SeriesRing(("x",), 6)
     small = SeriesRing(("x",), 2)
     s = Series(big, {(e,): TPoly.one() for e in range(7)})
-    proj = s.in_ring(small)
+    proj = Series(small, s.terms)
     assert proj.ring is small
     assert set(proj.terms) == {(0,), (1,), (2,)}
 
@@ -345,7 +347,6 @@ def test_unchecked_results_are_admissible(order):
         SeriesRing(("x", "y", "z"), 3, uncapped=("z",)),
     ]
     for ring in rings:
-        smaller = SeriesRing(ring.variables, ring.cap - 1, uncapped=ring.uncapped)
         for _ in range(8):
             a = rand_terms(ring, rng, order, rng.randint(0, 10))
             b = rand_terms(ring, rng, order, rng.randint(0, 10))
@@ -355,7 +356,6 @@ def test_unchecked_results_are_admissible(order):
                 a.map_coeffs(lambda tp: tp * TPoly.t()),
                 a.map_coeffs(lambda tp: tp - tp),
                 a.map_terms(lambda e, tp: tp if sum(e) % 2 else TPoly.zero()),
-                a.in_ring(smaller),
                 a * b,
             ]
             if not ring.uncapped:
