@@ -4,7 +4,9 @@ Three scalar kinds are used throughout the package:
 
 * ``fractions.Fraction``  -- plain rationals,
 * ``CycloNumber``         -- elements of Q(zeta_n), reduced modulo the n-th
-                             cyclotomic polynomial,
+                             cyclotomic polynomial and stored as phi(n) int
+                             numerators over one positive int denominator,
+                             kept in lowest terms,
 * ``complex``             -- floating point, quarantined to the numeric limit
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 
@@ -119,41 +121,53 @@ def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
     return quot, _poly_trim(num)
 
 
+_NOT_RATIONAL = "CycloNumber coefficient must be an int or Fraction, not {}"
+
+
 class CycloNumber:
-    """An element of Q(zeta_n), stored as rational coefficients of
-    1, zeta, ..., zeta^(phi(n)-1) after reduction mod the n-th cyclotomic
-    polynomial.  Immutable; arithmetic accepts ints and Fractions on either
-    side (promoted to the same order) but refuses other orders and floats.
+    """An element of Q(zeta_n), immutable.
+
+    Stored as integer numerators over one positive integer denominator: the
+    element is (a_0 + a_1 zeta + ... + a_{phi-1} zeta^(phi-1)) / d, with
+    `_num` = (a_0, ..., a_{phi-1}) a tuple of phi(n) ints after reduction
+    modulo the monic integer n-th cyclotomic polynomial, and `_den` = d.  The
+    pair is kept normalised: d is coprime to the content of the numerators,
+    and zero is (0, ..., 0)/1, so two values of one order are equal exactly
+    when their pairs are.  `coeffs` gives the same element as a tuple of
+    phi(n) Fractions.
+
+    The constructor and `from_rational` take ints and Fractions only.
+    Arithmetic accepts ints and Fractions on either side (promoted to the
+    same order) but refuses other orders and floats.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den", "_hash")
 
     def __init__(self, order: int, coeffs: Iterable) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > phi:
-            cs = self._reduce(order, cs)
-        cs += [Fraction(0)] * (phi - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(_NOT_RATIONAL.format(type(c).__name__))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > phi:
+            _reduce(order, num)
+        num += [0] * (phi - len(num))
+        _fill(self, order, num, den)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CycloNumber is immutable")
 
-    @staticmethod
-    def _reduce(order: int, cs: list[Fraction]) -> list[Fraction]:
-        mod = cyclotomic_polynomial(order)
-        phi = len(mod) - 1
-        cs = list(cs)
-        for deg in range(len(cs) - 1, phi - 1, -1):
-            c = cs[deg]
-            if c:
-                for i, m in enumerate(mod):
-                    cs[deg - phi + i] -= c * m
-        del cs[phi:]
-        return _poly_trim(cs) or [Fraction(0)]
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, zeta, ..., zeta^(phi(n)-1)."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     @classmethod
     def zeta(cls, order: int) -> "CycloNumber":
@@ -162,17 +176,22 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycloNumber":
-        return cls(order, [Fraction(value)])
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(_NOT_RATIONAL.format(type(value).__name__))
+        num = [0] * euler_phi(order)
+        num[0] = value.numerator
+        return _fill(_new(cls), order, num, value.denominator)
 
     # -- conversions --------------------------------------------------------
 
     def as_rational(self) -> Fraction | None:
-        if any(self.coeffs[1:]):
+        num = self._num
+        if any(num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(num[0], self._den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self._num)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -187,22 +206,29 @@ class CycloNumber:
             return CycloNumber.from_rational(self.order, other)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloNumber(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            s, t, den = 1, sign, d1
+        else:
+            g = gcd(d1, d2)
+            s, t, den = d2 // g, sign * (d1 // g), d1 // g * d2
+        return _make(self.order, [a * s + b * t for a, b in zip(self._num, o._num)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNumber(self.order, [-a for a in self.coeffs])
+        return _make(self.order, [-a for a in self._num], self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloNumber(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -211,14 +237,15 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        x, y = self._num, o._num
+        prod = [0] * (2 * len(x) - 1)
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for k, b in enumerate(y, i):
                     if b:
-                        prod[i + j] += a * b
-        return CycloNumber(self.order, prod)
+                        prod[k] += a * b
+        _reduce(self.order, prod)
+        return _make(self.order, prod, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -282,18 +309,22 @@ class CycloNumber:
     def __eq__(self, other) -> bool:
         if isinstance(other, CycloNumber):
             if other.order == self.order:
-                return self.coeffs == other.coeffs
+                return self._num == other._num and self._den == other._den
             a, b = self.as_rational(), other.as_rational()
             return a is not None and a == b
         if isinstance(other, (int, Fraction)):
-            return self.as_rational() == Fraction(other)
+            return self.as_rational() == other
         return NotImplemented
 
     def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        return hash((self.order, self.coeffs))
+        h = hash(r) if r is not None else hash((self.order, self.coeffs))
+        _set(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         terms = []
@@ -302,6 +333,43 @@ class CycloNumber:
                 cs = render_rational(c)
                 terms.append(cs if e == 0 else f"{cs}*w^{e}")
         return f"CycloNumber({self.order}; {' + '.join(terms) or '0'})"
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _reduce(order: int, prod: list[int]) -> None:
+    """Reduce the integer coefficient list `prod` modulo the monic order-th
+    cyclotomic polynomial, in place, and cut it to phi(order) entries."""
+    mod = cyclotomic_polynomial(order)
+    phi = len(mod) - 1
+    low = [(i, m) for i, m in enumerate(mod[:phi]) if m]
+    for deg in range(len(prod) - 1, phi - 1, -1):
+        c = prod[deg]
+        if c:
+            base = deg - phi
+            for i, m in low:
+                prod[base + i] -= c * m
+    del prod[phi:]
+
+
+def _fill(out: CycloNumber, order: int, num: list[int], den: int) -> CycloNumber:
+    """Store num/den in `out`, divided by the gcd of den and the numerators'
+    content; this also makes an all-zero numerator list read (0, ..., 0)/1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    _set(out, "order", order)
+    _set(out, "_num", tuple(num))
+    _set(out, "_den", den)
+    return out
+
+
+def _make(order: int, num: list[int], den: int) -> CycloNumber:
+    return _fill(_new(CycloNumber), order, num, den)
 
 
 def is_rational(a: Scalar) -> tuple[bool, Fraction | None]:

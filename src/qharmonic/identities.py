@@ -469,12 +469,13 @@ def _parse(check: _Check, params: dict) -> dict:
     in declaration order, then q."""
     values = {}
     for key, lo, hi in check.ints:
-        try:
-            values[key] = int(params[key])
-        except (KeyError, TypeError, ValueError):
+        value = params.get(key)
+        # int() would truncate a float or a bool instead of refusing it
+        if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidParams(f"missing or bad integer parameter {key!r}")
-        if not (lo <= values[key] <= hi):
-            raise InvalidParams(f"{key}={values[key]} outside [{lo}, {hi}]")
+        if not (lo <= value <= hi):
+            raise InvalidParams(f"{key}={value} outside [{lo}, {hi}]")
+        values[key] = value
     if check.takes_q:
         spec = params.get("q", "zeta")
         if not isinstance(spec, str):

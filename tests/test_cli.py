@@ -2,9 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qharmonic
 from qharmonic.cli import main
 
 
@@ -345,6 +350,19 @@ def test_verify_report_bytes_are_pinned(capsys, suite):
     code, out = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[suite]
+
+
+def test_verify_stream_is_pinned_under_optimize_and_a_hash_seed():
+    # `python -O` strips asserts and PYTHONHASHSEED changes the iteration
+    # order of str sets; neither may change the stream.  CycloNumber memoises
+    # its hash, so this runs in a fresh interpreter.
+    src = Path(qharmonic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-m", "qharmonic.cli", "verify", "--suite", "all"],
+                          env=env, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_REPORTS["all"]
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -1,5 +1,7 @@
+import cmath
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 
 import pytest
@@ -363,3 +365,260 @@ def test_mismatch_formatters_match_the_old_loops(field):
         assert poly_mismatch(x, y) == loop_zpoly_mismatch(x, y)
         hits += (poly_mismatch(a, b) is not None) + (poly_mismatch(x, y) is not None)
     assert hits > 40
+
+
+# -- CycloNumber against the Fraction-tuple class it replaced ------------------
+#
+# RefCyclo is the earlier implementation: phi(n) Fractions, reduced with
+# Fraction arithmetic.  The package class keeps integer numerators over one
+# denominator; every operation must give the same element.
+
+def _ref_reduce(order, cs):
+    mod = cyclotomic_polynomial(order)
+    phi = len(mod) - 1
+    cs = list(cs)
+    for deg in range(len(cs) - 1, phi - 1, -1):
+        c = cs[deg]
+        if c:
+            for i, m in enumerate(mod):
+                cs[deg - phi + i] -= c * m
+    del cs[phi:]
+    return cs
+
+
+def _ref_trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+class RefCyclo:
+    def __init__(self, order, coeffs):
+        phi = euler_phi(order)
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > phi:
+            cs = _ref_reduce(order, cs)
+        self.order = order
+        self.coeffs = tuple(cs + [Fraction(0)] * (phi - len(cs)))
+
+    def _other(self, o):
+        return o if isinstance(o, RefCyclo) else RefCyclo(self.order, [o])
+
+    def __add__(self, o):
+        o = self._other(o)
+        return RefCyclo(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __sub__(self, o):
+        o = self._other(o)
+        return RefCyclo(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+
+    def __neg__(self):
+        return RefCyclo(self.order, [-a for a in self.coeffs])
+
+    def __mul__(self, o):
+        o = self._other(o)
+        n = len(self.coeffs)
+        prod = [Fraction(0)] * (2 * n - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    if b:
+                        prod[i + j] += a * b
+        return RefCyclo(self.order, prod)
+
+    def inverse(self):
+        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
+        r0, r1 = mod, _ref_trim(list(self.coeffs))
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            quot = [Fraction(0)] * (len(r0) - len(r1) + 1)
+            rem = list(r0)
+            for shift in range(len(r0) - len(r1), -1, -1):
+                c = rem[shift + len(r1) - 1] / r1[-1]
+                quot[shift] = c
+                for i, d in enumerate(r1):
+                    rem[shift + i] -= c * d
+            r0, r1 = r1, _ref_trim(rem) or [Fraction(0)]
+            qs1 = [Fraction(0)] * (len(quot) + len(s1) - 1)
+            for i, a in enumerate(quot):
+                for j, b in enumerate(s1):
+                    qs1[i + j] += a * b
+            new_s = [Fraction(0)] * max(len(s0), len(qs1))
+            for i, a in enumerate(s0):
+                new_s[i] += a
+            for i, a in enumerate(qs1):
+                new_s[i] -= a
+            s0, s1 = s1, _ref_trim(new_s) or [Fraction(0)]
+        return RefCyclo(self.order, [a / r1[0] for a in s1])
+
+    def as_rational(self):
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __repr__(self):
+        terms = [(render_rational(c) if e == 0 else f"{render_rational(c)}*w^{e}")
+                 for e, c in enumerate(self.coeffs) if c]
+        return f"CycloNumber({self.order}; {' + '.join(terms) or '0'})"
+
+    def to_json(self):
+        r = self.as_rational()
+        if r is not None:
+            return render_rational(r)
+        return {"order": self.order, "coeffs": [render_rational(c) for c in self.coeffs]}
+
+
+def assert_same(x, ref):
+    """x is the element ref, in normal form, with every derived view equal."""
+    assert isinstance(x, CycloNumber) and x.order == ref.order
+    assert x.coeffs == ref.coeffs
+    # normal form: positive denominator coprime to the numerators' content,
+    # zero as (0, ..., 0)/1; so one value has one stored pair
+    assert x._den > 0 and gcd(x._den, *x._num) == 1
+    assert x == CycloNumber(ref.order, ref.coeffs)
+    assert hash(x) == hash(CycloNumber(ref.order, ref.coeffs))
+    assert x.as_rational() == ref.as_rational()
+    assert bool(x) == bool(ref)
+    assert repr(x) == repr(ref)
+    assert scalar_to_json(x) == ref.to_json()
+    assert scalar_from_json(scalar_to_json(x)) == x
+
+
+def random_pair(rng, order):
+    """The same random element as a CycloNumber and a RefCyclo: dense or
+    sparse, small or large rationals, sometimes zero or rational, sometimes
+    longer than phi(order) so that the constructor reduces it."""
+    phi = euler_phi(order)
+    style = rng.randrange(6)
+    if style == 0:
+        cs = [Fraction(0)] * phi
+    elif style == 1:
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))]
+    else:
+        length = phi + rng.randrange(phi + 1) if style == 2 else phi
+        big = 10 ** rng.randrange(2, 13) if style == 3 else 9
+        cs = [Fraction(rng.randint(-big, big), rng.randint(1, big))
+              if style != 4 or rng.random() < 0.3 else Fraction(0)
+              for _ in range(length)]
+    cs = [int(c) if c.denominator == 1 and rng.random() < 0.5 else c for c in cs]
+    return CycloNumber(order, cs), RefCyclo(order, cs)
+
+
+ORDERS = range(1, 33)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_cyclo_matches_fraction_reference(order):
+    rng = random.Random(f"cyclo-ref:{order}")
+    pairs = [random_pair(rng, order) for _ in range(6)]
+    # The extended-Euclid inverse is costly on dense elements at high order,
+    # so division runs on the first three nonzero elements of height at most 9.
+    small = [bool(x) and all(abs(c.numerator) <= 9 and c.denominator <= 9 for c in rx.coeffs)
+             for x, rx in pairs]
+    inverses = [rx.inverse() if ok and sum(small[:i]) < 3 else None
+                for i, ((x, rx), ok) in enumerate(zip(pairs, small))]
+    for (x, rx), rinv in zip(pairs, inverses):
+        assert_same(x, rx)
+        assert_same(-x, -rx)
+        for s in (0, 1, -3, Fraction(2, 7), Fraction(-5, 4)):
+            rs = RefCyclo(order, [s])
+            assert_same(x + s, rx + s)
+            assert_same(s + x, rx + s)
+            assert_same(x - s, rx - s)
+            assert_same(s - x, rs - rx)
+            assert_same(x * s, rx * s)
+            assert_same(s * x, rx * s)
+            if s:
+                assert_same(x / s, rx * RefCyclo(order, [1 / Fraction(s)]))
+        power = RefCyclo(order, [1])
+        for exp in range(4):
+            assert_same(x ** exp, power)
+            power = power * rx
+        if rinv is not None:
+            assert_same(x.inverse(), rinv)
+            assert_same(x ** -1, rinv)
+            assert_same(x ** -2, rinv * rinv)
+            assert_same(Fraction(2, 7) / x, rinv * Fraction(2, 7))
+    for (x, rx), (y, ry), rinv in zip(pairs, pairs[1:] + pairs[:1], inverses[1:] + inverses[:1]):
+        assert_same(x + y, rx + ry)
+        assert_same(x - y, rx - ry)
+        assert_same(x * y, rx * ry)
+        assert_same(x - x, rx - rx)
+        if rinv is not None:
+            assert_same(x / y, rx * rinv)
+        assert (x == y) == (rx.coeffs == ry.coeffs)
+
+
+def embed(x, order):
+    """x under zeta_n -> exp(2 pi i / n)."""
+    w = cmath.exp(2j * cmath.pi / order)
+    return sum(complex(float(c)) * w ** e for e, c in enumerate(x.coeffs))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_cyclo_matches_complex_embedding(order):
+    rng = random.Random(f"cyclo-embed:{order}")
+
+    def close(x, value):
+        return abs(embed(x, order) - value) < 1e-9 * max(1.0, abs(value))
+
+    zeta = CycloNumber.zeta(order)
+    w = cmath.exp(2j * cmath.pi / order)
+    for e in range(-order, 2 * order + 1):
+        assert close(zeta ** e, w ** e)
+    for _ in range(5):
+        x = CycloNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                for _ in range(euler_phi(order) + 3)])
+        y = CycloNumber(order, [rng.randint(-9, 9) for _ in range(euler_phi(order))])
+        ex, ey = embed(x, order), embed(y, order)
+        assert close(x + y, ex + ey) and close(x - y, ex - ey)
+        assert close(x * y, ex * ey)
+        if y:
+            assert close(x / y, ex / ey) and close(y.inverse(), 1 / ey)
+
+
+def test_rational_values_equal_and_hash_across_orders():
+    rng = random.Random("cyclo-rational")
+    for _ in range(40):
+        r = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        at = [CycloNumber.from_rational(o, r) for o in (1, 2, 5, 12, 32)]
+        for x in at:
+            assert x.as_rational() == r and x == r and r == x
+            assert hash(x) == hash(r) == hash(x)
+            assert all(x == y for y in at)
+        if r.denominator == 1:
+            assert at[2] == r.numerator and hash(at[2]) == hash(r.numerator)
+    # rational values reached by arithmetic hash like the Fraction too
+    for order in (3, 4, 7, 16):
+        zeta = CycloNumber.zeta(order)
+        x = CycloNumber(order, [Fraction(1, 3), 2, -5])
+        for value, r in ((zeta ** order, Fraction(1)), (x * x.inverse(), Fraction(1)),
+                         (x - x, Fraction(0)), ((zeta + 1 - zeta) * Fraction(3, 4),
+                                                Fraction(3, 4))):
+            assert value == r and hash(value) == hash(r)
+            assert {r: "found"}[value] == "found"
+    # an irrational value equals nothing of another order, and hashes as
+    # (order, coeffs)
+    z5, z10 = CycloNumber.zeta(5), CycloNumber.zeta(10)
+    assert z5 != z10 and z5 * Fraction(1, 2) != Fraction(1, 2)
+    assert hash(z5) == hash((5, z5.coeffs)) == hash(z5)
+
+
+def test_cyclo_constructor_refuses_floats():
+    for coeffs in ([0.1, True], [Fraction(1), 0.5], [1.0], ["1/2"], [1j]):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            CycloNumber(5, coeffs)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        CycloNumber.from_rational(5, 0.1)
+    with pytest.raises(TypeError):
+        CycloNumber.zeta(5) + 0.5
+    # a bool is an int, as in the arithmetic
+    assert CycloNumber(5, [True, 2]) == CycloNumber(5, [1, 2])
+
+
+def test_cyclo_coeffs_is_read_only():
+    x = CycloNumber(7, [Fraction(1, 2), 3])
+    assert x.coeffs == (Fraction(1, 2), Fraction(3)) + (Fraction(0),) * 4
+    with pytest.raises(AttributeError):
+        x.coeffs = (Fraction(1),)

@@ -53,7 +53,8 @@ def test_integer_parameters_are_range_checked_in_order(ident):
             assert _raises(ident, dict(base, **{key: value})) == f"{key}={value} outside [{lo}, {hi}]"
         missing = {k: v for k, v in base.items() if k != key}
         assert _raises(ident, missing) == f"missing or bad integer parameter {key!r}"
-        assert _raises(ident, dict(base, **{key: "x"})) == f"missing or bad integer parameter {key!r}"
+        for bad in ("x", "3", float(lo), True):
+            assert _raises(ident, dict(base, **{key: bad})) == f"missing or bad integer parameter {key!r}"
     # with every parameter from the i-th on out of range, the i-th is named
     for i, (key, lo, hi) in enumerate(spec):
         bad = dict(base, **{k: h + 1 for k, _, h in spec[i:]})
@@ -75,3 +76,12 @@ def test_remark_qhs_skips_without_a_pinned_witness(monkeypatch):
         "identity": "remark_qhs", "params": {}, "status": "skip",
         "lhs": "no pinned rational witness at the documented search bounds",
         "rhs": "hypergeometric representation not exercised", "mismatch": None}
+
+
+def test_float_and_bool_parameters_are_not_truncated():
+    # int() would run these at nmax = 2 and nmax = 1 while the report showed
+    # the value as given
+    for value in (2.9, True):
+        assert _raises("chu_vandermonde", {"nmax": value}) == \
+            "missing or bad integer parameter 'nmax'"
+    assert check_identity("chu_vandermonde", {"nmax": 2}).params == {"nmax": 2}

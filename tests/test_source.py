@@ -31,6 +31,24 @@ def test_unchecked_series_constructor_stays_in_series_module():
     assert "_trusted" in series.read_text()
 
 
+# CycloNumber's storage: integer numerators, one denominator, memoised hash.
+# Other modules go through `coeffs`, `as_rational` and the arithmetic, so the
+# normal form (denominator coprime to the numerators' content) stays the one
+# module's business.
+CYCLO_STORAGE = {"_num", "_den", "_hash"}
+
+
+def test_only_exact_reads_cyclo_storage():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "exact.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in CYCLO_STORAGE)
+             or (isinstance(node, ast.Constant) and node.value in CYCLO_STORAGE)]
+    assert found == []
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    assert all(f'"{name}"' in exact.read_text() for name in CYCLO_STORAGE)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in qharmonic.__all__ if not hasattr(qharmonic, name)]
     assert missing == []
