@@ -22,6 +22,8 @@ values, so t is never truncated.
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -43,30 +45,45 @@ class IrrationalCoefficient(QHarmonicError):
 Scalar = Union[Fraction, "CycloNumber"]
 
 
+# str(int) and int(str) refuse more than sys.get_int_max_str_digits() digits
+# (4300 by default); decimal converts exactly at any length, so an exact value
+# is never refused for being long.
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction; a zero denominator is a ValueError."""
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+    text = text.strip()
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    p, q = match.groups()
+    den = int(Decimal(q or 1))
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(Decimal(p)), den)
 
 
 def render_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_text(value.numerator)
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (dense, ascending coefficients)
+# integer polynomial helpers (dense, ascending coefficients)
 # ---------------------------------------------------------------------------
-
-def _poly_trim(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
 
 def _poly_div_exact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     # den is monic; division over Z is exact for cyclotomic factors
@@ -106,19 +123,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dlead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / dlead
-        if c:
-            quot[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    return quot, _poly_trim(num)
 
 
 _NOT_RATIONAL = "CycloNumber coefficient must be an int or Fraction, not {}"
@@ -237,45 +241,34 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        x, y = self._num, o._num
-        prod = [0] * (2 * len(x) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for k, b in enumerate(y, i):
-                    if b:
-                        prod[k] += a * b
-        _reduce(self.order, prod)
-        return _make(self.order, prod, self._den * o._den)
+        return _make(self.order, _product(self.order, self._num, o._num),
+                     self._den * o._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against the (irreducible) cyclotomic modulus."""
+        """Multiplicative inverse through the Galois norm, in integers.
+
+        With self = P/d, 1/self = d * C / N(P), where the cofactor C is the
+        product of the conjugates sigma_j(P) (zeta -> zeta^j) over the units
+        j != 1 mod n, and N(P) = P * C is a nonzero integer."""
         if not self:
             raise DivisionByZero("inverse of zero in Q(zeta)")
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = mod, _poly_trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r or [Fraction(0)]
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        if b:
-                            qs1[i + j] += a * b
-            new_s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, a in enumerate(s0):
-                new_s[i] += a
-            for i, a in enumerate(qs1):
-                new_s[i] -= a
-            s0, s1 = s1, _poly_trim(new_s) or [Fraction(0)]
-        c = r1[0]
-        if not c:
-            raise DivisionByZero("modulus shares a factor; zero divisor")
-        return CycloNumber(self.order, [a / c for a in s1])
+        num, order = self._num, self.order
+        cof = [1]
+        for j in range(2, order):
+            if gcd(j, order) == 1:
+                conj = [0] * order
+                for i, a in enumerate(num):
+                    if a:
+                        conj[i * j % order] += a
+                _reduce(order, conj)
+                cof = _product(order, cof, conj)
+        norm = _product(order, num, cof)[0]
+        den = self._den
+        if norm < 0:
+            norm, den = -norm, -den
+        return _make(order, [den * c for c in cof], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -337,6 +330,19 @@ class CycloNumber:
 
 _new = object.__new__
 _set = object.__setattr__
+
+
+def _product(order: int, x, y) -> list[int]:
+    """The integer convolution of the coefficient lists x and y, reduced
+    modulo the order-th cyclotomic polynomial."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                if b:
+                    prod[k] += a * b
+    _reduce(order, prod)
+    return prod
 
 
 def _reduce(order: int, prod: list[int]) -> None:

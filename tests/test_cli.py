@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qharmonic
 from qharmonic.cli import main
+from qharmonic.exact import parse_rational, render_rational
+from qharmonic.qseries import SeriesParams, zbar
 
 
 def run(capsys, *argv):
@@ -47,6 +50,24 @@ def test_compute_scalar_at_root(capsys):
                     "--index", "2")
     assert code == 0
     assert out == '"-2/3"\n'
+
+
+def test_compute_prints_values_past_the_int_string_limit():
+    # str(int) refuses more than 4,300 digits by default, and this exact
+    # value is longer; the limit is pinned so that the environment cannot
+    # lift it.
+    src = Path(qharmonic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qharmonic.cli", "compute", "zbar",
+                           "--n", "250", "--q", "1/2", "--index", "1"],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
+    value = json.loads(proc.stdout)
+    p, q = value.split("/")
+    assert max(len(p), len(q)) > 4300
+    assert parse_rational(value) == zbar((1,), SeriesParams(250, Fraction(1, 2)))
+    assert render_rational(parse_rational(value)) == value
 
 
 def test_compute_underscore_kind_alias(capsys):

@@ -1,5 +1,7 @@
 import cmath
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from operator import add, mul
@@ -97,6 +99,30 @@ def test_rational_round_trip():
     assert parse_rational("4") == Fraction(4)
     assert render_rational(Fraction(10, 4)) == "5/2"
     assert render_rational(Fraction(-2)) == "-2"
+
+
+def test_long_rationals_pass_the_int_string_limit():
+    # str(int) and int(str) refuse more than sys.get_int_max_str_digits()
+    # digits (Python 3.10.7 on); rendering and parsing must not
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        for value in (Fraction(3 ** 20000, 7), Fraction(-(10 ** 5000) - 1),
+                      Fraction(-1, 2 ** 20000), Fraction(10 ** 4299, 3)):
+            text = render_rational(value)
+            p, _, q = text.partition("/")
+            assert p == str(Decimal(value.numerator))
+            assert q == ("" if value.denominator == 1 else str(Decimal(value.denominator)))
+            assert parse_rational(text) == value
+            x = CycloNumber(5, [value, 1])
+            assert scalar_from_json(scalar_to_json(x)) == x
+        assert parse_rational(" -0012/0400 ") == Fraction(-3, 100)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1" * 5000 + "/000")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_scalar_json_round_trip():
@@ -576,6 +602,76 @@ def test_cyclo_matches_complex_embedding(order):
         assert close(x * y, ex * ey)
         if y:
             assert close(x / y, ex / ey) and close(y.inverse(), 1 / ey)
+
+
+# -- the integer inverse --------------------------------------------------------
+#
+# inverse() multiplies the Galois conjugates of the numerator polynomial and
+# divides by their product, the norm.  The reference comparison above divides
+# only by small elements; these checks cover the dense, high ones too.
+
+def embedded_inverse_close(x, inv, order):
+    """embed(inv) is 1/embed(x), to within the rounding of both sums."""
+    ex, einv = embed(x, order), embed(inv, order)
+    scale = (sum(abs(float(c)) for c in inv.coeffs)
+             + sum(abs(float(c)) for c in x.coeffs) / abs(ex) ** 2)
+    return abs(einv - 1 / ex) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_inverse_of_every_random_element(order):
+    rng = random.Random(f"cyclo-inverse:{order}")
+    phi = euler_phi(order)
+    one = CycloNumber.from_rational(order, 1)
+    elements = [random_pair(rng, order)[0] for _ in range(12)]
+    # dense, with coefficients of height up to 10^12
+    elements += [CycloNumber(order, [Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                                              rng.randint(1, 10 ** 12))
+                                     for _ in range(phi)]) for _ in range(2)]
+    inverted = 0
+    for x in elements:
+        if not x:
+            continue
+        inv = x.inverse()
+        assert x * inv == one and inv * x == one
+        assert inv._den > 0 and gcd(inv._den, *inv._num) == 1
+        assert embedded_inverse_close(x, inv, order)
+        inverted += 1
+    assert inverted >= 2
+
+
+def test_inverse_of_rational_values_and_negative_norms():
+    # For n >= 3, Q(zeta_n) is a CM field and every nonzero norm is
+    # positive; only at orders 1 and 2 (phi = 1) is the norm a_0 negative.
+    for order, zeta in ((1, 1), (2, -1)):
+        for x, r in ((CycloNumber.from_rational(order, -3), Fraction(-3)),
+                     (CycloNumber(order, [Fraction(-5, 7)]), Fraction(-5, 7)),
+                     (CycloNumber(order, [3, 5]), Fraction(3 + 5 * zeta)),
+                     (CycloNumber(order, [Fraction(1, 2), Fraction(-4, 3)]),
+                      Fraction(1, 2) + Fraction(-4, 3) * zeta)):
+            assert_same(x.inverse(), RefCyclo(order, [1 / r]))
+            assert_same(x ** -3, RefCyclo(order, [r ** -3]))
+    # rational values at phi > 1, built directly and reached by arithmetic
+    for order in (o for o in ORDERS if euler_phi(o) > 1):
+        zeta = CycloNumber.zeta(order)
+        for r in (Fraction(-3), Fraction(2, 9), Fraction(-7, 4)):
+            for x in (CycloNumber.from_rational(order, r), zeta ** order * r,
+                      (zeta + r) - zeta):
+                assert_same(x.inverse(), RefCyclo(order, [1 / r]))
+                assert_same(r / x, RefCyclo(order, [1]))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_inverse_of_one_minus_root_closed_form(n):
+    # w = zeta_n^m has order d = n / gcd(n, m), and sum_{k<d} k w^k = d/(w - 1)
+    zeta = CycloNumber.zeta(n)
+    for m in range(1, n):
+        w = zeta ** m
+        d = n // gcd(n, m)
+        closed = sum((k * w ** k for k in range(1, d)), CycloNumber.from_rational(n, 0))
+        closed = closed * Fraction(-1, d)
+        assert (1 - w).inverse() == closed
+        assert 1 / (1 - w) == closed == scalar_pow(1 - w, -1)
 
 
 def test_rational_values_equal_and_hash_across_orders():

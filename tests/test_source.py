@@ -49,6 +49,30 @@ def test_only_exact_reads_cyclo_storage():
     assert all(f'"{name}"' in exact.read_text() for name in CYCLO_STORAGE)
 
 
+# CycloNumber's integer kernels: multiply, add/subtract and inverse work on
+# int numerators over one denominator, through the module's product and
+# reduction helpers; Fractions appear only where a value is built from or
+# read out as rationals.
+INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.inverse",
+                   "_product", "_reduce")
+
+
+def test_cyclo_kernels_do_no_fraction_arithmetic():
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    tree = ast.parse(exact.read_text(), str(exact))
+    cyclo = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "CycloNumber")
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defs.update({f"CycloNumber.{node.name}": node for node in cyclo.body
+                 if isinstance(node, ast.FunctionDef)})
+    assert set(INTEGER_KERNELS) <= defs.keys()
+    found = [f"{name}:{sub.lineno}" for name in INTEGER_KERNELS
+             for sub in ast.walk(defs[name])
+             if (isinstance(sub, ast.Name) and sub.id == "Fraction")
+             or (isinstance(sub, ast.Attribute) and sub.attr == "Fraction")]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in qharmonic.__all__ if not hasattr(qharmonic, name)]
     assert missing == []
