@@ -100,11 +100,14 @@ def _poly_div_exact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
+# Unbounded: one key per cyclotomic order.  Only the cached cyclotomic_polynomial
+# calls it, so it never hits; it stays a cache because perfbench reads it by name.
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
+# Unbounded: one key per cyclotomic order, the divisors of the n a run asks for.
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
@@ -120,6 +123,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+# Unbounded: one key per cyclotomic order, as for cyclotomic_polynomial.
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
@@ -285,17 +289,8 @@ class CycloNumber:
     def __pow__(self, exp: int):
         if not isinstance(exp, int):
             return NotImplemented
-        base = self
-        if exp < 0:
-            base = self.inverse()
-            exp = -exp
-        out = CycloNumber.from_rational(self.order, 1)
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
+        base = self.inverse() if exp < 0 else self
+        return _power(base, abs(exp), CycloNumber.from_rational(self.order, 1))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -332,15 +327,32 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _product(order: int, x, y) -> list[int]:
-    """The integer convolution of the coefficient lists x and y, reduced
-    modulo the order-th cyclotomic polynomial."""
-    prod = [0] * (len(x) + len(y) - 1)
+def _power(base, exp: int, one):
+    """base**exp (exp >= 0) by repeated squaring from `one`, for every `**`."""
+    out = one
+    while exp:
+        if exp & 1:
+            out = out * base
+        base = base * base
+        exp >>= 1
+    return out
+
+
+def _convolve(x, y) -> list:
+    """The product of two dense coefficient lists, lowest power first."""
+    out = [0] * (len(x) + len(y) - 1)
     for i, a in enumerate(x):
         if a:
             for k, b in enumerate(y, i):
                 if b:
-                    prod[k] += a * b
+                    out[k] += a * b
+    return out
+
+
+def _product(order: int, x, y) -> list[int]:
+    """The integer convolution of the coefficient lists x and y, reduced
+    modulo the order-th cyclotomic polynomial."""
+    prod = _convolve(x, y)
     _reduce(order, prod)
     return prod
 
@@ -565,13 +577,7 @@ class SparsePoly:
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValueError(f"negative {type(self).__name__} power")
-        out, base = type(self)({0: 1}), self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
+        return _power(self, exp, type(self)({0: 1}))
 
     # -- comparison / serialization -----------------------------------------
 

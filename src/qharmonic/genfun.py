@@ -6,9 +6,9 @@ This module builds both sides of every verified statement:
   function and the x-parameters of the polylogarithm generating functions,
   written out term by term in closed form, next to a Pascal-matrix assembly
   of u(x) that clears its poles by a power of x₁;
-* the product representation of the height generating function (via the
-  characteristic polynomial P) next to its brute-force definition (via
-  profile sums);
+* the product representation of the height generating function (via
+  `p_poly`, which gives P^t only: every t−1 side is its image under
+  t -> t−1) next to its brute-force definition (via profile sums);
 * the z-side generating functions, their q-difference system, and the
   closed coefficient product;
 * root-of-unity closed forms: the weight/depth sum formulas, the
@@ -36,6 +36,7 @@ from .exact import (
     Scalar,
     SparsePoly,
     TPoly,
+    _convolve,
     binomial,
     is_rational,
     render_rational,
@@ -74,7 +75,6 @@ class UncancelledPole(QHarmonicError):
     """A negative power of x₁ survived the Pascal-matrix assembly of u(x)."""
 
 
-T_MINUS_ONE = TPoly({1: Fraction(1), 0: Fraction(-1)})
 T = TPoly.t()
 
 
@@ -202,21 +202,18 @@ def roundtrip_u(r: int, cap: int) -> tuple[Series, ...]:
 # the characteristic polynomial P and the two Psi constructions
 # ---------------------------------------------------------------------------
 
-def p_poly(r: int, shift: int, xs: Sequence[Series]) -> tuple[Series, ...]:
+def p_poly(r: int, xs: Sequence[Series]) -> tuple[Series, ...]:
     """The coefficients, in ascending powers of T, of the monic
-    P(T) = T^{r+1} − (x₁ + σx₂)T^r − σ Σ_{i=0}^{r−1} (x_{r+2−i} − x₁x_{r+1−i})T^i
-    with σ = t (shift 0) or t−1 (shift −1)."""
-    if shift not in (0, -1):
-        raise ValueError("shift must be 0 (t) or -1 (t-1)")
+    P^t(T) = T^{r+1} − (x₁ + tx₂)T^r − t Σ_{i=0}^{r−1} (x_{r+2−i} − x₁x_{r+1−i})T^i.
+    P^{t−1} is its image under t -> t−1 (see `_t_ratio`)."""
     if len(xs) != r + 2:
         raise ValueError("need r+2 x-series")
-    sigma = T if shift == 0 else T_MINUS_ONE
     ring = xs[0].ring
     cs: list[Series] = [ring.zero()] * (r + 2)
     cs[r + 1] = ring.one()
-    cs[r] = -(xs[0] + xs[1] * sigma)
+    cs[r] = -(xs[0] + xs[1] * T)
     for i in range(r):
-        cs[i] = -((xs[r + 1 - i] - xs[0] * xs[r - i]) * sigma)
+        cs[i] = -((xs[r + 1 - i] - xs[0] * xs[r - i]) * T)
     return tuple(cs)
 
 
@@ -232,19 +229,28 @@ def eval_p(coeffs: Sequence[Series], value: Scalar) -> Series:
     return out
 
 
+def _p_products(coeffs: Sequence[Series], q: Scalar, n: int) -> list[Series]:
+    """The prefix products Π_{j≤i} P(1−q^j), i = 0, …, n−1, of P's coefficients."""
+    out = [coeffs[0].ring.one()]
+    for j in range(1, n):
+        out.append(out[-1] * eval_p(coeffs, 1 - scalar_pow(q, j)))
+    return out
+
+
+def _t_ratio(den: Series) -> Series:
+    """den(t−1)/den(t), den(t−1) being t -> t−1 applied to every coefficient.
+    Every caller builds den from t-free variables and scalars, so that map is
+    a ring map: it sends a product of P^t(1−q^j), U^t or c + t·d·v factors to
+    the product of their t−1 forms, the two-sided product's numerator."""
+    return series_affine_t(den, 1, -1) / den
+
+
 def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
     """Ψ as the two-sided product: Π_j P^{t−1}(1−q^j) / Π_j P^t(1−q^j),
-    the P's evaluated over the composed x(u) series.
-
-    Only the denominator is multiplied out.  The x(u) series and q are
-    t-free, so t -> t−1 applied to every coefficient is a ring map that
-    sends P^t to P^{t−1}; the numerator is the denominator under it."""
+    the P's evaluated over the composed x(u) series; only the denominator is
+    multiplied out (see `_t_ratio`)."""
     params = SeriesParams(n, q)
-    p_plain = p_poly(r, 0, x_from_u(r, cap))
-    den = p_plain[0].ring.one()
-    for j in range(1, n):
-        den = den * eval_p(p_plain, 1 - scalar_pow(params.q, j))
-    return series_affine_t(den, 1, -1) / den
+    return _t_ratio(_p_products(p_poly(r, x_from_u(r, cap)), params.q, n)[-1])
 
 
 def profile_from_exponents(r: int, exps: Sequence[int]) -> HeightProfile:
@@ -538,9 +544,8 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     record("prop2_2", "[base]", series_mismatch(lhs, rhs))
 
     # Cor 2.3:  (P^t(Θ) − z·P^{t−1}(Θ)) Φ_{r−1} = z·x_{r+2} − zⁿ·x_{r+2}·Φ(1)
-    xs = tuple(xv[i] for i in range(1, r + 3))
-    pp = p_poly(r, 0, xs)
-    pm = p_poly(r, -1, xs)
+    pp = p_poly(r, tuple(xv[i] for i in range(1, r + 3)))
+    pm = tuple(series_affine_t(c, 1, -1) for c in pp)
     powers = [phis[r - 1]]
     for _ in range(r + 1):
         powers.append(_series_theta(powers[-1], params))
@@ -553,12 +558,8 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     record("cor2_3", "", series_mismatch(lhs, rhs))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
-    prod_t = [one]
-    prod_m = [one]
-    for j in range(1, n):
-        tval = 1 - scalar_pow(params.q, j)
-        prod_t.append(prod_t[-1] * eval_p(pp, tval))
-        prod_m.append(prod_m[-1] * eval_p(pm, tval))
+    prod_t = _p_products(pp, params.q, n)
+    prod_m = [series_affine_t(p, 1, -1) for p in prod_t]
     record("thm2_4", "", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
     # closed coefficients:  c_i·Π_{j≤i} P^t(1−q^j) = x_{r+2}·Π_{j<i} P^{t−1}(1−q^j)
@@ -613,14 +614,12 @@ def u_poly(n: int, cap: int | None = None) -> Series:
 
 
 def u_poly_ratio(n: int, cap: int) -> Series:
-    """U^{t−1}/U^t as a series in (u₁,u₂,u₃) truncated at cap.
-
-    U_n^{t−1} is U_n^t under t -> t−1 applied to every coefficient (the
-    u-variables are t-free), so only U_n^t is built, at the cap."""
-    den = u_poly(n, cap)
-    return series_affine_t(den, 1, -1) / den
+    """U^{t−1}/U^t as a series in (u₁,u₂,u₃) truncated at cap; only U_n^t
+    is built (see `_t_ratio`)."""
+    return _t_ratio(u_poly(n, cap))
 
 
+# Unbounded: keys (n, m) with m at most the weight of a sum formula asked for.
 @lru_cache(maxsize=None)
 def zbar_depth1_rational(n: int, m: int) -> Fraction:
     """Depth-one value at the primitive n-th root, with the weight-zero
@@ -641,16 +640,6 @@ def _y_add(acc: list, poly: Sequence, scale) -> list:
     return out
 
 
-def _y_mul(p: Sequence, q: Sequence) -> list:
-    """p·q on y-coefficient lists."""
-    out = [0] * (len(p) + len(q) - 1)
-    for a, pa in enumerate(p):
-        if pa:
-            for b, qb in enumerate(q):
-                out[a + b] += pa * qb
-    return out
-
-
 def _geometric_series(base: int, sign: int, P: Sequence[Sequence], k: int) -> list[list]:
     """Numerators of S = Σ_m sign^m·P^m / base^(m+1) = 1/(base − sign·P) up to
     x^k: S = Σ_x T_x·x^x / base^(x+1), each T_x a list of y-coefficients.
@@ -663,7 +652,7 @@ def _geometric_series(base: int, sign: int, P: Sequence[Sequence], k: int) -> li
     for x in range(1, k + 1):
         acc: list = [0]
         for j in range(1, min(x, len(P) - 1) + 1):
-            acc = _y_add(acc, _y_mul(P[j], out[x - j]), sign * base ** (j - 1))
+            acc = _y_add(acc, _convolve(P[j], out[x - j]), sign * base ** (j - 1))
         out.append(acc)
     return out
 
@@ -807,10 +796,8 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
 def kpow_generating(k: int, n: int, vcap: int) -> Series:
     """Σ_l (value of the repeated-entry k sum) v^l as the two-sided product
     over powers of the primitive root; every coefficient is forced into Q.
-
-    Only the denominator Π_j (c_j + t·d_j·v) is multiplied out: v and the
-    c_j, d_j are t-free, so the numerator Π_j (c_j + (t−1)·d_j·v) is the
-    denominator under t -> t−1 applied to every coefficient."""
+    Only the denominator Π_j (c_j + t·d_j·v) is multiplied out (see
+    `_t_ratio`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if vcap < 0:
@@ -829,8 +816,7 @@ def kpow_generating(k: int, n: int, vcap: int) -> Series:
             const = scalar_pow(1 - tj, k)
             vcoef = T * (-scalar_pow(tj, k - 1))
         den = den * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
-    ratio = series_affine_t(den, 1, -1) / den
-    return ratio.map_coeffs(lambda tp: tp.rationalized())
+    return _t_ratio(den).map_coeffs(lambda tp: tp.rationalized())
 
 
 def _eva_c(k: int, n: int, i: int) -> Fraction:
@@ -845,16 +831,11 @@ def _eva_c(k: int, n: int, i: int) -> Fraction:
 
 
 def kpow_ratio_closed(k: int, n: int, vcap: int) -> Series:
-    """The same v-series from the closed numerator/denominator polynomials
-    Σ_i c_i((t−1)v)^i / Σ_i c_i(tv)^i."""
+    """The same v-series from the closed polynomials Σ_i c_i((t−1)v)^i /
+    Σ_i c_i(tv)^i; only the denominator is built (see `_t_ratio`)."""
     ring = SeriesRing(("v",), vcap)
-    num = {}
-    den = {}
-    for i in range(min(n, vcap + 1)):
-        c = _eva_c(k, n, i)
-        num[(i,)] = (T_MINUS_ONE ** i) * c
-        den[(i,)] = (T ** i) * c
-    return Series(ring, num) / Series(ring, den)
+    return _t_ratio(Series(ring, {(i,): TPoly({i: _eva_c(k, n, i)})
+                                  for i in range(min(n, vcap + 1))}))
 
 
 def ftilde_polys(k: int, ring: SeriesRing) -> list[Series]:

@@ -27,7 +27,6 @@ from .exact import (
 from .genfun import (
     IdentityReport,
     PINNED_QHS_WITNESS,
-    T_MINUS_ONE,
     eval_constant_index,
     h_closed_k3,
     h_series,
@@ -210,7 +209,7 @@ def _run_lemma4_1(r: int, cap: int) -> list:
 
 def _run_pt_special(r: int, cap: int) -> list:
     xs = x_from_u(r, cap)
-    pp = p_poly(r, 0, xs)
+    pp = p_poly(r, xs)
     ring = xs[0].ring
     kept = u_variable_names(r)[:r + 1]
     last = ring.var(f"u{r + 2}")
@@ -248,7 +247,7 @@ def _run_k3_closed(n: int, vcap: int) -> list:
                    series_mismatch(kpow_ratio_closed(3, n, vcap), gen)))
     h_shift = series_affine_t(h_log, 1, -1)
     checks.append(("t-weighted-ratio",
-                   series_mismatch(gen * h_log * T_MINUS_ONE,
+                   series_mismatch(gen * h_log * (TPoly.t() - 1),
                                    h_shift * TPoly.t())))
     for l in range(vcap + 1):
         br = zbar_t((3,) * l, zp).rationalized()

@@ -56,7 +56,7 @@ class HeightProfile:
             raise ValueError("depth below 1-height")
         if self.k < self.l + sum(self.h):
             raise ValueError("weight below depth plus height total")
-        if not -1 <= self.j <= len(self.h) - 1 and not (self.j == -1 and not self.h):
+        if not -1 <= self.j <= len(self.h) - 1:
             raise ValueError("head bound out of range")
 
     @classmethod
@@ -71,6 +71,7 @@ class HeightProfile:
         return len(self.h)
 
 
+# Unbounded: keys (total, parts) stay below the weights and series caps a run asks for.
 @lru_cache(maxsize=None)
 def compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
     """All tuples of `parts` positive integers summing to `total`, lex order.
@@ -84,6 +85,7 @@ def compositions(total: int, parts: int) -> tuple[MultiIndex, ...]:
                  for cuts in combinations(range(1, total), parts - 1))
 
 
+# Unbounded: one key per height profile of a u- or x-monomial up to the run's cap.
 @lru_cache(maxsize=None)
 def _enumerate_indices_cached(k, l, h, j):
     if l == 0:
@@ -127,6 +129,7 @@ def contract(parts: MultiIndex, boxes: tuple[int, ...]) -> MultiIndex | None:
     return tuple(out)
 
 
+# Unbounded: only z_t_float calls it; `xi-check` asks for one all-ones index per depth.
 @lru_cache(maxsize=None)
 def enumerate_patterns(parts: MultiIndex, minusplus: bool = True):
     """All contractions of the index under box fillings.

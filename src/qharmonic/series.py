@@ -38,9 +38,11 @@ from .exact import (
     TPoly,
     _accumulate,
     _add_into,
+    _power,
     as_tpoly,
     scalar_inverse,
 )
+from .indices import compositions
 
 
 class NonUnitConstantTerm(QHarmonicError):
@@ -129,23 +131,18 @@ class SeriesRing:
         return Series(self, {t: tp} if not tp.is_zero() else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
-        """All nonnegative exponent tuples (zero on uncapped slots) of total
-        degree <= cap, in graded lexicographic order."""
-        nv = len(self.variables)
+        """Exponent tuples (zero on uncapped slots) of total degree <= cap in
+        graded lex order: degree d's are the compositions of d + k into the k
+        capped slots, less one per part, in the lex order of `compositions`."""
+        slots = self._capped_idx
+        k = len(slots)
+        exps = [0] * len(self.variables)
         out: list[tuple[int, ...]] = []
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-            if i == nv:
-                out.append(prefix)
-                return
-            if i not in self._capped_idx:
-                rec(i + 1, remaining, prefix + (0,))
-                return
-            for e in range(remaining + 1):
-                rec(i + 1, remaining - e, prefix + (e,))
-
-        rec(0, self.cap, ())
-        out.sort(key=lambda t: (sum(t), t))
+        for d in range(self.cap + 1):
+            for parts in compositions(d + k, k):
+                for i, p in zip(slots, parts):
+                    exps[i] = p - 1
+                out.append(tuple(exps))
         return out
 
 
@@ -264,13 +261,7 @@ class Series:
     def __pow__(self, exp: int):
         if exp < 0:
             return self.invert() ** (-exp)
-        out, base = self.ring.one(), self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
+        return _power(self, exp, self.ring.one())
 
     def __truediv__(self, other):
         """Quotient up to the cap: solves other * Q = self target by target.

@@ -14,6 +14,7 @@ from qharmonic.genfun import (
     UncancelledPole,
     ZeroPochhammerDenominator,
     _log_one_plus,
+    _p_products,
     _qhs_terms,
     eval_constant_index,
     eval_p,
@@ -25,6 +26,7 @@ from qharmonic.genfun import (
     mat_mul,
     p_poly,
     pascal_T,
+    phi_ring,
     phi_system_checks,
     poly_mismatch,
     profile_from_exponents,
@@ -152,22 +154,33 @@ def formal_xs(r, cap):
     return tuple(map(ring.var, ring.variables))
 
 
+def hand_p_minus(r, xs):
+    """P^{t-1} written out: the coefficients of P^t with t-1 in place of t."""
+    ring = xs[0].ring
+    sigma = T - TPoly.one()
+    cs = [ring.zero()] * r + [-(xs[0] + xs[1] * sigma), ring.one()]
+    for i in range(r):
+        cs[i] = -((xs[r + 1 - i] - xs[0] * xs[r - i]) * sigma)
+    return tuple(cs)
+
+
 def test_p_poly_r1_coefficients():
-    """T^2 - (x1 + s*x2) T - s (x3 - x1 x2), with s = t or t-1."""
+    """T^2 - (x1 + s*x2) T - s (x3 - x1 x2), with s = t, and s = t-1 under
+    the t -> t-1 image."""
     x1, x2, x3 = fx = formal_xs(1, 4)
-    plain = p_poly(1, 0, fx)
+    plain = p_poly(1, fx)
     assert plain == (-((x3 - x1 * x2) * T), -(x1 + x2 * T), x1.ring.one())
-    shifted = p_poly(1, -1, fx)
+    shifted = tuple(series_affine_t(c, 1, -1) for c in plain)
+    assert shifted[2] == x1.ring.one()
     assert shifted[1] == -(x1 + x2 * (T - TPoly.one()))
     assert shifted[0] == -((x3 - x1 * x2) * (T - TPoly.one()))
+    assert shifted == hand_p_minus(1, fx)
 
 
 def test_p_poly_validation():
     fx = formal_xs(1, 4)
     with pytest.raises(ValueError):
-        p_poly(1, 2, fx)
-    with pytest.raises(ValueError):
-        p_poly(2, 0, fx)
+        p_poly(2, fx)
 
 
 @pytest.mark.parametrize("n,r,cap", [(3, 1, 3), (2, 2, 2), (4, 1, 2)])
@@ -463,8 +476,7 @@ def eval_by_horner(coeffs, value):
 
 def test_p_evaluation_matches_horner():
     xs = x_from_u(2, 3)
-    for shift in (0, -1):
-        coeffs = p_poly(2, shift, xs)
+    for coeffs in (p_poly(2, xs), hand_p_minus(2, xs)):
         for value in (Fraction(0), Fraction(-3, 4), 1 - CycloNumber.zeta(5) ** 2):
             assert eval_p(coeffs, value) == eval_by_horner(coeffs, value)
 
@@ -473,13 +485,29 @@ def ref_psi_product(n, r, q, cap):
     """Both products multiplied out, then num * den^-1."""
     params = SeriesParams(n, q)
     xs = x_from_u(r, cap)
-    p_minus, p_plain = p_poly(r, -1, xs), p_poly(r, 0, xs)
+    p_minus, p_plain = hand_p_minus(r, xs), p_poly(r, xs)
     num = den = xs[0].ring.one()
     for j in range(1, n):
         tval = 1 - scalar_pow(params.q, j)
         num = num * eval_by_horner(p_minus, tval)
         den = den * eval_by_horner(p_plain, tval)
     return num * den.invert()
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_phi_t_minus_one_products_match_the_hand_built_chain(n):
+    """The t-1 products of thm2_4 and c_i, read as the t -> t-1 image of the
+    P^t prefix products, equal prod_j P^{t-1}(1-q^j) multiplied out."""
+    for r in (1, 2):
+        ring = phi_ring(r, 3)
+        xs = tuple(ring.var(f"x{i}") for i in range(1, r + 3))
+        pp, pm = p_poly(r, xs), hand_p_minus(r, xs)
+        for q in (CycloNumber.zeta(n), Fraction(1, 2)):
+            chain = [ring.one()]
+            for j in range(1, n):
+                chain.append(chain[-1] * eval_by_horner(pm, 1 - scalar_pow(q, j)))
+            got = [series_affine_t(p, 1, -1) for p in _p_products(pp, q, n)]
+            assert [g.to_json() for g in got] == [c.to_json() for c in chain]
 
 
 def ref_kpow_generating(k, n, vcap):

@@ -89,6 +89,8 @@ def test_profile_shape_validation():
         HeightProfile(3, 1, (2,))     # 1-height above depth
     with pytest.raises(ValueError):
         HeightProfile(4, 2, (2, 1), 2)  # head bound past the height list
+    with pytest.raises(ValueError):
+        HeightProfile(2, 1, (), 0)      # no heights: only j = -1 is in range
     assert HeightProfile.try_make(1, 2, (), -1) is None
     assert HeightProfile.try_make(3, 2, (1,), -1) is not None
 

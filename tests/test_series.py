@@ -363,3 +363,84 @@ def test_unchecked_results_are_admissible(order):
                 results += [a / unit, unit.invert()]
             for s in results:
                 assert_admissible(s)
+
+
+# -- the shared kernels: exponent enumeration and repeated squaring ----------
+
+def ref_exponents_up_to_cap(ring: SeriesRing) -> list[tuple[int, ...]]:
+    """The recursive enumerator, sorted into graded-lex order afterwards."""
+    nv = len(ring.variables)
+    capped = [v not in ring.uncapped for v in ring.variables]
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == nv:
+            out.append(prefix)
+            return
+        if not capped[i]:
+            rec(i + 1, remaining, prefix + (0,))
+            return
+        for e in range(remaining + 1):
+            rec(i + 1, remaining - e, prefix + (e,))
+
+    rec(0, ring.cap, ())
+    out.sort(key=lambda t: (sum(t), t))
+    return out
+
+
+@pytest.mark.parametrize("nv", range(1, 8))
+def test_exponents_up_to_cap_match_recursive_reference(nv):
+    names = tuple(f"x{i}" for i in range(nv))
+    for cap in range(9):
+        rings = [SeriesRing(names, cap), SeriesRing(names + ("z",), cap, uncapped=("z",))]
+        if nv >= 2:
+            rings.append(SeriesRing(("z",) + names, cap, uncapped=("z",)))
+            rings.append(SeriesRing(names, cap, uncapped=names[1:2]))
+        for ring in rings:
+            assert ring.exponents_up_to_cap() == ref_exponents_up_to_cap(ring)
+
+
+def repeated(x, exp, one):
+    out = one
+    for _ in range(exp):
+        out = out * x
+    return out
+
+
+def test_cyclo_and_tpoly_powers_match_repeated_products():
+    rng = random.Random("pow-scalars")
+    for order in (1, 2, 5, 7, 12):
+        for _ in range(3):
+            x = rand_scalar(rng, order)
+            x = x if isinstance(x, CycloNumber) else CycloNumber.from_rational(order, x)
+            one = CycloNumber.from_rational(order, 1)
+            for exp in range(10):
+                assert x ** exp == repeated(x, exp, one)
+            if x:
+                inv = x.inverse()
+                for exp in range(1, 10):
+                    assert x ** -exp == repeated(inv, exp, one)
+    for order in (None, 5):
+        for _ in range(4):
+            tp = rand_coeff(rng, order)
+            for exp in range(10):
+                assert (tp ** exp).to_json() == repeated(tp, exp, TPoly.one()).to_json()
+            with pytest.raises(ValueError):
+                tp ** -1
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_series_powers_match_repeated_products(order):
+    rng = random.Random(f"pow-series:{order}")
+    for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4),
+                 SeriesRing(("x", "y", "z"), 3, uncapped=("z",))):
+        for _ in range(3):
+            s = rand_terms(ring, rng, order, rng.randint(0, 6))
+            for exp in range(10):
+                assert (s ** exp).to_json() == repeated(s, exp, ring.one()).to_json()
+            if ring.uncapped:
+                continue
+            u = rand_unit(ring, rng, order, rng.randint(0, 6))
+            inv = u.invert()
+            for exp in range(1, 10):
+                assert (u ** -exp).to_json() == repeated(inv, exp, ring.one()).to_json()
