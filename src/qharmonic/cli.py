@@ -337,6 +337,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"table {args.kind} needs --k >= {min_k}, got {args.k}")
     if args.kind == "eval" and args.l < 0:
         raise UsageError(f"table eval needs --l >= 0, got {args.l}")
+    if args.kind == "eval" and args.k > 3:
+        raise UsageError(f"table eval needs --k <= 3, got {args.k}")
     rows: list[tuple[tuple[int, ...], TPoly]] = []
     if args.kind == "gsum":
         for n in ns:
@@ -347,7 +349,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                                  g_sum(HeightProfile(k, l), zp).rationalized()))
     else:
         for n in ns:
-            for k in range(1, min(args.k, 3) + 1):
+            for k in range(1, args.k + 1):
                 for l in range(args.l + 1):
                     rows.append(((n, k, l), eval_constant_index(k, l, n)))
 
@@ -395,6 +397,8 @@ def _cmd_xi_check(args: argparse.Namespace) -> int:
     ns = _parse_int_list(args.n)
     if not ls:
         raise UsageError("--l needs at least one depth")
+    if min(ls) < 0:
+        raise UsageError(f"--l must be >= 0, got {min(ls)}")
     if not ns or ns[0] < 1 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise UsageError(f"--n must be strictly increasing integers >= 1, got {args.n!r}")
     rows = []

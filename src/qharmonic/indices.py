@@ -129,21 +129,22 @@ def contract(parts: MultiIndex, boxes: tuple[int, ...]) -> MultiIndex | None:
     return tuple(out)
 
 
-# Unbounded: only z_t_float calls it; `xi-check` asks for one all-ones index per depth.
+# Unbounded: one key per index a caller expands, and no package code calls it.
+# The cache stays because this is the exported, independent reference for the
+# prefix-sum engine, and the profiler's trace census reads its hits by name.
 @lru_cache(maxsize=None)
-def enumerate_patterns(parts: MultiIndex, minusplus: bool = True):
-    """All contractions of the index under box fillings.
+def enumerate_patterns(parts: MultiIndex):
+    """All contractions of the index under the three-letter box fillings
+    (comma / plus / minusplus), the expansion of zbar_t and z_t.
 
-    Three letters (comma / plus / minusplus) when `minusplus`, two letters
-    otherwise.  Returns ((contracted_index, t_exponent), ...) where the
-    t-exponent is depth(parts) minus depth(contracted); entries follow the
-    box-word enumeration order, so 3^(l-1) (resp. 2^(l-1)) entries."""
+    Returns ((contracted_index, t_exponent), ...) where the t-exponent is
+    depth(parts) minus depth(contracted); entries follow the box-word
+    enumeration order, so 3^(l-1) entries."""
     l = len(parts)
     if l == 0:
         return (((), 0),)
-    letters = (COMMA, PLUS, MINUSPLUS) if minusplus else (COMMA, PLUS)
     out = []
-    for boxes in product(letters, repeat=l - 1):
+    for boxes in product((COMMA, PLUS, MINUSPLUS), repeat=l - 1):
         contracted = contract(parts, boxes)
         if contracted is None:
             continue

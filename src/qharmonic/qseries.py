@@ -2,11 +2,12 @@
 polylogarithm companions, with exact scalar arithmetic.
 
 zbar, zbar_star, z and z_star are defined by a literal nested sum over
-decreasing tuples of summation indices.  The interpolated sums zbar_t and
-z_t, the truncated polylogarithms L_poly and z_float run one prefix-sum
-recursion over the summation levels instead, in O(depth * n) operations.
-The generating-function module is checked against these evaluators, never
-the other way around.
+decreasing tuples of summation indices.  The interpolated sums zbar_t, z_t
+and z_t_float and the truncated polylogarithms L_poly run one prefix-sum
+recursion over the summation levels instead, in O(depth * n) operations,
+weighting each equality m_i = m_(i+1) = m by a function of m (t q^m for
+the float z_t_float).  The generating-function module is checked against
+these evaluators, never the other way around.
 
 Two bounded caches share work between calls.  `_factor` is the single table
 of summands f_k(m) (for zbar, for z over the q-integer, and for the
@@ -20,7 +21,6 @@ caches hold.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +39,6 @@ from .indices import (
     HeightProfile,
     MultiIndex,
     enumerate_indices,
-    enumerate_patterns,
 )
 
 
@@ -140,34 +139,23 @@ def _level_step(k: int, below, factor, eq) -> list:
     `below` is the level vector of a tail (k_2, ..., k_l): entry m - 1 sums
     over the tuples with m_2 = m.  The result is the level vector of
     (k, k_2, ..., k_l): entry m - 1 is factor(k, m) times the sum of the
-    entries of `below` at m_2 < m, plus eq(entry at m_2 = m), the weighted
-    equality (None keeps the sum strict).  One running sum, so O(n)
-    operations."""
+    entries of `below` at m_2 < m, plus eq(m, entry at m_2 = m), the
+    weighted equality m_1 = m_2 = m (None keeps the sum strict).  One
+    running sum, so O(n) operations."""
     running, new = 0, []
     for m, value in enumerate(below, 1):
-        inner = running if eq is None else running + eq(value)
+        inner = running if eq is None else running + eq(m, value)
         new.append(factor(k, m) * inner)
         running = running + value
     return new
 
 
-def _level_sums(parts: MultiIndex, n: int, factor) -> list:
-    """The strict level sums of a nonempty index for an uncached factor
-    (z_float's complex one): entry m - 1 is the sum over
-    n > m = m_1 > ... > m_l > 0 of factor(k_1, m_1) * ... * factor(k_l, m_l)."""
-    *upper, last = parts
-    vals = [factor(last, m) for m in range(1, n)]
-    for k in reversed(upper):
-        vals = _level_step(k, vals, factor, None)
-    return vals
-
-
-def _times_t(value):
+def _times_t(m: int, value):
     """value * t as an exponent shift; a scalar becomes the monomial value * t."""
     return value.shift(1) if isinstance(value, TPoly) else TPoly({1: value})
 
 
-_EQ_WEIGHTS = {"strict": None, "star": lambda value: value, "t": _times_t}
+_EQ_WEIGHTS = {"strict": None, "star": lambda m, value: value, "t": _times_t}
 
 
 @lru_cache(maxsize=128)
@@ -328,9 +316,14 @@ def x_sum_or_zero(k: int, l: int, h=(), j: int = -1, params: SeriesParams = None
 # floating point limit evaluation (quarantined from the exact paths)
 # ---------------------------------------------------------------------------
 
-def z_float(parts: MultiIndex, n: int) -> complex:
-    """The q-integer variant at q = exp(2*pi*i/n), evaluated by the prefix-sum
-    recursion over the summation levels (O(depth * n))."""
+def z_t_float(parts: MultiIndex, n: int, t: float) -> complex:
+    """The q-integer variant at q = exp(2*pi*i/n), each equality of summation
+    indices weighted by t (t = 0 is the strict sum).  Its summands
+    f_k(m) = q^((k-1)m)/[m]^k satisfy f_a(m) f_b(m) q^m = f_(a+b)(m), so the
+    weight t q^m on m_i = m_(i+1) = m gives the two-letter (comma/plus)
+    box-filling expansion, with no (1-q) compensation."""
+    import cmath
+
     _check_parts(parts)
     if not parts:
         return 1.0 + 0.0j
@@ -341,17 +334,11 @@ def z_float(parts: MultiIndex, n: int) -> complex:
         qint = (1 - roots[m % n]) / one_minus_q
         return roots[((k - 1) * m) % n] / qint ** k
 
+    *upper, last = parts
+    vals = [factor(last, m) for m in range(1, n)]
+    for k in reversed(upper):
+        vals = _level_step(k, vals, factor, lambda m, value: t * roots[m] * value)
     total = 0j  # left to right: sum() may compensate rounding on newer Pythons
-    for value in _level_sums(parts, n, factor):
+    for value in vals:
         total += value
     return total
-
-
-def z_t_float(parts: MultiIndex, n: int, t: float) -> complex:
-    """Two-letter (comma/plus) t-interpolation of z_float; merges preserve
-    the weight, so no (1-q) compensation appears."""
-    _check_parts(parts)
-    out = 0j
-    for contracted, texp in enumerate_patterns(parts, minusplus=False):
-        out += z_float(contracted, n) * (t ** texp)
-    return out

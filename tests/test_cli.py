@@ -252,8 +252,9 @@ def test_table_eval_rows(capsys):
     (["eval", "--n", "3", "--k", "-2"], "table eval needs --k >= 1, got -2"),
     (["eval", "--n", "3", "--l", "-1"], "table eval needs --l >= 0, got -1"),
     (["eval", "--n", "3", "--k", "0"], "table eval needs --k >= 1, got 0"),
+    (["eval", "--n", "3", "--k", "5"], "table eval needs --k <= 3, got 5"),
 ], ids=["gsum-no-n", "eval-no-n", "empty-n-range", "gsum-negative-k",
-        "eval-negative-k", "eval-negative-l", "eval-k0"])
+        "eval-negative-k", "eval-negative-l", "eval-k0", "eval-k5"])
 def test_table_without_rows_is_usage_error(capsys, argv, message):
     code = main(["table", *argv])
     captured = capsys.readouterr()
@@ -270,6 +271,13 @@ def test_table_smallest_selections_have_rows(capsys):
     code, out = run(capsys, "table", "eval", "--n", "3", "--k", "1", "--l", "0")
     assert code == 0
     assert out == "n,k,l,t^0\n3,1,0,1\n"
+
+
+def test_table_eval_reaches_k_3(capsys):
+    # the largest weight with a closed form is in the table, not dropped
+    code, out = run(capsys, "table", "eval", "--n", "3", "--k", "3", "--l", "1")
+    assert code == 0
+    assert out.strip().split("\n")[-2:] == ["3,3,0,1", "3,3,1,1/3"]
 
 
 def test_table_json_format(capsys):
@@ -328,6 +336,9 @@ def test_xi_check_requires_increasing_n(capsys):
     (["--t", "1e400"], 3, "--t value '1e400' is not a finite float"),
     (["--t", "1e308"], 3, "t = 1e+308 overflows a float at depth 2"),
     (["--l", "3", "--t", "1e200", "--n", "5,9"], 3, "t = 1e+200 overflows a float at depth 3"),
+    (["--l", "-1"], 2, "--l must be >= 0, got -1"),
+    (["--l", "2,-3,1"], 2, "--l must be >= 0, got -3"),
+    (["--l=-2..1", "--n", "400,50"], 2, "--l must be >= 0, got -2"),
 ])
 def test_xi_check_bad_input_is_one_line_error(capsys, argv, code, message):
     assert main(["xi-check", *argv]) == code

@@ -107,20 +107,21 @@ def test_contract_examples():
 def test_pattern_counts():
     for parts in [(1, 1), (2, 1, 1), (1, 1, 1, 1)]:
         l = len(parts)
-        three = list(enumerate_patterns(parts, minusplus=True))
-        two = list(enumerate_patterns(parts, minusplus=False))
-        assert len(three) == 3 ** (l - 1)
-        assert len(two) == 2 ** (l - 1)
+        assert len(enumerate_patterns(parts)) == 3 ** (l - 1)
 
 
 def test_pattern_t_exponents():
     # t-exponent counts the merged boxes: depth drop from the original
-    for contracted, texp in enumerate_patterns((2, 1, 1), minusplus=False):
+    for contracted, texp in enumerate_patterns((2, 1, 1)):
         assert texp == 3 - len(contracted)
+    # and the entries follow the box-word order of the three letters
+    words = product((COMMA, PLUS, MINUSPLUS), repeat=2)
+    assert enumerate_patterns((2, 1, 1)) == tuple(
+        (contract((2, 1, 1), boxes), sum(box != COMMA for box in boxes)) for boxes in words)
 
 
 def test_minusplus_weight_drop():
-    for contracted, texp in enumerate_patterns((2, 2, 1), minusplus=True):
+    for contracted, texp in enumerate_patterns((2, 2, 1)):
         assert weight(contracted) >= weight((2, 2, 1)) - texp
         assert weight(contracted) <= weight((2, 2, 1))
 

@@ -1,14 +1,22 @@
 import cmath
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from qharmonic import genfun, indices, qseries
 from qharmonic.exact import CycloNumber, TPoly, is_rational, scalar_eq, scalar_pow, scalar_to_json
 from qharmonic.genfun import psi_bruteforce
-from qharmonic.indices import HeightProfile, compositions, enumerate_indices, enumerate_patterns
+from qharmonic.indices import (
+    COMMA,
+    PLUS,
+    HeightProfile,
+    compositions,
+    contract,
+    enumerate_indices,
+    enumerate_patterns,
+)
 from qharmonic.qseries import (
     InvalidQ,
     L_poly,
@@ -19,7 +27,6 @@ from qharmonic.qseries import (
     x_sum,
     x_sum_or_zero,
     z,
-    z_float,
     z_star,
     z_t,
     z_t_float,
@@ -133,6 +140,15 @@ def _literal_L(parts, sp, strict):
     return ZPoly(acc)
 
 
+def _two_letter_patterns(parts):
+    """The comma/plus box fillings of the index: (contraction, t-exponent)
+    pairs, 2^(l-1) of them; the expansion of the L_poly interpolation."""
+    if not parts:
+        return [((), 0)]
+    words = product((COMMA, PLUS), repeat=len(parts) - 1)
+    return [(c, len(parts) - len(c)) for c in (contract(parts, boxes) for boxes in words)]
+
+
 def test_prefix_sums_match_box_filling_expansion():
     # the interpolated sums against the 3^(l-1) / 2^(l-1) box-filling
     # expansion over the literal definitions, on a seeded grid of n, q, index
@@ -144,10 +160,10 @@ def test_prefix_sums_match_box_filling_expansion():
         sp = SeriesParams(n, CycloNumber.zeta(n) if i % 5 == 0 else rationals[i % 5 - 1])
         parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
         zbar_exp, z_exp, L_exp = TPoly.zero(), TPoly.zero(), ZPoly.zero()
-        for c, e in enumerate_patterns(parts, minusplus=True):
+        for c, e in enumerate_patterns(parts):
             zbar_exp = zbar_exp + t ** e * zbar(c, sp)
             z_exp = z_exp + t ** e * (scalar_pow(1 - sp.q, sum(parts) - sum(c)) * z(c, sp))
-        for c, e in enumerate_patterns(parts, minusplus=False):
+        for c, e in _two_letter_patterns(parts):
             L_exp = L_exp + _literal_L(c, sp, strict=True) * t ** e
         tag = (n, sp.q, parts)
         assert zbar_t(parts, sp) == zbar_exp, tag
@@ -218,7 +234,7 @@ def test_t_step_as_shift_matches_tpoly_product(order):
             got = qseries._level_step(k, below, factor, times_t)
             running, want = 0, []
             for m, value in enumerate(below, 1):
-                assert times_t(value) == t * value
+                assert times_t(m, value) == t * value
                 want.append(factor(k, m) * (running + t * value))
                 running = running + value
             assert [p.to_json() for p in got] == [p.to_json() for p in want]
@@ -288,7 +304,7 @@ def test_float_matches_exact_embedding():
             else:
                 for e, c in enumerate(coeffs):
                     emb += float(c) * zeta_c ** e
-            assert abs(z_float(parts, n) - emb) < 1e-9
+            assert abs(z_t_float(parts, n, 0.0) - emb) < 1e-9
 
 
 def test_z_t_float_blends_linearly():

@@ -73,6 +73,31 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
+# The package docstring promises that everything outside qseries.z_t_float
+# and the xi-check subcommand is exact: complex numbers (the cmath module,
+# the complex type, imaginary literals) stay inside those two.
+FLOAT_NAMES = {"cmath", "complex"}
+
+
+def test_complex_arithmetic_stays_quarantined():
+    found = []
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if path.name == "qseries.py" and getattr(top, "name", None) == "z_t_float":
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if (isinstance(node, ast.Name) and node.id in FLOAT_NAMES)
+                      or (isinstance(node, ast.Attribute) and node.attr in FLOAT_NAMES)
+                      or (isinstance(node, ast.alias) and node.name in FLOAT_NAMES)
+                      or (isinstance(node, ast.Constant) and isinstance(node.value, complex))]
+    assert found == []
+    qseries = next(path for path in SOURCES if path.name == "qseries.py")
+    assert "def z_t_float" in qseries.read_text()
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in qharmonic.__all__ if not hasattr(qharmonic, name)]
     assert missing == []
