@@ -181,15 +181,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _compute_csv(payload: str) -> str:
     """Flatten the JSON payload into key,value CSV lines (exact strings)."""
     obj = json.loads(payload)
-    lines = []
     if isinstance(obj, str):
-        lines.append(obj)
-    elif isinstance(obj, dict):
-        for key, val in obj.items():
-            cell = val if isinstance(val, str) else json.dumps(val, separators=(",", ":"))
-            lines.append(f"{key},{cell}")
-    else:
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        return obj
+    lines = []
+    for key, val in obj.items():
+        cell = val if isinstance(val, str) else json.dumps(val, separators=(",", ":"))
+        lines.append(f"{key},{cell}")
     return "\n".join(lines)
 
 
@@ -339,6 +336,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"table eval needs --l >= 0, got {args.l}")
     if args.kind == "eval" and args.k > 3:
         raise UsageError(f"table eval needs --k <= 3, got {args.k}")
+    min_n = 2 if args.kind == "eval" else 1
+    if min(ns) < min_n:
+        raise UsageError(f"table {args.kind} needs --n >= {min_n}, got {min(ns)}")
     rows: list[tuple[tuple[int, ...], TPoly]] = []
     if args.kind == "gsum":
         for n in ns:

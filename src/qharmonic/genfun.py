@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb, factorial, isqrt, lcm
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exact import (
-    CycloNumber,
     IrrationalCoefficient,
     QHarmonicError,
     Scalar,
@@ -311,9 +311,9 @@ class IdentityReport:
     """Outcome of one identity check instance.
 
     A fail must always locate its first mismatching coefficient; skip is
-    reserved for checks whose prerequisites are absent (the hypergeometric
-    witness being the only case); error marks an instance that crashed, with
-    the exception as its mismatch.
+    reserved for checks whose prerequisites are absent, and no registered
+    check skips today; error marks an instance that crashed, with the
+    exception as its mismatch.
     """
 
     identity: str
@@ -402,14 +402,11 @@ def _lemma21_cases(r: int) -> tuple[str, ...]:
     return ("i", "iii") if r == 1 else ("i", "ii", "iii")
 
 
-def _h_tuples(l: int, budget: int, r: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: tuple[int, ...], hi: int, left: int):
-        if len(prefix) == r:
-            yield prefix
-            return
-        for v in range(min(hi, left), -1, -1):
-            yield from rec(prefix + (v,), v, left - v)
-    yield from rec((), l, budget)
+def _h_tuples(l: int, budget: int, r: int) -> list[tuple[int, ...]]:
+    """Weakly decreasing r-tuples with entries at most l and sum at most
+    budget, in reverse lexicographic order (the order fixes the sample)."""
+    return [h for h in combinations_with_replacement(range(min(l, budget), -1, -1), r)
+            if sum(h) <= budget]
 
 
 def _lemma21_instances(r: int, per_case: int) -> dict[str, list[tuple]]:
@@ -690,20 +687,15 @@ def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
     if not (k >= l >= 0):
         raise ValueError("need k >= l >= 0")
     if form == "eq12":
-        total = sum(
-            (binomial(n, j + 1) * zbar_depth1_rational(n, k - j) for j in range(l, k + 1)),
-            Fraction(0),
-        )
-        return TPoly.const(-total / n)
-    if form == "btt314":
+        js, sign = range(l, k + 1), -1
+    elif form == "btt314":
         if l < 1:
             raise ValueError("btt314 needs l >= 1")
-        total = sum(
-            (binomial(n, j + 1) * zbar_depth1_rational(n, k - j) for j in range(l)),
-            Fraction(0),
-        )
-        return TPoly.const(total / n)
-    return sum_formulas(n, k, form)[l]
+        js, sign = range(l), 1
+    else:
+        return sum_formulas(n, k, form)[l]
+    total = sum((binomial(n, j + 1) * zbar_depth1_rational(n, k - j) for j in js), Fraction(0))
+    return TPoly.const(sign * total / n)
 
 
 def sum_formulas(n: int, k: int, form: str) -> tuple[TPoly, ...]:
@@ -942,29 +934,24 @@ def xi_ones_coeff(l: int) -> TPoly:
 # truncated basic hypergeometric series and the rational witness
 # ---------------------------------------------------------------------------
 
-def _qhs_terms(upper: Sequence[Scalar], lower: Sequence[Scalar], q: Scalar,
-               arg: Scalar, trunc: int) -> list[Scalar]:
+def _qhs_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], q: Fraction,
+               arg: Fraction, trunc: int) -> list[Fraction]:
     """Summands of the truncated series; the denominator convention always
     includes the (q; q)_i factor in front of the listed lower parameters."""
-    terms: list[Scalar] = [Fraction(1)]
-    current: Scalar = Fraction(1)
+    terms = [Fraction(1)]
+    current = Fraction(1)
     for i in range(1, trunc + 1):
-        qi = scalar_pow(q, i - 1)
-        num: Scalar = Fraction(1)
+        qi = q ** (i - 1)
+        num = Fraction(1)
         for a in upper:
             num = num * (1 - a * qi)
-        den: Scalar = 1 - scalar_pow(q, i)
+        den = 1 - q ** i
         for b in lower:
             den = den * (1 - b * qi)
-        flag, value = is_rational(den)
-        if flag and value == 0:
+        if den == 0:
             raise ZeroPochhammerDenominator(
                 f"lower q-shifted factorial vanished at step {i}")
-        current = current * num * arg
-        if isinstance(den, CycloNumber):
-            current = current * den.inverse()
-        else:
-            current = current * (Fraction(1) / Fraction(den))
+        current = current * num * arg / den
         terms.append(current)
     return terms
 
@@ -1089,7 +1076,7 @@ def search_qhs_witness() -> QhsWitness | None:
 
 # first hit of search_qhs_witness() at the bounds above; frozen so the
 # check is reproducible without re-searching
-PINNED_QHS_WITNESS: QhsWitness | None = QhsWitness(
+PINNED_QHS_WITNESS: QhsWitness = QhsWitness(
     x1=Fraction(0),
     x2=Fraction(-1),
     x3=Fraction(12),

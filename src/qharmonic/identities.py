@@ -81,11 +81,6 @@ class InvalidParams(QHarmonicError):
     """Parameters outside the documented ranges for the check."""
 
 
-class _NotExercised(Exception):
-    """Raised by a runner whose prerequisites are absent; the report is a
-    skip with the two arguments as its lhs and rhs."""
-
-
 Q_SAMPLES = ("zeta", "1/2", "2", "-3", "5/7")
 
 
@@ -286,9 +281,6 @@ def _run_btt_3_13(n: int, cap: int) -> dict | None:
 
 def _run_remark_qhs() -> list:
     w = PINNED_QHS_WITNESS
-    if w is None:
-        raise _NotExercised("no pinned rational witness at the documented search bounds",
-                            "hypergeometric representation not exercised")
     checks = []
     checks.append(("witness-valid",
                    None if validate_qhs_witness(w) else {"witness": w.to_json()}))
@@ -344,8 +336,7 @@ class _Check:
     order; with `takes_q` the q spec is parsed last, against n.  `lhs` and
     `rhs` are the text of its report.  `builder` names the cached builder its
     instances read: "psi" (_psi_brute) or "phi" (phi_system_checks).
-    `fixed` holds parameters the check sets itself, added to its report
-    unless it skips."""
+    `fixed` holds parameters the check sets itself, added to its report."""
 
     runner: Callable
     grid: Callable[[], list[dict]]
@@ -448,7 +439,7 @@ _REGISTRY: dict[str, _Check] = {
         _run_remark_qhs, lambda: [{}],
         "closed coefficients vs truncated hypergeometric series",
         "representation exact at the witness",
-        fixed=None if PINNED_QHS_WITNESS is None else {"witness": PINNED_QHS_WITNESS.to_json()}),
+        fixed={"witness": PINNED_QHS_WITNESS.to_json()}),
     "z_zbar_scaling": _Check(
         _run_z_zbar_scaling, lambda: [{"samples": 30, "seed": 20250817}],
         "q-integer vs one-minus-q normalizations, both interpolations",
@@ -513,10 +504,7 @@ def check_identity(ident: str, params: dict) -> IdentityReport:
     with the first failing subcheck as the mismatch."""
     check = _entry(ident)
     values = _parse(check, params)
-    try:
-        result = check.runner(**values)
-    except _NotExercised as skip:
-        return IdentityReport(ident, dict(params), "skip", *skip.args)
+    result = check.runner(**values)
     params = dict(params, **(check.fixed or {}))
     if result is None or isinstance(result, dict):
         return IdentityReport(ident, params, "pass" if result is None else "fail",

@@ -66,10 +66,6 @@ class HeightProfile:
         except ValueError:
             return None
 
-    @property
-    def r(self) -> int:
-        return len(self.h)
-
 
 # Unbounded: keys (total, parts) stay below the weights and series caps a run asks for.
 @lru_cache(maxsize=None)

@@ -5,9 +5,10 @@ zbar, zbar_star, z and z_star are defined by a literal nested sum over
 decreasing tuples of summation indices.  The interpolated sums zbar_t, z_t
 and z_t_float and the truncated polylogarithms L_poly run one prefix-sum
 recursion over the summation levels instead, in O(depth * n) operations,
-weighting each equality m_i = m_(i+1) = m by a function of m (t q^m for
-the float z_t_float).  The generating-function module is checked against
-these evaluators, never the other way around.
+weighting each equality m_i = m_(i+1) = m by t (by t q^m for the float
+z_t_float); t = 0 gives the strict sum and t = 1 the star sum.  The
+generating-function module is checked against these evaluators, never the
+other way around.
 
 Two bounded caches share work between calls.  `_factor` is the single table
 of summands f_k(m) (for zbar, for z over the q-integer, and for the
@@ -140,12 +141,10 @@ def _level_step(k: int, below, factor, eq) -> list:
     over the tuples with m_2 = m.  The result is the level vector of
     (k, k_2, ..., k_l): entry m - 1 is factor(k, m) times the sum of the
     entries of `below` at m_2 < m, plus eq(m, entry at m_2 = m), the
-    weighted equality m_1 = m_2 = m (None keeps the sum strict).  One
-    running sum, so O(n) operations."""
+    weighted equality m_1 = m_2 = m.  One running sum, so O(n) operations."""
     running, new = 0, []
     for m, value in enumerate(below, 1):
-        inner = running if eq is None else running + eq(m, value)
-        new.append(factor(k, m) * inner)
+        new.append(factor(k, m) * (running + eq(m, value)))
         running = running + value
     return new
 
@@ -155,32 +154,27 @@ def _times_t(m: int, value):
     return value.shift(1) if isinstance(value, TPoly) else TPoly({1: value})
 
 
-_EQ_WEIGHTS = {"strict": None, "star": lambda m, value: value, "t": _times_t}
-
-
 @lru_cache(maxsize=128)
-def _levels(parts: MultiIndex, params: SeriesParams, kind: str, eq: str) -> tuple:
+def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple:
     """The level sums of a nonempty index with the summands of `kind` (see
-    _factor), each equality m_i = m_(i+1) weighted by _EQ_WEIGHTS[eq]:
-    excluded ("strict"), by 1 ("star") or by t ("t").
+    _factor), each equality m_i = m_(i+1) weighted by t.
 
     The vector of (k_1, ..., k_l) is one _level_step above the vector of
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
-    under taking tails.  `eq` is the string key of its weight, so that the
-    cache key stays hashable."""
+    under taking tails."""
     factor = lambda k, m: _factor(params, kind, k, m)
     if len(parts) == 1:
         return tuple(factor(parts[0], m) for m in range(1, params.n))
-    below = _levels(parts[1:], params, kind, eq)
-    return tuple(_level_step(parts[0], below, factor, _EQ_WEIGHTS[eq]))
+    below = _levels(parts[1:], params, kind)
+    return tuple(_level_step(parts[0], below, factor, _times_t))
 
 
 def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:
     _check_parts(parts)
     if not parts:
         return TPoly.one()
-    return sum(_levels(parts, params, kind, "t"), TPoly.zero())
+    return sum(_levels(parts, params, kind), TPoly.zero())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -269,23 +263,19 @@ class ZPoly(SparsePoly):
 
 
 @lru_cache(maxsize=1 << 14)
-def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "plain") -> ZPoly:
-    """Truncated polylogarithm as a z-polynomial of degree < n.
-
-    plain:  sum over n > m_1 > ... > m_l > 0 of z^(m_1) over the usual
-            denominator product;
-    star:   non-strict inner indices;
-    interp: two-letter (comma/plus) t-interpolation of the plain variant,
-            i.e. each equality of summation indices weighted by t (the
-            summands 1/(1-q^m)^k multiply by adding exponents).
-    """
+def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> ZPoly:
+    """Truncated interpolated polylogarithm as a z-polynomial of degree < n:
+    the sum over n > m_1 >= ... >= m_l > 0 of z^(m_1) over the usual
+    denominator product, each equality of summation indices weighted by t.
+    t = 0 gives the strict sum and t = 1 the star sum; the summands
+    1/(1-q^m)^k multiply by adding exponents, so this is the two-letter
+    (comma/plus) interpolation.  "interp" is the only variant."""
     _check_parts(parts)
-    eq = {"plain": "strict", "star": "star", "interp": "t"}.get(variant)
-    if eq is None:
+    if variant != "interp":
         raise ValueError(f"unknown variant {variant!r}")
     if not parts:
         return ZPoly.one()
-    return ZPoly(dict(enumerate(_levels(parts, params, "L", eq), 1)))
+    return ZPoly(dict(enumerate(_levels(parts, params, "L"), 1)))
 
 
 def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:

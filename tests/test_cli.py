@@ -253,8 +253,12 @@ def test_table_eval_rows(capsys):
     (["eval", "--n", "3", "--l", "-1"], "table eval needs --l >= 0, got -1"),
     (["eval", "--n", "3", "--k", "0"], "table eval needs --k >= 1, got 0"),
     (["eval", "--n", "3", "--k", "5"], "table eval needs --k <= 3, got 5"),
+    (["eval", "--n", "1..5"], "table eval needs --n >= 2, got 1"),
+    (["gsum", "--n", "0"], "table gsum needs --n >= 1, got 0"),
+    (["gsum", "--n", "3,-2"], "table gsum needs --n >= 1, got -2"),
 ], ids=["gsum-no-n", "eval-no-n", "empty-n-range", "gsum-negative-k",
-        "eval-negative-k", "eval-negative-l", "eval-k0", "eval-k5"])
+        "eval-negative-k", "eval-negative-l", "eval-k0", "eval-k5",
+        "eval-n1", "gsum-n0", "gsum-negative-n"])
 def test_table_without_rows_is_usage_error(capsys, argv, message):
     code = main(["table", *argv])
     captured = capsys.readouterr()

@@ -13,6 +13,7 @@ from qharmonic.genfun import (
     SampleTooSmall,
     UncancelledPole,
     ZeroPochhammerDenominator,
+    _h_tuples,
     _log_one_plus,
     _p_products,
     _qhs_terms,
@@ -105,6 +106,37 @@ def test_phi_system_checks_group_subchecks_by_statement():
     # the result is cached, so callers must not be able to change it
     with pytest.raises(TypeError):
         groups["c_i"] = ()
+
+
+@pytest.mark.parametrize("n, r, q, cap", [
+    (3, 3, Fraction(1, 2), 2),
+    (3, 3, CycloNumber.zeta(3), 2),
+    (2, 4, Fraction(1, 2), 2),
+], ids=["r3-half", "r3-zeta3", "r4-half"])
+def test_prop2_2_middle_equations_hold(n, r, q, cap):
+    # (E2) exists for j = 1..r-2 only, beyond the r in {1, 2} of the verify grid
+    names = [name for name, mm in phi_system_checks(n, r, q, cap)["prop2_2"] if mm is None]
+    assert names == ["prop2_2[top]"] + [f"prop2_2[mid j={j}]" for j in range(1, r - 1)] \
+        + ["prop2_2[join]", "prop2_2[base]"]
+
+
+def _ref_h_tuples(l, budget, r):
+    """Weakly decreasing r-tuples, entries <= l, sum <= budget, largest first."""
+    def rec(prefix, hi, left):
+        if len(prefix) == r:
+            yield prefix
+            return
+        for v in range(min(hi, left), -1, -1):
+            yield from rec(prefix + (v,), v, left - v)
+    return list(rec((), l, budget))
+
+
+def test_h_tuples_match_the_recursive_enumeration():
+    # the order fixes the lemma2_1 sample, so it is compared too
+    for l in range(13):
+        for budget in range(13):
+            for r in range(5):
+                assert _h_tuples(l, budget, r) == _ref_h_tuples(l, budget, r), (l, budget, r)
 
 
 def test_matrix_form_raises_on_an_uncancelled_pole(monkeypatch):
@@ -277,6 +309,17 @@ def test_sum_formula_spot_values():
     assert sum_formula(4, 3, 2, "eq13") == sum_formula(4, 3, 2, "eq14")
     # the rearranged truncation picks up the complementary binomial range
     assert sum_formula(7, 5, 2, "eq12") == sum_formula(7, 5, 2, "btt314")
+
+
+def test_depth_one_forms_match_their_binomial_sums():
+    # eq12 sums C(n, j+1) times the depth-one value over j = l..k, btt314 over j < l
+    for n in range(2, 8):
+        for k in range(7):
+            for l in range(k + 1):
+                terms = [binomial(n, j + 1) * zbar_depth1_rational(n, k - j) for j in range(k + 1)]
+                assert sum_formula(n, k, l, "eq12") == TPoly.const(-sum(terms[l:], Fraction(0)) / n)
+                if l >= 1:
+                    assert sum_formula(n, k, l, "btt314") == TPoly.const(sum(terms[:l], Fraction(0)) / n)
 
 
 def test_sum_formula_rejects_bad_shapes():

@@ -1,6 +1,5 @@
 import pytest
 
-from qharmonic import identities
 from qharmonic.identities import InvalidParams, check_identity, default_instances, list_identities
 
 # The integer parameters of every check, as (key, lo, hi) in the order they
@@ -68,14 +67,6 @@ def test_q_is_parsed_last(ident):
     assert _raises(ident, dict(base, q=2)) == "q must be a string spec"
     key, lo, hi = INT_PARAMS[ident][-1]
     assert _raises(ident, dict(base, q="x/", **{key: hi + 1})) == f"{key}={hi + 1} outside [{lo}, {hi}]"
-
-
-def test_remark_qhs_skips_without_a_pinned_witness(monkeypatch):
-    monkeypatch.setattr(identities, "PINNED_QHS_WITNESS", None)
-    assert check_identity("remark_qhs", {}).to_json() == {
-        "identity": "remark_qhs", "params": {}, "status": "skip",
-        "lhs": "no pinned rational witness at the documented search bounds",
-        "rhs": "hypergeometric representation not exercised", "mismatch": None}
 
 
 def test_float_and_bool_parameters_are_not_truncated():

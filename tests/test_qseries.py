@@ -140,6 +140,11 @@ def _literal_L(parts, sp, strict):
     return ZPoly(acc)
 
 
+def _L_at(lp, t):
+    """The z-polynomial with each t-polynomial coefficient evaluated at t."""
+    return ZPoly({e: c.eval(Fraction(t)) for e, c in lp.coeffs.items()})
+
+
 def _two_letter_patterns(parts):
     """The comma/plus box fillings of the index: (contraction, t-exponent)
     pairs, 2^(l-1) of them; the expansion of the L_poly interpolation."""
@@ -168,9 +173,11 @@ def test_prefix_sums_match_box_filling_expansion():
         tag = (n, sp.q, parts)
         assert zbar_t(parts, sp) == zbar_exp, tag
         assert z_t(parts, sp) == z_exp, tag
-        assert L_poly(parts, sp, "interp") == L_exp, tag
-        assert L_poly(parts, sp, "plain") == _literal_L(parts, sp, strict=True), tag
-        assert L_poly(parts, sp, "star") == _literal_L(parts, sp, strict=False), tag
+        lp = L_poly(parts, sp, "interp")
+        assert lp == L_exp, tag
+        # t = 0 is the strict sum and t = 1 the star sum
+        assert _L_at(lp, 0) == _literal_L(parts, sp, strict=True), tag
+        assert _L_at(lp, 1) == _literal_L(parts, sp, strict=False), tag
 
 
 def test_interpolated_sums_reject_nonpositive_parts():
@@ -181,6 +188,13 @@ def test_interpolated_sums_reject_nonpositive_parts():
             fn((0,), HALF)
     with pytest.raises(ValueError):
         z_t_float((3, -1), 5, 0.5)
+
+
+def test_L_poly_has_only_the_interpolated_variant():
+    assert L_poly((2, 1), HALF) == L_poly((2, 1), HALF, "interp")
+    for variant in ("plain", "star", "t"):
+        with pytest.raises(ValueError, match=f"unknown variant '{variant}'"):
+            L_poly((2, 1), HALF, variant)
 
 
 def test_interpolated_spot_value():
@@ -223,7 +237,7 @@ def test_t_step_as_shift_matches_tpoly_product(order):
     # of bare scalars and stepping up through t-polynomial vectors
     rng = random.Random(20261018 + (order or 0))
     t = TPoly.t()
-    times_t = qseries._EQ_WEIGHTS["t"]
+    times_t = qseries._times_t
     for _ in range(25):
         n = rng.randint(2, 8)
         table = {(k, m): _random_scalar(rng, order) for k in (1, 2, 3) for m in range(1, n)}
@@ -252,9 +266,10 @@ def test_zpoly_arithmetic():
 
 def test_L_recovers_zbar_at_q_power():
     # the polylog numerator is z^(m1) alone, so substituting z = q^(k1-1)
-    # recovers the harmonic sum whenever no inner part exceeds one
+    # recovers the harmonic sum whenever no inner part exceeds one; t = 0
+    # keeps the strict sum
     for parts in [(2,), (3, 1), (3, 1, 1)]:
-        lp = L_poly(parts, HALF, "plain")
+        lp = L_poly(parts, HALF, "interp")
         val = Fraction(0)
         qpow = scalar_pow(HALF.q, parts[0] - 1)
         for e, c in lp.coeffs.items():
@@ -263,9 +278,9 @@ def test_L_recovers_zbar_at_q_power():
 
 
 def test_L_star_diagonal_merge():
-    # non-strict inner level = strict plus the merged diagonal
-    lhs = L_poly((1, 1), HALF, "star")
-    rhs = L_poly((1, 1), HALF, "plain") + L_poly((2,), HALF, "plain")
+    # non-strict inner level (t = 1) = strict (t = 0) plus the merged diagonal
+    lhs = _L_at(L_poly((1, 1), HALF, "interp"), 1)
+    rhs = _L_at(L_poly((1, 1), HALF, "interp"), 0) + _L_at(L_poly((2,), HALF, "interp"), 0)
     assert lhs == rhs
 
 
@@ -275,7 +290,8 @@ def test_L_degree_bound():
 
 
 def test_theta_is_diagonal():
-    lp = L_poly((2,), HALF, "plain")
+    lp = L_poly((2, 1), HALF, "interp")
+    assert any(c.degree() >= 1 for c in lp.coeffs.values())
     out = theta_q(lp, HALF)
     for e, c in lp.coeffs.items():
         expect = c * TPoly.const(1 - scalar_pow(HALF.q, e))
@@ -344,7 +360,7 @@ def _history_values(n, q, clear_each=False, clear_levels_every=None):
         for l in range(1, k + 1):
             for parts in compositions(k, l):
                 calls += [(fn, parts, params) for fn in (zbar, z, zbar_t, z_t)]
-                calls += [(L_poly, parts, params, v) for v in ("plain", "star", "interp")]
+                calls.append((L_poly, parts, params, "interp"))
     calls += [(g_sum, HeightProfile(k, l), params) for k in range(5) for l in range(k + 1)]
     calls.append((psi_bruteforce, n, 1, q, 3))
     out = []
