@@ -71,8 +71,8 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
-def _parse_index(text: str) -> tuple[int, ...]:
-    if not text.strip():
+def _parse_index(text: str | None) -> tuple[int, ...]:
+    if not text or not text.strip():
         return ()
     try:
         return tuple(int(p) for p in text.split(","))
@@ -116,9 +116,29 @@ def _guard_cap(value: int, allow: bool) -> int:
 # compute
 # ---------------------------------------------------------------------------
 
+# The flags each compute kind reads besides --format and --out; any other
+# flag given on the command line is a usage error, not silently ignored.
+_SUM_FLAGS = ("n", "q", "index")
+_COMPUTE_FLAGS = {
+    "zbar": _SUM_FLAGS, "zbar_star": _SUM_FLAGS, "zbar_t": _SUM_FLAGS,
+    "z_t": _SUM_FLAGS, "L": _SUM_FLAGS,
+    "g_sum": ("n", "q", "k", "l", "h", "j"),
+    "eval_const": ("n", "k", "l"),
+    "u_poly": ("n",),
+    "xi_coeff": ("l",),
+}
+_COMPUTE_OPTIONAL = ("n", "q", "index", "k", "l", "h", "j")
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     kind = args.kind.replace("-", "_")
-    need_nq = kind in ("zbar", "zbar_star", "zbar_t", "z_t", "g_sum", "L")
+    if kind not in _COMPUTE_FLAGS:
+        raise UsageError(f"unknown compute kind {args.kind!r}")
+    reads = _COMPUTE_FLAGS[kind]
+    unread = [f"--{name}" for name in _COMPUTE_OPTIONAL
+              if getattr(args, name) is not None and name not in reads]
+    if unread:
+        raise UsageError(f"compute {args.kind} does not read {', '.join(unread)}")
 
     def single_n() -> int:
         ns = _parse_int_list(args.n)
@@ -130,7 +150,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UsageError("--n is required for this kind")
         n = single_n()
-        if args.q == "zeta":
+        if args.q in (None, "zeta"):
             return zeta_params(n)
         try:
             qv = parse_rational(args.q)
@@ -138,7 +158,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             raise UsageError(f"cannot parse q spec {args.q!r}")
         return SeriesParams(n, qv)
 
-    if need_nq:
+    if "q" in reads:
         sp = params()
     if kind in ("zbar", "zbar_star"):
         parts = _parse_index(args.index)
@@ -152,7 +172,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.k is None or args.l is None:
             raise UsageError("g_sum needs --k and --l")
         h = tuple(_parse_int_list(args.h)) if args.h else ()
-        profile = HeightProfile(args.k, args.l, h, args.j)
+        profile = HeightProfile(args.k, args.l, h, -1 if args.j is None else args.j)
         payload = _json_line(g_sum(profile, sp).to_json())
     elif kind == "L":
         parts = _parse_index(args.index)
@@ -164,13 +184,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif kind == "u_poly":
         if args.n is None:
             raise UsageError("u_poly needs --n")
-        payload = _json_line(_series_json(u_poly(single_n())))
+        n = single_n()
+        if n < 1:
+            raise UsageError(f"u_poly needs --n >= 1, got {n}")
+        payload = _json_line(_series_json(u_poly(n)))
     elif kind == "xi_coeff":
         if args.l is None:
             raise UsageError("xi_coeff needs --l")
         payload = _json_line(xi_ones_coeff(args.l).to_json())
-    else:
-        raise UsageError(f"unknown compute kind {args.kind!r}")
 
     if args.format == "csv":
         payload = _compute_csv(payload)
@@ -455,12 +476,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("kind", help="zbar|zbar-star|zbar-t|z-t|g-sum|L|"
                                  "eval-const|u-poly|xi-coeff")
     pc.add_argument("--n", help="modulus (single integer)")
-    pc.add_argument("--q", default="zeta", help='"zeta" or a rational "p/q"')
-    pc.add_argument("--index", default="", help="comma-separated multi-index")
+    pc.add_argument("--q", help='"zeta" (the default) or a rational "p/q"')
+    pc.add_argument("--index", help="comma-separated multi-index")
     pc.add_argument("--k", type=int, help="weight")
     pc.add_argument("--l", type=int, help="depth")
-    pc.add_argument("--h", default="", help="comma-separated i-heights")
-    pc.add_argument("--j", type=int, default=-1, help="head bound (-1 for none)")
+    pc.add_argument("--h", help="comma-separated i-heights")
+    pc.add_argument("--j", type=int, help="head bound (-1 or absent for none)")
     pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.add_argument("--out", help="write output to this path")
     pc.set_defaults(fn=_cmd_compute)

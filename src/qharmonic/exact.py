@@ -667,14 +667,21 @@ class TPoly(SparsePoly):
 
     def affine_t(self, a, b) -> "TPoly":
         """Substitute t -> a*t + b (a, b rational), adding the binomial
-        expansion c·C(e,j)·a^j·b^(e−j) of every term into one dict."""
+        expansion c·C(e,j)·a^j·b^(e−j) of every term into one dict.  When a
+        and b are integers and every coefficient a Fraction, the expansion
+        runs over the coefficients' int numerators on their lcm denominator,
+        divided once per output coefficient."""
         a, b = Fraction(a), Fraction(b)
+        den = None
+        if a.denominator == b.denominator == 1:
+            a, b = a.numerator, b.numerator
+            den = _denominator_lcm((self,))
         out: dict[int, Scalar] = {}
-        for e, c in self.coeffs.items():
+        for e, c in self.coeffs.items() if den is None else _numerators(self, den):
             for j in range(e + 1) if b else (e,):
                 v = c * (comb(e, j) * a ** j * b ** (e - j))
                 out[j] = out[j] + v if j in out else v
-        return TPoly(out)
+        return TPoly._from_raw(out) if den is None else _over(out, den)
 
     def rationalized(self) -> "TPoly":
         """Copy with every coefficient forced into Q.
@@ -706,6 +713,35 @@ def as_tpoly(value) -> TPoly:
     if isinstance(value, (int, Fraction, CycloNumber)):
         return TPoly.const(value)
     raise TypeError(f"cannot promote {type(value).__name__} to TPoly")
+
+
+# ---------------------------------------------------------------------------
+# integer views of rational TPolys
+# ---------------------------------------------------------------------------
+# The rational kernels (TPoly.affine_t, Series product and quotient) scale
+# their Fraction operands to int numerators over one denominator, do every
+# product and sum in ints, and divide once per output coefficient.  A
+# coefficient of any other kind sends a kernel down its generic path.
+
+def _denominator_lcm(polys: Iterable[TPoly]) -> int | None:
+    """The lcm of the denominators of every coefficient of `polys`, or None
+    when some coefficient is not a Fraction."""
+    try:
+        return lcm(*{v.denominator for tp in polys for v in tp.coeffs.values()})
+    except AttributeError:  # a CycloNumber has no denominator
+        return None
+
+
+def _numerators(tp: TPoly, scale: int) -> list[tuple[int, int]]:
+    """The (t-exponent, int) pairs of tp·scale, where scale is a multiple of
+    every denominator of tp."""
+    return [(k, v.numerator * (scale // v.denominator)) for k, v in tp.coeffs.items()]
+
+
+def _over(raw: Mapping[int, int], den: int) -> TPoly:
+    """The TPoly with coefficients raw[k]/den in lowest terms: the one place
+    the integer kernels build Fractions."""
+    return TPoly._from_raw({k: Fraction(v, den) for k, v in raw.items() if v})
 
 
 def binomial(n: int, k: int) -> int:

@@ -5,18 +5,33 @@ variables; designated variables (the polylogarithm variable z in practice)
 are exempt and never truncated.  Every exponent is nonnegative, so products
 are truncation-exact.
 
-Multiplication sorts the right operand's terms by capped degree once; since
-capped degree is additive, each left term's inner loop stops at the first
-partner that would exceed the cap, so dropped pairs are never formed.
+Product.  Multiplication sorts the right operand's terms by capped degree
+once; since capped degree is additive, each left term's inner loop stops at
+the first partner that would exceed the cap, so dropped pairs are never
+formed.  Each output exponent gets one raw {t-exponent: scalar} dict into
+which ``exact._accumulate`` adds the term pairs' products, and each dict
+becomes one TPoly at the end, not one intermediate TPoly per term pair.
 
-Division ``num / den`` solves ``den * Q = num`` target by target in graded
-order (a triangular solve, since den's constant term is a t-free unit);
-``invert()`` is ``one / den``, so one recurrence serves both.  The product
-and the division add raw scalar products into one {t-exponent: scalar} dict
-per output exponent and build each TPoly once at the end, not one
-intermediate TPoly per term pair.  That product kernel and the
-add-with-cancellation loop of ``+`` are the ones TPoly and ZPoly use; both
-live in :mod:`qharmonic.exact`.
+Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
+order (a triangular solve, since den's constant term c0 is a t-free unit);
+``invert()`` is ``one / den``, so one recurrence serves both.  Each target
+starts from its numerator coefficient, subtracts the products of den's other
+terms with the quotient coefficients already solved, and divides by c0.
+
+Integer scaling.  When every coefficient of both operands is a Fraction,
+each operand is read as int numerators over the lcm of its denominators and
+both kernels run the same loop over ints: the product finishes an output
+slot with one Fraction(v, D1·D2) per coefficient, and the division keeps
+Q[t]·Dn·n0^(|t|+1) (n0 the divisor's constant term on its denominator),
+which satisfies an all-int recurrence (see ``__truediv__``).  ``exact._over``
+builds those Fractions and is the only place the integer path does.
+
+Generic fallback.  Any other coefficient (a CycloNumber at q = ζ_n) sends
+the kernel down the same loop over the coefficients themselves, each slot
+finished as it is: the product builds the TPoly from the raw dict, and the
+division multiplies by the inverse of c0.  Both paths give the same values.
+The add-with-cancellation loop of ``+`` and the product kernel are the ones
+TPoly and ZPoly use; both live in :mod:`qharmonic.exact`.
 
 The public constructor ``Series(ring, terms)`` validates every exponent
 tuple against the ring.  Kernel outputs whose keys are admissible by
@@ -28,6 +43,7 @@ coefficients the two kernels add up go through ``TPoly._from_raw`` alike.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -38,6 +54,9 @@ from .exact import (
     TPoly,
     _accumulate,
     _add_into,
+    _denominator_lcm,
+    _numerators,
+    _over,
     _power,
     as_tpoly,
     scalar_inverse,
@@ -146,6 +165,10 @@ class SeriesRing:
         return out
 
 
+def _items(tp: TPoly):
+    return tp.coeffs.items()
+
+
 def _term_sort_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
@@ -240,12 +263,20 @@ class Series:
         self._check_same_ring(other)
         ring = self.ring
         degree = ring.capped_degree
-        right = sorted(((degree(e), e, c.coeffs.items()) for e, c in other.terms.items()),
+        den1 = _denominator_lcm(self.terms.values())
+        den2 = None if den1 is None else _denominator_lcm(other.terms.values())
+        if den2 is None:
+            view1 = view2 = _items
+            finish = TPoly._from_raw
+        else:
+            view1, view2 = partial(_numerators, scale=den1), partial(_numerators, scale=den2)
+            finish = partial(_over, den=den1 * den2)
+        right = sorted(((degree(e), e, view2(c)) for e, c in other.terms.items()),
                        key=itemgetter(0))
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for e1, c1 in self.terms.items():
             room = ring.cap - degree(e1)
-            t1 = c1.coeffs.items()
+            t1 = view1(c1)
             for d2, e2, t2 in right:
                 if d2 > room:
                     break
@@ -254,7 +285,7 @@ class Series:
                 if slot is None:
                     slot = acc[exps] = {}
                 _accumulate(slot, t1, t2)
-        return Series._trusted(ring, {e: TPoly._from_raw(slot) for e, slot in acc.items()})
+        return Series._trusted(ring, {e: finish(slot) for e, slot in acc.items()})
 
     __rmul__ = __mul__
 
@@ -267,10 +298,16 @@ class Series:
         """Quotient up to the cap: solves other * Q = self target by target.
 
         Both operands must be series over capped variables only, and the
-        divisor's constant term a t-free invertible scalar.  Each target's
-        coefficient is inv0 · (self[target] − Σ other[e] · Q[target − e])
-        over the divisor's non-constant terms e, which are sorted by degree
-        so the sum stops at the target's degree."""
+        divisor's constant term c0 a t-free invertible scalar.  Each target's
+        coefficient is (self[target] − Σ other[e] · Q[target − e]) / c0 over
+        the divisor's non-constant terms e, which are sorted by degree so the
+        sum stops at the target's degree.
+
+        Over Fractions, with self = Nn/Dn and other = Nd/Dd on int numerators
+        and n0 = Nd[0], the loop keeps Qint[t] = Q[t]·Dn·n0^(|t|+1), which
+        satisfies the all-int recurrence
+        Qint[t] = n0^|t|·Dd·Nn[t] − Σ Nd[e]·n0^(|e|−1)·Qint[t − e],
+        and divides once per output coefficient."""
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_ring(other)
@@ -281,29 +318,55 @@ class Series:
         if c0.is_zero() or c0.degree() != 0:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
-        neg_inv0 = -scalar_inverse(c0.coeffs[0])
+        c0 = c0.coeffs[0]
+        # Each path gives the views of a numerator term and of a (negated)
+        # divisor term, and `finish`, which turns a target's sum into what
+        # later targets read (Q[t], or Qint[t] over ints) and its output TPoly.
+        dn = _denominator_lcm(self.terms.values())
+        dd = None if dn is None else _denominator_lcm(other.terms.values())
+        if dd is None:
+            inv0 = scalar_inverse(c0)
+
+            def num_view(tp, deg):
+                return tp.coeffs.items()
+
+            def div_view(tp, deg):
+                return [(k, -v) for k, v in tp.coeffs.items()]
+
+            def finish(acc, deg):
+                tp = TPoly._from_raw({k: v * inv0 for k, v in acc.items()})
+                return tp.coeffs.items(), tp
+        else:
+            n0 = c0.numerator * (dd // c0.denominator)
+            powers = [n0 ** d for d in range(ring.cap + 2)]
+
+            def num_view(tp, deg):
+                return _numerators(tp, dn * dd * powers[deg])
+
+            def div_view(tp, deg):
+                return _numerators(tp, -dd * powers[deg - 1])
+
+            def finish(acc, deg):
+                raw = {k: v for k, v in acc.items() if v}
+                return raw.items(), _over(raw, dn * powers[deg + 1])
         zero_t = (0,) * len(ring.variables)
-        nonconst = sorted(((sum(e), e, c.coeffs.items())
+        nonconst = sorted(((sum(e), e, div_view(c, sum(e)))
                            for e, c in other.terms.items() if e != zero_t),
                           key=itemgetter(0))
-        num = self.terms
+        num = {e: num_view(c, sum(e)) for e, c in self.terms.items()}
+        known: dict[tuple[int, ...], Iterable] = {}
         quot: dict[tuple[int, ...], TPoly] = {}
         for target in ring.exponents_up_to_cap():
             room = sum(target)
-            acc: dict[int, Scalar] = {}
+            acc: dict[int, Scalar] = dict(num.get(target, ()))
             for d, e, tc in nonconst:
                 if d > room:
                     break
-                known = quot.get(tuple(map(sub, target, e)))
-                if known is not None:
-                    _accumulate(acc, tc, known.coeffs.items())
-            given = num.get(target)
-            if given is not None:
-                for k, v in given.coeffs.items():
-                    acc[k] = acc[k] - v if k in acc else -v
-            tp = TPoly._from_raw({k: v * neg_inv0 for k, v in acc.items()})
-            if tp.coeffs:
-                quot[target] = tp
+                prev = known.get(tuple(map(sub, target, e)))
+                if prev is not None:
+                    _accumulate(acc, tc, prev)
+            if acc:
+                known[target], quot[target] = finish(acc, room)
         return Series._trusted(ring, quot)
 
     def invert(self) -> "Series":

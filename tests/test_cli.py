@@ -126,6 +126,40 @@ def test_compute_domain_errors(capsys):
                "--n", "3")[0] == 3
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["u-poly", "--n", "2", "--q", "1/2"], "--q"),
+    (["eval-const", "--k", "2", "--l", "1", "--n", "3", "--q", "1/2"], "--q"),
+    (["xi-coeff", "--l", "2", "--q", "zeta"], "--q"),
+    (["xi_coeff", "--l", "2", "--n", "3", "--k", "1"], "--n, --k"),
+    (["zbar", "--n", "3", "--index", "1", "--k", "2"], "--k"),
+    (["L", "--n", "3", "--index", "1", "--h", "1"], "--h"),
+    (["g-sum", "--n", "3", "--k", "2", "--l", "2", "--index", "1"], "--index"),
+    (["u-poly", "--n", "2", "--j", "-1"], "--j"),
+])
+def test_compute_refuses_flags_its_kind_does_not_read(capsys, argv, unread):
+    assert main(["compute"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: compute {argv[0]} does not read {unread}\n"
+
+
+def test_compute_reads_every_flag_of_its_kind(capsys):
+    # the flags a kind does read, given explicitly, change nothing
+    assert run(capsys, "compute", "g-sum", "--n", "3", "--q", "zeta", "--k", "2",
+               "--l", "2", "--h", "", "--j", "-1") == \
+        run(capsys, "compute", "g-sum", "--n", "3", "--k", "2", "--l", "2")
+    assert run(capsys, "compute", "zbar", "--n", "3", "--q", "zeta", "--index", "") == \
+        (0, '"1"\n')
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_compute_u_poly_n_below_one_is_usage_error(capsys, n):
+    assert main(["compute", "u-poly", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: u_poly needs --n >= 1, got {n}\n"
+
+
 @pytest.mark.parametrize("q", ["zeta", "1/2"])
 def test_compute_zero_modulus_is_domain_error(capsys, q):
     assert main(["compute", "zbar", "--n", "0", "--q", q, "--index", "1"]) == 3

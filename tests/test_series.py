@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from qharmonic import exact
+from qharmonic import series as series_module
 from qharmonic.exact import CycloNumber, TPoly, scalar_inverse
 from qharmonic.series import NonUnitConstantTerm, Series, SeriesRing
 
@@ -330,6 +333,145 @@ def test_affine_t_matches_power_loop(order):
         got = tp.affine_t(a, b)
         assert got.to_json() == ref_affine_t(tp, a, b).to_json()
     assert TPoly({2: Fraction(3)}).affine_t(1, -1) == TPoly({0: 3, 1: -6, 2: 3})
+
+
+# -- the integer path of the rational kernels --------------------------------
+# Over Fractions the product, the quotient and the t -> a*t + b map run on int
+# numerators over one denominator and build each output Fraction in
+# exact._over; any other coefficient takes the generic path, which never
+# reaches it.  The references above are checked byte for byte on both.
+
+def assert_lowest_fractions(value):
+    """Every coefficient of a Series or TPoly is a Fraction in lowest terms."""
+    for tp in value.terms.values() if isinstance(value, Series) else (value,):
+        for c in tp.coeffs.values():
+            assert type(c) is Fraction
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.fixture
+def over_calls(monkeypatch):
+    """The denominators of the output slots the integer path finishes."""
+    calls = []
+    original = exact._over
+
+    def spy(raw, den):
+        calls.append(den)
+        return original(raw, den)
+
+    monkeypatch.setattr(series_module, "_over", spy)
+    monkeypatch.setattr(exact, "_over", spy)
+    return calls
+
+
+def rand_rational(ring: SeriesRing, rng: random.Random, size: int) -> Series:
+    """Fraction-only terms with multi-term TPoly coefficients and assorted
+    denominators."""
+    terms = {}
+    for _ in range(size):
+        room = rng.randint(0, ring.cap)
+        exps = []
+        for v in ring.variables:
+            e = rng.randint(0, room)
+            room -= e
+            exps.append(e)
+        terms[tuple(exps)] = TPoly({k: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 49, 12)))
+                                    for k in rng.sample(range(5), rng.randint(1, 4))})
+    return Series(ring, terms)
+
+
+def p_constant(q: Fraction, n: int, r: int) -> Fraction:
+    """Π_{j<n} (1 − q^j)^(r+1), the constant term of the product Ψ divides by."""
+    out = Fraction(1)
+    for j in range(1, n):
+        out *= (1 - q ** j) ** (r + 1)
+    return out
+
+
+# Negative, non-unit and unit constant terms.
+RATIONAL_CONSTANTS = [p_constant(Fraction(5, 7), 4, 1), -p_constant(Fraction(5, 7), 3, 2),
+                      p_constant(Fraction(2), 4, 2), p_constant(Fraction(-3), 3, 1),
+                      Fraction(-1), Fraction(1), Fraction(-12, 49)]
+
+
+def test_integer_path_matches_references_on_rationals(over_calls):
+    rng = random.Random("series-int-path")
+    for ring in (SeriesRing(("x",), 7), SeriesRing(("x", "y"), 5),
+                 SeriesRing(("x", "y", "w"), 3)):
+        for c0 in RATIONAL_CONSTANTS:
+            a = rand_rational(ring, rng, rng.randint(1, 10))
+            b = rand_rational(ring, rng, rng.randint(1, 10))
+            unit = b - ring.scalar(b.constant_term()) + ring.scalar(c0)
+            for got, want in ((a * b, ref_mul(a, b)),
+                              (unit.invert(), ref_invert(unit)),
+                              (a / unit, ref_mul(a, ref_invert(unit)))):
+                assert got.to_json() == want.to_json()
+                assert_lowest_fractions(got)
+    assert over_calls
+
+
+def test_integer_path_products_that_cancel(over_calls):
+    ring = SeriesRing(("x", "y"), 4)
+    rng = random.Random("series-int-cancel")
+    for _ in range(10):
+        a = rand_rational(ring, rng, rng.randint(1, 8))
+        # a(x, y)·a(x, −y) is even in y: every odd-y coefficient cancels
+        prod = a * a.negate_vars(("y",))
+        assert prod.to_json() == ref_mul(a, a.negate_vars(("y",))).to_json()
+        assert all(e[1] % 2 == 0 for e in prod.terms)
+        assert_lowest_fractions(prod)
+        assert (a * (-a) + a * a).is_zero()
+    t = ring.one() * TPoly.t()
+    x = ring.var("x")
+    assert ((t + x) * (t - x)).to_json() == (t * t - x * x).to_json()
+    assert (ring.var("x", 3) * ring.var("y", 2) * Fraction(5, 3)).is_zero()
+    unit = ring.scalar(Fraction(-5, 7)) + x * Fraction(2, 3)
+    assert (ring.zero() / unit).is_zero()
+    assert ((x * unit) / unit).to_json() == x.to_json()
+
+
+def test_affine_t_integer_path_matches_power_loop(over_calls):
+    rng = random.Random("affine-t-int")
+    for _ in range(40):
+        tp = TPoly({k: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 7, 12)))
+                    for k in rng.sample(range(7), rng.randint(0, 5))})
+        for a, b in ((1, -1), (-1, 1), (2, 3), (rng.randint(-3, 3), rng.randint(-3, 3))):
+            got = tp.affine_t(a, b)
+            assert got.to_json() == ref_affine_t(tp, a, b).to_json()
+            assert_lowest_fractions(got)
+    assert over_calls
+    # (t − 1)^2 at t -> t + 1 is t^2: the t and constant terms cancel
+    assert TPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}).affine_t(1, 1) == TPoly({2: 1})
+
+
+def test_mixed_operands_take_the_generic_path(monkeypatch):
+    def refuse(raw, den):
+        raise AssertionError("integer path taken with a CycloNumber operand")
+
+    monkeypatch.setattr(series_module, "_over", refuse)
+    monkeypatch.setattr(exact, "_over", refuse)
+    rng = random.Random("series-mixed")
+    ring = SeriesRing(("x", "y"), 4)
+    zeta = CycloNumber.zeta(5)
+    for c0 in RATIONAL_CONSTANTS[:3]:
+        a = rand_rational(ring, rng, rng.randint(1, 8))
+        b = rand_rational(ring, rng, rng.randint(1, 8)) + ring.var("y") * zeta
+        unit = b - ring.scalar(b.constant_term()) + ring.scalar(c0)
+        for left, right in ((a, b), (b, a)):
+            assert (left * right).to_json() == ref_mul(left, right).to_json()
+        assert unit.invert().to_json() == ref_invert(unit).to_json()
+        assert (a / unit).to_json() == ref_mul(a, ref_invert(unit)).to_json()
+        c = rand_rational(ring, rng, 4)
+        cyclo_unit = c - ring.scalar(c.constant_term()) + ring.scalar(zeta + 2)
+        assert (a / cyclo_unit).to_json() == ref_mul(a, ref_invert(cyclo_unit)).to_json()
+        rational_unit = c - ring.scalar(c.constant_term()) + ring.scalar(c0)
+        assert (b / rational_unit).to_json() == ref_mul(b, ref_invert(rational_unit)).to_json()
+    tp = TPoly({0: Fraction(1, 3), 2: zeta})
+    assert tp.affine_t(1, -1).to_json() == ref_affine_t(tp, 1, -1).to_json()
+    # a non-integer a or b takes the generic path as well
+    rational = TPoly({0: Fraction(1, 3), 2: Fraction(5)})
+    assert rational.affine_t(Fraction(1, 2), -1).to_json() == \
+        ref_affine_t(rational, Fraction(1, 2), -1).to_json()
 
 
 def assert_admissible(s: Series):

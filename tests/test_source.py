@@ -57,20 +57,61 @@ INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.i
                    "_product", "_reduce")
 
 
+def _definitions(path: Path) -> dict:
+    """Module-level functions and class methods of one source file, by
+    (qualified) name."""
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update({f"{node.name}.{sub.name}": sub for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)})
+    return defs
+
+
 def test_cyclo_kernels_do_no_fraction_arithmetic():
     exact = next(path for path in SOURCES if path.name == "exact.py")
-    tree = ast.parse(exact.read_text(), str(exact))
-    cyclo = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "CycloNumber")
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    defs.update({f"CycloNumber.{node.name}": node for node in cyclo.body
-                 if isinstance(node, ast.FunctionDef)})
+    defs = _definitions(exact)
     assert set(INTEGER_KERNELS) <= defs.keys()
     found = [f"{name}:{sub.lineno}" for name in INTEGER_KERNELS
              for sub in ast.walk(defs[name])
              if (isinstance(sub, ast.Name) and sub.id == "Fraction")
              or (isinstance(sub, ast.Attribute) and sub.attr == "Fraction")]
     assert found == []
+
+
+# The rational Series kernels multiply and divide int numerators over one
+# denominator; a Fraction is built only in exact._over, which finishes each
+# output slot.  Their loops, and the helpers that scale an operand to ints,
+# build none, so Fraction normalisation cannot creep back into a loop.
+RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__"),
+                    "exact.py": ("_denominator_lcm", "_numerators")}
+
+
+def _builds_fraction(node) -> list[int]:
+    return [sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and ((isinstance(sub.func, ast.Name) and sub.func.id == "Fraction")
+                 or (isinstance(sub.func, ast.Attribute) and sub.func.attr == "Fraction"))]
+
+
+def test_rational_series_kernels_build_fractions_in_one_helper():
+    by_name = {path.name: path for path in SOURCES}
+    found = []
+    for filename, kernels in RATIONAL_KERNELS.items():
+        defs = _definitions(by_name[filename])
+        assert set(kernels) <= defs.keys()
+        found += [f"{filename}:{name}:{line}" for name in kernels
+                  for line in _builds_fraction(defs[name])]
+    assert found == []
+    over = _definitions(by_name["exact.py"])["_over"]
+    assert _builds_fraction(over)
+    series = _definitions(by_name["series.py"])
+    for name in RATIONAL_KERNELS["series.py"]:
+        assert any(isinstance(sub, ast.Name) and sub.id == "_over"
+                   for sub in ast.walk(series[name])), name
 
 
 # The package docstring promises that everything outside qseries.z_t_float
