@@ -180,7 +180,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     elif kind == "eval_const":
         if args.k is None or args.l is None or args.n is None:
             raise UsageError("eval_const needs --k, --l and --n")
-        payload = _json_line(eval_constant_index(args.k, args.l, single_n()).to_json())
+        n = single_n()
+        if n < 2:
+            raise UsageError(f"eval_const needs --n >= 2, got {n}")
+        if args.l < 0:
+            raise UsageError(f"eval_const needs --l >= 0, got {args.l}")
+        payload = _json_line(eval_constant_index(args.k, args.l, n).to_json())
     elif kind == "u_poly":
         if args.n is None:
             raise UsageError("u_poly needs --n")

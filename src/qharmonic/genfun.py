@@ -9,8 +9,10 @@ This module builds both sides of every verified statement:
 * the product representation of the height generating function (via
   `p_poly`, which gives P^t only: every t−1 side is its image under
   t -> t−1) next to its brute-force definition (via profile sums);
-* the z-side generating functions, their q-difference system, and the
-  closed coefficient product;
+* the z-side generating functions Φ_j, each a polynomial in z over
+  x-series (`PhiPoly`, a ZPoly whose coefficients are Series, so Θ, the
+  z-shift and the value at z = 1 are the ZPoly ones), their q-difference
+  system, and the closed coefficient product;
 * root-of-unity closed forms: the weight/depth sum formulas, the
   constant-index evaluations, the repeated-index generating functions with
   their symmetric-function assemblies, and the depth-one helper series;
@@ -48,7 +50,6 @@ from .indices import HeightProfile
 from .qseries import (
     SeriesParams,
     ZPoly,
-    _qpow,
     g_sum,
     theta_q,
     x_sum,
@@ -56,7 +57,7 @@ from .qseries import (
     zbar,
     zeta_params,
 )
-from .series import Series, SeriesRing
+from .series import Series, SeriesRing, first_term_mismatch
 
 
 class ZeroPochhammerDenominator(QHarmonicError):
@@ -340,13 +341,18 @@ class IdentityReport:
         }
 
 
-def series_mismatch(a: Series, b: Series) -> dict | None:
-    hit = a.first_mismatch(b)
+def _term_report(names: Sequence[str], hit) -> dict | None:
+    """A first_term_mismatch hit as a report: the term's nonzero exponents
+    by variable name, and both TPolys in JSON."""
     if hit is None:
         return None
     exps, lt, rt = hit
-    where = {v: e for v, e in zip(a.ring.variables, exps) if e}
+    where = {v: e for v, e in zip(names, exps) if e}
     return {"term": where or {"1": 0}, "lhs": lt.to_json(), "rhs": rt.to_json()}
+
+
+def series_mismatch(a: Series, b: Series) -> dict | None:
+    return _term_report(a.ring.variables, a.first_mismatch(b))
 
 
 def poly_mismatch(a: SparsePoly, b: SparsePoly) -> dict | None:
@@ -369,33 +375,39 @@ def scalar_mismatch(a: Scalar, b: Scalar) -> dict | None:
 # the z-side generating functions
 # ---------------------------------------------------------------------------
 
-def phi_ring(r: int, cap: int) -> SeriesRing:
-    return SeriesRing(x_variable_names(r) + ("z",), cap, uncapped=("z",))
+class PhiPoly(ZPoly):
+    """A polynomial in z whose coefficients are x-series: one Φ_j."""
+
+    __slots__ = ()
+    scalars = (Series,)
+    _render = staticmethod(Series.to_json)
+
+    @staticmethod
+    def _lift(c: Series) -> Series:
+        return c
 
 
-def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> Series:
+def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:
     """The generating function of profile sums of truncated interpolated
-    polylogarithms, in formal x-variables with an uncapped z slot."""
+    polylogarithms: the x_sum of each x-monomial's profile, its z-powers
+    grouped into one x-series per power."""
     params = SeriesParams(n, q)
-    ring = phi_ring(r, cap)
-    enum = SeriesRing(x_variable_names(r), cap)
-    terms = {}
-    for exps in enum.exponents_up_to_cap():
+    ring = SeriesRing(x_variable_names(r), cap)
+    by_z: dict[int, dict] = {}
+    for exps in ring.exponents_up_to_cap():
         base = profile_from_exponents(r, exps)
         zp = x_sum(HeightProfile(base.k, base.l, base.h, j), params)
         for ze, tp in zp.coeffs.items():
-            terms[exps + (ze,)] = tp
-    return Series(ring, terms)
+            by_z.setdefault(ze, {})[exps] = tp
+    return PhiPoly({ze: Series(ring, terms) for ze, terms in by_z.items()})
 
 
-def _series_theta(s: Series, params: SeriesParams) -> Series:
-    # z is the last ring variable; one eigenvalue 1 - q^e per z-exponent e
-    eigen = {z: 1 - _qpow(params, z) for z in {e[-1] for e in s.terms}}
-    return s.map_terms(lambda e, c: c * eigen[e[-1]])
-
-
-def _series_shift_z(s: Series, d: int) -> Series:
-    return Series(s.ring, {e[:-1] + (e[-1] + d,): c for e, c in s.terms.items()})
+def phi_mismatch(a: PhiPoly, b: PhiPoly, ring: SeriesRing) -> dict | None:
+    """series_mismatch over the (x₁, …, x_{r+2}, z) terms of two PhiPolys
+    whose coefficients lie in `ring`."""
+    def flat(f: PhiPoly) -> dict:
+        return {e + (z,): c for z, s in f.coeffs.items() for e, c in s.terms.items()}
+    return _term_report(ring.variables + ("z",), first_term_mismatch(flat(a), flat(b)))
 
 
 def _lemma21_cases(r: int) -> tuple[str, ...]:
@@ -505,54 +517,55 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
             record("lemma2_1", f"[{case}]{inst}", _check_lemma21(case, inst, params))
 
     phis = {j: phi_bruteforce(n, r, q, j, cap) for j in range(-1, r)}
-    ring = phis[-1].ring
+    ring = SeriesRing(x_variable_names(r), cap)
     xv = {i: ring.var(f"x{i}") for i in range(1, r + 3)}
-    zv = ring.var("z")
     one = ring.one()
+    zv = PhiPoly({1: one})
 
     # (E1)  x_{r+1}·Θ(Φ_{r−1}) = x₁x_{r+1}Φ_{r−1} + x_{r+2}(Φ_{r−2} − Φ_{r−1} − δ_{r,1})
-    lhs = xv[r + 1] * _series_theta(phis[r - 1], params)
+    lhs = xv[r + 1] * theta_q(phis[r - 1], params)
     inner = phis[r - 2] - phis[r - 1] if r >= 2 else phis[-1] - phis[0] - one
     rhs = xv[1] * xv[r + 1] * phis[r - 1] + xv[r + 2] * inner
-    record("prop2_2", "[top]", series_mismatch(lhs, rhs))
+    record("prop2_2", "[top]", phi_mismatch(lhs, rhs, ring))
 
     # (E2)  x_{j+2}·Θ(Φ_j − Φ_{j+1}) = x_{j+3}(Φ_{j−1} − Φ_j),  j = 1..r−2
     for j in range(1, r - 1):
-        lhs = xv[j + 2] * _series_theta(phis[j] - phis[j + 1], params)
+        lhs = xv[j + 2] * theta_q(phis[j] - phis[j + 1], params)
         rhs = xv[j + 3] * (phis[j - 1] - phis[j])
-        record("prop2_2", f"[mid j={j}]", series_mismatch(lhs, rhs))
+        record("prop2_2", f"[mid j={j}]", phi_mismatch(lhs, rhs, ring))
 
     # (E3)  x₂·Θ(Φ₀ − Φ₁) = x₃(Φ − Φ₀ − 1),  only for r ≥ 2
     if r >= 2:
-        lhs = xv[2] * _series_theta(phis[0] - phis[1], params)
+        lhs = xv[2] * theta_q(phis[0] - phis[1], params)
         rhs = xv[3] * (phis[-1] - phis[0] - one)
-        record("prop2_2", "[join]", series_mismatch(lhs, rhs))
+        record("prop2_2", "[join]", phi_mismatch(lhs, rhs, ring))
 
     # (E4)  (1−z)·Θ(Φ − Φ₀) = (t(1−z) + z)x₂Φ − t(1−z)x₂ − zⁿx₂Φ(1)
-    phi1 = phis[-1].set_var_one("z")
-    th = _series_theta(phis[-1] - phis[0], params)
-    lhs = th - _series_shift_z(th, 1)
-    blend = one * T - zv * T + zv
+    phi1 = phis[-1].eval_z_one()
+    th = theta_q(phis[-1] - phis[0], params)
+    lhs = th - th.shift(1)
+    tv = one * T
+    blend = tv - zv * tv + zv
     rhs = (
         blend * xv[2] * phis[-1]
-        - (one - zv) * xv[2] * T
-        - ring.var("z", params.n) * xv[2] * phi1
+        - (one - zv) * (xv[2] * T)
+        - PhiPoly({params.n: xv[2] * phi1})
     )
-    record("prop2_2", "[base]", series_mismatch(lhs, rhs))
+    record("prop2_2", "[base]", phi_mismatch(lhs, rhs, ring))
 
     # Cor 2.3:  (P^t(Θ) − z·P^{t−1}(Θ)) Φ_{r−1} = z·x_{r+2} − zⁿ·x_{r+2}·Φ(1)
     pp = p_poly(r, tuple(xv[i] for i in range(1, r + 3)))
     pm = tuple(series_affine_t(c, 1, -1) for c in pp)
     powers = [phis[r - 1]]
     for _ in range(r + 1):
-        powers.append(_series_theta(powers[-1], params))
+        powers.append(theta_q(powers[-1], params))
 
-    def apply_p(coeffs: tuple[Series, ...]) -> Series:
-        return sum((coeffs[i] * powers[i] for i in range(r + 2)), ring.zero())
+    def apply_p(coeffs: tuple[Series, ...]) -> PhiPoly:
+        return sum((coeffs[i] * powers[i] for i in range(r + 2)), PhiPoly())
 
-    lhs = apply_p(pp) - _series_shift_z(apply_p(pm), 1)
-    rhs = zv * xv[r + 2] - ring.var("z", params.n) * xv[r + 2] * phi1
-    record("cor2_3", "", series_mismatch(lhs, rhs))
+    lhs = apply_p(pp) - apply_p(pm).shift(1)
+    rhs = zv * xv[r + 2] - PhiPoly({params.n: xv[r + 2] * phi1})
+    record("cor2_3", "", phi_mismatch(lhs, rhs, ring))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
     prod_t = _p_products(pp, params.q, n)
@@ -560,10 +573,10 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     record("thm2_4", "", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
     # closed coefficients:  c_i·Π_{j≤i} P^t(1−q^j) = x_{r+2}·Π_{j<i} P^{t−1}(1−q^j)
-    record("c_i", "[z^0]", series_mismatch(
-        phis[r - 1].coefficient_of("z", 0), ring.zero()))
+    c = phis[r - 1].coeffs
+    record("c_i", "[z^0]", series_mismatch(c.get(0, ring.zero()), ring.zero()))
     for i in range(1, n):
-        ci = phis[r - 1].coefficient_of("z", i)
+        ci = c.get(i, ring.zero())
         record("c_i", f"[{i}]", series_mismatch(ci * prod_t[i], xv[r + 2] * prod_m[i - 1]))
 
     return MappingProxyType({statement: tuple(pairs) for statement, pairs in checks.items()})
@@ -801,12 +814,9 @@ def kpow_generating(k: int, n: int, vcap: int) -> Series:
     den = ring.one()
     for j in range(1, n):
         tj = scalar_pow(zeta, j)
-        if k == 1:
-            const = (1 - tj) * (1 - tj)
-            vcoef = T * (-(1 - tj))
-        else:
-            const = scalar_pow(1 - tj, k)
-            vcoef = T * (-scalar_pow(tj, k - 1))
+        # k = 1 needs no factor of its own: a t-free scalar cancels in _t_ratio
+        const = scalar_pow(1 - tj, k)
+        vcoef = T * (-scalar_pow(tj, k - 1))
         den = den * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
     return _t_ratio(den).map_coeffs(lambda tp: tp.rationalized())
 

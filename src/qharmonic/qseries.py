@@ -258,8 +258,9 @@ class ZPoly(SparsePoly):
     def one(cls) -> "ZPoly":
         return cls({0: TPoly.one()})
 
-    def eval_z_one(self) -> TPoly:
-        return sum(self.coeffs.values(), TPoly.zero())
+    def eval_z_one(self):
+        """The sum of the coefficients, the value at z = 1."""
+        return sum(self.coeffs.values(), self._lift(0))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -280,8 +281,9 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
 
 def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:
     """The q-difference operator f(z) - f(qz): diagonal on z-powers with
-    eigenvalue 1 - q^i."""
-    return ZPoly({e: c * (1 - _qpow(params, e)) for e, c in f.coeffs.items()})
+    eigenvalue 1 - q^i.  It returns f's own class, so it acts alike on a
+    z-polynomial over t and on one over x-series."""
+    return f._from_raw({e: c * (1 - _qpow(params, e)) for e, c in f.coeffs.items()})
 
 
 @lru_cache(maxsize=1 << 14)

@@ -1,16 +1,14 @@
 """Truncated sparse multivariate power series with TPoly coefficients.
 
-The truncation cap is a total-degree bound over the ring's *capped*
-variables; designated variables (the polylogarithm variable z in practice)
-are exempt and never truncated.  Every exponent is nonnegative, so products
-are truncation-exact.
+The truncation cap is a bound on the total degree of a term.  Every exponent
+is nonnegative, so products are truncation-exact.
 
-Product.  Multiplication sorts the right operand's terms by capped degree
-once; since capped degree is additive, each left term's inner loop stops at
-the first partner that would exceed the cap, so dropped pairs are never
-formed.  Each output exponent gets one raw {t-exponent: scalar} dict into
-which ``exact._accumulate`` adds the term pairs' products, and each dict
-becomes one TPoly at the end, not one intermediate TPoly per term pair.
+Product.  Multiplication sorts the right operand's terms by degree once;
+since degree is additive, each left term's inner loop stops at the first
+partner that would exceed the cap, so dropped pairs are never formed.  Each
+output exponent gets one raw {t-exponent: scalar} dict into which
+``exact._accumulate`` adds the term pairs' products, and each dict becomes
+one TPoly at the end, not one intermediate TPoly per term pair.
 
 Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
 order (a triangular solve, since den's constant term c0 is a t-free unit);
@@ -69,26 +67,18 @@ class NonUnitConstantTerm(QHarmonicError):
 
 
 class SeriesRing:
-    """Shared shape data for Series values: variable names, truncation cap
-    and the subset of capped variables."""
+    """Shared shape data for Series values: variable names and the cap on
+    total degree."""
 
-    __slots__ = ("variables", "cap", "uncapped", "_index", "_capped_idx")
+    __slots__ = ("variables", "cap", "_index")
 
-    def __init__(self, variables: Sequence[str], cap: int,
-                 uncapped: Iterable[str] = ()) -> None:
+    def __init__(self, variables: Sequence[str], cap: int) -> None:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        uncapped = frozenset(uncapped)
-        if not uncapped <= set(variables):
-            raise ValueError("uncapped names not among variables")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", int(cap))
-        object.__setattr__(self, "uncapped", uncapped)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
-        object.__setattr__(
-            self, "_capped_idx",
-            tuple(i for i, v in enumerate(variables) if v not in uncapped))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SeriesRing is immutable")
@@ -98,30 +88,22 @@ class SeriesRing:
             isinstance(other, SeriesRing)
             and self.variables == other.variables
             and self.cap == other.cap
-            and self.uncapped == other.uncapped
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.cap, self.uncapped))
+        return hash((self.variables, self.cap))
 
     def __repr__(self) -> str:
-        return (f"SeriesRing({self.variables}, cap={self.cap}"
-                + (f", uncapped={sorted(self.uncapped)}" if self.uncapped else "")
-                + ")")
+        return f"SeriesRing({self.variables}, cap={self.cap})"
 
     # -- term helpers -------------------------------------------------------
-
-    def capped_degree(self, exps: tuple[int, ...]) -> int:
-        if not self.uncapped:
-            return sum(exps)
-        return sum(exps[i] for i in self._capped_idx)
 
     def check_exponents(self, exps: tuple[int, ...]) -> bool:
         """True when the term is admissible, False when it exceeds the cap
         (to be dropped); raises ValueError on a negative exponent."""
         if min(exps, default=0) < 0:
             raise ValueError(f"negative exponent in {exps}")
-        return self.capped_degree(exps) <= self.cap
+        return sum(exps) <= self.cap
 
     # -- constructors -------------------------------------------------------
 
@@ -150,19 +132,12 @@ class SeriesRing:
         return Series(self, {t: tp} if not tp.is_zero() else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
-        """Exponent tuples (zero on uncapped slots) of total degree <= cap in
-        graded lex order: degree d's are the compositions of d + k into the k
-        capped slots, less one per part, in the lex order of `compositions`."""
-        slots = self._capped_idx
-        k = len(slots)
-        exps = [0] * len(self.variables)
-        out: list[tuple[int, ...]] = []
-        for d in range(self.cap + 1):
-            for parts in compositions(d + k, k):
-                for i, p in zip(slots, parts):
-                    exps[i] = p - 1
-                out.append(tuple(exps))
-        return out
+        """Exponent tuples of total degree <= cap in graded lex order: degree
+        d's are the compositions of d + k into the k variables, less one per
+        part, in the lex order of `compositions`."""
+        k = len(self.variables)
+        return [tuple(p - 1 for p in parts)
+                for d in range(self.cap + 1) for parts in compositions(d + k, k)]
 
 
 def _items(tp: TPoly):
@@ -171,6 +146,19 @@ def _items(tp: TPoly):
 
 def _term_sort_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
+                        b_terms: Mapping[tuple[int, ...], TPoly]):
+    """(exps, a's TPoly, b's TPoly) at the graded-lex-first exponent tuple
+    where two term maps differ, a missing term reading as zero; None when
+    they are equal."""
+    for k in sorted(a_terms.keys() | b_terms.keys(), key=_term_sort_key):
+        a = a_terms.get(k, TPoly.zero())
+        b = b_terms.get(k, TPoly.zero())
+        if a != b:
+            return k, a, b
+    return None
 
 
 class Series:
@@ -254,15 +242,11 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
-            tp = as_tpoly(other)
-            if tp.is_zero():
-                return self.ring.zero()
-            return Series._trusted(self.ring, {e: c * tp for e, c in self.terms.items()})
+            return Series._trusted(self.ring, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Series):
             return NotImplemented
         self._check_same_ring(other)
         ring = self.ring
-        degree = ring.capped_degree
         den1 = _denominator_lcm(self.terms.values())
         den2 = None if den1 is None else _denominator_lcm(other.terms.values())
         if den2 is None:
@@ -271,11 +255,11 @@ class Series:
         else:
             view1, view2 = partial(_numerators, scale=den1), partial(_numerators, scale=den2)
             finish = partial(_over, den=den1 * den2)
-        right = sorted(((degree(e), e, view2(c)) for e, c in other.terms.items()),
+        right = sorted(((sum(e), e, view2(c)) for e, c in other.terms.items()),
                        key=itemgetter(0))
         acc: dict[tuple[int, ...], dict[int, Scalar]] = {}
         for e1, c1 in self.terms.items():
-            room = ring.cap - degree(e1)
+            room = ring.cap - sum(e1)
             t1 = view1(c1)
             for d2, e2, t2 in right:
                 if d2 > room:
@@ -297,8 +281,7 @@ class Series:
     def __truediv__(self, other):
         """Quotient up to the cap: solves other * Q = self target by target.
 
-        Both operands must be series over capped variables only, and the
-        divisor's constant term c0 a t-free invertible scalar.  Each target's
+        The divisor's constant term c0 must be a t-free invertible scalar.  Each target's
         coefficient is (self[target] − Σ other[e] · Q[target − e]) / c0 over
         the divisor's non-constant terms e, which are sorted by degree so the
         sum stops at the target's degree.
@@ -312,8 +295,6 @@ class Series:
             return NotImplemented
         self._check_same_ring(other)
         ring = self.ring
-        if ring.uncapped:
-            raise NonUnitConstantTerm("division with uncapped variables is unsupported")
         c0 = other.constant_term()
         if c0.is_zero() or c0.degree() != 0:
             raise NonUnitConstantTerm(
@@ -402,13 +383,6 @@ class Series:
     def set_var_zero(self, name: str) -> "Series":
         return self.coefficient_of(name, 0)
 
-    def set_var_one(self, name: str) -> "Series":
-        """Evaluate a polynomially-supported variable at 1 by merging
-        exponents (exact; no truncation interplay for uncapped variables)."""
-        i = self.ring._index[name]
-        merged = ((exps[:i] + (0,) + exps[i + 1:], tp) for exps, tp in self.terms.items())
-        return Series(self.ring, _add_into({}, merged))
-
     def substitute(self, bindings: Mapping[str, "Series"], target: SeriesRing) -> "Series":
         """Ring-morphism substitution: replace each bound variable by its
         image series (all images in the target ring); unbound variables must
@@ -459,13 +433,7 @@ class Series:
         """(exps, lhs TPoly, rhs TPoly) of the graded-lex-first differing
         term, or None when equal."""
         self._check_same_ring(other)
-        keys = sorted(set(self.terms) | set(other.terms), key=_term_sort_key)
-        for k in keys:
-            a = self.terms.get(k, TPoly.zero())
-            b = other.terms.get(k, TPoly.zero())
-            if a != b:
-                return k, a, b
-        return None
+        return first_term_mismatch(self.terms, other.terms)
 
     def to_json(self) -> list:
         return [

@@ -160,6 +160,18 @@ def test_compute_u_poly_n_below_one_is_usage_error(capsys, n):
     assert captured.err == f"error: u_poly needs --n >= 1, got {n}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "2", "--l", "1", "--n", "1"], "--n >= 2, got 1"),
+    (["--k", "1", "--l", "0", "--n", "-3"], "--n >= 2, got -3"),
+    (["--k", "2", "--l", "-1", "--n", "3"], "--l >= 0, got -1"),
+])
+def test_compute_eval_const_out_of_range_is_usage_error(capsys, argv, message):
+    assert main(["compute", "eval-const"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: eval_const needs {message}\n"
+
+
 @pytest.mark.parametrize("q", ["zeta", "1/2"])
 def test_compute_zero_modulus_is_domain_error(capsys, q):
     assert main(["compute", "zbar", "--n", "0", "--q", q, "--index", "1"]) == 3
@@ -411,6 +423,11 @@ PINNED_REPORTS = {
     "thm1_1": "928fab8ec077fcc6ff843bf65264920496efb4268caf8e4ca9a33b9b544382b8",
     "reflection": "dc42065de8f5e5840229bc9abdfcfbbd6490d30282eca8fdb73fe9bc5dc33c50",
     "half_t_self_dual": "f581a65fff4c0f024c1b4af1199010ce008731a568ca6baca960c9f1ee8f14b2",
+    "lemma2_1": "0b9cb28d60772372407bf101ca86eb7ee01f400858abda30394dcba66d90dc2a",
+    "prop2_2": "f8434bb469c6d7beac3c27be190d3297cc49b38d420ac2854cc822433a9e7ba6",
+    "cor2_3": "581ed1bba5be4691650f97235a9514183f3f650b4675572d2c8c29a2d2e0d7ec",
+    "thm2_4": "27d8923c39a9b66171de2e99c1815947944e4ae69744bbed98bbdf8fb8c79a2a",
+    "c_i": "429651ff479bec1621ec360be3fddfb78298810ed37d6722f1357739c3e740d8",
     "all": "175eedeb5545f9436f01b34860a0e0cb7a57362ae8aa08611857a3255425124b",
 }
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -11,6 +12,7 @@ from qharmonic.genfun import (
     PINNED_QHS_WITNESS,
     NonzeroConstantTerm,
     SampleTooSmall,
+    PhiPoly,
     UncancelledPole,
     ZeroPochhammerDenominator,
     _h_tuples,
@@ -27,7 +29,7 @@ from qharmonic.genfun import (
     mat_mul,
     p_poly,
     pascal_T,
-    phi_ring,
+    phi_bruteforce,
     phi_system_checks,
     poly_mismatch,
     profile_from_exponents,
@@ -54,7 +56,8 @@ from qharmonic.genfun import (
     zbar_depth1_rational,
 )
 from qharmonic.indices import HeightProfile
-from qharmonic.qseries import SeriesParams, ZPoly, zbar_t, zeta_params
+from qharmonic import genfun, qseries
+from qharmonic.qseries import SeriesParams, ZPoly, theta_q, zbar_t, zeta_params
 from qharmonic.series import Series, SeriesRing
 
 T = TPoly.t()
@@ -542,7 +545,7 @@ def test_phi_t_minus_one_products_match_the_hand_built_chain(n):
     """The t-1 products of thm2_4 and c_i, read as the t -> t-1 image of the
     P^t prefix products, equal prod_j P^{t-1}(1-q^j) multiplied out."""
     for r in (1, 2):
-        ring = phi_ring(r, 3)
+        ring = SeriesRing(x_variable_names(r), 3)
         xs = tuple(ring.var(f"x{i}") for i in range(1, r + 3))
         pp, pm = p_poly(r, xs), hand_p_minus(r, xs)
         for q in (CycloNumber.zeta(n), Fraction(1, 2)):
@@ -551,6 +554,108 @@ def test_phi_t_minus_one_products_match_the_hand_built_chain(n):
                 chain.append(chain[-1] * eval_by_horner(pm, 1 - scalar_pow(q, j)))
             got = [series_affine_t(p, 1, -1) for p in _p_products(pp, q, n)]
             assert [g.to_json() for g in got] == [c.to_json() for c in chain]
+
+
+def flat_terms(f: PhiPoly) -> dict:
+    """{(x-exponents, z-power): TPoly} of a z-polynomial over x-series."""
+    return {(e, z): c for z, s in f.coeffs.items() for e, c in s.terms.items()}
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), CycloNumber.zeta(5)], ids=["half", "zeta5"])
+def test_phi_poly_theta_shift_and_value_at_one_match_term_by_term(q):
+    n, r, cap = 5, 1, 3
+    params = SeriesParams(n, q)
+    ring = SeriesRing(x_variable_names(r), cap)
+    phi = phi_bruteforce(n, r, q, -1, cap)
+    terms = flat_terms(phi)
+    assert len({z for _, z in terms}) == n  # z^0 .. z^(n-1) all occur
+
+    theta = theta_q(phi, params)
+    assert type(theta) is PhiPoly
+    assert flat_terms(theta) == {(e, z): c * (1 - scalar_pow(q, z))
+                                 for (e, z), c in terms.items() if z}
+    assert flat_terms(phi.shift(2)) == {(e, z + 2): c for (e, z), c in terms.items()}
+
+    at_one = {}
+    for (e, _), c in terms.items():
+        at_one[e] = at_one.get(e, TPoly.zero()) + c
+    assert phi.eval_z_one().to_json() == Series(ring, at_one).to_json()
+
+
+# The first failing subcheck of each phi statement, and its report, when
+# x_sum gains t·z on the profile (2, 1, (0,)*r, j).
+INJECTED_FAULT_REPORTS = {
+    (3, 1, "1/2", -1): {
+        "lemma2_1": ["lemma2_1[i](3, 1, (1,))",
+                     {"z_power": 1, "lhs": {"t^0": "4"}, "rhs": {"t^0": "4", "t^1": "1"}}],
+        "prop2_2": ["prop2_2[top]", {"term": {"x1": 1, "x2": 1, "x3": 1, "z": 1},
+                                     "lhs": {"t^0": "4"}, "rhs": {"t^0": "4", "t^1": "1"}}],
+        "cor2_3": ["cor2_3", {"term": {"x1": 1, "x2": 1, "x3": 1, "z": 3},
+                              "lhs": {}, "rhs": {"t^1": "-1"}}],
+        "thm2_4": ["thm2_4", {"term": {"x1": 1, "x2": 1},
+                              "lhs": {"t^0": "-25/16", "t^1": "109/64"},
+                              "rhs": {"t^0": "-25/16", "t^1": "25/16"}}],
+        "c_i": None,
+    },
+    (3, 1, "1/2", 0): {
+        "lemma2_1": ["lemma2_1[i](3, 1, (1,))",
+                     {"z_power": 1, "lhs": {"t^0": "4"}, "rhs": {"t^0": "4", "t^1": "-1"}}],
+        "prop2_2": ["prop2_2[top]", {"term": {"x1": 1, "x2": 1, "x3": 1, "z": 1},
+                                     "lhs": {"t^0": "4"}, "rhs": {"t^0": "4", "t^1": "-1"}}],
+        "cor2_3": ["cor2_3", {"term": {"x1": 1, "x2": 1, "z": 1},
+                              "lhs": {"t^1": "1/4"}, "rhs": {}}],
+        "thm2_4": None,
+        "c_i": ["c_i[1]", {"term": {"x1": 1, "x2": 1}, "lhs": {"t^1": "1/4"}, "rhs": {}}],
+    },
+    (4, 2, "zeta", -1): {
+        "lemma2_1": ["lemma2_1[ii](3, 1, (1, 0), 0)",
+                     {"z_power": 1, "lhs": {}, "rhs": {"t^1": "1"}}],
+        "prop2_2": ["prop2_2[join]", {"term": {"x1": 1, "x2": 1, "x3": 1, "z": 1},
+                                      "lhs": {}, "rhs": {"t^1": "1"}}],
+        "cor2_3": ["cor2_3", {"term": {"x1": 1, "x2": 1, "x4": 1, "z": 4},
+                              "lhs": {}, "rhs": {"t^1": "-1"}}],
+        "thm2_4": ["thm2_4", {"term": {"x1": 1, "x2": 1},
+                              "lhs": {"t^0": "-144", "t^1": "208"},
+                              "rhs": {"t^0": "-144", "t^1": "144"}}],
+        "c_i": None,
+    },
+    (4, 2, "zeta", 1): {
+        "lemma2_1": None,
+        "prop2_2": ["prop2_2[top]", {"term": {"x1": 1, "x2": 1, "x4": 1, "z": 1},
+                                     "lhs": {}, "rhs": {"t^1": "-1"}}],
+        "cor2_3": ["cor2_3", {"term": {"x1": 1, "x2": 1, "z": 1},
+                              "lhs": {"t^1": {"order": 4, "coeffs": ["-2", "-2"]}}, "rhs": {}}],
+        "thm2_4": None,
+        "c_i": ["c_i[1]", {"term": {"x1": 1, "x2": 1},
+                           "lhs": {"t^1": {"order": 4, "coeffs": ["-2", "-2"]}}, "rhs": {}}],
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(INJECTED_FAULT_REPORTS, key=str),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_phi_failure_reports_under_an_injected_fault_are_pinned(monkeypatch, key):
+    n, r, spec, j = key
+    q = CycloNumber.zeta(n) if spec == "zeta" else Fraction(spec)
+    bad = HeightProfile(2, 1, (0,) * r, j)
+    exact_x_sum = qseries.x_sum
+
+    def faulty_x_sum(profile, params):
+        out = exact_x_sum(profile, params)
+        return out + ZPoly({1: T}) if profile == bad else out
+
+    # lemma2_1 reads x_sum through qseries, the generating functions through genfun
+    monkeypatch.setattr(qseries, "x_sum", faulty_x_sum)
+    monkeypatch.setattr(genfun, "x_sum", faulty_x_sum)
+    phi_system_checks.cache_clear()
+    try:
+        groups = phi_system_checks(n, r, q, 3)
+    finally:
+        phi_system_checks.cache_clear()
+    first = {statement: next(([name, mm] for name, mm in pairs if mm is not None), None)
+             for statement, pairs in groups.items()}
+    # dumped, so that the key order of every report is pinned too
+    assert json.dumps(first) == json.dumps(INJECTED_FAULT_REPORTS[key])
 
 
 def ref_kpow_generating(k, n, vcap):
