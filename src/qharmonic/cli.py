@@ -150,6 +150,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.n is None:
             raise UsageError("--n is required for this kind")
         n = single_n()
+        if n < 1:
+            raise UsageError(f"{kind} needs --n >= 1, got {n}")
         if args.q in (None, "zeta"):
             return zeta_params(n)
         try:

@@ -6,7 +6,9 @@ Three scalar kinds are used throughout the package:
 * ``CycloNumber``         -- elements of Q(zeta_n), reduced modulo the n-th
                              cyclotomic polynomial and stored as phi(n) int
                              numerators over one positive int denominator,
-                             kept in lowest terms,
+                             kept in lowest terms; at the generator
+                             zeta_n, zeta^e and 1/(1 - zeta^e) have closed
+                             forms built by index arithmetic,
 * ``complex``             -- floating point, quarantined to the numeric limit
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
@@ -181,6 +183,27 @@ class CycloNumber:
     def zeta(cls, order: int) -> "CycloNumber":
         """The fixed primitive order-th root of unity (the class of x)."""
         return cls(order, [0, 1])
+
+    @classmethod
+    def zeta_power(cls, order: int, e: int) -> "CycloNumber":
+        """zeta^e, the basis vector x^(e mod order) reduced: no product, and
+        a negative e needs no inverse."""
+        num = [0] * order
+        num[e % order] = 1
+        _reduce(order, num)
+        return _make(order, num, 1)
+
+    @classmethod
+    def one_minus_zeta_power_inverse(cls, order: int, e: int) -> "CycloNumber":
+        """1/(1 - zeta^e) in closed form: every x != 1 with x^N = 1 has
+        1/(1 - x) = -(1/N) * sum_{j=1}^{N-1} j x^j, with x^j = zeta^(e*j mod N)."""
+        if e % order == 0:
+            raise DivisionByZero("inverse of zero in Q(zeta)")
+        num = [0] * order
+        for j in range(1, order):
+            num[e * j % order] -= j
+        _reduce(order, num)
+        return _make(order, num, order)
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycloNumber":

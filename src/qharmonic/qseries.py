@@ -19,10 +19,17 @@ tail (k_2, ..., k_l), so the indices of a profile sum (g_sum, x_sum and
 brute Psi) that share a tail share its levels.  Both are keyed by the
 parameters, and the values are exact, so no result depends on what the
 caches hold.
+
+At q = zeta_N (SeriesParams.root_order) the summand table is index
+arithmetic: q^e is the basis element zeta^(e mod N), 1/(1 - q^m) is the
+closed form -(1/N) sum_j j zeta^(jm mod N), and the check that no q^m = 1
+for m < n is N >= n, so none of them takes a product, power or inverse.  The
+q-integer inverse of z stays a generic inverse, so that z = (1-q)^w zbar
+remains a check of two computations, not an identity by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -53,14 +60,16 @@ class SeriesParams:
 
     Validation rejects q with q^m = 1 for any 1 <= m < n, which would put a
     zero into a denominator.  An int or a rational-valued CycloNumber q is
-    stored as a Fraction."""
+    stored as a Fraction.  `root_order` is N when q is the generator zeta_N
+    (what zeta_params builds) and None otherwise; it is derived from q, so it
+    takes no part in equality, hashing or the cache keys."""
 
     n: int
     q: Scalar
+    root_order: int | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidQ(f"truncation length must be a positive int, got {self.n!r}")
+        _check_length(self.n)
         q = self.q
         if isinstance(q, CycloNumber) and q.as_rational() is not None:
             # It compares and hashes equal to the same value in every other
@@ -74,6 +83,11 @@ class SeriesParams:
                 raise InvalidQ("q = 1")
             if q == -1 and self.n >= 3:
                 raise InvalidQ("q = -1 with n >= 3")
+        elif isinstance(q, CycloNumber) and q == CycloNumber.zeta(q.order):
+            # zeta_N^m = 1 for some 1 <= m < n exactly when N < n
+            object.__setattr__(self, "root_order", q.order)
+            if q.order < self.n:
+                raise InvalidQ(f"q^{q.order} = 1 with n = {self.n}")
         elif isinstance(q, CycloNumber):
             p = q
             for m in range(1, self.n):
@@ -85,13 +99,21 @@ class SeriesParams:
             raise InvalidQ(f"q must be an exact scalar, got {type(q).__name__}")
 
 
+def _check_length(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InvalidQ(f"truncation length must be a positive int, got {n!r}")
+
+
 def zeta_params(n: int) -> SeriesParams:
     """Parameters at the fixed primitive n-th root of unity."""
+    _check_length(n)  # before zeta_n exists, which needs n >= 1
     return SeriesParams(n, CycloNumber.zeta(n))
 
 
 @lru_cache(maxsize=1 << 14)
 def _qpow(params: SeriesParams, e: int) -> Scalar:
+    if params.root_order:
+        return CycloNumber.zeta_power(params.root_order, e)
     return scalar_pow(params.q, e)
 
 
@@ -101,7 +123,12 @@ def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
     evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the q-integer
     (1-q^m)/(1-q) for "z", and 1/(1-q^m)^k for the polylogarithms ("L").
     Part 0 occurs only in the literal zbar((0,)), whose summand is q^(-m).
-    Higher parts multiply up from part k - 1, which this table also holds."""
+    Higher parts multiply up from part k - 1, which this table also holds.
+
+    At q = zeta_N, q^e (_qpow) and the part-1 "zbar" summand 1/(1-q^m) are
+    closed forms (CycloNumber.zeta_power, .one_minus_zeta_power_inverse).
+    The part-1 "z" summand stays the generic inverse of the q-integer at
+    every q; only its constant 1/(1-q) is read from the "zbar" entry m = 1."""
     if kind == "L":
         inv = _factor(params, "zbar", 1, m)
         return inv if k == 1 else _factor(params, "L", k - 1, m) * inv
@@ -112,7 +139,9 @@ def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
     if kind == "z":
         # inverse of the q-integer, computed from the quotient itself so
         # that the modified and unmodified evaluators stay independent
-        return scalar_inverse((1 - _qpow(params, m)) * scalar_inverse(1 - params.q))
+        return scalar_inverse((1 - _qpow(params, m)) * _factor(params, "zbar", 1, 1))
+    if params.root_order:
+        return CycloNumber.one_minus_zeta_power_inverse(params.root_order, m)
     return scalar_inverse(1 - _qpow(params, m))
 
 

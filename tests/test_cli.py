@@ -174,9 +174,28 @@ def test_compute_eval_const_out_of_range_is_usage_error(capsys, argv, message):
 
 @pytest.mark.parametrize("q", ["zeta", "1/2"])
 def test_compute_zero_modulus_is_domain_error(capsys, q):
-    assert main(["compute", "zbar", "--n", "0", "--q", q, "--index", "1"]) == 3
+    # --n below 1 is refused as a usage error (exit 2) before q is read,
+    # like u-poly and eval-const; it exited 3 with "order must be >= 1"
+    assert main(["compute", "zbar", "--n", "0", "--q", q, "--index", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "q spec" not in err
+    assert err == "error: zbar needs --n >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zbar", "--index", "1"],
+    ["zbar-star", "--index", "1"],
+    ["zbar-t", "--index", "1"],
+    ["z-t", "--index", "1"],
+    ["L", "--index", "1"],
+    ["g-sum", "--k", "2", "--l", "2"],
+])
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("q", ["zeta", "1/2"])
+def test_compute_sum_n_below_one_is_usage_error(capsys, argv, n, q):
+    assert main(["compute", *argv, "--n", n, "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0].replace('-', '_')} needs --n >= 1, got {n}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -674,6 +674,35 @@ def test_inverse_of_one_minus_root_closed_form(n):
         assert 1 / (1 - w) == closed == scalar_pow(1 - w, -1)
 
 
+CLOSED_FORM_ORDERS = [*range(3, 65), 97, 105]
+
+
+@pytest.mark.parametrize("order", CLOSED_FORM_ORDERS)
+def test_zeta_closed_forms_match_generic_arithmetic(order):
+    # zeta^e without products and 1/(1 - zeta^e) in closed form, against
+    # repeated squaring and the Galois-norm inverse, for e in -2N..2N; the
+    # generic inverse depends on e mod N only, so it is taken once per
+    # residue, and where phi(N) > 24 only for 1, 2, 3, -1 and the divisors
+    # of N (it costs up to 65 ms there); the product check covers every e
+    zeta, one = CycloNumber.zeta(order), CycloNumber.from_rational(order, 1)
+    residues = range(1, order)
+    if euler_phi(order) > 24:
+        residues = {1, 2, 3, order - 1} | {d for d in residues if order % d == 0}
+    generic = {r: (1 - zeta ** r).inverse() for r in residues}
+    for e in range(-2 * order, 2 * order + 1):
+        power = CycloNumber.zeta_power(order, e)
+        assert power == zeta ** e
+        if e % order == 0:
+            assert power == one
+            with pytest.raises(DivisionByZero):
+                CycloNumber.one_minus_zeta_power_inverse(order, e)
+            continue
+        inv = CycloNumber.one_minus_zeta_power_inverse(order, e)
+        assert inv * (1 - power) == one
+        if e % order in generic:
+            assert inv == generic[e % order]
+
+
 def test_rational_values_equal_and_hash_across_orders():
     rng = random.Random("cyclo-rational")
     for _ in range(40):

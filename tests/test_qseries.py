@@ -6,7 +6,15 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from qharmonic import genfun, indices, qseries
-from qharmonic.exact import CycloNumber, TPoly, is_rational, scalar_eq, scalar_pow, scalar_to_json
+from qharmonic.exact import (
+    CycloNumber,
+    TPoly,
+    is_rational,
+    scalar_eq,
+    scalar_inverse,
+    scalar_pow,
+    scalar_to_json,
+)
 from qharmonic.genfun import psi_bruteforce
 from qharmonic.indices import (
     COMMA,
@@ -59,6 +67,82 @@ def test_rational_cyclotomic_q_is_stored_as_fraction():
     # a value cached under an order-5 q must not reach a caller in Q(zeta_7)
     at7 = SeriesParams(4, CycloNumber.from_rational(7, half))
     assert zbar((2,), at7) + CycloNumber.zeta(7) == CycloNumber(7, [Fraction(1150, 441), 1])
+
+
+def test_root_of_unity_check_and_its_message():
+    # q = zeta_N: q^m = 1 for some 1 <= m < n exactly when N < n, with the
+    # message of the power loop that any other root of unity still runs
+    for q in (CycloNumber.zeta(5), CycloNumber.zeta(7) ** 3):
+        order = q.order
+        with pytest.raises(InvalidQ, match=f"^q\\^{order} = 1 with n = 8$"):
+            SeriesParams(8, q)
+        assert SeriesParams(order, q).n == order
+    with pytest.raises(InvalidQ, match="^truncation length must be a positive int, got 0$"):
+        zeta_params(0)
+    with pytest.raises(InvalidQ, match="^truncation length must be a positive int, got -1$"):
+        zeta_params(-1)
+
+
+def test_root_order_is_not_part_of_the_key():
+    zp = zeta_params(9)
+    assert zp.root_order == 9
+    assert SeriesParams(9, CycloNumber.zeta(9) ** 2).root_order is None
+    assert SeriesParams(3, Fraction(1, 2)).root_order is None
+    # q = zeta_2 = -1 is rational, stored as a Fraction
+    assert zeta_params(2).root_order is None and zeta_params(2).q == -1
+    same = SeriesParams(9, CycloNumber(9, [0, 1]))
+    assert same == zp and hash(same) == hash(zp) and repr(same) == repr(zp)
+
+
+def _reference_factor(params, kind, k, m):
+    """The summand by its definition, with generic powers and inverses."""
+    q = params.q
+    inv = scalar_inverse(1 - q ** m)
+    if kind == "L":
+        return inv ** k
+    if kind == "z":
+        inv = scalar_inverse((1 - q ** m) * scalar_inverse(1 - q))
+    return q ** ((k - 1) * m) * inv ** k
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_summand_table_matches_its_definition(n):
+    _clear_caches()
+    params = zeta_params(n)
+    for kind, ks in (("zbar", range(5)), ("z", range(1, 5)), ("L", range(1, 5))):
+        for k in ks:
+            for m in range(1, n):
+                assert qseries._factor(params, kind, k, m) == \
+                    _reference_factor(params, kind, k, m), (kind, k, m)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(CycloNumber, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(CycloNumber, name, spy)
+    return calls
+
+
+def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
+    inverses = _counting(monkeypatch, "inverse")
+    powers = _counting(monkeypatch, "__pow__")
+    products = _counting(monkeypatch, "__mul__")
+    zeta_params(12)
+    assert products == []
+    params = zeta_params(11)
+    _clear_caches()
+    zbar_t((1, 2, 1), params)
+    assert inverses == [] and powers == []
+    # z keeps one generic inverse of the q-integer per m, so that
+    # z = (1 - q)^w zbar stays a check of two computations
+    _clear_caches()
+    z_t((1, 2, 1), params)
+    assert len(inverses) == params.n - 1 and powers == []
 
 
 def test_depth_one_spots():

@@ -49,11 +49,12 @@ def test_only_exact_reads_cyclo_storage():
     assert all(f'"{name}"' in exact.read_text() for name in CYCLO_STORAGE)
 
 
-# CycloNumber's integer kernels: multiply, add/subtract and inverse work on
-# int numerators over one denominator, through the module's product and
-# reduction helpers; Fractions appear only where a value is built from or
-# read out as rationals.
+# CycloNumber's integer kernels: multiply, add/subtract, inverse and the
+# closed forms at zeta_n (zeta^e, 1/(1 - zeta^e)) work on int numerators over
+# one denominator, through the module's product and reduction helpers;
+# Fractions appear only where a value is built from or read out as rationals.
 INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.inverse",
+                   "CycloNumber.zeta_power", "CycloNumber.one_minus_zeta_power_inverse",
                    "_product", "_reduce")
 
 
