@@ -15,7 +15,10 @@ import math
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
+from typing import Callable
 
 from .exact import QHarmonicError, TPoly, parse_rational, render_rational, scalar_to_json
 from .genfun import IdentityReport, eval_constant_index, u_poly, xi_ones_coeff
@@ -113,109 +116,158 @@ def _guard_cap(value: int, allow: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# compute
+# compute and table: one declaration per kind
 # ---------------------------------------------------------------------------
 
-# The flags each compute kind reads besides --format and --out; any other
-# flag given on the command line is a usage error, not silently ignored.
-_SUM_FLAGS = ("n", "q", "index")
-_COMPUTE_FLAGS = {
-    "zbar": _SUM_FLAGS, "zbar_star": _SUM_FLAGS, "zbar_t": _SUM_FLAGS,
-    "z_t": _SUM_FLAGS, "L": _SUM_FLAGS,
-    "g_sum": ("n", "q", "k", "l", "h", "j"),
-    "eval_const": ("n", "k", "l"),
-    "u_poly": ("n",),
-    "xi_coeff": ("l",),
+@dataclass(frozen=True)
+class _Kind:
+    """Everything about one compute or table kind.
+
+    `reads` maps each flag it reads besides --format and --out to its value
+    when not given; any other flag given is a usage error.  `needs` lists
+    (flag, least, most) in the order checked, most None for no upper bound;
+    --n is read as a list and bounded by its least entry.  `value(**flags)`
+    gives the JSON value of a compute kind, the ((n, k, l), TPoly) rows of
+    a table kind."""
+
+    reads: dict
+    needs: tuple[tuple[str, int, int | None], ...]
+    value: Callable
+
+
+# the entries of a parsed command line that are not flags of its kind
+_NOT_FLAGS = ("command", "kind", "format", "out", "fn")
+
+
+def _checked(args: argparse.Namespace) -> tuple[_Kind, dict]:
+    """The declaration of args.kind and the flags it reads, defaults filled
+    in and --n parsed, once every rule of the declaration holds."""
+    kinds = _KINDS[args.command]
+    name = args.kind.replace("-", "_")
+    if name not in kinds:
+        raise UsageError(f"unknown {args.command} kind {args.kind!r}")
+    kind = kinds[name]
+    given = {flag: value for flag, value in vars(args).items()
+             if value is not None and flag not in _NOT_FLAGS}
+    unread = [f"--{flag}" for flag in given if flag not in kind.reads]
+    if unread:
+        raise UsageError(f"{args.command} {args.kind} does not read {', '.join(unread)}")
+    flags = {flag: given.get(flag, default) for flag, default in kind.reads.items()}
+    if "n" in flags:
+        flags["n"] = _parse_int_list(flags["n"] or "")
+    # a table's messages name the command, a compute kind's only the kind
+    who = f"table {name}" if args.command == "table" else name
+    for flag, least, most in kind.needs:
+        value = flags[flag]
+        if flag == "n":
+            # a selection without rows is a usage error, not a header-only table
+            if not value:
+                raise UsageError(f"{who} needs at least one --n")
+            value = min(value)
+        elif value is None:
+            raise UsageError(f"{who} needs --{flag}")
+        if value < least:
+            raise UsageError(f"{who} needs --{flag} >= {least}, got {value}")
+        if most is not None and value > most:
+            raise UsageError(f"{who} needs --{flag} <= {most}, got {value}")
+    return kind, flags
+
+
+def _params(n: int, q: str) -> SeriesParams:
+    """The point of a sum: ζ_n for "zeta", else the rational q."""
+    if q == "zeta":
+        return zeta_params(n)
+    try:
+        qv = parse_rational(q)
+    except ValueError:
+        raise UsageError(f"cannot parse q spec {q!r}")
+    return SeriesParams(n, qv)
+
+
+def _sum(fn: Callable, render: Callable) -> _Kind:
+    """A sum over the multi-index --index at the point (--n, --q)."""
+    def value(n: int, q: str, index: str | None):
+        sp = _params(n, q)
+        return render(fn(_parse_index(index), sp))
+    return _Kind({"n": None, "q": "zeta", "index": None}, (("n", 1, None),), value)
+
+
+def _g_sum(n: int, q: str, k: int, l: int, h: str, j: int) -> dict:
+    sp = _params(n, q)
+    return g_sum(HeightProfile(k, l, tuple(_parse_int_list(h)), j), sp).to_json()
+
+
+def _gsum_rows(n: list[int], k: int) -> list:
+    return [((m, w, d), g_sum(HeightProfile(w, d), zeta_params(m)).rationalized())
+            for m in n for w in range(k + 1) for d in range(w + 1)]
+
+
+def _eval_rows(n: list[int], k: int, l: int) -> list:
+    return [((m, w, d), eval_constant_index(w, d, m))
+            for m in n for w in range(1, k + 1) for d in range(l + 1)]
+
+
+_to_json = methodcaller("to_json")
+
+_KINDS: dict[str, dict[str, _Kind]] = {
+    "compute": {
+        "zbar": _sum(zbar, scalar_to_json),
+        "zbar_star": _sum(zbar_star, scalar_to_json),
+        "zbar_t": _sum(zbar_t, _to_json),
+        "z_t": _sum(z_t, _to_json),
+        "L": _sum(L_poly, _to_json),
+        "g_sum": _Kind({"n": None, "q": "zeta", "k": None, "l": None, "h": "", "j": -1},
+                       (("n", 1, None), ("k", 0, None), ("l", 0, None)), _g_sum),
+        "eval_const": _Kind({"n": None, "k": None, "l": None},
+                            (("n", 2, None), ("k", 1, 3), ("l", 0, None)),
+                            lambda n, k, l: eval_constant_index(k, l, n).to_json()),
+        "u_poly": _Kind({"n": None}, (("n", 1, None),), lambda n: _series_json(u_poly(n))),
+        "xi_coeff": _Kind({"l": None}, (("l", 0, None),),
+                          lambda l: xi_ones_coeff(l).to_json()),
+    },
+    "table": {
+        "gsum": _Kind({"n": None, "k": 3}, (("n", 1, None), ("k", 0, None)), _gsum_rows),
+        "eval": _Kind({"n": None, "k": 3, "l": 4},
+                      (("n", 2, None), ("k", 1, 3), ("l", 0, None)), _eval_rows),
+    },
 }
-_COMPUTE_OPTIONAL = ("n", "q", "index", "k", "l", "h", "j")
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    kind = args.kind.replace("-", "_")
-    if kind not in _COMPUTE_FLAGS:
-        raise UsageError(f"unknown compute kind {args.kind!r}")
-    reads = _COMPUTE_FLAGS[kind]
-    unread = [f"--{name}" for name in _COMPUTE_OPTIONAL
-              if getattr(args, name) is not None and name not in reads]
-    if unread:
-        raise UsageError(f"compute {args.kind} does not read {', '.join(unread)}")
-
-    def single_n() -> int:
-        ns = _parse_int_list(args.n)
-        if len(ns) != 1:
+    kind, flags = _checked(args)
+    if "n" in flags:
+        if len(flags["n"]) != 1:
             raise UsageError("compute takes a single --n")
-        return ns[0]
-
-    def params() -> SeriesParams:
-        if args.n is None:
-            raise UsageError("--n is required for this kind")
-        n = single_n()
-        if n < 1:
-            raise UsageError(f"{kind} needs --n >= 1, got {n}")
-        if args.q in (None, "zeta"):
-            return zeta_params(n)
-        try:
-            qv = parse_rational(args.q)
-        except ValueError:
-            raise UsageError(f"cannot parse q spec {args.q!r}")
-        return SeriesParams(n, qv)
-
-    if "q" in reads:
-        sp = params()
-    if kind in ("zbar", "zbar_star"):
-        parts = _parse_index(args.index)
-        fn = zbar if kind == "zbar" else zbar_star
-        payload = _json_line(scalar_to_json(fn(parts, sp)))
-    elif kind in ("zbar_t", "z_t"):
-        parts = _parse_index(args.index)
-        fn = zbar_t if kind == "zbar_t" else z_t
-        payload = _json_line(fn(parts, sp).to_json())
-    elif kind == "g_sum":
-        if args.k is None or args.l is None:
-            raise UsageError("g_sum needs --k and --l")
-        h = tuple(_parse_int_list(args.h)) if args.h else ()
-        profile = HeightProfile(args.k, args.l, h, -1 if args.j is None else args.j)
-        payload = _json_line(g_sum(profile, sp).to_json())
-    elif kind == "L":
-        parts = _parse_index(args.index)
-        payload = _json_line(L_poly(parts, sp, "interp").to_json())
-    elif kind == "eval_const":
-        if args.k is None or args.l is None or args.n is None:
-            raise UsageError("eval_const needs --k, --l and --n")
-        n = single_n()
-        if n < 2:
-            raise UsageError(f"eval_const needs --n >= 2, got {n}")
-        if args.l < 0:
-            raise UsageError(f"eval_const needs --l >= 0, got {args.l}")
-        payload = _json_line(eval_constant_index(args.k, args.l, n).to_json())
-    elif kind == "u_poly":
-        if args.n is None:
-            raise UsageError("u_poly needs --n")
-        n = single_n()
-        if n < 1:
-            raise UsageError(f"u_poly needs --n >= 1, got {n}")
-        payload = _json_line(_series_json(u_poly(n)))
-    elif kind == "xi_coeff":
-        if args.l is None:
-            raise UsageError("xi_coeff needs --l")
-        payload = _json_line(xi_ones_coeff(args.l).to_json())
-
-    if args.format == "csv":
-        payload = _compute_csv(payload)
-    _emit(payload + "\n", args.out)
+        flags["n"] = flags["n"][0]
+    value = kind.value(**flags)
+    _emit((_compute_csv(value) if args.format == "csv" else _json_line(value)) + "\n",
+          args.out)
     return EXIT_OK
 
 
-def _compute_csv(payload: str) -> str:
-    """Flatten the JSON payload into key,value CSV lines (exact strings)."""
-    obj = json.loads(payload)
-    if isinstance(obj, str):
-        return obj
-    lines = []
-    for key, val in obj.items():
-        cell = val if isinstance(val, str) else json.dumps(val, separators=(",", ":"))
-        lines.append(f"{key},{cell}")
-    return "\n".join(lines)
+def _compute_csv(value) -> str:
+    """Flatten a JSON value into key,value CSV lines (exact strings)."""
+    if isinstance(value, str):
+        return value
+    return "\n".join(f"{key},{cell if isinstance(cell, str) else _json_line(cell)}"
+                     for key, cell in value.items())
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    kind, flags = _checked(args)
+    rows: list[tuple[tuple[int, ...], TPoly]] = kind.value(**flags)
+    width = max((tp.degree() + 1 for _, tp in rows if not tp.is_zero()), default=0)
+    columns = ["n", "k", "l"] + [f"t^{e}" for e in range(width)]
+    cells = [[str(v) for v in key] + [render_rational(Fraction(tp.coeffs.get(e, 0)))
+                                      for e in range(width)]
+             for key, tp in rows]
+    if args.format == "csv":
+        lines = [",".join(columns)] + [",".join(row) for row in cells]
+        body = "\n".join(lines) + "\n"
+    else:
+        body = _json_line({"columns": columns, "rows": cells}) + "\n"
+    _emit(body, args.out)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +309,17 @@ def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
     tasks = sorted(groups.values(), key=len, reverse=True)
     results: list = [None] * len(instances)
     pool = ProcessPoolExecutor(max_workers=jobs)
+    futures = [pool.submit(_verify_group, task) for task in tasks]
     try:
-        for done in pool.map(_verify_group, tasks):
-            for i, result in done:
+        for future in futures:
+            for i, result in future.result():
                 results[i] = result
     except BaseException:
-        # A package error stops the run, so no other report is read: drop the
-        # queued groups and stop the running ones rather than wait for them.
-        # ProcessPoolExecutor has no public call for that before Python 3.14.
+        # A package error stops the run, so no other report is read: stop the
+        # running groups (no public call before Python 3.14) and let shutdown
+        # drop the queued ones in the pool's thread.  A future cancelled here
+        # would make that thread raise InvalidStateError if it saw a worker
+        # die first, since it then fails every queued future.
         for proc in list(pool._processes.values()):
             proc.terminate()
         pool.shutdown(cancel_futures=True)
@@ -344,62 +399,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if counts["error"]:
         return EXIT_CRASH
     return EXIT_OK if counts["fail"] == 0 else EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
-# table
-# ---------------------------------------------------------------------------
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.kind not in ("gsum", "eval"):
-        raise UsageError(f"unknown table kind {args.kind!r}")
-    # a selection without rows is a usage error, not a header-only table
-    ns = _parse_int_list(args.n) if args.n else []
-    if not ns:
-        raise UsageError(f"table {args.kind} needs at least one --n")
-    min_k = 1 if args.kind == "eval" else 0
-    if args.k < min_k:
-        raise UsageError(f"table {args.kind} needs --k >= {min_k}, got {args.k}")
-    if args.kind == "eval" and args.l < 0:
-        raise UsageError(f"table eval needs --l >= 0, got {args.l}")
-    if args.kind == "eval" and args.k > 3:
-        raise UsageError(f"table eval needs --k <= 3, got {args.k}")
-    min_n = 2 if args.kind == "eval" else 1
-    if min(ns) < min_n:
-        raise UsageError(f"table {args.kind} needs --n >= {min_n}, got {min(ns)}")
-    rows: list[tuple[tuple[int, ...], TPoly]] = []
-    if args.kind == "gsum":
-        for n in ns:
-            zp = zeta_params(n)
-            for k in range(args.k + 1):
-                for l in range(k + 1):
-                    rows.append(((n, k, l),
-                                 g_sum(HeightProfile(k, l), zp).rationalized()))
-    else:
-        for n in ns:
-            for k in range(1, args.k + 1):
-                for l in range(args.l + 1):
-                    rows.append(((n, k, l), eval_constant_index(k, l, n)))
-
-    width = max((tp.degree() + 1 for _, tp in rows if not tp.is_zero()), default=0)
-    columns = ["n", "k", "l"] + [f"t^{e}" for e in range(width)]
-    cells = [[str(v) for v in key] + [render_rational(Fraction(c))
-                                      for c in _dense(tp, width)]
-             for key, tp in rows]
-    if args.format == "csv":
-        lines = [",".join(columns)] + [",".join(row) for row in cells]
-        body = "\n".join(lines) + "\n"
-    else:
-        body = _json_line({"columns": columns, "rows": cells}) + "\n"
-    _emit(body, args.out)
-    return EXIT_OK
-
-
-def _dense(tp: TPoly, width: int) -> list[Fraction]:
-    out = [Fraction(0)] * width
-    for e, c in tp.coeffs.items():
-        out[e] = Fraction(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table", help="emit a value table")
     pt.add_argument("kind", help="gsum|eval")
-    pt.add_argument("--n", default="", help="moduli (INT, a..b, or list)")
-    pt.add_argument("--k", type=int, default=3, help="max weight")
-    pt.add_argument("--l", type=int, default=4, help="max depth (eval)")
+    pt.add_argument("--n", help="moduli (INT, a..b, or list)")
+    pt.add_argument("--k", type=int, help="max weight (default 3)")
+    pt.add_argument("--l", type=int, help="max depth (eval; default 4)")
     pt.add_argument("--format", choices=("json", "csv"), default="csv")
     pt.add_argument("--out", help="write table to this path")
     pt.set_defaults(fn=_cmd_table)

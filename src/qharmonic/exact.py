@@ -173,6 +173,11 @@ class CycloNumber:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("CycloNumber is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the stored (canonical) pair; their
+        # default slot restore would go through the guard above
+        return _make, (self.order, list(self._num), self._den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The rational coefficients of 1, zeta, ..., zeta^(phi(n)-1)."""
@@ -533,6 +538,9 @@ class SparsePoly:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._from_raw, (self.coeffs,)
 
     @classmethod
     def zero(cls):

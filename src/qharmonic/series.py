@@ -83,6 +83,9 @@ class SeriesRing:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SeriesRing is immutable")
 
+    def __reduce__(self):
+        return SeriesRing, (self.variables, self.cap)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SeriesRing)
@@ -190,6 +193,9 @@ class Series:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
+
+    def __reduce__(self):
+        return Series._trusted, (self.ring, self.terms)
 
     # -- inspection ---------------------------------------------------------
 

@@ -122,8 +122,10 @@ def test_compute_domain_errors(capsys):
     # q = 1 and premature roots of unity are rejected by the exact layer
     assert run(capsys, "compute", "zbar", "--n", "3", "--q", "1",
                "--index", "2")[0] == 3
+    # a weight without a closed form is refused by the kind's declared
+    # bounds, like table eval, before the exact layer is reached
     assert run(capsys, "compute", "eval-const", "--k", "4", "--l", "1",
-               "--n", "3")[0] == 3
+               "--n", "3")[0] == 2
 
 
 @pytest.mark.parametrize("argv,unread", [
@@ -196,6 +198,73 @@ def test_compute_sum_n_below_one_is_usage_error(capsys, argv, n, q):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {argv[0].replace('-', '_')} needs --n >= 1, got {n}\n"
+
+
+# Every compute and table kind: the flags it reads besides --format and
+# --out, a value for each flag it cannot do without, and (least, most) for
+# each bounded flag in the order they are checked, most None for no bound.
+# This table is the reference the CLI's declarations are pinned to.
+FLAGS = {"compute": ("n", "q", "index", "k", "l", "h", "j"), "table": ("n", "k", "l")}
+SUM = (("n", "q", "index"), {"n": "3"}, {"n": (1, None)})
+KIND_RULES = {
+    ("compute", "zbar"): SUM,
+    ("compute", "zbar-star"): SUM,
+    ("compute", "zbar-t"): SUM,
+    ("compute", "z-t"): SUM,
+    ("compute", "L"): SUM,
+    ("compute", "g-sum"): (("n", "q", "k", "l", "h", "j"), {"n": "3", "k": "2", "l": "2"},
+                           {"n": (1, None), "k": (0, None), "l": (0, None)}),
+    ("compute", "eval-const"): (("n", "k", "l"), {"n": "3", "k": "2", "l": "1"},
+                                {"n": (2, None), "k": (1, 3), "l": (0, None)}),
+    ("compute", "u-poly"): (("n",), {"n": "2"}, {"n": (1, None)}),
+    ("compute", "xi-coeff"): (("l",), {"l": "2"}, {"l": (0, None)}),
+    ("table", "gsum"): (("n", "k"), {"n": "3"}, {"n": (1, None), "k": (0, None)}),
+    ("table", "eval"): (("n", "k", "l"), {"n": "3"},
+                        {"n": (2, None), "k": (1, 3), "l": (0, None)}),
+}
+
+
+def _run_flags(capsys, command, kind, flags) -> tuple[int, str, str]:
+    code = main([command, kind] + [a for flag, value in flags.items()
+                                   for a in (f"--{flag}", value)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _refused(capsys, command, kind, flags) -> str:
+    """The one stderr line of a command line refused with exit 2."""
+    code, out, err = _run_flags(capsys, command, kind, flags)
+    assert (code, out, err.count("\n")) == (2, "", 1), (flags, err)
+    return err
+
+
+@pytest.mark.parametrize("command, kind", list(KIND_RULES))
+def test_every_declared_rule_is_enforced(capsys, command, kind):
+    reads, base, bounds = KIND_RULES[(command, kind)]
+    assert _run_flags(capsys, command, kind, base)[0] == 0
+    # compute messages name the kind with underscores, table ones the command
+    who = f"table {kind}" if command == "table" else kind.replace("-", "_")
+    for flag in FLAGS[command]:
+        if flag not in reads:
+            assert _refused(capsys, command, kind, dict(base, **{flag: "1"})) == \
+                f"error: {command} {kind} does not read --{flag}\n"
+    for flag in base:
+        missing = {f: v for f, v in base.items() if f != flag}
+        need = "at least one --n" if flag == "n" else f"--{flag}"
+        assert _refused(capsys, command, kind, missing) == f"error: {who} needs {need}\n"
+    for flag, (lo, hi) in bounds.items():
+        assert _refused(capsys, command, kind, dict(base, **{flag: str(lo - 1)})) == \
+            f"error: {who} needs --{flag} >= {lo}, got {lo - 1}\n"
+        if hi is not None:
+            assert _refused(capsys, command, kind, dict(base, **{flag: str(hi + 1)})) == \
+                f"error: {who} needs --{flag} <= {hi}, got {hi + 1}\n"
+    # with every bounded flag from the i-th on below its least value, the
+    # i-th is named
+    order = list(bounds.items())
+    for i, (flag, (lo, _)) in enumerate(order):
+        low = dict(base, **{f: str(least - 1) for f, (least, _) in order[i:]})
+        assert _refused(capsys, command, kind, low) == \
+            f"error: {who} needs --{flag} >= {lo}, got {lo - 1}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -592,3 +661,28 @@ def test_package_error_in_a_group_stops_the_pool(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cap=7 outside [1, 6]\n"
+
+
+def test_pool_stops_cleanly_when_its_workers_die_first(monkeypatch, capsys):
+    # the pool's manager thread sees the terminated workers die before the
+    # shutdown wakes it, and then fails every queued future; one cancelled
+    # before that raised InvalidStateError in that thread
+    import multiprocessing.process
+    import threading
+
+    errors = []
+    monkeypatch.setattr(threading, "excepthook",
+                        lambda info: errors.append(info.exc_type.__name__))
+    terminate = multiprocessing.process.BaseProcess.terminate
+
+    def terminate_and_wait(self):
+        terminate(self)
+        self.join(timeout=30)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate_and_wait)
+    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7",
+                 "--allow-large-cap", "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap=7 outside [1, 6]\n"
+    assert errors == []

@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 import random
 import sys
 from decimal import Decimal
@@ -25,7 +27,8 @@ from qharmonic.exact import (
     scalar_to_json,
 )
 from qharmonic.genfun import poly_mismatch
-from qharmonic.qseries import ZPoly
+from qharmonic.qseries import SeriesParams, ZPoly, zeta_params
+from qharmonic.series import Series, SeriesRing
 
 
 def test_cyclotomic_polynomials():
@@ -747,3 +750,36 @@ def test_cyclo_coeffs_is_read_only():
     assert x.coeffs == (Fraction(1, 2), Fraction(3)) + (Fraction(0),) * 4
     with pytest.raises(AttributeError):
         x.coeffs = (Fraction(1),)
+
+
+_RING = SeriesRing(("u1", "u2"), 3)
+IMMUTABLE_VALUES = {
+    "CycloNumber": CycloNumber.zeta(5),
+    "CycloNumber-with-denominator": CycloNumber(6, [Fraction(1, 2), Fraction(3, 4)]),
+    "TPoly": TPoly.t(),
+    "ZPoly": ZPoly.one(),
+    "SeriesRing": _RING,
+    "Series": Series(_RING, {(0, 0): TPoly.one(), (1, 2): TPoly({1: Fraction(-1, 3)})}),
+    "SeriesParams-at-root": zeta_params(5),
+    "SeriesParams-at-irrational-q": SeriesParams(4, CycloNumber.zeta(5) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", list(IMMUTABLE_VALUES))
+@pytest.mark.parametrize("how", ["pickle", "deepcopy", "copy"])
+def test_immutable_values_survive_pickle_and_copy(name, how):
+    value = IMMUTABLE_VALUES[name]
+    twin = {"pickle": lambda v: pickle.loads(pickle.dumps(v)),
+            "deepcopy": copy.deepcopy, "copy": copy.copy}[how](value)
+    assert type(twin) is type(value)
+    assert twin == value
+    if type(value).__hash__ is not None:
+        assert hash(twin) == hash(value)
+    if isinstance(value, CycloNumber):
+        # the stored pair stays canonical, so equality and hashing still
+        # compare it field by field
+        assert (twin.order, twin._num, twin._den) == (value.order, value._num, value._den)
+    if isinstance(value, SeriesParams):
+        assert (twin.n, twin.q, twin.root_order) == (value.n, value.q, value.root_order)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(twin.q if isinstance(twin, SeriesParams) else twin, "order", 1)
