@@ -8,7 +8,8 @@ Three scalar kinds are used throughout the package:
                              numerators over one positive int denominator,
                              kept in lowest terms; at the generator
                              zeta_n, zeta^e and 1/(1 - zeta^e) have closed
-                             forms built by index arithmetic,
+                             forms built by index arithmetic, and a product
+                             with zeta^e is a rotation of the numerators,
 * ``complex``             -- floating point, quarantined to the numeric limit
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
@@ -20,14 +21,21 @@ and raw product kernel (``_accumulate``) the series module shares.
 coefficients; ``qseries.ZPoly`` is its instance in z, with TPoly
 coefficients.  Series coefficients everywhere in the package are TPoly
 values, so t is never truncated.
+
+The integer kernels work on numerators over one int denominator and divide
+once at the end (``_over``): ints in the rational TPoly and Series kernels,
+and through a ``NumeratorRing`` in the qseries prefix-sum recursion, whose
+cached t-layers hold ints at rational q and Z[zeta_n] coefficient lists in
+Q(zeta_n).
 """
 from __future__ import annotations
 
 import json
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -123,6 +131,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     for d in _divisors(n)[:-1]:
         poly = _poly_div_exact_int(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+# What _reduce reads of the order-th cyclotomic polynomial: phi(order) and
+# its nonzero terms (i, c_i) below the leading one.  A plain dict beside the
+# cache above, one key per order like it, filled on first use; each entry is
+# a function of the order alone, so no result depends on whether it is filled.
+_REDUCTION_TERMS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 # Unbounded: one key per cyclotomic order, as for cyclotomic_polynomial.
@@ -278,6 +293,17 @@ class CycloNumber:
 
     __rmul__ = __mul__
 
+    def times_zeta_power(self, e: int) -> "CycloNumber":
+        """self * zeta^e as a rotation: numerator i moves to slot
+        (i + e) mod order and one _reduce follows, with no product; zeta^e is
+        a unit, so the denominator stays."""
+        order = self.order
+        num = [0] * order
+        for i, a in enumerate(self._num):
+            num[(i + e) % order] = a
+        _reduce(order, num)
+        return _make(order, num, self._den)
+
     def inverse(self) -> "CycloNumber":
         """Multiplicative inverse through the Galois norm, in integers.
 
@@ -388,9 +414,13 @@ def _product(order: int, x, y) -> list[int]:
 def _reduce(order: int, prod: list[int]) -> None:
     """Reduce the integer coefficient list `prod` modulo the monic order-th
     cyclotomic polynomial, in place, and cut it to phi(order) entries."""
-    mod = cyclotomic_polynomial(order)
-    phi = len(mod) - 1
-    low = [(i, m) for i, m in enumerate(mod[:phi]) if m]
+    try:
+        phi, low = _REDUCTION_TERMS[order]
+    except KeyError:
+        mod = cyclotomic_polynomial(order)
+        phi = len(mod) - 1
+        low = tuple((i, m) for i, m in enumerate(mod[:phi]) if m)
+        _REDUCTION_TERMS[order] = phi, low
     for deg in range(len(prod) - 1, phi - 1, -1):
         c = prod[deg]
         if c:
@@ -747,12 +777,15 @@ def as_tpoly(value) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer views of rational TPolys
+# integer views of exact values
 # ---------------------------------------------------------------------------
 # The rational kernels (TPoly.affine_t, Series product and quotient) scale
 # their Fraction operands to int numerators over one denominator, do every
 # product and sum in ints, and divide once per output coefficient.  A
-# coefficient of any other kind sends a kernel down its generic path.
+# coefficient of any other kind sends a kernel down its generic path.  The
+# prefix-sum recursion of qseries does the same at every exact q through a
+# NumeratorRing: over Q the numerators are ints, over Q(zeta_N) the int
+# coefficient lists of elements of Z[zeta_N].
 
 def _denominator_lcm(polys: Iterable[TPoly]) -> int | None:
     """The lcm of the denominators of every coefficient of `polys`, or None
@@ -769,10 +802,47 @@ def _numerators(tp: TPoly, scale: int) -> list[tuple[int, int]]:
     return [(k, v.numerator * (scale // v.denominator)) for k, v in tp.coeffs.items()]
 
 
-def _over(raw: Mapping[int, int], den: int) -> TPoly:
-    """The TPoly with coefficients raw[k]/den in lowest terms: the one place
-    the integer kernels build Fractions."""
-    return TPoly._from_raw({k: Fraction(v, den) for k, v in raw.items() if v})
+def _over(raw: Mapping, den: int, order: int | None = None) -> TPoly:
+    """The TPoly with coefficients raw[k]/den in lowest terms, each raw[k] an
+    int, or with an order the int coefficient list of an element of
+    Z[zeta_order]: the one place the integer kernels build Fractions and
+    CycloNumbers."""
+    if order is None:
+        return TPoly._from_raw({k: Fraction(v, den) for k, v in raw.items() if v})
+    return TPoly._from_raw({k: _make(order, v, den) for k, v in raw.items()})
+
+
+def _slot_add(x, y) -> list[int]:
+    """The sum of two coefficient lists of one length, slot by slot."""
+    return [a + b for a, b in zip(x, y)]
+
+
+class NumeratorRing:
+    """The numerators of Q (order None) or of Q(zeta_order) over one shared
+    positive int denominator: ints, or int coefficient lists of length
+    phi(order) that add slot by slot (`_slot_add`) and multiply by
+    `_product`.  `zero`, `add` and `mul` are the ring's operations; `column`
+    turns values into numerators, and `_over` turns numerators back."""
+
+    __slots__ = ("order", "zero", "add", "mul")
+
+    def __init__(self, order: int | None) -> None:
+        self.order = order
+        if order is None:
+            self.zero, self.add, self.mul = 0, operator.add, operator.mul
+        else:
+            self.zero = (0,) * euler_phi(order)
+            self.add, self.mul = _slot_add, partial(_product, order)
+
+    def column(self, values) -> tuple[int, list]:
+        """(d, the numerators of v * d for each of `values`), d the lcm of
+        their denominators; the values are Fractions, or CycloNumbers of the
+        ring's order."""
+        if self.order is None:
+            den = lcm(*(v.denominator for v in values))
+            return den, [v.numerator * (den // v.denominator) for v in values]
+        den = lcm(*(v._den for v in values))
+        return den, [[a * (den // v._den) for a in v._num] for v in values]
 
 
 def binomial(n: int, k: int) -> int:

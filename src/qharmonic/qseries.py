@@ -13,7 +13,12 @@ other way around.
 Two bounded caches share work between calls.  `_factor` is the single table
 of summands f_k(m) (for zbar, for z over the q-integer, and for the
 polylogarithms), which the literal sums and the recursion both read.
-`_levels` holds the per-m level vectors of zbar_t, z_t and L_poly: the
+`_levels` holds the per-m level vectors of zbar_t, z_t and L_poly as
+integer t-layers over one int denominator: one vector of numerators per
+power of t, ints at rational q and Z[zeta] coefficient lists at a
+CycloNumber q (exact.NumeratorRing), so a step adds and multiplies integers
+and never normalises; weighting an equality by t reads the layer one power
+lower, and zbar_t, z_t and L_poly divide once per output coefficient.  The
 vector of (k_1, ..., k_l) is one level step above the cached vector of its
 tail (k_2, ..., k_l), so the indices of a profile sum (g_sum, x_sum and
 brute Psi) that share a tail share its levels.  Both are keyed by the
@@ -22,24 +27,29 @@ caches hold.
 
 At q = zeta_N (SeriesParams.root_order) the summand table is index
 arithmetic: q^e is the basis element zeta^(e mod N), 1/(1 - q^m) is the
-closed form -(1/N) sum_j j zeta^(jm mod N), and the check that no q^m = 1
-for m < n is N >= n, so none of them takes a product, power or inverse.  The
-q-integer inverse of z stays a generic inverse, so that z = (1-q)^w zbar
-remains a check of two computations, not an identity by construction.
+closed form -(1/N) sum_j j zeta^(jm mod N), multiplying by zeta^m is a
+rotation of the coefficients (CycloNumber.times_zeta_power), and the check
+that no q^m = 1 for m < n is N >= n, so none of them takes a product, power
+or inverse.  The q-integer inverse of z stays a generic inverse, so that
+z = (1-q)^w zbar remains a check of two computations, not an identity by
+construction.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 
 from .exact import (
     CycloNumber,
+    NumeratorRing,
     QHarmonicError,
     Scalar,
     SparsePoly,
     TPoly,
+    _over,
     scalar_inverse,
     scalar_pow,
 )
@@ -126,7 +136,8 @@ def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
     Higher parts multiply up from part k - 1, which this table also holds.
 
     At q = zeta_N, q^e (_qpow) and the part-1 "zbar" summand 1/(1-q^m) are
-    closed forms (CycloNumber.zeta_power, .one_minus_zeta_power_inverse).
+    closed forms (CycloNumber.zeta_power, .one_minus_zeta_power_inverse),
+    and a higher part multiplies by q^m as a rotation (.times_zeta_power).
     The part-1 "z" summand stays the generic inverse of the q-integer at
     every q; only its constant 1/(1-q) is read from the "zbar" entry m = 1."""
     if kind == "L":
@@ -135,7 +146,10 @@ def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
     if k == 0:
         return _qpow(params, -m)
     if k > 1:
-        return _factor(params, kind, k - 1, m) * _qpow(params, m) * _factor(params, kind, 1, m)
+        lower = _factor(params, kind, k - 1, m) * _factor(params, kind, 1, m)
+        if params.root_order:
+            return lower.times_zeta_power(m)
+        return lower * _qpow(params, m)
     if kind == "z":
         # inverse of the q-integer, computed from the quotient itself so
         # that the modified and unmodified evaluators stay independent
@@ -163,47 +177,66 @@ def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: boo
     return total
 
 
-def _level_step(k: int, below, factor, eq) -> list:
-    """One summation level of the prefix-sum recursion.
+def _level_step(column, below, equal, add=operator.add, mul=operator.mul, zero=0) -> list:
+    """One summation level of the prefix-sum recursion, in the ring given by
+    `add`, `mul` and `zero`.
 
     `below` is the level vector of a tail (k_2, ..., k_l): entry m - 1 sums
-    over the tuples with m_2 = m.  The result is the level vector of
-    (k, k_2, ..., k_l): entry m - 1 is factor(k, m) times the sum of the
-    entries of `below` at m_2 < m, plus eq(m, entry at m_2 = m), the
-    weighted equality m_1 = m_2 = m.  One running sum, so O(n) operations."""
-    running, new = 0, []
-    for m, value in enumerate(below, 1):
-        new.append(factor(k, m) * (running + eq(m, value)))
-        running = running + value
+    over the tuples with m_2 = m.  `column` holds the summands f_k(m) of the
+    new part and `equal` the weighted equality terms m_1 = m_2 = m.  Entry
+    m - 1 of the result is f_k(m) times the sum of the entries of `below` at
+    m_2 < m plus equal[m - 1].  One running sum, so O(n) operations."""
+    running, new = zero, []
+    for f, value, eq in zip(column, below, equal):
+        new.append(mul(f, add(running, eq)))
+        running = add(running, value)
     return new
 
 
-def _times_t(m: int, value):
-    """value * t as an exponent shift; a scalar becomes the monomial value * t."""
-    return value.shift(1) if isinstance(value, TPoly) else TPoly({1: value})
+def _layer_step(column, below: tuple, ring: NumeratorRing) -> tuple:
+    """_level_step on t-layers: `below` holds the numerator vectors of the
+    t^0, t^1, ... coefficients of a level vector, and weighting an equality
+    by t reads the layer one power lower, so layer j of the result steps
+    layer j of `below` with layer j - 1 as its equality terms."""
+    zeros = [ring.zero] * len(column)
+    return tuple(_level_step(column, layer, lower, ring.add, ring.mul, ring.zero)
+                 for layer, lower in zip(below + (zeros,), (zeros,) + below))
+
+
+def _order(params: SeriesParams) -> int | None:
+    """N when q lies in Q(zeta_N) but not in Q, None at rational q."""
+    return params.q.order if isinstance(params.q, CycloNumber) else None
 
 
 @lru_cache(maxsize=128)
-def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple:
+def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tuple]:
     """The level sums of a nonempty index with the summands of `kind` (see
-    _factor), each equality m_i = m_(i+1) weighted by t.
+    _factor), each equality m_i = m_(i+1) weighted by t, as integer t-layers
+    over one denominator: (d, layers), where layers[j][m - 1] / d is the t^j
+    coefficient of the level sum at m, an int numerator at rational q and a
+    Z[zeta] coefficient list at a CycloNumber q (see NumeratorRing).
 
-    The vector of (k_1, ..., k_l) is one _level_step above the vector of
+    The layers of (k_1, ..., k_l) are one _layer_step above the layers of
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
-    under taking tails."""
-    factor = lambda k, m: _factor(params, kind, k, m)
+    under taking tails.  The summand column f_(k_1)(1..n-1) is scaled once
+    to numerators over its lcm, and the denominators multiply."""
+    ring = NumeratorRing(_order(params))
+    den, column = ring.column([_factor(params, kind, parts[0], m) for m in range(1, params.n)])
     if len(parts) == 1:
-        return tuple(factor(parts[0], m) for m in range(1, params.n))
-    below = _levels(parts[1:], params, kind)
-    return tuple(_level_step(parts[0], below, factor, _times_t))
+        return den, (column,)
+    below_den, below = _levels(parts[1:], params, kind)
+    return below_den * den, _layer_step(column, below, ring)
 
 
 def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:
     _check_parts(parts)
     if not parts:
         return TPoly.one()
-    return sum(_levels(parts, params, kind), TPoly.zero())
+    ring = NumeratorRing(_order(params))
+    den, layers = _levels(parts, params, kind)
+    return _over({j: reduce(ring.add, layer, ring.zero) for j, layer in enumerate(layers)},
+                 den, ring.order)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -305,7 +338,10 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
         raise ValueError(f"unknown variant {variant!r}")
     if not parts:
         return ZPoly.one()
-    return ZPoly(dict(enumerate(_levels(parts, params, "L"), 1)))
+    den, layers = _levels(parts, params, "L")
+    order = _order(params)
+    return ZPoly._from_raw({m: _over(dict(enumerate(coeffs)), den, order)
+                            for m, coeffs in enumerate(zip(*layers), 1)})
 
 
 def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:
@@ -351,14 +387,14 @@ def z_t_float(parts: MultiIndex, n: int, t: float) -> complex:
     roots = [cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
     one_minus_q = 1 - roots[1 % n]
 
-    def factor(k: int, m: int) -> complex:
-        qint = (1 - roots[m % n]) / one_minus_q
-        return roots[((k - 1) * m) % n] / qint ** k
+    def column(k: int) -> list[complex]:
+        """The summands f_k(1..n-1), over the q-integers (1-q^m)/(1-q)."""
+        return [roots[((k - 1) * m) % n] / ((1 - roots[m]) / one_minus_q) ** k
+                for m in range(1, n)]
 
-    *upper, last = parts
-    vals = [factor(last, m) for m in range(1, n)]
-    for k in reversed(upper):
-        vals = _level_step(k, vals, factor, lambda m, value: t * roots[m] * value)
+    vals = column(parts[-1])
+    for k in reversed(parts[:-1]):
+        vals = _level_step(column(k), vals, [t * roots[m] * v for m, v in enumerate(vals, 1)])
     total = 0j  # left to right: sum() may compensate rounding on newer Pythons
     for value in vals:
         total += value

@@ -10,6 +10,7 @@ from operator import add, mul
 
 import pytest
 
+from qharmonic import exact
 from qharmonic.exact import (
     CycloNumber,
     DivisionByZero,
@@ -579,6 +580,21 @@ def test_cyclo_matches_fraction_reference(order):
         assert (x == y) == (rx.coeffs == ry.coeffs)
 
 
+@pytest.mark.parametrize("order", ORDERS)
+def test_products_do_not_depend_on_the_reduction_table(order):
+    # _reduce keeps phi(order) and the low terms of the modulus in a plain
+    # dict filled on first use; a product right after the dict is emptied
+    # equals the one made with it filled, and both equal the reference
+    rng = random.Random(f"reduction-table:{order}")
+    pairs = [(random_pair(rng, order), random_pair(rng, order)) for _ in range(4)]
+    for (x, rx), (y, ry) in pairs:
+        exact._REDUCTION_TERMS.clear()
+        cold = x * y
+        assert order in exact._REDUCTION_TERMS
+        assert cold == x * y
+        assert_same(cold, rx * ry)
+
+
 def embed(x, order):
     """x under zeta_n -> exp(2 pi i / n)."""
     w = cmath.exp(2j * cmath.pi / order)
@@ -686,8 +702,12 @@ def test_zeta_closed_forms_match_generic_arithmetic(order):
     # repeated squaring and the Galois-norm inverse, for e in -2N..2N; the
     # generic inverse depends on e mod N only, so it is taken once per
     # residue, and where phi(N) > 24 only for 1, 2, 3, -1 and the divisors
-    # of N (it costs up to 65 ms there); the product check covers every e
+    # of N (it costs up to 65 ms there); the product check covers every e,
+    # and so does the rotation x * zeta^e against the generic product
     zeta, one = CycloNumber.zeta(order), CycloNumber.from_rational(order, 1)
+    rng = random.Random(f"rotation:{order}")
+    x = CycloNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                            for _ in range(euler_phi(order))])
     residues = range(1, order)
     if euler_phi(order) > 24:
         residues = {1, 2, 3, order - 1} | {d for d in residues if order % d == 0}
@@ -695,6 +715,8 @@ def test_zeta_closed_forms_match_generic_arithmetic(order):
     for e in range(-2 * order, 2 * order + 1):
         power = CycloNumber.zeta_power(order, e)
         assert power == zeta ** e
+        assert x.times_zeta_power(e) == x * power
+        assert one.times_zeta_power(e) == power
         if e % order == 0:
             assert power == one
             with pytest.raises(DivisionByZero):

@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from qharmonic import genfun, indices, qseries
 from qharmonic.exact import (
     CycloNumber,
+    NumeratorRing,
     TPoly,
+    _over,
     is_rational,
     scalar_eq,
     scalar_inverse,
@@ -138,6 +141,13 @@ def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
     _clear_caches()
     zbar_t((1, 2, 1), params)
     assert inverses == [] and powers == []
+    # f_2(m) = f_1(m)^2 zeta^m takes one product, and zeta^m is a rotation
+    assert len(products) == params.n - 1
+    # the recursion multiplies numerator lists, never CycloNumbers
+    _clear_caches()
+    products.clear()
+    zbar_t((1, 1, 1), params)
+    assert products == []
     # z keeps one generic inverse of the q-integer per m, so that
     # z = (1 - q)^w zbar stays a check of two computations
     _clear_caches()
@@ -207,18 +217,23 @@ def test_interpolation_endpoints():
         assert scalar_eq(tz.eval(Fraction(1)), z_star(parts, HALF))
 
 
+@lru_cache(maxsize=None)
+def _literal_summand(q, k, m):
+    """1/(1 - q^m)^k by generic powers and inverse, kept across calls."""
+    return scalar_pow(1 - scalar_pow(q, m), -k)
+
+
 def _literal_L(parts, sp, strict):
     """Sum of z^(m_1) / prod (1 - q^(m_i))^(k_i) over decreasing tuples."""
     pool = range(1, sp.n)
     combos = combinations(pool, len(parts)) if strict else \
         combinations_with_replacement(pool, len(parts))
-    inv = {m: scalar_pow(1 - scalar_pow(sp.q, m), -1) for m in pool}
     acc = {}
     for combo in combos:
         ms = combo[::-1]
         term = Fraction(1)
         for k, m in zip(parts, ms):
-            term = term * scalar_pow(inv[m], k)
+            term = term * _literal_summand(sp.q, k, m)
         top = ms[0] if ms else 0
         acc[top] = acc.get(top, 0) + term
     return ZPoly(acc)
@@ -262,6 +277,31 @@ def test_prefix_sums_match_box_filling_expansion():
         # t = 0 is the strict sum and t = 1 the star sum
         assert _L_at(lp, 0) == _literal_L(parts, sp, strict=True), tag
         assert _L_at(lp, 1) == _literal_L(parts, sp, strict=False), tag
+
+
+WEIGHT_5_DEPTH_4 = [parts for w in range(1, 6) for l in range(1, 5)
+                   for parts in compositions(w, l)]
+
+
+@pytest.mark.parametrize("n, q", [
+    *((n, Fraction(q)) for q in ("1/2", "-3", "5/7") for n in (2, 3, 6, 9, 12)),
+    *((N, CycloNumber.zeta(N)) for N in range(5, 13)),
+    (7, CycloNumber.zeta(7) ** 3),
+], ids=str)
+def test_interpolated_sums_match_the_literal_sums(n, q):
+    # the integer t-layers at t = 0 and t = 1 against the literal nested
+    # sums, on every index of weight <= 5 and depth <= 4; 5/7 gives
+    # denominators of hundreds of digits, zeta_7^3 is a CycloNumber q that
+    # is not the generator
+    sp = SeriesParams(n, q)
+    for parts in WEIGHT_5_DEPTH_4:
+        tp, tz, lp = zbar_t(parts, sp), z_t(parts, sp), L_poly(parts, sp)
+        assert tp.eval(Fraction(0)) == zbar(parts, sp), parts
+        assert tp.eval(Fraction(1)) == zbar_star(parts, sp), parts
+        assert tz.eval(Fraction(0)) == z(parts, sp), parts
+        assert tz.eval(Fraction(1)) == z_star(parts, sp), parts
+        assert _L_at(lp, 0) == _literal_L(parts, sp, strict=True), parts
+        assert _L_at(lp, 1) == _literal_L(parts, sp, strict=False), parts
 
 
 def test_interpolated_sums_reject_nonpositive_parts():
@@ -316,27 +356,29 @@ def _random_scalar(rng, order):
 
 @pytest.mark.parametrize("order", [None, 5, 7], ids=["rational", "zeta5", "zeta7"])
 def test_t_step_as_shift_matches_tpoly_product(order):
-    # _level_step weights an equality by t with an exponent shift; the
-    # reference multiplies by the TPoly t, starting from level-one vectors
-    # of bare scalars and stepping up through t-polynomial vectors
+    # _layer_step weights an equality by t by reading the t-layer one power
+    # lower; the reference multiplies by the TPoly t, starting from level-one
+    # vectors of bare scalars and stepping up through t-polynomial vectors
     rng = random.Random(20261018 + (order or 0))
     t = TPoly.t()
-    times_t = qseries._times_t
+    ring = NumeratorRing(order)
     for _ in range(25):
         n = rng.randint(2, 8)
         table = {(k, m): _random_scalar(rng, order) for k in (1, 2, 3) for m in range(1, n)}
-        factor = lambda k, m: table[k, m]
         below = [_random_scalar(rng, order) for _ in range(1, n)]
+        den, layer = ring.column(below)
+        layers = (layer,)
         for _ in range(3):
             k = rng.randint(1, 3)
-            got = qseries._level_step(k, below, factor, times_t)
+            column_den, column = ring.column([table[k, m] for m in range(1, n)])
+            layers, den = qseries._layer_step(column, layers, ring), den * column_den
+            got = [_over(dict(enumerate(coeffs)), den, order) for coeffs in zip(*layers)]
             running, want = 0, []
             for m, value in enumerate(below, 1):
-                assert times_t(m, value) == t * value
-                want.append(factor(k, m) * (running + t * value))
+                want.append(table[k, m] * (running + t * value))
                 running = running + value
             assert [p.to_json() for p in got] == [p.to_json() for p in want]
-            below = got
+            below = want
 
 
 def test_zpoly_arithmetic():

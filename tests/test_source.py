@@ -49,13 +49,16 @@ def test_only_exact_reads_cyclo_storage():
     assert all(f'"{name}"' in exact.read_text() for name in CYCLO_STORAGE)
 
 
-# CycloNumber's integer kernels: multiply, add/subtract, inverse and the
-# closed forms at zeta_n (zeta^e, 1/(1 - zeta^e)) work on int numerators over
-# one denominator, through the module's product and reduction helpers;
-# Fractions appear only where a value is built from or read out as rationals.
+# CycloNumber's integer kernels: multiply, add/subtract, inverse, the
+# rotation by zeta^e and the closed forms at zeta_n (zeta^e, 1/(1 - zeta^e))
+# work on int numerators over one denominator, through the module's product
+# and reduction helpers, and so do the numerator views that the prefix-sum
+# recursion of qseries runs on; Fractions appear only where a value is built
+# from or read out as rationals.
 INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.inverse",
-                   "CycloNumber.zeta_power", "CycloNumber.one_minus_zeta_power_inverse",
-                   "_product", "_reduce")
+                   "CycloNumber.times_zeta_power", "CycloNumber.zeta_power",
+                   "CycloNumber.one_minus_zeta_power_inverse", "_product", "_reduce",
+                   "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column")
 
 
 def _definitions(path: Path) -> dict:
@@ -83,12 +86,14 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The rational Series kernels multiply and divide int numerators over one
-# denominator; a Fraction is built only in exact._over, which finishes each
-# output slot.  Their loops, and the helpers that scale an operand to ints,
-# build none, so Fraction normalisation cannot creep back into a loop.
+# The rational Series kernels and the prefix-sum recursion of qseries multiply
+# and add int numerators over one denominator; a Fraction is built only in
+# exact._over, which finishes each output slot.  Their loops, and the helpers
+# that scale an operand to ints, build none, so Fraction normalisation cannot
+# creep back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__"),
-                    "exact.py": ("_denominator_lcm", "_numerators")}
+                    "exact.py": ("_denominator_lcm", "_numerators"),
+                    "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
 
 def _builds_fraction(node) -> list[int]:
