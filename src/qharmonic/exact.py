@@ -23,8 +23,9 @@ coefficients.  Series coefficients everywhere in the package are TPoly
 values, so t is never truncated.
 
 The integer kernels work on numerators over one int denominator and divide
-once at the end (``_over``): ints in the rational TPoly and Series kernels,
-and through a ``NumeratorRing`` in the qseries prefix-sum recursion, whose
+once at the end (``_over``): ints in TPoly.affine_t and in the integer form
+that a rational Series keeps between operations, and through a
+``NumeratorRing`` in the qseries prefix-sum recursion, whose
 cached t-layers hold ints at rational q and Z[zeta_n] coefficient lists in
 Q(zeta_n).
 """
@@ -727,22 +728,17 @@ class TPoly(SparsePoly):
         return total
 
     def affine_t(self, a, b) -> "TPoly":
-        """Substitute t -> a*t + b (a, b rational), adding the binomial
-        expansion c·C(e,j)·a^j·b^(e−j) of every term into one dict.  When a
-        and b are integers and every coefficient a Fraction, the expansion
+        """Substitute t -> a*t + b (a, b rational) by `_affine_items`.  When
+        a and b are integers and every coefficient a Fraction, the expansion
         runs over the coefficients' int numerators on their lcm denominator,
         divided once per output coefficient."""
         a, b = Fraction(a), Fraction(b)
-        den = None
         if a.denominator == b.denominator == 1:
             a, b = a.numerator, b.numerator
             den = _denominator_lcm((self,))
-        out: dict[int, Scalar] = {}
-        for e, c in self.coeffs.items() if den is None else _numerators(self, den):
-            for j in range(e + 1) if b else (e,):
-                v = c * (comb(e, j) * a ** j * b ** (e - j))
-                out[j] = out[j] + v if j in out else v
-        return TPoly._from_raw(out) if den is None else _over(out, den)
+            if den is not None:
+                return _over(_affine_items(_numerators(self, den), a, b), den)
+        return TPoly._from_raw(_affine_items(self.coeffs.items(), a, b))
 
     def rationalized(self) -> "TPoly":
         """Copy with every coefficient forced into Q.
@@ -779,9 +775,10 @@ def as_tpoly(value) -> TPoly:
 # ---------------------------------------------------------------------------
 # integer views of exact values
 # ---------------------------------------------------------------------------
-# The rational kernels (TPoly.affine_t, Series product and quotient) scale
-# their Fraction operands to int numerators over one denominator, do every
-# product and sum in ints, and divide once per output coefficient.  A
+# TPoly.affine_t scales its Fraction coefficients to int numerators over one
+# denominator, works in ints and divides once per output coefficient; a
+# rational Series is kept in that integer form between operations and read
+# out through _over only when its terms are read (see qharmonic.series).  A
 # coefficient of any other kind sends a kernel down its generic path.  The
 # prefix-sum recursion of qseries does the same at every exact q through a
 # NumeratorRing: over Q the numerators are ints, over Q(zeta_N) the int
@@ -800,6 +797,20 @@ def _numerators(tp: TPoly, scale: int) -> list[tuple[int, int]]:
     """The (t-exponent, int) pairs of tp·scale, where scale is a multiple of
     every denominator of tp."""
     return [(k, v.numerator * (scale // v.denominator)) for k, v in tp.coeffs.items()]
+
+
+def _affine_items(items, a, b) -> dict:
+    """The image under t -> a*t + b of the polynomial with (t-exponent,
+    coefficient) items, as a raw {t-exponent: coefficient} dict whose zero
+    sums stay until the caller drops them: each term's binomial expansion
+    c·C(e,j)·a^j·b^(e−j) is added into one dict.  TPoly.affine_t and
+    Series.affine_t share it, on ints or on scalars."""
+    out: dict = {}
+    for e, c in items:
+        for j in range(e + 1) if b else (e,):
+            v = c * (comb(e, j) * a ** j * b ** (e - j))
+            out[j] = out[j] + v if j in out else v
+    return out
 
 
 def _over(raw: Mapping, den: int, order: int | None = None) -> TPoly:

@@ -279,8 +279,8 @@ def psi_bruteforce(n: int, r: int, q: Scalar, cap: int) -> Series:
 
 
 def series_affine_t(s: Series, a, b) -> Series:
-    """Substitute t -> a*t + b in every coefficient."""
-    return s.map_coeffs(lambda tp: tp.affine_t(a, b))
+    """Substitute t -> a*t + b in every coefficient (see Series.affine_t)."""
+    return s.affine_t(a, b)
 
 
 def series_eval_t(s: Series, value) -> Series:

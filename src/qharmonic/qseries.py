@@ -40,7 +40,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 
 from .exact import (
     CycloNumber,
@@ -177,16 +177,17 @@ def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: boo
     return total
 
 
-def _level_step(column, below, equal, add=operator.add, mul=operator.mul, zero=0) -> list:
+def _level_step(column, below, equal, add=operator.add, mul=operator.mul, start=0) -> list:
     """One summation level of the prefix-sum recursion, in the ring given by
-    `add`, `mul` and `zero`.
+    `add` and `mul`.
 
     `below` is the level vector of a tail (k_2, ..., k_l): entry m - 1 sums
     over the tuples with m_2 = m.  `column` holds the summands f_k(m) of the
     new part and `equal` the weighted equality terms m_1 = m_2 = m.  Entry
     m - 1 of the result is f_k(m) times the sum of the entries of `below` at
-    m_2 < m plus equal[m - 1].  One running sum, so O(n) operations."""
-    running, new = zero, []
+    m_2 < m plus equal[m - 1], where `start` is the sum of any entries of
+    `below` left out in front.  One running sum, so O(n) operations."""
+    running, new = start, []
     for f, value, eq in zip(column, below, equal):
         new.append(mul(f, add(running, eq)))
         running = add(running, value)
@@ -195,12 +196,32 @@ def _level_step(column, below, equal, add=operator.add, mul=operator.mul, zero=0
 
 def _layer_step(column, below: tuple, ring: NumeratorRing) -> tuple:
     """_level_step on t-layers: `below` holds the numerator vectors of the
-    t^0, t^1, ... coefficients of a level vector, and weighting an equality
-    by t reads the layer one power lower, so layer j of the result steps
-    layer j of `below` with layer j - 1 as its equality terms."""
-    zeros = [ring.zero] * len(column)
-    return tuple(_level_step(column, layer, lower, ring.add, ring.mul, ring.zero)
-                 for layer, lower in zip(below + (zeros,), (zeros,) + below))
+    t^0, ..., t^(l-1) coefficients of a depth-l level vector, and weighting
+    an equality by t reads the layer one power lower, so layer j of the
+    result steps layer j of `below` with layer j - 1 as its equality terms.
+
+    Layer j of a depth-l vector is zero at m < l - j, since its l - 1 - j
+    strict steps need that many values below m; those entries are the ring's
+    zero, and no step reads them.  New layer j starts at m = l + 1 - j, its
+    running sum at the one nonzero entry of below[j] in front; the t^0 layer
+    has no equality terms, so it multiplies the running sums alone, and the
+    top layer t^l has no running sum, so it multiplies the equality terms."""
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    size, depth = len(column), len(below)
+    out = []
+    for j in range(depth + 1):
+        lead = depth - j
+        if lead >= size:
+            new = []
+        elif j == 0:
+            new = list(map(mul, column[lead:], accumulate(below[0][lead - 1:], add)))
+        elif j == depth:
+            new = list(map(mul, column, below[j - 1]))
+        else:
+            new = _level_step(column[lead:], below[j][lead:], below[j - 1][lead:],
+                              add, mul, below[j][lead - 1])
+        out.append([zero] * min(lead, size) + new)
+    return tuple(out)
 
 
 def _order(params: SeriesParams) -> int | None:

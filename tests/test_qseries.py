@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from qharmonic import genfun, indices, qseries
+from qharmonic import exact, genfun, indices, qseries
 from qharmonic.exact import (
     CycloNumber,
     NumeratorRing,
@@ -514,3 +514,28 @@ def test_results_do_not_depend_on_cache_history(n, q, other_q):
     prefilled = _history_values(n, q)
     assert partway == fresh
     assert prefilled == fresh
+
+
+def test_layer_steps_make_no_product_with_zero(monkeypatch):
+    # The t^0 layer has no equality terms and the top layer no running sum,
+    # and every layer is zero below its first reachable m: the stepping
+    # multiplies none of those zeros.
+    products = []
+    original = exact._product
+
+    def spy(order, x, y):
+        products.append((list(x), list(y)))
+        return original(order, x, y)
+
+    _clear_caches()
+    monkeypatch.setattr(exact, "_product", spy)
+    params = zeta_params(7)
+    got = zbar_t((2, 1, 1), params)
+    assert products
+    assert [pair for pair in products if not any(pair[0]) or not any(pair[1])] == []
+    monkeypatch.undo()
+    t = TPoly.t()
+    want = TPoly.zero()
+    for c, e in enumerate_patterns((2, 1, 1)):
+        want = want + t ** e * zbar(c, params)
+    assert got == want

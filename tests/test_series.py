@@ -1,6 +1,8 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -28,6 +30,15 @@ def test_monomial_and_var():
     s = ring.var("x") * ring.var("y", 2)
     assert s == ring.monomial({"x": 1, "y": 2})
     assert s.coefficient({"x": 1, "y": 2}) == TPoly.one()
+    # int and Fraction coefficients, above the cap, zero, TPoly and CycloNumber
+    for coeff in (Fraction(-3, 4), 5, Fraction(0), TPoly({1: Fraction(2, 9)}),
+                  CycloNumber.zeta(5)):
+        for exps in ({"x": 2}, {"x": 2, "y": 2}, {}):
+            want = Series(ring, {(exps.get("x", 0), exps.get("y", 0)): TPoly({0: coeff})
+                                 if not isinstance(coeff, TPoly) else coeff})
+            got = ring.monomial(exps, coeff)
+            assert got == want and got.to_json() == want.to_json()
+        assert ring.scalar(coeff).to_json() == ring.monomial({}, coeff).to_json()
 
 
 def test_cap_truncates_products():
@@ -181,6 +192,19 @@ def ref_mul(a: Series, b: Series) -> Series:
             else:
                 out[exps] = s
     return Series(ring, out)
+
+
+def ref_sum(a: Series, b: Series) -> Series:
+    """Term by term, through TPoly addition."""
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, TPoly.zero()) + c
+    return Series(a.ring, out)
+
+
+def ref_map(s: Series, fn) -> Series:
+    """fn applied to every TPoly coefficient."""
+    return Series(s.ring, {e: fn(c) for e, c in s.terms.items()})
 
 
 def ref_invert(s: Series) -> Series:
@@ -423,34 +447,216 @@ def test_affine_t_integer_path_matches_power_loop(over_calls):
     assert TPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}).affine_t(1, 1) == TPoly({2: 1})
 
 
+INTEGER_KERNELS = ("_int_sum", "_int_times", "_int_quotient", "_reduced")
+
+
 def test_mixed_operands_take_the_generic_path(monkeypatch):
-    def refuse(raw, den):
+    # Reading a rational operand's .terms builds its Fractions in _over,
+    # which is legitimate; what a CycloNumber operand must never reach is an
+    # integer kernel.
+    def refuse(*args):
         raise AssertionError("integer path taken with a CycloNumber operand")
 
-    monkeypatch.setattr(series_module, "_over", refuse)
-    monkeypatch.setattr(exact, "_over", refuse)
     rng = random.Random("series-mixed")
     ring = SeriesRing(("x", "y"), 4)
     zeta = CycloNumber.zeta(5)
+    cases = []
     for c0 in RATIONAL_CONSTANTS[:3]:
         a = rand_rational(ring, rng, rng.randint(1, 8))
         b = rand_rational(ring, rng, rng.randint(1, 8)) + ring.var("y") * zeta
         unit = b - ring.scalar(b.constant_term()) + ring.scalar(c0)
-        for left, right in ((a, b), (b, a)):
-            assert (left * right).to_json() == ref_mul(left, right).to_json()
-        assert unit.invert().to_json() == ref_invert(unit).to_json()
-        assert (a / unit).to_json() == ref_mul(a, ref_invert(unit)).to_json()
         c = rand_rational(ring, rng, 4)
         cyclo_unit = c - ring.scalar(c.constant_term()) + ring.scalar(zeta + 2)
-        assert (a / cyclo_unit).to_json() == ref_mul(a, ref_invert(cyclo_unit)).to_json()
         rational_unit = c - ring.scalar(c.constant_term()) + ring.scalar(c0)
+        cases.append((a, b, unit, cyclo_unit, rational_unit))
+    for name in INTEGER_KERNELS:
+        monkeypatch.setattr(series_module, name, refuse)
+    for a, b, unit, cyclo_unit, rational_unit in cases:
+        for left, right in ((a, b), (b, a)):
+            assert (left * right).to_json() == ref_mul(left, right).to_json()
+            assert (left + right).to_json() == ref_sum(left, right).to_json()
+            assert (left - right).to_json() == \
+                ref_sum(left, ref_map(right, lambda tp: -tp)).to_json()
+        assert unit.invert().to_json() == ref_invert(unit).to_json()
+        assert (a / unit).to_json() == ref_mul(a, ref_invert(unit)).to_json()
+        assert (a / cyclo_unit).to_json() == ref_mul(a, ref_invert(cyclo_unit)).to_json()
         assert (b / rational_unit).to_json() == ref_mul(b, ref_invert(rational_unit)).to_json()
+        assert (a * zeta).to_json() == ref_map(a, lambda tp: tp * zeta).to_json()
+        assert (a * TPoly({1: zeta})).to_json() == \
+            ref_map(a, lambda tp: tp * TPoly({1: zeta})).to_json()
+        for s in (b, -b, b * Fraction(-2, 3), b * TPoly({0: Fraction(1, 2), 1: Fraction(3)})):
+            assert s.affine_t(1, -1).to_json() == \
+                ref_map(s, lambda tp: ref_affine_t(tp, 1, -1)).to_json()
+    # TPoly.affine_t: a CycloNumber coefficient, or a non-integer a or b,
+    # takes the generic path, which builds no Fraction in _over
+    monkeypatch.setattr(exact, "_over", refuse)
     tp = TPoly({0: Fraction(1, 3), 2: zeta})
     assert tp.affine_t(1, -1).to_json() == ref_affine_t(tp, 1, -1).to_json()
-    # a non-integer a or b takes the generic path as well
     rational = TPoly({0: Fraction(1, 3), 2: Fraction(5)})
     assert rational.affine_t(Fraction(1, 2), -1).to_json() == \
         ref_affine_t(rational, Fraction(1, 2), -1).to_json()
+
+
+# -- the integer form ---------------------------------------------------------
+# A series whose coefficients are all Fractions is kept as int numerators over
+# one denominator between operations, and its TPoly terms are built from them
+# when first read.  Every kernel is checked here on operands in that form,
+# against the TPoly references above, byte for byte.
+
+def terms_built(s: Series) -> bool:
+    """Whether s holds its TPoly terms, read without building them."""
+    try:
+        Series.__dict__["terms"].__get__(s, Series)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_integer_form(s: Series):
+    """s is in integer form, in lowest terms, and its terms (read here)
+    are those numerators over that denominator."""
+    den, num = s._denom, s._numer
+    assert type(den) is int and den > 0
+    assert all(slot and all(type(v) is int and v for v in slot.values())
+               for slot in num.values())
+    values = [v for slot in num.values() for v in slot.values()]
+    assert gcd(den, *values) == 1
+    assert s.terms.keys() == num.keys()
+    for e, slot in num.items():
+        assert s.terms[e].coeffs == {k: Fraction(v, den) for k, v in slot.items()}
+    assert den == lcm(*(c.denominator for tp in s.terms.values() for c in tp.coeffs.values()))
+    assert_lowest_fractions(s)
+
+
+def fresh(s: Series) -> Series:
+    """s in integer form with no terms built: a copy through a kernel."""
+    out = s * 1
+    assert not terms_built(out)
+    return out
+
+
+INTEGER_FORM_OPS = {
+    "add": (lambda a, b, u: a + b, lambda a, b, u: ref_sum(a, b)),
+    "sub": (lambda a, b, u: a - b,
+            lambda a, b, u: ref_sum(a, ref_map(b, lambda tp: -tp))),
+    "neg": (lambda a, b, u: -a, lambda a, b, u: ref_map(a, lambda tp: -tp)),
+    "int": (lambda a, b, u: a * -6, lambda a, b, u: ref_map(a, lambda tp: tp * -6)),
+    "fraction": (lambda a, b, u: a * Fraction(-14, 9),
+                 lambda a, b, u: ref_map(a, lambda tp: tp * Fraction(-14, 9))),
+    "zero": (lambda a, b, u: a * 0, lambda a, b, u: ref_map(a, lambda tp: tp * 0)),
+    "tpoly": (lambda a, b, u: a * TPoly({0: Fraction(3, 4), 2: Fraction(-6)}),
+              lambda a, b, u: ref_map(a, lambda tp: tp * TPoly({0: Fraction(3, 4),
+                                                                 2: Fraction(-6)}))),
+    "mul": (lambda a, b, u: a * b, lambda a, b, u: ref_mul(a, b)),
+    "square": (lambda a, b, u: a * a, lambda a, b, u: ref_mul(a, a)),
+    "div": (lambda a, b, u: a / u, lambda a, b, u: ref_mul(a, ref_invert(u))),
+    "invert": (lambda a, b, u: u.invert(), lambda a, b, u: ref_invert(u)),
+    "shift": (lambda a, b, u: a.affine_t(1, -1),
+              lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, 1, -1))),
+    "reflect": (lambda a, b, u: a.affine_t(-1, 1),
+                lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, -1, 1))),
+    "scale-t": (lambda a, b, u: a.affine_t(2, 0),
+                lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, 2, 0))),
+    "constant-t": (lambda a, b, u: a.affine_t(0, 3),
+                   lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, 0, 3))),
+    "negate-var": (lambda a, b, u: a.negate_vars(a.ring.variables[:1]),
+                   lambda a, b, u: Series(a.ring, {e: -tp if e[0] % 2 else tp
+                                                   for e, tp in a.terms.items()})),
+    "coefficient-of": (lambda a, b, u: a.coefficient_of(a.ring.variables[0], 1),
+                       lambda a, b, u: Series(a.ring, {(0,) + e[1:]: tp for e, tp in a.terms.items()
+                                                       if e[0] == 1})),
+}
+
+
+def integer_form_cases(seed: str):
+    """Seeded (a, b, unit) triples over three rings, a and b with assorted
+    denominators, unit with one of RATIONAL_CONSTANTS as constant term."""
+    rng = random.Random(seed)
+    for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4),
+                 SeriesRing(("x", "y", "w"), 3)):
+        for c0 in RATIONAL_CONSTANTS:
+            a = rand_rational(ring, rng, rng.randint(0, 9))
+            b = rand_rational(ring, rng, rng.randint(1, 9))
+            unit = b - ring.scalar(b.constant_term()) + ring.scalar(c0)
+            yield a, b, unit
+
+
+@pytest.mark.parametrize("op", INTEGER_FORM_OPS)
+def test_integer_form_matches_references(op):
+    kernel, reference = INTEGER_FORM_OPS[op]
+    for a, b, unit in integer_form_cases(f"integer-form:{op}"):
+        want = reference(a, b, unit).to_json()
+        got = kernel(fresh(a), fresh(b), fresh(unit))
+        assert not terms_built(got)
+        assert got.to_json() == want
+        assert_integer_form(got)
+        # operands made from TPolys, scanned on first use, agree
+        assert kernel(a, b, unit).to_json() == want
+
+
+def test_integer_form_sums_that_cancel_reduce():
+    # over the lcm of the denominators a sum can share a factor with it;
+    # the result is put back in lowest terms
+    ring = SeriesRing(("x", "y"), 4)
+    x = ring.var("x")
+    half = fresh(x * Fraction(1, 6) + x * Fraction(1, 3))
+    assert (half._denom, half._numer) == (2, {(1, 0): {0: 1}})
+    for a, b, _ in integer_form_cases("integer-cancel"):
+        a, b = fresh(a), fresh(b)
+        v = a.ring.var(a.ring.variables[-1])
+        for got in ((a + b) - b, (b + a) + (-b), (a - b * v) + v * b):
+            assert (got._denom, got._numer) == (a._denom, a._numer)
+            assert_integer_form(got)
+        assert (a - a).is_zero() and ((a - a)._denom, (a - a)._numer) == (1, {})
+
+
+@pytest.mark.parametrize("op", INTEGER_FORM_OPS)
+def test_integer_form_results_do_not_depend_on_reads(op):
+    kernel, _ = INTEGER_FORM_OPS[op]
+    for a, b, unit in integer_form_cases(f"integer-reads:{op}"):
+        unread = kernel(fresh(a), fresh(b), fresh(unit))
+        read = [fresh(a), fresh(b), fresh(unit)]
+        for s in read:
+            _ = s.terms
+        once_read = kernel(*read)
+        assert (once_read._denom, once_read._numer) == (unread._denom, unread._numer)
+        assert once_read.to_json() == unread.to_json()
+
+
+def test_integer_form_round_trips_unread():
+    ring = SeriesRing(("x", "y"), 4)
+    rng = random.Random("integer-pickle")
+    for _ in range(6):
+        s = fresh(rand_rational(ring, rng, 6)) * fresh(rand_rational(ring, rng, 6))
+        twins = [pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)]
+        assert not terms_built(s)
+        for twin in twins:
+            assert not terms_built(twin)
+            assert (twin._denom, twin._numer) == (s._denom, s._numer)
+            assert twin == s
+            assert twin.to_json() == s.to_json()
+    # a series that was never in integer form pickles through its terms
+    zeta = Series(ring, {(1, 0): TPoly({0: CycloNumber.zeta(5)})})
+    assert pickle.loads(pickle.dumps(zeta)).to_json() == zeta.to_json()
+
+
+def test_integer_form_equals_the_series_from_tpolys():
+    rng = random.Random("integer-equal")
+    ring = SeriesRing(("x", "y"), 4)
+    for _ in range(10):
+        a, b = rand_rational(ring, rng, 6), rand_rational(ring, rng, 6)
+        prod = fresh(a) * fresh(b)
+        from_tpolys = ref_mul(a, b)
+        assert prod == from_tpolys and from_tpolys == prod
+        assert prod.first_mismatch(from_tpolys) is None
+        # the same values as rational CycloNumbers are equal too
+        as_cyclo = ref_map(from_tpolys, lambda tp: tp.map_coeffs(
+            lambda c: CycloNumber.from_rational(7, c)))
+        assert prod == as_cyclo and as_cyclo == prod
+        bumped = prod + ring.var("y", 3) * Fraction(1, 5)
+        assert bumped != from_tpolys and from_tpolys != bumped
+        assert bumped.first_mismatch(from_tpolys)[0] == (0, 3)
+    assert fresh(ring.zero()) == Series(ring, {}) and ring.zero().is_zero()
 
 
 def assert_admissible(s: Series):

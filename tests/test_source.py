@@ -88,11 +88,17 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
 
 # The rational Series kernels and the prefix-sum recursion of qseries multiply
 # and add int numerators over one denominator; a Fraction is built only in
-# exact._over, which finishes each output slot.  Their loops, and the helpers
-# that scale an operand to ints, build none, so Fraction normalisation cannot
-# creep back into a loop.
-RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__"),
-                    "exact.py": ("_denominator_lcm", "_numerators"),
+# exact._over, which finishes each output slot, and a rational Series builds
+# its Fraction coefficients there only when its `terms` are first read.  The
+# kernels, the Series methods that dispatch to them, and the helpers that
+# scale an operand to ints or reduce a result build none, so Fraction
+# normalisation cannot creep back into a loop.
+RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
+                                  "Series.__neg__", "Series.affine_t", "Series._ints",
+                                  "Series.negate_vars", "Series.coefficient_of",
+                                  "_int_sum", "_int_times", "_term_products", "_int_quotient",
+                                  "_reduced", "_nonzero", "_common"),
+                    "exact.py": ("_denominator_lcm", "_numerators", "_affine_items"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
 
@@ -114,10 +120,10 @@ def test_rational_series_kernels_build_fractions_in_one_helper():
     assert found == []
     over = _definitions(by_name["exact.py"])["_over"]
     assert _builds_fraction(over)
-    series = _definitions(by_name["series.py"])
-    for name in RATIONAL_KERNELS["series.py"]:
-        assert any(isinstance(sub, ast.Name) and sub.id == "_over"
-                   for sub in ast.walk(series[name])), name
+    # the one place a Series in integer form turns into TPolys
+    builds_terms = _definitions(by_name["series.py"])["Series.__getattr__"]
+    assert any(isinstance(sub, ast.Name) and sub.id == "_over"
+               for sub in ast.walk(builds_terms))
 
 
 # The package docstring promises that everything outside qseries.z_t_float
