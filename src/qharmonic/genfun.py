@@ -105,24 +105,31 @@ def _change_of_variables(names: tuple[str, ...], r: int, cap: int,
               + v_{r+2} Σ_{s≥0} σ^{s+a} C(s+a+i−2, i−2) v₁^s,
 
     because the subtracted Σ_j σ^{j−i} C(j−2, i−2) v_{r+2}/v₁^{r+2−j} is
-    exactly the negative-power part of v_{r+2} v₁^{−a} (1−σv₁)^{−(i−1)}."""
+    exactly the negative-power part of v_{r+2} v₁^{−a} (1−σv₁)^{−(i−1)}.
+    The monomials are distinct, so each w_i is one integer term map handed
+    to `Series.from_numerators`."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     ring = SeriesRing(names, cap)
-    v1, last = names[0], names[-1]
 
-    def total(terms) -> Series:
-        return sum((ring.monomial(e, Fraction(c)) for c, e in terms), ring.zero())
+    def mono(*powers: tuple[int, int]) -> tuple[int, ...]:
+        """The exponent tuple with power p at each (position, p)."""
+        e = [0] * (r + 2)
+        for i, p in powers:
+            e[i] = p
+        return tuple(e)
 
-    ws = [total((sign ** (s - 1), {v1: s}) for s in range(1, cap + 1))]
+    ws = [Series.from_numerators(ring, 1, {mono((0, s)): {0: sign ** (s - 1)}
+                                           for s in range(1, cap + 1)})]
     for i in range(2, r + 3):
         a = r + 2 - i
-        ws.append(total([(sign ** (j - i) * binomial(j - 2, i - 2), {names[j - 1]: 1})
-                         for j in range(i, r + 2)]
-                        + [(sign ** (s + a) * binomial(s + a + i - 2, i - 2), {last: 1, v1: s})
-                           for s in range(cap)]))
+        terms = {mono((j - 1, 1)): {0: sign ** (j - i) * binomial(j - 2, i - 2)}
+                 for j in range(i, r + 2)}
+        terms.update({mono((0, s), (r + 1, 1)): {0: sign ** (s + a) * binomial(s + a + i - 2, i - 2)}
+                      for s in range(cap)})
+        ws.append(Series.from_numerators(ring, 1, terms))
     return tuple(ws)
 
 
@@ -594,33 +601,31 @@ def u_poly(n: int, cap: int | None = None) -> Series:
 
     an exact polynomial at the default cap 2n (which is never reached).
 
-    With a cap, U_n^t truncated at that cap: every factor has nonnegative
-    degree, so truncating the products is exact, and the terms with
-    n−a−b−1 > cap are skipped, since (u₃−u₁u₂)^m has minimum degree m."""
+    It is written out as its closed monomial expansion: with m = n−a−b−1,
+    (1+u₁)^a = Σ_i C(a,i) u₁^i, (1−tu₂)^b = Σ_j C(b,j) (−t)^j u₂^j and
+    (u₃−u₁u₂)^m = Σ_k C(m,k) (−1)^k u₁^k u₂^k u₃^{m−k}, so each (a, b, i, j, k)
+    adds C(n−a−1, b) C(n−b−1, a) C(a,i) C(b,j) C(m,k) (−1)^{j+k}/(m+1) to the
+    coefficient of t^{m+j} u₁^{i+k} u₂^{j+k} u₃^{m−k}, a monomial of degree
+    i+j+k+m.  The numerators are summed over lcm(1, …, n).  With a cap,
+    U_n^t truncated at that cap: a term of degree above it is never formed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
-    top_m = min(n - 1, ring.cap)
-    base_a = ring.one() + ring.var("u1")
-    base_b = ring.one() - ring.var("u2") * T
-    base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
-    pow_a = [ring.one()]
-    pow_b = [ring.one()]
-    pow_c = [ring.one()]
-    for _ in range(n - 1):
-        pow_a.append(pow_a[-1] * base_a)
-        pow_b.append(pow_b[-1] * base_b)
-    for _ in range(top_m):
-        pow_c.append(pow_c[-1] * base_c)
-    out = ring.zero()
+    cap = 2 * n if cap is None else cap
+    den = lcm(*range(1, n + 1))
+    num: dict[tuple[int, int, int], dict[int, int]] = {}
     for a in range(n):
         for b in range(n - a):
             m = n - a - b - 1
-            if m > top_m:
-                continue
-            c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
-            out = out + pow_a[a] * pow_b[b] * pow_c[m] * TPoly({m: c})
-    return out
+            base = comb(n - a - 1, b) * comb(n - b - 1, a) * (den // (m + 1))
+            budget = cap - m
+            for k in range(min(m, budget) + 1):
+                ck = base * comb(m, k) * (-1) ** k
+                for i in range(min(a, budget - k) + 1):
+                    ci = ck * comb(a, i)
+                    for j in range(min(b, budget - k - i) + 1):
+                        slot = num.setdefault((i + k, j + k, m - k), {})
+                        slot[m + j] = slot.get(m + j, 0) + ci * comb(b, j) * (-1) ** j
+    return Series.from_numerators(SeriesRing(("u1", "u2", "u3"), cap), den, num)
 
 
 def u_poly_ratio(n: int, cap: int) -> Series:

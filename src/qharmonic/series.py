@@ -30,8 +30,12 @@ Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
 order (a triangular solve, since den's constant term c0 is a t-free unit);
 ``invert()`` is ``one / den``, so one recurrence serves both.  Each target
 starts from its numerator coefficient, subtracts the products of den's other
-terms with the quotient coefficients already solved, and divides by c0; in
-integer form the recurrence runs on scaled ints (see ``__truediv__``).
+terms with the quotient coefficients already solved, and divides by c0.
+Those products are pushed forward: a solved coefficient Q[t] is multiplied
+by each term e of den that fits the cap left above t and added into the
+pending sum of t + e, so no pair is formed whose target is unreachable or
+over the cap.  In integer form the recurrence runs on scaled ints (see
+``__truediv__``).
 
 Generic path.  A series with any other coefficient (a CycloNumber at
 q = ζ_n) keeps its TPoly terms, and each kernel runs the same loop over the
@@ -42,25 +46,27 @@ add-with-cancellation loop that TPoly and ZPoly use; both live in
 and so does everything made from its result.  Both paths give the same
 values.
 
-The public constructor ``Series(ring, terms)`` validates every exponent
-tuple against the ring.  Kernel outputs whose keys are admissible by
-construction (products pruned at the cap, sums and maps over keys already
-in the ring, division targets enumerated up to the cap) go through the
-private ``Series._trusted``, which only drops zero coefficients, or, in
-integer form, ``Series._from_ints``; the TPoly coefficients the generic
-kernels add up go through ``TPoly._from_raw`` alike.
+The public constructors ``Series(ring, terms)`` and
+``Series.from_numerators(ring, den, num)`` (integer numerators over one
+denominator, for builders that know their coefficients in closed form)
+validate every exponent tuple against the ring.  Kernel outputs whose keys
+are admissible by construction (products pruned at the cap, sums and maps
+over keys already in the ring, division targets pushed up to the cap) go
+through the private ``Series._trusted``, which only drops zero
+coefficients, or, in integer form, ``Series._from_ints``; the TPoly
+coefficients the generic kernels add up go through ``TPoly._from_raw``
+alike.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, neg
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
     CycloNumber,
     QHarmonicError,
-    Scalar,
     TPoly,
     _accumulate,
     _add_into,
@@ -325,6 +331,26 @@ class Series:
         _set(out, "_numer", num)
         return out
 
+    @classmethod
+    def from_numerators(cls, ring: SeriesRing, den: int,
+                        num: Mapping[tuple[int, ...], Mapping[int, int]]) -> "Series":
+        """The series Σ num[exps][k]/den · t^k · v^exps for a positive int
+        den and int numerators: every exponent tuple is checked against the
+        ring (a term over the cap is dropped), zero numerators are dropped
+        and the result is put in lowest terms.  No Fraction is built."""
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        width = len(ring.variables)
+        out = {}
+        for e, slot in num.items():
+            if len(e) != width:
+                raise ValueError(f"{e} does not have {width} exponents")
+            if ring.check_exponents(e):
+                slot = {k: v for k, v in slot.items() if v}
+                if slot:
+                    out[e] = slot
+        return cls._from_ints(ring, *_reduced(den, out))
+
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms` of a series made in
         # integer form, built once and kept.
@@ -457,8 +483,12 @@ class Series:
 
         The divisor's constant term c0 must be a t-free invertible scalar.  Each target's
         coefficient is (self[target] − Σ other[e] · Q[target − e]) / c0 over
-        the divisor's non-constant terms e, which are sorted by degree so the
-        sum stops at the target's degree.
+        the divisor's non-constant terms e.  The sums are formed in push
+        order: the targets are walked by degree, and once Q[t] is solved,
+        its products with the terms e (sorted by degree, stopping once
+        deg(e) passes cap − deg(t)) are added into the pending sums of
+        t + e.  So every pair formed lands on a target within the cap, and
+        a target that no pair and no dividend term reaches is never visited.
 
         In integer form, with self = Nn/Dn and other = Nd/Dd and
         n0 = Nd[0], the loop keeps Qint[t] = Q[t]·Dn·n0^(|t|+1), which
@@ -516,22 +546,30 @@ class Series:
         nonconst = sorted(((sum(e), e, div_view(c, sum(e)))
                            for e, c in divisor.items() if e != zero_t),
                           key=itemgetter(0))
-        num = {e: num_view(c, sum(e)) for e, c in dividend.items()}
-        known: dict[tuple[int, ...], Iterable] = {}
+        # pending[t] is target t's sum so far; by_degree[d] lists the targets
+        # of degree d that have one, in the order their slots were made.
+        pending: dict[tuple[int, ...], dict] = {}
+        by_degree: list[list] = [[] for _ in range(ring.cap + 1)]
+        for e, c in dividend.items():
+            pending[e] = dict(num_view(c, sum(e)))
+            by_degree[sum(e)].append(e)
         quot: dict[tuple[int, ...], object] = {}
-        for target in ring.exponents_up_to_cap():
-            room = sum(target)
-            acc: dict[int, Scalar] = dict(num.get(target, ()))
-            for d, e, tc in nonconst:
-                if d > room:
-                    break
-                prev = known.get(tuple(map(sub, target, e)))
-                if prev is not None:
-                    _accumulate(acc, tc, prev)
-            if acc:
-                solved = finish(acc, room)
-                if solved[0]:
-                    known[target], quot[target] = solved
+        for deg, targets in enumerate(by_degree):
+            room = ring.cap - deg
+            for target in targets:
+                items, value = finish(pending.pop(target), deg)
+                if not items:
+                    continue
+                quot[target] = value
+                for d, e, tc in nonconst:
+                    if d > room:
+                        break
+                    exps = tuple(map(add, target, e))
+                    slot = pending.get(exps)
+                    if slot is None:
+                        slot = pending[exps] = {}
+                        by_degree[deg + d].append(exps)
+                    _accumulate(slot, tc, items)
         if nd is None:
             return Series._trusted(ring, quot, 0)
         return Series._from_ints(ring, *_int_quotient(self._denom, powers, quot))
@@ -592,7 +630,12 @@ class Series:
         exist in the target ring and map to themselves.
 
         Exact up to the target cap when every image has zero constant term
-        or the source is an exact polynomial."""
+        or the source is an exact polynomial.
+
+        Each source term's monomial is multiplied out of the images' powers,
+        and the pieces, each scaled by its coefficient, are added up in one
+        raw sum; a source and pieces in integer form are scaled by their int
+        numerators over the lcm of the pieces' denominators."""
         images: dict[int, Series] = {}
         for name, img in bindings.items():
             if img.ring != target:
@@ -612,14 +655,29 @@ class Series:
                 got = pow_cache[(i, e)] = images[i] ** e
             return got
 
-        total = target.zero()
-        for exps, tp in self.terms.items():
-            piece = target.one()
+        def piece(exps: tuple[int, ...]) -> Series:
+            out = target.one()
             for i, e in enumerate(exps):
                 if e:
-                    piece = piece * image_power(i, e)
-            total = total + piece * tp
-        return total
+                    out = out * image_power(i, e)
+            return out
+
+        num = self._ints()
+        pieces = {exps: piece(exps) for exps in (self.terms if num is None else num)}
+        acc: dict[tuple[int, ...], dict] = {}
+        if num is not None and all(p._ints() is not None for p in pieces.values()):
+            den = lcm(*(p._denom for p in pieces.values()))
+            for exps, slot in num.items():
+                p = pieces[exps]
+                scale = den // p._denom
+                scaled = [(k, v * scale) for k, v in slot.items()]
+                for e, pslot in p._numer.items():
+                    _accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
+            return Series._from_ints(target, *_reduced(den * self._denom, _nonzero(acc)))
+        for exps, tp in self.terms.items():
+            for e, c in pieces[exps].terms.items():
+                _accumulate(acc.setdefault(e, {}), c.coeffs.items(), tp.coeffs.items())
+        return Series._trusted(target, {e: TPoly._from_raw(slot) for e, slot in acc.items()}, 0)
 
     # -- comparison / serialization ----------------------------------------
 

@@ -49,6 +49,7 @@ from qharmonic.genfun import (
     u_from_x_matrix,
     u_poly,
     u_poly_ratio,
+    u_variable_names,
     validate_qhs_witness,
     x_from_u,
     x_variable_names,
@@ -57,6 +58,7 @@ from qharmonic.genfun import (
 )
 from qharmonic.indices import HeightProfile
 from qharmonic import genfun, qseries
+from qharmonic import series as series_module
 from qharmonic.qseries import SeriesParams, ZPoly, theta_q, zbar_t, zeta_params
 from qharmonic.series import Series, SeriesRing
 
@@ -701,6 +703,74 @@ def test_u_poly_at_a_cap_is_the_truncated_polynomial():
             den = Series(ring, full.terms)  # the terms above the cap dropped
             assert u_poly(n, cap) == den
             assert u_poly_ratio(n, cap) == series_affine_t(den, 1, -1) * den.invert()
+
+
+# The builders write U_n^t and the change of variables straight into integer
+# form; the product form of U_n^t and the sum of monomials below are their
+# references, compared byte for byte.
+
+def ref_u_poly(n: int, cap: int | None = None) -> Series:
+    """U_n^t as the sum of products t^m (1+u₁)^a (1−tu₂)^b (u₃−u₁u₂)^m."""
+    ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
+    base_a = ring.one() + ring.var("u1")
+    base_b = ring.one() - ring.var("u2") * T
+    base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
+    out = ring.zero()
+    for a in range(n):
+        for b in range(n - a):
+            m = n - a - b - 1
+            c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
+            out = out + base_a ** a * base_b ** b * base_c ** m * TPoly({m: c})
+    return out
+
+
+def ref_change_of_variables(names, r: int, cap: int, sign: int) -> tuple[Series, ...]:
+    """w₁,…,w_{r+2} of genfun._change_of_variables, one monomial at a time."""
+    ring = SeriesRing(names, cap)
+    v1, last = names[0], names[-1]
+
+    def total(terms) -> Series:
+        return sum((ring.monomial(e, Fraction(c)) for c, e in terms), ring.zero())
+
+    ws = [total((sign ** (s - 1), {v1: s}) for s in range(1, cap + 1))]
+    for i in range(2, r + 3):
+        a = r + 2 - i
+        ws.append(total([(sign ** (j - i) * binomial(j - 2, i - 2), {names[j - 1]: 1})
+                         for j in range(i, r + 2)]
+                        + [(sign ** (s + a) * binomial(s + a + i - 2, i - 2), {last: 1, v1: s})
+                           for s in range(cap)]))
+    return tuple(ws)
+
+
+def test_u_poly_matches_its_product_form():
+    for n in range(1, 9):
+        for cap in [None, *range(0, 2 * n + 2)]:
+            assert u_poly(n, cap).to_json() == ref_u_poly(n, cap).to_json()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_change_of_variables_matches_its_monomial_sum(r):
+    for cap in range(1, 7):
+        for sign, names in ((-1, u_variable_names(r)), (1, x_variable_names(r))):
+            got = genfun._change_of_variables(names, r, cap, sign)
+            want = ref_change_of_variables(names, r, cap, sign)
+            assert [w.to_json() for w in got] == [w.to_json() for w in want]
+
+
+def test_substitute_builds_no_fraction_before_its_terms_are_read(monkeypatch):
+    calls = []
+    original = series_module._over
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series_module, "_over", spy)
+    xs = x_from_u(2, 4)
+    bindings = {f"x{i + 1}": x for i, x in enumerate(xs)}
+    out = [u.substitute(bindings, xs[0].ring) for u in u_from_x(2, 4)]
+    assert calls == []
+    assert out == [xs[0].ring.var(f"u{i}") for i in range(1, 5)]
 
 
 # ---------------------------------------------------------------------------

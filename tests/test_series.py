@@ -315,6 +315,98 @@ def test_division_errors_match_inversion():
         _ = a / 2
 
 
+def rand_monomial(ring: SeriesRing, rng: random.Random, low: int = 1) -> tuple[int, ...]:
+    """A random exponent tuple of degree between low and the cap."""
+    room = rng.randint(low, ring.cap)
+    exps = [0] * len(ring.variables)
+    for _ in range(room):
+        exps[rng.randrange(len(exps))] += 1
+    return tuple(exps)
+
+
+def sparse_unit(ring: SeriesRing, rng: random.Random, order, size: int) -> Series:
+    """A unit with `size` nonconstant terms scattered over the ring, so that
+    most (target, divisor term) pairs reach no solved coefficient."""
+    terms = {rand_monomial(ring, rng): rand_coeff(rng, order) for _ in range(size)}
+    terms[(0,) * len(ring.variables)] = TPoly.const(rand_scalar(rng, order) or Fraction(1))
+    return Series(ring, terms)
+
+
+def sparse_dividend(ring: SeriesRing, rng: random.Random, order, size: int) -> Series:
+    return Series(ring, {rand_monomial(ring, rng, 0): rand_coeff(rng, order)
+                         for _ in range(size)})
+
+
+@pytest.mark.parametrize("order", [None, 5])
+def test_division_by_sparse_divisors(order):
+    rng = random.Random(f"series-sparse-div:{order}")
+    for ring in (SeriesRing(("x", "y", "z"), 6), SeriesRing(("x", "y", "z", "w"), 5)):
+        for _ in range(6):
+            b = sparse_unit(ring, rng, order, rng.randint(1, 3))
+            a = sparse_dividend(ring, rng, order, rng.randint(0, 4))
+            assert b.invert().to_json() == ref_invert(b).to_json()
+            q = a / b
+            assert q.to_json() == ref_mul(a, ref_invert(b)).to_json()
+            assert q * b == a
+
+
+@pytest.mark.parametrize("order", [None, 7])
+def test_division_forms_only_pairs_that_fit_the_cap(order, monkeypatch):
+    # Push order: each solved Q[t] meets the divisor's nonconstant terms e
+    # with deg(e) <= cap - deg(t), one product each, and nothing else.
+    rng = random.Random(f"series-div-pairs:{order}")
+    calls = []
+    original = series_module._accumulate
+
+    def counting(slot, left, right):
+        calls.append(1)
+        original(slot, left, right)
+
+    for ring in (SeriesRing(("x", "y", "z"), 6), SeriesRing(("x", "y", "z", "w"), 4),
+                 SeriesRing(("x", "y"), 5)):
+        zero = (0,) * len(ring.variables)
+        for _ in range(5):
+            b = sparse_unit(ring, rng, order, rng.randint(1, 4))
+            a = rand_terms(ring, rng, order, rng.randint(1, 6))
+            monkeypatch.setattr(series_module, "_accumulate", counting)
+            calls.clear()
+            q = a / b
+            monkeypatch.setattr(series_module, "_accumulate", original)
+            degrees = [sum(e) for e in b.terms if e != zero]
+            want = sum(1 for t in q.terms for d in degrees if d <= ring.cap - sum(t))
+            assert len(calls) == want
+            assert q.to_json() == ref_mul(a, ref_invert(b)).to_json()
+
+
+def ref_substitute(s: Series, bindings, target: SeriesRing) -> Series:
+    """Term by term through the public product and sum, one image power at
+    a time."""
+    total = target.zero()
+    for exps, tp in s.terms.items():
+        piece = target.one()
+        for name, e in zip(s.ring.variables, exps):
+            image = bindings[name] if name in bindings else target.var(name)
+            for _ in range(e):
+                piece = piece * image
+        total = total + piece * tp
+    return total
+
+
+@pytest.mark.parametrize("order", [None, 7])
+def test_substitute_matches_term_by_term_reference(order):
+    rng = random.Random(f"series-substitute:{order}")
+    src = SeriesRing(("x", "y", "z"), 4)
+    dst = SeriesRing(("u", "z"), 4)
+    for _ in range(6):
+        s = rand_terms(src, rng, order, rng.randint(0, 8))
+        # images without constant term, one of them rational on both paths
+        bindings = {name: image - dst.scalar(image.constant_term())
+                    for name, image in (("x", rand_terms(dst, rng, order, 3)),
+                                        ("y", rand_terms(dst, rng, None, 3)))}
+        got = s.substitute(bindings, dst)
+        assert got.to_json() == ref_substitute(s, bindings, dst).to_json()
+
+
 def ref_affine_t(tp: TPoly, a, b) -> TPoly:
     """Substitute t -> a*t + b one power of the image at a time."""
     img = TPoly({1: Fraction(a), 0: Fraction(b)})
@@ -526,6 +618,24 @@ def assert_integer_form(s: Series):
         assert s.terms[e].coeffs == {k: Fraction(v, den) for k, v in slot.items()}
     assert den == lcm(*(c.denominator for tp in s.terms.values() for c in tp.coeffs.values()))
     assert_lowest_fractions(s)
+
+
+def test_from_numerators_checks_and_reduces():
+    ring = SeriesRing(("x", "y"), 3)
+    s = Series.from_numerators(ring, 12, {(1, 0): {0: -4, 2: 0}, (0, 0): {1: 6},
+                                          (2, 2): {0: 5}, (0, 1): {3: 0}})
+    assert_integer_form(s)
+    assert not terms_built(Series.from_numerators(ring, 3, {(1, 1): {0: 1}}))
+    assert s.to_json() == Series(ring, {(1, 0): TPoly({0: Fraction(-1, 3)}),
+                                        (0, 0): TPoly({1: Fraction(1, 2)})}).to_json()
+    assert Series.from_numerators(ring, 5, {(3, 1): {0: 1}}) == ring.zero()
+    with pytest.raises(ValueError, match="negative"):
+        Series.from_numerators(ring, 1, {(-1, 2): {0: 1}})
+    with pytest.raises(ValueError, match="2 exponents"):
+        Series.from_numerators(ring, 1, {(1,): {0: 1}})
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="positive"):
+            Series.from_numerators(ring, den, {(1, 0): {0: 1}})
 
 
 def fresh(s: Series) -> Series:

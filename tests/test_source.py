@@ -18,17 +18,22 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
+UNCHECKED_SERIES_CONSTRUCTORS = {"_trusted", "_from_ints"}
+
+
 def test_unchecked_series_constructor_stays_in_series_module():
-    # Series._trusted skips exponent validation; only the series kernels,
-    # whose outputs are admissible by construction, may call it.
+    # Series._trusted and Series._from_ints skip exponent validation (and
+    # _from_ints the reduction to lowest terms); only the series kernels,
+    # whose outputs are admissible by construction, may call them.  Builders
+    # elsewhere go through Series.from_numerators, which checks.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "series.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if (isinstance(node, ast.Attribute) and node.attr == "_trusted")
-             or (isinstance(node, ast.Name) and node.id == "_trusted")]
+             if (isinstance(node, ast.Attribute) and node.attr in UNCHECKED_SERIES_CONSTRUCTORS)
+             or (isinstance(node, ast.Name) and node.id in UNCHECKED_SERIES_CONSTRUCTORS)]
     assert found == []
     series = next(path for path in SOURCES if path.name == "series.py")
-    assert "_trusted" in series.read_text()
+    assert all(name in series.read_text() for name in UNCHECKED_SERIES_CONSTRUCTORS)
 
 
 # CycloNumber's storage: integer numerators, one denominator, memoised hash.
@@ -96,9 +101,11 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
                                   "Series.__neg__", "Series.affine_t", "Series._ints",
                                   "Series.negate_vars", "Series.coefficient_of",
+                                  "Series.from_numerators", "Series.substitute",
                                   "_int_sum", "_int_times", "_term_products", "_int_quotient",
                                   "_reduced", "_nonzero", "_common"),
                     "exact.py": ("_denominator_lcm", "_numerators", "_affine_items"),
+                    "genfun.py": ("u_poly", "_change_of_variables"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
 
