@@ -601,31 +601,33 @@ def u_poly(n: int, cap: int | None = None) -> Series:
 
     an exact polynomial at the default cap 2n (which is never reached).
 
-    It is written out as its closed monomial expansion: with m = n−a−b−1,
-    (1+u₁)^a = Σ_i C(a,i) u₁^i, (1−tu₂)^b = Σ_j C(b,j) (−t)^j u₂^j and
-    (u₃−u₁u₂)^m = Σ_k C(m,k) (−1)^k u₁^k u₂^k u₃^{m−k}, so each (a, b, i, j, k)
-    adds C(n−a−1, b) C(n−b−1, a) C(a,i) C(b,j) C(m,k) (−1)^{j+k}/(m+1) to the
-    coefficient of t^{m+j} u₁^{i+k} u₂^{j+k} u₃^{m−k}, a monomial of degree
-    i+j+k+m.  The numerators are summed over lcm(1, …, n).  With a cap,
-    U_n^t truncated at that cap: a term of degree above it is never formed."""
+    With a cap, U_n^t truncated at that cap: every factor has nonnegative
+    degree, so truncating the products is exact, and the terms with
+    n−a−b−1 > cap are skipped, since (u₃−u₁u₂)^m has minimum degree m."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cap = 2 * n if cap is None else cap
-    den = lcm(*range(1, n + 1))
-    num: dict[tuple[int, int, int], dict[int, int]] = {}
+    ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
+    top_m = min(n - 1, ring.cap)
+    base_a = ring.one() + ring.var("u1")
+    base_b = ring.one() - ring.var("u2") * T
+    base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
+    pow_a = [ring.one()]
+    pow_b = [ring.one()]
+    pow_c = [ring.one()]
+    for _ in range(n - 1):
+        pow_a.append(pow_a[-1] * base_a)
+        pow_b.append(pow_b[-1] * base_b)
+    for _ in range(top_m):
+        pow_c.append(pow_c[-1] * base_c)
+    out = ring.zero()
     for a in range(n):
         for b in range(n - a):
             m = n - a - b - 1
-            base = comb(n - a - 1, b) * comb(n - b - 1, a) * (den // (m + 1))
-            budget = cap - m
-            for k in range(min(m, budget) + 1):
-                ck = base * comb(m, k) * (-1) ** k
-                for i in range(min(a, budget - k) + 1):
-                    ci = ck * comb(a, i)
-                    for j in range(min(b, budget - k - i) + 1):
-                        slot = num.setdefault((i + k, j + k, m - k), {})
-                        slot[m + j] = slot.get(m + j, 0) + ci * comb(b, j) * (-1) ** j
-    return Series.from_numerators(SeriesRing(("u1", "u2", "u3"), cap), den, num)
+            if m > top_m:
+                continue
+            c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
+            out = out + pow_a[a] * pow_b[b] * pow_c[m] * TPoly({m: c})
+    return out
 
 
 def u_poly_ratio(n: int, cap: int) -> Series:

@@ -124,7 +124,10 @@ class SeriesRing:
 
     def check_exponents(self, exps: tuple[int, ...]) -> bool:
         """True when the term is admissible, False when it exceeds the cap
-        (to be dropped); raises ValueError on a negative exponent."""
+        (to be dropped); raises ValueError on a tuple of the wrong width or
+        a negative exponent."""
+        if len(exps) != len(self.variables):
+            raise ValueError(f"{exps} does not have {len(self.variables)} exponents")
         if min(exps, default=0) < 0:
             raise ValueError(f"negative exponent in {exps}")
         return sum(exps) <= self.cap
@@ -336,20 +339,15 @@ class Series:
                         num: Mapping[tuple[int, ...], Mapping[int, int]]) -> "Series":
         """The series Σ num[exps][k]/den · t^k · v^exps for a positive int
         den and int numerators: every exponent tuple is checked against the
-        ring (a term over the cap is dropped), zero numerators are dropped
-        and the result is put in lowest terms.  No Fraction is built."""
+        ring (a term over the cap is dropped), a negative t-power is refused
+        as TPoly refuses it, zero numerators are dropped and the result is
+        put in lowest terms.  No Fraction is built."""
         if den <= 0:
             raise ValueError("denominator must be positive")
-        width = len(ring.variables)
-        out = {}
-        for e, slot in num.items():
-            if len(e) != width:
-                raise ValueError(f"{e} does not have {width} exponents")
-            if ring.check_exponents(e):
-                slot = {k: v for k, v in slot.items() if v}
-                if slot:
-                    out[e] = slot
-        return cls._from_ints(ring, *_reduced(den, out))
+        if any(k < 0 for slot in num.values() for k in slot):
+            raise ValueError("negative t-exponent")
+        return cls._from_ints(ring, *_reduced(den, _nonzero(
+            {e: slot for e, slot in num.items() if ring.check_exponents(e)})))
 
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms` of a series made in
@@ -632,10 +630,11 @@ class Series:
         Exact up to the target cap when every image has zero constant term
         or the source is an exact polynomial.
 
-        Each source term's monomial is multiplied out of the images' powers,
-        and the pieces, each scaled by its coefficient, are added up in one
-        raw sum; a source and pieces in integer form are scaled by their int
-        numerators over the lcm of the pieces' denominators."""
+        Each source term's monomial is multiplied out of the images' powers.
+        A source and pieces in integer form are summed once on ints: each
+        piece is scaled by its source term's numerators over the lcm of the
+        pieces' denominators.  Otherwise each piece times its coefficient is
+        added to a running total."""
         images: dict[int, Series] = {}
         for name, img in bindings.items():
             if img.ring != target:
@@ -664,9 +663,9 @@ class Series:
 
         num = self._ints()
         pieces = {exps: piece(exps) for exps in (self.terms if num is None else num)}
-        acc: dict[tuple[int, ...], dict] = {}
         if num is not None and all(p._ints() is not None for p in pieces.values()):
             den = lcm(*(p._denom for p in pieces.values()))
+            acc: dict[tuple[int, ...], dict] = {}
             for exps, slot in num.items():
                 p = pieces[exps]
                 scale = den // p._denom
@@ -674,10 +673,10 @@ class Series:
                 for e, pslot in p._numer.items():
                     _accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
             return Series._from_ints(target, *_reduced(den * self._denom, _nonzero(acc)))
+        total = target.zero()
         for exps, tp in self.terms.items():
-            for e, c in pieces[exps].terms.items():
-                _accumulate(acc.setdefault(e, {}), c.coeffs.items(), tp.coeffs.items())
-        return Series._trusted(target, {e: TPoly._from_raw(slot) for e, slot in acc.items()}, 0)
+            total = total + pieces[exps] * tp
+        return total
 
     # -- comparison / serialization ----------------------------------------
 

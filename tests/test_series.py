@@ -124,6 +124,19 @@ def test_negative_exponents_are_rejected():
         ring.var("z", -3)
 
 
+def test_exponent_tuples_of_the_wrong_width_are_rejected():
+    # a short key would otherwise be kept and misread by the kernels, which
+    # zip exponent tuples and stop at the shorter one
+    ring = SeriesRing(("x", "z"), 3)
+    for exps in ((1,), (0, 1, 0), ()):
+        with pytest.raises(ValueError, match="2 exponents"):
+            Series(ring, {exps: TPoly.one()})
+        with pytest.raises(ValueError, match="2 exponents"):
+            Series.from_json(ring, [{"exps": list(exps), "coeff": TPoly.one().to_json()}])
+        with pytest.raises(ValueError, match="2 exponents"):
+            Series.from_numerators(ring, 1, {exps: {0: 1}})
+
+
 def test_in_ring_projection():
     # the constructor drops the terms above the cap, so it recasts a series
     # into a ring with the same variables and a lower cap
@@ -633,6 +646,10 @@ def test_from_numerators_checks_and_reduces():
         Series.from_numerators(ring, 1, {(-1, 2): {0: 1}})
     with pytest.raises(ValueError, match="2 exponents"):
         Series.from_numerators(ring, 1, {(1,): {0: 1}})
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        Series.from_numerators(ring, 1, {(1, 0): {-1: 1}})
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        Series(ring, {(1, 0): TPoly({-1: 1})})
     for den in (0, -2):
         with pytest.raises(ValueError, match="positive"):
             Series.from_numerators(ring, den, {(1, 0): {0: 1}})

@@ -105,7 +105,7 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "_int_sum", "_int_times", "_term_products", "_int_quotient",
                                   "_reduced", "_nonzero", "_common"),
                     "exact.py": ("_denominator_lcm", "_numerators", "_affine_items"),
-                    "genfun.py": ("u_poly", "_change_of_variables"),
+                    "genfun.py": ("_change_of_variables",),
                     "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
 
