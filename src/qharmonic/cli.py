@@ -48,7 +48,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CRASH = 4
-CAP_GUARD = 8
 
 
 class UsageError(Exception):
@@ -105,14 +104,6 @@ def _emit(text: str, out_path: str | None) -> None:
             raise UsageError(f"cannot write --out {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
-
-
-def _guard_cap(value: int, allow: bool) -> int:
-    if value > CAP_GUARD and not allow:
-        raise UsageError(
-            f"cap {value} exceeds the soft limit {CAP_GUARD}; "
-            "pass --allow-large-cap to override")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,7 @@ def _select_instances(args: argparse.Namespace) -> list[tuple[str, dict]]:
                 cap = args.cap if args.cap is not None else params["cap"]
                 if args.max_cap is not None:
                     cap = min(cap, args.max_cap)
-                params = dict(params, cap=_guard_cap(cap, args.allow_large_cap))
+                params = dict(params, cap=cap)
             out.append((ident, params))
     return out
 
@@ -361,8 +352,6 @@ def _select_instances(args: argparse.Namespace) -> list[tuple[str, dict]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.cap is not None:
-        _guard_cap(args.cap, args.allow_large_cap)
     instances = _select_instances(args)
     if not instances:
         given = [f"--{flag} {value}" for flag, value
@@ -499,8 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--q", help="restrict to this q spec")
     pv.add_argument("--cap", type=int, help="override truncation order")
     pv.add_argument("--max-cap", type=int, help="clamp truncation order")
-    pv.add_argument("--allow-large-cap", action="store_true",
-                    help=f"lift the cap <= {CAP_GUARD} guard")
     pv.add_argument("--jobs", type=int, default=1, help="worker processes")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     pv.add_argument("--out", help="write per-instance reports to this path")

@@ -23,11 +23,10 @@ coefficients.  Series coefficients everywhere in the package are TPoly
 values, so t is never truncated.
 
 The integer kernels work on numerators over one int denominator and divide
-once at the end (``_over``): ints in TPoly.affine_t and in the integer form
-that a rational Series keeps between operations, and through a
-``NumeratorRing`` in the qseries prefix-sum recursion, whose
-cached t-layers hold ints at rational q and Z[zeta_n] coefficient lists in
-Q(zeta_n).
+once at the end (``_over``): ints in the integer form that a rational Series
+keeps between operations, and through a ``NumeratorRing`` in the qseries
+prefix-sum recursion, whose cached t-layers hold ints at rational q and
+Z[zeta_n] coefficient lists in Q(zeta_n).
 """
 from __future__ import annotations
 
@@ -727,19 +726,6 @@ class TPoly(SparsePoly):
             total = total + c * scalar_pow(value, e)
         return total
 
-    def affine_t(self, a, b) -> "TPoly":
-        """Substitute t -> a*t + b (a, b rational) by `_affine_items`.  When
-        a and b are integers and every coefficient a Fraction, the expansion
-        runs over the coefficients' int numerators on their lcm denominator,
-        divided once per output coefficient."""
-        a, b = Fraction(a), Fraction(b)
-        if a.denominator == b.denominator == 1:
-            a, b = a.numerator, b.numerator
-            den = _denominator_lcm((self,))
-            if den is not None:
-                return _over(_affine_items(_numerators(self, den), a, b), den)
-        return TPoly._from_raw(_affine_items(self.coeffs.items(), a, b))
-
     def rationalized(self) -> "TPoly":
         """Copy with every coefficient forced into Q.
 
@@ -775,14 +761,13 @@ def as_tpoly(value) -> TPoly:
 # ---------------------------------------------------------------------------
 # integer views of exact values
 # ---------------------------------------------------------------------------
-# TPoly.affine_t scales its Fraction coefficients to int numerators over one
-# denominator, works in ints and divides once per output coefficient; a
-# rational Series is kept in that integer form between operations and read
-# out through _over only when its terms are read (see qharmonic.series).  A
-# coefficient of any other kind sends a kernel down its generic path.  The
-# prefix-sum recursion of qseries does the same at every exact q through a
-# NumeratorRing: over Q the numerators are ints, over Q(zeta_N) the int
-# coefficient lists of elements of Z[zeta_N].
+# A rational Series is kept as int numerators over one denominator between
+# operations and read out through _over only when its terms are read; a
+# Series with any other coefficient runs the same kernels on the scalars
+# themselves over 1 (see qharmonic.series).  The prefix-sum recursion of
+# qseries works on numerators at every exact q through a NumeratorRing: over
+# Q the numerators are ints, over Q(zeta_N) the int coefficient lists of
+# elements of Z[zeta_N].
 
 def _denominator_lcm(polys: Iterable[TPoly]) -> int | None:
     """The lcm of the denominators of every coefficient of `polys`, or None
@@ -803,8 +788,8 @@ def _affine_items(items, a, b) -> dict:
     """The image under t -> a*t + b of the polynomial with (t-exponent,
     coefficient) items, as a raw {t-exponent: coefficient} dict whose zero
     sums stay until the caller drops them: each term's binomial expansion
-    c·C(e,j)·a^j·b^(e−j) is added into one dict.  TPoly.affine_t and
-    Series.affine_t share it, on ints or on scalars."""
+    c·C(e,j)·a^j·b^(e−j) is added into one dict.  Series.affine_t runs it
+    on ints or on scalars."""
     out: dict = {}
     for e, c in items:
         for j in range(e + 1) if b else (e,):

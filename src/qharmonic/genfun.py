@@ -250,7 +250,7 @@ def _t_ratio(den: Series) -> Series:
     Every caller builds den from t-free variables and scalars, so that map is
     a ring map: it sends a product of P^t(1−q^j), U^t or c + t·d·v factors to
     the product of their t−1 forms, the two-sided product's numerator."""
-    return series_affine_t(den, 1, -1) / den
+    return den.affine_t(1, -1) / den
 
 
 def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
@@ -285,18 +285,13 @@ def psi_bruteforce(n: int, r: int, q: Scalar, cap: int) -> Series:
     return Series(ring, terms)
 
 
-def series_affine_t(s: Series, a, b) -> Series:
-    """Substitute t -> a*t + b in every coefficient (see Series.affine_t)."""
-    return s.affine_t(a, b)
-
-
 def series_eval_t(s: Series, value) -> Series:
     return s.map_coeffs(lambda tp: TPoly.const(tp.eval(value)))
 
 
 def reflect_companion(s: Series) -> Series:
     """t -> 1−t combined with negating every variable except the first."""
-    return series_affine_t(s, -1, 1).negate_vars(s.ring.variables[1:])
+    return s.affine_t(-1, 1).negate_vars(s.ring.variables[1:])
 
 
 def series_irrational_term(s: Series):
@@ -562,7 +557,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
 
     # Cor 2.3:  (P^t(Θ) − z·P^{t−1}(Θ)) Φ_{r−1} = z·x_{r+2} − zⁿ·x_{r+2}·Φ(1)
     pp = p_poly(r, tuple(xv[i] for i in range(1, r + 3)))
-    pm = tuple(series_affine_t(c, 1, -1) for c in pp)
+    pm = tuple(c.affine_t(1, -1) for c in pp)
     powers = [phis[r - 1]]
     for _ in range(r + 1):
         powers.append(theta_q(powers[-1], params))
@@ -576,7 +571,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
     prod_t = _p_products(pp, params.q, n)
-    prod_m = [series_affine_t(p, 1, -1) for p in prod_t]
+    prod_m = [p.affine_t(1, -1) for p in prod_t]
     record("thm2_4", "", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
     # closed coefficients:  c_i·Π_{j≤i} P^t(1−q^j) = x_{r+2}·Π_{j<i} P^{t−1}(1−q^j)

@@ -44,7 +44,6 @@ from .genfun import (
     roundtrip_u,
     scalar_mismatch,
     search_qhs_witness,
-    series_affine_t,
     series_eval_t,
     series_mismatch,
     sum_formula,
@@ -240,7 +239,7 @@ def _run_k3_closed(n: int, vcap: int) -> list:
     gen = kpow_generating(3, n, vcap)
     checks.append(("finite-quotient=product",
                    series_mismatch(kpow_ratio_closed(3, n, vcap), gen)))
-    h_shift = series_affine_t(h_log, 1, -1)
+    h_shift = h_log.affine_t(1, -1)
     checks.append(("t-weighted-ratio",
                    series_mismatch(gen * h_log * (TPoly.t() - 1),
                                    h_shift * TPoly.t())))

@@ -3,22 +3,31 @@
 The truncation cap is a bound on the total degree of a term.  Every exponent
 is nonnegative, so products are truncation-exact.
 
-Storage.  A series whose coefficients are all Fractions is kept in integer
-form: one positive int denominator, the lcm of its coefficients'
-denominators, and {exps: {t-power: int numerator}} with no zero entry, so
-the form is in lowest terms and unique.  The kernels read and write that
-form directly and never build a Fraction: ``+``, ``-`` and negation, ``*``
-by a series, an int, a Fraction or a rational TPoly, ``/`` and the t-shift
-t -> a*t + b with integer a and b (``Series.affine_t``, through the binomial
-expansion ``exact._affine_items`` that TPoly.affine_t shares).  A sum puts
-both sides on the lcm of their denominators, a product multiplies them, and
-each result is divided by the gcd of its denominator and numerators.
+Storage.  A series keeps one form: numerators {exps: {t-power: value}}, with
+no zero value and no empty slot, over a denominator.  When every coefficient
+is a Fraction it is in integer form: int numerators over one positive int,
+the lcm of the coefficients' denominators, so the form is in lowest terms
+and unique.  Otherwise (a CycloNumber coefficient at q = ζ_n) it is in
+scalar form: the coefficients themselves over 1, marked by denominator 0.
+
+Each operation has one kernel, which reads and writes the form directly and
+never builds a Fraction: ``+``, ``-`` and negation, ``*`` by a series, a
+scalar or a TPoly, ``/``, the t-shift t -> a*t + b (``Series.affine_t``,
+through the binomial expansion ``exact._affine_items``) and ``substitute``.
+Two operands are first put in one form (``Series._pair``): both in integer
+form, or, when either is in scalar form, both as their scalars over 1.  A
+sum puts both sides on the lcm of their denominators, a product multiplies
+them, and each result is divided by the gcd of its denominator and
+numerators.  Over 1 that gcd stops at once, so no gcd sees a CycloNumber,
+and a scaling by ±1 forms no product (``_scaled``): a CycloNumber times an
+int is a full convolution.
 
 ``Series.terms``, the map from exponent tuples to TPolys, is built from the
-integer form by ``exact._over`` when first read and then kept; ``_over`` is
-the only place the integer path builds a Fraction.  A series made from TPolys
-(the public constructor, ``from_json``, the structure maps) holds its terms
-and is scanned into integer form once, by the first kernel that reads it.
+form when first read and then kept: in integer form by ``exact._over``, the
+only place the kernels build a Fraction, and in scalar form over the slots
+themselves, which are never changed.  A series made from TPolys (the public
+constructor, ``from_json``, the structure maps) holds its terms and is
+scanned into its form once, by the first kernel that reads it.
 
 Product.  Multiplication sorts the right operand's terms by degree once;
 since degree is additive, each left term's inner loop stops at the first
@@ -34,17 +43,8 @@ terms with the quotient coefficients already solved, and divides by c0.
 Those products are pushed forward: a solved coefficient Q[t] is multiplied
 by each term e of den that fits the cap left above t and added into the
 pending sum of t + e, so no pair is formed whose target is unreachable or
-over the cap.  In integer form the recurrence runs on scaled ints (see
+over the cap.  The recurrence runs on scaled numerators (see
 ``__truediv__``).
-
-Generic path.  A series with any other coefficient (a CycloNumber at
-q = ζ_n) keeps its TPoly terms, and each kernel runs the same loop over the
-coefficients themselves: the product builds each TPoly from its raw dict,
-the division multiplies by the inverse of c0, and ``+`` is the
-add-with-cancellation loop that TPoly and ZPoly use; both live in
-:mod:`qharmonic.exact`.  An operation with one such operand takes this path,
-and so does everything made from its result.  Both paths give the same
-values.
 
 The public constructors ``Series(ring, terms)`` and
 ``Series.from_numerators(ring, den, num)`` (integer numerators over one
@@ -52,16 +52,14 @@ denominator, for builders that know their coefficients in closed form)
 validate every exponent tuple against the ring.  Kernel outputs whose keys
 are admissible by construction (products pruned at the cap, sums and maps
 over keys already in the ring, division targets pushed up to the cap) go
-through the private ``Series._trusted``, which only drops zero
-coefficients, or, in integer form, ``Series._from_ints``; the TPoly
-coefficients the generic kernels add up go through ``TPoly._from_raw``
-alike.
+through the private ``Series._from_form``, which trusts its form as given,
+or, over TPolys, ``Series._trusted``, which only drops zero coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter, neg
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
@@ -135,7 +133,7 @@ class SeriesRing:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Series":
-        return Series._from_ints(self, 1, {})
+        return Series._from_form(self, 1, {})
 
     def one(self) -> "Series":
         return self.scalar(1)
@@ -156,7 +154,7 @@ class SeriesRing:
         if not self.check_exponents(t):
             return self.zero()
         if isinstance(coeff, (int, Fraction)):
-            return Series._from_ints(self, coeff.denominator,
+            return Series._from_form(self, coeff.denominator,
                                      {t: {0: coeff.numerator}} if coeff else {})
         return Series._trusted(self, {t: as_tpoly(coeff)})
 
@@ -187,10 +185,10 @@ def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
 
 
 # ---------------------------------------------------------------------------
-# the integer kernels: int numerators {exps: {t-power: int}} over one positive
-# int denominator, in lowest terms (the denominator is the lcm of the
-# coefficients' denominators), with no zero numerator and no empty slot.
-# Inner dicts are shared between series and never changed once built.
+# the kernels: numerators {exps: {t-power: value}} over one positive int
+# denominator, with no zero numerator and no empty slot; ints in lowest terms
+# in integer form, the scalars themselves over 1 in scalar form.  Inner dicts
+# are shared between series and never changed once built.
 # ---------------------------------------------------------------------------
 
 def _common(g: int, num: Mapping) -> int:
@@ -222,15 +220,24 @@ def _nonzero(raw: Mapping) -> dict:
     return out
 
 
+def _scaled(slot: Mapping, s: int) -> Mapping:
+    """slot times the int s; 1 gives slot itself and -1 its negation, with
+    no product."""
+    if s == 1:
+        return slot
+    if s == -1:
+        return {k: -v for k, v in slot.items()}
+    return {k: v * s for k, v in slot.items()}
+
+
 def _int_sum(da: int, a: Mapping, db: int, b: Mapping, sign: int) -> tuple[int, dict]:
     """a/da + sign·b/db, on the lcm of the denominators."""
     den = lcm(da, db)
     sa, sb = den // da, sign * (den // db)
-    out = dict(a) if sa == 1 else {e: {k: v * sa for k, v in slot.items()}
-                                   for e, slot in a.items()}
+    out = dict(a) if sa == 1 else {e: _scaled(slot, sa) for e, slot in a.items()}
     for e, slot in b.items():
         if sb != 1:
-            slot = {k: v * sb for k, v in slot.items()}
+            slot = _scaled(slot, sb)
         mine = out.get(e)
         if mine is None:
             out[e] = slot
@@ -242,8 +249,8 @@ def _int_sum(da: int, a: Mapping, db: int, b: Mapping, sign: int) -> tuple[int, 
 
 
 def _int_times(den: int, num: Mapping, pden: int, pitems) -> tuple[int, dict]:
-    """num/den times the t-polynomial with (t-power, int) items pitems over
-    pden."""
+    """num/den times the t-polynomial with (t-power, numerator) items
+    pitems over pden."""
     out = {}
     for e, slot in num.items():
         out[e] = raw = {}
@@ -279,22 +286,26 @@ def _int_quotient(dn: int, powers: list, quot: Mapping) -> tuple[int, dict]:
     top = max((deg for deg, _ in quot.values()), default=0)
     den = dn * powers[top + 1]
     sign = -1 if den < 0 else 1
-    num = {}
-    for e, (deg, raw) in quot.items():
-        scale = sign * powers[top - deg]
-        num[e] = {k: v * scale for k, v in raw.items()}
+    num = {e: _scaled(raw, sign * powers[top - deg]) for e, (deg, raw) in quot.items()}
     return _reduced(sign * den, num)
+
+
+def _held(slot: dict) -> TPoly:
+    """The TPoly over a scalar-form slot, which holds no zero and is never
+    changed, so it is not copied."""
+    tp = _new(TPoly)
+    _set(tp, "coeffs", slot)
+    return tp
 
 
 class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring.
 
-    `terms` maps exponent tuples to TPolys.  A series whose coefficients are
-    all Fractions also has its integer form: `_numer` over `_denom` (see the
-    module docstring).  `_denom` is None until the form is looked for, and 0
-    on the generic path: some coefficient is not a Fraction, or a generic
-    kernel made the series."""
+    The value is `_numer` over `_denom` (see the module docstring): a
+    positive int in integer form, 0 in scalar form, and None for a series
+    made from TPolys until its first kernel scans it.  `terms` maps exponent
+    tuples to TPolys; it is built from the form when first read."""
 
     __slots__ = ("ring", "terms", "_denom", "_numer")
 
@@ -311,28 +322,33 @@ class Series:
         _set(self, "_numer", None)
 
     @classmethod
-    def _trusted(cls, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly],
-                 denom: int | None = None) -> "Series":
+    def _trusted(cls, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> "Series":
         """A Series over terms whose exponent tuples are admissible in ring
         by construction: zero coefficients are dropped, exponents are not
-        re-checked.  The generic kernels pass denom 0, so that their
-        outputs stay on the generic path without a scan."""
+        re-checked."""
         out = _new(cls)
         _set(out, "ring", ring)
         _set(out, "terms", {e: tp for e, tp in terms.items() if tp.coeffs})
-        _set(out, "_denom", denom)
+        _set(out, "_denom", None)
         _set(out, "_numer", None)
         return out
 
     @classmethod
-    def _from_ints(cls, ring: SeriesRing, den: int, num: dict) -> "Series":
-        """A Series in integer form (admissible keys, lowest terms, no
-        zeros); its `terms` are built when first read."""
+    def _from_form(cls, ring: SeriesRing, den: int, num: dict) -> "Series":
+        """A Series in integer form (den > 0, lowest terms) or scalar form
+        (den 0), over admissible keys with no zeros; its `terms` are built
+        when first read."""
         out = _new(cls)
         _set(out, "ring", ring)
         _set(out, "_denom", den)
         _set(out, "_numer", num)
         return out
+
+    @classmethod
+    def _made(cls, ring: SeriesRing, ints: bool, den: int, num: dict) -> "Series":
+        """A kernel's result (den, num): in integer form when its operands
+        were, else in scalar form (the kernel ran over 1)."""
+        return cls._from_form(ring, den if ints else 0, num)
 
     @classmethod
     def from_numerators(cls, ring: SeriesRing, den: int,
@@ -346,42 +362,65 @@ class Series:
             raise ValueError("denominator must be positive")
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
-        return cls._from_ints(ring, *_reduced(den, _nonzero(
+        return cls._from_form(ring, *_reduced(den, _nonzero(
             {e: slot for e, slot in num.items() if ring.check_exponents(e)})))
 
     def __getattr__(self, name):
-        # Reached only when a slot is unset: `terms` of a series made in
-        # integer form, built once and kept.
+        # Reached only when a slot is unset: `terms` of a series made by a
+        # kernel, built once and kept.
         if name != "terms":
             raise AttributeError(name)
         den = self._denom
-        terms = {e: _over(raw, den) for e, raw in self._numer.items()}
+        if den:
+            terms = {e: _over(raw, den) for e, raw in self._numer.items()}
+        else:
+            terms = {e: _held(slot) for e, slot in self._numer.items()}
         _set(self, "terms", terms)
         return terms
 
-    def _ints(self) -> dict | None:
-        """The int numerators over `_denom`, or None when some coefficient is
-        not a Fraction; a series made from TPolys is scanned once."""
+    def _form(self) -> tuple[int, dict]:
+        """(`_denom`, `_numer`).  A series made from TPolys is scanned once:
+        into integer form when every coefficient is a Fraction, else into
+        scalar form over its TPolys' own coefficient dicts."""
         if self._denom is None:
-            den = _denominator_lcm(self.terms.values())
-            _set(self, "_denom", den or 0)
-            if den is not None:
+            terms = self.terms
+            den = _denominator_lcm(terms.values())
+            if den is None:
+                _set(self, "_numer", {e: tp.coeffs for e, tp in terms.items()})
+            else:
                 _set(self, "_numer", {e: dict(_numerators(tp, den))
-                                    for e, tp in self.terms.items()})
-        return self._numer
+                                      for e, tp in terms.items()})
+            _set(self, "_denom", den or 0)
+        return self._denom, self._numer
+
+    def _scalars(self) -> dict:
+        """The coefficients as {exps: {t-power: scalar}}: `_numer` in scalar
+        form, read through `terms` in integer form."""
+        den, num = self._form()
+        return {e: tp.coeffs for e, tp in self.terms.items()} if den else num
+
+    def _pair(self, other: "Series") -> tuple[bool, int, dict, int, dict]:
+        """(ints, da, a, db, b): the two operands in one form, each as
+        numerators over a denominator.  Both in integer form stay so (ints
+        True); otherwise both are read as their scalars over 1."""
+        if self.ring is not other.ring:
+            self._check_same_ring(other)
+        da, a = self._form()
+        db, b = other._form()
+        if da and db:
+            return True, da, a, db, b
+        return False, 1, self._scalars(), 1, other._scalars()
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
 
     def __reduce__(self):
-        if self._denom:
-            return Series._from_ints, (self.ring, self._denom, self._numer)
-        return Series._trusted, (self.ring, self.terms)
+        return Series._from_form, (self.ring, *self._form())
 
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._numer if self._denom else self.terms)
+        return not (self.terms if self._denom is None else self._numer)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -409,15 +448,8 @@ class Series:
             other = self.ring.scalar(other)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_same_ring(other)
-        a = self._ints()
-        b = None if a is None else other._ints()
-        if b is not None:
-            return Series._from_ints(self.ring, *_int_sum(self._denom, a, other._denom, b, sign))
-        items = other.terms.items()
-        if sign < 0:
-            items = ((e, -tp) for e, tp in items)
-        return Series._trusted(self.ring, _add_into(dict(self.terms), items), 0)
+        ints, da, a, db, b = self._pair(other)
+        return Series._made(self.ring, ints, *_int_sum(da, a, db, b, sign))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -431,43 +463,31 @@ class Series:
         return (-self) + other
 
     def __neg__(self):
-        num = self._ints()
-        if num is not None:
-            return Series._from_ints(self.ring, *_int_times(self._denom, num, 1, ((0, -1),)))
-        return Series._trusted(self.ring, {e: -tp for e, tp in self.terms.items()}, 0)
+        den, num = self._form()
+        return Series._from_form(self.ring, den, {e: _scaled(slot, -1)
+                                                  for e, slot in num.items()})
 
     def __mul__(self, other):
         """The product with a series, a scalar or a TPoly.  Two series
         multiply term pair by term pair (`_term_products`): each output
         exponent gets one raw {t-exponent: value} dict into which
-        ``exact._accumulate`` adds the pairs' products."""
+        ``exact._accumulate`` adds the pairs' products.  A scalar or a TPoly
+        multiplies every slot (`_int_times`)."""
         ring = self.ring
         if isinstance(other, Series):
-            self._check_same_ring(other)
-            a = self._ints()
-            b = None if a is None else other._ints()
-            if b is not None:
-                acc = _term_products(ring.cap, ((e, s.items()) for e, s in a.items()),
-                                     ((e, s.items()) for e, s in b.items()))
-                return Series._from_ints(ring, *_reduced(self._denom * other._denom,
-                                                         _nonzero(acc)))
-            acc = _term_products(ring.cap, ((e, c.coeffs.items()) for e, c in self.terms.items()),
-                                 ((e, c.coeffs.items()) for e, c in other.terms.items()))
-            return Series._trusted(ring, {e: TPoly._from_raw(slot) for e, slot in acc.items()}, 0)
-        if isinstance(other, (int, Fraction)):
-            num = self._ints()
-            if num is not None:
-                return Series._from_ints(ring, *_int_times(
-                    self._denom, num, other.denominator, ((0, other.numerator),)))
-        elif isinstance(other, TPoly):
-            num = self._ints()
-            pden = None if num is None else _denominator_lcm((other,))
-            if pden is not None:
-                return Series._from_ints(ring, *_int_times(
-                    self._denom, num, pden, _numerators(other, pden)))
-        elif not isinstance(other, CycloNumber):
+            ints, da, a, db, b = self._pair(other)
+            acc = _term_products(ring.cap, ((e, s.items()) for e, s in a.items()),
+                                 ((e, s.items()) for e, s in b.items()))
+            return Series._made(ring, ints, *_reduced(da * db, _nonzero(acc)))
+        if not isinstance(other, (int, Fraction, CycloNumber, TPoly)):
             return NotImplemented
-        return Series._trusted(ring, {e: c * other for e, c in self.terms.items()}, 0)
+        # the factor pairs as a one-term series would, without being one
+        factor = as_tpoly(other)
+        den, num = self._form()
+        fden = _denominator_lcm((factor,)) if den else None
+        if fden:
+            return Series._from_form(ring, *_int_times(den, num, fden, _numerators(factor, fden)))
+        return Series._made(ring, False, *_int_times(1, self._scalars(), 1, factor.coeffs.items()))
 
     __rmul__ = __mul__
 
@@ -488,77 +508,49 @@ class Series:
         t + e.  So every pair formed lands on a target within the cap, and
         a target that no pair and no dividend term reaches is never visited.
 
-        In integer form, with self = Nn/Dn and other = Nd/Dd and
-        n0 = Nd[0], the loop keeps Qint[t] = Q[t]·Dn·n0^(|t|+1), which
-        satisfies the all-int recurrence
+        With self = Nn/Dn and other = Nd/Dd and n0 = Nd[0], the loop keeps
+        Qint[t] = Q[t]·Dn·n0^(|t|+1), which satisfies the recurrence
         Qint[t] = n0^|t|·Dd·Nn[t] − Σ Nd[e]·n0^(|e|−1)·Qint[t − e];
         every Qint[t] is then scaled by n0^(top − |t|) onto the one
-        denominator Dn·n0^(top+1), top the highest degree solved."""
+        denominator Dn·n0^(top+1), top the highest degree solved.  In
+        integer form this is all-int.  In scalar form both sides are divided
+        by c0 first, so n0 = 1 and every scale is ±1."""
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_same_ring(other)
         ring = self.ring
         zero_t = (0,) * len(ring.variables)
-        nn = self._ints()
-        nd = None if nn is None else other._ints()
-        if nd is None:
-            c0 = other.constant_term().coeffs
-            dividend, divisor = self.terms, other.terms
-        else:
-            c0 = nd.get(zero_t, {})
-            dividend, divisor = nn, nd
+        ints, dn, nn, dd, nd = self._pair(other)
+        c0 = nd.get(zero_t, {})
         if len(c0) != 1 or 0 not in c0:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
-        # Each path gives the views of a numerator term and of a (negated)
-        # divisor term, and `finish`, which turns a target's sum into what
-        # later targets read (Q[t], or Qint[t] over ints) and the solved
-        # coefficient.
-        if nd is None:
-            inv0 = scalar_inverse(c0[0])
-
-            def num_view(tp, deg):
-                return tp.coeffs.items()
-
-            def div_view(tp, deg):
-                return [(k, -v) for k, v in tp.coeffs.items()]
-
-            def finish(acc, deg):
-                tp = TPoly._from_raw({k: v * inv0 for k, v in acc.items()})
-                return tp.coeffs.items(), tp
-        else:
-            dd = other._denom
-            powers = [c0[0] ** d for d in range(ring.cap + 2)]
-
-            def num_view(slot, deg):
-                scale = dd * powers[deg]
-                return [(k, v * scale) for k, v in slot.items()]
-
-            def div_view(slot, deg):
-                scale = -powers[deg - 1]
-                return [(k, v * scale) for k, v in slot.items()]
-
-            def finish(acc, deg):
-                raw = {k: v for k, v in acc.items() if v}
-                return raw.items(), (deg, raw)
-        nonconst = sorted(((sum(e), e, div_view(c, sum(e)))
-                           for e, c in divisor.items() if e != zero_t),
+        n0 = c0[0]
+        if not ints:
+            inv0 = scalar_inverse(n0)
+            nn, nd = [{e: {k: v * inv0 for k, v in slot.items()} for e, slot in side.items()}
+                      for side in (nn, nd)]
+            n0 = 1
+        powers = [n0 ** d for d in range(ring.cap + 2)]
+        nonconst = sorted(((sum(e), e, _scaled(slot, -powers[sum(e) - 1]).items())
+                           for e, slot in nd.items() if e != zero_t),
                           key=itemgetter(0))
         # pending[t] is target t's sum so far; by_degree[d] lists the targets
         # of degree d that have one, in the order their slots were made.
         pending: dict[tuple[int, ...], dict] = {}
         by_degree: list[list] = [[] for _ in range(ring.cap + 1)]
-        for e, c in dividend.items():
-            pending[e] = dict(num_view(c, sum(e)))
-            by_degree[sum(e)].append(e)
-        quot: dict[tuple[int, ...], object] = {}
+        for e, slot in nn.items():
+            deg = sum(e)
+            pending[e] = dict(_scaled(slot, dd * powers[deg]))
+            by_degree[deg].append(e)
+        quot: dict[tuple[int, ...], tuple[int, dict]] = {}
         for deg, targets in enumerate(by_degree):
             room = ring.cap - deg
             for target in targets:
-                items, value = finish(pending.pop(target), deg)
-                if not items:
+                raw = {k: v for k, v in pending.pop(target).items() if v}
+                if not raw:
                     continue
-                quot[target] = value
+                quot[target] = deg, raw
+                items = raw.items()
                 for d, e, tc in nonconst:
                     if d > room:
                         break
@@ -568,56 +560,44 @@ class Series:
                         slot = pending[exps] = {}
                         by_degree[deg + d].append(exps)
                     _accumulate(slot, tc, items)
-        if nd is None:
-            return Series._trusted(ring, quot, 0)
-        return Series._from_ints(ring, *_int_quotient(self._denom, powers, quot))
+        return Series._made(ring, ints, *_int_quotient(dn, powers, quot))
 
     def invert(self) -> "Series":
         """Multiplicative inverse up to the cap (see __truediv__)."""
         return self.ring.one() / self
     # -- structure maps -----------------------------------------------------
 
-    def map_terms(self, fn: Callable[[tuple[int, ...], TPoly], TPoly]) -> "Series":
-        return Series._trusted(self.ring, {e: fn(e, c) for e, c in self.terms.items()})
-
     def map_coeffs(self, fn: Callable[[TPoly], TPoly]) -> "Series":
         return Series._trusted(self.ring, {e: fn(c) for e, c in self.terms.items()})
 
     def affine_t(self, a, b) -> "Series":
-        """Substitute t -> a*t + b (a, b rational) in every coefficient; in
-        integer form when a and b are integers."""
-        num = self._ints() if a.denominator == b.denominator == 1 else None
-        if num is None:
-            return self.map_coeffs(lambda tp: tp.affine_t(a, b))
-        a, b = a.numerator, b.numerator
-        return Series._from_ints(self.ring, *_reduced(self._denom, _nonzero(
+        """Substitute t -> a*t + b (a, b int or Fraction) in every
+        coefficient by `_affine_items`: on the int numerators in integer
+        form when a and b are integers, else on the scalars."""
+        den, num = self._form()
+        ints = den != 0 and a.denominator == b.denominator == 1
+        if ints:
+            a, b = a.numerator, b.numerator
+        else:
+            den, num = 1, self._scalars()
+        return Series._made(self.ring, ints, *_reduced(den, _nonzero(
             {e: _affine_items(slot.items(), a, b) for e, slot in num.items()})))
 
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""
         idx = [self.ring._index[n] for n in names]
-
-        def flip(terms: Mapping, neg) -> dict:
-            return {e: neg(c) if sum(e[i] for i in idx) & 1 else c for e, c in terms.items()}
-
-        num = self._ints()
-        if num is None:
-            return Series._trusted(self.ring, flip(self.terms, neg))
-        return Series._from_ints(self.ring, self._denom,
-                                 flip(num, lambda slot: {k: -v for k, v in slot.items()}))
+        den, num = self._form()
+        return Series._from_form(self.ring, den, {
+            e: _scaled(slot, -1) if sum(e[i] for i in idx) & 1 else slot
+            for e, slot in num.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Series":
         """Sub-series multiplying name^power, with that exponent zeroed."""
         i = self.ring._index[name]
-
-        def pick(terms: Mapping) -> dict:
-            return {exps[:i] + (0,) + exps[i + 1:]: c
-                    for exps, c in terms.items() if exps[i] == power}
-
-        num = self._ints()
-        if num is None:
-            return Series._trusted(self.ring, pick(self.terms))
-        return Series._from_ints(self.ring, *_reduced(self._denom, pick(num)))
+        den, num = self._form()
+        picked = {exps[:i] + (0,) + exps[i + 1:]: slot
+                  for exps, slot in num.items() if exps[i] == power}
+        return Series._made(self.ring, den != 0, *_reduced(den or 1, picked))
 
     def set_var_zero(self, name: str) -> "Series":
         return self.coefficient_of(name, 0)
@@ -630,11 +610,11 @@ class Series:
         Exact up to the target cap when every image has zero constant term
         or the source is an exact polynomial.
 
-        Each source term's monomial is multiplied out of the images' powers.
-        A source and pieces in integer form are summed once on ints: each
-        piece is scaled by its source term's numerators over the lcm of the
-        pieces' denominators.  Otherwise each piece times its coefficient is
-        added to a running total."""
+        Each source term's monomial is multiplied out of the images' powers,
+        and the pieces are summed once: each piece is scaled by its source
+        term's numerators, over the lcm of the pieces' denominators in
+        integer form, or over 1 as scalars when the source or any piece is
+        in scalar form."""
         images: dict[int, Series] = {}
         for name, img in bindings.items():
             if img.ring != target:
@@ -661,22 +641,22 @@ class Series:
                     out = out * image_power(i, e)
             return out
 
-        num = self._ints()
-        pieces = {exps: piece(exps) for exps in (self.terms if num is None else num)}
-        if num is not None and all(p._ints() is not None for p in pieces.values()):
+        dsrc, num = self._form()
+        pieces = {exps: piece(exps) for exps in num}
+        ints = dsrc != 0 and all(p._form()[0] for p in pieces.values())
+        if ints:
             den = lcm(*(p._denom for p in pieces.values()))
-            acc: dict[tuple[int, ...], dict] = {}
-            for exps, slot in num.items():
-                p = pieces[exps]
-                scale = den // p._denom
-                scaled = [(k, v * scale) for k, v in slot.items()]
-                for e, pslot in p._numer.items():
-                    _accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
-            return Series._from_ints(target, *_reduced(den * self._denom, _nonzero(acc)))
-        total = target.zero()
-        for exps, tp in self.terms.items():
-            total = total + pieces[exps] * tp
-        return total
+            views = {exps: (den // p._denom, p._numer) for exps, p in pieces.items()}
+        else:
+            dsrc, den, num = 1, 1, self._scalars()
+            views = {exps: (1, p._scalars()) for exps, p in pieces.items()}
+        acc: dict[tuple[int, ...], dict] = {}
+        for exps, slot in num.items():
+            scale, pnum = views[exps]
+            scaled = _scaled(slot, scale).items()
+            for e, pslot in pnum.items():
+                _accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
+        return Series._made(target, ints, *_reduced(den * dsrc, _nonzero(acc)))
 
     # -- comparison / serialization ----------------------------------------
 

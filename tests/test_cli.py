@@ -337,9 +337,15 @@ def test_verify_filter_matching_nothing_is_usage_error(capsys, argv, message):
 
 
 def test_verify_cap_guard(capsys):
-    assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9")[0] == 2
-    assert run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9",
-               "--allow-large-cap")[0] == 0
+    # the registry's cap range of each check is the only guard: btt_3_13
+    # accepts caps up to 10, thm1_3 up to 8
+    code, out = run(capsys, "verify", "--suite", "btt_3_13", "--cap", "9")
+    assert code == 0
+    assert out.splitlines()[-1] == "5 passed / 0 failed / 0 skipped"
+    assert main(["verify", "--suite", "thm1_3", "--cap", "9"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap=9 outside [1, 8]\n"
 
 
 def test_verify_parallel_output_is_byte_identical(tmp_path, capsys):
@@ -527,6 +533,12 @@ def test_verify_report_bytes_are_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[suite]
 
 
+def test_verify_all_is_pinned_at_two_jobs(capsys):
+    code, out = run(capsys, "verify", "--suite", "all", "--jobs", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["all"]
+
+
 def test_verify_stream_is_pinned_under_optimize_and_a_hash_seed():
     # `python -O` strips asserts and PYTHONHASHSEED changes the iteration
     # order of str sets; neither may change the stream.  CycloNumber memoises
@@ -656,8 +668,7 @@ def test_package_error_in_an_instance_still_stops_the_run(monkeypatch, capsys):
 def test_package_error_in_a_group_stops_the_pool(capsys):
     # the phi groups reject cap 7 at once while the psi groups accept it and
     # take seconds; the run must exit 3 on the first error either way
-    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7",
-                 "--allow-large-cap", "--jobs", "2"]) == 3
+    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cap=7 outside [1, 6]\n"
@@ -680,8 +691,7 @@ def test_pool_stops_cleanly_when_its_workers_die_first(monkeypatch, capsys):
         self.join(timeout=30)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "terminate", terminate_and_wait)
-    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7",
-                 "--allow-large-cap", "--jobs", "2"]) == 3
+    assert main(["verify", "--suite", "all", "--n", "2", "--cap", "7", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cap=7 outside [1, 6]\n"

@@ -40,7 +40,6 @@ from qharmonic.genfun import (
     roundtrip_u,
     scalar_mismatch,
     search_qhs_witness,
-    series_affine_t,
     series_eval_t,
     series_mismatch,
     sum_formula,
@@ -207,7 +206,7 @@ def test_p_poly_r1_coefficients():
     x1, x2, x3 = fx = formal_xs(1, 4)
     plain = p_poly(1, fx)
     assert plain == (-((x3 - x1 * x2) * T), -(x1 + x2 * T), x1.ring.one())
-    shifted = tuple(series_affine_t(c, 1, -1) for c in plain)
+    shifted = tuple(c.affine_t(1, -1) for c in plain)
     assert shifted[2] == x1.ring.one()
     assert shifted[1] == -(x1 + x2 * (T - TPoly.one()))
     assert shifted[0] == -((x3 - x1 * x2) * (T - TPoly.one()))
@@ -242,7 +241,7 @@ def test_reflection_fixes_psi():
 def test_series_t_helpers():
     ring = SeriesRing(("u1", "u2"), 2)
     s = ring.var("u1") * TPoly({0: Fraction(1), 1: Fraction(2)}) + ring.var("u2")
-    assert series_affine_t(s, 1, 0) == s
+    assert s.affine_t(1, 0) == s
     evaluated = series_eval_t(s, Fraction(3))
     assert evaluated.coefficient({"u1": 1}) == TPoly.const(7)
     assert reflect_companion(reflect_companion(s)) == s
@@ -554,7 +553,7 @@ def test_phi_t_minus_one_products_match_the_hand_built_chain(n):
             chain = [ring.one()]
             for j in range(1, n):
                 chain.append(chain[-1] * eval_by_horner(pm, 1 - scalar_pow(q, j)))
-            got = [series_affine_t(p, 1, -1) for p in _p_products(pp, q, n)]
+            got = [p.affine_t(1, -1) for p in _p_products(pp, q, n)]
             assert [g.to_json() for g in got] == [c.to_json() for c in chain]
 
 
@@ -702,7 +701,7 @@ def test_u_poly_at_a_cap_is_the_truncated_polynomial():
             ring = SeriesRing(("u1", "u2", "u3"), cap)
             den = Series(ring, full.terms)  # the terms above the cap dropped
             assert u_poly(n, cap) == den
-            assert u_poly_ratio(n, cap) == series_affine_t(den, 1, -1) * den.invert()
+            assert u_poly_ratio(n, cap) == den.affine_t(1, -1) * den.invert()
 
 
 # The change of variables is written straight into integer form; the sum of

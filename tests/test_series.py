@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from itertools import chain
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -429,6 +430,12 @@ def ref_affine_t(tp: TPoly, a, b) -> TPoly:
     return out
 
 
+def affine_of(tp: TPoly, a, b) -> TPoly:
+    """tp under t -> a*t + b through Series.affine_t, as the constant term
+    of a constant series."""
+    return SeriesRing(("x",), 2).scalar(tp).affine_t(a, b).constant_term()
+
+
 @pytest.mark.parametrize("order", [None, 5])
 def test_affine_t_matches_power_loop(order):
     rng = random.Random(f"affine-t:{order}")
@@ -438,16 +445,16 @@ def test_affine_t_matches_power_loop(order):
         a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         b = rng.choice((Fraction(0), Fraction(-1), Fraction(1),
                         Fraction(rng.randint(-4, 4), rng.randint(1, 4))))
-        got = tp.affine_t(a, b)
+        got = affine_of(tp, a, b)
         assert got.to_json() == ref_affine_t(tp, a, b).to_json()
-    assert TPoly({2: Fraction(3)}).affine_t(1, -1) == TPoly({0: 3, 1: -6, 2: 3})
+    assert affine_of(TPoly({2: Fraction(3)}), 1, -1) == TPoly({0: 3, 1: -6, 2: 3})
 
 
 # -- the integer path of the rational kernels --------------------------------
 # Over Fractions the product, the quotient and the t -> a*t + b map run on int
 # numerators over one denominator and build each output Fraction in
-# exact._over; any other coefficient takes the generic path, which never
-# reaches it.  The references above are checked byte for byte on both.
+# exact._over; with any other coefficient the same kernels run on the scalars
+# themselves.  The references above are checked byte for byte on both.
 
 def assert_lowest_fractions(value):
     """Every coefficient of a Series or TPoly is a Fraction in lowest terms."""
@@ -544,28 +551,32 @@ def test_affine_t_integer_path_matches_power_loop(over_calls):
         tp = TPoly({k: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 7, 12)))
                     for k in rng.sample(range(7), rng.randint(0, 5))})
         for a, b in ((1, -1), (-1, 1), (2, 3), (rng.randint(-3, 3), rng.randint(-3, 3))):
-            got = tp.affine_t(a, b)
+            got = affine_of(tp, a, b)
             assert got.to_json() == ref_affine_t(tp, a, b).to_json()
             assert_lowest_fractions(got)
     assert over_calls
     # (t − 1)^2 at t -> t + 1 is t^2: the t and constant terms cancel
-    assert TPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}).affine_t(1, 1) == TPoly({2: 1})
+    assert affine_of(TPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}), 1, 1) == \
+        TPoly({2: 1})
 
 
-INTEGER_KERNELS = ("_int_sum", "_int_times", "_int_quotient", "_reduced")
+def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
+    # An operation with a CycloNumber operand reads the rational one through
+    # its terms and runs the shared kernels on scalars over 1, where the
+    # reduction to lowest terms stops at once: no gcd ever sees a scalar.
+    gcd_args = []
+    int_gcd = series_module.gcd
 
+    def spy(*args):
+        if not all(type(v) is int for v in args):
+            raise AssertionError(f"gcd of a non-int: {args!r}")
+        gcd_args.append(args)
+        return int_gcd(*args)
 
-def test_mixed_operands_take_the_generic_path(monkeypatch):
-    # Reading a rational operand's .terms builds its Fractions in _over,
-    # which is legitimate; what a CycloNumber operand must never reach is an
-    # integer kernel.
-    def refuse(*args):
-        raise AssertionError("integer path taken with a CycloNumber operand")
-
+    monkeypatch.setattr(series_module, "gcd", spy)
     rng = random.Random("series-mixed")
     ring = SeriesRing(("x", "y"), 4)
     zeta = CycloNumber.zeta(5)
-    cases = []
     for c0 in RATIONAL_CONSTANTS[:3]:
         a = rand_rational(ring, rng, rng.randint(1, 8))
         b = rand_rational(ring, rng, rng.randint(1, 8)) + ring.var("y") * zeta
@@ -573,10 +584,6 @@ def test_mixed_operands_take_the_generic_path(monkeypatch):
         c = rand_rational(ring, rng, 4)
         cyclo_unit = c - ring.scalar(c.constant_term()) + ring.scalar(zeta + 2)
         rational_unit = c - ring.scalar(c.constant_term()) + ring.scalar(c0)
-        cases.append((a, b, unit, cyclo_unit, rational_unit))
-    for name in INTEGER_KERNELS:
-        monkeypatch.setattr(series_module, name, refuse)
-    for a, b, unit, cyclo_unit, rational_unit in cases:
         for left, right in ((a, b), (b, a)):
             assert (left * right).to_json() == ref_mul(left, right).to_json()
             assert (left + right).to_json() == ref_sum(left, right).to_json()
@@ -592,13 +599,20 @@ def test_mixed_operands_take_the_generic_path(monkeypatch):
         for s in (b, -b, b * Fraction(-2, 3), b * TPoly({0: Fraction(1, 2), 1: Fraction(3)})):
             assert s.affine_t(1, -1).to_json() == \
                 ref_map(s, lambda tp: ref_affine_t(tp, 1, -1)).to_json()
-    # TPoly.affine_t: a CycloNumber coefficient, or a non-integer a or b,
-    # takes the generic path, which builds no Fraction in _over
-    monkeypatch.setattr(exact, "_over", refuse)
+    # the rational operands went through gcd, on ints only
+    assert gcd_args
+    # t -> a*t + b on a CycloNumber coefficient runs on the scalars and
+    # builds no Fraction in _over; a non-integer a or b on a rational series
+    # reads its terms and runs on them too
+    def refuse(*args):
+        raise AssertionError("a Fraction built for a CycloNumber coefficient")
+
     tp = TPoly({0: Fraction(1, 3), 2: zeta})
-    assert tp.affine_t(1, -1).to_json() == ref_affine_t(tp, 1, -1).to_json()
+    monkeypatch.setattr(series_module, "_over", refuse)
+    assert affine_of(tp, 1, -1).to_json() == ref_affine_t(tp, 1, -1).to_json()
+    monkeypatch.undo()
     rational = TPoly({0: Fraction(1, 3), 2: Fraction(5)})
-    assert rational.affine_t(Fraction(1, 2), -1).to_json() == \
+    assert affine_of(rational, Fraction(1, 2), -1).to_json() == \
         ref_affine_t(rational, Fraction(1, 2), -1).to_json()
 
 
@@ -721,6 +735,154 @@ def test_integer_form_matches_references(op):
         assert kernel(a, b, unit).to_json() == want
 
 
+# -- the scalar form ----------------------------------------------------------
+# A series with any coefficient that is not a Fraction (a CycloNumber at
+# q = zeta_n) holds the coefficients themselves over 1, marked by denominator
+# 0, and runs the same kernels; an operation with one such operand reads the
+# other through its terms.  Every kernel is checked here on scalar-form and
+# mixed operands against the TPoly references above, byte for byte.
+
+ZETA7 = CycloNumber.zeta(7)
+
+
+def substitute_op(a, b, u):
+    """a with its first variable sent to b less its constant term."""
+    image = b - b.ring.scalar(b.constant_term())
+    return a.substitute({a.ring.variables[0]: image}, a.ring)
+
+
+def substitute_ref(a, b, u):
+    image = b - b.ring.scalar(b.constant_term())
+    return ref_substitute(a, {a.ring.variables[0]: image}, a.ring)
+
+
+SCALAR_FORM_OPS = {
+    **INTEGER_FORM_OPS,
+    "cyclo": (lambda a, b, u: a * ZETA7, lambda a, b, u: ref_map(a, lambda tp: tp * ZETA7)),
+    "cyclo-add": (lambda a, b, u: ZETA7 - a,
+                  lambda a, b, u: ref_sum(a.ring.scalar(ZETA7), ref_map(a, lambda tp: -tp))),
+    "cyclo-tpoly": (lambda a, b, u: a * TPoly({0: Fraction(1, 2), 1: ZETA7}),
+                    lambda a, b, u: ref_map(a, lambda tp: tp * TPoly({0: Fraction(1, 2),
+                                                                      1: ZETA7}))),
+    "half-shift": (lambda a, b, u: a.affine_t(Fraction(1, 2), -1),
+                   lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, Fraction(1, 2), -1))),
+    "third-shift": (lambda a, b, u: a.affine_t(-2, Fraction(1, 3)),
+                    lambda a, b, u: ref_map(a, lambda tp: ref_affine_t(tp, -2, Fraction(1, 3)))),
+    "set-var-zero": (lambda a, b, u: a.set_var_zero(a.ring.variables[-1]),
+                     lambda a, b, u: Series(a.ring, {e: tp for e, tp in a.terms.items()
+                                                     if e[-1] == 0})),
+    "substitute": (substitute_op, substitute_ref),
+}
+
+
+def rand_in_form(ring: SeriesRing, rng: random.Random, scalar: bool, size: int) -> Series:
+    """rand_rational, or with scalar set random terms over Q(zeta_7) plus a
+    zeta_7 term, so that the series is in scalar form."""
+    if not scalar:
+        return rand_rational(ring, rng, size)
+    return rand_terms(ring, rng, 7, size) + ring.var(ring.variables[-1]) * ZETA7
+
+
+def scalar_form_cases(seed: str):
+    """Seeded (a, b, unit) triples over three rings: all three in scalar
+    form, or only a, or only b and unit."""
+    rng = random.Random(seed)
+    for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4),
+                 SeriesRing(("x", "y", "w"), 3)):
+        for scalar in ("abu", "a", "bu"):
+            a = rand_in_form(ring, rng, "a" in scalar, rng.randint(0, 9))
+            b = rand_in_form(ring, rng, "b" in scalar, rng.randint(1, 9))
+            u = rand_in_form(ring, rng, "u" in scalar, rng.randint(0, 6))
+            c0 = rng.choice(RATIONAL_CONSTANTS + ([ZETA7 + 3] if "u" in scalar else []))
+            yield a, b, u - ring.scalar(u.constant_term()) + ring.scalar(c0)
+
+
+def assert_scalar_form(s: Series):
+    """s is in scalar form: its coefficients themselves over 0, with no
+    zero and no empty slot, and its terms (read here) are TPolys over those
+    very slots."""
+    assert s._denom == 0
+    assert all(slot and all(slot.values()) for slot in s._numer.values())
+    assert s.terms.keys() == s._numer.keys()
+    assert all(s.terms[e].coeffs is slot for e, slot in s._numer.items())
+
+
+@pytest.mark.parametrize("op", SCALAR_FORM_OPS)
+def test_scalar_form_matches_references(op):
+    kernel, reference = SCALAR_FORM_OPS[op]
+    for a, b, unit in scalar_form_cases(f"scalar-form:{op}"):
+        want = reference(a, b, unit).to_json()
+        got = kernel(fresh(a), fresh(b), fresh(unit))
+        assert not terms_built(got)
+        assert got.to_json() == want
+        if got._denom:
+            assert_integer_form(got)
+        else:
+            assert_scalar_form(got)
+        # operands made from TPolys, scanned on first use, agree
+        assert kernel(a, b, unit).to_json() == want
+
+
+def test_one_scalar_operand_puts_the_result_in_scalar_form():
+    rng = random.Random("scalar-form-of-results")
+    ring = SeriesRing(("x", "y"), 4)
+    rational, unit = rand_rational(ring, rng, 6), rand_rational(ring, rng, 6)
+    unit = unit - ring.scalar(unit.constant_term()) + ring.one()
+    cyclo = rand_terms(ring, rng, 7, 6) + ring.var("x") * ZETA7
+    assert cyclo._denom == 0 and fresh(rational)._denom > 0
+    for got in (rational + cyclo, cyclo - rational, rational * cyclo, cyclo / unit,
+                rational / (cyclo - ring.scalar(cyclo.constant_term()) + ring.one()),
+                rational * ZETA7, rational * TPoly({1: ZETA7}), -cyclo,
+                rational.substitute({"x": cyclo - ring.scalar(cyclo.constant_term())}, ring),
+                cyclo.negate_vars(["y"]), cyclo.coefficient_of("x", 1),
+                rational.affine_t(Fraction(1, 2), 0)):
+        assert_scalar_form(got)
+    # a series made from TPolys is scanned into scalar form once, over its
+    # TPolys' own coefficient dicts
+    made = Series(ring, {(1, 0): TPoly({0: ZETA7, 2: Fraction(3)})})
+    assert made._denom is None and not made.is_zero()
+    assert (made + ring.zero())._denom == 0
+    assert made._numer[(1, 0)] is made.terms[(1, 0)].coeffs
+    zero = cyclo - cyclo
+    assert zero.is_zero() and zero._denom == 0 and zero == ring.zero()
+
+
+def test_the_two_forms_compare_by_value():
+    rng = random.Random("scalar-form-equal")
+    ring = SeriesRing(("x", "y"), 4)
+    for _ in range(8):
+        a = fresh(rand_rational(ring, rng, 6))
+        # the same values in scalar form: rational CycloNumbers, and
+        # Fractions held as scalars after a cancelling CycloNumber term
+        as_cyclo = fresh(ref_map(a, lambda tp: tp.map_coeffs(
+            lambda c: CycloNumber.from_rational(7, c))))
+        cancelled = (a + ring.var("y") * ZETA7) - ring.var("y") * ZETA7
+        for twin in (as_cyclo, cancelled):
+            assert twin._denom == 0 and not terms_built(twin)
+            assert twin == a and a == twin
+            assert twin.first_mismatch(a) is None
+            assert twin.to_json() == a.to_json()
+        bumped = cancelled + ring.var("x", 2) * Fraction(1, 5)
+        assert bumped != a and a != bumped
+        assert bumped.first_mismatch(a)[0] == (2, 0)
+
+
+def test_scalar_form_round_trips_unread():
+    ring = SeriesRing(("x", "y"), 4)
+    rng = random.Random("scalar-pickle")
+    for _ in range(6):
+        s = fresh(rand_terms(ring, rng, 7, 6) + ring.var("x") * ZETA7) * \
+            fresh(rand_rational(ring, rng, 6) + ring.one())
+        twins = [pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)]
+        assert not terms_built(s)
+        for twin in twins:
+            assert not terms_built(twin)
+            assert twin._denom == 0 and twin._numer == s._numer
+            assert twin == s
+            assert twin.to_json() == s.to_json()
+            assert_scalar_form(twin)
+
+
 def test_integer_form_sums_that_cancel_reduce():
     # over the lcm of the denominators a sum can share a factor with it;
     # the result is put back in lowest terms
@@ -737,10 +899,12 @@ def test_integer_form_sums_that_cancel_reduce():
         assert (a - a).is_zero() and ((a - a)._denom, (a - a)._numer) == (1, {})
 
 
-@pytest.mark.parametrize("op", INTEGER_FORM_OPS)
+@pytest.mark.parametrize("op", SCALAR_FORM_OPS)
 def test_integer_form_results_do_not_depend_on_reads(op):
-    kernel, _ = INTEGER_FORM_OPS[op]
-    for a, b, unit in integer_form_cases(f"integer-reads:{op}"):
+    # on integer-form, scalar-form and mixed operands alike
+    kernel, _ = SCALAR_FORM_OPS[op]
+    for a, b, unit in chain(integer_form_cases(f"integer-reads:{op}"),
+                            scalar_form_cases(f"scalar-reads:{op}")):
         unread = kernel(fresh(a), fresh(b), fresh(unit))
         read = [fresh(a), fresh(b), fresh(unit)]
         for s in read:
@@ -762,7 +926,7 @@ def test_integer_form_round_trips_unread():
             assert (twin._denom, twin._numer) == (s._denom, s._numer)
             assert twin == s
             assert twin.to_json() == s.to_json()
-    # a series that was never in integer form pickles through its terms
+    # a series made from TPolys pickles through its form
     zeta = Series(ring, {(1, 0): TPoly({0: CycloNumber.zeta(5)})})
     assert pickle.loads(pickle.dumps(zeta)).to_json() == zeta.to_json()
 
@@ -805,7 +969,8 @@ def test_unchecked_results_are_admissible(order):
                 a + b, a - b, a + (-a), -a, a * c, a * 0, c * a,
                 a.map_coeffs(lambda tp: tp * TPoly.t()),
                 a.map_coeffs(lambda tp: tp - tp),
-                a.map_terms(lambda e, tp: tp if sum(e) % 2 else TPoly.zero()),
+                Series._trusted(ring, {e: tp if sum(e) % 2 else TPoly.zero()
+                                       for e, tp in a.terms.items()}),
                 a * b,
             ]
             unit = rand_unit(ring, rng, order, rng.randint(0, 8))

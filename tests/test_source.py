@@ -18,14 +18,15 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-UNCHECKED_SERIES_CONSTRUCTORS = {"_trusted", "_from_ints"}
+UNCHECKED_SERIES_CONSTRUCTORS = {"_trusted", "_from_form", "_made"}
 
 
 def test_unchecked_series_constructor_stays_in_series_module():
-    # Series._trusted and Series._from_ints skip exponent validation (and
-    # _from_ints the reduction to lowest terms); only the series kernels,
-    # whose outputs are admissible by construction, may call them.  Builders
-    # elsewhere go through Series.from_numerators, which checks.
+    # Series._trusted, Series._from_form and Series._made skip exponent
+    # validation (and the last two the reduction to lowest terms); only the
+    # series kernels, whose outputs are admissible by construction, may call
+    # them.  Builders elsewhere go through Series.from_numerators, which
+    # checks.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "series.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -96,10 +97,11 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
 # exact._over, which finishes each output slot, and a rational Series builds
 # its Fraction coefficients there only when its `terms` are first read.  The
 # kernels, the Series methods that dispatch to them, and the helpers that
-# scale an operand to ints or reduce a result build none, so Fraction
-# normalisation cannot creep back into a loop.
+# put operands in one form, scale a slot or reduce a result build none, so
+# Fraction normalisation cannot creep back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
-                                  "Series.__neg__", "Series.affine_t", "Series._ints",
+                                  "Series.__neg__", "Series.affine_t", "Series._form",
+                                  "Series._scalars", "Series._pair", "_scaled",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
                                   "_int_sum", "_int_times", "_term_products", "_int_quotient",
