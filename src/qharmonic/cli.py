@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
@@ -293,6 +292,9 @@ def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
     once; the largest groups go first, ties in first-seen order."""
     if jobs == 1:
         return [_verify_worker(item) for item in instances]
+    # imported here, so that a one-job run does not load the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     groups: dict = {}
     for i, item in enumerate(instances):
         key = sharing_key(*item)

@@ -23,10 +23,10 @@ coefficients.  Series coefficients everywhere in the package are TPoly
 values, so t is never truncated.
 
 The integer kernels work on numerators over one int denominator and divide
-once at the end (``_over``): ints in the integer form that a rational Series
-keeps between operations, and through a ``NumeratorRing`` in the qseries
-prefix-sum recursion, whose cached t-layers hold ints at rational q and
-Z[zeta_n] coefficient lists in Q(zeta_n).
+once at the end (``_over``): the numerators of a ``NumeratorRing``, ints over
+Q and Z[zeta_n] coefficients over Q(zeta_n), in the form every Series keeps
+between operations and in the cached t-layers of the qseries prefix-sum
+recursion.
 """
 from __future__ import annotations
 
@@ -313,15 +313,7 @@ class CycloNumber:
         if not self:
             raise DivisionByZero("inverse of zero in Q(zeta)")
         num, order = self._num, self.order
-        cof = [1]
-        for j in range(2, order):
-            if gcd(j, order) == 1:
-                conj = [0] * order
-                for i, a in enumerate(num):
-                    if a:
-                        conj[i * j % order] += a
-                _reduce(order, conj)
-                cof = _product(order, cof, conj)
+        cof = _galois_cofactor(order, num)
         norm = _product(order, num, cof)[0]
         den = self._den
         if norm < 0:
@@ -392,9 +384,11 @@ def _power(base, exp: int, one):
     return out
 
 
-def _convolve(x, y) -> list:
-    """The product of two dense coefficient lists, lowest power first."""
-    out = [0] * (len(x) + len(y) - 1)
+def _convolve(x, y, out: list | None = None) -> list:
+    """The product of two dense coefficient lists, lowest power first, added
+    into `out` when given (a list of at least len(x) + len(y) - 1 entries)."""
+    if out is None:
+        out = [0] * (len(x) + len(y) - 1)
     for i, a in enumerate(x):
         if a:
             for k, b in enumerate(y, i):
@@ -409,6 +403,23 @@ def _product(order: int, x, y) -> list[int]:
     prod = _convolve(x, y)
     _reduce(order, prod)
     return prod
+
+
+def _galois_cofactor(order: int, num) -> list[int]:
+    """The product C of the conjugates sigma_j(P) (zeta -> zeta^j) over the
+    units j != 1 mod order, P the coefficient list num of a nonzero element
+    of Z[zeta_order]: P * C is the integer norm N(P), so C turns a division
+    by P into a division by an int."""
+    cof = [1]
+    for j in range(2, order):
+        if gcd(j, order) == 1:
+            conj = [0] * order
+            for i, a in enumerate(num):
+                if a:
+                    conj[i * j % order] += a
+            _reduce(order, conj)
+            cof = _product(order, cof, conj)
+    return cof
 
 
 def _reduce(order: int, prod: list[int]) -> None:
@@ -761,41 +772,61 @@ def as_tpoly(value) -> TPoly:
 # ---------------------------------------------------------------------------
 # integer views of exact values
 # ---------------------------------------------------------------------------
-# A rational Series is kept as int numerators over one denominator between
-# operations and read out through _over only when its terms are read; a
-# Series with any other coefficient runs the same kernels on the scalars
-# themselves over 1 (see qharmonic.series).  The prefix-sum recursion of
-# qseries works on numerators at every exact q through a NumeratorRing: over
-# Q the numerators are ints, over Q(zeta_N) the int coefficient lists of
-# elements of Z[zeta_N].
+# A Series keeps its coefficients as numerators over one positive int, in
+# lowest terms, and reads them out through _over only when its terms are
+# read (see qharmonic.series); the prefix-sum recursion of qseries works on
+# numerators too.  Both go through the numerators of a NumeratorRing: ints
+# over Q, and over Q(zeta_N) the phi(N) int coefficients of an element of
+# Z[zeta_N], as lists in qseries and as tuples in a Series.
 
-def _denominator_lcm(polys: Iterable[TPoly]) -> int | None:
-    """The lcm of the denominators of every coefficient of `polys`, or None
-    when some coefficient is not a Fraction."""
+def _numerator_form(maps: Iterable[Mapping]) -> tuple[int | None, int, list[dict]]:
+    """(order, den, numerators) of {t-power: scalar} maps of ints, Fractions
+    and CycloNumbers: den is the lcm of every scalar's denominator, and each
+    map becomes {t-power: scalar * den} with its zeros dropped.  order is None
+    when every scalar is rational, and the numerators are ints; otherwise it is
+    the order N of the scalars with a nonzero zeta-component, and each
+    numerator is a tuple of phi(N) ints, a rational one (a, 0, ..., 0).  Two
+    such orders raise TypeError, as CycloNumber arithmetic does."""
+    maps = list(maps)
     try:
-        return lcm(*{v.denominator for tp in polys for v in tp.coeffs.values()})
+        den = lcm(*{c.denominator for m in maps for c in m.values()})
     except AttributeError:  # a CycloNumber has no denominator
-        return None
+        pass
+    else:
+        return None, den, [{k: c.numerator * (den // c.denominator) for k, c in m.items() if c}
+                           for m in maps]
+    order, parts = None, []
+    for m in maps:
+        part = {}
+        for k, c in m.items():
+            if not isinstance(c, CycloNumber):
+                if c:
+                    part[k] = c.numerator, c.denominator
+            elif any(c._num[1:]):
+                if order not in (None, c.order):
+                    raise TypeError(f"cannot mix cyclotomic orders {order} and {c.order}")
+                order = c.order
+                part[k] = c._num, c._den
+            elif c:
+                part[k] = c._num[0], c._den
+        parts.append(part)
+    den = lcm(*(d for part in parts for _, d in part.values()))
+    if order is None:
+        return None, den, [{k: a * (den // d) for k, (a, d) in part.items()} for part in parts]
+    pad = (0,) * (euler_phi(order) - 1)
+    return order, den, [{k: tuple(x * (den // d) for x in a) if isinstance(a, tuple)
+                         else (a * (den // d), *pad) for k, (a, d) in part.items()}
+                        for part in parts]
 
 
-def _numerators(tp: TPoly, scale: int) -> list[tuple[int, int]]:
-    """The (t-exponent, int) pairs of tp·scale, where scale is a multiple of
-    every denominator of tp."""
-    return [(k, v.numerator * (scale // v.denominator)) for k, v in tp.coeffs.items()]
-
-
-def _affine_items(items, a, b) -> dict:
-    """The image under t -> a*t + b of the polynomial with (t-exponent,
-    coefficient) items, as a raw {t-exponent: coefficient} dict whose zero
-    sums stay until the caller drops them: each term's binomial expansion
-    c·C(e,j)·a^j·b^(e−j) is added into one dict.  Series.affine_t runs it
-    on ints or on scalars."""
-    out: dict = {}
-    for e, c in items:
-        for j in range(e + 1) if b else (e,):
-            v = c * (comb(e, j) * a ** j * b ** (e - j))
-            out[j] = out[j] + v if j in out else v
-    return out
+def _convolve_into(slot: dict, left, right) -> None:
+    """`_accumulate` on Z[zeta] numerators: each pair's product is convolved
+    into the int list at its t-power, unreduced, so the caller reduces each
+    sum once (`_reduce`) rather than each product."""
+    for a, x in left:
+        for b, y in right:
+            k = a + b
+            slot[k] = _convolve(x, y, slot.get(k))
 
 
 def _over(raw: Mapping, den: int, order: int | None = None) -> TPoly:
@@ -815,10 +846,14 @@ def _slot_add(x, y) -> list[int]:
 
 class NumeratorRing:
     """The numerators of Q (order None) or of Q(zeta_order) over one shared
-    positive int denominator: ints, or int coefficient lists of length
-    phi(order) that add slot by slot (`_slot_add`) and multiply by
-    `_product`.  `zero`, `add` and `mul` are the ring's operations; `column`
-    turns values into numerators, and `_over` turns numerators back."""
+    positive int denominator: ints, or the phi(order) int coefficients of an
+    element of Z[zeta_order], which add slot by slot (`_slot_add`) and
+    multiply by `_product`.  `zero`, `add` and `mul` are the ring's operations
+    on coefficient lists, as the qseries recursion runs them; a Series holds
+    the same numerators as tuples, and its kernels add, convolve
+    (`_convolve_into`) and reduce them in place.  `column` and
+    `_numerator_form` turn values into numerators, and `_over` turns
+    numerators back."""
 
     __slots__ = ("order", "zero", "add", "mul")
 

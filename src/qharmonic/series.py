@@ -3,37 +3,41 @@
 The truncation cap is a bound on the total degree of a term.  Every exponent
 is nonnegative, so products are truncation-exact.
 
-Storage.  A series keeps one form: numerators {exps: {t-power: value}}, with
-no zero value and no empty slot, over a denominator.  When every coefficient
-is a Fraction it is in integer form: int numerators over one positive int,
-the lcm of the coefficients' denominators, so the form is in lowest terms
-and unique.  Otherwise (a CycloNumber coefficient at q = ζ_n) it is in
-scalar form: the coefficients themselves over 1, marked by denominator 0.
+Storage.  A series keeps one form at every q: numerators
+{exps: {t-power: numerator}}, with no zero numerator and no empty slot, over
+one positive int denominator, in lowest terms (the denominator is coprime to
+the content of every numerator).  The numerators are those of an
+``exact.NumeratorRing``: ints (order None) when every coefficient is
+rational, else tuples of phi(N) ints, the Z[zeta_N] coefficients of a
+Q(zeta_N) value at q = zeta_N.  A series is stored at order N only when some
+numerator has a nonzero zeta-component, and drops to ints otherwise, so two
+series are equal exactly when their forms are; a series whose terms mix two
+orders raises TypeError, as CycloNumber arithmetic does.
 
 Each operation has one kernel, which reads and writes the form directly and
-never builds a Fraction: ``+``, ``-`` and negation, ``*`` by a series, a
-scalar or a TPoly, ``/``, the t-shift t -> a*t + b (``Series.affine_t``,
-through the binomial expansion ``exact._affine_items``) and ``substitute``.
-Two operands are first put in one form (``Series._pair``): both in integer
-form, or, when either is in scalar form, both as their scalars over 1.  A
-sum puts both sides on the lcm of their denominators, a product multiplies
-them, and each result is divided by the gcd of its denominator and
-numerators.  Over 1 that gcd stops at once, so no gcd sees a CycloNumber,
-and a scaling by ±1 forms no product (``_scaled``): a CycloNumber times an
-int is a full convolution.
+never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*`` by
+a series, a scalar or a TPoly, ``/``, the t-shift t -> a*t + b
+(``Series.affine_t``) and ``substitute``.  Two operands are first put at one
+order (``Series._pair``), an int numerator a reading (a, 0, ..., 0).  A sum
+puts both sides on the lcm of their denominators, a product multiplies them,
+and each result is divided by the gcd of its denominator and numerators.
+Ints add and multiply inline; Z[zeta_N] numerators add slot by slot, and a
+product convolves every pair into one int list per output coefficient
+(``exact._convolve_into``), which is reduced modulo the N-th cyclotomic
+polynomial once (``_settled``).
 
 ``Series.terms``, the map from exponent tuples to TPolys, is built from the
-form when first read and then kept: in integer form by ``exact._over``, the
-only place the kernels build a Fraction, and in scalar form over the slots
-themselves, which are never changed.  A series made from TPolys (the public
-constructor, ``from_json``, the structure maps) holds its terms and is
-scanned into its form once, by the first kernel that reads it.
+form when first read and then kept, by ``exact._over``: the only place the
+kernels build a Fraction or a CycloNumber.  A series made from TPolys (the
+public constructor, ``from_json``, the structure maps) holds its terms and is
+scanned into its form once (``exact._numerator_form``), by the first kernel
+that reads it; so is a scalar or TPoly factor.
 
 Product.  Multiplication sorts the right operand's terms by degree once;
 since degree is additive, each left term's inner loop stops at the first
 partner that would exceed the cap, so dropped pairs are never formed.  Each
-output exponent gets one raw {t-exponent: value} dict into which
-``exact._accumulate`` adds the term pairs' products.
+output exponent gets one raw {t-exponent: numerator} dict into which
+``exact._accumulate`` (or ``_convolve_into``) adds the term pairs' products.
 
 Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
 order (a triangular solve, since den's constant term c0 is a t-free unit);
@@ -43,8 +47,10 @@ terms with the quotient coefficients already solved, and divides by c0.
 Those products are pushed forward: a solved coefficient Q[t] is multiplied
 by each term e of den that fits the cap left above t and added into the
 pending sum of t + e, so no pair is formed whose target is unreachable or
-over the cap.  The recurrence runs on scaled numerators (see
-``__truediv__``).
+over the cap.  The recurrence runs on int-scaled numerators (see
+``__truediv__``); at q = zeta_N both sides are first multiplied by the Galois
+cofactor of c0 (``exact._galois_cofactor``), which turns c0 into its integer
+norm, so no inverse is formed.
 
 The public constructors ``Series(ring, terms)`` and
 ``Series.from_numerators(ring, den, num)`` (integer numerators over one
@@ -52,31 +58,35 @@ denominator, for builders that know their coefficients in closed form)
 validate every exponent tuple against the ring.  Kernel outputs whose keys
 are admissible by construction (products pruned at the cap, sums and maps
 over keys already in the ring, division targets pushed up to the cap) go
-through the private ``Series._from_form``, which trusts its form as given,
-or, over TPolys, ``Series._trusted``, which only drops zero coefficients.
+through the private ``Series._made``, which puts the form at its order, and
+``Series._from_form``, which trusts its form as given, or, over TPolys,
+``Series._trusted``, which only drops zero coefficients.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
-    CycloNumber,
     QHarmonicError,
     TPoly,
     _accumulate,
     _add_into,
-    _affine_items,
-    _denominator_lcm,
+    _convolve_into,
+    _galois_cofactor,
     _new,
-    _numerators,
+    _numerator_form,
     _over,
     _power,
+    _product,
+    _reduce,
     _set,
+    _slot_add,
     as_tpoly,
-    scalar_inverse,
+    euler_phi,
 )
 from .indices import compositions
 
@@ -133,7 +143,7 @@ class SeriesRing:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Series":
-        return Series._from_form(self, 1, {})
+        return Series._from_form(self, None, 1, {})
 
     def one(self) -> "Series":
         return self.scalar(1)
@@ -154,9 +164,10 @@ class SeriesRing:
         if not self.check_exponents(t):
             return self.zero()
         if isinstance(coeff, (int, Fraction)):
-            return Series._from_form(self, coeff.denominator,
+            return Series._from_form(self, None, coeff.denominator,
                                      {t: {0: coeff.numerator}} if coeff else {})
-        return Series._trusted(self, {t: as_tpoly(coeff)})
+        order, den, (slot,) = _numerator_form((as_tpoly(coeff).coeffs,))
+        return Series._from_form(self, order, den, {t: slot} if slot else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree
@@ -185,82 +196,137 @@ def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
 
 
 # ---------------------------------------------------------------------------
-# the kernels: numerators {exps: {t-power: value}} over one positive int
-# denominator, with no zero numerator and no empty slot; ints in lowest terms
-# in integer form, the scalars themselves over 1 in scalar form.  Inner dicts
-# are shared between series and never changed once built.
+# the kernels: numerators {exps: {t-power: numerator}} over one positive int
+# denominator, with no zero numerator and no empty slot, in lowest terms;
+# `order` is None for int numerators and N for tuples of phi(N) ints.  Inner
+# dicts are shared between series and never changed once built.
 # ---------------------------------------------------------------------------
 
-def _common(g: int, num: Mapping) -> int:
+def _joint_order(*orders: int | None) -> int | None:
+    """The one order among `orders` that is not None, or None; two different
+    ones raise TypeError, as CycloNumber arithmetic does."""
+    found = {o for o in orders if o is not None}
+    if len(found) > 1:
+        raise TypeError("cannot mix cyclotomic orders {} and {}".format(*sorted(found)))
+    return found.pop() if found else None
+
+
+def _lifted(num: Mapping, own: int | None, order: int | None) -> Mapping:
+    """num, at order `own`, as numerators at `order`: an int a reads
+    (a, 0, ..., 0)."""
+    if own == order:
+        return num
+    pad = (0,) * (euler_phi(order) - 1)
+    return {e: {k: (v, *pad) for k, v in slot.items()} for e, slot in num.items()}
+
+
+def _common(g: int, num: Mapping, order: int | None) -> int:
     """The gcd of g and every numerator of num, stopping once it is 1."""
     for slot in num.values():
         if g == 1:
             break
-        g = gcd(g, *slot.values())
+        g = gcd(g, *(slot.values() if order is None else chain.from_iterable(slot.values())))
     return g
 
 
-def _reduced(den: int, num: dict) -> tuple[int, dict]:
+def _reduced(den: int, num: dict, order: int | None = None) -> tuple[int, dict]:
     """(den, num) divided by their common gcd; num has no zero numerator
     and no empty slot."""
-    g = _common(den, num)
+    g = _common(den, num, order)
     if g != 1:
         den //= g
-        num = {e: {k: v // g for k, v in slot.items()} for e, slot in num.items()}
+        if order is None:
+            num = {e: {k: v // g for k, v in slot.items()} for e, slot in num.items()}
+        else:
+            num = {e: {k: tuple(a // g for a in v) for k, v in slot.items()}
+                   for e, slot in num.items()}
     return den, num
 
 
-def _nonzero(raw: Mapping) -> dict:
-    """raw without its zero numerators and the slots they leave empty."""
+def _reduced_slot(order: int, raw: Mapping) -> dict:
+    """A raw slot of unreduced int lists, each reduced modulo the order-th
+    cyclotomic polynomial once and made a tuple, without the zeros."""
+    kept = {}
+    for k, v in raw.items():
+        _reduce(order, v)
+        if any(v):
+            kept[k] = tuple(v)
+    return kept
+
+
+def _settled(raw: Mapping, order: int | None) -> dict:
+    """raw without its zero numerators and the slots they leave empty; at an
+    order each raw numerator is first reduced (`_reduced_slot`)."""
     out = {}
     for e, slot in raw.items():
-        slot = {k: v for k, v in slot.items() if v}
+        slot = {k: v for k, v in slot.items() if v} if order is None \
+            else _reduced_slot(order, slot)
         if slot:
             out[e] = slot
     return out
 
 
-def _scaled(slot: Mapping, s: int) -> Mapping:
-    """slot times the int s; 1 gives slot itself and -1 its negation, with
-    no product."""
+def _scaled(slot: Mapping, s: int, order: int | None) -> Mapping:
+    """slot times the int s; 1 gives slot itself."""
     if s == 1:
         return slot
-    if s == -1:
-        return {k: -v for k, v in slot.items()}
-    return {k: v * s for k, v in slot.items()}
+    if order is None:
+        return {k: v * s for k, v in slot.items()}
+    return {k: tuple(a * s for a in v) for k, v in slot.items()}
 
 
-def _int_sum(da: int, a: Mapping, db: int, b: Mapping, sign: int) -> tuple[int, dict]:
+def _add_tuples_into(out: dict, items) -> dict:
+    """`_add_into` on Z[zeta] numerators, which add slot by slot."""
+    for k, v in items:
+        if k in out:
+            v = tuple(map(add, out[k], v))
+            if not any(v):
+                del out[k]
+                continue
+        out[k] = v
+    return out
+
+
+def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
+              sign: int) -> tuple[int, dict]:
     """a/da + sign·b/db, on the lcm of the denominators."""
     den = lcm(da, db)
     sa, sb = den // da, sign * (den // db)
-    out = dict(a) if sa == 1 else {e: _scaled(slot, sa) for e, slot in a.items()}
+    out = dict(a) if sa == 1 else {e: _scaled(slot, sa, order) for e, slot in a.items()}
+    merge = _add_into if order is None else _add_tuples_into
     for e, slot in b.items():
         if sb != 1:
-            slot = _scaled(slot, sb)
+            slot = _scaled(slot, sb, order)
         mine = out.get(e)
         if mine is None:
             out[e] = slot
-        elif mine := _add_into(dict(mine), slot.items()):
+        elif mine := merge(dict(mine), slot.items()):
             out[e] = mine
         else:
             del out[e]
-    return _reduced(den, out)
+    return _reduced(den, out, order)
 
 
-def _int_times(den: int, num: Mapping, pden: int, pitems) -> tuple[int, dict]:
+def _accumulator(order: int | None) -> Callable:
+    """The raw product kernel of the numerators at `order`."""
+    return _accumulate if order is None else _convolve_into
+
+
+def _times_form(order: int | None, den: int, num: Mapping, pden: int,
+                pitems) -> tuple[int, dict]:
     """num/den times the t-polynomial with (t-power, numerator) items
     pitems over pden."""
+    accumulate = _accumulator(order)
     out = {}
     for e, slot in num.items():
         out[e] = raw = {}
-        _accumulate(raw, slot.items(), pitems)
-    return _reduced(den * pden, _nonzero(out))
+        accumulate(raw, slot.items(), pitems)
+    return _reduced(den * pden, _settled(out, order), order)
 
 
-def _term_products(cap: int, left, right) -> dict:
-    """The product of two series given as (exps, (t-power, value) items)
-    pairs, up to the cap, as {exps: raw {t-power: value}} with zero sums
+def _term_products(cap: int, left, right, accumulate: Callable) -> dict:
+    """The product of two series given as (exps, (t-power, numerator) items)
+    pairs, up to the cap, as {exps: raw {t-power: numerator}} with zero sums
     kept.  The right terms are sorted by degree once: since degree is
     additive, each left term's inner loop stops at the first partner that
     would exceed the cap, so dropped pairs are never formed."""
@@ -275,39 +341,55 @@ def _term_products(cap: int, left, right) -> dict:
             slot = acc.get(exps)
             if slot is None:
                 slot = acc[exps] = {}
-            _accumulate(slot, t1, t2)
+            accumulate(slot, t1, t2)
     return acc
 
 
-def _int_quotient(dn: int, powers: list, quot: Mapping) -> tuple[int, dict]:
+def _quotient_form(order: int | None, dn: int, powers: list,
+                   quot: Mapping) -> tuple[int, dict]:
     """The quotient from the {exps: (degree, Qint numerators)} that
     Series.__truediv__ solves, each Qint[t] over dn·n0^(|t|+1), put on the
     one denominator dn·|n0|^(top+1); powers[d] is n0^d."""
     top = max((deg for deg, _ in quot.values()), default=0)
     den = dn * powers[top + 1]
     sign = -1 if den < 0 else 1
-    num = {e: _scaled(raw, sign * powers[top - deg]) for e, (deg, raw) in quot.items()}
-    return _reduced(sign * den, num)
+    num = {e: _scaled(raw, sign * powers[top - deg], order) for e, (deg, raw) in quot.items()}
+    return _reduced(sign * den, num, order)
 
 
-def _held(slot: dict) -> TPoly:
-    """The TPoly over a scalar-form slot, which holds no zero and is never
-    changed, so it is not copied."""
-    tp = _new(TPoly)
-    _set(tp, "coeffs", slot)
-    return tp
+def _affine_items(items, weights: Mapping, order: int | None) -> dict:
+    """The image of the polynomial with (t-exponent, numerator) items under
+    a map that sends t^e to Σ_j weights[e][j]·t^j, as a raw
+    {t-exponent: numerator} dict whose zero sums stay until the caller drops
+    them."""
+    out: dict = {}
+    if order is None:
+        for e, c in items:
+            for j, w in weights[e]:
+                v = c * w
+                out[j] = out[j] + v if j in out else v
+        return out
+    for e, c in items:
+        for j, w in weights[e]:
+            v = [a * w for a in c]
+            out[j] = _slot_add(out[j], v) if j in out else v
+    return out
+
+
+# What a Series multiplies and adds as a one-term series.
+_FACTORS = (*TPoly.scalars, TPoly)
 
 
 class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring.
 
-    The value is `_numer` over `_denom` (see the module docstring): a
-    positive int in integer form, 0 in scalar form, and None for a series
-    made from TPolys until its first kernel scans it.  `terms` maps exponent
-    tuples to TPolys; it is built from the form when first read."""
+    The value is `_numer` over `_denom` at `_order` (see the module
+    docstring); `_denom` is None for a series made from TPolys until its
+    first kernel scans it.  `terms` maps exponent tuples to TPolys; it is
+    built from the form when first read."""
 
-    __slots__ = ("ring", "terms", "_denom", "_numer")
+    __slots__ = ("ring", "terms", "_order", "_denom", "_numer")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
         clean: dict[tuple[int, ...], TPoly] = {}
@@ -319,7 +401,6 @@ class Series:
         _set(self, "ring", ring)
         _set(self, "terms", clean)
         _set(self, "_denom", None)
-        _set(self, "_numer", None)
 
     @classmethod
     def _trusted(cls, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> "Series":
@@ -330,25 +411,29 @@ class Series:
         _set(out, "ring", ring)
         _set(out, "terms", {e: tp for e, tp in terms.items() if tp.coeffs})
         _set(out, "_denom", None)
-        _set(out, "_numer", None)
         return out
 
     @classmethod
-    def _from_form(cls, ring: SeriesRing, den: int, num: dict) -> "Series":
-        """A Series in integer form (den > 0, lowest terms) or scalar form
-        (den 0), over admissible keys with no zeros; its `terms` are built
+    def _from_form(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
+        """A Series over a form as stored (at its canonical order, in lowest
+        terms, over admissible keys with no zeros); its `terms` are built
         when first read."""
         out = _new(cls)
         _set(out, "ring", ring)
+        _set(out, "_order", order)
         _set(out, "_denom", den)
         _set(out, "_numer", num)
         return out
 
     @classmethod
-    def _made(cls, ring: SeriesRing, ints: bool, den: int, num: dict) -> "Series":
-        """A kernel's result (den, num): in integer form when its operands
-        were, else in scalar form (the kernel ran over 1)."""
-        return cls._from_form(ring, den if ints else 0, num)
+    def _made(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
+        """A kernel's result (den, num) in lowest terms at `order`, stored
+        with int numerators when none has a zeta-component."""
+        if order is not None and not any(any(v[1:]) for slot in num.values()
+                                         for v in slot.values()):
+            order, num = None, {e: {k: v[0] for k, v in slot.items()}
+                                for e, slot in num.items()}
+        return cls._from_form(ring, order, den, num)
 
     @classmethod
     def from_numerators(cls, ring: SeriesRing, den: int,
@@ -362,54 +447,41 @@ class Series:
             raise ValueError("denominator must be positive")
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
-        return cls._from_form(ring, *_reduced(den, _nonzero(
-            {e: slot for e, slot in num.items() if ring.check_exponents(e)})))
+        return cls._from_form(ring, None, *_reduced(den, _settled(
+            {e: slot for e, slot in num.items() if ring.check_exponents(e)}, None)))
 
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms` of a series made by a
         # kernel, built once and kept.
         if name != "terms":
             raise AttributeError(name)
-        den = self._denom
-        if den:
-            terms = {e: _over(raw, den) for e, raw in self._numer.items()}
-        else:
-            terms = {e: _held(slot) for e, slot in self._numer.items()}
+        den, order = self._denom, self._order
+        terms = {e: _over(raw, den, order) for e, raw in self._numer.items()}
         _set(self, "terms", terms)
         return terms
 
-    def _form(self) -> tuple[int, dict]:
-        """(`_denom`, `_numer`).  A series made from TPolys is scanned once:
-        into integer form when every coefficient is a Fraction, else into
-        scalar form over its TPolys' own coefficient dicts."""
+    def _form(self) -> tuple[int | None, int, dict]:
+        """(`_order`, `_denom`, `_numer`); a series made from TPolys is
+        scanned into them once."""
         if self._denom is None:
             terms = self.terms
-            den = _denominator_lcm(terms.values())
-            if den is None:
-                _set(self, "_numer", {e: tp.coeffs for e, tp in terms.items()})
-            else:
-                _set(self, "_numer", {e: dict(_numerators(tp, den))
-                                      for e, tp in terms.items()})
-            _set(self, "_denom", den or 0)
-        return self._denom, self._numer
+            order, den, nums = _numerator_form(tp.coeffs for tp in terms.values())
+            _set(self, "_order", order)
+            _set(self, "_numer", dict(zip(terms, nums)))
+            _set(self, "_denom", den)
+        return self._order, self._denom, self._numer
 
-    def _scalars(self) -> dict:
-        """The coefficients as {exps: {t-power: scalar}}: `_numer` in scalar
-        form, read through `terms` in integer form."""
-        den, num = self._form()
-        return {e: tp.coeffs for e, tp in self.terms.items()} if den else num
-
-    def _pair(self, other: "Series") -> tuple[bool, int, dict, int, dict]:
-        """(ints, da, a, db, b): the two operands in one form, each as
-        numerators over a denominator.  Both in integer form stay so (ints
-        True); otherwise both are read as their scalars over 1."""
+    def _pair(self, other: "Series") -> tuple[int | None, int, Mapping, int, Mapping]:
+        """(order, da, a, db, b): the two operands as numerators over a
+        denominator at one order."""
         if self.ring is not other.ring:
             self._check_same_ring(other)
-        da, a = self._form()
-        db, b = other._form()
-        if da and db:
-            return True, da, a, db, b
-        return False, 1, self._scalars(), 1, other._scalars()
+        oa, da, a = self._form()
+        ob, db, b = other._form()
+        if oa == ob:
+            return oa, da, a, db, b
+        order = _joint_order(oa, ob)
+        return order, da, _lifted(a, oa, order), db, _lifted(b, ob, order)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
@@ -444,12 +516,12 @@ class Series:
             raise ValueError("series from different rings")
 
     def _sum(self, other, sign: int):
-        if isinstance(other, (int, Fraction, CycloNumber, TPoly)):
+        if isinstance(other, _FACTORS):
             other = self.ring.scalar(other)
         if not isinstance(other, Series):
             return NotImplemented
-        ints, da, a, db, b = self._pair(other)
-        return Series._made(self.ring, ints, *_int_sum(da, a, db, b, sign))
+        order, da, a, db, b = self._pair(other)
+        return Series._made(self.ring, order, *_sum_form(order, da, a, db, b, sign))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -463,31 +535,32 @@ class Series:
         return (-self) + other
 
     def __neg__(self):
-        den, num = self._form()
-        return Series._from_form(self.ring, den, {e: _scaled(slot, -1)
-                                                  for e, slot in num.items()})
+        order, den, num = self._form()
+        return Series._from_form(self.ring, order, den,
+                                 {e: _scaled(slot, -1, order) for e, slot in num.items()})
 
     def __mul__(self, other):
         """The product with a series, a scalar or a TPoly.  Two series
         multiply term pair by term pair (`_term_products`): each output
-        exponent gets one raw {t-exponent: value} dict into which
-        ``exact._accumulate`` adds the pairs' products.  A scalar or a TPoly
-        multiplies every slot (`_int_times`)."""
+        exponent gets one raw {t-exponent: numerator} dict into which the
+        pairs' products are added.  A scalar or a TPoly, read as a one-term
+        series, multiplies every slot (`_times_form`)."""
         ring = self.ring
         if isinstance(other, Series):
-            ints, da, a, db, b = self._pair(other)
+            order, da, a, db, b = self._pair(other)
             acc = _term_products(ring.cap, ((e, s.items()) for e, s in a.items()),
-                                 ((e, s.items()) for e, s in b.items()))
-            return Series._made(ring, ints, *_reduced(da * db, _nonzero(acc)))
-        if not isinstance(other, (int, Fraction, CycloNumber, TPoly)):
+                                 ((e, s.items()) for e, s in b.items()), _accumulator(order))
+            return Series._made(ring, order, *_reduced(da * db, _settled(acc, order), order))
+        if not isinstance(other, _FACTORS):
             return NotImplemented
-        # the factor pairs as a one-term series would, without being one
-        factor = as_tpoly(other)
-        den, num = self._form()
-        fden = _denominator_lcm((factor,)) if den else None
-        if fden:
-            return Series._from_form(ring, *_int_times(den, num, fden, _numerators(factor, fden)))
-        return Series._made(ring, False, *_int_times(1, self._scalars(), 1, factor.coeffs.items()))
+        # the factor read as a one-term series, without being one
+        forder, fden, (factor,) = _numerator_form(
+            (other.coeffs if isinstance(other, TPoly) else {0: other},))
+        own, den, num = self._form()
+        order = own if forder in (None, own) else _joint_order(own, forder)
+        factor = _lifted({0: factor}, forder, order)[0]
+        return Series._made(ring, order, *_times_form(order, den, _lifted(num, own, order),
+                                                      fden, factor.items()))
 
     __rmul__ = __mul__
 
@@ -512,41 +585,52 @@ class Series:
         Qint[t] = Q[t]·Dn·n0^(|t|+1), which satisfies the recurrence
         Qint[t] = n0^|t|·Dd·Nn[t] − Σ Nd[e]·n0^(|e|−1)·Qint[t − e];
         every Qint[t] is then scaled by n0^(top − |t|) onto the one
-        denominator Dn·n0^(top+1), top the highest degree solved.  In
-        integer form this is all-int.  In scalar form both sides are divided
-        by c0 first, so n0 = 1 and every scale is ±1."""
+        denominator Dn·n0^(top+1), top the highest degree solved.  n0 is an
+        int: at q = zeta_N, when c0 has a zeta-component, Nn and Nd are first
+        multiplied by its Galois cofactor C, so that n0 = c0·C is the
+        integer norm of c0, and the recurrence scales Z[zeta_N] numerators
+        by ints and convolves them, reducing each pending sum once."""
         if not isinstance(other, Series):
             return NotImplemented
         ring = self.ring
         zero_t = (0,) * len(ring.variables)
-        ints, dn, nn, dd, nd = self._pair(other)
+        order, dn, nn, dd, nd = self._pair(other)
         c0 = nd.get(zero_t, {})
         if len(c0) != 1 or 0 not in c0:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
         n0 = c0[0]
-        if not ints:
-            inv0 = scalar_inverse(n0)
-            nn, nd = [{e: {k: v * inv0 for k, v in slot.items()} for e, slot in side.items()}
-                      for side in (nn, nd)]
-            n0 = 1
+        if order is not None:
+            if any(n0[1:]):
+                cof = _galois_cofactor(order, n0)
+                nn, nd = [{e: {k: tuple(_product(order, v, cof)) for k, v in slot.items()}
+                           for e, slot in side.items()} for side in (nn, nd)]
+                n0 = nd[zero_t][0]
+            n0 = n0[0]
+            pad = [0] * (euler_phi(order) - 1)
+        accumulate = _accumulator(order)
         powers = [n0 ** d for d in range(ring.cap + 2)]
-        nonconst = sorted(((sum(e), e, _scaled(slot, -powers[sum(e) - 1]).items())
+        nonconst = sorted(((sum(e), e, _scaled(slot, -powers[sum(e) - 1], order).items())
                            for e, slot in nd.items() if e != zero_t),
                           key=itemgetter(0))
         # pending[t] is target t's sum so far; by_degree[d] lists the targets
-        # of degree d that have one, in the order their slots were made.
+        # of degree d that have one, in the order their slots were made.  At
+        # an order a pending numerator is an unreduced list of 2·phi − 1 ints.
         pending: dict[tuple[int, ...], dict] = {}
         by_degree: list[list] = [[] for _ in range(ring.cap + 1)]
         for e, slot in nn.items():
             deg = sum(e)
-            pending[e] = dict(_scaled(slot, dd * powers[deg]))
+            slot = _scaled(slot, dd * powers[deg], order)
+            pending[e] = dict(slot) if order is None else {k: [*v, *pad]
+                                                           for k, v in slot.items()}
             by_degree[deg].append(e)
         quot: dict[tuple[int, ...], tuple[int, dict]] = {}
         for deg, targets in enumerate(by_degree):
             room = ring.cap - deg
             for target in targets:
-                raw = {k: v for k, v in pending.pop(target).items() if v}
+                raw = pending.pop(target)
+                raw = {k: v for k, v in raw.items() if v} if order is None \
+                    else _reduced_slot(order, raw)
                 if not raw:
                     continue
                 quot[target] = deg, raw
@@ -559,8 +643,8 @@ class Series:
                     if slot is None:
                         slot = pending[exps] = {}
                         by_degree[deg + d].append(exps)
-                    _accumulate(slot, tc, items)
-        return Series._made(ring, ints, *_int_quotient(dn, powers, quot))
+                    accumulate(slot, tc, items)
+        return Series._made(ring, order, *_quotient_form(order, dn, powers, quot))
 
     def invert(self) -> "Series":
         """Multiplicative inverse up to the cap (see __truediv__)."""
@@ -572,32 +656,35 @@ class Series:
 
     def affine_t(self, a, b) -> "Series":
         """Substitute t -> a*t + b (a, b int or Fraction) in every
-        coefficient by `_affine_items`: on the int numerators in integer
-        form when a and b are integers, else on the scalars."""
-        den, num = self._form()
-        ints = den != 0 and a.denominator == b.denominator == 1
-        if ints:
-            a, b = a.numerator, b.numerator
-        else:
-            den, num = 1, self._scalars()
-        return Series._made(self.ring, ints, *_reduced(den, _nonzero(
-            {e: _affine_items(slot.items(), a, b) for e, slot in num.items()})))
+        coefficient, on the numerators: with s the lcm of the denominators
+        of a and b, a = p/s, b = r/s and D the top t-power, c·t^e goes to
+        c·s^(D−e)·(p·t + r)^e over s^D, one int binomial weight per
+        (e, j) (`_affine_items`)."""
+        order, den, num = self._form()
+        s = lcm(a.denominator, b.denominator)
+        p, r = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+        top = max((k for slot in num.values() for k in slot), default=0)
+        weights = {e: [(j, comb(e, j) * p ** j * r ** (e - j) * s ** (top - e))
+                       for j in (range(e + 1) if r else (e,))] for e in range(top + 1)}
+        raw = {e: _affine_items(slot.items(), weights, order) for e, slot in num.items()}
+        return Series._made(self.ring, order,
+                            *_reduced(den * s ** top, _settled(raw, order), order))
 
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""
         idx = [self.ring._index[n] for n in names]
-        den, num = self._form()
-        return Series._from_form(self.ring, den, {
-            e: _scaled(slot, -1) if sum(e[i] for i in idx) & 1 else slot
+        order, den, num = self._form()
+        return Series._from_form(self.ring, order, den, {
+            e: _scaled(slot, -1, order) if sum(e[i] for i in idx) & 1 else slot
             for e, slot in num.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Series":
         """Sub-series multiplying name^power, with that exponent zeroed."""
         i = self.ring._index[name]
-        den, num = self._form()
+        order, den, num = self._form()
         picked = {exps[:i] + (0,) + exps[i + 1:]: slot
                   for exps, slot in num.items() if exps[i] == power}
-        return Series._made(self.ring, den != 0, *_reduced(den or 1, picked))
+        return Series._made(self.ring, order, *_reduced(den, picked, order))
 
     def set_var_zero(self, name: str) -> "Series":
         return self.coefficient_of(name, 0)
@@ -612,9 +699,8 @@ class Series:
 
         Each source term's monomial is multiplied out of the images' powers,
         and the pieces are summed once: each piece is scaled by its source
-        term's numerators, over the lcm of the pieces' denominators in
-        integer form, or over 1 as scalars when the source or any piece is
-        in scalar form."""
+        term's numerators, over the lcm of the pieces' denominators, at the
+        one order of the source and the pieces."""
         images: dict[int, Series] = {}
         for name, img in bindings.items():
             if img.ring != target:
@@ -641,35 +727,27 @@ class Series:
                     out = out * image_power(i, e)
             return out
 
-        dsrc, num = self._form()
-        pieces = {exps: piece(exps) for exps in num}
-        ints = dsrc != 0 and all(p._form()[0] for p in pieces.values())
-        if ints:
-            den = lcm(*(p._denom for p in pieces.values()))
-            views = {exps: (den // p._denom, p._numer) for exps, p in pieces.items()}
-        else:
-            dsrc, den, num = 1, 1, self._scalars()
-            views = {exps: (1, p._scalars()) for exps, p in pieces.items()}
+        own, dsrc, num = self._form()
+        pieces = {exps: piece(exps)._form() for exps in num}
+        order = _joint_order(own, *(o for o, _, _ in pieces.values()))
+        den = lcm(*(d for _, d, _ in pieces.values()))
+        num = _lifted(num, own, order)
+        accumulate = _accumulator(order)
         acc: dict[tuple[int, ...], dict] = {}
         for exps, slot in num.items():
-            scale, pnum = views[exps]
-            scaled = _scaled(slot, scale).items()
-            for e, pslot in pnum.items():
-                _accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
-        return Series._made(target, ints, *_reduced(den * dsrc, _nonzero(acc)))
+            porder, pden, pnum = pieces[exps]
+            scaled = _scaled(slot, den // pden, order).items()
+            for e, pslot in _lifted(pnum, porder, order).items():
+                accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
+        return Series._made(target, order, *_reduced(den * dsrc, _settled(acc, order), order))
 
     # -- comparison / serialization ----------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self._denom and other._denom:
-            return self._denom == other._denom and self._numer == other._numer
-        # dict equality compares the TPolys with ==, under which a
-        # rational-valued CycloNumber equals the same Fraction
-        return self.terms == other.terms
+        # each value has one form, at one order
+        return self.ring == other.ring and self._form() == other._form()
 
     def first_mismatch(self, other: "Series"):
         """(exps, lhs TPoly, rhs TPoly) of the graded-lex-first differing

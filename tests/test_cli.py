@@ -565,6 +565,64 @@ def _clear_caches():
                 obj.cache_clear()
 
 
+def _clear_every_cache():
+    """Clear every lru_cache of the package, in module and class namespaces."""
+    import inspect
+    for name, mod in list(sys.modules.items()):
+        if not name.startswith("qharmonic."):
+            continue
+        spaces = [vars(mod)] + [vars(c) for c in vars(mod).values()
+                                if inspect.isclass(c) and c.__module__ == name]
+        for space in spaces:
+            for obj in space.values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
+
+
+def test_verify_all_lines_do_not_depend_on_instance_order(capsys):
+    # An exact result must not depend on call order or cache history: the
+    # 281 instances run in one process in two seeded shuffled orders, each
+    # from cleared caches, give the report lines of the default order, whose
+    # stream is the pinned one.  The cached builders (_psi_brute,
+    # phi_system_checks) hold Series values, so this also covers the form
+    # that they are cached in.
+    import argparse
+    import random
+
+    import qharmonic.cli as cli
+
+    _clear_every_cache()
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS["all"]
+    lines = out.splitlines()[:-1]
+    instances = cli._select_instances(argparse.Namespace(
+        suite="all", n=None, r=None, q=None, cap=None, max_cap=None))
+    assert len(instances) == len(lines) == 281
+    for seed in (2611, 2612):
+        order = list(range(len(instances)))
+        random.Random(seed).shuffle(order)
+        _clear_every_cache()
+        for i in order:
+            report, trace = cli._verify_worker(instances[i])
+            assert trace is None
+            assert cli._json_line(report) == lines[i], instances[i]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only --jobs > 1 uses the pool, so its modules are imported there
+    src = Path(qharmonic.__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qharmonic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # the suites that share a cached builder: phi_system_checks for the first
 # five, brute Psi for the last three
 SHARED_BUILDER_SUITES = ["lemma2_1", "prop2_2", "cor2_3", "thm2_4", "c_i",

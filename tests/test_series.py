@@ -368,13 +368,18 @@ def test_division_by_sparse_divisors(order):
 def test_division_forms_only_pairs_that_fit_the_cap(order, monkeypatch):
     # Push order: each solved Q[t] meets the divisor's nonconstant terms e
     # with deg(e) <= cap - deg(t), one product each, and nothing else.
+    # The raw product kernel is _accumulate on int numerators and
+    # _convolve_into on Z[zeta_7] ones; both are counted.
     rng = random.Random(f"series-div-pairs:{order}")
     calls = []
-    original = series_module._accumulate
+    kernels = ("_accumulate", "_convolve_into")
+    originals = {name: getattr(series_module, name) for name in kernels}
 
-    def counting(slot, left, right):
-        calls.append(1)
-        original(slot, left, right)
+    def counting(name):
+        def spy(slot, left, right):
+            calls.append(1)
+            originals[name](slot, left, right)
+        return spy
 
     for ring in (SeriesRing(("x", "y", "z"), 6), SeriesRing(("x", "y", "z", "w"), 4),
                  SeriesRing(("x", "y"), 5)):
@@ -382,10 +387,11 @@ def test_division_forms_only_pairs_that_fit_the_cap(order, monkeypatch):
         for _ in range(5):
             b = sparse_unit(ring, rng, order, rng.randint(1, 4))
             a = rand_terms(ring, rng, order, rng.randint(1, 6))
-            monkeypatch.setattr(series_module, "_accumulate", counting)
+            for name in kernels:
+                monkeypatch.setattr(series_module, name, counting(name))
             calls.clear()
             q = a / b
-            monkeypatch.setattr(series_module, "_accumulate", original)
+            monkeypatch.undo()
             degrees = [sum(e) for e in b.terms if e != zero]
             want = sum(1 for t in q.terms for d in degrees if d <= ring.cap - sum(t))
             assert len(calls) == want
@@ -470,9 +476,9 @@ def over_calls(monkeypatch):
     calls = []
     original = exact._over
 
-    def spy(raw, den):
+    def spy(raw, den, order=None):
         calls.append(den)
-        return original(raw, den)
+        return original(raw, den, order)
 
     monkeypatch.setattr(series_module, "_over", spy)
     monkeypatch.setattr(exact, "_over", spy)
@@ -601,11 +607,13 @@ def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
                 ref_map(s, lambda tp: ref_affine_t(tp, 1, -1)).to_json()
     # the rational operands went through gcd, on ints only
     assert gcd_args
-    # t -> a*t + b on a CycloNumber coefficient runs on the scalars and
-    # builds no Fraction in _over; a non-integer a or b on a rational series
-    # reads its terms and runs on them too
-    def refuse(*args):
-        raise AssertionError("a Fraction built for a CycloNumber coefficient")
+    # t -> a*t + b on a CycloNumber coefficient runs on Z[zeta_5] numerators
+    # and builds no Fraction in _over; a non-integer a or b on a rational
+    # series stays on int numerators
+    def refuse(raw, den, order=None):
+        if order is None:
+            raise AssertionError("a Fraction built for a CycloNumber coefficient")
+        return exact._over(raw, den, order)
 
     tp = TPoly({0: Fraction(1, 3), 2: zeta})
     monkeypatch.setattr(series_module, "_over", refuse)
@@ -735,12 +743,16 @@ def test_integer_form_matches_references(op):
         assert kernel(a, b, unit).to_json() == want
 
 
-# -- the scalar form ----------------------------------------------------------
-# A series with any coefficient that is not a Fraction (a CycloNumber at
-# q = zeta_n) holds the coefficients themselves over 1, marked by denominator
-# 0, and runs the same kernels; an operation with one such operand reads the
-# other through its terms.  Every kernel is checked here on scalar-form and
-# mixed operands against the TPoly references above, byte for byte.
+# -- the form at q = zeta_N ---------------------------------------------------
+# A series with a coefficient that has a nonzero zeta-component (a CycloNumber
+# at q = zeta_N) holds the Z[zeta_N] coefficients of its values, tuples of
+# phi(N) ints, over one positive int, and runs the same kernels; an operation
+# with one such operand reads an int numerator a of the other as
+# (a, 0, ..., 0).  A result with no zeta-component drops to int numerators.
+# Every kernel is checked here on zeta_7 and mixed operands against the TPoly
+# references above, byte for byte.  SCALAR_FORM_OPS keeps its name: it is
+# INTEGER_FORM_OPS plus the ops that take a scalar, a rational t-shift or a
+# substitution.
 
 ZETA7 = CycloNumber.zeta(7)
 
@@ -775,36 +787,58 @@ SCALAR_FORM_OPS = {
 }
 
 
-def rand_in_form(ring: SeriesRing, rng: random.Random, scalar: bool, size: int) -> Series:
-    """rand_rational, or with scalar set random terms over Q(zeta_7) plus a
-    zeta_7 term, so that the series is in scalar form."""
-    if not scalar:
+def rand_in_form(ring: SeriesRing, rng: random.Random, cyclo: bool, size: int) -> Series:
+    """rand_rational, or with cyclo set random terms over Q(zeta_7) plus a
+    zeta_7 term, so that the series is stored at order 7."""
+    if not cyclo:
         return rand_rational(ring, rng, size)
     return rand_terms(ring, rng, 7, size) + ring.var(ring.variables[-1]) * ZETA7
 
 
 def scalar_form_cases(seed: str):
-    """Seeded (a, b, unit) triples over three rings: all three in scalar
-    form, or only a, or only b and unit."""
+    """Seeded (a, b, unit) triples over three rings: all three at order 7,
+    or only a, or only b and unit."""
     rng = random.Random(seed)
     for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4),
                  SeriesRing(("x", "y", "w"), 3)):
-        for scalar in ("abu", "a", "bu"):
-            a = rand_in_form(ring, rng, "a" in scalar, rng.randint(0, 9))
-            b = rand_in_form(ring, rng, "b" in scalar, rng.randint(1, 9))
-            u = rand_in_form(ring, rng, "u" in scalar, rng.randint(0, 6))
-            c0 = rng.choice(RATIONAL_CONSTANTS + ([ZETA7 + 3] if "u" in scalar else []))
+        for cyclo in ("abu", "a", "bu"):
+            a = rand_in_form(ring, rng, "a" in cyclo, rng.randint(0, 9))
+            b = rand_in_form(ring, rng, "b" in cyclo, rng.randint(1, 9))
+            u = rand_in_form(ring, rng, "u" in cyclo, rng.randint(0, 6))
+            c0 = rng.choice(RATIONAL_CONSTANTS + ([ZETA7 + 3] if "u" in cyclo else []))
             yield a, b, u - ring.scalar(u.constant_term()) + ring.scalar(c0)
 
 
-def assert_scalar_form(s: Series):
-    """s is in scalar form: its coefficients themselves over 0, with no
-    zero and no empty slot, and its terms (read here) are TPolys over those
-    very slots."""
-    assert s._denom == 0
-    assert all(slot and all(slot.values()) for slot in s._numer.values())
-    assert s.terms.keys() == s._numer.keys()
-    assert all(s.terms[e].coeffs is slot for e, slot in s._numer.items())
+def assert_cyclo_form(s: Series, order: int = 7):
+    """s is stored at the order: tuples of phi(order) ints, no zero
+    numerator and no empty slot, some numerator with a zeta-component, over
+    a positive int in lowest terms; its terms (read here) are those
+    numerators over that denominator."""
+    den, num = s._denom, s._numer
+    assert s._order == order
+    assert type(den) is int and den > 0
+    phi = exact.euler_phi(order)
+    values = []
+    for slot in num.values():
+        assert slot
+        for v in slot.values():
+            assert type(v) is tuple and len(v) == phi and all(type(a) is int for a in v)
+            assert any(v)
+            values += v
+    assert any(any(v[1:]) for slot in num.values() for v in slot.values())
+    assert gcd(den, *values) == 1
+    assert s.terms.keys() == num.keys()
+    for e, slot in num.items():
+        assert s.terms[e].coeffs == {k: CycloNumber(order, [Fraction(a, den) for a in v])
+                                     for k, v in slot.items()}
+
+
+def assert_stored_form(s: Series):
+    """s is in integer form or at order 7, as its values ask."""
+    if s._order is None:
+        assert_integer_form(s)
+    else:
+        assert_cyclo_form(s)
 
 
 @pytest.mark.parametrize("op", SCALAR_FORM_OPS)
@@ -815,59 +849,81 @@ def test_scalar_form_matches_references(op):
         got = kernel(fresh(a), fresh(b), fresh(unit))
         assert not terms_built(got)
         assert got.to_json() == want
-        if got._denom:
-            assert_integer_form(got)
-        else:
-            assert_scalar_form(got)
+        assert_stored_form(got)
         # operands made from TPolys, scanned on first use, agree
         assert kernel(a, b, unit).to_json() == want
 
 
-def test_one_scalar_operand_puts_the_result_in_scalar_form():
+def test_one_cyclo_operand_puts_the_result_at_its_order():
     rng = random.Random("scalar-form-of-results")
     ring = SeriesRing(("x", "y"), 4)
     rational, unit = rand_rational(ring, rng, 6), rand_rational(ring, rng, 6)
     unit = unit - ring.scalar(unit.constant_term()) + ring.one()
     cyclo = rand_terms(ring, rng, 7, 6) + ring.var("x") * ZETA7
-    assert cyclo._denom == 0 and fresh(rational)._denom > 0
+    assert cyclo._order == 7 and fresh(rational)._order is None
     for got in (rational + cyclo, cyclo - rational, rational * cyclo, cyclo / unit,
                 rational / (cyclo - ring.scalar(cyclo.constant_term()) + ring.one()),
                 rational * ZETA7, rational * TPoly({1: ZETA7}), -cyclo,
                 rational.substitute({"x": cyclo - ring.scalar(cyclo.constant_term())}, ring),
-                cyclo.negate_vars(["y"]), cyclo.coefficient_of("x", 1),
-                rational.affine_t(Fraction(1, 2), 0)):
-        assert_scalar_form(got)
-    # a series made from TPolys is scanned into scalar form once, over its
-    # TPolys' own coefficient dicts
-    made = Series(ring, {(1, 0): TPoly({0: ZETA7, 2: Fraction(3)})})
+                cyclo.negate_vars(["y"]), cyclo.coefficient_of("x", 1)):
+        assert_cyclo_form(got)
+    # a rational t-shift of a rational series stays in integer form, with
+    # the numerators of the same values made from TPolys
+    half = rational.affine_t(Fraction(1, 2), 0)
+    assert_integer_form(half)
+    twin = fresh(ref_map(rational, lambda tp: ref_affine_t(tp, Fraction(1, 2), 0)))
+    assert (half._denom, half._numer) == (twin._denom, twin._numer)
+    # a series made from TPolys is scanned into the form once
+    made = Series(ring, {(1, 0): TPoly({0: ZETA7 / 2, 2: Fraction(3)})})
     assert made._denom is None and not made.is_zero()
-    assert (made + ring.zero())._denom == 0
-    assert made._numer[(1, 0)] is made.terms[(1, 0)].coeffs
+    assert_cyclo_form(made + ring.zero())
+    assert (made._order, made._denom, made._numer) == \
+        (7, 2, {(1, 0): {0: (0, 1, 0, 0, 0, 0), 2: (6, 0, 0, 0, 0, 0)}})
     zero = cyclo - cyclo
-    assert zero.is_zero() and zero._denom == 0 and zero == ring.zero()
+    assert zero.is_zero() and (zero._order, zero._denom, zero._numer) == (None, 1, {})
+    assert zero == ring.zero()
 
 
-def test_the_two_forms_compare_by_value():
+def test_operands_of_two_orders_are_refused():
+    ring = SeriesRing(("x", "y"), 3)
+    zeta5 = CycloNumber.zeta(5)
+    at5 = ring.var("x") * zeta5 + ring.one()
+    at7 = ring.var("y") * ZETA7 + ring.one()
+    for op in (lambda: at5 + at7, lambda: at7 - at5, lambda: at5 * at7, lambda: at5 / at7,
+               lambda: at7 * zeta5, lambda: at5 + ZETA7, lambda: at5 * TPoly({1: ZETA7}),
+               lambda: at5.substitute({"x": at7 - ring.one()}, ring),
+               lambda: Series(ring, {(1, 0): TPoly({0: zeta5}),
+                                     (0, 1): TPoly({0: ZETA7})}) + ring.one()):
+        with pytest.raises(TypeError, match="cannot mix cyclotomic orders 5 and 7"):
+            op()
+    # a rational value reads alike at every order
+    assert at5 * CycloNumber.from_rational(7, 3) == at5 * 3
+    assert (at5 - ring.var("x") * zeta5) + at7 == at7 + 1
+
+
+def test_rational_values_drop_to_integer_form():
     rng = random.Random("scalar-form-equal")
     ring = SeriesRing(("x", "y"), 4)
     for _ in range(8):
         a = fresh(rand_rational(ring, rng, 6))
-        # the same values in scalar form: rational CycloNumbers, and
-        # Fractions held as scalars after a cancelling CycloNumber term
+        # the same values reached at order 7: rational CycloNumbers, and a
+        # zeta_7 term added and taken away again
         as_cyclo = fresh(ref_map(a, lambda tp: tp.map_coeffs(
             lambda c: CycloNumber.from_rational(7, c))))
         cancelled = (a + ring.var("y") * ZETA7) - ring.var("y") * ZETA7
         for twin in (as_cyclo, cancelled):
-            assert twin._denom == 0 and not terms_built(twin)
+            assert not terms_built(twin)
+            assert (twin._order, twin._denom, twin._numer) == (None, a._denom, a._numer)
             assert twin == a and a == twin
             assert twin.first_mismatch(a) is None
             assert twin.to_json() == a.to_json()
+            assert_integer_form(twin)
         bumped = cancelled + ring.var("x", 2) * Fraction(1, 5)
         assert bumped != a and a != bumped
         assert bumped.first_mismatch(a)[0] == (2, 0)
 
 
-def test_scalar_form_round_trips_unread():
+def test_cyclo_form_round_trips_unread():
     ring = SeriesRing(("x", "y"), 4)
     rng = random.Random("scalar-pickle")
     for _ in range(6):
@@ -877,10 +933,65 @@ def test_scalar_form_round_trips_unread():
         assert not terms_built(s)
         for twin in twins:
             assert not terms_built(twin)
-            assert twin._denom == 0 and twin._numer == s._numer
+            assert (twin._order, twin._denom, twin._numer) == (7, s._denom, s._numer)
             assert twin == s
             assert twin.to_json() == s.to_json()
-            assert_scalar_form(twin)
+            assert_cyclo_form(twin)
+
+
+def test_cyclo_quotient_makes_no_scalar_product_or_inverse(monkeypatch):
+    # At q = zeta_7 both sides of a quotient are multiplied by the Galois
+    # cofactor of the divisor's constant term, and the recurrence runs on
+    # int-scaled Z[zeta_7] numerators: no CycloNumber is multiplied,
+    # inverted or built.
+    rng = random.Random("cyclo-quotient")
+    orders = []
+    shared = exact._galois_cofactor
+
+    def cofactor(order, num):
+        orders.append(order)
+        return shared(order, num)
+
+    def refuse(*args):
+        raise AssertionError("a CycloNumber multiplied, inverted or built")
+
+    for ring in (SeriesRing(("x",), 6), SeriesRing(("x", "y"), 4)):
+        for _ in range(4):
+            a = fresh(rand_in_form(ring, rng, True, 6))
+            b = rand_in_form(ring, rng, True, 6)
+            unit = fresh(b - ring.scalar(b.constant_term())
+                         + ring.scalar(ZETA7 + Fraction(rng.randint(1, 5), 3)))
+            want, want_inverse = ref_mul(a, ref_invert(unit)).to_json(), ref_invert(unit).to_json()
+            with monkeypatch.context() as m:
+                for name in ("inverse", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+                    m.setattr(CycloNumber, name, refuse)
+                m.setattr(exact, "_make", refuse)
+                m.setattr(series_module, "_galois_cofactor", cofactor)
+                orders.clear()
+                got, inverse = a / unit, unit.invert()
+                assert not terms_built(got) and not terms_built(inverse)
+            assert orders == [7, 7]
+            assert got.to_json() == want and inverse.to_json() == want_inverse
+
+
+def test_the_galois_cofactor_has_one_helper(monkeypatch):
+    # CycloNumber.inverse and the Series quotient at q = zeta_N share it
+    orders = []
+    shared = exact._galois_cofactor
+
+    def spy(order, num):
+        orders.append(order)
+        return shared(order, num)
+
+    monkeypatch.setattr(exact, "_galois_cofactor", spy)
+    monkeypatch.setattr(series_module, "_galois_cofactor", spy)
+    x = CycloNumber(7, [1, 2, 0, -1])
+    assert x * x.inverse() == 1
+    assert orders == [7]
+    ring = SeriesRing(("x",), 3)
+    unit = ring.var("x") + ring.scalar(x)
+    assert unit * unit.invert() == ring.one()
+    assert orders == [7, 7]
 
 
 def test_integer_form_sums_that_cancel_reduce():
@@ -910,7 +1021,8 @@ def test_integer_form_results_do_not_depend_on_reads(op):
         for s in read:
             _ = s.terms
         once_read = kernel(*read)
-        assert (once_read._denom, once_read._numer) == (unread._denom, unread._numer)
+        assert (once_read._order, once_read._denom, once_read._numer) == \
+            (unread._order, unread._denom, unread._numer)
         assert once_read.to_json() == unread.to_json()
 
 

@@ -92,21 +92,24 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The rational Series kernels and the prefix-sum recursion of qseries multiply
-# and add int numerators over one denominator; a Fraction is built only in
-# exact._over, which finishes each output slot, and a rational Series builds
-# its Fraction coefficients there only when its `terms` are first read.  The
-# kernels, the Series methods that dispatch to them, and the helpers that
-# put operands in one form, scale a slot or reduce a result build none, so
-# Fraction normalisation cannot creep back into a loop.
+# The Series kernels and the prefix-sum recursion of qseries multiply and add
+# int numerators (ints, or Z[zeta_N] coefficient tuples) over one
+# denominator; a Fraction is built only in exact._over, which finishes each
+# output slot, and a Series builds its coefficients there only when its
+# `terms` are first read.  The kernels, the Series methods that dispatch to
+# them, and the helpers that scan values into numerators, put operands at one
+# order, scale a slot or reduce a result build none, so Fraction
+# normalisation cannot creep back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
                                   "Series.__neg__", "Series.affine_t", "Series._form",
-                                  "Series._scalars", "Series._pair", "_scaled",
+                                  "Series._pair", "Series._made", "_scaled", "_lifted",
+                                  "_joint_order", "_add_tuples_into", "_accumulator",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
-                                  "_int_sum", "_int_times", "_term_products", "_int_quotient",
-                                  "_reduced", "_nonzero", "_common"),
-                    "exact.py": ("_denominator_lcm", "_numerators", "_affine_items"),
+                                  "_sum_form", "_times_form", "_term_products",
+                                  "_quotient_form", "_affine_items", "_reduced", "_settled",
+                                  "_reduced_slot", "_common"),
+                    "exact.py": ("_numerator_form", "_convolve_into", "_galois_cofactor"),
                     "genfun.py": ("_change_of_variables",),
                     "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
@@ -129,10 +132,37 @@ def test_rational_series_kernels_build_fractions_in_one_helper():
     assert found == []
     over = _definitions(by_name["exact.py"])["_over"]
     assert _builds_fraction(over)
-    # the one place a Series in integer form turns into TPolys
+    # the one place a Series turns its numerators into TPolys
     builds_terms = _definitions(by_name["series.py"])["Series.__getattr__"]
     assert any(isinstance(sub, ast.Name) and sub.id == "_over"
                for sub in ast.walk(builds_terms))
+
+
+# A Series at q = zeta_N holds Z[zeta_N] numerators and never a CycloNumber:
+# no code of the series module names the class, builds one (exact._make) or
+# inverts a scalar, and no code but the terms reader calls exact._over, the
+# one place its coefficients are built.  A quotient turns its divisor's
+# constant term into an int through exact._galois_cofactor instead.
+CYCLO_VALUES = {"CycloNumber", "_make", "scalar_inverse", "inverse"}
+
+
+def test_series_module_builds_no_scalar_but_through_over():
+    series = next(path for path in SOURCES if path.name == "series.py")
+    tree = ast.parse(series.read_text(), str(series))
+    found = [f"series.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id in CYCLO_VALUES)
+             or (isinstance(node, ast.Attribute) and node.attr in CYCLO_VALUES)
+             or (isinstance(node, ast.alias) and node.name in CYCLO_VALUES)]
+    assert found == []
+    assert _builds_fraction(tree) == []
+    over_callers = [name for name, node in _definitions(series).items()
+                    if any(isinstance(sub, ast.Name) and sub.id == "_over"
+                           for sub in ast.walk(node))]
+    assert over_callers == ["Series.__getattr__"]
+    exact = _definitions(next(path for path in SOURCES if path.name == "exact.py"))
+    for node in (exact["CycloNumber.inverse"], _definitions(series)["Series.__truediv__"]):
+        assert any(isinstance(sub, ast.Name) and sub.id == "_galois_cofactor"
+                   for sub in ast.walk(node))
 
 
 # The package docstring promises that everything outside qseries.z_t_float
