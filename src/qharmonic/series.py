@@ -307,16 +307,11 @@ def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
     return _reduced(den, out, order)
 
 
-def _accumulator(order: int | None) -> Callable:
-    """The raw product kernel of the numerators at `order`."""
-    return _accumulate if order is None else _convolve_into
-
-
 def _times_form(order: int | None, den: int, num: Mapping, pden: int,
                 pitems) -> tuple[int, dict]:
     """num/den times the t-polynomial with (t-power, numerator) items
     pitems over pden."""
-    accumulate = _accumulator(order)
+    accumulate = _accumulate if order is None else _convolve_into
     out = {}
     for e, slot in num.items():
         out[e] = raw = {}
@@ -549,18 +544,21 @@ class Series:
         if isinstance(other, Series):
             order, da, a, db, b = self._pair(other)
             acc = _term_products(ring.cap, ((e, s.items()) for e, s in a.items()),
-                                 ((e, s.items()) for e, s in b.items()), _accumulator(order))
+                                 ((e, s.items()) for e, s in b.items()),
+                                 _accumulate if order is None else _convolve_into)
             return Series._made(ring, order, *_reduced(da * db, _settled(acc, order), order))
         if not isinstance(other, _FACTORS):
             return NotImplemented
         # the factor read as a one-term series, without being one
         forder, fden, (factor,) = _numerator_form(
             (other.coeffs if isinstance(other, TPoly) else {0: other},))
-        own, den, num = self._form()
-        order = own if forder in (None, own) else _joint_order(own, forder)
-        factor = _lifted({0: factor}, forder, order)[0]
-        return Series._made(ring, order, *_times_form(order, den, _lifted(num, own, order),
-                                                      fden, factor.items()))
+        order, den, num = self._form()
+        if forder not in (None, order):
+            order = _joint_order(order, forder)
+            num = _lifted(num, None, order)
+        elif forder != order:
+            factor = _lifted({0: factor}, None, order)[0]
+        return Series._made(ring, order, *_times_form(order, den, num, fden, factor.items()))
 
     __rmul__ = __mul__
 
@@ -608,7 +606,7 @@ class Series:
                 n0 = nd[zero_t][0]
             n0 = n0[0]
             pad = [0] * (euler_phi(order) - 1)
-        accumulate = _accumulator(order)
+        accumulate = _accumulate if order is None else _convolve_into
         powers = [n0 ** d for d in range(ring.cap + 2)]
         nonconst = sorted(((sum(e), e, _scaled(slot, -powers[sum(e) - 1], order).items())
                            for e, slot in nd.items() if e != zero_t),
@@ -732,7 +730,7 @@ class Series:
         order = _joint_order(own, *(o for o, _, _ in pieces.values()))
         den = lcm(*(d for _, d, _ in pieces.values()))
         num = _lifted(num, own, order)
-        accumulate = _accumulator(order)
+        accumulate = _accumulate if order is None else _convolve_into
         acc: dict[tuple[int, ...], dict] = {}
         for exps, slot in num.items():
             porder, pden, pnum = pieces[exps]
@@ -746,8 +744,14 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
+        if self.ring != other.ring:
+            return False
+        if self._denom is None or other._denom is None:
+            # a series made from TPolys (often a cached brute side) is not
+            # scanned just to be compared; TPolys compare by value
+            return self.terms == other.terms
         # each value has one form, at one order
-        return self.ring == other.ring and self._form() == other._form()
+        return self._form() == other._form()
 
     def first_mismatch(self, other: "Series"):
         """(exps, lhs TPoly, rhs TPoly) of the graded-lex-first differing

@@ -750,9 +750,8 @@ def test_integer_form_matches_references(op):
 # with one such operand reads an int numerator a of the other as
 # (a, 0, ..., 0).  A result with no zeta-component drops to int numerators.
 # Every kernel is checked here on zeta_7 and mixed operands against the TPoly
-# references above, byte for byte.  SCALAR_FORM_OPS keeps its name: it is
-# INTEGER_FORM_OPS plus the ops that take a scalar, a rational t-shift or a
-# substitution.
+# references above, byte for byte.  SCALAR_FORM_OPS is INTEGER_FORM_OPS plus
+# the ops that take a scalar, a rational t-shift or a substitution.
 
 ZETA7 = CycloNumber.zeta(7)
 

@@ -103,7 +103,7 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
                                   "Series.__neg__", "Series.affine_t", "Series._form",
                                   "Series._pair", "Series._made", "_scaled", "_lifted",
-                                  "_joint_order", "_add_tuples_into", "_accumulator",
+                                  "_joint_order", "_add_tuples_into",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
                                   "_sum_form", "_times_form", "_term_products",
