@@ -406,7 +406,11 @@ def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:
 
 def phi_mismatch(a: PhiPoly, b: PhiPoly, ring: SeriesRing) -> dict | None:
     """series_mismatch over the (x₁, …, x_{r+2}, z) terms of two PhiPolys
-    whose coefficients lie in `ring`."""
+    whose coefficients lie in `ring`.  Equal ones compare by their series'
+    numerators, so no coefficient is built."""
+    if a == b:
+        return None
+
     def flat(f: PhiPoly) -> dict:
         return {e + (z,): c for z, s in f.coeffs.items() for e, c in s.terms.items()}
     return _term_report(ring.variables + ("z",), first_term_mismatch(flat(a), flat(b)))

@@ -883,3 +883,25 @@ def test_eval_constant_index_matches_composition_loops():
 def test_xi_ones_coeff_matches_composition_loops():
     for l in range(13):
         assert xi_ones_coeff(l) == ref_xi_ones_coeff(l), l
+
+
+def test_phi_mismatch_compares_by_value_and_reports_the_first_term():
+    # equal PhiPolys compare through their series' numerators; unequal ones
+    # report the graded-lex-first differing (x, z) term, read from the terms
+    from qharmonic.genfun import PhiPoly, phi_bruteforce, phi_mismatch, x_variable_names
+    from qharmonic.series import SeriesRing, first_term_mismatch
+
+    ring = SeriesRing(x_variable_names(1), 3)
+    brute = phi_bruteforce(4, 1, CycloNumber.zeta(4), 0, 3)
+    twin = PhiPoly({z: s * 1 for z, s in brute.coeffs.items()})
+    assert phi_mismatch(brute, twin, ring) is None
+    assert phi_mismatch(twin, twin, ring) is None
+    bumped = twin + PhiPoly({2: ring.var("x2") * CycloNumber.zeta(4)})
+
+    def flat(f):
+        return {e + (z,): c for z, s in f.coeffs.items() for e, c in s.terms.items()}
+
+    exps, lhs, rhs = first_term_mismatch(flat(brute), flat(bumped))
+    assert exps == (0, 1, 0, 2)
+    assert phi_mismatch(brute, bumped, ring) == {
+        "term": {"x2": 1, "z": 2}, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
