@@ -384,11 +384,9 @@ def _power(base, exp: int, one):
     return out
 
 
-def _convolve(x, y, out: list | None = None) -> list:
-    """The product of two dense coefficient lists, lowest power first, added
-    into `out` when given (a list of at least len(x) + len(y) - 1 entries)."""
-    if out is None:
-        out = [0] * (len(x) + len(y) - 1)
+def _convolve(x, y) -> list:
+    """The product of two dense coefficient lists, lowest power first."""
+    out = [0] * (len(x) + len(y) - 1)
     for i, a in enumerate(x):
         if a:
             for k, b in enumerate(y, i):
@@ -826,7 +824,14 @@ def _convolve_into(slot: dict, left, right) -> None:
     for a, x in left:
         for b, y in right:
             k = a + b
-            slot[k] = _convolve(x, y, slot.get(k))
+            out = slot.get(k)
+            if out is None:
+                out = slot[k] = [0] * (len(x) + len(y) - 1)
+            for i, c in enumerate(x):
+                if c:
+                    for j, d in enumerate(y, i):
+                        if d:
+                            out[j] += c * d
 
 
 def _over(raw: Mapping, den: int, order: int | None = None) -> TPoly:

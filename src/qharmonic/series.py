@@ -222,10 +222,11 @@ def _lifted(num: Mapping, own: int | None, order: int | None) -> Mapping:
 
 def _common(g: int, num: Mapping, order: int | None) -> int:
     """The gcd of g and every numerator of num, stopping once it is 1."""
+    values = dict.values if order is None else lambda slot: chain.from_iterable(slot.values())
     for slot in num.values():
         if g == 1:
             break
-        g = gcd(g, *(slot.values() if order is None else chain.from_iterable(slot.values())))
+        g = gcd(g, *values(slot))
     return g
 
 
@@ -256,11 +257,14 @@ def _reduced_slot(order: int, raw: Mapping) -> dict:
 
 def _settled(raw: Mapping, order: int | None) -> dict:
     """raw without its zero numerators and the slots they leave empty; at an
-    order each raw numerator is first reduced (`_reduced_slot`)."""
+    order each raw numerator is first reduced (`_reduced_slot`).  raw is the
+    caller's own, so an int slot with no zero is kept, not copied."""
     out = {}
     for e, slot in raw.items():
-        slot = {k: v for k, v in slot.items() if v} if order is None \
-            else _reduced_slot(order, slot)
+        if order is not None:
+            slot = _reduced_slot(order, slot)
+        elif not all(slot.values()):
+            slot = {k: v for k, v in slot.items() if v}
         if slot:
             out[e] = slot
     return out
@@ -443,7 +447,7 @@ class Series:
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
         return cls._from_form(ring, None, *_reduced(den, _settled(
-            {e: slot for e, slot in num.items() if ring.check_exponents(e)}, None)))
+            {e: dict(slot) for e, slot in num.items() if ring.check_exponents(e)}, None)))
 
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms` of a series made by a
