@@ -459,8 +459,8 @@ def test_affine_t_matches_power_loop(order):
 # -- the integer path of the rational kernels --------------------------------
 # Over Fractions the product, the quotient and the t -> a*t + b map run on int
 # numerators over one denominator and build each output Fraction in
-# exact._over; with any other coefficient the same kernels run on the scalars
-# themselves.  The references above are checked byte for byte on both.
+# exact._over; at q = zeta_N the same kernels run on Z[zeta_N] numerators.
+# The references above are checked byte for byte on both.
 
 def assert_lowest_fractions(value):
     """Every coefficient of a Series or TPoly is a Fraction in lowest terms."""
@@ -567,9 +567,9 @@ def test_affine_t_integer_path_matches_power_loop(over_calls):
 
 
 def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
-    # An operation with a CycloNumber operand reads the rational one through
-    # its terms and runs the shared kernels on scalars over 1, where the
-    # reduction to lowest terms stops at once: no gcd ever sees a scalar.
+    # An operation with a CycloNumber operand lifts the rational one's int
+    # numerators to Z[zeta_5] and runs the shared kernels on int tuples: every
+    # gcd of the reduction to lowest terms sees ints only.
     gcd_args = []
     int_gcd = series_module.gcd
 
@@ -1011,7 +1011,7 @@ def test_integer_form_sums_that_cancel_reduce():
 
 @pytest.mark.parametrize("op", SCALAR_FORM_OPS)
 def test_integer_form_results_do_not_depend_on_reads(op):
-    # on integer-form, scalar-form and mixed operands alike
+    # on operands in integer form, at order 7 and mixed alike
     kernel, _ = SCALAR_FORM_OPS[op]
     for a, b, unit in chain(integer_form_cases(f"integer-reads:{op}"),
                             scalar_form_cases(f"scalar-reads:{op}")):
