@@ -659,9 +659,6 @@ class SparsePoly:
         # rational-valued CycloNumber equals the same Fraction
         return self.coeffs == other.coeffs
 
-    def map_coeffs(self, fn):
-        return type(self)({e: fn(c) for e, c in self.coeffs.items()})
-
     def shift(self, s: int):
         """The product with var^s (s >= 0): every exponent moves up by s."""
         return self._from_raw({e + s: c for e, c in self.coeffs.items()})

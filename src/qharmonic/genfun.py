@@ -285,10 +285,6 @@ def psi_bruteforce(n: int, r: int, q: Scalar, cap: int) -> Series:
     return Series(ring, terms)
 
 
-def series_eval_t(s: Series, value) -> Series:
-    return s.map_coeffs(lambda tp: TPoly.const(tp.eval(value)))
-
-
 def reflect_companion(s: Series) -> Series:
     """t -> 1−t combined with negating every variable except the first."""
     return s.affine_t(-1, 1).negate_vars(s.ring.variables[1:])
@@ -806,9 +802,9 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
 
 def kpow_generating(k: int, n: int, vcap: int) -> Series:
     """Σ_l (value of the repeated-entry k sum) v^l as the two-sided product
-    over powers of the primitive root; every coefficient is forced into Q.
-    Only the denominator Π_j (c_j + t·d_j·v) is multiplied out (see
-    `_t_ratio`)."""
+    over powers of the primitive root; a coefficient outside Q raises
+    IrrationalCoefficient.  Only the denominator Π_j (c_j + t·d_j·v) is
+    multiplied out (see `_t_ratio`)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if vcap < 0:
@@ -824,7 +820,12 @@ def kpow_generating(k: int, n: int, vcap: int) -> Series:
         const = scalar_pow(1 - tj, k)
         vcoef = T * (-scalar_pow(tj, k - 1))
         den = den * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
-    return _t_ratio(den).map_coeffs(lambda tp: tp.rationalized())
+    ratio = _t_ratio(den)
+    bad = series_irrational_term(ratio)
+    if bad is not None:
+        raise IrrationalCoefficient(f"kpow_generating({k}, {n}, {vcap}) has the "
+                                    f"irrational term {bad}")
+    return ratio
 
 
 def _eva_c(k: int, n: int, i: int) -> Fraction:

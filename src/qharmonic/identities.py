@@ -44,7 +44,6 @@ from .genfun import (
     roundtrip_u,
     scalar_mismatch,
     search_qhs_witness,
-    series_eval_t,
     series_mismatch,
     sum_formula,
     sum_formulas,
@@ -111,7 +110,7 @@ def _run_reflection(n: int, r: int, cap: int, q: Scalar) -> dict | None:
 
 
 def _run_half_t(n: int, r: int, cap: int, q: Scalar) -> dict | None:
-    half = series_eval_t(_psi_brute(n, r, q, cap), Fraction(1, 2))
+    half = _psi_brute(n, r, q, cap).affine_t(0, Fraction(1, 2))
     return series_mismatch(half * half.negate_vars(half.ring.variables[1:]), half.ring.one())
 
 

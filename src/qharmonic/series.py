@@ -26,12 +26,12 @@ product convolves every pair into one int list per output coefficient
 (``exact._convolve_into``), which is reduced modulo the N-th cyclotomic
 polynomial once (``_settled``).
 
-``Series.terms``, the map from exponent tuples to TPolys, is built from the
-form when first read and then kept, by ``exact._over``: the only place the
-kernels build a Fraction or a CycloNumber.  A series made from TPolys (the
-public constructor, ``from_json``, the structure maps) holds its terms and is
-scanned into its form once (``exact._numerator_form``), by the first kernel
-that reads it; so is a scalar or TPoly factor.
+Every constructor stores the form, and ``Series.terms``, the map from
+exponent tuples to TPolys, is always a view of it: built when first read and
+then kept, by ``exact._over``, the only place the kernels build a Fraction or
+a CycloNumber.  A series made from TPolys (the public constructor,
+``from_json``) is scanned into its form once, when it is made
+(``exact._numerator_form``); so is a scalar or TPoly factor.
 
 Product.  Multiplication sorts the right operand's terms by degree once;
 since degree is additive, each left term's inner loop stops at the first
@@ -52,15 +52,14 @@ over the cap.  The recurrence runs on int-scaled numerators (see
 cofactor of c0 (``exact._galois_cofactor``), which turns c0 into its integer
 norm, so no inverse is formed.
 
-The public constructors ``Series(ring, terms)`` and
+A Series has three constructors.  The public ``Series(ring, terms)`` and
 ``Series.from_numerators(ring, den, num)`` (integer numerators over one
 denominator, for builders that know their coefficients in closed form)
 validate every exponent tuple against the ring.  Kernel outputs whose keys
 are admissible by construction (products pruned at the cap, sums and maps
 over keys already in the ring, division targets pushed up to the cap) go
-through the private ``Series._made``, which puts the form at its order, and
-``Series._from_form``, which trusts its form as given, or, over TPolys,
-``Series._trusted``, which only drops zero coefficients.
+through the private ``Series._made``, which trusts a form in lowest terms
+and only puts it at its order.
 """
 from __future__ import annotations
 
@@ -143,7 +142,7 @@ class SeriesRing:
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Series":
-        return Series._from_form(self, None, 1, {})
+        return Series._made(self, None, 1, {})
 
     def one(self) -> "Series":
         return self.scalar(1)
@@ -164,10 +163,10 @@ class SeriesRing:
         if not self.check_exponents(t):
             return self.zero()
         if isinstance(coeff, (int, Fraction)):
-            return Series._from_form(self, None, coeff.denominator,
-                                     {t: {0: coeff.numerator}} if coeff else {})
+            return Series._made(self, None, coeff.denominator,
+                                {t: {0: coeff.numerator}} if coeff else {})
         order, den, (slot,) = _numerator_form((as_tpoly(coeff).coeffs,))
-        return Series._from_form(self, order, den, {t: slot} if slot else {})
+        return Series._made(self, order, den, {t: slot} if slot else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree
@@ -379,60 +378,46 @@ def _affine_items(items, weights: Mapping, order: int | None) -> dict:
 _FACTORS = (*TPoly.scalars, TPoly)
 
 
+def _store(s: "Series", ring: SeriesRing, order: int | None, den: int, num: dict) -> None:
+    """Set the ring and the form of a Series being made."""
+    _set(s, "ring", ring)
+    _set(s, "_order", order)
+    _set(s, "_denom", den)
+    _set(s, "_numer", num)
+
+
 class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring.
 
     The value is `_numer` over `_denom` at `_order` (see the module
-    docstring); `_denom` is None for a series made from TPolys until its
-    first kernel scans it.  `terms` maps exponent tuples to TPolys; it is
-    built from the form when first read."""
+    docstring), which every constructor stores.  `terms` maps exponent
+    tuples to TPolys; it is a view of the form, built when first read."""
 
     __slots__ = ("ring", "terms", "_order", "_denom", "_numer")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
-        clean: dict[tuple[int, ...], TPoly] = {}
-        for exps, tp in terms.items():
-            if tp.is_zero():
-                continue
-            if ring.check_exponents(exps):
-                clean[exps] = tp
-        _set(self, "ring", ring)
-        _set(self, "terms", clean)
-        _set(self, "_denom", None)
-
-    @classmethod
-    def _trusted(cls, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> "Series":
-        """A Series over terms whose exponent tuples are admissible in ring
-        by construction: zero coefficients are dropped, exponents are not
-        re-checked."""
-        out = _new(cls)
-        _set(out, "ring", ring)
-        _set(out, "terms", {e: tp for e, tp in terms.items() if tp.coeffs})
-        _set(out, "_denom", None)
-        return out
-
-    @classmethod
-    def _from_form(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
-        """A Series over a form as stored (at its canonical order, in lowest
-        terms, over admissible keys with no zeros); its `terms` are built
-        when first read."""
-        out = _new(cls)
-        _set(out, "ring", ring)
-        _set(out, "_order", order)
-        _set(out, "_denom", den)
-        _set(out, "_numer", num)
-        return out
+        """The series with the given TPoly coefficients: every exponent
+        tuple of a nonzero coefficient is checked against the ring (a term
+        over the cap is dropped), and the coefficients are scanned into the
+        form once; two cyclotomic orders raise TypeError."""
+        kept = {exps: tp.coeffs for exps, tp in terms.items()
+                if tp.coeffs and ring.check_exponents(exps)}
+        order, den, nums = _numerator_form(kept.values())
+        _store(self, ring, order, den, dict(zip(kept, nums)))
 
     @classmethod
     def _made(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
-        """A kernel's result (den, num) in lowest terms at `order`, stored
-        with int numerators when none has a zeta-component."""
+        """A kernel's result (den, num) in lowest terms at `order`, over
+        admissible keys with no zeros, stored with int numerators when none
+        has a zeta-component."""
         if order is not None and not any(any(v[1:]) for slot in num.values()
                                          for v in slot.values()):
             order, num = None, {e: {k: v[0] for k, v in slot.items()}
                                 for e, slot in num.items()}
-        return cls._from_form(ring, order, den, num)
+        out = _new(cls)
+        _store(out, ring, order, den, num)
+        return out
 
     @classmethod
     def from_numerators(cls, ring: SeriesRing, den: int,
@@ -446,12 +431,11 @@ class Series:
             raise ValueError("denominator must be positive")
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
-        return cls._from_form(ring, None, *_reduced(den, _settled(
+        return cls._made(ring, None, *_reduced(den, _settled(
             {e: dict(slot) for e, slot in num.items() if ring.check_exponents(e)}, None)))
 
     def __getattr__(self, name):
-        # Reached only when a slot is unset: `terms` of a series made by a
-        # kernel, built once and kept.
+        # Reached only when a slot is unset: `terms`, built once and kept.
         if name != "terms":
             raise AttributeError(name)
         den, order = self._denom, self._order
@@ -459,24 +443,13 @@ class Series:
         _set(self, "terms", terms)
         return terms
 
-    def _form(self) -> tuple[int | None, int, dict]:
-        """(`_order`, `_denom`, `_numer`); a series made from TPolys is
-        scanned into them once."""
-        if self._denom is None:
-            terms = self.terms
-            order, den, nums = _numerator_form(tp.coeffs for tp in terms.values())
-            _set(self, "_order", order)
-            _set(self, "_numer", dict(zip(terms, nums)))
-            _set(self, "_denom", den)
-        return self._order, self._denom, self._numer
-
     def _pair(self, other: "Series") -> tuple[int | None, int, Mapping, int, Mapping]:
         """(order, da, a, db, b): the two operands as numerators over a
         denominator at one order."""
         if self.ring is not other.ring:
             self._check_same_ring(other)
-        oa, da, a = self._form()
-        ob, db, b = other._form()
+        oa, da, a = self._order, self._denom, self._numer
+        ob, db, b = other._order, other._denom, other._numer
         if oa == ob:
             return oa, da, a, db, b
         order = _joint_order(oa, ob)
@@ -486,12 +459,12 @@ class Series:
         raise AttributeError("Series is immutable")
 
     def __reduce__(self):
-        return Series._from_form, (self.ring, *self._form())
+        return Series._made, (self.ring, self._order, self._denom, self._numer)
 
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.terms if self._denom is None else self._numer)
+        return not self._numer
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -534,9 +507,9 @@ class Series:
         return (-self) + other
 
     def __neg__(self):
-        order, den, num = self._form()
-        return Series._from_form(self.ring, order, den,
-                                 {e: _scaled(slot, -1, order) for e, slot in num.items()})
+        order, den, num = self._order, self._denom, self._numer
+        return Series._made(self.ring, order, den,
+                            {e: _scaled(slot, -1, order) for e, slot in num.items()})
 
     def __mul__(self, other):
         """The product with a series, a scalar or a TPoly.  Two series
@@ -556,7 +529,7 @@ class Series:
         # the factor read as a one-term series, without being one
         forder, fden, (factor,) = _numerator_form(
             (other.coeffs if isinstance(other, TPoly) else {0: other},))
-        order, den, num = self._form()
+        order, den, num = self._order, self._denom, self._numer
         if forder not in (None, order):
             order = _joint_order(order, forder)
             num = _lifted(num, None, order)
@@ -651,23 +624,22 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse up to the cap (see __truediv__)."""
         return self.ring.one() / self
-    # -- structure maps -----------------------------------------------------
 
-    def map_coeffs(self, fn: Callable[[TPoly], TPoly]) -> "Series":
-        return Series._trusted(self.ring, {e: fn(c) for e, c in self.terms.items()})
+    # -- structure maps -----------------------------------------------------
 
     def affine_t(self, a, b) -> "Series":
         """Substitute t -> a*t + b (a, b int or Fraction) in every
         coefficient, on the numerators: with s the lcm of the denominators
         of a and b, a = p/s, b = r/s and D the top t-power, c·t^e goes to
         c·s^(D−e)·(p·t + r)^e over s^D, one int binomial weight per
-        (e, j) (`_affine_items`)."""
-        order, den, num = self._form()
+        (e, j) (`_affine_items`).  With a = 0 it is evaluation at t = b."""
+        order, den, num = self._order, self._denom, self._numer
         s = lcm(a.denominator, b.denominator)
         p, r = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
         top = max((k for slot in num.values() for k in slot), default=0)
-        weights = {e: [(j, comb(e, j) * p ** j * r ** (e - j) * s ** (top - e))
-                       for j in (range(e + 1) if r else (e,))] for e in range(top + 1)}
+        weights = {e: [(j, w) for j in (range(e + 1) if r else (e,))
+                       if (w := comb(e, j) * p ** j * r ** (e - j) * s ** (top - e))]
+                   for e in range(top + 1)}
         raw = {e: _affine_items(slot.items(), weights, order) for e, slot in num.items()}
         return Series._made(self.ring, order,
                             *_reduced(den * s ** top, _settled(raw, order), order))
@@ -675,15 +647,15 @@ class Series:
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""
         idx = [self.ring._index[n] for n in names]
-        order, den, num = self._form()
-        return Series._from_form(self.ring, order, den, {
+        order, den, num = self._order, self._denom, self._numer
+        return Series._made(self.ring, order, den, {
             e: _scaled(slot, -1, order) if sum(e[i] for i in idx) & 1 else slot
             for e, slot in num.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Series":
         """Sub-series multiplying name^power, with that exponent zeroed."""
         i = self.ring._index[name]
-        order, den, num = self._form()
+        order, den, num = self._order, self._denom, self._numer
         picked = {exps[:i] + (0,) + exps[i + 1:]: slot
                   for exps, slot in num.items() if exps[i] == power}
         return Series._made(self.ring, order, *_reduced(den, picked, order))
@@ -729,17 +701,17 @@ class Series:
                     out = out * image_power(i, e)
             return out
 
-        own, dsrc, num = self._form()
-        pieces = {exps: piece(exps)._form() for exps in num}
-        order = _joint_order(own, *(o for o, _, _ in pieces.values()))
-        den = lcm(*(d for _, d, _ in pieces.values()))
+        own, dsrc, num = self._order, self._denom, self._numer
+        pieces = {exps: piece(exps) for exps in num}
+        order = _joint_order(own, *(p._order for p in pieces.values()))
+        den = lcm(*(p._denom for p in pieces.values()))
         num = _lifted(num, own, order)
         accumulate = _accumulate if order is None else _convolve_into
         acc: dict[tuple[int, ...], dict] = {}
         for exps, slot in num.items():
-            porder, pden, pnum = pieces[exps]
-            scaled = _scaled(slot, den // pden, order).items()
-            for e, pslot in _lifted(pnum, porder, order).items():
+            p = pieces[exps]
+            scaled = _scaled(slot, den // p._denom, order).items()
+            for e, pslot in _lifted(p._numer, p._order, order).items():
                 accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
         return Series._made(target, order, *_reduced(den * dsrc, _settled(acc, order), order))
 
@@ -748,14 +720,9 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self._denom is None or other._denom is None:
-            # a series made from TPolys (often a cached brute side) is not
-            # scanned just to be compared; TPolys compare by value
-            return self.terms == other.terms
         # each value has one form, at one order
-        return self._form() == other._form()
+        return (self.ring == other.ring and self._order == other._order
+                and self._denom == other._denom and self._numer == other._numer)
 
     def first_mismatch(self, other: "Series"):
         """(exps, lhs TPoly, rhs TPoly) of the graded-lex-first differing

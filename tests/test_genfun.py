@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qharmonic.exact import CycloNumber, TPoly, binomial, scalar_pow
+from qharmonic.exact import CycloNumber, IrrationalCoefficient, TPoly, binomial, scalar_pow
 from qharmonic.genfun import (
     IdentityReport,
     LEMMA_SAMPLES,
@@ -40,7 +40,6 @@ from qharmonic.genfun import (
     roundtrip_u,
     scalar_mismatch,
     search_qhs_witness,
-    series_eval_t,
     series_mismatch,
     sum_formula,
     sum_formulas,
@@ -242,9 +241,23 @@ def test_series_t_helpers():
     ring = SeriesRing(("u1", "u2"), 2)
     s = ring.var("u1") * TPoly({0: Fraction(1), 1: Fraction(2)}) + ring.var("u2")
     assert s.affine_t(1, 0) == s
-    evaluated = series_eval_t(s, Fraction(3))
+    evaluated = s.affine_t(0, Fraction(3))
     assert evaluated.coefficient({"u1": 1}) == TPoly.const(7)
     assert reflect_companion(reflect_companion(s)) == s
+    # t -> 0*t + v is evaluation at v, on integer-form and zeta_7-form series
+    rng = random.Random("affine-t-evaluates")
+    zeta = CycloNumber.zeta(7)
+    for cyclo in (False, True):
+        for _ in range(4):
+            terms = {e: TPoly({k: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               + (zeta * rng.randint(-2, 2) if cyclo else 0)
+                               for k in range(rng.randint(1, 4))})
+                     for e in rng.sample(ring.exponents_up_to_cap(), 4)}
+            s = Series(ring, terms) + (ring.var("u2") * zeta if cyclo else ring.zero())
+            assert s.terms
+            for v in (Fraction(1, 2), Fraction(-3), Fraction(2, 7), 0):
+                want = Series(ring, {e: TPoly.const(tp.eval(v)) for e, tp in s.terms.items()})
+                assert s.affine_t(0, v).to_json() == want.to_json()
 
 
 def test_u_poly_smallest_cases():
@@ -675,7 +688,7 @@ def ref_kpow_generating(k, n, vcap):
         return out
 
     ratio = product(T_MINUS_ONE) * product(T).invert()
-    return ratio.map_coeffs(lambda tp: tp.rationalized())
+    return Series(ring, {e: tp.rationalized() for e, tp in ratio.terms.items()})
 
 
 def test_psi_product_matches_two_product_formula():
@@ -685,6 +698,14 @@ def test_psi_product_matches_two_product_formula():
         q = {"zeta": CycloNumber.zeta(n), "1/2": Fraction(1, 2), "-3": Fraction(-3),
              "random": Fraction(rng.randint(1, 9), rng.randint(2, 9))}[kind]
         assert psi_product(n, r, q, cap).to_json() == ref_psi_product(n, r, q, cap).to_json()
+
+
+def test_kpow_generating_refuses_an_irrational_quotient(monkeypatch):
+    ring = SeriesRing(("v",), 2)
+    irrational = ring.one() + ring.var("v") * TPoly({1: CycloNumber.zeta(7)})
+    monkeypatch.setattr(genfun, "_t_ratio", lambda den: irrational)
+    with pytest.raises(IrrationalCoefficient, match=r"'exps': \[1\], 't_power': 1"):
+        kpow_generating(2, 5, 2)
 
 
 def test_kpow_generating_matches_two_product_formula():

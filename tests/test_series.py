@@ -221,6 +221,11 @@ def ref_map(s: Series, fn) -> Series:
     return Series(s.ring, {e: fn(c) for e, c in s.terms.items()})
 
 
+def map_coeffs(tp: TPoly, fn) -> TPoly:
+    """fn applied to every scalar coefficient of tp."""
+    return TPoly({e: fn(c) for e, c in tp.coeffs.items()})
+
+
 def ref_invert(s: Series) -> Series:
     """The coefficient recurrence with TPoly accumulation."""
     ring = s.ring
@@ -739,7 +744,7 @@ def test_integer_form_matches_references(op):
         assert not terms_built(got)
         assert got.to_json() == want
         assert_integer_form(got)
-        # operands made from TPolys, scanned on first use, agree
+        # operands made from TPolys, scanned when made, agree
         assert kernel(a, b, unit).to_json() == want
 
 
@@ -849,7 +854,7 @@ def test_scalar_form_matches_references(op):
         assert not terms_built(got)
         assert got.to_json() == want
         assert_stored_form(got)
-        # operands made from TPolys, scanned on first use, agree
+        # operands made from TPolys, scanned when made, agree
         assert kernel(a, b, unit).to_json() == want
 
 
@@ -872,9 +877,10 @@ def test_one_cyclo_operand_puts_the_result_at_its_order():
     assert_integer_form(half)
     twin = fresh(ref_map(rational, lambda tp: ref_affine_t(tp, Fraction(1, 2), 0)))
     assert (half._denom, half._numer) == (twin._denom, twin._numer)
-    # a series made from TPolys is scanned into the form once
+    # a series made from TPolys is scanned into the form when made, and
+    # keeps no terms
     made = Series(ring, {(1, 0): TPoly({0: ZETA7 / 2, 2: Fraction(3)})})
-    assert made._denom is None and not made.is_zero()
+    assert not terms_built(made) and not made.is_zero()
     assert_cyclo_form(made + ring.zero())
     assert (made._order, made._denom, made._numer) == \
         (7, 2, {(1, 0): {0: (0, 1, 0, 0, 0, 0), 2: (6, 0, 0, 0, 0, 0)}})
@@ -907,8 +913,8 @@ def test_rational_values_drop_to_integer_form():
         a = fresh(rand_rational(ring, rng, 6))
         # the same values reached at order 7: rational CycloNumbers, and a
         # zeta_7 term added and taken away again
-        as_cyclo = fresh(ref_map(a, lambda tp: tp.map_coeffs(
-            lambda c: CycloNumber.from_rational(7, c))))
+        as_cyclo = fresh(ref_map(a, lambda tp: map_coeffs(
+            tp, lambda c: CycloNumber.from_rational(7, c))))
         cancelled = (a + ring.var("y") * ZETA7) - ring.var("y") * ZETA7
         for twin in (as_cyclo, cancelled):
             assert not terms_built(twin)
@@ -920,6 +926,37 @@ def test_rational_values_drop_to_integer_form():
         bumped = cancelled + ring.var("x", 2) * Fraction(1, 5)
         assert bumped != a and a != bumped
         assert bumped.first_mismatch(a)[0] == (2, 0)
+
+
+def test_equal_values_have_equal_forms():
+    # Series(ring, terms) stores the form that every other constructor and a
+    # kernel store for the same values, and builds no terms
+    rng = random.Random("equal-forms")
+    ring = SeriesRing(("x", "y"), 4)
+    for cyclo in (False, False, False, True, True, True):
+        source = rand_in_form(ring, rng, cyclo, 6)
+        terms = dict(source.terms)
+        made = Series(ring, terms)
+        assert not terms_built(made)
+        twins = [pickle.loads(pickle.dumps(made)), Series.from_json(ring, source.to_json()),
+                 (made + source) - source]
+        if not cyclo:
+            # rational-valued CycloNumbers of two orders, and int numerators
+            twins += [Series(ring, {e: map_coeffs(tp, lambda c: CycloNumber.from_rational(n, c))
+                                    for e, tp in terms.items()}) for n in (5, 7)]
+            den = lcm(*(c.denominator for tp in terms.values() for c in tp.coeffs.values()))
+            twins.append(Series.from_numerators(ring, den, {
+                e: {k: int(c * den) for k, c in tp.coeffs.items()} for e, tp in terms.items()}))
+        for twin in twins:
+            assert not terms_built(twin)
+            assert (twin._order, twin._denom, twin._numer) == \
+                (made._order, made._denom, made._numer)
+            assert twin == made
+        assert made._order == (7 if cyclo else None)
+        assert made.to_json() == source.to_json()
+    # a term map that mixes two orders is refused when it is made
+    with pytest.raises(TypeError, match="cannot mix cyclotomic orders 5 and 7"):
+        Series(ring, {(1, 0): TPoly({0: CycloNumber.zeta(5)}), (0, 1): TPoly({0: ZETA7})})
 
 
 def test_cyclo_form_round_trips_unread():
@@ -1052,8 +1089,8 @@ def test_integer_form_equals_the_series_from_tpolys():
         assert prod == from_tpolys and from_tpolys == prod
         assert prod.first_mismatch(from_tpolys) is None
         # the same values as rational CycloNumbers are equal too
-        as_cyclo = ref_map(from_tpolys, lambda tp: tp.map_coeffs(
-            lambda c: CycloNumber.from_rational(7, c)))
+        as_cyclo = ref_map(from_tpolys, lambda tp: map_coeffs(
+            tp, lambda c: CycloNumber.from_rational(7, c)))
         assert prod == as_cyclo and as_cyclo == prod
         bumped = prod + ring.var("y", 3) * Fraction(1, 5)
         assert bumped != from_tpolys and from_tpolys != bumped
@@ -1078,10 +1115,9 @@ def test_unchecked_results_are_admissible(order):
             c = rand_scalar(rng, order)
             results = [
                 a + b, a - b, a + (-a), -a, a * c, a * 0, c * a,
-                a.map_coeffs(lambda tp: tp * TPoly.t()),
-                a.map_coeffs(lambda tp: tp - tp),
-                Series._trusted(ring, {e: tp if sum(e) % 2 else TPoly.zero()
-                                       for e, tp in a.terms.items()}),
+                a * TPoly.t(), a - a,
+                Series(ring, {e: tp if sum(e) % 2 else TPoly.zero()
+                              for e, tp in a.terms.items()}),
                 a * b,
             ]
             unit = rand_unit(ring, rng, order, rng.randint(0, 8))

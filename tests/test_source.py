@@ -18,15 +18,14 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
-UNCHECKED_SERIES_CONSTRUCTORS = {"_trusted", "_from_form", "_made"}
+UNCHECKED_SERIES_CONSTRUCTORS = {"_made"}
 
 
 def test_unchecked_series_constructor_stays_in_series_module():
-    # Series._trusted, Series._from_form and Series._made skip exponent
-    # validation (and the last two the reduction to lowest terms); only the
-    # series kernels, whose outputs are admissible by construction, may call
-    # them.  Builders elsewhere go through Series.from_numerators, which
-    # checks.
+    # Series._made skips exponent validation and the reduction to lowest
+    # terms; only the series kernels, whose outputs are admissible by
+    # construction, may call it.  Builders elsewhere go through
+    # Series(ring, terms) or Series.from_numerators, which check.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "series.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -53,6 +52,23 @@ def test_only_exact_reads_cyclo_storage():
     assert found == []
     exact = next(path for path in SOURCES if path.name == "exact.py")
     assert all(f'"{name}"' in exact.read_text() for name in CYCLO_STORAGE)
+
+
+# A Series' form: its numerators, their denominator and their cyclotomic
+# order.  Other modules read a series through `terms`, the kernels and the
+# constructors, so the numerator format stays the series module's business.
+SERIES_FORM = {"_order", "_denom", "_numer"}
+
+
+def test_only_series_reads_the_series_form():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "series.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in SERIES_FORM)
+             or (isinstance(node, ast.Constant) and node.value in SERIES_FORM)]
+    assert found == []
+    series = next(path for path in SOURCES if path.name == "series.py")
+    assert all(f'"{name}"' in series.read_text() for name in SERIES_FORM)
 
 
 # CycloNumber's integer kernels: multiply, add/subtract, inverse, the
@@ -101,7 +117,7 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
 # order, scale a slot or reduce a result build none, so Fraction
 # normalisation cannot creep back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
-                                  "Series.__neg__", "Series.affine_t", "Series._form",
+                                  "Series.__neg__", "Series.affine_t", "Series.__init__",
                                   "Series._pair", "Series._made", "_scaled", "_lifted",
                                   "_joint_order", "_add_tuples_into",
                                   "Series.negate_vars", "Series.coefficient_of",
@@ -223,12 +239,6 @@ def test_qseries_caches_are_bounded():
     assert sum(size is None for size in caches.values()) == 7
 
 
-# The acceptance gate imports series_irrational_term to check that Psi has
-# rational coefficients at every root, so it stays in the package although
-# nothing inside the package calls it.
-REFERENCED_OUTSIDE = {"series_irrational_term"}
-
-
 def test_every_definition_is_used_or_exported():
     # a module-level function or class that nothing in the package refers to
     # and that is not exported is dead code (or a test's own reference)
@@ -251,7 +261,6 @@ def test_every_definition_is_used_or_exported():
                 continue
             # a reference inside its own body (recursion) does not count
             own = names(node).count(node.name)
-            if uses.get(node.name, 0) == own and node.name not in qharmonic.__all__ \
-                    and node.name not in REFERENCED_OUTSIDE:
+            if uses.get(node.name, 0) == own and node.name not in qharmonic.__all__:
                 unused.append(f"{stem}.{node.name}")
     assert unused == []
