@@ -14,10 +14,9 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import QHarmonicError, TPoly, parse_rational, render_rational, scalar_to_json
 from .genfun import IdentityReport, eval_constant_index, u_poly, xi_ones_coeff
@@ -109,8 +108,7 @@ def _emit(text: str, out_path: str | None) -> None:
 # compute and table: one declaration per kind
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """Everything about one compute or table kind.
 
     `reads` maps each flag it reads besides --format and --out to its value
@@ -287,9 +285,10 @@ def _verify_group(group: list[tuple[int, tuple[str, dict]]]) -> list:
 def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
     """(report, traceback) per instance, in instance order.
 
-    With several jobs, the instances that read one cached builder (same
-    sharing_key) go to one worker as one task, so each builder is built
-    once; the largest groups go first, ties in first-seen order."""
+    With several jobs, the instances of one sharing_key (one (n, q), or one
+    suite without an n) go to one worker as one task, so each cached builder
+    and the sums under it are built in one worker only; the largest groups
+    go first, ties in first-seen order."""
     if jobs == 1:
         return [_verify_worker(item) for item in instances]
     # imported here, so that a one-job run does not load the pool's modules
@@ -297,8 +296,7 @@ def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
 
     groups: dict = {}
     for i, item in enumerate(instances):
-        key = sharing_key(*item)
-        groups.setdefault(i if key is None else key, []).append((i, item))
+        groups.setdefault(sharing_key(*item), []).append((i, item))
     tasks = sorted(groups.values(), key=len, reverse=True)
     results: list = [None] * len(instances)
     pool = ProcessPoolExecutor(max_workers=jobs)

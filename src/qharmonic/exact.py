@@ -30,7 +30,6 @@ recursion.
 """
 from __future__ import annotations
 
-import json
 import operator
 import re
 from decimal import Decimal
@@ -680,6 +679,8 @@ class SparsePoly:
         return {f"{self.var}^{e}": render(c) for e, c in sorted(self.coeffs.items())}
 
     def __repr__(self) -> str:
+        import json  # here, so that importing the package does not load json
+
         return f"{type(self).__name__}({json.dumps(self.to_json())})"
 
 

@@ -24,13 +24,12 @@ deterministic enumeration of profiles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, isqrt, lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact import (
     IrrationalCoefficient,
@@ -305,7 +304,6 @@ def series_irrational_term(s: Series):
 # identity reports and mismatch extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IdentityReport:
     """Outcome of one identity check instance.
 
@@ -315,18 +313,20 @@ class IdentityReport:
     exception as its mismatch.
     """
 
-    identity: str
-    params: dict
-    status: str
-    lhs: object = None
-    rhs: object = None
-    mismatch: dict | None = field(default=None)
+    __slots__ = ("identity", "params", "status", "lhs", "rhs", "mismatch")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skip", "error"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and self.mismatch is None:
+    def __init__(self, identity: str, params: dict, status: str, lhs: object = None,
+                 rhs: object = None, mismatch: dict | None = None) -> None:
+        if status not in ("pass", "fail", "skip", "error"):
+            raise ValueError(f"bad status {status!r}")
+        if status == "fail" and mismatch is None:
             raise ValueError("failing report without a mismatch location")
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.mismatch = mismatch
 
     def to_json(self) -> dict:
         return {
@@ -983,8 +983,7 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class QhsWitness:
+class QhsWitness(NamedTuple):
     """Rational data making both r=1 characteristic quadratics split over Q,
     so the hypergeometric representation can be checked in exact arithmetic."""
 

@@ -3,17 +3,16 @@
 Every check compares two (or more) independently computed exact objects and
 reports the first mismatching coefficient on failure.  The registry declares
 each check once: its parameters and their ranges, its default grid (sized
-for desk-scale runs), the text of its report, the cached builder its
-instances share, and the runner that computes its sides.
+for desk-scale runs), the text of its report, and the runner that computes
+its sides.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import (
     CycloNumber,
@@ -326,15 +325,13 @@ def _grid_psi(specs: tuple[str, ...] = Q_SAMPLES) -> list[dict]:
             for r in (1, 2) for n in range(2, 6) for spec in specs]
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """Everything about one registered check.
 
     `ints` are its integer parameters as (key, lo, hi), validated in this
     order; with `takes_q` the q spec is parsed last, against n.  `lhs` and
-    `rhs` are the text of its report.  `builder` names the cached builder its
-    instances read: "psi" (_psi_brute) or "phi" (phi_system_checks).
-    `fixed` holds parameters the check sets itself, added to its report."""
+    `rhs` are the text of its report.  `fixed` holds parameters the check
+    sets itself, added to its report."""
 
     runner: Callable
     grid: Callable[[], list[dict]]
@@ -342,7 +339,6 @@ class _Check:
     rhs: str
     ints: tuple[tuple[str, int, int], ...] = ()
     takes_q: bool = False
-    builder: str | None = None
     fixed: dict | None = None
 
 
@@ -356,7 +352,7 @@ def _phi(statement: str, lhs: str) -> _Check:
     return _Check(lambda n, r, cap, q: phi_system_checks(n, r, q, cap)[statement],
                   lambda: [{"n": n, "r": r, "q": spec, "cap": 3} for r in (1, 2)
                            for n in range(2, 6) for spec in ("zeta", "1/2")],
-                  lhs, "all equal", _PHI_INTS, takes_q=True, builder="phi")
+                  lhs, "all equal", _PHI_INTS, takes_q=True)
 
 
 _REGISTRY: dict[str, _Check] = {
@@ -364,20 +360,20 @@ _REGISTRY: dict[str, _Check] = {
         _run_thm1_1, _grid_psi,
         "height generating function from profile sums",
         "two-sided product over the characteristic polynomial",
-        _PSI_INTS, takes_q=True, builder="psi"),
+        _PSI_INTS, takes_q=True),
     "reflection": _Check(
         _run_reflection, lambda: _grid_psi(("zeta",)),
         "psi(t) * psi(1-t; second block negated)", "1",
-        _PSI_INTS, takes_q=True, builder="psi"),
+        _PSI_INTS, takes_q=True),
     "half_t_self_dual": _Check(
         _run_half_t, lambda: _grid_psi(("zeta",)),
         "psi at t=1/2 times its negated-block twin", "1",
-        _PSI_INTS, takes_q=True, builder="psi"),
+        _PSI_INTS, takes_q=True),
     "thm1_3": _Check(
         _run_thm1_3, lambda: [{"n": n, "cap": 5} for n in range(2, 7)],
         "psi at the primitive root, rank one",
         "ratio of the closed counting polynomials",
-        (("n", 2, 16), ("cap", 1, 8)), builder="psi"),
+        (("n", 2, 16), ("cap", 1, 8))),
     "cor1_4_triple": _Check(
         _run_cor1_4_triple, lambda: [{"n": n, "k": k} for n in range(2, 7) for k in range(0, 7)],
         "both closed sum formulas vs direct summation", "all three agree",
@@ -477,17 +473,15 @@ def _parse(check: _Check, params: dict) -> dict:
     return values
 
 
-def sharing_key(ident: str, params: dict) -> tuple | None:
-    """The arguments of the cached builder an instance reads: ("phi", n, r,
-    q, cap) for phi_system_checks and ("psi", n, r, q, cap) for _psi_brute,
-    with r = 1 for a check that takes no r.  Instances with one key share the
-    build when they run in one process; None for an instance that shares
-    nothing."""
-    check = _REGISTRY.get(ident)
-    if check is None or check.builder is None:
-        return None
-    r = params.get("r") if any(key == "r" for key, _, _ in check.ints) else 1
-    return (check.builder, params.get("n"), r, params.get("q", "zeta"), params.get("cap"))
+def sharing_key(ident: str, params: dict) -> tuple | str:
+    """The (n, q spec) of an instance that has an n, else its suite name.
+
+    Every cached builder (_psi_brute, phi_system_checks) takes its n and q
+    from the instance, so the instances of one key read the same builds and
+    the sums under them when they run in one process."""
+    if "n" in params:
+        return (params["n"], params.get("q", "zeta"))
+    return ident
 
 
 def list_identities() -> tuple[str, ...]:

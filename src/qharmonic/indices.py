@@ -2,7 +2,6 @@
 enumeration, and the box-filling patterns of the t-interpolation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -32,32 +31,49 @@ def heights(parts: MultiIndex, r: int) -> tuple[int, ...]:
     return tuple(height(parts, i) for i in range(1, r + 1))
 
 
-@dataclass(frozen=True)
 class HeightProfile:
     """Shape constraints (weight k, depth l, i-heights h, head bound j) for an
     index set.  Construction validates the shape invariants and raises on
     violations; use try_make when an out-of-shape tuple should read as the
     empty index set instead."""
 
-    k: int
-    l: int
-    h: tuple[int, ...] = ()
-    j: int = -1
+    __slots__ = ("k", "l", "h", "j")
 
-    def __post_init__(self):
-        object.__setattr__(self, "h", tuple(self.h))
-        if self.k < 0 or self.l < 0:
+    def __init__(self, k: int, l: int, h: tuple[int, ...] = (), j: int = -1) -> None:
+        h = tuple(h)
+        if k < 0 or l < 0:
             raise ValueError("negative weight or depth")
-        if any(x < 0 for x in self.h):
+        if any(x < 0 for x in h):
             raise ValueError("negative height")
-        if any(a < b for a, b in zip(self.h, self.h[1:])):
+        if any(a < b for a, b in zip(h, h[1:])):
             raise ValueError("heights must be non-increasing")
-        if self.h and self.l < self.h[0]:
+        if h and l < h[0]:
             raise ValueError("depth below 1-height")
-        if self.k < self.l + sum(self.h):
+        if k < l + sum(h):
             raise ValueError("weight below depth plus height total")
-        if not -1 <= self.j <= len(self.h) - 1:
+        if not -1 <= j <= len(h) - 1:
             raise ValueError("head bound out of range")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("HeightProfile is immutable")
+
+    def __reduce__(self):
+        return HeightProfile, (self.k, self.l, self.h, self.j)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not HeightProfile:
+            return NotImplemented
+        return (self.k, self.l, self.h, self.j) == (other.k, other.l, other.h, other.j)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.l, self.h, self.j))
+
+    def __repr__(self) -> str:
+        return f"HeightProfile(k={self.k!r}, l={self.l!r}, h={self.h!r}, j={self.j!r})"
 
     @classmethod
     def try_make(cls, k: int, l: int, h=(), j: int = -1) -> "HeightProfile | None":

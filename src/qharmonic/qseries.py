@@ -37,7 +37,6 @@ construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement
@@ -64,7 +63,6 @@ class InvalidQ(QHarmonicError):
     """q is a root of unity of order below the truncation length."""
 
 
-@dataclass(frozen=True)
 class SeriesParams:
     """Truncation length n and base point q (exact scalar).
 
@@ -72,41 +70,58 @@ class SeriesParams:
     zero into a denominator.  An int or a rational-valued CycloNumber q is
     stored as a Fraction.  `root_order` is N when q is the generator zeta_N
     (what zeta_params builds) and None otherwise; it is derived from q, so it
-    takes no part in equality, hashing or the cache keys."""
+    takes no part in equality, hashing, the repr or the cache keys."""
 
-    n: int
-    q: Scalar
-    root_order: int | None = field(init=False, compare=False, repr=False, default=None)
+    __slots__ = ("n", "q", "root_order")
 
-    def __post_init__(self):
-        _check_length(self.n)
-        q = self.q
+    def __init__(self, n: int, q: Scalar) -> None:
+        _check_length(n)
         if isinstance(q, CycloNumber) and q.as_rational() is not None:
             # It compares and hashes equal to the same value in every other
             # field, so the sum caches would hand one field's values to another.
             q = q.as_rational()
         if isinstance(q, int):
             q = Fraction(q)
-        object.__setattr__(self, "q", q)
+        root_order = None
         if isinstance(q, Fraction):
-            if q == 1 and self.n >= 2:
+            if q == 1 and n >= 2:
                 raise InvalidQ("q = 1")
-            if q == -1 and self.n >= 3:
+            if q == -1 and n >= 3:
                 raise InvalidQ("q = -1 with n >= 3")
         elif isinstance(q, CycloNumber) and q == CycloNumber.zeta(q.order):
             # zeta_N^m = 1 for some 1 <= m < n exactly when N < n
-            object.__setattr__(self, "root_order", q.order)
-            if q.order < self.n:
-                raise InvalidQ(f"q^{q.order} = 1 with n = {self.n}")
+            root_order = q.order
+            if q.order < n:
+                raise InvalidQ(f"q^{q.order} = 1 with n = {n}")
         elif isinstance(q, CycloNumber):
             p = q
-            for m in range(1, self.n):
+            for m in range(1, n):
                 if m > 1:
                     p = p * q
                 if p == 1:
-                    raise InvalidQ(f"q^{m} = 1 with n = {self.n}")
+                    raise InvalidQ(f"q^{m} = 1 with n = {n}")
         else:
             raise InvalidQ(f"q must be an exact scalar, got {type(q).__name__}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "root_order", root_order)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError("SeriesParams is immutable")
+
+    def __reduce__(self):
+        return SeriesParams, (self.n, self.q)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SeriesParams:
+            return NotImplemented
+        return self.n == other.n and self.q == other.q
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q))
+
+    def __repr__(self) -> str:
+        return f"SeriesParams(n={self.n!r}, q={self.q!r})"
 
 
 def _check_length(n) -> None:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -623,6 +622,23 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_package_loads_no_dataclasses_or_json():
+    # every cold run and every pool worker pays for these imports; compared
+    # against the modules loaded before, so a site hook cannot fail it
+    src = Path(qharmonic.__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import {0}; "
+            "print(sorted(m for m in set(sys.modules) - before if m in {1!r}))")
+    for package, banned in (("qharmonic", ("dataclasses", "inspect", "ast", "dis",
+                                           "tokenize", "json")),
+                            ("qharmonic.cli", ("dataclasses", "inspect"))):
+        proc = subprocess.run([sys.executable, "-c", code.format(package, banned)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", package
+
+
 # the suites that share a cached builder: phi_system_checks for the first
 # five, brute Psi for the last three
 SHARED_BUILDER_SUITES = ["lemma2_1", "prop2_2", "cor2_3", "thm2_4", "c_i",
@@ -640,14 +656,18 @@ def test_grouped_dispatch_is_byte_identical(capsys, suite):
     assert parallel == serial
 
 
-def test_sharing_keys_name_the_builder():
+def test_sharing_keys_group_by_n_and_q():
+    # every cached builder (brute Psi, phi_system_checks) reads its n and q
+    # from the instance, so one (n, q) task holds each builder and its sums
     from qharmonic.identities import sharing_key
     phi = {"n": 3, "r": 2, "q": "1/2", "cap": 3}
-    assert sharing_key("lemma2_1", phi) == sharing_key("c_i", phi) == ("phi", 3, 2, "1/2", 3)
-    psi = {"n": 4, "r": 1, "q": "zeta", "cap": 5}
-    assert sharing_key("thm1_1", psi) == sharing_key("half_t_self_dual", psi) \
-        == sharing_key("thm1_3", {"n": 4, "cap": 5}) == ("psi", 4, 1, "zeta", 5)
-    assert sharing_key("cor1_5", {"k": 1, "n": 3, "lmax": 4}) is None
+    psi = {"n": 3, "r": 1, "q": "1/2", "cap": 4}
+    assert sharing_key("lemma2_1", phi) == sharing_key("c_i", phi) \
+        == sharing_key("thm1_1", psi) == sharing_key("half_t_self_dual", psi) == (3, "1/2")
+    assert sharing_key("thm1_3", {"n": 4, "cap": 5}) == (4, "zeta")
+    assert sharing_key("cor1_5", {"k": 1, "n": 3, "lmax": 4}) == (3, "zeta")
+    assert sharing_key("chu_vandermonde", {"nmax": 8}) == "chu_vandermonde"
+    assert sharing_key("lemma4_1", {"r": 2, "cap": 2}) == "lemma4_1"
 
 
 def test_every_instance_goes_through_check_identity_once(tmp_path, monkeypatch, capsys):
@@ -692,7 +712,7 @@ def test_crashing_instance_is_contained(monkeypatch, capsys, jobs):
         return check.runner(r=r, cap=cap)
 
     monkeypatch.setitem(identities._REGISTRY, "lemma4_1",
-                        dataclasses.replace(check, runner=crashes_at_r2))
+                        check._replace(runner=crashes_at_r2))
     code = main(["verify", "--suite", "lemma4_1", "--jobs", jobs])
     captured = capsys.readouterr()
     assert code == 4
@@ -716,7 +736,7 @@ def test_package_error_in_an_instance_still_stops_the_run(monkeypatch, capsys):
         raise identities.InvalidParams("r=9 outside [1, 5]")
 
     monkeypatch.setitem(identities._REGISTRY, "lemma4_1",
-                        dataclasses.replace(identities._REGISTRY["lemma4_1"], runner=invalid))
+                        identities._REGISTRY["lemma4_1"]._replace(runner=invalid))
     assert main(["verify", "--suite", "lemma4_1", "--jobs", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -28,6 +28,7 @@ from qharmonic.exact import (
     scalar_to_json,
 )
 from qharmonic.genfun import poly_mismatch
+from qharmonic.indices import HeightProfile
 from qharmonic.qseries import SeriesParams, ZPoly, zeta_params
 from qharmonic.series import Series, SeriesRing
 
@@ -787,6 +788,7 @@ IMMUTABLE_VALUES = {
     "Series": Series(_RING, {(0, 0): TPoly.one(), (1, 2): TPoly({1: Fraction(-1, 3)})}),
     "SeriesParams-at-root": zeta_params(5),
     "SeriesParams-at-irrational-q": SeriesParams(4, CycloNumber.zeta(5) ** 2),
+    "HeightProfile": HeightProfile(6, 3, (2, 1), 1),
 }
 
 
@@ -808,3 +810,25 @@ def test_immutable_values_survive_pickle_and_copy(name, how):
         assert (twin.n, twin.q, twin.root_order) == (value.n, value.q, value.root_order)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(twin.q if isinstance(twin, SeriesParams) else twin, "order", 1)
+
+
+def test_value_records_read_and_compare_as_before():
+    # the reprs, the stored h and the q coercion of the frozen records that
+    # HeightProfile and SeriesParams replace
+    assert repr(HeightProfile(k=4, l=2, h=(1,), j=0)) == "HeightProfile(k=4, l=2, h=(1,), j=0)"
+    assert repr(SeriesParams(5, Fraction(1, 2))) == "SeriesParams(n=5, q=Fraction(1, 2))"
+    assert HeightProfile(k=4, l=2, h=[1], j=0).h == (1,)
+    assert HeightProfile(4, 2, [1], 0) == HeightProfile(k=4, l=2, h=(1,), j=0)
+    assert HeightProfile(3, 2, (1,)) != HeightProfile(3, 2, (1,), 0) != (3, 2, (1,), 0)
+    assert SeriesParams(5, 3) == SeriesParams(5, Fraction(3))
+    assert hash(SeriesParams(5, 3)) == hash(SeriesParams(5, Fraction(3)))
+    rational = CycloNumber(7, [Fraction(-2, 3)])
+    assert SeriesParams(5, rational) == SeriesParams(5, Fraction(-2, 3))
+    assert type(SeriesParams(5, rational).q) is Fraction
+    assert hash(SeriesParams(5, rational)) == hash(SeriesParams(5, Fraction(-2, 3)))
+    # root_order is derived from q and kept out of equality and the repr
+    assert zeta_params(5).root_order == 5 and SeriesParams(5, 3).root_order is None
+    assert repr(zeta_params(5)) == f"SeriesParams(n=5, q={CycloNumber.zeta(5)!r})"
+    for value, name in ((SeriesParams(5, 3), "n"), (HeightProfile(4, 2), "k")):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 1)
