@@ -14,19 +14,14 @@ Three scalar kinds are used throughout the package:
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
 
-``SparsePoly`` is the one sparse univariate polynomial core: an immutable
+``SparsePoly`` is the sparse univariate polynomial core: an immutable
 {exponent: coefficient} map whose add-with-cancellation loop (``_add_into``)
 and raw product kernel (``_accumulate``) the series module shares.
-``TPoly`` is its instance in the interpolation variable t, with exact scalar
-coefficients; ``qseries.ZPoly`` is its instance in z, with TPoly
-coefficients.  Series coefficients everywhere in the package are TPoly
-values, so t is never truncated.
+``qseries.ZPoly`` is its instance in z, with TPoly coefficients.
 
-The integer kernels work on numerators over one int denominator and divide
-once at the end (``_over``): the numerators of a ``NumeratorRing``, ints over
-Q and Z[zeta_n] coefficients over Q(zeta_n), in the form every Series keeps
-between operations and in the cached t-layers of the qseries prefix-sum
-recursion.
+``TPoly`` (in t) keeps the numerator form of a Series slot, and the kernels
+the two share live here; Series coefficients are TPolys, so t is never
+truncated.
 """
 from __future__ import annotations
 
@@ -35,6 +30,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import chain
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -85,9 +81,15 @@ def parse_rational(text: str) -> Fraction:
 
 def render_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    if value.denominator == 1:
-        return _int_text(value.numerator)
-    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+    return _render_over(value.numerator, value.denominator)
+
+
+def _render_over(a: int, den: int) -> str:
+    """render_rational(Fraction(a, den)) for a positive den."""
+    g = gcd(a, den)
+    if g == den:
+        return _int_text(a // g)
+    return f"{_int_text(a // g)}/{_int_text(den // g)}"
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +174,10 @@ class CycloNumber:
             raise ValueError("order must be >= 1")
         phi = euler_phi(order)
         cs = list(coeffs)
-        den = 1
         for c in cs:
-            if isinstance(c, Fraction):
-                den = lcm(den, c.denominator)
-            elif not isinstance(c, int):
+            if not isinstance(c, (int, Fraction)):
                 raise TypeError(_NOT_RATIONAL.format(type(c).__name__))
-        num = [c.numerator * (den // c.denominator) for c in cs]
+        _, den, num = _numerators(cs)
         if len(num) > phi:
             _reduce(order, num)
         num += [0] * (phi - len(num))
@@ -340,14 +339,11 @@ class CycloNumber:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycloNumber):
-            if other.order == self.order:
-                return self._num == other._num and self._den == other._den
-            a, b = self.as_rational(), other.as_rational()
-            return a is not None and a == b
-        if isinstance(other, (int, Fraction)):
-            return self.as_rational() == other
-        return NotImplemented
+        if isinstance(other, CycloNumber) and other.order == self.order:
+            return self._num == other._num and self._den == other._den
+        if not isinstance(other, (int, Fraction, CycloNumber)):
+            return NotImplemented
+        return scalar_eq(self, other)
 
     def __hash__(self) -> int:
         try:
@@ -458,12 +454,8 @@ def _make(order: int, num: list[int], den: int) -> CycloNumber:
 
 def is_rational(a: Scalar) -> tuple[bool, Fraction | None]:
     """Whether a scalar lies in Q; returns (flag, value-or-None)."""
-    if isinstance(a, (int, Fraction)):
-        return True, Fraction(a)
-    if isinstance(a, CycloNumber):
-        r = a.as_rational()
-        return (r is not None), r
-    raise TypeError(f"not an exact scalar: {type(a).__name__}")
+    order, den, (v,) = _numerators((a,))
+    return (True, Fraction(v, den)) if order is None else (False, None)
 
 
 def scalar_inverse(a: Scalar) -> Scalar:
@@ -486,11 +478,8 @@ def scalar_pow(a: Scalar, exp: int) -> Scalar:
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    if isinstance(a, CycloNumber) or isinstance(b, CycloNumber):
-        if not isinstance(a, CycloNumber):
-            a, b = b, a
-        return a == b
-    return Fraction(a) == Fraction(b)
+    # each value has one numerator form, at one order
+    return _numerators((a,)) == _numerators((b,))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +490,15 @@ def scalar_to_json(a: Scalar):
     """Rationals render as "p/q" strings; cyclotomic values with a nonzero
     zeta-component render as {"order": n, "coeffs": [...]}.  Rational-valued
     CycloNumbers collapse to the plain string form."""
-    flag, value = is_rational(a)
-    if flag:
-        return render_rational(value)
-    return {"order": a.order, "coeffs": [render_rational(c) for c in a.coeffs]}
+    order, den, (v,) = _numerators((a,))
+    return _render_numerator(order, v, den)
+
+
+def _render_numerator(order: int | None, v, den: int):
+    """scalar_to_json of the value v/den, v a numerator at `order`."""
+    if order is not None and any(v[1:]):
+        return {"order": order, "coeffs": [_render_over(a, den) for a in v]}
+    return _render_over(v if order is None else v[0], den)
 
 
 def scalar_from_json(obj) -> Scalar:
@@ -548,7 +542,7 @@ class SparsePoly:
 
     A subclass names its variable (`var`), the operand types promoted to
     constants (`scalars`), how a raw coefficient is lifted (`_lift`) and how
-    a coefficient renders in JSON (`_render`)."""
+    a coefficient, or the int 0, renders in JSON (`_render`)."""
 
     __slots__ = ("coeffs",)
     var: str
@@ -587,11 +581,8 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return not self.is_zero()
 
     def _promote(self, other):
         """`other` as a value of this class, or None for a foreign type."""
@@ -601,16 +592,17 @@ class SparsePoly:
             return type(self)({0: other})
         return None
 
-    # -- kernels: private, so a tracer that wraps the arithmetic methods
-    #    labels each call by the class whose method made it --------------
+    # -- arithmetic -----------------------------------------------------------
 
-    def _add(self, other):
+    def __add__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
         return self._from_raw(_add_into(dict(self.coeffs), other.coeffs.items()))
 
-    def _mul(self, other):
+    __radd__ = __add__
+
+    def __mul__(self, other):
         if isinstance(other, self.scalars):
             return self._from_raw({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, type(self)):
@@ -618,16 +610,6 @@ class SparsePoly:
         out: dict = {}
         _accumulate(out, self.coeffs.items(), other.coeffs.items())
         return self._from_raw(out)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        return self._add(other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self._mul(other)
 
     __rmul__ = __mul__
 
@@ -654,25 +636,17 @@ class SparsePoly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        # dict equality compares coefficients with ==, under which a
-        # rational-valued CycloNumber equals the same Fraction
         return self.coeffs == other.coeffs
-
-    def shift(self, s: int):
-        """The product with var^s (s >= 0): every exponent moves up by s."""
-        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
 
     def first_mismatch(self, other):
         """(exponent, lhs coefficient, rhs coefficient) at the lowest
-        exponent where the two differ, a missing one reading as zero; None
-        when they are equal."""
-        zero = self._lift(0)
-        for e in sorted(self.coeffs.keys() | other.coeffs.keys()):
-            a = self.coeffs.get(e, zero)
-            b = other.coeffs.get(e, zero)
-            if a != b:
-                return e, a, b
-        return None
+        exponent where the two differ, a missing one reading as the int 0;
+        None when they are equal."""
+        if self == other:
+            return None
+        mine, theirs = self.coeffs, other.coeffs
+        e = min(e for e in mine.keys() | theirs.keys() if mine.get(e, 0) != theirs.get(e, 0))
+        return e, mine.get(e, 0), theirs.get(e, 0)
 
     def to_json(self) -> dict:
         render = self._render
@@ -685,134 +659,153 @@ class SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in t
+# numerator forms: a TPoly, and each slot of a Series, is {t-power: numerator}
+# with no zero numerator over one positive int, in lowest terms: ints, or at
+# order N, when some numerator has a zeta-component, tuples of phi(N) ints
+# (Z[zeta_N] coefficients).  An int a meets order N as (a, 0, ..., 0); two
+# orders raise TypeError.  Kernels take slot maps {exps: slot}, a TPoly being
+# {0: slot}; inner dicts are never changed.
 # ---------------------------------------------------------------------------
 
-class TPoly(SparsePoly):
-    """Sparse polynomial in the interpolation variable t with exact scalar
-    coefficients; ints are stored as Fractions."""
-
-    __slots__ = ()
-    var = "t"
-    scalars = (int, Fraction, CycloNumber)
-
-    @staticmethod
-    def _lift(c):
-        return Fraction(c) if isinstance(c, int) else c
-
-    _render = staticmethod(scalar_to_json)
-
-    # Defined here, not inherited, so that TPoly arithmetic is its own
-    # method (and its own span under a tracer).
-    def __add__(self, other):
-        return self._add(other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self._mul(other)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def const(cls, c) -> "TPoly":
-        return cls({0: c})
-
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls({1: Fraction(1)})
-
-    @classmethod
-    def one(cls) -> "TPoly":
-        return cls({0: Fraction(1)})
-
-    def eval(self, value: Scalar) -> Scalar:
-        """Value at t = value."""
-        total: Scalar = Fraction(0)
-        for e, c in self.coeffs.items():
-            total = total + c * scalar_pow(value, e)
-        return total
-
-    def rationalized(self) -> "TPoly":
-        """Copy with every coefficient forced into Q.
-
-        Raises IrrationalCoefficient if any coefficient has a nonzero
-        zeta-component."""
-        out: dict[int, Scalar] = {}
-        for e, c in self.coeffs.items():
-            flag, value = is_rational(c)
-            if not flag:
-                raise IrrationalCoefficient(f"t^{e} coefficient {c!r} is not rational")
-            out[e] = value
-        return TPoly(out)
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TPoly":
-        out = {}
-        for key, val in obj.items():
-            if not key.startswith("t^"):
-                raise ValueError(f"bad TPoly key {key!r}")
-            out[int(key[2:])] = scalar_from_json(val)
-        return cls(out)
-
-
-def as_tpoly(value) -> TPoly:
-    """Promote a scalar (or pass through a TPoly)."""
-    if isinstance(value, TPoly):
-        return value
-    if isinstance(value, (int, Fraction, CycloNumber)):
-        return TPoly.const(value)
-    raise TypeError(f"cannot promote {type(value).__name__} to TPoly")
-
-
-# ---------------------------------------------------------------------------
-# integer views of exact values
-# ---------------------------------------------------------------------------
-# A Series keeps its coefficients as numerators over one positive int, in
-# lowest terms, and reads them out through _over only when its terms are
-# read (see qharmonic.series); the prefix-sum recursion of qseries works on
-# numerators too.  Both go through the numerators of a NumeratorRing: ints
-# over Q, and over Q(zeta_N) the phi(N) int coefficients of an element of
-# Z[zeta_N], as lists in qseries and as tuples in a Series.
-
-def _numerator_form(maps: Iterable[Mapping]) -> tuple[int | None, int, list[dict]]:
-    """(order, den, numerators) of {t-power: scalar} maps of ints, Fractions
-    and CycloNumbers: den is the lcm of every scalar's denominator, and each
-    map becomes {t-power: scalar * den} with its zeros dropped.  order is None
-    when every scalar is rational, and the numerators are ints; otherwise it is
-    the order N of the scalars with a nonzero zeta-component, and each
-    numerator is a tuple of phi(N) ints, a rational one (a, 0, ..., 0).  Two
-    such orders raise TypeError, as CycloNumber arithmetic does."""
-    maps = list(maps)
-    try:
-        den = lcm(*{c.denominator for m in maps for c in m.values()})
-    except AttributeError:  # a CycloNumber has no denominator
-        pass
-    else:
-        return None, den, [{k: c.numerator * (den // c.denominator) for k, c in m.items() if c}
-                           for m in maps]
-    order, parts = None, []
-    for m in maps:
-        part = {}
-        for k, c in m.items():
-            if not isinstance(c, CycloNumber):
-                if c:
-                    part[k] = c.numerator, c.denominator
-            elif any(c._num[1:]):
-                if order not in (None, c.order):
-                    raise TypeError(f"cannot mix cyclotomic orders {order} and {c.order}")
-                order = c.order
-                part[k] = c._num, c._den
-            elif c:
-                part[k] = c._num[0], c._den
-        parts.append(part)
-    den = lcm(*(d for part in parts for _, d in part.values()))
+def _numerators(values, order: int | None = None) -> tuple[int | None, int, list]:
+    """(order, den, [v * den for v in values]): the one scan of exact scalars
+    into numerators, den the lcm of their denominators (order given or found)."""
+    parts = []
+    for v in values:
+        if isinstance(v, CycloNumber):
+            if not any(v._num[1:]):
+                parts.append((v._num[0], v._den))
+                continue
+            if v.order != order:
+                order = _joint_order(order, v.order)
+            parts.append((v._num, v._den))
+        elif isinstance(v, (int, Fraction)):
+            parts.append((v.numerator, v.denominator))
+        else:
+            raise TypeError(f"not an exact scalar: {type(v).__name__}")
+    den = lcm(*(d for _, d in parts))
     if order is None:
-        return None, den, [{k: a * (den // d) for k, (a, d) in part.items()} for part in parts]
+        return None, den, [a * (den // d) for a, d in parts]
     pad = (0,) * (euler_phi(order) - 1)
-    return order, den, [{k: tuple(x * (den // d) for x in a) if isinstance(a, tuple)
-                         else (a * (den // d), *pad) for k, (a, d) in part.items()}
-                        for part in parts]
+    return order, den, [tuple([x * (den // d) for x in a]) if isinstance(a, tuple)
+                        else (a * (den // d), *pad) for a, d in parts]
+
+
+def _joint_order(*orders: int | None) -> int | None:
+    """The one order among `orders` that is not None, or None; two different
+    ones raise TypeError, as CycloNumber arithmetic does."""
+    found = {o for o in orders if o is not None}
+    if len(found) > 1:
+        raise TypeError("cannot mix cyclotomic orders {} and {}".format(*sorted(found)))
+    return found.pop() if found else None
+
+
+def _lifted(num: Mapping, own: int | None, order: int | None) -> Mapping:
+    """num, at order `own`, as numerators at `order`: an int a reads
+    (a, 0, ..., 0)."""
+    if own == order:
+        return num
+    pad = (0,) * (euler_phi(order) - 1)
+    return {e: {k: (v, *pad) for k, v in slot.items()} for e, slot in num.items()}
+
+
+def _paired(oa: int | None, a: Mapping, ob: int | None, b: Mapping) -> tuple:
+    """(order, a, b): the numerators a at order oa and b at ob, at one order."""
+    if oa == ob:
+        return oa, a, b
+    order = _joint_order(oa, ob)
+    return order, _lifted(a, oa, order), _lifted(b, ob, order)
+
+
+def _common(g: int, num: Mapping, order: int | None) -> int:
+    """The gcd of g and every numerator of num, stopping once it is 1."""
+    values = dict.values if order is None else lambda slot: chain.from_iterable(slot.values())
+    for slot in num.values():
+        if g == 1:
+            break
+        g = gcd(g, *values(slot))
+    return g
+
+
+def _reduced(den: int, num: dict, order: int | None = None) -> tuple[int, dict]:
+    """(den, num) divided by their common gcd; num has no zero numerator
+    and no empty slot."""
+    g = _common(den, num, order)
+    if g != 1:
+        den //= g
+        if order is None:
+            num = {e: {k: v // g for k, v in slot.items()} for e, slot in num.items()}
+        else:
+            num = {e: {k: tuple(a // g for a in v) for k, v in slot.items()}
+                   for e, slot in num.items()}
+    return den, num
+
+
+def _reduced_slot(order: int, raw: Mapping) -> dict:
+    """A raw slot of unreduced int lists, each reduced modulo the order-th
+    cyclotomic polynomial once and made a tuple, without the zeros."""
+    kept = {}
+    for k, v in raw.items():
+        _reduce(order, v)
+        if any(v):
+            kept[k] = tuple(v)
+    return kept
+
+
+def _settled(raw: Mapping, order: int | None) -> dict:
+    """raw without its zero numerators and the slots they leave empty; at an
+    order each raw numerator is first reduced (`_reduced_slot`).  raw is the
+    caller's own, so an int slot with no zero is kept, not copied."""
+    out = {}
+    for e, slot in raw.items():
+        if order is not None:
+            slot = _reduced_slot(order, slot)
+        elif not all(slot.values()):
+            slot = {k: v for k, v in slot.items() if v}
+        if slot:
+            out[e] = slot
+    return out
+
+
+def _scaled(slot: Mapping, s: int, order: int | None) -> Mapping:
+    """slot times the int s; 1 gives slot itself."""
+    if s == 1:
+        return slot
+    if order is None:
+        return {k: v * s for k, v in slot.items()}
+    return {k: tuple(a * s for a in v) for k, v in slot.items()}
+
+
+def _add_tuples_into(out: dict, items) -> dict:
+    """`_add_into` on Z[zeta] numerators, which add slot by slot."""
+    for k, v in items:
+        if k in out:
+            v = tuple(map(operator.add, out[k], v))
+            if not any(v):
+                del out[k]
+                continue
+        out[k] = v
+    return out
+
+
+def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
+              sign: int) -> tuple[int, dict]:
+    """a/da + sign·b/db, on the lcm of the denominators."""
+    den = lcm(da, db)
+    sa, sb = den // da, sign * (den // db)
+    out = dict(a) if sa == 1 else {e: _scaled(slot, sa, order) for e, slot in a.items()}
+    merge = _add_into if order is None else _add_tuples_into
+    for e, slot in b.items():
+        if sb != 1:
+            slot = _scaled(slot, sb, order)
+        mine = out.get(e)
+        if mine is None:
+            out[e] = slot
+        elif mine := merge(dict(mine), slot.items()):
+            out[e] = mine
+        else:
+            del out[e]
+    return _reduced(den, out, order)
 
 
 def _convolve_into(slot: dict, left, right) -> None:
@@ -832,15 +825,181 @@ def _convolve_into(slot: dict, left, right) -> None:
                             out[j] += c * d
 
 
-def _over(raw: Mapping, den: int, order: int | None = None) -> TPoly:
-    """The TPoly with coefficients raw[k]/den in lowest terms, each raw[k] an
-    int, or with an order the int coefficient list of an element of
-    Z[zeta_order]: the one place the integer kernels build Fractions and
-    CycloNumbers."""
-    if order is None:
-        return TPoly._from_raw({k: Fraction(v, den) for k, v in raw.items() if v})
-    return TPoly._from_raw({k: _make(order, v, den) for k, v in raw.items()})
+def _times_form(order: int | None, den: int, num: Mapping, pden: int,
+                pitems) -> tuple[int, dict]:
+    """num/den times the t-polynomial with (t-power, numerator) items
+    pitems over pden."""
+    accumulate = _accumulate if order is None else _convolve_into
+    out = {}
+    for e, slot in num.items():
+        out[e] = raw = {}
+        accumulate(raw, slot.items(), pitems)
+    return _reduced(den * pden, _settled(out, order), order)
 
+
+# ---------------------------------------------------------------------------
+# polynomials in t
+# ---------------------------------------------------------------------------
+
+class TPoly(SparsePoly):
+    """Sparse polynomial in t over Q or Q(zeta_N), stored in the numerator
+    form above as `_t_form` = (order, den, numerators); `coeffs`, its
+    Fractions or CycloNumbers by t-power, is a view built when first read."""
+
+    __slots__ = ("_t_form",)
+    var = "t"
+    scalars = (int, Fraction, CycloNumber)
+    _render = staticmethod(scalar_to_json)
+
+    def __init__(self, coeffs: Mapping | None = None) -> None:
+        """The TPoly of {t-power: exact scalar}; two orders raise TypeError."""
+        if not coeffs:
+            _set(self, "_t_form", (None, 1, {}))
+            return
+        if min(coeffs) < 0:
+            raise ValueError("negative t-exponent")
+        order, den, nums = _numerators(coeffs.values())
+        _set(self, "_t_form", (order, den, {e: v for e, v in zip(coeffs, nums)
+                                            if (v if order is None else any(v))}))
+
+    @classmethod
+    def _from_form(cls, order: int | None, den: int, num: dict) -> "TPoly":
+        """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
+        if order is not None and not any(any(v[1:]) for v in num.values()):
+            order, num = None, {k: v[0] for k, v in num.items()}
+        out = _new(cls)
+        _set(out, "_t_form", (order, den, num))
+        return out
+
+    @classmethod
+    def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "TPoly":
+        """raw/den for numerators at `order`, zeros allowed, not in lowest terms."""
+        if order is None:
+            slot = {k: v for k, v in raw.items() if v}
+        else:
+            slot = {k: tuple(v) for k, v in raw.items() if any(v)}
+        den, num = _reduced(den, {0: slot}, order)
+        return cls._from_form(order, den, num[0])
+
+    def __getattr__(self, name):
+        # Reached only when a slot is unset: `coeffs`, built once and kept.
+        if name != "coeffs":
+            raise AttributeError(name)
+        order, den, num = self._t_form
+        if order is None:
+            coeffs = {k: Fraction(v, den) for k, v in num.items()}
+        else:
+            coeffs = {k: _make(order, v, den) for k, v in num.items()}
+        _set(self, "coeffs", coeffs)
+        return coeffs
+
+    def __reduce__(self):
+        return TPoly._from_form, self._t_form
+
+    def is_zero(self) -> bool:
+        return not self._t_form[2]
+
+    def degree(self) -> int:
+        return max(self._t_form[2], default=-1)
+
+    def _sum(self, other, sign: int):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
+        if not a or not b:
+            return self if not b else other if sign == 1 else -other
+        order, a, b = _paired(oa, {0: a}, ob, {0: b})
+        den, num = _sum_form(order, da, a, db, b, sign)
+        return TPoly._from_form(order, den, num.get(0, {}))
+
+    # Defined here, not inherited, so that TPoly arithmetic is its own
+    # method (and its own span under a tracer).
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        order, den, num = self._t_form
+        return TPoly._from_form(order, den, _scaled(num, -1, order))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            order, den, num = self._t_form
+            return TPoly._from_numerators(order, den * other.denominator,
+                                          _scaled(num, other.numerator, order))
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
+        order, a, b = _paired(oa, {0: a}, ob, {0: b})
+        den, num = _times_form(order, da, a, db, b[0].items())
+        return TPoly._from_form(order, den, num.get(0, {}))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._t_form == other._t_form  # each value has one form
+
+    def to_json(self) -> dict:
+        """The JSON of the coeffs view, read off the form."""
+        order, den, num = self._t_form
+        return {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(num.items())}
+
+    @classmethod
+    def const(cls, c) -> "TPoly":
+        if isinstance(c, (int, Fraction)):
+            return cls._from_form(None, c.denominator, {0: c.numerator} if c else {})
+        return cls({0: c})
+
+    @classmethod
+    def t(cls) -> "TPoly":
+        return cls({1: 1})
+
+    @classmethod
+    def one(cls) -> "TPoly":
+        return cls({0: 1})
+
+    def eval(self, value: Scalar) -> Scalar:
+        """Value at t = value."""
+        total: Scalar = Fraction(0)
+        for e, c in self.coeffs.items():
+            total = total + c * scalar_pow(value, e)
+        return total
+
+    def rationalized(self) -> "TPoly":
+        """self, or IrrationalCoefficient when it has a zeta-component."""
+        order, _, num = self._t_form
+        if order is not None:
+            e = min(k for k, v in num.items() if any(v[1:]))
+            raise IrrationalCoefficient(f"t^{e} coefficient {self.coeffs[e]!r} is not rational")
+        return self
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "TPoly":
+        out = {}
+        for key, val in obj.items():
+            if not key.startswith("t^"):
+                raise ValueError(f"bad TPoly key {key!r}")
+            out[int(key[2:])] = scalar_from_json(val)
+        return cls(out)
+
+
+def as_tpoly(value) -> TPoly:
+    """Promote a scalar (or pass through a TPoly)."""
+    return value if isinstance(value, TPoly) else TPoly.const(value)
+
+
+# ---------------------------------------------------------------------------
+# the numerators of Q and Q(zeta_N)
+# ---------------------------------------------------------------------------
 
 def _slot_add(x, y) -> list[int]:
     """The sum of two coefficient lists of one length, slot by slot."""
@@ -850,13 +1009,9 @@ def _slot_add(x, y) -> list[int]:
 class NumeratorRing:
     """The numerators of Q (order None) or of Q(zeta_order) over one shared
     positive int denominator: ints, or the phi(order) int coefficients of an
-    element of Z[zeta_order], which add slot by slot (`_slot_add`) and
-    multiply by `_product`.  `zero`, `add` and `mul` are the ring's operations
-    on coefficient lists, as the qseries recursion runs them; a Series holds
-    the same numerators as tuples, and its kernels add, convolve
-    (`_convolve_into`) and reduce them in place.  `column` and
-    `_numerator_form` turn values into numerators, and `_over` turns
-    numerators back."""
+    element of Z[zeta_order], with the ring's `zero`, `add` (slot by slot,
+    `_slot_add`) and `mul` (`_product`) as the qseries recursion runs them;
+    the numerator forms above hold them as tuples."""
 
     __slots__ = ("order", "zero", "add", "mul")
 
@@ -872,11 +1027,7 @@ class NumeratorRing:
         """(d, the numerators of v * d for each of `values`), d the lcm of
         their denominators; the values are Fractions, or CycloNumbers of the
         ring's order."""
-        if self.order is None:
-            den = lcm(*(v.denominator for v in values))
-            return den, [v.numerator * (den // v.denominator) for v in values]
-        den = lcm(*(v._den for v in values))
-        return den, [[a * (den // v._den) for a in v._num] for v in values]
+        return _numerators(values, self.order)[1:]
 
 
 def binomial(n: int, k: int) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, isqrt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -38,6 +38,7 @@ from .exact import (
     SparsePoly,
     TPoly,
     _convolve,
+    _numerators,
     binomial,
     is_rational,
     render_rational,
@@ -292,11 +293,9 @@ def reflect_companion(s: Series) -> Series:
 def series_irrational_term(s: Series):
     """First (graded-lex) coefficient outside Q, or None when all rational."""
     for exps, tp in s.sorted_terms():
-        for e in sorted(tp.coeffs):
-            flag, _ = is_rational(tp.coeffs[e])
-            if not flag:
-                return {"exps": list(exps), "t_power": e,
-                        "value": scalar_to_json(tp.coeffs[e])}
+        for key, value in tp.to_json().items():
+            if isinstance(value, dict):  # the JSON of a value outside Q
+                return {"exps": list(exps), "t_power": int(key[2:]), "value": value}
     return None
 
 
@@ -674,17 +673,14 @@ def _t_blend(weights: dict[int, Fraction], l: int, style: str) -> TPoly:
     expanded binomially over the weights' common denominator: the
     t^(l−i₀+a) coefficient of A^{i₀}·B^{l−i₀} is C(i₀, a)·(−1)^(l−i₀+a),
     resp. C(i₀, a)·(−1)^(i₀−a)."""
-    den = lcm(*(w.denominator for w in weights.values()))
+    _, den, nums = _numerators(weights.values())
     out = [0] * (l + 1)
-    for i0, w in weights.items():
-        if not w:
-            continue
-        w = w.numerator * (den // w.denominator)
+    for i0, w in zip(weights, nums):
         for a in range(i0 + 1):
             e = l - i0 + a
             c = comb(i0, a) * w
             out[e] += -c if (e if style == "reflect" else i0 - a) & 1 else c
-    return TPoly({e: Fraction(c, den) for e, c in enumerate(out) if c})
+    return TPoly._from_numerators(None, den, dict(enumerate(out)))
 
 
 def sum_formula(n: int, k: int, l: int, form: str) -> TPoly:
@@ -739,8 +735,7 @@ def sum_formulas(n: int, k: int, form: str) -> tuple[TPoly, ...]:
     elif form == "eq14":
         # clear the denominators of D: S = −D_int·Σ_m P_int^m / (n·den)^(m+1)
         depth1 = [zbar_depth1_rational(n, m) for m in range(k + 1)]
-        den = lcm(*(v.denominator for v in depth1))
-        d_int = [int(v * den) for v in depth1]
+        _, den, d_int = _numerators(depth1)
         base = n * den
         ys = [[]] + [[0] + [heads[j]] * j for j in range(1, top + 1)]
         P = [[]]
@@ -788,9 +783,9 @@ def eval_constant_index(k: int, l: int, n: int) -> TPoly:
     factors = [Fraction(binomial(n, i + 1)) if k == 1 else _eva_c(k, n, i)
                for i in range(min(l, n - 1) + 1)]
     # clear the denominators of F: the series is den·Σ_m (−1)^m F_int^m / (N·den)^(m+1)
-    den = lcm(*(f.denominator for f in factors))
+    _, den, f_int = _numerators(factors)
     base = (n * n if k == 3 else n) * den
-    num = _geometric_series(base, -1, [[]] + [[int(f * den)] for f in factors[1:]], l)
+    num = _geometric_series(base, -1, [[]] + [[f] for f in f_int[1:]], l)
     weights = {i0: f * Fraction(den * num[l - i0][0], base ** (l - i0 + 1))
                for i0, f in enumerate(factors)}
     return _t_blend(weights, l, "reflect" if k == 1 else "direct")

@@ -155,7 +155,7 @@ def _run_lemma3_1(n: int, wtmax: int, q: Scalar) -> list:
     for w in range(1, wtmax + 1):
         for l in range(1, w + 1):
             for parts in compositions(w, l):
-                lhs = L_poly(parts, sp, "interp").eval_z_one()
+                lhs = L_poly(parts, sp).eval_z_one()
                 rhs = TPoly.zero()
                 for sub in iproduct(*(range(1, kj + 1) for kj in parts)):
                     coeff = 1

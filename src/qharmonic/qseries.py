@@ -18,12 +18,12 @@ integer t-layers over one int denominator: one vector of numerators per
 power of t, ints at rational q and Z[zeta] coefficient lists at a
 CycloNumber q (exact.NumeratorRing), so a step adds and multiplies integers
 and never normalises; weighting an equality by t reads the layer one power
-lower, and zbar_t, z_t and L_poly divide once per output coefficient.  The
-vector of (k_1, ..., k_l) is one level step above the cached vector of its
-tail (k_2, ..., k_l), so the indices of a profile sum (g_sum, x_sum and
-brute Psi) that share a tail share its levels.  Both are keyed by the
-parameters, and the values are exact, so no result depends on what the
-caches hold.
+lower, and zbar_t, z_t and L_poly make each output TPoly from the summed
+numerators, put in lowest terms once.  The vector of (k_1, ..., k_l) is one
+level step above the cached vector of its tail (k_2, ..., k_l), so the
+indices of a profile sum (g_sum, x_sum and brute Psi) that share a tail
+share its levels.  Both are keyed by the parameters, and the values are
+exact, so no result depends on what the caches hold.
 
 At q = zeta_N (SeriesParams.root_order) the summand table is index
 arithmetic: q^e is the basis element zeta^(e mod N), 1/(1 - q^m) is the
@@ -48,7 +48,7 @@ from .exact import (
     Scalar,
     SparsePoly,
     TPoly,
-    _over,
+    as_tpoly,
     scalar_inverse,
     scalar_pow,
 )
@@ -271,8 +271,8 @@ def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:
         return TPoly.one()
     ring = NumeratorRing(_order(params))
     den, layers = _levels(parts, params, kind)
-    return _over({j: reduce(ring.add, layer, ring.zero) for j, layer in enumerate(layers)},
-                 den, ring.order)
+    return TPoly._from_numerators(ring.order, den, {j: reduce(ring.add, layer, ring.zero)
+                                                    for j, layer in enumerate(layers)})
 
 
 @lru_cache(maxsize=1 << 16)
@@ -346,15 +346,16 @@ class ZPoly(SparsePoly):
     var = "z"
     scalars = (int, Fraction, CycloNumber, TPoly)
 
-    @staticmethod
-    def _lift(c) -> TPoly:
-        return c if isinstance(c, TPoly) else TPoly.const(c)
-
-    _render = staticmethod(TPoly.to_json)
+    _lift = staticmethod(as_tpoly)
+    _render = staticmethod(lambda c: as_tpoly(c).to_json())
 
     @classmethod
     def one(cls) -> "ZPoly":
         return cls({0: TPoly.one()})
+
+    def shift(self, s: int) -> "ZPoly":
+        """The product with z^s (s >= 0): every exponent moves up by s."""
+        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
 
     def eval_z_one(self):
         """The sum of the coefficients, the value at z = 1."""
@@ -376,7 +377,7 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
         return ZPoly.one()
     den, layers = _levels(parts, params, "L")
     order = _order(params)
-    return ZPoly._from_raw({m: _over(dict(enumerate(coeffs)), den, order)
+    return ZPoly._from_raw({m: TPoly._from_numerators(order, den, dict(enumerate(coeffs)))
                             for m, coeffs in enumerate(zip(*layers), 1)})
 
 
@@ -393,7 +394,7 @@ def x_sum(profile: HeightProfile, params: SeriesParams) -> ZPoly:
     set; the all-zero profile with j = -1 is the constant 1."""
     out = ZPoly.zero()
     for parts in enumerate_indices(profile):
-        out = out + L_poly(parts, params, "interp")
+        out = out + L_poly(parts, params)
     return out
 
 

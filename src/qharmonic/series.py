@@ -3,16 +3,13 @@
 The truncation cap is a bound on the total degree of a term.  Every exponent
 is nonnegative, so products are truncation-exact.
 
-Storage.  A series keeps one form at every q: numerators
-{exps: {t-power: numerator}}, with no zero numerator and no empty slot, over
-one positive int denominator, in lowest terms (the denominator is coprime to
-the content of every numerator).  The numerators are those of an
-``exact.NumeratorRing``: ints (order None) when every coefficient is
-rational, else tuples of phi(N) ints, the Z[zeta_N] coefficients of a
-Q(zeta_N) value at q = zeta_N.  A series is stored at order N only when some
-numerator has a nonzero zeta-component, and drops to ints otherwise, so two
-series are equal exactly when their forms are; a series whose terms mix two
-orders raises TypeError, as CycloNumber arithmetic does.
+Storage.  A series keeps one form at every q: {exps: slot}, with no empty
+slot, over one positive int denominator, in lowest terms, each slot in the
+numerator form of a TPoly (see ``exact``).  So two series are equal exactly
+when their forms are, and a series whose terms mix two orders raises
+TypeError.  Every constructor stores the form; ``Series.terms``, the map
+from exponent tuples to TPolys made from the slots, is a view of it, built
+when first read and then kept.
 
 Each operation has one kernel, which reads and writes the form directly and
 never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*`` by
@@ -24,14 +21,8 @@ and each result is divided by the gcd of its denominator and numerators.
 Ints add and multiply inline; Z[zeta_N] numerators add slot by slot, and a
 product convolves every pair into one int list per output coefficient
 (``exact._convolve_into``), which is reduced modulo the N-th cyclotomic
-polynomial once (``_settled``).
-
-Every constructor stores the form, and ``Series.terms``, the map from
-exponent tuples to TPolys, is always a view of it: built when first read and
-then kept, by ``exact._over``, the only place the kernels build a Fraction or
-a CycloNumber.  A series made from TPolys (the public constructor,
-``from_json``) is scanned into its form once, when it is made
-(``exact._numerator_form``); so is a scalar or TPoly factor.
+polynomial once (``exact._settled``).  A scalar or TPoly factor, and the
+TPolys a series is made from, are read through their TPoly forms.
 
 Product.  Multiplication sorts the right operand's terms by degree once;
 since degree is additive, each left term's inner loop stops at the first
@@ -63,9 +54,7 @@ and only puts it at its order.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -73,17 +62,23 @@ from .exact import (
     QHarmonicError,
     TPoly,
     _accumulate,
-    _add_into,
     _convolve_into,
     _galois_cofactor,
+    _joint_order,
+    _lifted,
     _new,
-    _numerator_form,
-    _over,
+    _numerators,
+    _paired,
     _power,
     _product,
-    _reduce,
+    _reduced,
+    _reduced_slot,
+    _scaled,
     _set,
+    _settled,
     _slot_add,
+    _sum_form,
+    _times_form,
     as_tpoly,
     euler_phi,
 )
@@ -154,19 +149,11 @@ class SeriesRing:
         return self.monomial({name: power})
 
     def monomial(self, exps: Mapping[str, int], coeff=1) -> "Series":
-        """coeff times the monomial; an int or Fraction coefficient gives
-        the integer form directly."""
+        """coeff, a scalar or a TPoly, times the monomial."""
         e = [0] * len(self.variables)
         for name, p in exps.items():
             e[self._index[name]] = p
-        t = tuple(e)
-        if not self.check_exponents(t):
-            return self.zero()
-        if isinstance(coeff, (int, Fraction)):
-            return Series._made(self, None, coeff.denominator,
-                                {t: {0: coeff.numerator}} if coeff else {})
-        order, den, (slot,) = _numerator_form((as_tpoly(coeff).coeffs,))
-        return Series._made(self, order, den, {t: slot} if slot else {})
+        return Series(self, {tuple(e): as_tpoly(coeff)})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree
@@ -195,132 +182,8 @@ def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
 
 
 # ---------------------------------------------------------------------------
-# the kernels: numerators {exps: {t-power: numerator}} over one positive int
-# denominator, with no zero numerator and no empty slot, in lowest terms;
-# `order` is None for int numerators and N for tuples of phi(N) ints.  Inner
-# dicts are shared between series and never changed once built.
+# the kernels of a series alone (those it shares with TPoly are in exact)
 # ---------------------------------------------------------------------------
-
-def _joint_order(*orders: int | None) -> int | None:
-    """The one order among `orders` that is not None, or None; two different
-    ones raise TypeError, as CycloNumber arithmetic does."""
-    found = {o for o in orders if o is not None}
-    if len(found) > 1:
-        raise TypeError("cannot mix cyclotomic orders {} and {}".format(*sorted(found)))
-    return found.pop() if found else None
-
-
-def _lifted(num: Mapping, own: int | None, order: int | None) -> Mapping:
-    """num, at order `own`, as numerators at `order`: an int a reads
-    (a, 0, ..., 0)."""
-    if own == order:
-        return num
-    pad = (0,) * (euler_phi(order) - 1)
-    return {e: {k: (v, *pad) for k, v in slot.items()} for e, slot in num.items()}
-
-
-def _common(g: int, num: Mapping, order: int | None) -> int:
-    """The gcd of g and every numerator of num, stopping once it is 1."""
-    values = dict.values if order is None else lambda slot: chain.from_iterable(slot.values())
-    for slot in num.values():
-        if g == 1:
-            break
-        g = gcd(g, *values(slot))
-    return g
-
-
-def _reduced(den: int, num: dict, order: int | None = None) -> tuple[int, dict]:
-    """(den, num) divided by their common gcd; num has no zero numerator
-    and no empty slot."""
-    g = _common(den, num, order)
-    if g != 1:
-        den //= g
-        if order is None:
-            num = {e: {k: v // g for k, v in slot.items()} for e, slot in num.items()}
-        else:
-            num = {e: {k: tuple(a // g for a in v) for k, v in slot.items()}
-                   for e, slot in num.items()}
-    return den, num
-
-
-def _reduced_slot(order: int, raw: Mapping) -> dict:
-    """A raw slot of unreduced int lists, each reduced modulo the order-th
-    cyclotomic polynomial once and made a tuple, without the zeros."""
-    kept = {}
-    for k, v in raw.items():
-        _reduce(order, v)
-        if any(v):
-            kept[k] = tuple(v)
-    return kept
-
-
-def _settled(raw: Mapping, order: int | None) -> dict:
-    """raw without its zero numerators and the slots they leave empty; at an
-    order each raw numerator is first reduced (`_reduced_slot`).  raw is the
-    caller's own, so an int slot with no zero is kept, not copied."""
-    out = {}
-    for e, slot in raw.items():
-        if order is not None:
-            slot = _reduced_slot(order, slot)
-        elif not all(slot.values()):
-            slot = {k: v for k, v in slot.items() if v}
-        if slot:
-            out[e] = slot
-    return out
-
-
-def _scaled(slot: Mapping, s: int, order: int | None) -> Mapping:
-    """slot times the int s; 1 gives slot itself."""
-    if s == 1:
-        return slot
-    if order is None:
-        return {k: v * s for k, v in slot.items()}
-    return {k: tuple(a * s for a in v) for k, v in slot.items()}
-
-
-def _add_tuples_into(out: dict, items) -> dict:
-    """`_add_into` on Z[zeta] numerators, which add slot by slot."""
-    for k, v in items:
-        if k in out:
-            v = tuple(map(add, out[k], v))
-            if not any(v):
-                del out[k]
-                continue
-        out[k] = v
-    return out
-
-
-def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
-              sign: int) -> tuple[int, dict]:
-    """a/da + sign·b/db, on the lcm of the denominators."""
-    den = lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    out = dict(a) if sa == 1 else {e: _scaled(slot, sa, order) for e, slot in a.items()}
-    merge = _add_into if order is None else _add_tuples_into
-    for e, slot in b.items():
-        if sb != 1:
-            slot = _scaled(slot, sb, order)
-        mine = out.get(e)
-        if mine is None:
-            out[e] = slot
-        elif mine := merge(dict(mine), slot.items()):
-            out[e] = mine
-        else:
-            del out[e]
-    return _reduced(den, out, order)
-
-
-def _times_form(order: int | None, den: int, num: Mapping, pden: int,
-                pitems) -> tuple[int, dict]:
-    """num/den times the t-polynomial with (t-power, numerator) items
-    pitems over pden."""
-    accumulate = _accumulate if order is None else _convolve_into
-    out = {}
-    for e, slot in num.items():
-        out[e] = raw = {}
-        accumulate(raw, slot.items(), pitems)
-    return _reduced(den * pden, _settled(out, order), order)
-
 
 def _term_products(cap: int, left, right, accumulate: Callable) -> dict:
     """The product of two series given as (exps, (t-power, numerator) items)
@@ -397,14 +260,14 @@ class Series:
     __slots__ = ("ring", "terms", "_order", "_denom", "_numer")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
-        """The series with the given TPoly coefficients: every exponent
-        tuple of a nonzero coefficient is checked against the ring (a term
-        over the cap is dropped), and the coefficients are scanned into the
-        form once; two cyclotomic orders raise TypeError."""
-        kept = {exps: tp.coeffs for exps, tp in terms.items()
-                if tp.coeffs and ring.check_exponents(exps)}
-        order, den, nums = _numerator_form(kept.values())
-        _store(self, ring, order, den, dict(zip(kept, nums)))
+        """The series with the given TPoly coefficients (a term over the cap
+        is dropped), their forms put over one denominator at one order."""
+        kept = {exps: tp._t_form for exps, tp in terms.items()
+                if tp and ring.check_exponents(exps)}
+        order = _joint_order(*(o for o, _, _ in kept.values()))
+        den = lcm(*(d for _, d, _ in kept.values()))
+        _store(self, ring, order, den, {e: _lifted({0: _scaled(slot, den // d, o)}, o, order)[0]
+                                        for e, (o, d, slot) in kept.items()})
 
     @classmethod
     def _made(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
@@ -439,7 +302,7 @@ class Series:
         if name != "terms":
             raise AttributeError(name)
         den, order = self._denom, self._order
-        terms = {e: _over(raw, den, order) for e, raw in self._numer.items()}
+        terms = {e: TPoly._from_numerators(order, den, slot) for e, slot in self._numer.items()}
         _set(self, "terms", terms)
         return terms
 
@@ -448,12 +311,8 @@ class Series:
         denominator at one order."""
         if self.ring is not other.ring:
             self._check_same_ring(other)
-        oa, da, a = self._order, self._denom, self._numer
-        ob, db, b = other._order, other._denom, other._numer
-        if oa == ob:
-            return oa, da, a, db, b
-        order = _joint_order(oa, ob)
-        return order, da, _lifted(a, oa, order), db, _lifted(b, ob, order)
+        order, a, b = _paired(self._order, self._numer, other._order, other._numer)
+        return order, self._denom, a, other._denom, b
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
@@ -515,8 +374,8 @@ class Series:
         """The product with a series, a scalar or a TPoly.  Two series
         multiply term pair by term pair (`_term_products`): each output
         exponent gets one raw {t-exponent: numerator} dict into which the
-        pairs' products are added.  A scalar or a TPoly, read as a one-term
-        series, multiplies every slot (`_times_form`)."""
+        pairs' products are added.  A scalar or a TPoly, as a one-term
+        series, multiplies every slot by its one slot (`_times_form`)."""
         ring = self.ring
         if isinstance(other, Series):
             order, da, a, db, b = self._pair(other)
@@ -526,16 +385,10 @@ class Series:
             return Series._made(ring, order, *_reduced(da * db, _settled(acc, order), order))
         if not isinstance(other, _FACTORS):
             return NotImplemented
-        # the factor read as a one-term series, without being one
-        forder, fden, (factor,) = _numerator_form(
-            (other.coeffs if isinstance(other, TPoly) else {0: other},))
-        order, den, num = self._order, self._denom, self._numer
-        if forder not in (None, order):
-            order = _joint_order(order, forder)
-            num = _lifted(num, None, order)
-        elif forder != order:
-            factor = _lifted({0: factor}, None, order)[0]
-        return Series._made(ring, order, *_times_form(order, den, num, fden, factor.items()))
+        forder, fden, factor = as_tpoly(other)._t_form
+        order, num, factor = _paired(self._order, self._numer, forder, {0: factor})
+        return Series._made(ring, order,
+                            *_times_form(order, self._denom, num, fden, factor[0].items()))
 
     __rmul__ = __mul__
 
@@ -634,8 +487,7 @@ class Series:
         c·s^(D−e)·(p·t + r)^e over s^D, one int binomial weight per
         (e, j) (`_affine_items`).  With a = 0 it is evaluation at t = b."""
         order, den, num = self._order, self._denom, self._numer
-        s = lcm(a.denominator, b.denominator)
-        p, r = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+        _, s, (p, r) = _numerators((a, b))
         top = max((k for slot in num.values() for k in slot), default=0)
         weights = {e: [(j, w) for j in (range(e + 1) if r else (e,))
                        if (w := comb(e, j) * p ** j * r ** (e - j) * s ** (top - e))]

@@ -15,6 +15,7 @@ from qharmonic.exact import (
     CycloNumber,
     DivisionByZero,
     IrrationalCoefficient,
+    SparsePoly,
     TPoly,
     binomial,
     cyclotomic_polynomial,
@@ -348,6 +349,54 @@ def test_core_keeps_errors_and_cross_order_equality():
     assert ZPoly({1: t5}) == ZPoly({1: tq}) and ZPoly({1: t7}) == ZPoly({1: t5})
     assert t5 != TPoly({0: Z5}) and ZPoly({1: t5}) != ZPoly({1: TPoly({0: Z5})})
     assert t5.to_json() == tq.to_json() == {"t^0": "1/2", "t^2": "3"}
+
+
+def test_tpoly_refuses_two_orders_when_made():
+    # as a Series made from the same value does, and as CycloNumber
+    # arithmetic does
+    with pytest.raises(TypeError, match="cannot mix cyclotomic orders 5 and 7"):
+        TPoly({0: Z5, 1: CycloNumber.zeta(7)})
+    with pytest.raises(TypeError, match="cannot mix cyclotomic orders 5 and 7"):
+        TPoly({0: Z5}) + TPoly({1: CycloNumber.zeta(7)})
+    with pytest.raises(TypeError, match="not an exact scalar: float"):
+        TPoly({0: 0.5})
+
+
+def t_form(tp: TPoly) -> tuple:
+    return tp._t_form
+
+
+def coeffs_built(tp: TPoly) -> bool:
+    """Whether tp holds its coeffs view, read without building it."""
+    try:
+        SparsePoly.__dict__["coeffs"].__get__(tp, TPoly)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_rational_valued_cyclo_tpoly_has_the_fraction_form():
+    values = {0: Fraction(-3, 4), 2: Fraction(5, 6), 3: Fraction(0), 4: Fraction(7)}
+    plain = TPoly(values)
+    assert t_form(plain) == (None, 12, {0: -9, 2: 10, 4: 84})
+    for order in (5, 7):
+        at = TPoly({e: CycloNumber.from_rational(order, c) for e, c in values.items()})
+        assert at == plain and plain == at
+        assert t_form(at) == t_form(plain)
+        assert at.to_json() == plain.to_json()
+        assert all(type(c) is Fraction for c in at.coeffs.values())
+
+
+def test_unread_tpoly_survives_pickle_and_copy_unbuilt():
+    for tp in (TPoly({0: Fraction(1, 3), 2: Fraction(-5, 2)}),
+               TPoly({0: Fraction(1, 3), 1: Z5 / 2}), TPoly.zero()):
+        twins = [pickle.loads(pickle.dumps(tp)), copy.copy(tp), copy.deepcopy(tp)]
+        assert not coeffs_built(tp)
+        for twin in twins:
+            assert not coeffs_built(twin)
+            assert t_form(twin) == t_form(tp) and twin == tp
+            assert twin.to_json() == tp.to_json() and not coeffs_built(twin)
+            assert twin.coeffs == tp.coeffs and coeffs_built(twin)
 
 
 # Reference first-mismatch loops, written out without the shared core.

@@ -56,7 +56,6 @@ from qharmonic.genfun import (
 )
 from qharmonic.indices import HeightProfile
 from qharmonic import genfun, qseries
-from qharmonic import series as series_module
 from qharmonic.qseries import SeriesParams, ZPoly, theta_q, zbar_t, zeta_params
 from qharmonic.series import Series, SeriesRing
 
@@ -756,14 +755,15 @@ def test_change_of_variables_matches_its_monomial_sum(r):
 
 
 def test_substitute_builds_no_fraction_before_its_terms_are_read(monkeypatch):
+    # coefficients are built only in the coeffs view of a TPoly
     calls = []
-    original = series_module._over
+    original = TPoly.__getattr__
 
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
+    def spy(tp, name):
+        calls.append(name)
+        return original(tp, name)
 
-    monkeypatch.setattr(series_module, "_over", spy)
+    monkeypatch.setattr(TPoly, "__getattr__", spy)
     xs = x_from_u(2, 4)
     bindings = {f"x{i + 1}": x for i, x in enumerate(xs)}
     out = [u.substitute(bindings, xs[0].ring) for u in u_from_x(2, 4)]

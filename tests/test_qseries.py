@@ -11,7 +11,6 @@ from qharmonic.exact import (
     CycloNumber,
     NumeratorRing,
     TPoly,
-    _over,
     is_rational,
     scalar_eq,
     scalar_inverse,
@@ -372,7 +371,8 @@ def test_t_step_as_shift_matches_tpoly_product(order):
             k = rng.randint(1, 3)
             column_den, column = ring.column([table[k, m] for m in range(1, n)])
             layers, den = qseries._layer_step(column, layers, ring), den * column_den
-            got = [_over(dict(enumerate(coeffs)), den, order) for coeffs in zip(*layers)]
+            got = [TPoly._from_numerators(order, den, dict(enumerate(coeffs)))
+                   for coeffs in zip(*layers)]
             running, want = 0, []
             for m, value in enumerate(below, 1):
                 want.append(table[k, m] * (running + t * value))

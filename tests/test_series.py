@@ -463,8 +463,9 @@ def test_affine_t_matches_power_loop(order):
 
 # -- the integer path of the rational kernels --------------------------------
 # Over Fractions the product, the quotient and the t -> a*t + b map run on int
-# numerators over one denominator and build each output Fraction in
-# exact._over; at q = zeta_N the same kernels run on Z[zeta_N] numerators.
+# numerators over one denominator, and each output Fraction is built in the
+# coeffs view of a TPoly; at q = zeta_N the same kernels run on Z[zeta_N]
+# numerators.
 # The references above are checked byte for byte on both.
 
 def assert_lowest_fractions(value):
@@ -475,19 +476,28 @@ def assert_lowest_fractions(value):
             assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
-@pytest.fixture
-def over_calls(monkeypatch):
-    """The denominators of the output slots the integer path finishes."""
+def spy_views(monkeypatch, check=None) -> list:
+    """The (order, denominator) of every TPoly whose coeffs view is built
+    from now on, the one place coefficients are made; `check` sees each
+    first."""
     calls = []
-    original = exact._over
+    original = TPoly.__getattr__
 
-    def spy(raw, den, order=None):
-        calls.append(den)
-        return original(raw, den, order)
+    def spy(tp, name):
+        if name == "coeffs":
+            calls.append(tp._t_form[:2])
+            if check is not None:
+                check(*calls[-1])
+        return original(tp, name)
 
-    monkeypatch.setattr(series_module, "_over", spy)
-    monkeypatch.setattr(exact, "_over", spy)
+    monkeypatch.setattr(TPoly, "__getattr__", spy)
     return calls
+
+
+@pytest.fixture
+def view_builds(monkeypatch):
+    """The TPoly coeffs views built while a test runs."""
+    return spy_views(monkeypatch)
 
 
 def rand_rational(ring: SeriesRing, rng: random.Random, size: int) -> Series:
@@ -520,7 +530,7 @@ RATIONAL_CONSTANTS = [p_constant(Fraction(5, 7), 4, 1), -p_constant(Fraction(5, 
                       Fraction(-1), Fraction(1), Fraction(-12, 49)]
 
 
-def test_integer_path_matches_references_on_rationals(over_calls):
+def test_integer_path_matches_references_on_rationals(view_builds):
     rng = random.Random("series-int-path")
     for ring in (SeriesRing(("x",), 7), SeriesRing(("x", "y"), 5),
                  SeriesRing(("x", "y", "w"), 3)):
@@ -533,10 +543,10 @@ def test_integer_path_matches_references_on_rationals(over_calls):
                               (a / unit, ref_mul(a, ref_invert(unit)))):
                 assert got.to_json() == want.to_json()
                 assert_lowest_fractions(got)
-    assert over_calls
+    assert view_builds
 
 
-def test_integer_path_products_that_cancel(over_calls):
+def test_integer_path_products_that_cancel(view_builds):
     ring = SeriesRing(("x", "y"), 4)
     rng = random.Random("series-int-cancel")
     for _ in range(10):
@@ -556,7 +566,7 @@ def test_integer_path_products_that_cancel(over_calls):
     assert ((x * unit) / unit).to_json() == x.to_json()
 
 
-def test_affine_t_integer_path_matches_power_loop(over_calls):
+def test_affine_t_integer_path_matches_power_loop(view_builds):
     rng = random.Random("affine-t-int")
     for _ in range(40):
         tp = TPoly({k: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 7, 12)))
@@ -565,7 +575,7 @@ def test_affine_t_integer_path_matches_power_loop(over_calls):
             got = affine_of(tp, a, b)
             assert got.to_json() == ref_affine_t(tp, a, b).to_json()
             assert_lowest_fractions(got)
-    assert over_calls
+    assert view_builds
     # (t − 1)^2 at t -> t + 1 is t^2: the t and constant terms cancel
     assert affine_of(TPoly({2: Fraction(1), 1: Fraction(-2), 0: Fraction(1)}), 1, 1) == \
         TPoly({2: 1})
@@ -576,7 +586,7 @@ def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
     # numerators to Z[zeta_5] and runs the shared kernels on int tuples: every
     # gcd of the reduction to lowest terms sees ints only.
     gcd_args = []
-    int_gcd = series_module.gcd
+    int_gcd = exact.gcd
 
     def spy(*args):
         if not all(type(v) is int for v in args):
@@ -584,7 +594,7 @@ def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
         gcd_args.append(args)
         return int_gcd(*args)
 
-    monkeypatch.setattr(series_module, "gcd", spy)
+    monkeypatch.setattr(exact, "gcd", spy)
     rng = random.Random("series-mixed")
     ring = SeriesRing(("x", "y"), 4)
     zeta = CycloNumber.zeta(5)
@@ -612,17 +622,21 @@ def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
                 ref_map(s, lambda tp: ref_affine_t(tp, 1, -1)).to_json()
     # the rational operands went through gcd, on ints only
     assert gcd_args
-    # t -> a*t + b on a CycloNumber coefficient runs on Z[zeta_5] numerators
-    # and builds no Fraction in _over; a non-integer a or b on a rational
-    # series stays on int numerators
-    def refuse(raw, den, order=None):
+    # t -> a*t + b on a CycloNumber coefficient runs on Z[zeta_5] numerators,
+    # and its coefficients are built at order 5, never as Fractions; a
+    # non-integer a or b on a rational series stays on int numerators
+    def refuse(order, den):
         if order is None:
             raise AssertionError("a Fraction built for a CycloNumber coefficient")
-        return exact._over(raw, den, order)
 
     tp = TPoly({0: Fraction(1, 3), 2: zeta})
-    monkeypatch.setattr(series_module, "_over", refuse)
-    assert affine_of(tp, 1, -1).to_json() == ref_affine_t(tp, 1, -1).to_json()
+    want = ref_affine_t(tp, 1, -1)
+    want_coeffs = want.coeffs
+    monkeypatch.undo()
+    built = spy_views(monkeypatch, refuse)
+    got = affine_of(tp, 1, -1)
+    assert got.to_json() == want.to_json() and built == []
+    assert got.coeffs == want_coeffs and built == [(5, 3)]
     monkeypatch.undo()
     rational = TPoly({0: Fraction(1, 3), 2: Fraction(5)})
     assert affine_of(rational, Fraction(1, 2), -1).to_json() == \
@@ -1046,10 +1060,42 @@ def test_integer_form_sums_that_cancel_reduce():
         assert (a - a).is_zero() and ((a - a)._denom, (a - a)._numer) == (1, {})
 
 
+def views_built(tp: TPoly) -> bool:
+    """Whether tp holds its coeffs view, read without building it."""
+    try:
+        exact.SparsePoly.__dict__["coeffs"].__get__(tp, TPoly)
+    except AttributeError:
+        return False
+    return True
+
+
+def t_form(tp: TPoly) -> tuple:
+    return tp._t_form
+
+
+# The TPoly operations among SCALAR_FORM_OPS, on TPoly operands.
+TPOLY_FORM_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "int": lambda a, b: a * -6,
+    "fraction": lambda a, b: a * Fraction(-14, 9),
+    "zero": lambda a, b: a * 0,
+    "tpoly": lambda a, b: a * TPoly({0: Fraction(3, 4), 2: Fraction(-6)}),
+    "mul": lambda a, b: a * b,
+    "square": lambda a, b: a * a,
+    "cyclo": lambda a, b: a * ZETA7,
+    "cyclo-add": lambda a, b: ZETA7 - a,
+    "cyclo-tpoly": lambda a, b: a * TPoly({0: Fraction(1, 2), 1: ZETA7}),
+}
+
+
 @pytest.mark.parametrize("op", SCALAR_FORM_OPS)
 def test_integer_form_results_do_not_depend_on_reads(op):
-    # on operands in integer form, at order 7 and mixed alike
+    # on operands in integer form, at order 7 and mixed alike; the TPoly
+    # operations on the operands' terms, with or without their coeffs read
     kernel, _ = SCALAR_FORM_OPS[op]
+    t_kernel = TPOLY_FORM_OPS.get(op)
     for a, b, unit in chain(integer_form_cases(f"integer-reads:{op}"),
                             scalar_form_cases(f"scalar-reads:{op}")):
         unread = kernel(fresh(a), fresh(b), fresh(unit))
@@ -1060,6 +1106,16 @@ def test_integer_form_results_do_not_depend_on_reads(op):
         assert (once_read._order, once_read._denom, once_read._numer) == \
             (unread._order, unread._denom, unread._numer)
         assert once_read.to_json() == unread.to_json()
+        if t_kernel is None:
+            continue
+        for ta, tb in zip(fresh(a).terms.values(), fresh(b).terms.values()):
+            unread = t_kernel(ta, tb)
+            assert not views_built(ta) and not views_built(tb) and not views_built(unread)
+            ra, rb = (TPoly._from_form(*t_form(tp)) for tp in (ta, tb))
+            _ = ra.coeffs, rb.coeffs
+            once_read = t_kernel(ra, rb)
+            assert t_form(once_read) == t_form(unread)
+            assert once_read.to_json() == unread.to_json()
 
 
 def test_integer_form_round_trips_unread():

@@ -71,6 +71,25 @@ def test_only_series_reads_the_series_form():
     assert all(f'"{name}"' in series.read_text() for name in SERIES_FORM)
 
 
+# A TPoly's form: its cyclotomic order, denominator and numerators.  A
+# Series keeps the same form slot by slot, so the series module reads it
+# too; other modules read a TPoly through `coeffs`, the arithmetic and the
+# constructors.  The name differs from the Series form's, so that the guard
+# above still tells the two apart.
+TPOLY_FORM = {"_t_form"}
+
+
+def test_only_exact_and_series_read_the_tpoly_form():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name not in ("exact.py", "series.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in TPOLY_FORM)
+             or (isinstance(node, ast.Constant) and node.value in TPOLY_FORM)]
+    assert found == []
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
+
+
 # CycloNumber's integer kernels: multiply, add/subtract, inverse, the
 # rotation by zeta^e and the closed forms at zeta_n (zeta^e, 1/(1 - zeta^e))
 # work on int numerators over one denominator, through the module's product
@@ -108,33 +127,41 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The Series kernels and the prefix-sum recursion of qseries multiply and add
-# int numerators (ints, or Z[zeta_N] coefficient tuples) over one
-# denominator; a Fraction is built only in exact._over, which finishes each
-# output slot, and a Series builds its coefficients there only when its
-# `terms` are first read.  The kernels, the Series methods that dispatch to
-# them, and the helpers that scan values into numerators, put operands at one
-# order, scale a slot or reduce a result build none, so Fraction
-# normalisation cannot creep back into a loop.
+# The TPoly and Series kernels and the prefix-sum recursion of qseries
+# multiply and add int numerators (ints, or Z[zeta_N] coefficient tuples)
+# over one denominator; a Fraction or a CycloNumber is built only in the
+# coeffs view of a TPoly (TPoly.__getattr__), when it is first read.  The
+# kernels, the TPoly and Series methods that dispatch to them, the
+# constructors, the one scan of scalars into numerators, and the helpers that
+# put operands at one order, scale a slot or reduce a result build none, so
+# Fraction normalisation cannot creep back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
                                   "Series.__neg__", "Series.affine_t", "Series.__init__",
-                                  "Series._pair", "Series._made", "_scaled", "_lifted",
-                                  "_joint_order", "_add_tuples_into",
+                                  "Series._pair", "Series._made", "Series.__getattr__",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
-                                  "_sum_form", "_times_form", "_term_products",
-                                  "_quotient_form", "_affine_items", "_reduced", "_settled",
-                                  "_reduced_slot", "_common"),
-                    "exact.py": ("_numerator_form", "_convolve_into", "_galois_cofactor"),
+                                  "_term_products", "_quotient_form", "_affine_items"),
+                    "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
+                                 "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
+                                 "TPoly.__mul__", "TPoly.__eq__", "TPoly.is_zero",
+                                 "TPoly.degree", "TPoly.rationalized", "TPoly.to_json",
+                                 "_numerators", "_sum_form", "_times_form", "_reduced",
+                                 "_settled", "_reduced_slot", "_common", "_scaled", "_lifted",
+                                 "_paired", "_joint_order", "_add_tuples_into",
+                                 "_convolve_into", "_galois_cofactor", "_render_over",
+                                 "_render_numerator", "scalar_to_json"),
                     "genfun.py": ("_change_of_variables",),
                     "qseries.py": ("_level_step", "_layer_step", "_levels")}
 
+SCALAR_BUILDERS = {"Fraction", "CycloNumber", "_make"}
 
-def _builds_fraction(node) -> list[int]:
+
+def _builds_scalar(node) -> list[int]:
+    """The lines of the Fraction or CycloNumber calls in a node."""
     return [sub.lineno for sub in ast.walk(node)
             if isinstance(sub, ast.Call)
-            and ((isinstance(sub.func, ast.Name) and sub.func.id == "Fraction")
-                 or (isinstance(sub.func, ast.Attribute) and sub.func.attr == "Fraction"))]
+            and ((isinstance(sub.func, ast.Name) and sub.func.id in SCALAR_BUILDERS)
+                 or (isinstance(sub.func, ast.Attribute) and sub.func.attr in SCALAR_BUILDERS))]
 
 
 def test_rational_series_kernels_build_fractions_in_one_helper():
@@ -144,21 +171,26 @@ def test_rational_series_kernels_build_fractions_in_one_helper():
         defs = _definitions(by_name[filename])
         assert set(kernels) <= defs.keys()
         found += [f"{filename}:{name}:{line}" for name in kernels
-                  for line in _builds_fraction(defs[name])]
+                  for line in _builds_scalar(defs[name])]
     assert found == []
-    over = _definitions(by_name["exact.py"])["_over"]
-    assert _builds_fraction(over)
+    exact = _definitions(by_name["exact.py"])
+    assert "_over" not in exact and "_numerator_form" not in exact
+    # the one place a TPoly builds its coefficients: both kinds
+    view = exact["TPoly.__getattr__"]
+    assert {ast.unparse(sub.func) for sub in ast.walk(view) if isinstance(sub, ast.Call)} \
+        >= {"Fraction", "_make"}
     # the one place a Series turns its numerators into TPolys
     builds_terms = _definitions(by_name["series.py"])["Series.__getattr__"]
-    assert any(isinstance(sub, ast.Name) and sub.id == "_over"
+    assert any(isinstance(sub, ast.Attribute) and sub.attr == "_from_numerators"
                for sub in ast.walk(builds_terms))
 
 
 # A Series at q = zeta_N holds Z[zeta_N] numerators and never a CycloNumber:
 # no code of the series module names the class, builds one (exact._make) or
-# inverts a scalar, and no code but the terms reader calls exact._over, the
-# one place its coefficients are built.  A quotient turns its divisor's
-# constant term into an int through exact._galois_cofactor instead.
+# inverts a scalar, and no code but the terms reader makes TPolys from
+# numerators, which build their coefficients only when their own coeffs view
+# is read.  A quotient turns its divisor's constant term into an int through
+# exact._galois_cofactor instead.
 CYCLO_VALUES = {"CycloNumber", "_make", "scalar_inverse", "inverse"}
 
 
@@ -170,11 +202,11 @@ def test_series_module_builds_no_scalar_but_through_over():
              or (isinstance(node, ast.Attribute) and node.attr in CYCLO_VALUES)
              or (isinstance(node, ast.alias) and node.name in CYCLO_VALUES)]
     assert found == []
-    assert _builds_fraction(tree) == []
-    over_callers = [name for name, node in _definitions(series).items()
-                    if any(isinstance(sub, ast.Name) and sub.id == "_over"
-                           for sub in ast.walk(node))]
-    assert over_callers == ["Series.__getattr__"]
+    assert _builds_scalar(tree) == []
+    makers = [name for name, node in _definitions(series).items()
+              if any(isinstance(sub, ast.Attribute) and sub.attr in ("_from_numerators", "_from_form")
+                     for sub in ast.walk(node))]
+    assert makers == ["Series.__getattr__"]
     exact = _definitions(next(path for path in SOURCES if path.name == "exact.py"))
     for node in (exact["CycloNumber.inverse"], _definitions(series)["Series.__truediv__"]):
         assert any(isinstance(sub, ast.Name) and sub.id == "_galois_cofactor"
