@@ -7,9 +7,9 @@ Three scalar kinds are used throughout the package:
                              cyclotomic polynomial and stored as phi(n) int
                              numerators over one positive int denominator,
                              kept in lowest terms; at the generator
-                             zeta_n, zeta^e and 1/(1 - zeta^e) have closed
-                             forms built by index arithmetic, and a product
-                             with zeta^e is a rotation of the numerators,
+                             zeta_n, zeta^e, 1/(1 - zeta^e) and products
+                             with zeta^e are index arithmetic on numerator
+                             lists (_zeta_sum),
 * ``complex``             -- floating point, quarantined to the numeric limit
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
@@ -204,24 +204,8 @@ class CycloNumber:
 
     @classmethod
     def zeta_power(cls, order: int, e: int) -> "CycloNumber":
-        """zeta^e, the basis vector x^(e mod order) reduced: no product, and
-        a negative e needs no inverse."""
-        num = [0] * order
-        num[e % order] = 1
-        _reduce(order, num)
-        return _make(order, num, 1)
-
-    @classmethod
-    def one_minus_zeta_power_inverse(cls, order: int, e: int) -> "CycloNumber":
-        """1/(1 - zeta^e) in closed form: every x != 1 with x^N = 1 has
-        1/(1 - x) = -(1/N) * sum_{j=1}^{N-1} j x^j, with x^j = zeta^(e*j mod N)."""
-        if e % order == 0:
-            raise DivisionByZero("inverse of zero in Q(zeta)")
-        num = [0] * order
-        for j in range(1, order):
-            num[e * j % order] -= j
-        _reduce(order, num)
-        return _make(order, num, order)
+        """zeta^e by index arithmetic: no product, and no inverse for e < 0."""
+        return _make(order, _zeta_sum(order, [(e, 1)]), 1)
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycloNumber":
@@ -290,17 +274,6 @@ class CycloNumber:
                      self._den * o._den)
 
     __rmul__ = __mul__
-
-    def times_zeta_power(self, e: int) -> "CycloNumber":
-        """self * zeta^e as a rotation: numerator i moves to slot
-        (i + e) mod order and one _reduce follows, with no product; zeta^e is
-        a unit, so the denominator stays."""
-        order = self.order
-        num = [0] * order
-        for i, a in enumerate(self._num):
-            num[(i + e) % order] = a
-        _reduce(order, num)
-        return _make(order, num, self._den)
 
     def inverse(self) -> "CycloNumber":
         """Multiplicative inverse through the Galois norm, in integers.
@@ -398,6 +371,26 @@ def _product(order: int, x, y) -> list[int]:
     return prod
 
 
+def _zeta_sum(order: int, items) -> list[int]:
+    """The reduced coefficients of the sum of a * zeta^e over the (e, a)
+    items: a goes to slot e mod order (zeta^order = 1), then one _reduce; no
+    product.  A list num times zeta^e is _zeta_sum(order, enumerate(num, e))."""
+    out = [0] * order
+    for e, a in items:
+        out[e % order] += a
+    _reduce(order, out)
+    return out
+
+
+def _one_minus_zeta_power_inverse(order: int, e: int) -> list[int]:
+    """The numerators of 1/(1 - zeta^e) over the denominator `order`, in
+    closed form: every x != 1 with x^N = 1 has 1/(1 - x) =
+    -(1/N) * sum_{j=1}^{N-1} j x^j, with x^j = zeta^(e*j mod N)."""
+    if e % order == 0:
+        raise DivisionByZero("inverse of zero in Q(zeta)")
+    return _zeta_sum(order, ((e * j, -j) for j in range(1, order)))
+
+
 def _galois_cofactor(order: int, num) -> list[int]:
     """The product C of the conjugates sigma_j(P) (zeta -> zeta^j) over the
     units j != 1 mod order, P the coefficient list num of a nonzero element
@@ -406,11 +399,7 @@ def _galois_cofactor(order: int, num) -> list[int]:
     cof = [1]
     for j in range(2, order):
         if gcd(j, order) == 1:
-            conj = [0] * order
-            for i, a in enumerate(num):
-                if a:
-                    conj[i * j % order] += a
-            _reduce(order, conj)
+            conj = _zeta_sum(order, ((i * j, a) for i, a in enumerate(num) if a))
             cof = _product(order, cof, conj)
     return cof
 
@@ -1009,18 +998,19 @@ def _slot_add(x, y) -> list[int]:
 class NumeratorRing:
     """The numerators of Q (order None) or of Q(zeta_order) over one shared
     positive int denominator: ints, or the phi(order) int coefficients of an
-    element of Z[zeta_order], with the ring's `zero`, `add` (slot by slot,
-    `_slot_add`) and `mul` (`_product`) as the qseries recursion runs them;
+    element of Z[zeta_order], with the ring's `zero`, `one`, `add` (slot by
+    slot, `_slot_add`) and `mul` (`_product`) as the qseries sums run them;
     the numerator forms above hold them as tuples."""
 
-    __slots__ = ("order", "zero", "add", "mul")
+    __slots__ = ("order", "zero", "one", "add", "mul")
 
     def __init__(self, order: int | None) -> None:
         self.order = order
         if order is None:
-            self.zero, self.add, self.mul = 0, operator.add, operator.mul
+            self.zero, self.one, self.add, self.mul = 0, 1, operator.add, operator.mul
         else:
             self.zero = (0,) * euler_phi(order)
+            self.one = (1,) + self.zero[1:]
             self.add, self.mul = _slot_add, partial(_product, order)
 
     def column(self, values) -> tuple[int, list]:
@@ -1028,6 +1018,10 @@ class NumeratorRing:
         their denominators; the values are Fractions, or CycloNumbers of the
         ring's order."""
         return _numerators(values, self.order)[1:]
+
+    def scalar(self, num, den: int) -> Scalar:
+        """The value num/den: a Fraction, or a CycloNumber of the ring's order."""
+        return Fraction(num, den) if self.order is None else _make(self.order, num, den)
 
 
 def binomial(n: int, k: int) -> int:

@@ -12,27 +12,25 @@ other way around.
 
 Two bounded caches share work between calls.  `_factor` is the single table
 of summands f_k(m) (for zbar, for z over the q-integer, and for the
-polylogarithms), which the literal sums and the recursion both read.
-`_levels` holds the per-m level vectors of zbar_t, z_t and L_poly as
-integer t-layers over one int denominator: one vector of numerators per
-power of t, ints at rational q and Z[zeta] coefficient lists at a
-CycloNumber q (exact.NumeratorRing), so a step adds and multiplies integers
-and never normalises; weighting an equality by t reads the layer one power
-lower, and zbar_t, z_t and L_poly make each output TPoly from the summed
-numerators, put in lowest terms once.  The vector of (k_1, ..., k_l) is one
-level step above the cached vector of its tail (k_2, ..., k_l), so the
-indices of a profile sum (g_sum, x_sum and brute Psi) that share a tail
-share its levels.  Both are keyed by the parameters, and the values are
-exact, so no result depends on what the caches hold.
+polylogarithms): one column per part of numerators over one int denominator
+in exact.NumeratorRing, ints at rational q and Z[zeta] coefficient lists at
+a CycloNumber q.  The literal sums multiply and add these numerators and
+build one scalar at the end.  `_levels` holds the per-m level vectors of
+zbar_t, z_t and L_poly as t-layers of them, one vector per power of t, so a
+step never normalises; weighting an equality by t reads the layer one power
+lower, and each output TPoly is put in lowest terms once.  The vector of
+(k_1, ..., k_l) is one level step above the cached vector of its tail
+(k_2, ..., k_l), so the indices of a profile sum (g_sum, x_sum and brute
+Psi) that share a tail share its levels.  Both caches are keyed by the
+parameters and hold exact values, so no result depends on what they hold.
 
 At q = zeta_N (SeriesParams.root_order) the summand table is index
-arithmetic: q^e is the basis element zeta^(e mod N), 1/(1 - q^m) is the
-closed form -(1/N) sum_j j zeta^(jm mod N), multiplying by zeta^m is a
-rotation of the coefficients (CycloNumber.times_zeta_power), and the check
-that no q^m = 1 for m < n is N >= n, so none of them takes a product, power
-or inverse.  The q-integer inverse of z stays a generic inverse, so that
-z = (1-q)^w zbar remains a check of two computations, not an identity by
-construction.
+arithmetic on numerator lists (exact._zeta_sum): 1/(1 - q^m) is the closed
+form -(1/N) sum_j j zeta^(jm mod N), a factor q^m is a rotation, and no
+q^m = 1 for m < n exactly when N >= n, so zbar and zbar_t take no
+CycloNumber product, power or inverse.  The q-integer inverse of z stays a
+generic inverse, so that z = (1-q)^w zbar remains a check of two
+computations, not an identity by construction.
 """
 from __future__ import annotations
 
@@ -48,6 +46,9 @@ from .exact import (
     Scalar,
     SparsePoly,
     TPoly,
+    _convolve,
+    _one_minus_zeta_power_inverse,
+    _zeta_sum,
     as_tpoly,
     scalar_inverse,
     scalar_pow,
@@ -143,35 +144,36 @@ def _qpow(params: SeriesParams, e: int) -> Scalar:
 
 
 @lru_cache(maxsize=1 << 12)
-def _factor(params: SeriesParams, kind: str, k: int, m: int) -> Scalar:
-    """The summand of part k at summation index m, one table for every
-    evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the q-integer
-    (1-q^m)/(1-q) for "z", and 1/(1-q^m)^k for the polylogarithms ("L").
-    Part 0 occurs only in the literal zbar((0,)), whose summand is q^(-m).
-    Higher parts multiply up from part k - 1, which this table also holds.
-
-    At q = zeta_N, q^e (_qpow) and the part-1 "zbar" summand 1/(1-q^m) are
-    closed forms (CycloNumber.zeta_power, .one_minus_zeta_power_inverse),
-    and a higher part multiplies by q^m as a rotation (.times_zeta_power).
-    The part-1 "z" summand stays the generic inverse of the q-integer at
-    every q; only its constant 1/(1-q) is read from the "zbar" entry m = 1."""
-    if kind == "L":
-        inv = _factor(params, "zbar", 1, m)
-        return inv if k == 1 else _factor(params, "L", k - 1, m) * inv
-    if k == 0:
-        return _qpow(params, -m)
+def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
+    """The summands f_k(1), ..., f_k(n-1) of part k as one column (d, the
+    numerators of f_k(m) * d) in NumeratorRing(_order(params)), one table for
+    every evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the
+    q-integer (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the polylogarithms
+    ("L"), and q^(-m) for part 0, which only the literal zbar((0,)) reads.
+    Part k > 1 multiplies the numerators of parts k - 1 and 1 and of q^m;
+    part 0, the "z" part 1 and part 1 at q other than zeta_N are scalars,
+    scanned into a column once."""
+    ring, root, ms = NumeratorRing(_order(params)), params.root_order, range(1, params.n)
     if k > 1:
-        lower = _factor(params, kind, k - 1, m) * _factor(params, kind, 1, m)
-        if params.root_order:
-            return lower.times_zeta_power(m)
-        return lower * _qpow(params, m)
+        (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
+        if kind == "L":
+            return da * db, list(map(ring.mul, a, b))
+        if root:  # times zeta^m: a rotation
+            return da * db, [_zeta_sum(root, enumerate(_convolve(x, y), m))
+                             for m, x, y in zip(ms, a, b)]
+        dq, powers = ring.column([_qpow(params, m) for m in ms])
+        return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
+    if k == 0:
+        return ring.column([_qpow(params, -m) for m in ms])
     if kind == "z":
         # inverse of the q-integer, computed from the quotient itself so
         # that the modified and unmodified evaluators stay independent
-        return scalar_inverse((1 - _qpow(params, m)) * _factor(params, "zbar", 1, 1))
-    if params.root_order:
-        return CycloNumber.one_minus_zeta_power_inverse(params.root_order, m)
-    return scalar_inverse(1 - _qpow(params, m))
+        den, inv = _factor(params, "zbar", 1)
+        return ring.column([scalar_inverse((1 - _qpow(params, m)) * ring.scalar(inv[0], den))
+                            for m in ms])
+    if root:
+        return root, [_one_minus_zeta_power_inverse(root, m) for m in ms]
+    return ring.column([scalar_inverse(1 - _qpow(params, m)) for m in ms])
 
 
 def _check_parts(parts: MultiIndex):
@@ -181,15 +183,16 @@ def _check_parts(parts: MultiIndex):
 
 def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: bool) -> Scalar:
     """The definition: the summand product summed over decreasing tuples."""
-    pool, l = range(1, params.n), len(parts)
+    ring = NumeratorRing(_order(params))
+    if not parts:
+        return ring.scalar(ring.one, 1)
+    dens, columns = zip(*(_factor(params, kind, k) for k in reversed(parts)))
+    pool, l = range(params.n - 1), len(parts)
     tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
-    total: Scalar = Fraction(0)
+    total = ring.zero
     for ascending in tuples:
-        term: Scalar = Fraction(1)
-        for k, m in zip(parts, reversed(ascending)):
-            term = term * _factor(params, kind, k, m)
-        total = total + term
-    return total
+        total = ring.add(total, reduce(ring.mul, map(operator.getitem, columns, ascending)))
+    return ring.scalar(total, reduce(operator.mul, dens))
 
 
 def _level_step(column, below, equal, add=operator.add, mul=operator.mul, start=0) -> list:
@@ -255,14 +258,13 @@ def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tu
     The layers of (k_1, ..., k_l) are one _layer_step above the layers of
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
-    under taking tails.  The summand column f_(k_1)(1..n-1) is scaled once
-    to numerators over its lcm, and the denominators multiply."""
-    ring = NumeratorRing(_order(params))
-    den, column = ring.column([_factor(params, kind, parts[0], m) for m in range(1, params.n)])
+    under taking tails.  The step reads the column of f_(k_1) from _factor,
+    and the denominators multiply."""
+    den, column = _factor(params, kind, parts[0])
     if len(parts) == 1:
         return den, (column,)
     below_den, below = _levels(parts[1:], params, kind)
-    return below_den * den, _layer_step(column, below, ring)
+    return below_den * den, _layer_step(column, below, NumeratorRing(_order(params)))
 
 
 def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:

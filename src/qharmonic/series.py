@@ -153,7 +153,10 @@ class SeriesRing:
         e = [0] * len(self.variables)
         for name, p in exps.items():
             e[self._index[name]] = p
-        return Series(self, {tuple(e): as_tpoly(coeff)})
+        if not self.check_exponents(e := tuple(e)):
+            return self.zero()
+        order, den, slot = as_tpoly(coeff)._t_form
+        return Series._made(self, order, den, {e: slot} if slot else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree

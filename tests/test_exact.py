@@ -751,31 +751,37 @@ CLOSED_FORM_ORDERS = [*range(3, 65), 97, 105]
 
 @pytest.mark.parametrize("order", CLOSED_FORM_ORDERS)
 def test_zeta_closed_forms_match_generic_arithmetic(order):
-    # zeta^e without products and 1/(1 - zeta^e) in closed form, against
-    # repeated squaring and the Galois-norm inverse, for e in -2N..2N; the
-    # generic inverse depends on e mod N only, so it is taken once per
-    # residue, and where phi(N) > 24 only for 1, 2, 3, -1 and the divisors
-    # of N (it costs up to 65 ms there); the product check covers every e,
-    # and so does the rotation x * zeta^e against the generic product
+    # zeta^e without products, and the numerator-list closed forms: the
+    # rotation by zeta^e (_zeta_sum) and 1/(1 - zeta^e) over N, against
+    # repeated squaring, the generic product and the Galois-norm inverse, for
+    # e in -2N..2N; the generic inverse depends on e mod N only, so it is
+    # taken once per residue, and where phi(N) > 24 only for 1, 2, 3, -1 and
+    # the divisors of N (it costs up to 65 ms there); the product check
+    # covers every e, and so does the rotation x * zeta^e, of x's reduced
+    # numerators and of an unreduced convolution of 2 phi(N) - 1 of them
     zeta, one = CycloNumber.zeta(order), CycloNumber.from_rational(order, 1)
     rng = random.Random(f"rotation:{order}")
-    x = CycloNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                            for _ in range(euler_phi(order))])
+    x, y = (CycloNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                for _ in range(euler_phi(order))]) for _ in range(2))
     residues = range(1, order)
     if euler_phi(order) > 24:
         residues = {1, 2, 3, order - 1} | {d for d in residues if order % d == 0}
     generic = {r: (1 - zeta ** r).inverse() for r in residues}
+    unreduced, xy = exact._convolve(x._num, y._num), x * y
     for e in range(-2 * order, 2 * order + 1):
         power = CycloNumber.zeta_power(order, e)
         assert power == zeta ** e
-        assert x.times_zeta_power(e) == x * power
-        assert one.times_zeta_power(e) == power
+        rotated = exact._zeta_sum(order, enumerate(x._num, e))
+        assert exact._make(order, rotated, x._den) == x * power
+        assert exact._make(order, exact._zeta_sum(order, enumerate(unreduced, e)),
+                           x._den * y._den) == xy * power
+        assert exact._zeta_sum(order, [(e, 1)]) == list(power._num)
         if e % order == 0:
             assert power == one
             with pytest.raises(DivisionByZero):
-                CycloNumber.one_minus_zeta_power_inverse(order, e)
+                exact._one_minus_zeta_power_inverse(order, e)
             continue
-        inv = CycloNumber.one_minus_zeta_power_inverse(order, e)
+        inv = exact._make(order, exact._one_minus_zeta_power_inverse(order, e), order)
         assert inv * (1 - power) == one
         if e % order in generic:
             assert inv == generic[e % order]

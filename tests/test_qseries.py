@@ -96,6 +96,7 @@ def test_root_order_is_not_part_of_the_key():
     assert same == zp and hash(same) == hash(zp) and repr(same) == repr(zp)
 
 
+@lru_cache(maxsize=None)
 def _reference_factor(params, kind, k, m):
     """The summand by its definition, with generic powers and inverses."""
     q = params.q
@@ -107,15 +108,54 @@ def _reference_factor(params, kind, k, m):
     return q ** ((k - 1) * m) * inv ** k
 
 
-@pytest.mark.parametrize("n", range(2, 17))
-def test_summand_table_matches_its_definition(n):
+def _reference_literal_sum(parts, params, kind, strict):
+    """The definition as a scalar loop: the product of the summands summed
+    over decreasing tuples, one Fraction or CycloNumber per term."""
+    pool, l = range(1, params.n), len(parts)
+    tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
+    total = Fraction(0)
+    for ascending in tuples:
+        term = Fraction(1)
+        for k, m in zip(parts, reversed(ascending)):
+            term = term * _reference_factor(params, kind, k, m)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("params", [
+    *(pytest.param(zeta_params(n), id=str(n)) for n in range(2, 17)),
+    pytest.param(SeriesParams(9, Fraction(-5, 7)), id="rational"),
+    pytest.param(SeriesParams(7, CycloNumber.zeta(7) ** 3), id="zeta7-cubed"),
+])
+def test_summand_table_matches_its_definition(params):
+    # every entry column[m - 1] / d of the numerator table against the
+    # summand by its definition, at q = zeta_n (closed forms and rotations),
+    # at a rational q and at a CycloNumber q that is not the generator
     _clear_caches()
-    params = zeta_params(n)
+    ring = NumeratorRing(qseries._order(params))
     for kind, ks in (("zbar", range(5)), ("z", range(1, 5)), ("L", range(1, 5))):
         for k in ks:
-            for m in range(1, n):
-                assert qseries._factor(params, kind, k, m) == \
-                    _reference_factor(params, kind, k, m), (kind, k, m)
+            den, column = qseries._factor(params, kind, k)
+            assert len(column) == params.n - 1
+            for m, v in enumerate(column, 1):
+                assert ring.scalar(v, den) == _reference_factor(params, kind, k, m), (kind, k, m)
+
+
+@pytest.mark.parametrize("params", [zeta_params(7), SeriesParams(6, Fraction(2, 3)),
+                                    SeriesParams(7, CycloNumber.zeta(7) ** 3)],
+                         ids=["zeta7", "two-thirds", "zeta7-cubed"])
+def test_literal_sums_match_the_scalar_loop(params):
+    # the literal sums run on numerator columns; the reference multiplies
+    # and adds one scalar per summand, as the definition reads
+    _clear_caches()
+    for parts in [(0,)] + [c for w in range(1, 6) for l in range(1, 4) for c in compositions(w, l)]:
+        for fn, kind, strict in ((zbar, "zbar", True), (zbar_star, "zbar", False),
+                                 (z, "z", True), (z_star, "z", False)):
+            if parts == (0,) and kind == "z":
+                continue
+            assert fn(parts, params) == _reference_literal_sum(parts, params, kind, strict), \
+                (fn.__name__, parts)
+    assert zbar((), params) == 1 and zbar_star((), params) == 1
 
 
 def _counting(monkeypatch, name):
@@ -137,16 +177,13 @@ def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
     zeta_params(12)
     assert products == []
     params = zeta_params(11)
-    _clear_caches()
-    zbar_t((1, 2, 1), params)
-    assert inverses == [] and powers == []
-    # f_2(m) = f_1(m)^2 zeta^m takes one product, and zeta^m is a rotation
-    assert len(products) == params.n - 1
-    # the recursion multiplies numerator lists, never CycloNumbers
-    _clear_caches()
-    products.clear()
-    zbar_t((1, 1, 1), params)
-    assert products == []
+    # the summand columns are closed forms and rotations of numerator lists,
+    # and both the recursion and the literal sum multiply numerator lists,
+    # so zbar_t and zbar make no CycloNumber arithmetic at all
+    for fn in (zbar_t, zbar):
+        _clear_caches()
+        fn((1, 2, 1), params)
+        assert (inverses, powers, products) == ([], [], []), fn.__name__
     # z keeps one generic inverse of the q-integer per m, so that
     # z = (1 - q)^w zbar stays a check of two computations
     _clear_caches()
@@ -476,7 +513,7 @@ def _clear_caches():
                 obj.cache_clear()
 
 
-def _history_values(n, q, clear_each=False, clear_levels_every=None):
+def _history_values(n, q, clear_each=False, partway=None, every=None):
     """Every cached evaluator on the indices of weight <= 4, the profile sums
     of weight <= 4 and brute Psi, in an order where later indices reuse the
     tails of earlier ones."""
@@ -493,8 +530,8 @@ def _history_values(n, q, clear_each=False, clear_levels_every=None):
     for i, (fn, *args) in enumerate(calls):
         if clear_each:
             _clear_caches()
-        elif clear_levels_every and i % clear_levels_every == 0:
-            qseries._levels.cache_clear()
+        elif partway and i % every == 0:
+            partway.cache_clear()
         value = fn(*args)
         out.append(value.to_json() if hasattr(value, "to_json") else scalar_to_json(value))
     return out
@@ -507,12 +544,15 @@ def _history_values(n, q, clear_each=False, clear_levels_every=None):
 def test_results_do_not_depend_on_cache_history(n, q, other_q):
     fresh = _history_values(n, q, clear_each=True)
     _clear_caches()
-    partway = _history_values(n, q, clear_levels_every=5)
+    levels_partway = _history_values(n, q, partway=qseries._levels, every=5)
+    _clear_caches()
+    factor_partway = _history_values(n, q, partway=qseries._factor, every=3)
     # fill every cache at another q of the same n first
     _clear_caches()
     _history_values(n, other_q)
     prefilled = _history_values(n, q)
-    assert partway == fresh
+    assert levels_partway == fresh
+    assert factor_partway == fresh
     assert prefilled == fresh
 
 

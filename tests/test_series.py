@@ -42,6 +42,26 @@ def test_monomial_and_var():
         assert ring.scalar(coeff).to_json() == ring.monomial({}, coeff).to_json()
 
 
+def test_monomial_is_the_series_of_its_coefficient():
+    # monomial stores the coefficient's TPoly form directly; Series(ring,
+    # terms) scans the TPoly, and the two must agree in form, not just value
+    ring = SeriesRing(("x", "y"), 3)
+    zeta = CycloNumber.zeta(7)
+    for coeff in (-6, Fraction(5, 12), Fraction(1, 3) + 2 * zeta, CycloNumber.from_rational(7, 3),
+                  TPoly({0: Fraction(1, 2), 2: zeta}), 0, Fraction(0), TPoly.zero()):
+        for exps in ({}, {"x": 1}, {"x": 2, "y": 1}, {"y": 4}):
+            e = (exps.get("x", 0), exps.get("y", 0))
+            got, want = ring.monomial(exps, coeff), Series(ring, {e: exact.as_tpoly(coeff)})
+            assert got == want, (coeff, exps)
+            assert (got._order, got._denom, got._numer) == \
+                (want._order, want._denom, want._numer), (coeff, exps)
+            assert got.to_json() == want.to_json()
+            if sum(e) > ring.cap or not coeff:
+                assert got.is_zero()
+        with pytest.raises(ValueError, match="negative exponent"):
+            ring.monomial({"x": -1}, coeff)
+
+
 def test_cap_truncates_products():
     ring = SeriesRing(("x",), 2)
     x = ring.var("x")

@@ -90,15 +90,15 @@ def test_only_exact_and_series_read_the_tpoly_form():
     assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
 
 
-# CycloNumber's integer kernels: multiply, add/subtract, inverse, the
-# rotation by zeta^e and the closed forms at zeta_n (zeta^e, 1/(1 - zeta^e))
-# work on int numerators over one denominator, through the module's product
-# and reduction helpers, and so do the numerator views that the prefix-sum
-# recursion of qseries runs on; Fractions appear only where a value is built
-# from or read out as rationals.
+# CycloNumber's integer kernels: multiply, add/subtract, inverse and zeta^e,
+# and the numerator-list closed forms at zeta_n (sums of zeta-powers, which
+# rotate by zeta^e, and 1/(1 - zeta^e)) work on int numerators over one
+# denominator, through the module's product and reduction helpers, and so do
+# the numerator views that the nested sums of qseries run on; Fractions
+# appear only where a value is built from or read out as rationals.
 INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.inverse",
-                   "CycloNumber.times_zeta_power", "CycloNumber.zeta_power",
-                   "CycloNumber.one_minus_zeta_power_inverse", "_product", "_reduce",
+                   "CycloNumber.zeta_power", "_zeta_sum",
+                   "_one_minus_zeta_power_inverse", "_product", "_reduce",
                    "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column")
 
 
@@ -127,14 +127,16 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The TPoly and Series kernels and the prefix-sum recursion of qseries
-# multiply and add int numerators (ints, or Z[zeta_N] coefficient tuples)
-# over one denominator; a Fraction or a CycloNumber is built only in the
-# coeffs view of a TPoly (TPoly.__getattr__), when it is first read.  The
-# kernels, the TPoly and Series methods that dispatch to them, the
-# constructors, the one scan of scalars into numerators, and the helpers that
-# put operands at one order, scale a slot or reduce a result build none, so
-# Fraction normalisation cannot creep back into a loop.
+# The TPoly and Series kernels and the nested sums of qseries (the summand
+# table, the literal sums and the prefix-sum recursion) multiply and add int
+# numerators (ints, or Z[zeta_N] coefficient tuples) over one denominator; a
+# Fraction or a CycloNumber is built only in the coeffs view of a TPoly
+# (TPoly.__getattr__), when it is first read, and in NumeratorRing.scalar,
+# the one value a literal sum returns.  The kernels, the TPoly and Series
+# methods that dispatch to them, the constructors, the one scan of scalars
+# into numerators, and the helpers that put operands at one order, scale a
+# slot or reduce a result build none, so Fraction normalisation cannot creep
+# back into a loop.
 RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Series._sum",
                                   "Series.__neg__", "Series.affine_t", "Series.__init__",
                                   "Series._pair", "Series._made", "Series.__getattr__",
@@ -151,7 +153,8 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_convolve_into", "_galois_cofactor", "_render_over",
                                  "_render_numerator", "scalar_to_json"),
                     "genfun.py": ("_change_of_variables",),
-                    "qseries.py": ("_level_step", "_layer_step", "_levels")}
+                    "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
+                                   "_literal_sum")}
 
 SCALAR_BUILDERS = {"Fraction", "CycloNumber", "_make"}
 
