@@ -998,19 +998,18 @@ def _slot_add(x, y) -> list[int]:
 class NumeratorRing:
     """The numerators of Q (order None) or of Q(zeta_order) over one shared
     positive int denominator: ints, or the phi(order) int coefficients of an
-    element of Z[zeta_order], with the ring's `zero`, `one`, `add` (slot by
-    slot, `_slot_add`) and `mul` (`_product`) as the qseries sums run them;
+    element of Z[zeta_order], with the ring's `zero`, `add` (slot by slot,
+    `_slot_add`) and `mul` (`_product`) as the qseries sums run them;
     the numerator forms above hold them as tuples."""
 
-    __slots__ = ("order", "zero", "one", "add", "mul")
+    __slots__ = ("order", "zero", "add", "mul")
 
     def __init__(self, order: int | None) -> None:
         self.order = order
         if order is None:
-            self.zero, self.one, self.add, self.mul = 0, 1, operator.add, operator.mul
+            self.zero, self.add, self.mul = 0, operator.add, operator.mul
         else:
             self.zero = (0,) * euler_phi(order)
-            self.one = (1,) + self.zero[1:]
             self.add, self.mul = _slot_add, partial(_product, order)
 
     def column(self, values) -> tuple[int, list]:

@@ -151,8 +151,8 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     q-integer (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the polylogarithms
     ("L"), and q^(-m) for part 0, which only the literal zbar((0,)) reads.
     Part k > 1 multiplies the numerators of parts k - 1 and 1 and of q^m;
-    part 0, the "z" part 1 and part 1 at q other than zeta_N are scalars,
-    scanned into a column once."""
+    the "L" part 1 is the "zbar" column; part 0, the "z" part 1 and part 1
+    at q other than zeta_N are scalars, scanned into a column once."""
     ring, root, ms = NumeratorRing(_order(params)), params.root_order, range(1, params.n)
     if k > 1:
         (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
@@ -165,6 +165,8 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
         return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
     if k == 0:
         return ring.column([_qpow(params, -m) for m in ms])
+    if kind == "L":
+        return _factor(params, "zbar", 1)
     if kind == "z":
         # inverse of the q-integer, computed from the quotient itself so
         # that the modified and unmodified evaluators stay independent
@@ -183,9 +185,9 @@ def _check_parts(parts: MultiIndex):
 
 def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: bool) -> Scalar:
     """The definition: the summand product summed over decreasing tuples."""
+    if not parts:  # the empty product: the rational 1 at every q
+        return NumeratorRing(None).scalar(1, 1)
     ring = NumeratorRing(_order(params))
-    if not parts:
-        return ring.scalar(ring.one, 1)
     dens, columns = zip(*(_factor(params, kind, k) for k in reversed(parts)))
     pool, l = range(params.n - 1), len(parts)
     tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)

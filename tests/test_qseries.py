@@ -139,6 +139,8 @@ def test_summand_table_matches_its_definition(params):
             assert len(column) == params.n - 1
             for m, v in enumerate(column, 1):
                 assert ring.scalar(v, den) == _reference_factor(params, kind, k, m), (kind, k, m)
+    # one cached column serves 1/(1 - q^m) to both tables
+    assert qseries._factor(params, "L", 1) is qseries._factor(params, "zbar", 1)
 
 
 @pytest.mark.parametrize("params", [zeta_params(7), SeriesParams(6, Fraction(2, 3)),
@@ -155,7 +157,9 @@ def test_literal_sums_match_the_scalar_loop(params):
                 continue
             assert fn(parts, params) == _reference_literal_sum(parts, params, kind, strict), \
                 (fn.__name__, parts)
-    assert zbar((), params) == 1 and zbar_star((), params) == 1
+    for fn in (zbar, zbar_star, z, z_star):  # the empty product, rational at every q
+        empty = fn((), params)
+        assert empty == 1 and type(empty) is Fraction, fn.__name__
 
 
 def _counting(monkeypatch, name):
