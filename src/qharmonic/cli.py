@@ -15,6 +15,7 @@ import math
 import sys
 import traceback
 from fractions import Fraction
+from itertools import chain
 from operator import methodcaller
 from typing import Callable, NamedTuple
 
@@ -52,23 +53,28 @@ class UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """INT, "a..b" inclusive range, or comma list."""
-    out: list[int] = []
+def _parse_int_list(text: str) -> list[range]:
+    """INT, "a..b" inclusive range, or comma list, as its nonempty pieces in
+    order, each a range, so that a wide range is never expanded."""
+    out: list[range] = []
     try:
         for piece in text.split(","):
             piece = piece.strip()
             if not piece:
                 continue
-            if ".." in piece:
-                lo_s, hi_s = piece.split("..", 1)
-                lo, hi = int(lo_s), int(hi_s)
-                out.extend(range(lo, hi + 1))
-            else:
-                out.append(int(piece))
+            lo_s, dots, hi_s = piece.partition("..")
+            lo = int(lo_s)
+            values = range(lo, int(hi_s) + 1 if dots else lo + 1)
+            if values:
+                out.append(values)
     except ValueError:
         raise UsageError(f"cannot parse integer list {text!r}")
     return out
+
+
+def _int_values(text: str) -> list[int]:
+    """The values of an integer list, expanded, for flags that read each."""
+    return list(chain.from_iterable(_parse_int_list(text)))
 
 
 def _parse_index(text: str | None) -> tuple[int, ...]:
@@ -114,9 +120,9 @@ class _Kind(NamedTuple):
     `reads` maps each flag it reads besides --format and --out to its value
     when not given; any other flag given is a usage error.  `needs` lists
     (flag, least, most) in the order checked, most None for no upper bound;
-    --n is read as a list and bounded by its least entry.  `value(**flags)`
-    gives the JSON value of a compute kind, the ((n, k, l), TPoly) rows of
-    a table kind."""
+    --n is read as a list of ranges and bounded by its least entry.
+    `value(**flags)` gives the JSON value of a compute kind, the
+    ((n, k, l), TPoly) rows of a table kind."""
 
     reads: dict
     needs: tuple[tuple[str, int, int | None], ...]
@@ -151,7 +157,7 @@ def _checked(args: argparse.Namespace) -> tuple[_Kind, dict]:
             # a selection without rows is a usage error, not a header-only table
             if not value:
                 raise UsageError(f"{who} needs at least one --n")
-            value = min(value)
+            value = min(piece.start for piece in value)
         elif value is None:
             raise UsageError(f"{who} needs --{flag}")
         if value < least:
@@ -182,17 +188,17 @@ def _sum(fn: Callable, render: Callable) -> _Kind:
 
 def _g_sum(n: int, q: str, k: int, l: int, h: str, j: int) -> dict:
     sp = _params(n, q)
-    return g_sum(HeightProfile(k, l, tuple(_parse_int_list(h)), j), sp).to_json()
+    return g_sum(HeightProfile(k, l, tuple(_int_values(h)), j), sp).to_json()
 
 
-def _gsum_rows(n: list[int], k: int) -> list:
+def _gsum_rows(n: list[range], k: int) -> list:
     return [((m, w, d), g_sum(HeightProfile(w, d), zeta_params(m)).rationalized())
-            for m in n for w in range(k + 1) for d in range(w + 1)]
+            for m in chain.from_iterable(n) for w in range(k + 1) for d in range(w + 1)]
 
 
-def _eval_rows(n: list[int], k: int, l: int) -> list:
+def _eval_rows(n: list[range], k: int, l: int) -> list:
     return [((m, w, d), eval_constant_index(w, d, m))
-            for m in n for w in range(1, k + 1) for d in range(l + 1)]
+            for m in chain.from_iterable(n) for w in range(1, k + 1) for d in range(l + 1)]
 
 
 _to_json = methodcaller("to_json")
@@ -224,9 +230,10 @@ _KINDS: dict[str, dict[str, _Kind]] = {
 def _cmd_compute(args: argparse.Namespace) -> int:
     kind, flags = _checked(args)
     if "n" in flags:
-        if len(flags["n"]) != 1:
+        (first, *rest) = flags["n"]  # _checked refuses an empty --n
+        if rest or first.stop != first.start + 1:
             raise UsageError("compute takes a single --n")
-        flags["n"] = flags["n"][0]
+        flags["n"] = first.start
     value = kind.value(**flags)
     _emit((_compute_csv(value) if args.format == "csv" else _json_line(value)) + "\n",
           args.out)
@@ -299,7 +306,8 @@ def _run_instances(instances: list[tuple[str, dict]], jobs: int) -> list:
         groups.setdefault(sharing_key(*item), []).append((i, item))
     tasks = sorted(groups.values(), key=len, reverse=True)
     results: list = [None] * len(instances)
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    # the pool forks all its workers at the first submit: no more than tasks
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
     futures = [pool.submit(_verify_group, task) for task in tasks]
     try:
         for future in futures:
@@ -329,14 +337,14 @@ def _select_instances(args: argparse.Namespace) -> list[tuple[str, dict]]:
                 f"unknown suite {args.suite!r}; known: all, "
                 + ", ".join(list_identities()))
         idents = [name]
-    ns = set(_parse_int_list(args.n)) if args.n else None
-    rs = set(_parse_int_list(args.r)) if args.r else None
+    ns = _parse_int_list(args.n) if args.n else None
+    rs = _parse_int_list(args.r) if args.r else None
     out = []
     for ident in idents:
         for params in default_instances(ident):
-            if ns is not None and "n" in params and params["n"] not in ns:
+            if ns is not None and "n" in params and not any(params["n"] in p for p in ns):
                 continue
-            if rs is not None and "r" in params and params["r"] not in rs:
+            if rs is not None and "r" in params and not any(params["r"] in p for p in rs):
                 continue
             if args.q is not None and "q" in params and params["q"] != args.q:
                 continue
@@ -408,9 +416,9 @@ def _parse_t(text: str) -> float:
 
 
 def _cmd_xi_check(args: argparse.Namespace) -> int:
-    ls = _parse_int_list(args.l)
+    ls = _int_values(args.l)
     ts = [_parse_t(p) for p in args.t.split(",")]
-    ns = _parse_int_list(args.n)
+    ns = _int_values(args.n)
     if not ls:
         raise UsageError("--l needs at least one depth")
     if min(ls) < 0:

@@ -6,13 +6,17 @@ Three scalar kinds are used throughout the package:
 * ``CycloNumber``         -- elements of Q(zeta_n), reduced modulo the n-th
                              cyclotomic polynomial and stored as phi(n) int
                              numerators over one positive int denominator,
-                             kept in lowest terms; at the generator
-                             zeta_n, zeta^e, 1/(1 - zeta^e) and products
-                             with zeta^e are index arithmetic on numerator
-                             lists (_zeta_sum),
+                             kept in lowest terms,
 * ``complex``             -- floating point, quarantined to the numeric limit
                              check in :mod:`qharmonic.qseries`; it never mixes
                              with the exact kinds.
+
+A CycloNumber is a value, not a field API: it is built, compared, hashed,
+pickled and rendered.  Arithmetic in Q(zeta_n) runs on numerator lists
+(``_product``, ``_reduce``, the index arithmetic ``_zeta_sum`` at powers of
+zeta and the Galois-norm inverse ``_numerator_inverse``), through
+``NumeratorRing`` and the TPoly and Series kernels.  ``__mul__`` (of one
+order) and ``inverse`` remain as thin wrappers over those kernels.
 
 ``SparsePoly`` is the sparse univariate polynomial core: an immutable
 {exponent: coefficient} map whose add-with-cancellation loop (``_add_into``)
@@ -29,7 +33,7 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -162,9 +166,8 @@ class CycloNumber:
     when their pairs are.  `coeffs` gives the same element as a tuple of
     phi(n) Fractions.
 
-    The constructor and `from_rational` take ints and Fractions only.
-    Arithmetic accepts ints and Fractions on either side (promoted to the
-    same order) but refuses other orders and floats.
+    The constructor and `from_rational` take ints and Fractions only.  The
+    only arithmetic is the product of two values of one order and `inverse`.
     """
 
     __slots__ = ("order", "_num", "_den", "_hash")
@@ -226,88 +229,20 @@ class CycloNumber:
     def __bool__(self) -> bool:
         return any(self._num)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CycloNumber):
-            if other.order != self.order:
-                raise TypeError(
-                    f"cannot mix cyclotomic orders {self.order} and {other.order}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber.from_rational(self.order, other)
-        return None
-
-    def _combine(self, other, sign: int):
-        """self + sign * other, over the lcm of the two denominators."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._den, o._den
-        if d1 == d2:
-            s, t, den = 1, sign, d1
-        else:
-            g = gcd(d1, d2)
-            s, t, den = d2 // g, sign * (d1 // g), d1 // g * d2
-        return _make(self.order, [a * s + b * t for a, b in zip(self._num, o._num)], den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _make(self.order, [-a for a in self._num], self._den)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # -- arithmetic: thin wrappers over the numerator kernels ---------------
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """The product of two values of one order."""
+        if not isinstance(other, CycloNumber) or other.order != self.order:
             return NotImplemented
-        return _make(self.order, _product(self.order, self._num, o._num),
-                     self._den * o._den)
+        return _make(self.order, _product(self.order, self._num, other._num),
+                     self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse through the Galois norm, in integers.
-
-        With self = P/d, 1/self = d * C / N(P), where the cofactor C is the
-        product of the conjugates sigma_j(P) (zeta -> zeta^j) over the units
-        j != 1 mod n, and N(P) = P * C is a nonzero integer."""
-        if not self:
-            raise DivisionByZero("inverse of zero in Q(zeta)")
-        num, order = self._num, self.order
-        cof = _galois_cofactor(order, num)
-        norm = _product(order, num, cof)[0]
-        den = self._den
-        if norm < 0:
-            norm, den = -norm, -den
-        return _make(order, [den * c for c in cof], norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int):
-            return NotImplemented
-        base = self.inverse() if exp < 0 else self
-        return _power(base, abs(exp), CycloNumber.from_rational(self.order, 1))
+        """Multiplicative inverse through the Galois norm (`_numerator_inverse`)."""
+        return _make(self.order, *_numerator_inverse(self.order, self._num, self._den))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -404,6 +339,27 @@ def _galois_cofactor(order: int, num) -> list[int]:
     return cof
 
 
+def _numerator_inverse(order: int, num, den: int) -> tuple[list[int], int]:
+    """The inverse of num/den in Q(zeta_order), num a reduced coefficient
+    list: (numerators, positive int denominator), not in lowest terms.
+
+    With the cofactor C of num (`_galois_cofactor`), num * C is the integer
+    norm N, so den/num = den * C / N."""
+    if not any(num):
+        raise DivisionByZero("inverse of zero in Q(zeta)")
+    cof = _galois_cofactor(order, num)
+    norm = _product(order, num, cof)[0]
+    if norm < 0:
+        norm, den = -norm, -den
+    return [den * c for c in cof], norm
+
+
+def _zeta_exponent(x: CycloNumber) -> int | None:
+    """b in range(order) with x = zeta^b, or None when x is no power of zeta."""
+    num = list(x._num) if x._den == 1 else None
+    return next((b for b in range(x.order) if _zeta_sum(x.order, [(b, 1)]) == num), None)
+
+
 def _reduce(order: int, prod: list[int]) -> None:
     """Reduce the integer coefficient list `prod` modulo the monic order-th
     cyclotomic polynomial, in place, and cut it to phi(order) entries."""
@@ -445,25 +401,6 @@ def is_rational(a: Scalar) -> tuple[bool, Fraction | None]:
     """Whether a scalar lies in Q; returns (flag, value-or-None)."""
     order, den, (v,) = _numerators((a,))
     return (True, Fraction(v, den)) if order is None else (False, None)
-
-
-def scalar_inverse(a: Scalar) -> Scalar:
-    if isinstance(a, CycloNumber):
-        return a.inverse()
-    if not a:
-        raise DivisionByZero("inverse of zero")
-    return Fraction(1) / Fraction(a)
-
-
-def scalar_pow(a: Scalar, exp: int) -> Scalar:
-    if isinstance(a, CycloNumber):
-        return a ** exp
-    a = Fraction(a)
-    if exp < 0:
-        if not a:
-            raise DivisionByZero("inverse of zero")
-        return Fraction(1) / a ** (-exp)
-    return a ** exp
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
@@ -956,12 +893,14 @@ class TPoly(SparsePoly):
     def one(cls) -> "TPoly":
         return cls({0: 1})
 
-    def eval(self, value: Scalar) -> Scalar:
-        """Value at t = value."""
-        total: Scalar = Fraction(0)
-        for e, c in self.coeffs.items():
-            total = total + c * scalar_pow(value, e)
-        return total
+    def eval(self, value) -> Scalar:
+        """Value at the rational t = value = p/s, on the numerator form: the
+        t^k numerator weighs p^k s^(top-k) over den * s^top."""
+        order, den, num = self._t_form
+        t, ring = Fraction(value), NumeratorRing(order)
+        p, s, top = t.numerator, t.denominator, max(num, default=0)
+        weighted = (_scaled({k: v}, p ** k * s ** (top - k), order)[k] for k, v in num.items())
+        return ring.scalar(reduce(ring.add, weighted, ring.zero), den * s ** top)
 
     def rationalized(self) -> "TPoly":
         """self, or IrrationalCoefficient when it has a zeta-component."""
@@ -1021,6 +960,18 @@ class NumeratorRing:
     def scalar(self, num, den: int) -> Scalar:
         """The value num/den: a Fraction, or a CycloNumber of the ring's order."""
         return Fraction(num, den) if self.order is None else _make(self.order, num, den)
+
+    def const(self, num, den: int) -> TPoly:
+        """The value num/den as a constant TPoly, with no scalar built."""
+        return TPoly._from_numerators(self.order, den, {0: num})
+
+    def inverse(self, num, den: int) -> Scalar:
+        """The value den/num, the inverse of num/den; DivisionByZero at 0."""
+        if self.order is not None:
+            return _make(self.order, *_numerator_inverse(self.order, num, den))
+        if not num:
+            raise DivisionByZero("inverse of zero")
+        return Fraction(den, num)
 
 
 def binomial(n: int, k: int) -> int:

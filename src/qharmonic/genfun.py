@@ -33,6 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .exact import (
     IrrationalCoefficient,
+    NumeratorRing,
     QHarmonicError,
     Scalar,
     SparsePoly,
@@ -43,13 +44,15 @@ from .exact import (
     is_rational,
     render_rational,
     scalar_eq,
-    scalar_pow,
     scalar_to_json,
 )
 from .indices import HeightProfile
 from .qseries import (
     SeriesParams,
     ZPoly,
+    _one_minus_qpow,
+    _order,
+    _qpow,
     g_sum,
     theta_q,
     x_sum,
@@ -225,23 +228,25 @@ def p_poly(r: int, xs: Sequence[Series]) -> tuple[Series, ...]:
     return tuple(cs)
 
 
-def eval_p(coeffs: Sequence[Series], value: Scalar) -> Series:
-    """Σ_i coeffs[i]·value^i.  Each coefficient is scaled by a scalar power:
+def eval_p(coeffs: Sequence[Series], value: TPoly) -> Series:
+    """Σ_i coeffs[i]·value^i for a constant TPoly value.  Each coefficient
+    is scaled by a power of the value:
     Horner's rule would scale the growing partial sum instead, which is
     slower once the coefficients have different supports (r ≥ 2)."""
     out = coeffs[0]
-    power: Scalar = 1
+    power = value.one()
     for c in coeffs[1:]:
         power = power * value
         out = out + c * power
     return out
 
 
-def _p_products(coeffs: Sequence[Series], q: Scalar, n: int) -> list[Series]:
+def _p_products(coeffs: Sequence[Series], params: SeriesParams) -> list[Series]:
     """The prefix products Π_{j≤i} P(1−q^j), i = 0, …, n−1, of P's coefficients."""
+    ring = NumeratorRing(_order(params))
     out = [coeffs[0].ring.one()]
-    for j in range(1, n):
-        out.append(out[-1] * eval_p(coeffs, 1 - scalar_pow(q, j)))
+    for j in range(1, params.n):
+        out.append(out[-1] * eval_p(coeffs, ring.const(*_one_minus_qpow(params, j))))
     return out
 
 
@@ -258,7 +263,7 @@ def psi_product(n: int, r: int, q: Scalar, cap: int) -> Series:
     the P's evaluated over the composed x(u) series; only the denominator is
     multiplied out (see `_t_ratio`)."""
     params = SeriesParams(n, q)
-    return _t_ratio(_p_products(p_poly(r, x_from_u(r, cap)), params.q, n)[-1])
+    return _t_ratio(_p_products(p_poly(r, x_from_u(r, cap)), params)[-1])
 
 
 def profile_from_exponents(r: int, exps: Sequence[int]) -> HeightProfile:
@@ -569,7 +574,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     record("cor2_3", "", phi_mismatch(lhs, rhs, ring))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
-    prod_t = _p_products(pp, params.q, n)
+    prod_t = _p_products(pp, params)
     prod_m = [p.affine_t(1, -1) for p in prod_t]
     record("thm2_4", "", series_mismatch(phi1 * prod_t[n - 1], prod_m[n - 1]))
 
@@ -805,16 +810,15 @@ def kpow_generating(k: int, n: int, vcap: int) -> Series:
     if vcap < 0:
         raise ValueError("vcap must be >= 0")
     params = zeta_params(n)
-    zeta = params.q
+    numerators = NumeratorRing(_order(params))
     ring = SeriesRing(("v",), vcap)
 
     den = ring.one()
     for j in range(1, n):
-        tj = scalar_pow(zeta, j)
         # k = 1 needs no factor of its own: a t-free scalar cancels in _t_ratio
-        const = scalar_pow(1 - tj, k)
-        vcoef = T * (-scalar_pow(tj, k - 1))
-        den = den * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
+        const = numerators.const(*_one_minus_qpow(params, j)) ** k
+        vcoef = TPoly({1: _qpow(params, j * (k - 1))}) * -1
+        den = den * Series(ring, {(0,): const, (1,): vcoef})
     ratio = _t_ratio(den)
     bad = series_irrational_term(ratio)
     if bad is not None:

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
 from .exact import (
     CycloNumber,
+    NumeratorRing,
     QHarmonicError,
     Scalar,
     TPoly,
     binomial,
     parse_rational,
-    scalar_pow,
 )
 from .genfun import (
     IdentityReport,
@@ -58,6 +58,8 @@ from .indices import HeightProfile, compositions
 from .qseries import (
     L_poly,
     SeriesParams,
+    _one_minus_qpow,
+    _order,
     g_sum,
     z,
     z_star,
@@ -300,12 +302,14 @@ def _run_z_zbar_scaling(samples: int, seed: int) -> list:
         spec = rng.choice(Q_SAMPLES)
         parts = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
         sp = SeriesParams(n, q_value(spec, n))
-        w = sum(parts)
-        scale = scalar_pow(1 - sp.q, w)
+        # (1 - q)^w zbar and (1 - q)^w zbar_star, on numerators
+        ring, (num, den), w = NumeratorRing(_order(sp)), _one_minus_qpow(sp, 1), sum(parts)
+        d, values = ring.column([zbar(parts, sp), zbar_star(parts, sp)])
+        plain, star = (ring.scalar(reduce(ring.mul, [num] * w, v), den ** w * d) for v in values)
         tag = f"n={n},q={spec},k={parts}"
         pairs = [
-            ("plain", z(parts, sp), scale * zbar(parts, sp)),
-            ("star", z_star(parts, sp), scale * zbar_star(parts, sp)),
+            ("plain", z(parts, sp), plain),
+            ("star", z_star(parts, sp), star),
             ("interp-t0", zbar_t(parts, sp).eval(Fraction(0)), zbar(parts, sp)),
             ("interp-t1", zbar_t(parts, sp).eval(Fraction(1)), zbar_star(parts, sp)),
             ("qint-t0", z_t(parts, sp).eval(Fraction(0)), z(parts, sp)),

@@ -24,13 +24,15 @@ lower, and each output TPoly is put in lowest terms once.  The vector of
 Psi) that share a tail share its levels.  Both caches are keyed by the
 parameters and hold exact values, so no result depends on what they hold.
 
-At q = zeta_N (SeriesParams.root_order) the summand table is index
-arithmetic on numerator lists (exact._zeta_sum): 1/(1 - q^m) is the closed
-form -(1/N) sum_j j zeta^(jm mod N), a factor q^m is a rotation, and no
-q^m = 1 for m < n exactly when N >= n, so zbar and zbar_t take no
-CycloNumber product, power or inverse.  The q-integer inverse of z stays a
-generic inverse, so that z = (1-q)^w zbar remains a check of two
-computations, not an identity by construction.
+q is a rational or a root zeta_N^b (SeriesParams.root = (N, b)), the only
+points the paper's statements are sampled and evaluated at.  At a root every
+scalar the sums form is index arithmetic on numerator lists
+(exact._zeta_sum, with exponent b*e for q^e): 1/(1 - q^m) is the closed
+form -(1/N) sum_j j zeta^(jbm mod N), a factor q^m is a rotation by b*m, and
+1 - q^e (`_one_minus_qpow`) has two nonzero slots, so no sum makes
+CycloNumber arithmetic.  The q-integer inverse of z stays a generic inverse
+(the Galois norm of exact._numerator_inverse), so that z = (1-q)^w zbar
+remains a check of two computations, not an identity by construction.
 """
 from __future__ import annotations
 
@@ -38,9 +40,11 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement
+from math import gcd
 
 from .exact import (
     CycloNumber,
+    DivisionByZero,
     NumeratorRing,
     QHarmonicError,
     Scalar,
@@ -48,10 +52,9 @@ from .exact import (
     TPoly,
     _convolve,
     _one_minus_zeta_power_inverse,
+    _zeta_exponent,
     _zeta_sum,
     as_tpoly,
-    scalar_inverse,
-    scalar_pow,
 )
 from .indices import (
     HeightProfile,
@@ -61,19 +64,21 @@ from .indices import (
 
 
 class InvalidQ(QHarmonicError):
-    """q is a root of unity of order below the truncation length."""
+    """q is neither a rational nor a power of zeta_N, or a root of unity of
+    order below the truncation length."""
 
 
 class SeriesParams:
-    """Truncation length n and base point q (exact scalar).
+    """Truncation length n and base point q: a rational, or a root zeta_N^b.
 
-    Validation rejects q with q^m = 1 for any 1 <= m < n, which would put a
-    zero into a denominator.  An int or a rational-valued CycloNumber q is
-    stored as a Fraction.  `root_order` is N when q is the generator zeta_N
-    (what zeta_params builds) and None otherwise; it is derived from q, so it
-    takes no part in equality, hashing, the repr or the cache keys."""
+    An int or a rational-valued CycloNumber q is stored as a Fraction.  A
+    CycloNumber q must be a power zeta_N^b of the generator, recognised once
+    here; `root` is then (N, b), and None at rational q.  Any other q raises
+    InvalidQ, and so does a q with q^m = 1 for some 1 <= m < n, which would
+    put a zero into a denominator.  Equality and the hash, computed once,
+    read the key (n, the Fraction q or the root), not q itself."""
 
-    __slots__ = ("n", "q", "root_order")
+    __slots__ = ("n", "q", "root", "_key", "_key_hash")
 
     def __init__(self, n: int, q: Scalar) -> None:
         _check_length(n)
@@ -83,29 +88,28 @@ class SeriesParams:
             q = q.as_rational()
         if isinstance(q, int):
             q = Fraction(q)
-        root_order = None
+        root = None
         if isinstance(q, Fraction):
             if q == 1 and n >= 2:
                 raise InvalidQ("q = 1")
             if q == -1 and n >= 3:
                 raise InvalidQ("q = -1 with n >= 3")
-        elif isinstance(q, CycloNumber) and q == CycloNumber.zeta(q.order):
-            # zeta_N^m = 1 for some 1 <= m < n exactly when N < n
-            root_order = q.order
-            if q.order < n:
-                raise InvalidQ(f"q^{q.order} = 1 with n = {n}")
         elif isinstance(q, CycloNumber):
-            p = q
-            for m in range(1, n):
-                if m > 1:
-                    p = p * q
-                if p == 1:
-                    raise InvalidQ(f"q^{m} = 1 with n = {n}")
+            b = _zeta_exponent(q)
+            if b is None:
+                raise InvalidQ(f"q must be a rational or a power of zeta_{q.order}, got {q!r}")
+            # zeta_N^b has order N/gcd(N, b): q^m = 1 for some 1 <= m < n
+            # exactly when that order is below n
+            period = q.order // gcd(q.order, b)
+            if period < n:
+                raise InvalidQ(f"q^{period} = 1 with n = {n}")
+            root = (q.order, b)
         else:
             raise InvalidQ(f"q must be an exact scalar, got {type(q).__name__}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "root_order", root_order)
+        key = (n, root or q)
+        for name, value in (("n", n), ("q", q), ("root", root), ("_key", key),
+                            ("_key_hash", hash(key))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SeriesParams is immutable")
@@ -116,10 +120,10 @@ class SeriesParams:
     def __eq__(self, other) -> bool:
         if type(other) is not SeriesParams:
             return NotImplemented
-        return self.n == other.n and self.q == other.q
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q))
+        return self._key_hash
 
     def __repr__(self) -> str:
         return f"SeriesParams(n={self.n!r}, q={self.q!r})"
@@ -138,9 +142,22 @@ def zeta_params(n: int) -> SeriesParams:
 
 @lru_cache(maxsize=1 << 14)
 def _qpow(params: SeriesParams, e: int) -> Scalar:
-    if params.root_order:
-        return CycloNumber.zeta_power(params.root_order, e)
-    return scalar_pow(params.q, e)
+    if params.root:
+        order, b = params.root
+        return CycloNumber.zeta_power(order, b * e)
+    if e < 0 and not params.q:
+        raise DivisionByZero("inverse of zero")
+    return params.q ** e
+
+
+def _one_minus_qpow(params: SeriesParams, e: int) -> tuple:
+    """1 - q^e as (numerator, denominator) in NumeratorRing(_order(params));
+    at q = zeta_N^b, the two slots of 1 - zeta^(b*e) by index arithmetic."""
+    if params.root:
+        order, b = params.root
+        return _zeta_sum(order, ((0, 1), (b * e, -1))), 1
+    value = 1 - _qpow(params, e)
+    return value.numerator, value.denominator
 
 
 @lru_cache(maxsize=1 << 12)
@@ -151,15 +168,17 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     q-integer (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the polylogarithms
     ("L"), and q^(-m) for part 0, which only the literal zbar((0,)) reads.
     Part k > 1 multiplies the numerators of parts k - 1 and 1 and of q^m;
-    the "L" part 1 is the "zbar" column; part 0, the "z" part 1 and part 1
-    at q other than zeta_N are scalars, scanned into a column once."""
-    ring, root, ms = NumeratorRing(_order(params)), params.root_order, range(1, params.n)
+    the "L" part 1 is the "zbar" column; part 0, the "z" part 1 (inverses
+    of numerator products, NumeratorRing.inverse) and part 1 at rational q
+    are scalars, scanned into a column once."""
+    ring, root, ms = NumeratorRing(_order(params)), params.root, range(1, params.n)
     if k > 1:
         (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
         if kind == "L":
             return da * db, list(map(ring.mul, a, b))
-        if root:  # times zeta^m: a rotation
-            return da * db, [_zeta_sum(root, enumerate(_convolve(x, y), m))
+        if root:  # times zeta^(step*m): a rotation
+            order, step = root
+            return da * db, [_zeta_sum(order, enumerate(_convolve(x, y), step * m))
                              for m, x, y in zip(ms, a, b)]
         dq, powers = ring.column([_qpow(params, m) for m in ms])
         return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
@@ -171,11 +190,11 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
         # inverse of the q-integer, computed from the quotient itself so
         # that the modified and unmodified evaluators stay independent
         den, inv = _factor(params, "zbar", 1)
-        return ring.column([scalar_inverse((1 - _qpow(params, m)) * ring.scalar(inv[0], den))
-                            for m in ms])
+        return ring.column([ring.inverse(ring.mul(num, inv[0]), d * den)
+                            for num, d in (_one_minus_qpow(params, m) for m in ms)])
     if root:
-        return root, [_one_minus_zeta_power_inverse(root, m) for m in ms]
-    return ring.column([scalar_inverse(1 - _qpow(params, m)) for m in ms])
+        return root[0], [_one_minus_zeta_power_inverse(root[0], root[1] * m) for m in ms]
+    return ring.column([ring.inverse(*_one_minus_qpow(params, m)) for m in ms])
 
 
 def _check_parts(parts: MultiIndex):
@@ -245,8 +264,8 @@ def _layer_step(column, below: tuple, ring: NumeratorRing) -> tuple:
 
 
 def _order(params: SeriesParams) -> int | None:
-    """N when q lies in Q(zeta_N) but not in Q, None at rational q."""
-    return params.q.order if isinstance(params.q, CycloNumber) else None
+    """N at q = zeta_N^b, None at rational q."""
+    return params.root[0] if params.root else None
 
 
 @lru_cache(maxsize=128)
@@ -389,7 +408,9 @@ def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:
     """The q-difference operator f(z) - f(qz): diagonal on z-powers with
     eigenvalue 1 - q^i.  It returns f's own class, so it acts alike on a
     z-polynomial over t and on one over x-series."""
-    return f._from_raw({e: c * (1 - _qpow(params, e)) for e, c in f.coeffs.items()})
+    ring = NumeratorRing(_order(params))
+    return f._from_raw({e: c * ring.const(*_one_minus_qpow(params, e))
+                        for e, c in f.coeffs.items()})
 
 
 @lru_cache(maxsize=1 << 14)

@@ -774,3 +774,81 @@ def test_pool_stops_cleanly_when_its_workers_die_first(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "error: cap=7 outside [1, 6]\n"
     assert errors == []
+
+
+def test_integer_lists_parse_into_ranges(capsys):
+    # a range is kept as one piece, never expanded: verify tests membership,
+    # compute refuses a second value before reading any, table iterates
+    import qharmonic.cli as cli
+
+    assert cli._parse_int_list("3..7,9") == [range(3, 8), range(9, 10)]
+    assert cli._parse_int_list(" -2..0 , ,5..3,4") == [range(-2, 1), range(4, 5)]
+    assert cli._parse_int_list("1..10000000000000000000000") == [range(1, 10 ** 22 + 1)]
+    for bad in ("1..2..3", "3..", "a", "1.5"):
+        with pytest.raises(cli.UsageError, match="cannot parse integer list"):
+            cli._parse_int_list(bad)
+    # membership in a range piece, at any width
+    code, wide = run(capsys, "verify", "--suite", "cor1_5", "--n", "3..4,10000000000000000000000")
+    assert code == 0 and run(capsys, "verify", "--suite", "cor1_5", "--n", "3,4") == (0, wide)
+
+
+def test_verify_forks_no_more_workers_than_tasks(monkeypatch, capsys):
+    # the pool forks all of its workers at the first submit, so --jobs J
+    # sizes it to min(J, tasks); a fake pool runs the tasks inline and
+    # records that size, so no process starts
+    import concurrent.futures
+
+    import qharmonic.cli as cli
+    from qharmonic.identities import sharing_key
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            self._processes = {}
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for argv in (["--suite", "chu_vandermonde"], ["--suite", "all", "--n", "3"]):
+        instances = cli._select_instances(cli._build_parser().parse_args(["verify", *argv]))
+        tasks = len({sharing_key(*item) for item in instances})
+        sizes.clear()
+        code, alone = run(capsys, "verify", *argv)
+        assert code == 0 and sizes == []
+        for jobs in (2, 64):
+            code, out = run(capsys, "verify", *argv, "--jobs", str(jobs))
+            assert code == 0 and out == alone
+            assert sizes.pop() == min(jobs, tasks)
+    assert tasks > 2
+
+
+def test_cold_verify_all_makes_no_cyclo_number_arithmetic(monkeypatch, capsys):
+    # every scalar the package forms at q = zeta_N^b comes from index
+    # arithmetic and the numerator kernels, so a cold run of every suite
+    # calls neither the CycloNumber product (under either name) nor its inverse
+    from qharmonic.exact import CycloNumber
+
+    calls = []
+    for name in ("__mul__", "inverse"):
+        def spy(self, *args, _name=name, _original=getattr(CycloNumber, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(CycloNumber, name, spy)
+    monkeypatch.setattr(CycloNumber, "__rmul__", CycloNumber.__mul__)
+    _clear_every_cache()
+    code, out = run(capsys, "verify", "--suite", "all")
+    assert code == 0 and out.endswith("\n281 passed / 0 failed / 0 skipped\n")
+    assert calls == []
+    # the spies see a call
+    zeta = CycloNumber.zeta(5)
+    zeta * zeta.inverse()
+    assert calls == ["inverse", "__mul__"]

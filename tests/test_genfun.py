@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from qharmonic.exact import CycloNumber, IrrationalCoefficient, TPoly, binomial, scalar_pow
+from qharmonic.exact import CycloNumber, IrrationalCoefficient, TPoly, binomial
 from qharmonic.genfun import (
     IdentityReport,
     LEMMA_SAMPLES,
@@ -58,6 +58,8 @@ from qharmonic.indices import HeightProfile
 from qharmonic import genfun, qseries
 from qharmonic.qseries import SeriesParams, ZPoly, theta_q, zbar_t, zeta_params
 from qharmonic.series import Series, SeriesRing
+
+from cyclo_reference import Ref, lift, value
 
 T = TPoly.t()
 
@@ -248,8 +250,8 @@ def test_series_t_helpers():
     zeta = CycloNumber.zeta(7)
     for cyclo in (False, True):
         for _ in range(4):
-            terms = {e: TPoly({k: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                               + (zeta * rng.randint(-2, 2) if cyclo else 0)
+            terms = {e: TPoly({k: value(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                     + (lift(zeta) * rng.randint(-2, 2) if cyclo else 0))
                                for k in range(rng.randint(1, 4))})
                      for e in rng.sample(ring.exponents_up_to_cap(), 4)}
             s = Series(ring, terms) + (ring.var("u2") * zeta if cyclo else ring.zero())
@@ -536,8 +538,8 @@ def eval_by_horner(coeffs, value):
 def test_p_evaluation_matches_horner():
     xs = x_from_u(2, 3)
     for coeffs in (p_poly(2, xs), hand_p_minus(2, xs)):
-        for value in (Fraction(0), Fraction(-3, 4), 1 - CycloNumber.zeta(5) ** 2):
-            assert eval_p(coeffs, value) == eval_by_horner(coeffs, value)
+        for v in (Fraction(0), Fraction(-3, 4), (1 - Ref.zeta(5, 2)).value):
+            assert eval_p(coeffs, TPoly.const(v)) == eval_by_horner(coeffs, v)
 
 
 def ref_psi_product(n, r, q, cap):
@@ -547,7 +549,7 @@ def ref_psi_product(n, r, q, cap):
     p_minus, p_plain = hand_p_minus(r, xs), p_poly(r, xs)
     num = den = xs[0].ring.one()
     for j in range(1, n):
-        tval = 1 - scalar_pow(params.q, j)
+        tval = value(1 - lift(params.q) ** j)
         num = num * eval_by_horner(p_minus, tval)
         den = den * eval_by_horner(p_plain, tval)
     return num * den.invert()
@@ -564,8 +566,8 @@ def test_phi_t_minus_one_products_match_the_hand_built_chain(n):
         for q in (CycloNumber.zeta(n), Fraction(1, 2)):
             chain = [ring.one()]
             for j in range(1, n):
-                chain.append(chain[-1] * eval_by_horner(pm, 1 - scalar_pow(q, j)))
-            got = [p.affine_t(1, -1) for p in _p_products(pp, q, n)]
+                chain.append(chain[-1] * eval_by_horner(pm, value(1 - lift(q) ** j)))
+            got = [p.affine_t(1, -1) for p in _p_products(pp, SeriesParams(n, q))]
             assert [g.to_json() for g in got] == [c.to_json() for c in chain]
 
 
@@ -585,7 +587,7 @@ def test_phi_poly_theta_shift_and_value_at_one_match_term_by_term(q):
 
     theta = theta_q(phi, params)
     assert type(theta) is PhiPoly
-    assert flat_terms(theta) == {(e, z): c * (1 - scalar_pow(q, z))
+    assert flat_terms(theta) == {(e, z): c * value(1 - lift(q) ** z)
                                  for (e, z), c in terms.items() if z}
     assert flat_terms(phi.shift(2)) == {(e, z + 2): c for (e, z), c in terms.items()}
 
@@ -672,18 +674,18 @@ def test_phi_failure_reports_under_an_injected_fault_are_pinned(monkeypatch, key
 
 
 def ref_kpow_generating(k, n, vcap):
-    zeta = zeta_params(n).q
+    zeta = lift(zeta_params(n).q)
     ring = SeriesRing(("v",), vcap)
 
     def product(sigma):
         out = ring.one()
         for j in range(1, n):
-            tj = scalar_pow(zeta, j)
+            tj = zeta ** j
             if k == 1:
-                const, vcoef = (1 - tj) * (1 - tj), sigma * (-(1 - tj))
+                const, vcoef = (1 - tj) * (1 - tj), sigma * value(-(1 - tj))
             else:
-                const, vcoef = scalar_pow(1 - tj, k), sigma * (-scalar_pow(tj, k - 1))
-            out = out * Series(ring, {(0,): TPoly.const(const), (1,): vcoef})
+                const, vcoef = (1 - tj) ** k, sigma * value(-(tj ** (k - 1)))
+            out = out * Series(ring, {(0,): TPoly.const(value(const)), (1,): vcoef})
         return out
 
     ratio = product(T_MINUS_ONE) * product(T).invert()

@@ -13,8 +13,6 @@ from qharmonic.exact import (
     TPoly,
     is_rational,
     scalar_eq,
-    scalar_inverse,
-    scalar_pow,
     scalar_to_json,
 )
 from qharmonic.genfun import psi_bruteforce
@@ -46,6 +44,8 @@ from qharmonic.qseries import (
     zeta_params,
 )
 
+from cyclo_reference import Ref, lift, value
+
 HALF = SeriesParams(4, Fraction(1, 2))
 
 
@@ -68,13 +68,18 @@ def test_rational_cyclotomic_q_is_stored_as_fraction():
     assert type(zbar((2,), at5)) is Fraction
     # a value cached under an order-5 q must not reach a caller in Q(zeta_7)
     at7 = SeriesParams(4, CycloNumber.from_rational(7, half))
-    assert zbar((2,), at7) + CycloNumber.zeta(7) == CycloNumber(7, [Fraction(1150, 441), 1])
+    got = zbar((2,), at7)
+    assert type(got) is Fraction
+    assert Ref.zeta(7) + got == CycloNumber(7, [Fraction(1150, 441), 1])
 
 
 def test_root_of_unity_check_and_its_message():
-    # q = zeta_N: q^m = 1 for some 1 <= m < n exactly when N < n, with the
-    # message of the power loop that any other root of unity still runs
-    for q in (CycloNumber.zeta(5), CycloNumber.zeta(7) ** 3):
+    # q = zeta_N^b: q^m = 1 for some 1 <= m < n exactly when its period
+    # N/gcd(N, b) is below n, and the message names that period
+    with pytest.raises(InvalidQ, match="^q\\^3 = 1 with n = 4$"):
+        SeriesParams(4, CycloNumber.zeta_power(9, 6))
+    assert SeriesParams(3, CycloNumber.zeta_power(9, 6)).root == (9, 6)
+    for q in (CycloNumber.zeta(5), CycloNumber.zeta_power(7, 3)):
         order = q.order
         with pytest.raises(InvalidQ, match=f"^q\\^{order} = 1 with n = 8$"):
             SeriesParams(8, q)
@@ -85,32 +90,44 @@ def test_root_of_unity_check_and_its_message():
         zeta_params(-1)
 
 
-def test_root_order_is_not_part_of_the_key():
+def test_the_root_is_recognised_once_and_keys_the_params():
+    # a CycloNumber q is a root zeta_N^b, read once into the key (n, (N, b))
     zp = zeta_params(9)
-    assert zp.root_order == 9
-    assert SeriesParams(9, CycloNumber.zeta(9) ** 2).root_order is None
-    assert SeriesParams(3, Fraction(1, 2)).root_order is None
+    assert zp.root == (9, 1) and zp._key == (9, (9, 1))
+    squared = SeriesParams(9, CycloNumber.zeta_power(9, 2))
+    assert squared.root == (9, 2) and squared != zp and hash(squared) != hash(zp)
+    assert SeriesParams(9, CycloNumber.zeta_power(9, -7)) == squared
+    assert SeriesParams(3, Fraction(1, 2)).root is None
     # q = zeta_2 = -1 is rational, stored as a Fraction
-    assert zeta_params(2).root_order is None and zeta_params(2).q == -1
+    assert zeta_params(2).root is None and zeta_params(2).q == -1
+    # at an even order, -zeta_N^b is the root zeta_N^(b + N/2)
+    assert SeriesParams(3, (-Ref.zeta(6)).value).root == (6, 4)
     same = SeriesParams(9, CycloNumber(9, [0, 1]))
     assert same == zp and hash(same) == hash(zp) and repr(same) == repr(zp)
+    # any other cyclotomic q is refused, with one line: -zeta_N^b at odd N,
+    # and non-roots such as 1 + zeta_5
+    for q in ((-Ref.zeta(5)).value, (1 + Ref.zeta(5)).value, (Ref.zeta(5) / 2).value):
+        with pytest.raises(InvalidQ, match=r"^q must be a rational or a power of zeta_5, "
+                                           r"got CycloNumber\(5; [^\n]*\)$"):
+            SeriesParams(2, q)
 
 
 @lru_cache(maxsize=None)
 def _reference_factor(params, kind, k, m):
-    """The summand by its definition, with generic powers and inverses."""
-    q = params.q
-    inv = scalar_inverse(1 - q ** m)
+    """The summand by its definition, with the reference's powers and
+    inverses: a Fraction, or a cyclo_reference.Ref."""
+    q = lift(params.q)
+    inv = 1 / (1 - q ** m)
     if kind == "L":
         return inv ** k
     if kind == "z":
-        inv = scalar_inverse((1 - q ** m) * scalar_inverse(1 - q))
+        inv = 1 / ((1 - q ** m) / (1 - q))
     return q ** ((k - 1) * m) * inv ** k
 
 
 def _reference_literal_sum(parts, params, kind, strict):
     """The definition as a scalar loop: the product of the summands summed
-    over decreasing tuples, one Fraction or CycloNumber per term."""
+    over decreasing tuples, one Fraction or reference element per term."""
     pool, l = range(1, params.n), len(parts)
     tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
     total = Fraction(0)
@@ -119,13 +136,13 @@ def _reference_literal_sum(parts, params, kind, strict):
         for k, m in zip(parts, reversed(ascending)):
             term = term * _reference_factor(params, kind, k, m)
         total = total + term
-    return total
+    return value(total)
 
 
 @pytest.mark.parametrize("params", [
     *(pytest.param(zeta_params(n), id=str(n)) for n in range(2, 17)),
     pytest.param(SeriesParams(9, Fraction(-5, 7)), id="rational"),
-    pytest.param(SeriesParams(7, CycloNumber.zeta(7) ** 3), id="zeta7-cubed"),
+    pytest.param(SeriesParams(7, CycloNumber.zeta_power(7, 3)), id="zeta7-cubed"),
 ])
 def test_summand_table_matches_its_definition(params):
     # every entry column[m - 1] / d of the numerator table against the
@@ -144,7 +161,7 @@ def test_summand_table_matches_its_definition(params):
 
 
 @pytest.mark.parametrize("params", [zeta_params(7), SeriesParams(6, Fraction(2, 3)),
-                                    SeriesParams(7, CycloNumber.zeta(7) ** 3)],
+                                    SeriesParams(7, CycloNumber.zeta_power(7, 3))],
                          ids=["zeta7", "two-thirds", "zeta7-cubed"])
 def test_literal_sums_match_the_scalar_loop(params):
     # the literal sums run on numerator columns; the reference multiplies
@@ -176,23 +193,30 @@ def _counting(monkeypatch, name):
 
 def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
     inverses = _counting(monkeypatch, "inverse")
-    powers = _counting(monkeypatch, "__pow__")
     products = _counting(monkeypatch, "__mul__")
+    norms = []
+    original = exact._numerator_inverse
+
+    def norm_spy(order, num, den):
+        norms.append(order)
+        return original(order, num, den)
+
+    monkeypatch.setattr(exact, "_numerator_inverse", norm_spy)
     zeta_params(12)
     assert products == []
     params = zeta_params(11)
     # the summand columns are closed forms and rotations of numerator lists,
     # and both the recursion and the literal sum multiply numerator lists,
-    # so zbar_t and zbar make no CycloNumber arithmetic at all
+    # so zbar_t and zbar make no CycloNumber arithmetic and no inverse at all
     for fn in (zbar_t, zbar):
         _clear_caches()
         fn((1, 2, 1), params)
-        assert (inverses, powers, products) == ([], [], []), fn.__name__
-    # z keeps one generic inverse of the q-integer per m, so that
-    # z = (1 - q)^w zbar stays a check of two computations
+        assert (inverses, products, norms) == ([], [], []), fn.__name__
+    # z keeps one generic inverse of the q-integer per m, the Galois norm on
+    # numerators, so that z = (1 - q)^w zbar stays a check of two computations
     _clear_caches()
     z_t((1, 2, 1), params)
-    assert len(inverses) == params.n - 1 and powers == []
+    assert len(norms) == params.n - 1 and (inverses, products) == ([], [])
 
 
 def test_depth_one_spots():
@@ -240,7 +264,7 @@ def test_q_integer_scaling():
     for _ in range(10):
         parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         w = sum(parts)
-        scale = scalar_pow(1 - HALF.q, w)
+        scale = (1 - HALF.q) ** w
         assert scalar_eq(z(parts, HALF), scale * zbar(parts, HALF))
         assert scalar_eq(z_star(parts, HALF), scale * zbar_star(parts, HALF))
 
@@ -259,8 +283,8 @@ def test_interpolation_endpoints():
 
 @lru_cache(maxsize=None)
 def _literal_summand(q, k, m):
-    """1/(1 - q^m)^k by generic powers and inverse, kept across calls."""
-    return scalar_pow(1 - scalar_pow(q, m), -k)
+    """1/(1 - q^m)^k by the reference's powers and inverse, kept across calls."""
+    return (1 - lift(q) ** m) ** -k
 
 
 def _literal_L(parts, sp, strict):
@@ -276,7 +300,7 @@ def _literal_L(parts, sp, strict):
             term = term * _literal_summand(sp.q, k, m)
         top = ms[0] if ms else 0
         acc[top] = acc.get(top, 0) + term
-    return ZPoly(acc)
+    return ZPoly({e: value(c) for e, c in acc.items()})
 
 
 def _L_at(lp, t):
@@ -301,12 +325,14 @@ def test_prefix_sums_match_box_filling_expansion():
     t = TPoly.t()
     for i in range(40):
         n = rng.randint(2, 9)
-        sp = SeriesParams(n, CycloNumber.zeta(n) if i % 5 == 0 else rationals[i % 5 - 1])
+        q = CycloNumber.zeta(n) if i % 5 == 0 else rationals[i % 5 - 1]
+        sp = SeriesParams(n, q)
         parts = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
         zbar_exp, z_exp, L_exp = TPoly.zero(), TPoly.zero(), ZPoly.zero()
         for c, e in enumerate_patterns(parts):
             zbar_exp = zbar_exp + t ** e * zbar(c, sp)
-            z_exp = z_exp + t ** e * (scalar_pow(1 - sp.q, sum(parts) - sum(c)) * z(c, sp))
+            scale = (1 - lift(q)) ** (sum(parts) - sum(c))
+            z_exp = z_exp + t ** e * value(scale * lift(z(c, sp)))
         for c, e in _two_letter_patterns(parts):
             L_exp = L_exp + _literal_L(c, sp, strict=True) * t ** e
         tag = (n, sp.q, parts)
@@ -326,7 +352,7 @@ WEIGHT_5_DEPTH_4 = [parts for w in range(1, 6) for l in range(1, 5)
 @pytest.mark.parametrize("n, q", [
     *((n, Fraction(q)) for q in ("1/2", "-3", "5/7") for n in (2, 3, 6, 9, 12)),
     *((N, CycloNumber.zeta(N)) for N in range(5, 13)),
-    (7, CycloNumber.zeta(7) ** 3),
+    (7, CycloNumber.zeta_power(7, 3)),
 ], ids=str)
 def test_interpolated_sums_match_the_literal_sums(n, q):
     # the integer t-layers at t = 0 and t = 1 against the literal nested
@@ -414,7 +440,7 @@ def test_t_step_as_shift_matches_tpoly_product(order):
             layers, den = qseries._layer_step(column, layers, ring), den * column_den
             got = [TPoly._from_numerators(order, den, dict(enumerate(coeffs)))
                    for coeffs in zip(*layers)]
-            running, want = 0, []
+            running, want = TPoly.zero(), []
             for m, value in enumerate(below, 1):
                 want.append(table[k, m] * (running + t * value))
                 running = running + value
@@ -438,9 +464,9 @@ def test_L_recovers_zbar_at_q_power():
     for parts in [(2,), (3, 1), (3, 1, 1)]:
         lp = L_poly(parts, HALF, "interp")
         val = Fraction(0)
-        qpow = scalar_pow(HALF.q, parts[0] - 1)
+        qpow = HALF.q ** (parts[0] - 1)
         for e, c in lp.coeffs.items():
-            val = val + c.eval(Fraction(0)) * scalar_pow(qpow, e)
+            val = val + c.eval(Fraction(0)) * qpow ** e
         assert scalar_eq(val, zbar(parts, HALF))
 
 
@@ -461,7 +487,7 @@ def test_theta_is_diagonal():
     assert any(c.degree() >= 1 for c in lp.coeffs.values())
     out = theta_q(lp, HALF)
     for e, c in lp.coeffs.items():
-        expect = c * TPoly.const(1 - scalar_pow(HALF.q, e))
+        expect = c * TPoly.const(1 - HALF.q ** e)
         assert out.coeffs.get(e, TPoly.zero()) == expect
 
 
@@ -542,7 +568,7 @@ def _history_values(n, q, clear_each=False, partway=None, every=None):
 
 
 @pytest.mark.parametrize("n, q, other_q", [
-    (7, CycloNumber.zeta(7), CycloNumber.zeta(7) ** 3),
+    (7, CycloNumber.zeta(7), CycloNumber.zeta_power(7, 3)),
     (6, Fraction(2, 3), Fraction(-3)),
 ], ids=["zeta7", "two-thirds"])
 def test_results_do_not_depend_on_cache_history(n, q, other_q):

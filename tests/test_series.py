@@ -9,8 +9,10 @@ import pytest
 
 from qharmonic import exact
 from qharmonic import series as series_module
-from qharmonic.exact import CycloNumber, TPoly, scalar_inverse
+from qharmonic.exact import CycloNumber, TPoly
 from qharmonic.series import NonUnitConstantTerm, Series, SeriesRing
+
+from cyclo_reference import lift, value
 
 
 def rand_series(ring: SeriesRing, rng: random.Random, unit: bool = False) -> Series:
@@ -47,7 +49,8 @@ def test_monomial_is_the_series_of_its_coefficient():
     # terms) scans the TPoly, and the two must agree in form, not just value
     ring = SeriesRing(("x", "y"), 3)
     zeta = CycloNumber.zeta(7)
-    for coeff in (-6, Fraction(5, 12), Fraction(1, 3) + 2 * zeta, CycloNumber.from_rational(7, 3),
+    for coeff in (-6, Fraction(5, 12), (Fraction(1, 3) + 2 * lift(zeta)).value,
+                  CycloNumber.from_rational(7, 3),
                   TPoly({0: Fraction(1, 2), 2: zeta}), 0, Fraction(0), TPoly.zero()):
         for exps in ({}, {"x": 1}, {"x": 2, "y": 1}, {"y": 4}):
             e = (exps.get("x", 0), exps.get("y", 0))
@@ -249,7 +252,7 @@ def map_coeffs(tp: TPoly, fn) -> TPoly:
 def ref_invert(s: Series) -> Series:
     """The coefficient recurrence with TPoly accumulation."""
     ring = s.ring
-    inv0 = scalar_inverse(s.constant_term().coeffs[0])
+    inv0 = value(1 / lift(s.constant_term().coeffs[0]))
     zero = (0,) * len(ring.variables)
     inv = {zero: TPoly.const(inv0)}
     for target in ring.exponents_up_to_cap():
@@ -262,7 +265,7 @@ def ref_invert(s: Series) -> Series:
                 if known is not None:
                     acc = acc + c * known
         if not acc.is_zero():
-            inv[target] = acc * (-inv0)
+            inv[target] = acc * value(-lift(inv0))
     return Series(ring, inv)
 
 
@@ -623,7 +626,7 @@ def test_mixed_operands_match_references_without_a_scalar_gcd(monkeypatch):
         b = rand_rational(ring, rng, rng.randint(1, 8)) + ring.var("y") * zeta
         unit = b - ring.scalar(b.constant_term()) + ring.scalar(c0)
         c = rand_rational(ring, rng, 4)
-        cyclo_unit = c - ring.scalar(c.constant_term()) + ring.scalar(zeta + 2)
+        cyclo_unit = c - ring.scalar(c.constant_term()) + ring.scalar((lift(zeta) + 2).value)
         rational_unit = c - ring.scalar(c.constant_term()) + ring.scalar(c0)
         for left, right in ((a, b), (b, a)):
             assert (left * right).to_json() == ref_mul(left, right).to_json()
@@ -843,7 +846,7 @@ def scalar_form_cases(seed: str):
             a = rand_in_form(ring, rng, "a" in cyclo, rng.randint(0, 9))
             b = rand_in_form(ring, rng, "b" in cyclo, rng.randint(1, 9))
             u = rand_in_form(ring, rng, "u" in cyclo, rng.randint(0, 6))
-            c0 = rng.choice(RATIONAL_CONSTANTS + ([ZETA7 + 3] if "u" in cyclo else []))
+            c0 = rng.choice(RATIONAL_CONSTANTS + ([(lift(ZETA7) + 3).value] if "u" in cyclo else []))
             yield a, b, u - ring.scalar(u.constant_term()) + ring.scalar(c0)
 
 
@@ -913,7 +916,7 @@ def test_one_cyclo_operand_puts_the_result_at_its_order():
     assert (half._denom, half._numer) == (twin._denom, twin._numer)
     # a series made from TPolys is scanned into the form when made, and
     # keeps no terms
-    made = Series(ring, {(1, 0): TPoly({0: ZETA7 / 2, 2: Fraction(3)})})
+    made = Series(ring, {(1, 0): TPoly({0: (lift(ZETA7) / 2).value, 2: Fraction(3)})})
     assert not terms_built(made) and not made.is_zero()
     assert_cyclo_form(made + ring.zero())
     assert (made._order, made._denom, made._numer) == \
@@ -1030,12 +1033,13 @@ def test_cyclo_quotient_makes_no_scalar_product_or_inverse(monkeypatch):
             a = fresh(rand_in_form(ring, rng, True, 6))
             b = rand_in_form(ring, rng, True, 6)
             unit = fresh(b - ring.scalar(b.constant_term())
-                         + ring.scalar(ZETA7 + Fraction(rng.randint(1, 5), 3)))
+                         + ring.scalar((lift(ZETA7) + Fraction(rng.randint(1, 5), 3)).value))
             want, want_inverse = ref_mul(a, ref_invert(unit)).to_json(), ref_invert(unit).to_json()
             with monkeypatch.context() as m:
-                for name in ("inverse", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+                for name in ("inverse", "__mul__", "__rmul__"):
                     m.setattr(CycloNumber, name, refuse)
                 m.setattr(exact, "_make", refuse)
+                m.setattr(exact, "_numerator_inverse", refuse)
                 m.setattr(series_module, "_galois_cofactor", cofactor)
                 orders.clear()
                 got, inverse = a / unit, unit.invert()
@@ -1237,6 +1241,8 @@ def repeated(x, exp, one):
 
 
 def test_cyclo_and_tpoly_powers_match_repeated_products():
+    # CycloNumber keeps only the product and the inverse: their repeated
+    # products against the reference's powers
     rng = random.Random("pow-scalars")
     for order in (1, 2, 5, 7, 12):
         for _ in range(3):
@@ -1244,11 +1250,11 @@ def test_cyclo_and_tpoly_powers_match_repeated_products():
             x = x if isinstance(x, CycloNumber) else CycloNumber.from_rational(order, x)
             one = CycloNumber.from_rational(order, 1)
             for exp in range(10):
-                assert x ** exp == repeated(x, exp, one)
+                assert lift(x) ** exp == repeated(x, exp, one)
             if x:
                 inv = x.inverse()
                 for exp in range(1, 10):
-                    assert x ** -exp == repeated(inv, exp, one)
+                    assert lift(x) ** -exp == repeated(inv, exp, one)
     for order in (None, 5):
         for _ in range(4):
             tp = rand_coeff(rng, order)

@@ -90,14 +90,16 @@ def test_only_exact_and_series_read_the_tpoly_form():
     assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
 
 
-# CycloNumber's integer kernels: multiply, add/subtract, inverse and zeta^e,
-# and the numerator-list closed forms at zeta_n (sums of zeta-powers, which
-# rotate by zeta^e, and 1/(1 - zeta^e)) work on int numerators over one
-# denominator, through the module's product and reduction helpers, and so do
-# the numerator views that the nested sums of qseries run on; Fractions
-# appear only where a value is built from or read out as rationals.
-INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber._combine", "CycloNumber.inverse",
-                   "CycloNumber.zeta_power", "_zeta_sum",
+# The integer kernels of Q(zeta_n): the product, the Galois-norm inverse
+# (_numerator_inverse) and zeta^e, the CycloNumber product and inverse that
+# wrap them, and the numerator-list closed forms at zeta_n (sums of
+# zeta-powers, which rotate by zeta^e, and 1/(1 - zeta^e)) work on int
+# numerators over one denominator, through the module's product and
+# reduction helpers, and so do the numerator views that the nested sums of
+# qseries run on; Fractions appear only where a value is built from or read
+# out as rationals.
+INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber.inverse", "_numerator_inverse",
+                   "CycloNumber.zeta_power", "_zeta_sum", "_zeta_exponent",
                    "_one_minus_zeta_power_inverse", "_product", "_reduce",
                    "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column")
 
@@ -190,11 +192,12 @@ def test_rational_series_kernels_build_fractions_in_one_helper():
 
 # A Series at q = zeta_N holds Z[zeta_N] numerators and never a CycloNumber:
 # no code of the series module names the class, builds one (exact._make) or
-# inverts a scalar, and no code but the terms reader makes TPolys from
-# numerators, which build their coefficients only when their own coeffs view
-# is read.  A quotient turns its divisor's constant term into an int through
-# exact._galois_cofactor instead.
-CYCLO_VALUES = {"CycloNumber", "_make", "scalar_inverse", "inverse"}
+# inverts a scalar (exact._numerator_inverse, the inverse CycloNumber.inverse
+# wraps), and no code but the terms reader makes TPolys from numerators,
+# which build their coefficients only when their own coeffs view is read.  A
+# quotient turns its divisor's constant term into an int through
+# exact._galois_cofactor, the cofactor that the shared inverse divides by.
+CYCLO_VALUES = {"CycloNumber", "_make", "_numerator_inverse", "inverse"}
 
 
 def test_series_module_builds_no_scalar_but_through_over():
@@ -211,9 +214,35 @@ def test_series_module_builds_no_scalar_but_through_over():
                      for sub in ast.walk(node))]
     assert makers == ["Series.__getattr__"]
     exact = _definitions(next(path for path in SOURCES if path.name == "exact.py"))
-    for node in (exact["CycloNumber.inverse"], _definitions(series)["Series.__truediv__"]):
-        assert any(isinstance(sub, ast.Name) and sub.id == "_galois_cofactor"
-                   for sub in ast.walk(node))
+    for node, helper in ((exact["CycloNumber.inverse"], "_numerator_inverse"),
+                         (exact["NumeratorRing.inverse"], "_numerator_inverse"),
+                         (exact["_numerator_inverse"], "_galois_cofactor"),
+                         (_definitions(series)["Series.__truediv__"], "_galois_cofactor")):
+        assert any(isinstance(sub, ast.Name) and sub.id == helper for sub in ast.walk(node))
+
+
+# CycloNumber is a value, not a field API: the package runs Q(zeta_n)
+# arithmetic on numerator lists, so the class keeps only the product of one
+# order (one method under both names) and the inverse, thin wrappers over the
+# kernels, which the benchmark still times.  SeriesParams recognises a root
+# zeta_N^b once by index arithmetic, with no power of q.
+ARITH_DUNDERS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__",
+                 "__rpow__", "__neg__", "__pos__", "__abs__"}
+
+
+def test_cyclo_number_keeps_only_the_product_and_the_inverse():
+    from qharmonic.exact import CycloNumber
+
+    kept = {name for name in vars(CycloNumber) if name in ARITH_DUNDERS}
+    assert kept == {"__mul__", "__rmul__"}
+    assert CycloNumber.__rmul__ is CycloNumber.__mul__
+    assert callable(CycloNumber.inverse)
+    assert not hasattr(CycloNumber, "_coerce") and not hasattr(CycloNumber, "_combine")
+    qseries = _definitions(next(path for path in SOURCES if path.name == "qseries.py"))
+    init = qseries["SeriesParams.__init__"]
+    assert [ast.unparse(sub) for sub in ast.walk(init)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Mult, ast.Pow))] == []
 
 
 # The package docstring promises that everything outside qseries.z_t_float
