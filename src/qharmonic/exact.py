@@ -14,7 +14,8 @@ Three scalar kinds are used throughout the package:
 A CycloNumber is a value, not a field API: it is built, compared, hashed,
 pickled and rendered.  Arithmetic in Q(zeta_n) runs on numerator lists
 (``_product``, ``_reduce``, the index arithmetic ``_zeta_sum`` at powers of
-zeta and the Galois-norm inverse ``_numerator_inverse``), through
+zeta and Galois conjugates ``_conjugate``, and the Galois-norm inverse
+``_numerator_inverse``), through
 ``NumeratorRing`` and the TPoly and Series kernels.  ``__mul__`` (of one
 order) and ``inverse`` remain as thin wrappers over those kernels.
 
@@ -326,6 +327,13 @@ def _one_minus_zeta_power_inverse(order: int, e: int) -> list[int]:
     return _zeta_sum(order, ((e * j, -j) for j in range(1, order)))
 
 
+def _conjugate(order: int, num, j: int) -> list[int]:
+    """The reduced coefficients of sigma_j(P), P the element with coefficient
+    list num and sigma_j the automorphism zeta -> zeta^j (j prime to order):
+    slot i moves to slot i*j, then one _reduce; no product."""
+    return _zeta_sum(order, ((i * j, a) for i, a in enumerate(num) if a))
+
+
 def _galois_cofactor(order: int, num) -> list[int]:
     """The product C of the conjugates sigma_j(P) (zeta -> zeta^j) over the
     units j != 1 mod order, P the coefficient list num of a nonzero element
@@ -334,8 +342,7 @@ def _galois_cofactor(order: int, num) -> list[int]:
     cof = [1]
     for j in range(2, order):
         if gcd(j, order) == 1:
-            conj = _zeta_sum(order, ((i * j, a) for i, a in enumerate(num) if a))
-            cof = _product(order, cof, conj)
+            cof = _product(order, cof, _conjugate(order, num, j))
     return cof
 
 

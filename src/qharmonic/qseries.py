@@ -28,11 +28,16 @@ q is a rational or a root zeta_N^b (SeriesParams.root = (N, b)), the only
 points the paper's statements are sampled and evaluated at.  At a root every
 scalar the sums form is index arithmetic on numerator lists
 (exact._zeta_sum, with exponent b*e for q^e): 1/(1 - q^m) is the closed
-form -(1/N) sum_j j zeta^(jbm mod N), a factor q^m is a rotation by b*m, and
-1 - q^e (`_one_minus_qpow`) has two nonzero slots, so no sum makes
-CycloNumber arithmetic.  The q-integer inverse of z stays a generic inverse
-(the Galois norm of exact._numerator_inverse), so that z = (1-q)^w zbar
-remains a check of two computations, not an identity by construction.
+form -(1/N) sum_j j zeta^(jbm mod N), a factor q^m is a rotation by b*m,
+1 - q^e (`_one_minus_qpow`) has two nonzero slots, and at m prime to N a
+higher-part summand of zbar or L is the Galois conjugate (zeta -> zeta^m)
+of its m = 1 entry, so no sum makes CycloNumber arithmetic.  The inverse
+q-integer of z is the unit sum_{i < m'} q^(mi), m m' = 1 mod the order of
+q, at m prime to that order, and a generic inverse (the Galois norm of
+exact._numerator_inverse) of the quotient itself at the other m.  The
+closed form of zbar and the unit of z are two identities, neither read from
+the other, so z = (1-q)^w zbar remains a check of two computations, not an
+identity by construction.
 """
 from __future__ import annotations
 
@@ -50,6 +55,7 @@ from .exact import (
     Scalar,
     SparsePoly,
     TPoly,
+    _conjugate,
     _convolve,
     _one_minus_zeta_power_inverse,
     _zeta_exponent,
@@ -160,38 +166,71 @@ def _one_minus_qpow(params: SeriesParams, e: int) -> tuple:
     return value.numerator, value.denominator
 
 
+def _q_integer_units(params: SeriesParams) -> dict:
+    """{m: the numerators of 1/[m]_q over 1} for the m < n prime to the
+    order P of q = zeta_N^b, none at rational q.  With m m' = 1 mod P,
+    (1 - q^(m m'))/(1 - q^m) = (1 - q)/(1 - q^m), so 1/[m]_q is the unit
+    sum_{i < m'} q^(m i), slots b m i of one _zeta_sum."""
+    if not params.root:
+        return {}
+    order, b = params.root
+    period = order // gcd(order, b)
+    return {m: _zeta_sum(order, ((b * m * i, 1) for i in range(pow(m, -1, period))))
+            for m in range(1, params.n) if gcd(m, period) == 1}
+
+
 @lru_cache(maxsize=1 << 12)
 def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     """The summands f_k(1), ..., f_k(n-1) of part k as one column (d, the
     numerators of f_k(m) * d) in NumeratorRing(_order(params)), one table for
     every evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the
-    q-integer (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the polylogarithms
-    ("L"), and q^(-m) for part 0, which only the literal zbar((0,)) reads.
-    Part k > 1 multiplies the numerators of parts k - 1 and 1 and of q^m;
-    the "L" part 1 is the "zbar" column; part 0, the "z" part 1 (inverses
-    of numerator products, NumeratorRing.inverse) and part 1 at rational q
-    are scalars, scanned into a column once."""
+    q-integer [m]_q = (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the
+    polylogarithms ("L"), and q^(-m) for part 0, which only the literal
+    zbar((0,)) reads.  Part k > 1 multiplies the numerators of parts k - 1
+    and 1 and of q^m; the "L" part 1 is the "zbar" column; part 0, the
+    inverses of numerator products in the "z" part 1 (NumeratorRing.inverse)
+    and part 1 at rational q are scalars, scanned into a column once.
+
+    At q = zeta_N^b the "zbar" part 1 is the closed form of 1/(1 - q^m)
+    over N.  For m prime to N, sigma_m: zeta -> zeta^m fixes Q and sends q
+    to q^m, so a "zbar" or "L" entry of part k > 1 is sigma_m(f_k(1)), with
+    no product; the "z" parts k > 1 are no conjugates (their factor
+    (1 - q)^k is fixed), so they multiply and rotate.  For m prime to the
+    order of q the "z" part 1 is a unit (_q_integer_units), read from no
+    "zbar" entry, and the other m invert the quotient itself; so
+    z = (1-q)^w zbar still compares two computations."""
     ring, root, ms = NumeratorRing(_order(params)), params.root, range(1, params.n)
     if k > 1:
         (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
-        if kind == "L":
-            return da * db, list(map(ring.mul, a, b))
-        if root:  # times zeta^(step*m): a rotation
-            order, step = root
-            return da * db, [_zeta_sum(order, enumerate(_convolve(x, y), step * m))
-                             for m, x, y in zip(ms, a, b)]
-        dq, powers = ring.column([_qpow(params, m) for m in ms])
-        return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
+        if not root:
+            if kind == "L":
+                return da * db, list(map(ring.mul, a, b))
+            dq, powers = ring.column([_qpow(params, m) for m in ms])
+            return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
+        order, step = root
+        column = []
+        for m, x, y in zip(ms, a, b):
+            if m > 1 and kind != "z" and gcd(m, order) == 1:
+                column.append(_conjugate(order, column[0], m))
+            elif kind == "L":
+                column.append(ring.mul(x, y))
+            else:  # times zeta^(step*m): a rotation
+                column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
+        return da * db, column
     if k == 0:
         return ring.column([_qpow(params, -m) for m in ms])
     if kind == "L":
         return _factor(params, "zbar", 1)
     if kind == "z":
-        # inverse of the q-integer, computed from the quotient itself so
-        # that the modified and unmodified evaluators stay independent
-        den, inv = _factor(params, "zbar", 1)
-        return ring.column([ring.inverse(ring.mul(num, inv[0]), d * den)
-                            for num, d in (_one_minus_qpow(params, m) for m in ms)])
+        units = _q_integer_units(params)
+        rest, d, inverses = [m for m in ms if m not in units], 1, []
+        if rest:  # the inverse of the quotient (1 - q^m)/(1 - q) itself
+            den, inv = _factor(params, "zbar", 1)
+            d, inverses = ring.column([ring.inverse(ring.mul(num, inv[0]), dm * den)
+                                       for num, dm in (_one_minus_qpow(params, m)
+                                                       for m in rest)])
+        inverses = dict(zip(rest, inverses))
+        return d, [inverses[m] if m in inverses else [d * c for c in units[m]] for m in ms]
     if root:
         return root[0], [_one_minus_zeta_power_inverse(root[0], root[1] * m) for m in ms]
     return ring.column([ring.inverse(*_one_minus_qpow(params, m)) for m in ms])

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 import pytest
 
@@ -143,11 +144,18 @@ def _reference_literal_sum(parts, params, kind, strict):
     *(pytest.param(zeta_params(n), id=str(n)) for n in range(2, 17)),
     pytest.param(SeriesParams(9, Fraction(-5, 7)), id="rational"),
     pytest.param(SeriesParams(7, CycloNumber.zeta_power(7, 3)), id="zeta7-cubed"),
+    pytest.param(SeriesParams(9, CycloNumber.zeta_power(9, 2)), id="zeta9-squared"),
+    pytest.param(SeriesParams(12, CycloNumber.zeta_power(12, 5)), id="zeta12-fifth"),
+    pytest.param(SeriesParams(10, CycloNumber.zeta_power(10, 3)), id="zeta10-cubed"),
+    pytest.param(SeriesParams(15, CycloNumber.zeta_power(15, 4)), id="zeta15-fourth"),
+    pytest.param(SeriesParams(6, CycloNumber.zeta_power(12, 2)), id="zeta12-squared-order6"),
 ])
 def test_summand_table_matches_its_definition(params):
     # every entry column[m - 1] / d of the numerator table against the
-    # summand by its definition, at q = zeta_n (closed forms and rotations),
-    # at a rational q and at a CycloNumber q that is not the generator
+    # summand by its definition, at q = zeta_n (closed forms, rotations,
+    # Galois conjugates and units), at a rational q and at CycloNumber q that
+    # are not the generator, including q = zeta_12^2 of order 6, where the
+    # m prime to the order of q and the m prime to N differ
     _clear_caches()
     ring = NumeratorRing(qseries._order(params))
     for kind, ks in (("zbar", range(5)), ("z", range(1, 5)), ("L", range(1, 5))):
@@ -158,6 +166,26 @@ def test_summand_table_matches_its_definition(params):
                 assert ring.scalar(v, den) == _reference_factor(params, kind, k, m), (kind, k, m)
     # one cached column serves 1/(1 - q^m) to both tables
     assert qseries._factor(params, "L", 1) is qseries._factor(params, "zbar", 1)
+
+
+def test_q_integer_inverses_at_roots_are_units():
+    # at q = zeta_N^b of order P, the "z" part-1 entry at every m prime to P
+    # is a unit: times [m]_q = 1 + q + ... + q^(m-1), in the reference, it
+    # is 1 (the table test checks the same entries inside the column)
+    for order in range(3, 41):
+        for b in range(1, order):
+            period = order // gcd(order, b)
+            if period < 3:  # q = -1 is rational
+                continue
+            params = SeriesParams(period, CycloNumber.zeta_power(order, b))
+            units = qseries._q_integer_units(params)
+            assert sorted(units) == [m for m in range(1, period) if gcd(m, period) == 1]
+            for m, unit in units.items():
+                slots = [0] * order
+                for i in range(m):
+                    slots[b * i % order] += 1
+                assert Ref(order, unit) * Ref(order, slots) == 1, (order, b, m)
+    assert qseries._q_integer_units(SeriesParams(5, Fraction(1, 2))) == {}
 
 
 @pytest.mark.parametrize("params", [zeta_params(7), SeriesParams(6, Fraction(2, 3)),
@@ -205,18 +233,32 @@ def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
     zeta_params(12)
     assert products == []
     params = zeta_params(11)
-    # the summand columns are closed forms and rotations of numerator lists,
-    # and both the recursion and the literal sum multiply numerator lists,
-    # so zbar_t and zbar make no CycloNumber arithmetic and no inverse at all
+    # the summand columns are closed forms, rotations and Galois conjugates
+    # of numerator lists, and both the recursion and the literal sum multiply
+    # numerator lists, so zbar_t and zbar make no CycloNumber arithmetic and
+    # no inverse at all
     for fn in (zbar_t, zbar):
         _clear_caches()
         fn((1, 2, 1), params)
         assert (inverses, products, norms) == ([], [], []), fn.__name__
-    # z keeps one generic inverse of the q-integer per m, the Galois norm on
-    # numerators, so that z = (1 - q)^w zbar stays a check of two computations
+    # at m prime to the order of q, 1/[m]_q is a unit, a sum of q-powers: z
+    # makes no norm there and reads no zbar entry, so z = (1 - q)^w zbar
+    # stays a check of two computations
+    closed, quotients = [], []
+    closed_form, quotient = exact._one_minus_zeta_power_inverse, qseries._one_minus_qpow
+    monkeypatch.setattr(qseries, "_one_minus_zeta_power_inverse",
+                        lambda *args: closed.append(args) or closed_form(*args))
+    monkeypatch.setattr(qseries, "_one_minus_qpow",
+                        lambda p, e: quotients.append(e) or quotient(p, e))
     _clear_caches()
     z_t((1, 2, 1), params)
-    assert len(norms) == params.n - 1 and (inverses, products) == ([], [])
+    assert (norms, closed, quotients, inverses, products) == ([], [], [], [], [])
+    # the other m keep the generic inverse of the quotient (1 - q^m)/(1 - q),
+    # one Galois norm each: m = 2, 3, 4, 6, 8, 9, 10 at zeta_12
+    _clear_caches()
+    z_t((1, 2, 1), zeta_params(12))
+    assert len(norms) == 7 and quotients == [2, 3, 4, 6, 8, 9, 10]
+    assert (inverses, products) == ([], [])
 
 
 def test_depth_one_spots():

@@ -93,13 +93,13 @@ def test_only_exact_and_series_read_the_tpoly_form():
 # The integer kernels of Q(zeta_n): the product, the Galois-norm inverse
 # (_numerator_inverse) and zeta^e, the CycloNumber product and inverse that
 # wrap them, and the numerator-list closed forms at zeta_n (sums of
-# zeta-powers, which rotate by zeta^e, and 1/(1 - zeta^e)) work on int
-# numerators over one denominator, through the module's product and
-# reduction helpers, and so do the numerator views that the nested sums of
-# qseries run on; Fractions appear only where a value is built from or read
-# out as rationals.
+# zeta-powers, which rotate by zeta^e and form Galois conjugates, and
+# 1/(1 - zeta^e)) work on int numerators over one denominator, through the
+# module's product and reduction helpers, and so do the numerator views that
+# the nested sums of qseries run on; Fractions appear only where a value is
+# built from or read out as rationals.
 INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber.inverse", "_numerator_inverse",
-                   "CycloNumber.zeta_power", "_zeta_sum", "_zeta_exponent",
+                   "CycloNumber.zeta_power", "_zeta_sum", "_conjugate", "_zeta_exponent",
                    "_one_minus_zeta_power_inverse", "_product", "_reduce",
                    "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column")
 
@@ -156,7 +156,7 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_render_numerator", "scalar_to_json"),
                     "genfun.py": ("_change_of_variables",),
                     "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
-                                   "_literal_sum")}
+                                   "_q_integer_units", "_literal_sum")}
 
 SCALAR_BUILDERS = {"Fraction", "CycloNumber", "_make"}
 
