@@ -972,13 +972,26 @@ class NumeratorRing:
         """The value num/den as a constant TPoly, with no scalar built."""
         return TPoly._from_numerators(self.order, den, {0: num})
 
-    def inverse(self, num, den: int) -> Scalar:
-        """The value den/num, the inverse of num/den; DivisionByZero at 0."""
-        if self.order is not None:
-            return _make(self.order, *_numerator_inverse(self.order, num, den))
-        if not num:
-            raise DivisionByZero("inverse of zero")
-        return Fraction(den, num)
+    def inverse(self, num, den: int) -> tuple:
+        """The inverse den/num of num/den as (numerator, positive int
+        denominator), divided by their gcd; DivisionByZero at 0.  No scalar
+        is built."""
+        if self.order is None:
+            if not num:
+                raise DivisionByZero("inverse of zero")
+            g = gcd(den, num) if num > 0 else -gcd(den, num)
+            return den // g, num // g
+        inv, norm = _numerator_inverse(self.order, num, den)
+        g = gcd(norm, *inv)
+        return [a // g for a in inv], norm // g
+
+    def over(self, pairs) -> tuple[int, list]:
+        """(d, the numerators of each (num, den) of `pairs` put over d), d
+        the lcm of the dens: `column` for values already in numerators."""
+        d = lcm(*(den for _, den in pairs))
+        if self.order is None:
+            return d, [a * (d // den) for a, den in pairs]
+        return d, [[x * (d // den) for x in a] for a, den in pairs]
 
 
 def binomial(n: int, k: int) -> int:

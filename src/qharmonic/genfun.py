@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -595,38 +595,40 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
 def u_poly(n: int, cap: int | None = None) -> Series:
     """The degree/height counting polynomial
 
-        U_n^t = Σ_{a+b≤n−1} 1/(n−a−b) C(n−a−1, b) C(n−b−1, a)
-                · t^{n−a−b−1} (1+u₁)^a (1−tu₂)^b (u₃−u₁u₂)^{n−a−b−1},
+        U_n^t = Σ_{a+b≤n−1} 1/(m+1) C(n−a−1, b) C(n−b−1, a)
+                · t^m (1+u₁)^a (1−tu₂)^b (u₃−u₁u₂)^m,   m = n−a−b−1,
 
     an exact polynomial at the default cap 2n (which is never reached).
 
-    With a cap, U_n^t truncated at that cap: every factor has nonnegative
-    degree, so truncating the products is exact, and the terms with
-    n−a−b−1 > cap are skipped, since (u₃−u₁u₂)^m has minimum degree m."""
+    It is built from its binomial expansion, with no series product: each
+    (a, b, i, j, k) adds C(n−a−1, b) C(n−b−1, a) C(a, i) C(b, j) C(m, k)
+    (−1)^{j+k}/(m+1) to the coefficient of t^{m+j} u₁^{i+k} u₂^{j+k} u₃^{m−k},
+    as an int numerator over the one denominator lcm(1..n), handed to
+    `Series.from_numerators`.
+
+    With a cap, U_n^t truncated at that cap.  The term of (a, b, i, j, k) has
+    degree i+j+k+m, so a term of degree above the cap is skipped, and so is
+    every (a, b) with m > cap, whose terms all have degree at least m."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
-    top_m = min(n - 1, ring.cap)
-    base_a = ring.one() + ring.var("u1")
-    base_b = ring.one() - ring.var("u2") * T
-    base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
-    pow_a = [ring.one()]
-    pow_b = [ring.one()]
-    pow_c = [ring.one()]
-    for _ in range(n - 1):
-        pow_a.append(pow_a[-1] * base_a)
-        pow_b.append(pow_b[-1] * base_b)
-    for _ in range(top_m):
-        pow_c.append(pow_c[-1] * base_c)
-    out = ring.zero()
+    den = lcm(*range(1, n + 1))
+    num: dict[tuple[int, int, int], dict[int, int]] = {}
     for a in range(n):
         for b in range(n - a):
             m = n - a - b - 1
-            if m > top_m:
+            room = ring.cap - m
+            if room < 0:
                 continue
-            c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
-            out = out + pow_a[a] * pow_b[b] * pow_c[m] * TPoly({m: c})
-    return out
+            head = comb(n - a - 1, b) * comb(n - b - 1, a) * (den // (m + 1))
+            for k in range(min(m, room) + 1):
+                ck = (-1) ** k * comb(m, k) * head
+                for i in range(min(a, room - k) + 1):
+                    cik = comb(a, i) * ck
+                    for j in range(min(b, room - k - i) + 1):
+                        slot = num.setdefault((i + k, j + k, m - k), {})
+                        slot[m + j] = slot.get(m + j, 0) + (-1) ** j * comb(b, j) * cik
+    return Series.from_numerators(ring, den, num)
 
 
 def u_poly_ratio(n: int, cap: int) -> Series:

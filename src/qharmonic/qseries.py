@@ -187,11 +187,13 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     q-integer [m]_q = (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the
     polylogarithms ("L"), and q^(-m) for part 0, which only the literal
     zbar((0,)) reads.  Part k > 1 multiplies the numerators of parts k - 1
-    and 1 and of q^m; the "L" part 1 is the "zbar" column; part 0, the
-    inverses of numerator products in the "z" part 1 (NumeratorRing.inverse)
-    and part 1 at rational q are scalars, scanned into a column once.
+    and 1 and of q^m; the "L" part 1 is the "zbar" column.  The inverses in
+    the "z" part 1 and in part 1 at rational q are numerators over their
+    own denominators (NumeratorRing.inverse), put over one (`over`); at
+    rational q, part 0 and the q^m are scalars, scanned into a column once.
 
-    At q = zeta_N^b the "zbar" part 1 is the closed form of 1/(1 - q^m)
+    At q = zeta_N^b no column builds a CycloNumber: part 0 is one _zeta_sum
+    slot per m, and the "zbar" part 1 is the closed form of 1/(1 - q^m)
     over N.  For m prime to N, sigma_m: zeta -> zeta^m fixes Q and sends q
     to q^m, so a "zbar" or "L" entry of part k > 1 is sigma_m(f_k(1)), with
     no product; the "z" parts k > 1 are no conjugates (their factor
@@ -218,6 +220,8 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
                 column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
         return da * db, column
     if k == 0:
+        if root:
+            return 1, [_zeta_sum(root[0], [(-root[1] * m, 1)]) for m in ms]
         return ring.column([_qpow(params, -m) for m in ms])
     if kind == "L":
         return _factor(params, "zbar", 1)
@@ -226,14 +230,14 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
         rest, d, inverses = [m for m in ms if m not in units], 1, []
         if rest:  # the inverse of the quotient (1 - q^m)/(1 - q) itself
             den, inv = _factor(params, "zbar", 1)
-            d, inverses = ring.column([ring.inverse(ring.mul(num, inv[0]), dm * den)
-                                       for num, dm in (_one_minus_qpow(params, m)
-                                                       for m in rest)])
+            d, inverses = ring.over([ring.inverse(ring.mul(num, inv[0]), dm * den)
+                                     for num, dm in (_one_minus_qpow(params, m)
+                                                     for m in rest)])
         inverses = dict(zip(rest, inverses))
         return d, [inverses[m] if m in inverses else [d * c for c in units[m]] for m in ms]
     if root:
         return root[0], [_one_minus_zeta_power_inverse(root[0], root[1] * m) for m in ms]
-    return ring.column([ring.inverse(*_one_minus_qpow(params, m)) for m in ms])
+    return ring.over([ring.inverse(*_one_minus_qpow(params, m)) for m in ms])
 
 
 def _check_parts(parts: MultiIndex):

@@ -73,6 +73,7 @@ from .exact import (
     _product,
     _reduced,
     _reduced_slot,
+    _render_numerator,
     _scaled,
     _set,
     _settled,
@@ -588,9 +589,13 @@ class Series:
         return first_term_mismatch(self.terms, other.terms)
 
     def to_json(self) -> list:
+        """The JSON of the terms view, read off the form as TPoly.to_json
+        reads it: no TPoly is built."""
+        order, den = self._order, self._denom
         return [
-            {"exps": list(exps), "coeff": tp.to_json()}
-            for exps, tp in self.sorted_terms()
+            {"exps": list(exps),
+             "coeff": {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(slot.items())}}
+            for exps, slot in sorted(self._numer.items(), key=lambda kv: _term_sort_key(kv[0]))
         ]
 
     @classmethod

@@ -716,9 +716,62 @@ def test_kpow_generating_matches_two_product_formula():
         assert kpow_generating(k, n, vcap).to_json() == ref_kpow_generating(k, n, vcap).to_json()
 
 
+# u_poly is written straight into integer form from its binomial expansion;
+# the product of its three factor powers below is its reference.
+
+def ref_u_poly(n: int, cap: int | None = None) -> Series:
+    """U_n^t of genfun.u_poly as the sum over (a, b) of the products
+    (1+u₁)^a (1−tu₂)^b (u₃−u₁u₂)^m, truncated at the cap."""
+    ring = SeriesRing(("u1", "u2", "u3"), 2 * n if cap is None else cap)
+    top_m = min(n - 1, ring.cap)
+    base_a = ring.one() + ring.var("u1")
+    base_b = ring.one() - ring.var("u2") * T
+    base_c = ring.var("u3") - ring.var("u1") * ring.var("u2")
+    pow_a = [ring.one()]
+    pow_b = [ring.one()]
+    pow_c = [ring.one()]
+    for _ in range(n - 1):
+        pow_a.append(pow_a[-1] * base_a)
+        pow_b.append(pow_b[-1] * base_b)
+    for _ in range(top_m):
+        pow_c.append(pow_c[-1] * base_c)
+    out = ring.zero()
+    for a in range(n):
+        for b in range(n - a):
+            m = n - a - b - 1
+            if m > top_m:
+                continue
+            c = Fraction(binomial(n - a - 1, b) * binomial(n - b - 1, a), m + 1)
+            out = out + pow_a[a] * pow_b[b] * pow_c[m] * TPoly({m: c})
+    return out
+
+
+def test_u_poly_matches_the_product_form():
+    for n in range(1, 10):
+        for cap in (None, *range(2 * n + 2)):
+            got, want = u_poly(n, cap), ref_u_poly(n, cap)
+            assert got == want, (n, cap)
+            assert got.to_json() == want.to_json(), (n, cap)
+
+
+def test_u_poly_makes_no_series_product(monkeypatch):
+    calls = []
+    product = Series.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(Series, "__rmul__", spy)
+    built = u_poly(6, 5)
+    assert calls == []
+    assert built == ref_u_poly(6, 5) and calls  # the spy does see the reference
+
+
 def test_u_poly_at_a_cap_is_the_truncated_polynomial():
     for n in range(1, 9):
-        full = u_poly(n)
+        full = ref_u_poly(n)
         for cap in range(0, 8):
             ring = SeriesRing(("u1", "u2", "u3"), cap)
             den = Series(ring, full.terms)  # the terms above the cap dropped

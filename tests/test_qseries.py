@@ -45,7 +45,7 @@ from qharmonic.qseries import (
     zeta_params,
 )
 
-from cyclo_reference import Ref, lift, value
+from cyclo_reference import Ref, lift, reduce_mod, value
 
 HALF = SeriesParams(4, Fraction(1, 2))
 
@@ -259,6 +259,65 @@ def test_sums_at_the_root_read_the_closed_forms(monkeypatch):
     z_t((1, 2, 1), zeta_params(12))
     assert len(norms) == 7 and quotients == [2, 3, 4, 6, 8, 9, 10]
     assert (inverses, products) == ([], [])
+
+
+def test_root_columns_build_no_scalar(monkeypatch):
+    # at q = zeta_12 the part-0 column is one _zeta_sum slot per m, and the
+    # "z" part-1 inverses at the m not prime to 12 stay numerators over
+    # their norms, so the one CycloNumber built is the value zbar((0,))
+    # returns, and z_t, a TPoly, builds none
+    made = []
+    original = exact._make
+    monkeypatch.setattr(exact, "_make", lambda *args: made.append(args[0]) or original(*args))
+    params = zeta_params(12)
+    _clear_caches()
+    zbar((0,), params)
+    assert made == [12]
+    made.clear()
+    _clear_caches()
+    z_t((1, 2, 1), params)
+    assert made == []
+
+
+def _times(order, x, y):
+    """x * y for coefficient lists, by the reference's reduction."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, c in enumerate(y, i):
+                out[j] += a * c
+    return reduce_mod(order, out)
+
+
+def test_summand_columns_at_every_root_satisfy_their_definition():
+    # every column of the summand table at q = zeta_N^b, for N <= 30 and
+    # every b, n the order P of q up to 7 (so m = 2, 3, 4, 6 are not prime
+    # to a composite P), against its definition multiplied out with the
+    # reference's reduction: f_0(m) = q^(-m), and f_k(m) * D^k =
+    # q^((k-1)m) with D = 1 - q^m for "zbar", D = [m]_q for "z", and
+    # f_k(m) * (1 - q^m)^k = 1 for "L".  The check multiplies only: a
+    # reference inverse at phi = 28 takes about 25 ms, so
+    # `_reference_factor` serves the smaller table test above.
+    for order in range(3, 31):
+        for b in range(1, order):
+            period = order // gcd(order, b)
+            if period < 3:  # q = -1 is rational
+                continue
+            params = SeriesParams(min(period, 7), CycloNumber.zeta_power(order, b))
+            power = [reduce_mod(order, [0] * (b * e % order) + [1]) for e in range(order)]
+            for m in range(1, params.n):
+                one_minus = [int(i == 0) - c for i, c in enumerate(power[m])]
+                q_integer = [sum(cs) for cs in zip(*power[:m])]
+                for kind, base in (("zbar", one_minus), ("z", q_integer), ("L", one_minus)):
+                    den, column = qseries._factor(params, kind, 0)
+                    assert list(column[m - 1]) == [den * c for c in power[-m % order]]
+                    lhs = [1]
+                    for k in range(1, 5):
+                        lhs = _times(order, lhs, base)
+                        den, column = qseries._factor(params, kind, k)
+                        want = power[0] if kind == "L" else power[(k - 1) * m % order]
+                        assert _times(order, column[m - 1], lhs) == [den * c for c in want], \
+                            (order, b, kind, k, m)
 
 
 def test_depth_one_spots():

@@ -101,7 +101,8 @@ def test_only_exact_and_series_read_the_tpoly_form():
 INTEGER_KERNELS = ("CycloNumber.__mul__", "CycloNumber.inverse", "_numerator_inverse",
                    "CycloNumber.zeta_power", "_zeta_sum", "_conjugate", "_zeta_exponent",
                    "_one_minus_zeta_power_inverse", "_product", "_reduce",
-                   "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column")
+                   "_slot_add", "NumeratorRing.__init__", "NumeratorRing.column",
+                   "NumeratorRing.inverse", "NumeratorRing.over")
 
 
 def _definitions(path: Path) -> dict:
@@ -144,6 +145,7 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "Series._pair", "Series._made", "Series.__getattr__",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
+                                  "Series.to_json",
                                   "_term_products", "_quotient_form", "_affine_items"),
                     "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
                                  "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
@@ -154,7 +156,7 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_paired", "_joint_order", "_add_tuples_into",
                                  "_convolve_into", "_galois_cofactor", "_render_over",
                                  "_render_numerator", "scalar_to_json"),
-                    "genfun.py": ("_change_of_variables",),
+                    "genfun.py": ("_change_of_variables", "u_poly"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
                                    "_q_integer_units", "_literal_sum")}
 
