@@ -296,8 +296,9 @@ def test_summand_columns_at_every_root_satisfy_their_definition():
     # reference's reduction: f_0(m) = q^(-m), and f_k(m) * D^k =
     # q^((k-1)m) with D = 1 - q^m for "zbar", D = [m]_q for "z", and
     # f_k(m) * (1 - q^m)^k = 1 for "L".  The check multiplies only: a
-    # reference inverse at phi = 28 takes about 25 ms, so
-    # `_reference_factor` serves the smaller table test above.
+    # reference inverse solves a phi x phi system over the Fractions, too
+    # slow for this many entries, so `_reference_factor` serves the smaller
+    # table test above.
     for order in range(3, 31):
         for b in range(1, order):
             period = order // gcd(order, b)
