@@ -278,13 +278,20 @@ _set = object.__setattr__
 
 
 def _power(base, exp: int, one):
-    """base**exp (exp >= 0) by repeated squaring from `one`, for every `**`."""
-    out = one
-    while exp:
-        if exp & 1:
-            out = out * base
+    """base**exp (exp >= 0) by repeated squaring, for every `**`: `one` when
+    exp is 0, else the square chain starts from the lowest set bit's power
+    of base, and the highest bit's needs no square above it, so exp costs
+    (bit length − 1) squarings and (set bits − 1) products, none with `one`."""
+    if not exp:
+        return one
+    while not exp & 1:
         base = base * base
         exp >>= 1
+    out = base
+    while exp := exp >> 1:
+        base = base * base
+        if exp & 1:
+            out = out * base
     return out
 
 

@@ -3,13 +3,24 @@
 The truncation cap is a bound on the total degree of a term.  Every exponent
 is nonnegative, so products are truncation-exact.
 
-Storage.  A series keeps one form at every q: {exps: slot}, with no empty
+Storage.  A series keeps one form at every q: {key: slot}, with no empty
 slot, over one positive int denominator, in lowest terms, each slot in the
 numerator form of a TPoly (see ``exact``).  So two series are equal exactly
 when their forms are, and a series whose terms mix two orders raises
 TypeError.  Every constructor stores the form; ``Series.terms``, the map
 from exponent tuples to TPolys made from the slots, is a view of it, built
 when first read and then kept.
+
+A key is an exponent tuple packed into one int by its ring: with k variables
+and fields of w = max(cap, 1).bit_length() bits, the key of (e_1, ..., e_k)
+of degree d is d << (k·w) | e_1 << ((k−1)·w) | ... | e_k.  Every exponent of
+an admissible tuple is at most the cap, so fits its field; hence the keys
+sort in graded lex order (the order of ``_term_sort_key``), the degree is
+key >> (k·w), and the key of a product a·b with deg a + deg b <= cap is
+key(a) + key(b), since no field carries.  Only the boundaries pack or unpack
+(``SeriesRing._pack``, ``_unpack``, ``_exponent``): the constructors, after
+checking the tuples, and the ``terms`` view, ``to_json`` and the maps that
+read one exponent; every public method takes and returns exponent tuples.
 
 Each operation has one kernel, which reads and writes the form directly and
 never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*`` by
@@ -24,11 +35,17 @@ product convolves every pair into one int list per output coefficient
 polynomial once (``exact._settled``).  A scalar or TPoly factor, and the
 TPolys a series is made from, are read through their TPoly forms.
 
-Product.  Multiplication sorts the right operand's terms by degree once;
-since degree is additive, each left term's inner loop stops at the first
-partner that would exceed the cap, so dropped pairs are never formed.  Each
-output exponent gets one raw {t-exponent: numerator} dict into which
+Product.  Multiplication sorts the right operand's terms by key, so by
+degree, once; since degree is additive, each left term's inner loop stops
+at the first partner key at or above (cap − deg + 1) << (k·w), which would
+exceed the cap, so dropped pairs are never formed, and each pair's output
+key is the sum of its keys: no tuple is built or hashed per pair.  Each
+output key gets one raw {t-exponent: numerator} dict into which
 ``exact._accumulate`` (or ``_convolve_into``) adds the term pairs' products.
+``**`` squares up from the power of the exponent's lowest set bit
+(``exact._power``), so it forms no product with one, and ``substitute``
+starts each piece from its first factor and makes each image power from the
+one below it.
 
 Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
 order (a triangular solve, since den's constant term c0 is a t-free unit);
@@ -54,8 +71,9 @@ and only puts it at its order.
 """
 from __future__ import annotations
 
+from functools import reduce
 from math import comb, lcm
-from operator import add, itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exact import (
@@ -94,15 +112,20 @@ class SeriesRing:
     """Shared shape data for Series values: variable names and the cap on
     total degree."""
 
-    __slots__ = ("variables", "cap", "_index")
+    __slots__ = ("variables", "cap", "_index", "_width", "_shift", "_offsets")
 
     def __init__(self, variables: Sequence[str], cap: int) -> None:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        cap, k = int(cap), len(variables)
+        width = max(cap, 1).bit_length()
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "cap", int(cap))
+        object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_shift", k * width)
+        object.__setattr__(self, "_offsets", tuple((k - 1 - i) * width for i in range(k)))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SeriesRing is immutable")
@@ -135,6 +158,24 @@ class SeriesRing:
             raise ValueError(f"negative exponent in {exps}")
         return sum(exps) <= self.cap
 
+    def _pack(self, exps: tuple[int, ...]) -> int:
+        """The key of an admissible exponent tuple (see the module
+        docstring): its degree above one `_width`-bit field per exponent,
+        the first variable's highest."""
+        key = sum(exps)
+        for e in exps:
+            key = key << self._width | e
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of a key."""
+        mask = (1 << self._width) - 1
+        return tuple(key >> off & mask for off in self._offsets)
+
+    def _exponent(self, key: int, i: int) -> int:
+        """The exponent of the i-th variable in a key."""
+        return key >> self._offsets[i] & (1 << self._width) - 1
+
     # -- constructors -------------------------------------------------------
 
     def zero(self) -> "Series":
@@ -157,7 +198,7 @@ class SeriesRing:
         if not self.check_exponents(e := tuple(e)):
             return self.zero()
         order, den, slot = as_tpoly(coeff)._t_form
-        return Series._made(self, order, den, {e: slot} if slot else {})
+        return Series._made(self, order, den, {self._pack(e): slot} if slot else {})
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree
@@ -189,30 +230,31 @@ def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
 # the kernels of a series alone (those it shares with TPoly are in exact)
 # ---------------------------------------------------------------------------
 
-def _term_products(cap: int, left, right, accumulate: Callable) -> dict:
-    """The product of two series given as (exps, (t-power, numerator) items)
-    pairs, up to the cap, as {exps: raw {t-power: numerator}} with zero sums
-    kept.  The right terms are sorted by degree once: since degree is
-    additive, each left term's inner loop stops at the first partner that
-    would exceed the cap, so dropped pairs are never formed."""
-    ordered = sorted(((sum(e), e, t2) for e, t2 in right), key=itemgetter(0))
-    acc: dict[tuple[int, ...], dict] = {}
+def _term_products(ring: SeriesRing, left, right, accumulate: Callable) -> dict:
+    """The product of two series given as (key, (t-power, numerator) items)
+    pairs, up to the cap, as {key: raw {t-power: numerator}} with zero sums
+    kept.  The right terms are sorted by key, so by degree, once: each left
+    term's inner loop stops at the first partner whose degree would exceed
+    the cap, so dropped pairs are never formed, and the key of a pair that
+    fits is the sum of its keys."""
+    shift, top = ring._shift, ring.cap + 1
+    ordered = sorted(right, key=itemgetter(0))
+    acc: dict[int, dict] = {}
     for e1, t1 in left:
-        room = cap - sum(e1)
-        for d2, e2, t2 in ordered:
-            if d2 > room:
+        stop = (top - (e1 >> shift)) << shift
+        for e2, t2 in ordered:
+            if e2 >= stop:
                 break
-            exps = tuple(map(add, e1, e2))
-            slot = acc.get(exps)
+            slot = acc.get(key := e1 + e2)
             if slot is None:
-                slot = acc[exps] = {}
+                slot = acc[key] = {}
             accumulate(slot, t1, t2)
     return acc
 
 
 def _quotient_form(order: int | None, dn: int, powers: list,
                    quot: Mapping) -> tuple[int, dict]:
-    """The quotient from the {exps: (degree, Qint numerators)} that
+    """The quotient from the {key: (degree, Qint numerators)} that
     Series.__truediv__ solves, each Qint[t] over dn·n0^(|t|+1), put on the
     one denominator dn·|n0|^(top+1); powers[d] is n0^d."""
     top = max((deg for deg, _ in quot.values()), default=0)
@@ -257,8 +299,9 @@ class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring.
 
-    The value is `_numer` over `_denom` at `_order` (see the module
-    docstring), which every constructor stores.  `terms` maps exponent
+    The value is `_numer`, keyed by the ring's packed keys, over `_denom`
+    at `_order` (see the module docstring), which every constructor
+    stores.  `terms` maps exponent
     tuples to TPolys; it is a view of the form, built when first read."""
 
     __slots__ = ("ring", "terms", "_order", "_denom", "_numer")
@@ -266,7 +309,7 @@ class Series:
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
         """The series with the given TPoly coefficients (a term over the cap
         is dropped), their forms put over one denominator at one order."""
-        kept = {exps: tp._t_form for exps, tp in terms.items()
+        kept = {ring._pack(exps): tp._t_form for exps, tp in terms.items()
                 if tp and ring.check_exponents(exps)}
         order = _joint_order(*(o for o, _, _ in kept.values()))
         den = lcm(*(d for _, d, _ in kept.values()))
@@ -299,14 +342,16 @@ class Series:
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
         return cls._made(ring, None, *_reduced(den, _settled(
-            {e: dict(slot) for e, slot in num.items() if ring.check_exponents(e)}, None)))
+            {ring._pack(e): dict(slot) for e, slot in num.items() if ring.check_exponents(e)},
+            None)))
 
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms`, built once and kept.
         if name != "terms":
             raise AttributeError(name)
-        den, order = self._denom, self._order
-        terms = {e: TPoly._from_numerators(order, den, slot) for e, slot in self._numer.items()}
+        den, order, unpack = self._denom, self._order, self.ring._unpack
+        terms = {unpack(key): TPoly._from_numerators(order, den, slot)
+                 for key, slot in self._numer.items()}
         _set(self, "terms", terms)
         return terms
 
@@ -383,7 +428,7 @@ class Series:
         ring = self.ring
         if isinstance(other, Series):
             order, da, a, db, b = self._pair(other)
-            acc = _term_products(ring.cap, ((e, s.items()) for e, s in a.items()),
+            acc = _term_products(ring, ((e, s.items()) for e, s in a.items()),
                                  ((e, s.items()) for e, s in b.items()),
                                  _accumulate if order is None else _convolve_into)
             return Series._made(ring, order, *_reduced(da * db, _settled(acc, order), order))
@@ -425,9 +470,9 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         ring = self.ring
-        zero_t = (0,) * len(ring.variables)
+        shift = ring._shift
         order, dn, nn, dd, nd = self._pair(other)
-        c0 = nd.get(zero_t, {})
+        c0 = nd.get(0, {})
         if len(c0) != 1 or 0 not in c0:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
@@ -437,28 +482,27 @@ class Series:
                 cof = _galois_cofactor(order, n0)
                 nn, nd = [{e: {k: tuple(_product(order, v, cof)) for k, v in slot.items()}
                            for e, slot in side.items()} for side in (nn, nd)]
-                n0 = nd[zero_t][0]
+                n0 = nd[0][0]
             n0 = n0[0]
             pad = [0] * (euler_phi(order) - 1)
         accumulate = _accumulate if order is None else _convolve_into
         powers = [n0 ** d for d in range(ring.cap + 2)]
-        nonconst = sorted(((sum(e), e, _scaled(slot, -powers[sum(e) - 1], order).items())
-                           for e, slot in nd.items() if e != zero_t),
-                          key=itemgetter(0))
+        nonconst = sorted(((e, _scaled(slot, -powers[(e >> shift) - 1], order).items())
+                           for e, slot in nd.items() if e), key=itemgetter(0))
         # pending[t] is target t's sum so far; by_degree[d] lists the targets
         # of degree d that have one, in the order their slots were made.  At
         # an order a pending numerator is an unreduced list of 2·phi − 1 ints.
-        pending: dict[tuple[int, ...], dict] = {}
+        pending: dict[int, dict] = {}
         by_degree: list[list] = [[] for _ in range(ring.cap + 1)]
         for e, slot in nn.items():
-            deg = sum(e)
+            deg = e >> shift
             slot = _scaled(slot, dd * powers[deg], order)
             pending[e] = dict(slot) if order is None else {k: [*v, *pad]
                                                            for k, v in slot.items()}
             by_degree[deg].append(e)
-        quot: dict[tuple[int, ...], tuple[int, dict]] = {}
+        quot: dict[int, tuple[int, dict]] = {}
         for deg, targets in enumerate(by_degree):
-            room = ring.cap - deg
+            stop = (ring.cap - deg + 1) << shift
             for target in targets:
                 raw = pending.pop(target)
                 raw = {k: v for k, v in raw.items() if v} if order is None \
@@ -467,14 +511,13 @@ class Series:
                     continue
                 quot[target] = deg, raw
                 items = raw.items()
-                for d, e, tc in nonconst:
-                    if d > room:
+                for e, tc in nonconst:
+                    if e >= stop:
                         break
-                    exps = tuple(map(add, target, e))
-                    slot = pending.get(exps)
+                    slot = pending.get(key := target + e)
                     if slot is None:
-                        slot = pending[exps] = {}
-                        by_degree[deg + d].append(exps)
+                        slot = pending[key] = {}
+                        by_degree[key >> shift].append(key)
                     accumulate(slot, tc, items)
         return Series._made(ring, order, *_quotient_form(order, dn, powers, quot))
 
@@ -502,19 +545,21 @@ class Series:
 
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""
-        idx = [self.ring._index[n] for n in names]
+        ring = self.ring
+        idx = [ring._index[n] for n in names]
         order, den, num = self._order, self._denom, self._numer
-        return Series._made(self.ring, order, den, {
-            e: _scaled(slot, -1, order) if sum(e[i] for i in idx) & 1 else slot
-            for e, slot in num.items()})
+        return Series._made(ring, order, den, {
+            key: _scaled(slot, -1, order) if sum(ring._exponent(key, i) for i in idx) & 1
+            else slot for key, slot in num.items()})
 
     def coefficient_of(self, name: str, power: int) -> "Series":
         """Sub-series multiplying name^power, with that exponent zeroed."""
-        i = self.ring._index[name]
+        ring = self.ring
+        i = ring._index[name]
+        drop = (power << ring._offsets[i]) + (power << ring._shift)
         order, den, num = self._order, self._denom, self._numer
-        picked = {exps[:i] + (0,) + exps[i + 1:]: slot
-                  for exps, slot in num.items() if exps[i] == power}
-        return Series._made(self.ring, order, *_reduced(den, picked, order))
+        picked = {key - drop: slot for key, slot in num.items() if ring._exponent(key, i) == power}
+        return Series._made(ring, order, *_reduced(den, picked, order))
 
     def set_var_zero(self, name: str) -> "Series":
         return self.coefficient_of(name, 0)
@@ -542,30 +587,28 @@ class Series:
                 if name not in target._index:
                     raise ValueError(f"unbound variable {name} missing from target")
                 images[i] = target.var(name)
-        pow_cache: dict[tuple[int, int], Series] = {}
+        # powers[i][e - 1] is images[i] ** e, each made from the one below
+        powers = {i: [img] for i, img in images.items()}
 
         def image_power(i: int, e: int) -> Series:
-            got = pow_cache.get((i, e))
-            if got is None:
-                got = pow_cache[(i, e)] = images[i] ** e
-            return got
+            got = powers[i]
+            while len(got) < e:
+                got.append(got[-1] * got[0])
+            return got[e - 1]
 
         def piece(exps: tuple[int, ...]) -> Series:
-            out = target.one()
-            for i, e in enumerate(exps):
-                if e:
-                    out = out * image_power(i, e)
-            return out
+            factors = [image_power(i, e) for i, e in enumerate(exps) if e]
+            return reduce(mul, factors) if factors else target.one()
 
         own, dsrc, num = self._order, self._denom, self._numer
-        pieces = {exps: piece(exps) for exps in num}
+        pieces = {key: piece(self.ring._unpack(key)) for key in num}
         order = _joint_order(own, *(p._order for p in pieces.values()))
         den = lcm(*(p._denom for p in pieces.values()))
         num = _lifted(num, own, order)
         accumulate = _accumulate if order is None else _convolve_into
-        acc: dict[tuple[int, ...], dict] = {}
-        for exps, slot in num.items():
-            p = pieces[exps]
+        acc: dict[int, dict] = {}
+        for key, slot in num.items():
+            p = pieces[key]
             scaled = _scaled(slot, den // p._denom, order).items()
             for e, pslot in _lifted(p._numer, p._order, order).items():
                 accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
@@ -591,11 +634,11 @@ class Series:
     def to_json(self) -> list:
         """The JSON of the terms view, read off the form as TPoly.to_json
         reads it: no TPoly is built."""
-        order, den = self._order, self._denom
+        order, den, unpack = self._order, self._denom, self.ring._unpack
         return [
-            {"exps": list(exps),
+            {"exps": list(unpack(key)),
              "coeff": {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(slot.items())}}
-            for exps, slot in sorted(self._numer.items(), key=lambda kv: _term_sort_key(kv[0]))
+            for key, slot in sorted(self._numer.items())
         ]
 
     @classmethod

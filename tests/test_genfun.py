@@ -90,6 +90,35 @@ def test_substitutions_invert_each_other(r):
     assert rt == tuple(ring.var(f"u{i}") for i in range(1, r + 3))
 
 
+# The (r, cap) of the roundtrip_u ops in the genfun-rational benchmark.
+ROUNDTRIP_CASES = ((1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (2, 5),
+                   (3, 2), (3, 3), (3, 4))
+
+
+def test_roundtrip_forms_no_product_with_one(monkeypatch):
+    # each piece of a substitution starts from its first factor and each
+    # image power is made from the one below it, so no product has the
+    # operand one; repeated squaring from one made 779 products, 378 with one
+    calls = []
+    product = Series.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return product(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(Series, "__rmul__", spy)
+    total = 0
+    for r, cap in ROUNDTRIP_CASES:
+        calls.clear()
+        rt = roundtrip_u(r, cap)
+        ring = rt[0].ring
+        assert calls and all(ring.one() not in pair for pair in calls), (r, cap)
+        assert rt == tuple(ring.var(f"u{i}") for i in range(1, r + 3))
+        total += len(calls)
+    assert total == 162
+
+
 def test_invariant_violations_raise_package_errors(monkeypatch):
     ring = SeriesRing(("w",), 3)
     with pytest.raises(NonzeroConstantTerm):

@@ -1,9 +1,11 @@
 import copy
 import pickle
 import random
+from bisect import bisect_right
 from itertools import chain
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import add
 
 import pytest
 
@@ -191,6 +193,55 @@ def test_sorted_terms_graded_lex():
     s = ring.var("y") + ring.var("x") + ring.var("x", 2) + ring.one()
     order = [e for e, _ in s.sorted_terms()]
     assert order == [(0, 0), (0, 1), (1, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cap", [0, 1, 3, 4, 7, 8])
+def test_keys_pack_every_admissible_exponent_tuple(cap, k):
+    # a key is the degree above one field per exponent, each field
+    # max(cap, 1).bit_length() bits wide: it unpacks, it sorts in graded lex
+    # order, its degree is its top field, and the key of a product within
+    # the cap is the sum of its factors' keys, also at caps 1, 3 and 7,
+    # where (cap, 0, ...) fills a field
+    ring = SeriesRing([f"v{i}" for i in range(k)], cap)
+    exps = ring.exponents_up_to_cap()
+    keys = [ring._pack(e) for e in exps]
+    assert [ring._unpack(key) for key in keys] == exps
+    assert [tuple(ring._exponent(key, i) for i in range(k)) for key in keys] == exps
+    assert [key >> ring._shift for key in keys] == [sum(e) for e in exps]
+    assert sorted(exps, key=ring._pack) == sorted(exps, key=series_module._term_sort_key)
+    degrees = [sum(e) for e in exps]
+    pairs = 0
+    for a, ka in zip(exps, keys):
+        fits = bisect_right(degrees, cap - sum(a))
+        for b, kb in zip(exps[:fits], keys[:fits]):
+            assert ka + kb == ring._pack(tuple(map(add, a, b))), (a, b)
+            pairs += 1
+    assert pairs == comb(cap + 2 * k, 2 * k)
+
+
+def test_powers_form_no_product_with_one(monkeypatch):
+    # ** squares up from the power of the lowest set bit: e costs
+    # (bit length − 1) squarings and (set bits − 1) products, none with one
+    calls = []
+    for cls in (Series, TPoly):
+        def spy(self, other, product=cls.__mul__):
+            calls.append((self, other))
+            return product(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", spy)
+        monkeypatch.setattr(cls, "__rmul__", spy)
+    ring = SeriesRing(("x", "y"), 9)
+    for base, one in ((ring.one() + ring.var("x") - ring.var("y") * Fraction(1, 3), ring.one()),
+                      (TPoly({0: 2, 1: Fraction(-1, 3), 3: ZETA7}), TPoly.one())):
+        repeated = one
+        for e in range(10):
+            calls.clear()
+            got = base ** e
+            assert len(calls) == max(e.bit_length() + e.bit_count() - 2, 0), e
+            assert all(one not in pair for pair in calls), e
+            assert got == repeated
+            repeated = repeated * base
 
 
 def test_json_round_trip():
@@ -681,10 +732,22 @@ def terms_built(s: Series) -> bool:
     return True
 
 
+def numerators(s: Series) -> dict:
+    """s's numerators by exponent tuple: the keys of its form unpacked with
+    its ring, each the packed key of its tuple (so its degree field holds
+    the tuple's degree)."""
+    out = {}
+    for key, slot in s._numer.items():
+        exps = s.ring._unpack(key)
+        assert s.ring._pack(exps) == key, (key, exps)
+        out[exps] = slot
+    return out
+
+
 def assert_integer_form(s: Series):
     """s is in integer form, in lowest terms, and its terms (read here)
     are those numerators over that denominator."""
-    den, num = s._denom, s._numer
+    den, num = s._denom, numerators(s)
     assert type(den) is int and den > 0
     assert all(slot and all(type(v) is int and v for v in slot.values())
                for slot in num.values())
@@ -855,7 +918,7 @@ def assert_cyclo_form(s: Series, order: int = 7):
     numerator and no empty slot, some numerator with a zeta-component, over
     a positive int in lowest terms; its terms (read here) are those
     numerators over that denominator."""
-    den, num = s._denom, s._numer
+    den, num = s._denom, numerators(s)
     assert s._order == order
     assert type(den) is int and den > 0
     phi = exact.euler_phi(order)
@@ -919,7 +982,7 @@ def test_one_cyclo_operand_puts_the_result_at_its_order():
     made = Series(ring, {(1, 0): TPoly({0: (lift(ZETA7) / 2).value, 2: Fraction(3)})})
     assert not terms_built(made) and not made.is_zero()
     assert_cyclo_form(made + ring.zero())
-    assert (made._order, made._denom, made._numer) == \
+    assert (made._order, made._denom, numerators(made)) == \
         (7, 2, {(1, 0): {0: (0, 1, 0, 0, 0, 0), 2: (6, 0, 0, 0, 0, 0)}})
     zero = cyclo - cyclo
     assert zero.is_zero() and (zero._order, zero._denom, zero._numer) == (None, 1, {})
@@ -1074,7 +1137,7 @@ def test_integer_form_sums_that_cancel_reduce():
     ring = SeriesRing(("x", "y"), 4)
     x = ring.var("x")
     half = fresh(x * Fraction(1, 6) + x * Fraction(1, 3))
-    assert (half._denom, half._numer) == (2, {(1, 0): {0: 1}})
+    assert (half._denom, numerators(half)) == (2, {(1, 0): {0: 1}})
     for a, b, _ in integer_form_cases("integer-cancel"):
         a, b = fresh(a), fresh(b)
         v = a.ring.var(a.ring.variables[-1])

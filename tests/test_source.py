@@ -71,6 +71,28 @@ def test_only_series_reads_the_series_form():
     assert all(f'"{name}"' in series.read_text() for name in SERIES_FORM)
 
 
+# The keys of a Series' form: each exponent tuple packed into one int, the
+# degree above one field per exponent.  SeriesRing packs and unpacks them and
+# owns their layout (field width, degree shift, field offsets); other modules
+# read a series through exponent tuples, so the packing stays the series
+# module's business.
+SERIES_KEYS = {"_pack", "_unpack", "_exponent", "_width", "_shift", "_offsets"}
+
+
+def test_only_series_reads_the_series_keys():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "series.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in SERIES_KEYS)
+             or (isinstance(node, ast.Name) and node.id in SERIES_KEYS)
+             or (isinstance(node, ast.Constant) and node.value in SERIES_KEYS)]
+    assert found == []
+    series = next(path for path in SOURCES if path.name == "series.py")
+    helpers = {"_pack", "_unpack", "_exponent"}
+    assert all(f'"{name}"' in series.read_text() for name in SERIES_KEYS - helpers)
+    assert {f"SeriesRing.{name}" for name in helpers} <= _definitions(series).keys()
+
+
 # A TPoly's form: its cyclotomic order, denominator and numerators.  A
 # Series keeps the same form slot by slot, so the series module reads it
 # too; other modules read a TPoly through `coeffs`, the arithmetic and the
@@ -145,7 +167,8 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "Series._pair", "Series._made", "Series.__getattr__",
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
-                                  "Series.to_json",
+                                  "Series.to_json", "SeriesRing._pack", "SeriesRing._unpack",
+                                  "SeriesRing._exponent",
                                   "_term_products", "_quotient_form", "_affine_items"),
                     "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
                                  "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
