@@ -22,11 +22,12 @@ order) and ``inverse`` remain as thin wrappers over those kernels.
 ``SparsePoly`` is the sparse univariate polynomial core: an immutable
 {exponent: coefficient} map whose add-with-cancellation loop (``_add_into``)
 and raw product kernel (``_accumulate``) the series module shares.
-``qseries.ZPoly`` is its instance in z, with TPoly coefficients.
 
 ``TPoly`` (in t) keeps the numerator form of a Series slot, and the kernels
 the two share live here; Series coefficients are TPolys, so t is never
-truncated.
+truncated.  ``ZPoly`` (in z, over t) keeps one such slot per z-power over
+one denominator, as a Series keeps one per term, and runs on the same
+kernels.
 """
 from __future__ import annotations
 
@@ -481,8 +482,9 @@ class SparsePoly:
     {exponent: coefficient} with zero coefficients never stored.
 
     A subclass names its variable (`var`), the operand types promoted to
-    constants (`scalars`), how a raw coefficient is lifted (`_lift`) and how
-    a coefficient, or the int 0, renders in JSON (`_render`)."""
+    constants (`scalars`) and how a coefficient renders in JSON (`_render`).
+    `TPoly` and `ZPoly` keep numerator forms instead and override the
+    arithmetic; `genfun.PhiPoly` runs on this generic path."""
 
     __slots__ = ("coeffs",)
     var: str
@@ -490,14 +492,11 @@ class SparsePoly:
 
     def __init__(self, coeffs: Mapping | None = None) -> None:
         clean = {}
-        if coeffs:
-            lift = self._lift
-            for e, c in coeffs.items():
-                if e < 0:
-                    raise ValueError(f"negative {self.var}-exponent")
-                c = lift(c)
-                if c:
-                    clean[e] = c
+        for e, c in (coeffs or {}).items():
+            if e < 0:
+                raise ValueError(f"negative {self.var}-exponent")
+            if c:
+                clean[e] = c
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
@@ -603,8 +602,9 @@ class SparsePoly:
 # with no zero numerator over one positive int, in lowest terms: ints, or at
 # order N, when some numerator has a zeta-component, tuples of phi(N) ints
 # (Z[zeta_N] coefficients).  An int a meets order N as (a, 0, ..., 0); two
-# orders raise TypeError.  Kernels take slot maps {exps: slot}, a TPoly being
-# {0: slot}; inner dicts are never changed.
+# orders raise TypeError.  Kernels take slot maps {key: slot}, a TPoly being
+# {0: slot}, a ZPoly keyed by z-power and a Series by packed exponents;
+# inner dicts are never changed.
 # ---------------------------------------------------------------------------
 
 def _numerators(values, order: int | None = None) -> tuple[int | None, int, list]:
@@ -655,6 +655,26 @@ def _paired(oa: int | None, a: Mapping, ob: int | None, b: Mapping) -> tuple:
         return oa, a, b
     order = _joint_order(oa, ob)
     return order, _lifted(a, oa, order), _lifted(b, ob, order)
+
+
+def _joint_form(forms: Mapping) -> tuple[int | None, int, dict]:
+    """(order, den, num): the nonzero TPoly forms {key: (order, den, slot)}
+    put over the lcm of their denominators at one order.  Each form is in
+    lowest terms, so the result is: a prime's full power in the lcm divides
+    some den, whose slot has a numerator it does not divide."""
+    order = _joint_order(*(o for o, _, _ in forms.values()))
+    den = lcm(*(d for _, d, _ in forms.values()))
+    return order, den, {e: _lifted({0: _scaled(slot, den // d, o)}, o, order)[0]
+                        for e, (o, d, slot) in forms.items()}
+
+
+def _order_settled(order: int | None, num: dict) -> tuple[int | None, dict]:
+    """(order, num) for a slot map at an order, or (None, the int
+    numerators) when no numerator has a zeta-component, so each value has
+    one form."""
+    if not any(any(v[1:]) for slot in num.values() for v in slot.values()):
+        return None, {e: {k: v[0] for k, v in slot.items()} for e, slot in num.items()}
+    return order, num
 
 
 def _common(g: int, num: Mapping, order: int | None) -> int:
@@ -728,16 +748,14 @@ def _add_tuples_into(out: dict, items) -> dict:
     return out
 
 
-def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
-              sign: int) -> tuple[int, dict]:
-    """a/da + sign·b/db, on the lcm of the denominators."""
-    den = lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    out = dict(a) if sa == 1 else {e: _scaled(slot, sa, order) for e, slot in a.items()}
+def _merge_into(out: dict, num: Mapping, s: int, order: int | None) -> dict:
+    """Add s·num into the slot map `out` and return it; a slot whose sum
+    cancels leaves, and a slot `out` shares with an operand is copied before
+    it changes."""
     merge = _add_into if order is None else _add_tuples_into
-    for e, slot in b.items():
-        if sb != 1:
-            slot = _scaled(slot, sb, order)
+    for e, slot in num.items():
+        if s != 1:
+            slot = _scaled(slot, s, order)
         mine = out.get(e)
         if mine is None:
             out[e] = slot
@@ -745,7 +763,16 @@ def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
             out[e] = mine
         else:
             del out[e]
-    return _reduced(den, out, order)
+    return out
+
+
+def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
+              sign: int) -> tuple[int, dict]:
+    """a/da + sign·b/db, on the lcm of the denominators."""
+    den = lcm(da, db)
+    sa = den // da
+    out = dict(a) if sa == 1 else {e: _scaled(slot, sa, order) for e, slot in a.items()}
+    return _reduced(den, _merge_into(out, b, sign * (den // db), order), order)
 
 
 def _convolve_into(slot: dict, left, right) -> None:
@@ -766,14 +793,17 @@ def _convolve_into(slot: dict, left, right) -> None:
 
 
 def _times_form(order: int | None, den: int, num: Mapping, pden: int,
-                pitems) -> tuple[int, dict]:
-    """num/den times the t-polynomial with (t-power, numerator) items
-    pitems over pden."""
+                pnum: Mapping) -> tuple[int, dict]:
+    """num/den times pnum/pden, whose keys add to num's: a TPoly factor is
+    {0: slot}, a ZPoly one slot per z-power.  Each output key gets one raw
+    dict, settled and reduced once."""
     accumulate = _accumulate if order is None else _convolve_into
     out = {}
-    for e, slot in num.items():
-        out[e] = raw = {}
-        accumulate(raw, slot.items(), pitems)
+    for f, pslot in pnum.items():
+        pitems = pslot.items()
+        shifted = ((e + f, slot) for e, slot in num.items()) if f else num.items()
+        for e, slot in shifted:
+            accumulate(out.setdefault(e, {}), slot.items(), pitems)
     return _reduced(den * pden, _settled(out, order), order)
 
 
@@ -877,7 +907,7 @@ class TPoly(SparsePoly):
             return NotImplemented
         (oa, da, a), (ob, db, b) = self._t_form, other._t_form
         order, a, b = _paired(oa, {0: a}, ob, {0: b})
-        den, num = _times_form(order, da, a, db, b[0].items())
+        den, num = _times_form(order, da, a, db, b)
         return TPoly._from_form(order, den, num.get(0, {}))
 
     __rmul__ = __mul__
@@ -937,6 +967,189 @@ class TPoly(SparsePoly):
 def as_tpoly(value) -> TPoly:
     """Promote a scalar (or pass through a TPoly)."""
     return value if isinstance(value, TPoly) else TPoly.const(value)
+
+
+# ---------------------------------------------------------------------------
+# polynomials in z over t
+# ---------------------------------------------------------------------------
+
+class ZPoly(SparsePoly):
+    """Polynomial in the polylogarithm variable z with TPoly coefficients,
+    stored as `_z_form` = (order, den, {z-power: slot}): one TPoly numerator
+    slot per z-power over one denominator, in lowest terms, as a Series
+    keeps one per term.  Each operation is one kernel call on the form.
+    `coeffs`, the TPolys by z-power, is a view built on each read and never
+    kept, so a cached value holds its form alone."""
+
+    __slots__ = ("_z_form",)
+    var = "z"
+    scalars = (int, Fraction, CycloNumber, TPoly)
+    _render = staticmethod(TPoly.to_json)
+
+    def __init__(self, coeffs: Mapping | None = None) -> None:
+        """The ZPoly of {z-power: TPoly or exact scalar}; two orders raise
+        TypeError."""
+        forms = {}
+        for e, c in (coeffs or {}).items():
+            if e < 0:
+                raise ValueError("negative z-exponent")
+            c = as_tpoly(c)
+            if c:
+                forms[e] = c._t_form
+        _set(self, "_z_form", _joint_form(forms))
+
+    @classmethod
+    def _from_form(cls, order: int | None, den: int, num: dict) -> "ZPoly":
+        """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
+        if order is not None:
+            order, num = _order_settled(order, num)
+        out = _new(cls)
+        _set(out, "_z_form", (order, den, num))
+        return out
+
+    @classmethod
+    def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "ZPoly":
+        """raw/den for {z-power: {t-power: numerator}} at `order`, zeros
+        allowed, not in lowest terms: one reduction."""
+        if order is None:
+            slots = ({k: v for k, v in slot.items() if v} for slot in raw.values())
+        else:
+            slots = ({k: tuple(v) for k, v in slot.items() if any(v)} for slot in raw.values())
+        num = {e: slot for e, slot in zip(raw, slots) if slot}
+        return cls._from_form(order, *_reduced(den, num, order))
+
+    @classmethod
+    def one(cls) -> "ZPoly":
+        return cls._from_form(None, 1, {0: {0: 1}})
+
+    @classmethod
+    def sum_of(cls, values: list) -> "ZPoly":
+        """The sum of a list of ZPolys on the lcm of their denominators, with
+        one reduction (`_merge_into`, the merge of `_sum_form`); a list of one
+        returns its value itself."""
+        if len(values) == 1:
+            return values[0]
+        forms = [v._z_form for v in values if v._z_form[2]]
+        if not forms:
+            return cls()
+        order = _joint_order(*(o for o, _, _ in forms))
+        den, out = lcm(*(d for _, d, _ in forms)), {}
+        for o, d, num in forms:
+            _merge_into(out, _lifted(num, o, order), den // d, order)
+        return cls._from_form(order, *_reduced(den, out, order))
+
+    @property
+    def coeffs(self) -> dict:
+        order, den, num = self._z_form
+        return {e: TPoly._from_numerators(order, den, slot) for e, slot in num.items()}
+
+    def __reduce__(self):
+        return ZPoly._from_form, self._z_form
+
+    def is_zero(self) -> bool:
+        return not self._z_form[2]
+
+    def _sum(self, other, sign: int):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        if not a or not b:
+            return self if not b else other if sign == 1 else -other
+        order, a, b = _paired(oa, a, ob, b)
+        return ZPoly._from_form(order, *_sum_form(order, da, a, db, b, sign))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        order, den, num = self._z_form
+        return ZPoly._from_form(order, den, {e: _scaled(slot, -1, order)
+                                             for e, slot in num.items()})
+
+    def __mul__(self, other):
+        """The product with a scalar, a TPoly (a constant in z) or a ZPoly."""
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        order, a, b = _paired(oa, a, ob, b)
+        return ZPoly._from_form(order, *_times_form(order, da, a, db, b))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._z_form == other._z_form  # each value has one form
+
+    def first_mismatch(self, other: "ZPoly"):
+        """(z-power, lhs TPoly, rhs TPoly) at the lowest z-power where the
+        two differ, the lowest key of their difference; None when equal."""
+        if self == other:
+            return None
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        order, pa, pb = _paired(oa, a, ob, b)
+        e = min(_sum_form(order, da, pa, db, pb, -1)[1])
+        return (e, TPoly._from_numerators(oa, da, a.get(e, {})),
+                TPoly._from_numerators(ob, db, b.get(e, {})))
+
+    def shift(self, s: int) -> "ZPoly":
+        """The product with z^s (s >= 0): every z-power moves up by s."""
+        order, den, num = self._z_form
+        return ZPoly._from_form(order, den, {e + s: slot for e, slot in num.items()})
+
+    def eval_z_one(self) -> TPoly:
+        """The sum of the coefficients, the value at z = 1: the slots merged
+        into one t-slot, with one reduction."""
+        order, den, num = self._z_form
+        total = {}
+        for slot in num.values():
+            _merge_into(total, {0: slot}, 1, order)
+        den, total = _reduced(den, total, order)
+        return TPoly._from_form(order, den, total.get(0, {}))
+
+    def _scale_slots(self, order: int | None, factor) -> "ZPoly":
+        """The z^e slot times factor(e), a (numerator, den) pair at `order`,
+        read once per z-power, in one pass with one reduction: the factors go
+        over the lcm of their dens, ints multiply, and a Z[zeta] product is
+        index arithmetic (`_zeta_sum`) over the factor's nonzero slots.  The
+        q-difference operator (qseries.theta_q) is its one caller."""
+        own, den, num = self._z_form
+        joint = _joint_order(own, order)
+        factors = {e: factor(e) for e in num}
+        scale = lcm(*(d for _, d in factors.values()))
+        out = {}
+        if joint is None:
+            for e, slot in num.items():
+                w, d = factors[e]
+                if w:
+                    w *= scale // d
+                    out[e] = {k: v * w for k, v in slot.items()}
+        else:
+            for e, slot in _lifted(num, own, joint).items():
+                w, d = factors[e]
+                s = scale // d
+                ws = [(j, c * s) for j, c in (((0, w),) if order is None else enumerate(w)) if c]
+                if ws:
+                    out[e] = {k: tuple(_zeta_sum(joint, ((i + j, a * c) for j, c in ws
+                                                         for i, a in enumerate(v) if a)))
+                              for k, v in slot.items()}
+        return ZPoly._from_form(joint, *_reduced(den * scale, out, joint))
+
+    def to_json(self) -> dict:
+        """The JSON of the coeffs view, read off the form as TPoly.to_json
+        reads it: no TPoly is built."""
+        order, den, num = self._z_form
+        return {f"z^{e}": {f"t^{k}": _render_numerator(order, v, den)
+                           for k, v in sorted(slot.items())}
+                for e, slot in sorted(num.items())}
 
 
 # ---------------------------------------------------------------------------

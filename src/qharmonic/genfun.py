@@ -10,9 +10,10 @@ This module builds both sides of every verified statement:
   `p_poly`, which gives P^t only: every t−1 side is its image under
   t -> t−1) next to its brute-force definition (via profile sums);
 * the z-side generating functions Φ_j, each a polynomial in z over
-  x-series (`PhiPoly`, a ZPoly whose coefficients are Series, so Θ, the
-  z-shift and the value at z = 1 are the ZPoly ones), their q-difference
-  system, and the closed coefficient product;
+  x-series (`PhiPoly`, one Series per z-power on the generic SparsePoly
+  path, with its own z-shift and value at z = 1 and the per-class scaling
+  hook through which qseries.theta_q applies Θ's eigenvalues), their
+  q-difference system, and the closed coefficient product;
 * root-of-unity closed forms: the weight/depth sum formulas, the
   constant-index evaluations, the repeated-index generating functions with
   their symmetric-function assemblies, and the depth-one helper series;
@@ -24,9 +25,10 @@ deterministic enumeration of profiles.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, isqrt, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -229,25 +231,25 @@ def p_poly(r: int, xs: Sequence[Series]) -> tuple[Series, ...]:
 
 
 def eval_p(coeffs: Sequence[Series], value: TPoly) -> Series:
-    """Σ_i coeffs[i]·value^i for a constant TPoly value.  Each coefficient
-    is scaled by a power of the value:
-    Horner's rule would scale the growing partial sum instead, which is
-    slower once the coefficients have different supports (r ≥ 2)."""
-    out = coeffs[0]
-    power = value.one()
-    for c in coeffs[1:]:
-        power = power * value
+    """Σ_i coeffs[i]·value^i for the coefficients of a monic P (the last is
+    one) and a constant TPoly value.  Each coefficient is scaled by a power
+    of the value: Horner's rule would scale the growing partial sum instead,
+    which is slower once the coefficients have different supports (r ≥ 2).
+    The powers start from the value and the monic top term is its power
+    alone, so no product has the operand one."""
+    out, power = coeffs[0], value
+    for c in coeffs[1:-1]:
         out = out + c * power
-    return out
+        power = power * value
+    return out + power
 
 
 def _p_products(coeffs: Sequence[Series], params: SeriesParams) -> list[Series]:
-    """The prefix products Π_{j≤i} P(1−q^j), i = 0, …, n−1, of P's coefficients."""
+    """The prefix products Π_{j≤i} P(1−q^j), i = 0, …, n−1, of P's
+    coefficients; the chain starts from P(1−q) itself, not from one."""
     ring = NumeratorRing(_order(params))
-    out = [coeffs[0].ring.one()]
-    for j in range(1, params.n):
-        out.append(out[-1] * eval_p(coeffs, ring.const(*_one_minus_qpow(params, j))))
-    return out
+    values = (eval_p(coeffs, ring.const(*_one_minus_qpow(params, j))) for j in range(1, params.n))
+    return [coeffs[0].ring.one(), *accumulate(values, operator.mul)]
 
 
 def _t_ratio(den: Series) -> Series:
@@ -377,16 +379,28 @@ def scalar_mismatch(a: Scalar, b: Scalar) -> dict | None:
 # the z-side generating functions
 # ---------------------------------------------------------------------------
 
-class PhiPoly(ZPoly):
-    """A polynomial in z whose coefficients are x-series: one Φ_j."""
+class PhiPoly(SparsePoly):
+    """A polynomial in z whose coefficients are x-series: one Φ_j, one
+    Series per z-power on the generic SparsePoly path."""
 
     __slots__ = ()
+    var = "z"
     scalars = (Series,)
     _render = staticmethod(Series.to_json)
 
-    @staticmethod
-    def _lift(c: Series) -> Series:
-        return c
+    def shift(self, s: int) -> "PhiPoly":
+        """The product with z^s (s >= 0): every z-power moves up by s."""
+        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
+
+    def eval_z_one(self) -> Series:
+        """The sum of the coefficients, the value at z = 1."""
+        return sum(self.coeffs.values(), 0)
+
+    def _scale_slots(self, order: int | None, factor) -> "PhiPoly":
+        """Each z^e series times factor(e), a (numerator, den) pair at
+        `order`: the diagonal step of qseries.theta_q."""
+        const = NumeratorRing(order).const
+        return self._from_raw({e: c * const(*factor(e)) for e, c in self.coeffs.items()})
 
 
 def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:

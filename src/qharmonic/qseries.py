@@ -24,6 +24,12 @@ lower, and each output TPoly is put in lowest terms once.  The vector of
 Psi) that share a tail share its levels.  Both caches are keyed by the
 parameters and hold exact values, so no result depends on what they hold.
 
+The z-side works on numerator forms (exact.ZPoly, one t-slot per z-power
+over one denominator): L_poly reads its form off the layers with one
+reduction, x_sum sums its indices' forms on one lcm with one reduction, and
+theta_q scales each z-slot by its eigenvalue 1 - q^e in one pass; none of
+the three builds a TPoly.
+
 q is a rational or a root zeta_N^b (SeriesParams.root = (N, b)), the only
 points the paper's statements are sampled and evaluated at.  At a root every
 scalar the sums form is index arithmetic on numerator lists
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import gcd
 
@@ -53,14 +59,13 @@ from .exact import (
     NumeratorRing,
     QHarmonicError,
     Scalar,
-    SparsePoly,
     TPoly,
+    ZPoly,
     _conjugate,
     _convolve,
     _one_minus_zeta_power_inverse,
     _zeta_exponent,
     _zeta_sum,
-    as_tpoly,
 )
 from .indices import (
     HeightProfile,
@@ -405,29 +410,6 @@ def g_sum(profile: HeightProfile, params: SeriesParams) -> TPoly:
 # truncated polylogarithms: polynomials in z of degree < n
 # ---------------------------------------------------------------------------
 
-class ZPoly(SparsePoly):
-    """Polynomial in the polylogarithm variable z with TPoly coefficients."""
-
-    __slots__ = ()
-    var = "z"
-    scalars = (int, Fraction, CycloNumber, TPoly)
-
-    _lift = staticmethod(as_tpoly)
-    _render = staticmethod(lambda c: as_tpoly(c).to_json())
-
-    @classmethod
-    def one(cls) -> "ZPoly":
-        return cls({0: TPoly.one()})
-
-    def shift(self, s: int) -> "ZPoly":
-        """The product with z^s (s >= 0): every exponent moves up by s."""
-        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
-
-    def eval_z_one(self):
-        """The sum of the coefficients, the value at z = 1."""
-        return sum(self.coeffs.values(), self._lift(0))
-
-
 @lru_cache(maxsize=1 << 14)
 def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> ZPoly:
     """Truncated interpolated polylogarithm as a z-polynomial of degree < n:
@@ -442,28 +424,25 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
     if not parts:
         return ZPoly.one()
     den, layers = _levels(parts, params, "L")
-    order = _order(params)
-    return ZPoly._from_raw({m: TPoly._from_numerators(order, den, dict(enumerate(coeffs)))
-                            for m, coeffs in enumerate(zip(*layers), 1)})
+    return ZPoly._from_numerators(_order(params), den, {m: dict(enumerate(coeffs))
+                                                       for m, coeffs in enumerate(zip(*layers), 1)})
 
 
-def theta_q(f: ZPoly, params: SeriesParams) -> ZPoly:
+def theta_q(f, params: SeriesParams):
     """The q-difference operator f(z) - f(qz): diagonal on z-powers with
-    eigenvalue 1 - q^i.  It returns f's own class, so it acts alike on a
-    z-polynomial over t and on one over x-series."""
-    ring = NumeratorRing(_order(params))
-    return f._from_raw({e: c * ring.const(*_one_minus_qpow(params, e))
-                        for e, c in f.coeffs.items()})
+    eigenvalue 1 - q^e, read once per z-power from `_one_minus_qpow`.  f's
+    class applies the eigenvalues (`_scale_slots`): a ZPoly scales its
+    numerator slots in one pass, and a genfun.PhiPoly, a z-polynomial over
+    x-series, multiplies each series; either way Θ returns f's own class."""
+    return f._scale_slots(_order(params), partial(_one_minus_qpow, params))
 
 
 @lru_cache(maxsize=1 << 14)
 def x_sum(profile: HeightProfile, params: SeriesParams) -> ZPoly:
     """Sum of interpolated truncated polylogarithms over the profile's index
-    set; the all-zero profile with j = -1 is the constant 1."""
-    out = ZPoly.zero()
-    for parts in enumerate_indices(profile):
-        out = out + L_poly(parts, params)
-    return out
+    set, their forms summed on one lcm with one reduction (ZPoly.sum_of);
+    the all-zero profile with j = -1 is the constant 1."""
+    return ZPoly.sum_of([L_poly(parts, params) for parts in enumerate_indices(profile)])
 
 
 def x_sum_or_zero(k: int, l: int, h=(), j: int = -1, params: SeriesParams = None) -> ZPoly:

@@ -82,10 +82,12 @@ from .exact import (
     _accumulate,
     _convolve_into,
     _galois_cofactor,
+    _joint_form,
     _joint_order,
     _lifted,
     _new,
     _numerators,
+    _order_settled,
     _paired,
     _power,
     _product,
@@ -309,22 +311,17 @@ class Series:
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
         """The series with the given TPoly coefficients (a term over the cap
         is dropped), their forms put over one denominator at one order."""
-        kept = {ring._pack(exps): tp._t_form for exps, tp in terms.items()
-                if tp and ring.check_exponents(exps)}
-        order = _joint_order(*(o for o, _, _ in kept.values()))
-        den = lcm(*(d for _, d, _ in kept.values()))
-        _store(self, ring, order, den, {e: _lifted({0: _scaled(slot, den // d, o)}, o, order)[0]
-                                        for e, (o, d, slot) in kept.items()})
+        _store(self, ring, *_joint_form({ring._pack(exps): tp._t_form
+                                         for exps, tp in terms.items()
+                                         if tp and ring.check_exponents(exps)}))
 
     @classmethod
     def _made(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
         """A kernel's result (den, num) in lowest terms at `order`, over
         admissible keys with no zeros, stored with int numerators when none
         has a zeta-component."""
-        if order is not None and not any(any(v[1:]) for slot in num.values()
-                                         for v in slot.values()):
-            order, num = None, {e: {k: v[0] for k, v in slot.items()}
-                                for e, slot in num.items()}
+        if order is not None:
+            order, num = _order_settled(order, num)
         out = _new(cls)
         _store(out, ring, order, den, num)
         return out
@@ -437,7 +434,7 @@ class Series:
         forder, fden, factor = as_tpoly(other)._t_form
         order, num, factor = _paired(self._order, self._numer, forder, {0: factor})
         return Series._made(ring, order,
-                            *_times_form(order, self._denom, num, fden, factor[0].items()))
+                            *_times_form(order, self._denom, num, fden, factor))
 
     __rmul__ = __mul__
 

@@ -119,6 +119,43 @@ def test_roundtrip_forms_no_product_with_one(monkeypatch):
     assert total == 162
 
 
+def test_p_products_form_no_product_with_one(monkeypatch):
+    # eval_p starts its powers from the value and adds the monic top term
+    # alone, and _p_products starts its chain from P(1 - q): per point
+    # 1 - q^j, r TPoly powers and r Series x TPoly products, then n - 2
+    # chain products, none with one (the chain from one and the powers from
+    # TPoly.one() made 864 of 3,516 Series products and 702 of 1,932 TPoly
+    # products with one over the 192 psi_product candidates of the benchmark)
+    calls = []
+
+    def spy(original):
+        def wrapped(self, other):
+            calls.append((self, other))
+            return original(self, other)
+        return wrapped
+
+    cases = [(n, r, q) for n in (2, 4, 7) for r in (1, 2, 3)
+             for q in (Fraction(1, 2), Fraction(-3), Fraction(5, 7), CycloNumber.zeta(9))]
+    products = {}
+    for n, r, q in cases:
+        pp = p_poly(r, x_from_u(r, 3))
+        ring = pp[0].ring
+        with monkeypatch.context() as patch:
+            for cls in (Series, TPoly):
+                patch.setattr(cls, "__mul__", spy(cls.__mul__))
+                patch.setattr(cls, "__rmul__", spy(cls.__rmul__))
+            calls.clear()
+            products[n, r, q] = _p_products(pp, SeriesParams(n, q))
+        assert len(calls) == 2 * r * (n - 1) + max(n - 2, 0), (n, r, q)
+        assert not [pair for pair in calls if ring.one() in pair or TPoly.one() in pair]
+    ring = pp[0].ring
+    params = SeriesParams(7, Fraction(5, 7))
+    chain = [ring.one()]
+    for j in range(1, 7):
+        chain.append(chain[-1] * eval_by_horner(pp, value(1 - lift(params.q) ** j)))
+    assert products[7, 3, Fraction(5, 7)] == chain
+
+
 def test_invariant_violations_raise_package_errors(monkeypatch):
     ring = SeriesRing(("w",), 3)
     with pytest.raises(NonzeroConstantTerm):

@@ -559,6 +559,178 @@ def test_zpoly_arithmetic():
     assert a.shift(2) == ZPoly({3: TPoly.one(), 4: TPoly.t()})
 
 
+# -- ZPoly forms against the per-coefficient TPoly loop -----------------------
+#
+# The reference keeps a z-polynomial as {z-power: TPoly} and runs every
+# operation one TPoly at a time, each TPoly in its own lowest terms; its
+# eigenvalues 1 - q^e come from the Ref model of Q(zeta_N), not from
+# qseries._one_minus_qpow.
+
+def ref_zsum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        c = out.get(e, TPoly.zero()) + (c if sign == 1 else -c)
+        if c.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = c
+    return out
+
+
+def ref_zmul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = ref_zsum(out, {e1 + e2: c1 * c2})
+    return out
+
+
+def ref_theta(a, q):
+    out = {e: c * TPoly.const(value(1 - lift(q) ** e)) for e, c in a.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_first_mismatch(a, b):
+    zero = TPoly.zero()
+    differ = [e for e in a.keys() | b.keys() if a.get(e, zero) != b.get(e, zero)]
+    if not differ:
+        return None
+    e = min(differ)
+    return e, a.get(e, zero), b.get(e, zero)
+
+
+def assert_zpoly_is(got, ref):
+    """got has the reference's TPolys, their JSON and its form."""
+    assert got.coeffs == ref
+    assert got.to_json() == {f"z^{e}": c.to_json() for e, c in sorted(ref.items())}
+    assert got == ZPoly(ref)
+
+
+# field: (the order of the zeta-parts, None at Q; the q of theta_q, one
+# rational and one root, so a form at Q meets a root and a form at an order
+# meets a rational eigenvalue)
+ZPOLY_FIELDS = {
+    "Q": (None, (Fraction(-2, 3), CycloNumber.zeta_power(7, 3))),
+    "zeta5": (5, (Fraction(3), CycloNumber.zeta_power(5, 2))),
+    "zeta12": (12, (Fraction(1, 2), CycloNumber.zeta_power(12, 5))),
+}
+RATIONALS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))
+
+
+def random_zref(rng, order, span=13):
+    """{z-power: TPoly} over z^0..z^12, so the powers where q^e = 1 occur:
+    about half the slots rational and, at an order, the rest with a
+    zeta-part."""
+    out = {}
+    for e in range(span):
+        if rng.random() < 0.4:
+            pool = RATIONALS
+            if order is not None and rng.random() < 0.5:
+                pool = RATIONALS + tuple(CycloNumber.zeta_power(order, b) for b in (1, 3, 7))
+            c = TPoly({k: rng.choice(pool) for k in range(3) if rng.random() < 0.6})
+            if c:
+                out[e] = c
+    return out
+
+
+def is_rational_tpoly(c):
+    return all(isinstance(v, Fraction) for v in c.coeffs.values())
+
+
+@pytest.mark.parametrize("field", sorted(ZPOLY_FIELDS))
+def test_zpoly_forms_match_the_per_coefficient_loop(field):
+    order, qs = ZPOLY_FIELDS[field]
+    rng = random.Random(f"zpoly-forms:{field}")
+    cancelled = mixed = 0
+    for _ in range(25):
+        da, db = random_zref(rng, order), random_zref(rng, order)
+        for e, c in da.items():  # a + b cancels at some z-powers
+            if rng.random() < 0.4:
+                db[e] = -c
+        a, b = ZPoly(da), ZPoly(db)
+        total = ref_zsum(da, db)
+        cancelled += len(da.keys() & db.keys() - total.keys())
+        mixed += {is_rational_tpoly(c) for c in da.values()} == {True, False}
+        assert_zpoly_is(a + b, total)
+        assert_zpoly_is(a - b, ref_zsum(da, db, -1))
+        assert_zpoly_is(-a, {e: -c for e, c in da.items()})
+        assert_zpoly_is(a + ZPoly({e: -c for e, c in da.items()}), {})
+        assert (a - a).is_zero() and a + (-a) == ZPoly.zero()
+        assert_zpoly_is(a * b, ref_zmul(da, db))
+        # a sum of many forms, a rational one first, so the others meet it
+        # at their order
+        dr = {1: TPoly.const(Fraction(1, 3)), 4: TPoly.t()}
+        assert_zpoly_is(ZPoly.sum_of([ZPoly(dr), a, b, -a]), ref_zsum(dr, db))
+        assert ZPoly.sum_of([a]) is a and ZPoly.sum_of([]) == ZPoly.zero()
+        power = {0: TPoly.one()}
+        for k in range(3):
+            assert_zpoly_is(a ** k, power)
+            power = ref_zmul(power, da)
+        tp = TPoly({0: Fraction(2, 3), 1: rng.choice(RATIONALS)})
+        for s in (Fraction(-5, 2), 0, tp) + ((CycloNumber.zeta(order),) if order else ()):
+            factor = {0: s if isinstance(s, TPoly) else TPoly.const(s)}
+            assert_zpoly_is(a * s, ref_zmul(da, factor))
+            assert_zpoly_is(s * a, ref_zmul(da, factor))
+        assert_zpoly_is(a.shift(3), {e + 3: c for e, c in da.items()})
+        assert a.eval_z_one() == sum(da.values(), TPoly.zero())
+        for q in qs:
+            assert_zpoly_is(theta_q(a, SeriesParams(2, q)), ref_theta(da, q))
+        assert a.first_mismatch(b) == ref_first_mismatch(da, db)
+        assert a.first_mismatch(ZPoly(dict(da))) is None
+    assert cancelled > 10
+    assert mixed > 5 if order else mixed == 0
+
+
+@pytest.mark.parametrize("params", [SeriesParams(6, Fraction(-3, 5)), zeta_params(5),
+                                    SeriesParams(12, CycloNumber.zeta_power(12, 5))],
+                         ids=["-3/5", "zeta5", "zeta12^5"])
+def test_x_sum_is_the_sum_of_its_polylogarithms(params):
+    # the one-reduction sum of the index set's forms against the sum of
+    # their coefficients one TPoly at a time; a one-index profile shares
+    # the L_poly value itself
+    x_sum.cache_clear()  # so each sum reads the L_poly values cached now
+    profiles = [p for k in range(1, 6) for l in range(k + 1) for h in ((), (1,), (2, 1))
+                for j in (-1, 0, len(h) - 1)
+                if (p := HeightProfile.try_make(k, l, h, j)) is not None]
+    sizes = set()
+    for profile in profiles:
+        indices = list(enumerate_indices(profile))
+        sizes.add(min(len(indices), 2))
+        ref = {}
+        for parts in indices:
+            ref = ref_zsum(ref, L_poly(parts, params).coeffs)
+        got = x_sum(profile, params)
+        assert_zpoly_is(got, ref)
+        if len(indices) == 1:
+            assert got is L_poly(indices[0], params)
+    assert sizes == {0, 1, 2}
+
+
+def test_z_side_builds_no_tpoly(monkeypatch):
+    # L_poly builds its form from the level layers, x_sum sums forms and
+    # theta_q scales them: none of them makes a TPoly
+    made = []
+    from_form, init = TPoly._from_form.__func__, TPoly.__init__
+
+    def spy_from_form(cls, *args):
+        made.append(args)
+        return from_form(cls, *args)
+
+    def spy_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    _clear_caches()
+    monkeypatch.setattr(TPoly, "_from_form", classmethod(spy_from_form))
+    monkeypatch.setattr(TPoly, "__init__", spy_init)
+    for params in (SeriesParams(5, Fraction(2, 3)), zeta_params(7)):
+        for profile in (HeightProfile(4, 2, (1,), 0), HeightProfile(5, 3), HeightProfile(3, 1)):
+            theta_q(x_sum(profile, params), params)
+        theta_q(L_poly((2, 1, 1), params, "interp"), params)
+    monkeypatch.undo()
+    assert made == []
+
+
 def test_L_recovers_zbar_at_q_power():
     # the polylog numerator is z^(m1) alone, so substituting z = q^(k1-1)
     # recovers the harmonic sum whenever no inner part exceeds one; t = 0

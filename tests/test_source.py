@@ -112,6 +112,25 @@ def test_only_exact_and_series_read_the_tpoly_form():
     assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
 
 
+# A ZPoly's form: its cyclotomic order, denominator and one numerator slot
+# per z-power.  Other modules read a ZPoly through `coeffs`, the arithmetic,
+# the constructors and the kernel methods (L_poly's numerators, x_sum's
+# `sum_of`, theta_q's `_scale_slots`), so the format stays the exact
+# module's business.
+ZPOLY_FORM = {"_z_form"}
+
+
+def test_only_exact_reads_the_zpoly_form():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "exact.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in ZPOLY_FORM)
+             or (isinstance(node, ast.Constant) and node.value in ZPOLY_FORM)]
+    assert found == []
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    assert all(f'"{name}"' in exact.read_text() for name in ZPOLY_FORM)
+
+
 # The integer kernels of Q(zeta_n): the product, the Galois-norm inverse
 # (_numerator_inverse) and zeta^e, the CycloNumber product and inverse that
 # wrap them, and the numerator-list closed forms at zeta_n (sums of
@@ -152,13 +171,14 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The TPoly and Series kernels and the nested sums of qseries (the summand
-# table, the literal sums and the prefix-sum recursion) multiply and add int
-# numerators (ints, or Z[zeta_N] coefficient tuples) over one denominator; a
-# Fraction or a CycloNumber is built only in the coeffs view of a TPoly
-# (TPoly.__getattr__), when it is first read, and in NumeratorRing.scalar,
-# the one value a literal sum returns.  The kernels, the TPoly and Series
-# methods that dispatch to them, the constructors, the one scan of scalars
+# The TPoly, ZPoly and Series kernels and the nested sums of qseries (the
+# summand table, the literal sums and the prefix-sum recursion) multiply and
+# add int numerators (ints, or Z[zeta_N] coefficient tuples) over one
+# denominator; a Fraction or a CycloNumber is built only in the coeffs view
+# of a TPoly (TPoly.__getattr__), when it is first read, and in
+# NumeratorRing.scalar, the one value a literal sum returns.  The kernels,
+# the TPoly, ZPoly and Series methods that dispatch to them (a ZPoly's
+# coeffs view builds TPolys, not scalars), the constructors, the one scan of scalars
 # into numerators, and the helpers that put operands at one order, scale a
 # slot or reduce a result build none, so Fraction normalisation cannot creep
 # back into a loop.
@@ -178,7 +198,13 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_settled", "_reduced_slot", "_common", "_scaled", "_lifted",
                                  "_paired", "_joint_order", "_add_tuples_into",
                                  "_convolve_into", "_galois_cofactor", "_render_over",
-                                 "_render_numerator", "scalar_to_json"),
+                                 "_render_numerator", "scalar_to_json", "_joint_form", "_merge_into",
+                                 "_order_settled", "ZPoly.__init__", "ZPoly._from_form",
+                                 "ZPoly._from_numerators", "ZPoly.one", "ZPoly.sum_of",
+                                 "ZPoly.coeffs", "ZPoly._sum", "ZPoly.__neg__",
+                                 "ZPoly.__mul__", "ZPoly.__eq__", "ZPoly.first_mismatch",
+                                 "ZPoly.shift", "ZPoly.eval_z_one", "ZPoly._scale_slots",
+                                 "ZPoly.to_json"),
                     "genfun.py": ("_change_of_variables", "u_poly"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
                                    "_q_integer_units", "_literal_sum")}
