@@ -20,13 +20,14 @@ zeta and Galois conjugates ``_conjugate``, and the Galois-norm inverse
 order) and ``inverse`` remain as thin wrappers over those kernels.
 
 ``SparsePoly`` is the sparse univariate polynomial core: an immutable
-{exponent: coefficient} map whose add-with-cancellation loop (``_add_into``)
-and raw product kernel (``_accumulate``) the series module shares.
+{exponent: coefficient} map with an add-with-cancellation loop
+(``_add_into``) and a raw product kernel (``_accumulate``).
 
-``TPoly`` (in t) keeps the numerator form of a Series slot, and the kernels
-the two share live here; Series coefficients are TPolys, so t is never
-truncated.  ``ZPoly`` (in z, over t) keeps one such slot per z-power over
-one denominator, as a Series keeps one per term, and runs on the same
+``TPoly`` (in t) keeps a numerator form, and the kernels it shares with a
+Series (sums, reductions, the order of two operands) live here; a Series
+keeps the same form as one flat map keyed by (t-power, monomial), and its
+coefficients are TPolys, so t is never truncated.  ``ZPoly`` (in z, over t)
+keeps one TPoly slot per z-power over one denominator and runs on the same
 kernels.
 """
 from __future__ import annotations
@@ -296,8 +297,20 @@ def _power(base, exp: int, one):
     return out
 
 
+def _add_convolution(out: list, x, y) -> None:
+    """Add the product of two dense coefficient lists into `out`, a list at
+    least len(x) + len(y) − 1 long, lowest power first."""
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                if b:
+                    out[k] += a * b
+
+
 def _convolve(x, y) -> list:
-    """The product of two dense coefficient lists, lowest power first."""
+    """The product of two dense coefficient lists, lowest power first: the
+    loop of `_add_convolution` inline, since the summand columns at a root
+    make one such product per entry."""
     out = [0] * (len(x) + len(y) - 1)
     for i, a in enumerate(x):
         if a:
@@ -598,13 +611,13 @@ class SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# numerator forms: a TPoly, and each slot of a Series, is {t-power: numerator}
-# with no zero numerator over one positive int, in lowest terms: ints, or at
-# order N, when some numerator has a zeta-component, tuples of phi(N) ints
-# (Z[zeta_N] coefficients).  An int a meets order N as (a, 0, ..., 0); two
-# orders raise TypeError.  Kernels take slot maps {key: slot}, a TPoly being
-# {0: slot}, a ZPoly keyed by z-power and a Series by packed exponents;
-# inner dicts are never changed.
+# numerator forms: a TPoly is {t-power: numerator}, and a Series one flat
+# {key: numerator} map, with no zero numerator over one positive int, in
+# lowest terms: ints, or at order N, when some numerator has a
+# zeta-component, tuples of phi(N) ints (Z[zeta_N] coefficients).  An int a
+# meets order N as (a, 0, ..., 0); two orders raise TypeError.  Kernels take
+# slot maps {key: slot}, a TPoly or a Series being {0: slot} and a ZPoly
+# keyed by z-power; inner dicts are never changed.
 # ---------------------------------------------------------------------------
 
 def _numerators(values, order: int | None = None) -> tuple[int | None, int, list]:
@@ -785,11 +798,7 @@ def _convolve_into(slot: dict, left, right) -> None:
             out = slot.get(k)
             if out is None:
                 out = slot[k] = [0] * (len(x) + len(y) - 1)
-            for i, c in enumerate(x):
-                if c:
-                    for j, d in enumerate(y, i):
-                        if d:
-                            out[j] += c * d
+            _add_convolution(out, x, y)
 
 
 def _times_form(order: int | None, den: int, num: Mapping, pden: int,
@@ -976,8 +985,8 @@ def as_tpoly(value) -> TPoly:
 class ZPoly(SparsePoly):
     """Polynomial in the polylogarithm variable z with TPoly coefficients,
     stored as `_z_form` = (order, den, {z-power: slot}): one TPoly numerator
-    slot per z-power over one denominator, in lowest terms, as a Series
-    keeps one per term.  Each operation is one kernel call on the form.
+    slot per z-power over one denominator, in lowest terms.  Each operation
+    is one kernel call on the form.
     `coeffs`, the TPolys by z-power, is a view built on each read and never
     kept, so a cached value holds its form alone."""
 
@@ -1037,6 +1046,19 @@ class ZPoly(SparsePoly):
         for o, d, num in forms:
             _merge_into(out, _lifted(num, o, order), den // d, order)
         return cls._from_form(order, *_reduced(den, out, order))
+
+    @staticmethod
+    def by_power(values: Mapping) -> tuple[int | None, int, dict]:
+        """(order, den, {z-power: {key: t-slot}}): the forms of the ZPolys
+        {key: ZPoly} put over the lcm of their denominators at one order and
+        grouped by z-power, with no TPoly built and nothing reduced."""
+        forms = [(key, v._z_form) for key, v in values.items()]
+        order = _joint_order(*(o for _, (o, _, _) in forms))
+        den, out = lcm(*(d for _, (_, d, _) in forms)), {}
+        for key, (o, d, num) in forms:
+            for e, slot in _lifted(num, o, order).items():
+                out.setdefault(e, {})[key] = _scaled(slot, den // d, order)
+        return order, den, out
 
     @property
     def coeffs(self) -> dict:

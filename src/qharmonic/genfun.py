@@ -398,24 +398,27 @@ class PhiPoly(SparsePoly):
 
     def _scale_slots(self, order: int | None, factor) -> "PhiPoly":
         """Each z^e series times factor(e), a (numerator, den) pair at
-        `order`: the diagonal step of qseries.theta_q."""
+        `order`: the diagonal step of qseries.theta_q, whose factor at z^0,
+        1 − q^0, is zero."""
         const = NumeratorRing(order).const
-        return self._from_raw({e: c * const(*factor(e)) for e, c in self.coeffs.items()})
+        return self._from_raw({e: c * const(*factor(e)) for e, c in self.coeffs.items() if e})
 
 
 def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:
     """The generating function of profile sums of truncated interpolated
     polylogarithms: the x_sum of each x-monomial's profile, its z-powers
-    grouped into one x-series per power."""
+    grouped into one x-series per power.  The x_sums' numerator slots go
+    over one denominator (`ZPoly.by_power`) and each power's series is made
+    from them with one reduction, with no TPoly built."""
     params = SeriesParams(n, q)
     ring = SeriesRing(x_variable_names(r), cap)
-    by_z: dict[int, dict] = {}
+    sums = {}
     for exps in ring.exponents_up_to_cap():
         base = profile_from_exponents(r, exps)
-        zp = x_sum(HeightProfile(base.k, base.l, base.h, j), params)
-        for ze, tp in zp.coeffs.items():
-            by_z.setdefault(ze, {})[exps] = tp
-    return PhiPoly({ze: Series(ring, terms) for ze, terms in by_z.items()})
+        sums[exps] = x_sum(HeightProfile(base.k, base.l, base.h, j), params)
+    order, den, by_z = ZPoly.by_power(sums)
+    return PhiPoly({ze: Series.from_numerators(ring, den, num, order)
+                    for ze, num in by_z.items()})
 
 
 def phi_mismatch(a: PhiPoly, b: PhiPoly, ring: SeriesRing) -> dict | None:
@@ -540,7 +543,6 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     ring = SeriesRing(x_variable_names(r), cap)
     xv = {i: ring.var(f"x{i}") for i in range(1, r + 3)}
     one = ring.one()
-    zv = PhiPoly({1: one})
 
     # (E1)  x_{r+1}·Θ(Φ_{r−1}) = x₁x_{r+1}Φ_{r−1} + x_{r+2}(Φ_{r−2} − Φ_{r−1} − δ_{r,1})
     lhs = xv[r + 1] * theta_q(phis[r - 1], params)
@@ -560,15 +562,16 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
         rhs = xv[3] * (phis[-1] - phis[0] - one)
         record("prop2_2", "[join]", phi_mismatch(lhs, rhs, ring))
 
-    # (E4)  (1−z)·Θ(Φ − Φ₀) = (t(1−z) + z)x₂Φ − t(1−z)x₂ − zⁿx₂Φ(1)
+    # (E4)  (1−z)·Θ(Φ − Φ₀) = (t(1−z) + z)x₂Φ − t(1−z)x₂ − zⁿx₂Φ(1),
+    #       whose right side is (t(1−z) + z)x₂(Φ − 1) + z·x₂ − zⁿx₂Φ(1)
     phi1 = phis[-1].eval_z_one()
     th = theta_q(phis[-1] - phis[0], params)
     lhs = th - th.shift(1)
-    tv = one * T
-    blend = tv - zv * tv + zv
+    tv = ring.scalar(T)
+    blend = PhiPoly({0: tv, 1: one - tv})
     rhs = (
-        blend * xv[2] * phis[-1]
-        - (one - zv) * (xv[2] * T)
+        blend * xv[2] * (phis[-1] - one)
+        + PhiPoly({1: xv[2]})
         - PhiPoly({params.n: xv[2] * phi1})
     )
     record("prop2_2", "[base]", phi_mismatch(lhs, rhs, ring))
@@ -581,10 +584,11 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
         powers.append(theta_q(powers[-1], params))
 
     def apply_p(coeffs: tuple[Series, ...]) -> PhiPoly:
-        return sum((coeffs[i] * powers[i] for i in range(r + 2)), PhiPoly())
+        # P is monic: its top term is Θ^{r+1}Φ itself
+        return sum((coeffs[i] * powers[i] for i in range(r + 1)), powers[r + 1])
 
     lhs = apply_p(pp) - apply_p(pm).shift(1)
-    rhs = zv * xv[r + 2] - PhiPoly({params.n: xv[r + 2] * phi1})
+    rhs = PhiPoly({1: xv[r + 2]}) - PhiPoly({params.n: xv[r + 2] * phi1})
     record("cor2_3", "", phi_mismatch(lhs, rhs, ring))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)
@@ -597,7 +601,8 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     record("c_i", "[z^0]", series_mismatch(c.get(0, ring.zero()), ring.zero()))
     for i in range(1, n):
         ci = c.get(i, ring.zero())
-        record("c_i", f"[{i}]", series_mismatch(ci * prod_t[i], xv[r + 2] * prod_m[i - 1]))
+        rhs = xv[r + 2] * prod_m[i - 1] if i > 1 else xv[r + 2]  # prod_m[0] is one
+        record("c_i", f"[{i}]", series_mismatch(ci * prod_t[i], rhs))
 
     return MappingProxyType({statement: tuple(pairs) for statement, pairs in checks.items()})
 
@@ -1078,31 +1083,52 @@ QHS_Q = Fraction(1, 2)
 QHS_N = 5
 
 
-def search_qhs_witness() -> QhsWitness | None:
-    """Deterministic bounded search: pick x₁, x₂ and t, choose the
-    t-discriminant to be s², solve for x₃, and keep the first candidate whose
-    shifted discriminant is also a rational square and whose derived data
-    stays away from every forbidden zero."""
-    coords = _ordered_rationals(QHS_COORD_BOUND)
-    svals = _ordered_s_values(QHS_S_DEN_BOUND, QHS_S_NUM_BOUND)
+def _qhs_witnesses(coords: Sequence[Fraction], svals: Sequence[Fraction]):
+    """The witnesses of the bounded search, in search order: x₁ and x₂ run
+    over coords, t over QHS_T_VALUES and s over svals; the t-discriminant
+    is chosen to be s², x₃ solved from it, and a candidate is kept when the
+    shifted discriminant is also a rational square and its derived data
+    stays away from every forbidden zero.
+
+    The tests run in cross-multiplied ints, and Fractions are built only for
+    a candidate whose shifted discriminant is a square.  With x₁ = p₁/q₁,
+    x₂ = p₂/q₂, t = a/c, s = u/w and D = q₁q₂c: b = x₁ + t·x₂ = B/D,
+    x₁ + (t−1)x₂ = B'/D, s² − b² = E/(w²D²) with E = u²D² − B²w², so
+    x₃ = x₁x₂ + (s² − b²)/(4t) equals x₁x₂ exactly when E = 0, and 0
+    exactly when 4a·p₁p₂·w²D² + E·D = 0; the shifted discriminant
+    (x₁ + (t−1)x₂)² + 4(t−1)(x₃ − x₁x₂) is N/(a·w²·D²) with
+    N = a·w²·B'² + (a − c)·E, a rational square exactly when N·a is the
+    square of an int."""
+    spairs = [(s, s.numerator, s.denominator ** 2) for s in svals]
     for x1 in coords:
+        p1, q1 = x1.numerator, x1.denominator
         for x2 in coords:
+            p2, q2 = x2.numerator, x2.denominator
             for t in QHS_T_VALUES:
-                b = x1 + t * x2
-                for s in svals:
-                    x3 = x1 * x2 + (s * s - b * b) / (4 * t)
-                    if x3 == 0 or x3 == x1 * x2:
+                a, c = t.numerator, t.denominator
+                d = q1 * q2 * c
+                b, bm = p1 * q2 * c + a * p2 * q1, p1 * q2 * c + (a - c) * p2 * q1
+                x3_zero = 4 * a * p1 * p2 * d * d
+                for s, u, w2 in spairs:
+                    e = u * u * d * d - b * b * w2
+                    if not e or x3_zero * w2 + e * d == 0:
                         continue
-                    bm = x1 + (t - 1) * x2
-                    disc = bm * bm + 4 * (t - 1) * (x3 - x1 * x2)
-                    sm = _rational_sqrt(disc)
-                    if sm is None:
+                    v = (a * w2 * bm * bm + (a - c) * e) * a
+                    if v < 0 or isqrt(v) ** 2 != v:
                         continue
-                    w = QhsWitness(x1=x1, x2=x2, x3=x3, t=t, q=QHS_Q, n=QHS_N,
-                                   s_t=s, s_tm1=sm)
-                    if validate_qhs_witness(w):
-                        return w
-    return None
+                    x3 = x1 * x2 + (s * s - Fraction(b, d) ** 2) / (4 * t)
+                    sm = _rational_sqrt(Fraction(bm, d) ** 2 + 4 * (t - 1) * (x3 - x1 * x2))
+                    found = QhsWitness(x1=x1, x2=x2, x3=x3, t=t, q=QHS_Q, n=QHS_N,
+                                       s_t=s, s_tm1=sm)
+                    if validate_qhs_witness(found):
+                        yield found
+
+
+def search_qhs_witness() -> QhsWitness | None:
+    """The first witness of the deterministic bounded search
+    (`_qhs_witnesses` at the bounds above), or None."""
+    return next(_qhs_witnesses(_ordered_rationals(QHS_COORD_BOUND),
+                               _ordered_s_values(QHS_S_DEN_BOUND, QHS_S_NUM_BOUND)), None)
 
 
 # first hit of search_qhs_witness() at the bounds above; frozen so the

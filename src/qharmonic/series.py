@@ -3,65 +3,72 @@
 The truncation cap is a bound on the total degree of a term.  Every exponent
 is nonnegative, so products are truncation-exact.
 
-Storage.  A series keeps one form at every q: {key: slot}, with no empty
-slot, over one positive int denominator, in lowest terms, each slot in the
-numerator form of a TPoly (see ``exact``).  So two series are equal exactly
-when their forms are, and a series whose terms mix two orders raises
-TypeError.  Every constructor stores the form; ``Series.terms``, the map
-from exponent tuples to TPolys made from the slots, is a view of it, built
-when first read and then kept.
+Storage.  A series keeps one form at every q: one flat map {key: numerator}
+with no zero numerator, over one positive int denominator, in lowest terms,
+the numerators as in a TPoly (see ``exact``): ints, or at q = zeta_N tuples
+of phi(N) ints when some numerator has a zeta-component.  So two series are
+equal exactly when their forms are, and a series whose terms mix two orders
+raises TypeError.  Every constructor stores the form; ``Series.terms``, the
+map from exponent tuples to TPolys, is a view of it, built when first read
+and then kept.
 
-A key is an exponent tuple packed into one int by its ring: with k variables
-and fields of w = max(cap, 1).bit_length() bits, the key of (e_1, ..., e_k)
-of degree d is d << (k·w) | e_1 << ((k−1)·w) | ... | e_k.  Every exponent of
-an admissible tuple is at most the cap, so fits its field; hence the keys
-sort in graded lex order (the order of ``_term_sort_key``), the degree is
-key >> (k·w), and the key of a product a·b with deg a + deg b <= cap is
-key(a) + key(b), since no field carries.  Only the boundaries pack or unpack
-(``SeriesRing._pack``, ``_unpack``, ``_exponent``): the constructors, after
-checking the tuples, and the ``terms`` view, ``to_json`` and the maps that
-read one exponent; every public method takes and returns exponent tuples.
+A key holds one term c·t^j·v^exps.  Its low bits are the monomial key: with
+k variables and fields of w = max(cap, 1).bit_length() bits, the monomial
+key of (e_1, ..., e_k) of degree d is d << (k·w) | e_1 << ((k−1)·w) | ... |
+e_k.  The t-power sits on top, j << T with T = (k + 1)·w.  Every exponent
+of an admissible tuple, and its degree, is at most the cap, so fits its
+w-bit field, and every admissible monomial key lies below 1 << T; hence
+the monomial keys sort in graded lex order (the order of
+``_term_sort_key``), the degree is (key & mask) >> (k·w) with mask =
+(1 << T) − 1, and the key of a product of two terms whose degrees add to at
+most the cap is the sum of their keys: no monomial field carries, the
+monomial part stays below 1 << T, and the t-powers add above it with no
+width limit.  The t-power goes on top for that reason; below, it would
+need a width bound.  Only ``SeriesRing`` knows the layout (``_pack``,
+``_unpack``, ``_exponent``, ``_by_degree``, ``_flat``, ``_grouped``, and the
+``_shift``, ``_toff`` and ``_mono`` the kernels read); every public method
+takes and returns exponent tuples.
 
 Each operation has one kernel, which reads and writes the form directly and
-never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*`` by
-a series, a scalar or a TPoly, ``/``, the t-shift t -> a*t + b
-(``Series.affine_t``) and ``substitute``.  Two operands are first put at one
-order (``Series._pair``), an int numerator a reading (a, 0, ..., 0).  A sum
-puts both sides on the lcm of their denominators, a product multiplies them,
-and each result is divided by the gcd of its denominator and numerators.
-Ints add and multiply inline; Z[zeta_N] numerators add slot by slot, and a
-product convolves every pair into one int list per output coefficient
-(``exact._convolve_into``), which is reduced modulo the N-th cyclotomic
-polynomial once (``exact._settled``).  A scalar or TPoly factor, and the
-TPolys a series is made from, are read through their TPoly forms.
+never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*``,
+``/``, the t-shift t -> a*t + b (``Series.affine_t``) and ``substitute``.
+Two operands are first put at one order (``Series._pair``), an int
+numerator a reading (a, 0, ..., 0).  A sum puts both sides on the lcm of
+their denominators, a product multiplies them, and each result is divided
+by the gcd of its denominator and numerators.  Ints add and multiply
+inline; Z[zeta_N] numerators add slot by slot, and a product convolves
+every pair into one unreduced int list per output key
+(``exact._add_convolution``), which is reduced modulo the N-th cyclotomic
+polynomial once (``exact._settled``).  A scalar or TPoly factor is the
+one-term series of its TPoly form, whose keys have no monomial bits.
 
-Product.  Multiplication sorts the right operand's terms by key, so by
-degree, once; since degree is additive, each left term's inner loop stops
-at the first partner key at or above (cap − deg + 1) << (k·w), which would
-exceed the cap, so dropped pairs are never formed, and each pair's output
-key is the sum of its keys: no tuple is built or hashed per pair.  Each
-output key gets one raw {t-exponent: numerator} dict into which
-``exact._accumulate`` (or ``_convolve_into``) adds the term pairs' products.
-``**`` squares up from the power of the exponent's lowest set bit
-(``exact._power``), so it forms no product with one, and ``substitute``
-starts each piece from its first factor and makes each image power from the
-one below it.
+Product.  Multiplication sorts the right operand's keys by their monomial
+bits, so by degree, once; since degree is additive, each left key's inner
+loop stops at the first partner whose monomial bits reach
+(cap − deg + 1) << (k·w), which would exceed the cap, so dropped pairs are
+never formed.  Each kept pair adds its two keys and its numerators'
+product into one accumulator dict, in one inline loop.  ``**`` squares up
+from the power of the exponent's lowest set bit (``exact._power``), so it
+forms no product with one, and ``substitute`` makes one image piece per
+source monomial, starting from its first factor and making each image
+power from the one below it.
 
 Division.  ``num / den`` solves ``den * Q = num`` target by target in graded
-order (a triangular solve, since den's constant term c0 is a t-free unit);
-``invert()`` is ``one / den``, so one recurrence serves both.  Each target
-starts from its numerator coefficient, subtracts the products of den's other
-terms with the quotient coefficients already solved, and divides by c0.
-Those products are pushed forward: a solved coefficient Q[t] is multiplied
-by each term e of den that fits the cap left above t and added into the
-pending sum of t + e, so no pair is formed whose target is unreachable or
-over the cap.  The recurrence runs on int-scaled numerators (see
-``__truediv__``); at q = zeta_N both sides are first multiplied by the Galois
-cofactor of c0 (``exact._galois_cofactor``), which turns c0 into its integer
-norm, so no inverse is formed.
+order (a triangular solve, since den's constant term c0 is a t-free unit:
+the only key of den of degree 0 is 0).  ``invert()`` is
+``one / den``, so one recurrence serves both.  Each target key starts from
+its numerator, subtracts the products of den's other terms with the
+quotient terms already solved, and divides by c0.  Those products are
+pushed forward: a solved term Q[K] is multiplied by each term e of den that
+fits the cap left above K and added into the pending sum of K + e, so no
+pair is formed whose target is unreachable or over the cap.  The
+recurrence runs on int-scaled numerators (see ``__truediv__``); at
+q = zeta_N both sides are first multiplied by the Galois cofactor of c0
+(``exact._galois_cofactor``), which turns c0 into its integer norm, so no
+inverse is formed.
 
 A Series has three constructors.  The public ``Series(ring, terms)`` and
-``Series.from_numerators(ring, den, num)`` (integer numerators over one
+``Series.from_numerators(ring, den, num)`` (numerators over one
 denominator, for builders that know their coefficients in closed form)
 validate every exponent tuple against the ring.  Kernel outputs whose keys
 are admissible by construction (products pruned at the cap, sums and maps
@@ -73,14 +80,13 @@ from __future__ import annotations
 
 from functools import reduce
 from math import comb, lcm
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
 from .exact import (
     QHarmonicError,
     TPoly,
-    _accumulate,
-    _convolve_into,
+    _add_convolution,
     _galois_cofactor,
     _joint_form,
     _joint_order,
@@ -91,15 +97,14 @@ from .exact import (
     _paired,
     _power,
     _product,
+    _reduce,
     _reduced,
-    _reduced_slot,
     _render_numerator,
     _scaled,
     _set,
     _settled,
     _slot_add,
     _sum_form,
-    _times_form,
     as_tpoly,
     euler_phi,
 )
@@ -114,7 +119,7 @@ class SeriesRing:
     """Shared shape data for Series values: variable names and the cap on
     total degree."""
 
-    __slots__ = ("variables", "cap", "_index", "_width", "_shift", "_offsets")
+    __slots__ = ("variables", "cap", "_index", "_width", "_shift", "_offsets", "_toff", "_mono")
 
     def __init__(self, variables: Sequence[str], cap: int) -> None:
         variables = tuple(variables)
@@ -122,12 +127,15 @@ class SeriesRing:
             raise ValueError("duplicate variable names")
         cap, k = int(cap), len(variables)
         width = max(cap, 1).bit_length()
+        toff = (k + 1) * width
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(variables)})
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_shift", k * width)
         object.__setattr__(self, "_offsets", tuple((k - 1 - i) * width for i in range(k)))
+        object.__setattr__(self, "_toff", toff)
+        object.__setattr__(self, "_mono", (1 << toff) - 1)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("SeriesRing is immutable")
@@ -161,7 +169,7 @@ class SeriesRing:
         return sum(exps) <= self.cap
 
     def _pack(self, exps: tuple[int, ...]) -> int:
-        """The key of an admissible exponent tuple (see the module
+        """The monomial key of an admissible exponent tuple (see the module
         docstring): its degree above one `_width`-bit field per exponent,
         the first variable's highest."""
         key = sum(exps)
@@ -170,13 +178,34 @@ class SeriesRing:
         return key
 
     def _unpack(self, key: int) -> tuple[int, ...]:
-        """The exponent tuple of a key."""
+        """The exponent tuple of a key; its t-power is ignored."""
         mask = (1 << self._width) - 1
         return tuple(key >> off & mask for off in self._offsets)
 
     def _exponent(self, key: int, i: int) -> int:
         """The exponent of the i-th variable in a key."""
         return key >> self._offsets[i] & (1 << self._width) - 1
+
+    def _by_degree(self, num: Mapping) -> list[list]:
+        """The (key, numerator) items of a flat map by degree: entry d lists
+        those of degree d, for d = 0, ..., cap."""
+        shift, mono = self._shift, self._mono
+        out: list[list] = [[] for _ in range(self.cap + 1)]
+        for key, v in num.items():
+            out[(key & mono) >> shift].append((key, v))
+        return out
+
+    def _flat(self, slots: Mapping[int, Mapping]) -> dict:
+        """{monomial key: {t-power: numerator}} as one flat map."""
+        toff = self._toff
+        return {j << toff | m: v for m, slot in slots.items() for j, v in slot.items()}
+
+    def _grouped(self, num: Mapping) -> dict:
+        """A flat map as {monomial key: {t-power: numerator}}."""
+        toff, mono, out = self._toff, self._mono, {}
+        for key, v in num.items():
+            out.setdefault(key & mono, {})[key >> toff] = v
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -187,7 +216,8 @@ class SeriesRing:
         return self.scalar(1)
 
     def scalar(self, value) -> "Series":
-        return self.monomial({}, value)
+        order, den, slot = as_tpoly(value)._t_form
+        return Series._made(self, order, den, self._flat({0: slot}))
 
     def var(self, name: str, power: int = 1) -> "Series":
         return self.monomial({name: power})
@@ -200,7 +230,7 @@ class SeriesRing:
         if not self.check_exponents(e := tuple(e)):
             return self.zero()
         order, den, slot = as_tpoly(coeff)._t_form
-        return Series._made(self, order, den, {self._pack(e): slot} if slot else {})
+        return Series._made(self, order, den, self._flat({self._pack(e): slot}))
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
         """Exponent tuples of total degree <= cap in graded lex order: degree
@@ -232,57 +262,47 @@ def first_term_mismatch(a_terms: Mapping[tuple[int, ...], TPoly],
 # the kernels of a series alone (those it shares with TPoly are in exact)
 # ---------------------------------------------------------------------------
 
-def _term_products(ring: SeriesRing, left, right, accumulate: Callable) -> dict:
-    """The product of two series given as (key, (t-power, numerator) items)
-    pairs, up to the cap, as {key: raw {t-power: numerator}} with zero sums
-    kept.  The right terms are sorted by key, so by degree, once: each left
-    term's inner loop stops at the first partner whose degree would exceed
-    the cap, so dropped pairs are never formed, and the key of a pair that
-    fits is the sum of its keys."""
-    shift, top = ring._shift, ring.cap + 1
-    ordered = sorted(right, key=itemgetter(0))
-    acc: dict[int, dict] = {}
-    for e1, t1 in left:
-        stop = (top - (e1 >> shift)) << shift
-        for e2, t2 in ordered:
-            if e2 >= stop:
-                break
-            slot = acc.get(key := e1 + e2)
-            if slot is None:
-                slot = acc[key] = {}
-            accumulate(slot, t1, t2)
-    return acc
+def _reduced_flat(den: int, num: dict, order: int | None) -> tuple[int, dict]:
+    """(den, num), a flat map with no zero, divided by their common gcd."""
+    den, num = _reduced(den, {0: num}, order)
+    return den, num[0]
 
 
-def _quotient_form(order: int | None, dn: int, powers: list,
-                   quot: Mapping) -> tuple[int, dict]:
-    """The quotient from the {key: (degree, Qint numerators)} that
-    Series.__truediv__ solves, each Qint[t] over dn·n0^(|t|+1), put on the
-    one denominator dn·|n0|^(top+1); powers[d] is n0^d."""
-    top = max((deg for deg, _ in quot.values()), default=0)
-    den = dn * powers[top + 1]
-    sign = -1 if den < 0 else 1
-    num = {e: _scaled(raw, sign * powers[top - deg], order) for e, (deg, raw) in quot.items()}
-    return _reduced(sign * den, num, order)
+def _lowest(den: int, raw: dict, order: int | None) -> tuple[int, dict]:
+    """(den, num) for a raw flat map: zero sums dropped, each unreduced list
+    at an order reduced once, and the result put in lowest terms."""
+    return _reduced_flat(den, _settled({0: raw}, order).get(0, {}), order)
 
 
-def _affine_items(items, weights: Mapping, order: int | None) -> dict:
-    """The image of the polynomial with (t-exponent, numerator) items under
-    a map that sends t^e to Σ_j weights[e][j]·t^j, as a raw
-    {t-exponent: numerator} dict whose zero sums stay until the caller drops
-    them."""
-    out: dict = {}
+def _products(ring: SeriesRing, a: Mapping, b: Mapping, order: int | None, acc: dict) -> dict:
+    """The raw product of two flat maps up to the cap, added into `acc` and
+    returned with zero sums kept (at an order, one unreduced int list per
+    key).  b's keys are sorted by their monomial bits, so by degree, once:
+    each key of a stops at the first partner whose degree would pass the
+    cap, so dropped pairs are never formed, and the key of a pair that fits
+    is the sum of its keys."""
+    shift, mono, top = ring._shift, ring._mono, ring.cap + 1
+    right = sorted([(k & mono, k, v) for k, v in b.items()])
     if order is None:
-        for e, c in items:
-            for j, w in weights[e]:
-                v = c * w
-                out[j] = out[j] + v if j in out else v
-        return out
-    for e, c in items:
-        for j, w in weights[e]:
-            v = [a * w for a in c]
-            out[j] = _slot_add(out[j], v) if j in out else v
-    return out
+        for k1, x in a.items():
+            stop = (top - ((k1 & mono) >> shift)) << shift
+            for m2, k2, y in right:
+                if m2 >= stop:
+                    break
+                k = k1 + k2
+                acc[k] = acc[k] + x * y if k in acc else x * y
+        return acc
+    width = 2 * euler_phi(order) - 1
+    for k1, x in a.items():
+        stop = (top - ((k1 & mono) >> shift)) << shift
+        for m2, k2, y in right:
+            if m2 >= stop:
+                break
+            out = acc.get(k := k1 + k2)
+            if out is None:
+                out = acc[k] = [0] * width
+            _add_convolution(out, x, y)
+    return acc
 
 
 # What a Series multiplies and adds as a one-term series.
@@ -301,19 +321,20 @@ class Series:
     """A truncated series: map from exponent tuples to TPoly coefficients.
     Binary operations require both operands in the same ring.
 
-    The value is `_numer`, keyed by the ring's packed keys, over `_denom`
-    at `_order` (see the module docstring), which every constructor
-    stores.  `terms` maps exponent
-    tuples to TPolys; it is a view of the form, built when first read."""
+    The value is `_numer`, one numerator per (t-power, monomial) key of the
+    ring, over `_denom` at `_order` (see the module docstring), which every
+    constructor stores.  `terms` maps exponent tuples to TPolys; it is a
+    view of the form, built when first read."""
 
     __slots__ = ("ring", "terms", "_order", "_denom", "_numer")
 
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
         """The series with the given TPoly coefficients (a term over the cap
         is dropped), their forms put over one denominator at one order."""
-        _store(self, ring, *_joint_form({ring._pack(exps): tp._t_form
+        order, den, slots = _joint_form({ring._pack(exps): tp._t_form
                                          for exps, tp in terms.items()
-                                         if tp and ring.check_exponents(exps)}))
+                                         if tp and ring.check_exponents(exps)})
+        _store(self, ring, order, den, ring._flat(slots))
 
     @classmethod
     def _made(cls, ring: SeriesRing, order: int | None, den: int, num: dict) -> "Series":
@@ -321,44 +342,48 @@ class Series:
         admissible keys with no zeros, stored with int numerators when none
         has a zeta-component."""
         if order is not None:
-            order, num = _order_settled(order, num)
+            order, num = _order_settled(order, {0: num})
+            num = num[0]
         out = _new(cls)
         _store(out, ring, order, den, num)
         return out
 
     @classmethod
     def from_numerators(cls, ring: SeriesRing, den: int,
-                        num: Mapping[tuple[int, ...], Mapping[int, int]]) -> "Series":
+                        num: Mapping[tuple[int, ...], Mapping[int, object]],
+                        order: int | None = None) -> "Series":
         """The series Σ num[exps][k]/den · t^k · v^exps for a positive int
-        den and int numerators: every exponent tuple is checked against the
-        ring (a term over the cap is dropped), a negative t-power is refused
-        as TPoly refuses it, zero numerators are dropped and the result is
-        put in lowest terms.  No Fraction is built."""
+        den and int numerators, or at `order` Z[zeta_order] numerators
+        (tuples of phi(order) ints): every exponent tuple is checked against
+        the ring (a term over the cap is dropped), a negative t-power is
+        refused as TPoly refuses it, zero numerators are dropped and the
+        result is put in lowest terms.  No Fraction is built."""
         if den <= 0:
             raise ValueError("denominator must be positive")
         if any(k < 0 for slot in num.values() for k in slot):
             raise ValueError("negative t-exponent")
-        return cls._made(ring, None, *_reduced(den, _settled(
-            {ring._pack(e): dict(slot) for e, slot in num.items() if ring.check_exponents(e)},
-            None)))
+        raw = ring._flat({ring._pack(e): slot if order is None
+                          else {k: list(v) for k, v in slot.items()}
+                          for e, slot in num.items() if ring.check_exponents(e)})
+        return cls._made(ring, order, *_lowest(den, raw, order))
 
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms`, built once and kept.
         if name != "terms":
             raise AttributeError(name)
-        den, order, unpack = self._denom, self._order, self.ring._unpack
-        terms = {unpack(key): TPoly._from_numerators(order, den, slot)
-                 for key, slot in self._numer.items()}
+        den, order, ring = self._denom, self._order, self.ring
+        terms = {ring._unpack(m): TPoly._from_numerators(order, den, slot)
+                 for m, slot in ring._grouped(self._numer).items()}
         _set(self, "terms", terms)
         return terms
 
     def _pair(self, other: "Series") -> tuple[int | None, int, Mapping, int, Mapping]:
-        """(order, da, a, db, b): the two operands as numerators over a
-        denominator at one order."""
+        """(order, da, a, db, b): the two operands as flat numerator maps
+        over a denominator at one order."""
         if self.ring is not other.ring:
             self._check_same_ring(other)
-        order, a, b = _paired(self._order, self._numer, other._order, other._numer)
-        return order, self._denom, a, other._denom, b
+        order, a, b = _paired(self._order, {0: self._numer}, other._order, {0: other._numer})
+        return order, self._denom, a[0], other._denom, b[0]
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Series is immutable")
@@ -398,7 +423,8 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order, da, a, db, b = self._pair(other)
-        return Series._made(self.ring, order, *_sum_form(order, da, a, db, b, sign))
+        den, num = _sum_form(order, da, {0: a}, db, {0: b}, sign)
+        return Series._made(self.ring, order, den, num.get(0, {}))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -412,29 +438,19 @@ class Series:
         return (-self) + other
 
     def __neg__(self):
-        order, den, num = self._order, self._denom, self._numer
-        return Series._made(self.ring, order, den,
-                            {e: _scaled(slot, -1, order) for e, slot in num.items()})
+        order = self._order
+        return Series._made(self.ring, order, self._denom, _scaled(self._numer, -1, order))
 
     def __mul__(self, other):
-        """The product with a series, a scalar or a TPoly.  Two series
-        multiply term pair by term pair (`_term_products`): each output
-        exponent gets one raw {t-exponent: numerator} dict into which the
-        pairs' products are added.  A scalar or a TPoly, as a one-term
-        series, multiplies every slot by its one slot (`_times_form`)."""
+        """The product with a series, a scalar or a TPoly (a one-term
+        series whose keys have no monomial bits), by `_products`."""
         ring = self.ring
-        if isinstance(other, Series):
-            order, da, a, db, b = self._pair(other)
-            acc = _term_products(ring, ((e, s.items()) for e, s in a.items()),
-                                 ((e, s.items()) for e, s in b.items()),
-                                 _accumulate if order is None else _convolve_into)
-            return Series._made(ring, order, *_reduced(da * db, _settled(acc, order), order))
-        if not isinstance(other, _FACTORS):
+        if isinstance(other, _FACTORS):
+            other = ring.scalar(other)
+        if not isinstance(other, Series):
             return NotImplemented
-        forder, fden, factor = as_tpoly(other)._t_form
-        order, num, factor = _paired(self._order, self._numer, forder, {0: factor})
-        return Series._made(ring, order,
-                            *_times_form(order, self._denom, num, fden, factor))
+        order, da, a, db, b = self._pair(other)
+        return Series._made(ring, order, *_lowest(da * db, _products(ring, a, b, order, {}), order))
 
     __rmul__ = __mul__
 
@@ -446,19 +462,20 @@ class Series:
     def __truediv__(self, other):
         """Quotient up to the cap: solves other * Q = self target by target.
 
-        The divisor's constant term c0 must be a t-free invertible scalar.  Each target's
-        coefficient is (self[target] − Σ other[e] · Q[target − e]) / c0 over
-        the divisor's non-constant terms e.  The sums are formed in push
-        order: the targets are walked by degree, and once Q[t] is solved,
-        its products with the terms e (sorted by degree, stopping once
-        deg(e) passes cap − deg(t)) are added into the pending sums of
-        t + e.  So every pair formed lands on a target within the cap, and
-        a target that no pair and no dividend term reaches is never visited.
+        The divisor's constant term c0 must be a t-free invertible scalar:
+        0 is its only key of degree 0.  Each target key's numerator is
+        (self[K] − Σ other[e] · Q[K − e]) / c0 over the divisor's other
+        keys e.  The sums are formed in push order: the targets are walked
+        by degree, and once Q[K] is solved, its products with the keys e of
+        degree at most cap − deg(K) (the divisor's keys grouped by degree)
+        are added into the pending sums of K + e.  So every pair formed
+        lands on a target within the cap, and a target that no pair and no
+        dividend term reaches is never visited.
 
         With self = Nn/Dn and other = Nd/Dd and n0 = Nd[0], the loop keeps
-        Qint[t] = Q[t]·Dn·n0^(|t|+1), which satisfies the recurrence
-        Qint[t] = n0^|t|·Dd·Nn[t] − Σ Nd[e]·n0^(|e|−1)·Qint[t − e];
-        every Qint[t] is then scaled by n0^(top − |t|) onto the one
+        Qint[K] = Q[K]·Dn·n0^(|K|+1), |K| the degree, which satisfies the
+        recurrence Qint[K] = n0^|K|·Dd·Nn[K] − Σ Nd[e]·n0^(|e|−1)·Qint[K − e];
+        every Qint[K] is then scaled by n0^(top − |K|) onto the one
         denominator Dn·n0^(top+1), top the highest degree solved.  n0 is an
         int: at q = zeta_N, when c0 has a zeta-component, Nn and Nd are first
         multiplied by its Galois cofactor C, so that n0 = c0·C is the
@@ -467,56 +484,63 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         ring = self.ring
-        shift = ring._shift
+        cap = ring.cap
         order, dn, nn, dd, nd = self._pair(other)
-        c0 = nd.get(0, {})
-        if len(c0) != 1 or 0 not in c0:
+        levels = ring._by_degree(nd)
+        if [k for k, _ in levels[0]] != [0]:
             raise NonUnitConstantTerm(
                 "constant term must be a nonzero t-free scalar")
-        n0 = c0[0]
+        n0 = nd[0]
         if order is not None:
             if any(n0[1:]):
                 cof = _galois_cofactor(order, n0)
-                nn, nd = [{e: {k: tuple(_product(order, v, cof)) for k, v in slot.items()}
-                           for e, slot in side.items()} for side in (nn, nd)]
-                n0 = nd[0][0]
+                nn, nd = ({k: tuple(_product(order, v, cof)) for k, v in side.items()}
+                          for side in (nn, nd))
+                n0, levels = nd[0], ring._by_degree(nd)
             n0 = n0[0]
             pad = [0] * (euler_phi(order) - 1)
-        accumulate = _accumulate if order is None else _convolve_into
-        powers = [n0 ** d for d in range(ring.cap + 2)]
-        nonconst = sorted(((e, _scaled(slot, -powers[(e >> shift) - 1], order).items())
-                           for e, slot in nd.items() if e), key=itemgetter(0))
-        # pending[t] is target t's sum so far; by_degree[d] lists the targets
-        # of degree d that have one, in the order their slots were made.  At
-        # an order a pending numerator is an unreduced list of 2·phi − 1 ints.
-        pending: dict[int, dict] = {}
-        by_degree: list[list] = [[] for _ in range(ring.cap + 1)]
-        for e, slot in nn.items():
-            deg = e >> shift
-            slot = _scaled(slot, dd * powers[deg], order)
-            pending[e] = dict(slot) if order is None else {k: [*v, *pad]
-                                                           for k, v in slot.items()}
-            by_degree[deg].append(e)
-        quot: dict[int, tuple[int, dict]] = {}
-        for deg, targets in enumerate(by_degree):
-            stop = (ring.cap - deg + 1) << shift
-            for target in targets:
-                raw = pending.pop(target)
-                raw = {k: v for k, v in raw.items() if v} if order is None \
-                    else _reduced_slot(order, raw)
-                if not raw:
+            width = 2 * len(pad) + 1
+        powers = [n0 ** d for d in range(cap + 2)]
+        # rows[d]: the divisor's terms e of degree d >= 1 as (key, −Nd[e]·n0^(d−1))
+        rows = [list(_scaled(dict(level), -powers[d - 1], order).items()) if d else []
+                for d, level in enumerate(levels)]
+        # pending[d]: the sums so far of the targets of degree d, each scaled
+        # dividend term first.  At an order a pending numerator is an
+        # unreduced list of 2·phi − 1 ints.
+        pending = ring._by_degree(nn)
+        for d, level in enumerate(pending):
+            s = dd * powers[d]
+            pending[d] = {k: v * s for k, v in level} if order is None \
+                else {k: [a * s for a in v] + pad for k, v in level}
+        # quot[d]: the solved Qint terms of degree d
+        quot: list[dict] = [{} for _ in range(cap + 1)]
+        for deg, level in enumerate(pending):
+            fits = [(pending[deg + d], rows[d]) for d in range(1, cap - deg + 1) if rows[d]]
+            for target, v in level.items():
+                if order is not None:
+                    _reduce(order, v)
+                    v = tuple(v) if any(v) else 0
+                if not v:
                     continue
-                quot[target] = deg, raw
-                items = raw.items()
-                for e, tc in nonconst:
-                    if e >= stop:
-                        break
-                    slot = pending.get(key := target + e)
-                    if slot is None:
-                        slot = pending[key] = {}
-                        by_degree[key >> shift].append(key)
-                    accumulate(slot, tc, items)
-        return Series._made(ring, order, *_quotient_form(order, dn, powers, quot))
+                quot[deg][target] = v
+                for out, row in fits:
+                    if order is None:
+                        for e, c in row:
+                            key = target + e
+                            out[key] = out[key] + c * v if key in out else c * v
+                        continue
+                    for e, c in row:
+                        got = out.get(key := target + e)
+                        if got is None:
+                            got = out[key] = [0] * width
+                        _add_convolution(got, c, v)
+        top = max((d for d, level in enumerate(quot) if level), default=0)
+        den = dn * powers[top + 1]
+        sign = -1 if den < 0 else 1
+        num: dict = {}
+        for d, level in enumerate(quot):
+            num.update(_scaled(level, sign * powers[top - d], order))
+        return Series._made(ring, order, *_reduced_flat(sign * den, num, order))
 
     def invert(self) -> "Series":
         """Multiplicative inverse up to the cap (see __truediv__)."""
@@ -529,34 +553,41 @@ class Series:
         coefficient, on the numerators: with s the lcm of the denominators
         of a and b, a = p/s, b = r/s and D the top t-power, c·t^e goes to
         c·s^(D−e)·(p·t + r)^e over s^D, one int binomial weight per
-        (e, j) (`_affine_items`).  With a = 0 it is evaluation at t = b."""
+        (e, j).  With a = 0 it is evaluation at t = b."""
         order, den, num = self._order, self._denom, self._numer
+        toff, mono = self.ring._toff, self.ring._mono
         _, s, (p, r) = _numerators((a, b))
-        top = max((k for slot in num.values() for k in slot), default=0)
-        weights = {e: [(j, w) for j in (range(e + 1) if r else (e,))
+        top = max(num, default=0) >> toff
+        weights = {e: [(j << toff, w) for j in (range(e + 1) if r else (e,))
                        if (w := comb(e, j) * p ** j * r ** (e - j) * s ** (top - e))]
                    for e in range(top + 1)}
-        raw = {e: _affine_items(slot.items(), weights, order) for e, slot in num.items()}
-        return Series._made(self.ring, order,
-                            *_reduced(den * s ** top, _settled(raw, order), order))
+        raw: dict = {}
+        for k, v in num.items():
+            m = k & mono
+            for j, w in weights[k >> toff]:
+                key = j | m
+                if order is None:
+                    raw[key] = raw[key] + v * w if key in raw else v * w
+                else:
+                    vw = [x * w for x in v]
+                    raw[key] = _slot_add(raw[key], vw) if key in raw else vw
+        return Series._made(self.ring, order, *_lowest(den * s ** top, raw, order))
 
     def negate_vars(self, names: Iterable[str]) -> "Series":
         """Substitute v -> -v for the named variables."""
         ring = self.ring
         idx = [ring._index[n] for n in names]
-        order, den, num = self._order, self._denom, self._numer
-        return Series._made(ring, order, den, {
-            key: _scaled(slot, -1, order) if sum(ring._exponent(key, i) for i in idx) & 1
-            else slot for key, slot in num.items()})
+        order, num = self._order, self._numer
+        odd = {k: v for k, v in num.items() if sum(ring._exponent(k, i) for i in idx) & 1}
+        return Series._made(ring, order, self._denom, {**num, **_scaled(odd, -1, order)})
 
     def coefficient_of(self, name: str, power: int) -> "Series":
         """Sub-series multiplying name^power, with that exponent zeroed."""
         ring = self.ring
         i = ring._index[name]
         drop = (power << ring._offsets[i]) + (power << ring._shift)
-        order, den, num = self._order, self._denom, self._numer
-        picked = {key - drop: slot for key, slot in num.items() if ring._exponent(key, i) == power}
-        return Series._made(ring, order, *_reduced(den, picked, order))
+        picked = {k - drop: v for k, v in self._numer.items() if ring._exponent(k, i) == power}
+        return Series._made(ring, self._order, *_reduced_flat(self._denom, picked, self._order))
 
     def set_var_zero(self, name: str) -> "Series":
         return self.coefficient_of(name, 0)
@@ -569,17 +600,19 @@ class Series:
         Exact up to the target cap when every image has zero constant term
         or the source is an exact polynomial.
 
-        Each source term's monomial is multiplied out of the images' powers,
-        and the pieces are summed once: each piece is scaled by its source
-        term's numerators, over the lcm of the pieces' denominators, at the
-        one order of the source and the pieces."""
+        Each source monomial is multiplied out of the images' powers once,
+        as one piece, and the pieces are summed once: the piece of each
+        source monomial, over the lcm of the pieces' denominators at the one
+        order of the source and the pieces, is multiplied by its t-polynomial
+        (`_products`) into one accumulator."""
+        source = self.ring
         images: dict[int, Series] = {}
         for name, img in bindings.items():
             if img.ring != target:
                 raise ValueError(f"image of {name} not in target ring")
-            images[self.ring._index[name]] = img
-        for name in self.ring.variables:
-            i = self.ring._index[name]
+            images[source._index[name]] = img
+        for name in source.variables:
+            i = source._index[name]
             if i not in images:
                 if name not in target._index:
                     raise ValueError(f"unbound variable {name} missing from target")
@@ -593,23 +626,22 @@ class Series:
                 got.append(got[-1] * got[0])
             return got[e - 1]
 
-        def piece(exps: tuple[int, ...]) -> Series:
-            factors = [image_power(i, e) for i, e in enumerate(exps) if e]
+        def piece(m: int) -> Series:
+            factors = [image_power(i, e) for i, e in enumerate(source._unpack(m)) if e]
             return reduce(mul, factors) if factors else target.one()
 
-        own, dsrc, num = self._order, self._denom, self._numer
-        pieces = {key: piece(self.ring._unpack(key)) for key in num}
+        own, dsrc = self._order, self._denom
+        slots = source._grouped(self._numer)
+        pieces = {m: piece(m) for m in slots}
         order = _joint_order(own, *(p._order for p in pieces.values()))
         den = lcm(*(p._denom for p in pieces.values()))
-        num = _lifted(num, own, order)
-        accumulate = _accumulate if order is None else _convolve_into
-        acc: dict[int, dict] = {}
-        for key, slot in num.items():
-            p = pieces[key]
-            scaled = _scaled(slot, den // p._denom, order).items()
-            for e, pslot in _lifted(p._numer, p._order, order).items():
-                accumulate(acc.setdefault(e, {}), pslot.items(), scaled)
-        return Series._made(target, order, *_reduced(den * dsrc, _settled(acc, order), order))
+        acc: dict = {}
+        for m, slot in slots.items():
+            p = pieces[m]
+            piece_num = _scaled(_lifted({0: p._numer}, p._order, order)[0], den // p._denom, order)
+            tslot = _lifted({0: target._flat({0: slot})}, own, order)[0]
+            _products(target, piece_num, tslot, order, acc)
+        return Series._made(target, order, *_lowest(den * dsrc, acc, order))
 
     # -- comparison / serialization ----------------------------------------
 
@@ -629,13 +661,13 @@ class Series:
         return first_term_mismatch(self.terms, other.terms)
 
     def to_json(self) -> list:
-        """The JSON of the terms view, read off the form as TPoly.to_json
-        reads it: no TPoly is built."""
-        order, den, unpack = self._order, self._denom, self.ring._unpack
+        """The JSON of the terms view, read off the form grouped by
+        monomial, as TPoly.to_json reads it: no TPoly is built."""
+        order, den, ring = self._order, self._denom, self.ring
         return [
-            {"exps": list(unpack(key)),
+            {"exps": list(ring._unpack(m)),
              "coeff": {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(slot.items())}}
-            for key, slot in sorted(self._numer.items())
+            for m, slot in sorted(ring._grouped(self._numer).items())
         ]
 
     @classmethod

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -154,6 +155,74 @@ def test_p_products_form_no_product_with_one(monkeypatch):
     for j in range(1, 7):
         chain.append(chain[-1] * eval_by_horner(pp, value(1 - lift(params.q) ** j)))
     assert products[7, 3, Fraction(5, 7)] == chain
+
+
+def test_phi_system_checks_form_no_product_with_one(monkeypatch):
+    # Cor 2.3's apply_p adds P's monic top term Θ^{r+1}Φ itself, (E4) makes
+    # t·1 as ring.scalar(T) and its z-blends term by term, and c_i at i = 1
+    # takes x_{r+2} alone (prod_m[0] is one): no Series product has the
+    # operand one (48 of 344 had over these three calls)
+    calls = []
+    original = Series.__mul__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    for n, r, q, cap in ((3, 1, Fraction(1, 2), 3), (4, 2, Fraction(1, 2), 3),
+                         (5, 3, Fraction(-3), 2)):
+        one = SeriesRing(x_variable_names(r), cap).one()
+        with monkeypatch.context() as patch:
+            patch.setattr(Series, "__mul__", spy)
+            patch.setattr(Series, "__rmul__", spy)
+            calls.clear()
+            groups = phi_system_checks.__wrapped__(n, r, q, cap)
+        assert calls and not [pair for pair in calls if one in pair], (n, r, q, cap)
+        assert all(mm is None for pairs in groups.values() for _, mm in pairs)
+
+
+def ref_phi_bruteforce(n: int, r: int, q, j: int, cap: int) -> PhiPoly:
+    """Each x_sum's TPoly coefficients by z-power, made into one Series per
+    power from its term map."""
+    params = SeriesParams(n, q)
+    ring = SeriesRing(x_variable_names(r), cap)
+    by_z = {}
+    for exps in ring.exponents_up_to_cap():
+        base = profile_from_exponents(r, exps)
+        zp = qseries.x_sum(HeightProfile(base.k, base.l, base.h, j), params)
+        for ze, tp in zp.coeffs.items():
+            by_z.setdefault(ze, {})[exps] = tp
+    return PhiPoly({ze: Series(ring, terms) for ze, terms in by_z.items()})
+
+
+def clear_qseries_caches():
+    for name in dir(qseries):
+        cache_clear = getattr(getattr(qseries, name), "cache_clear", None)
+        if cache_clear is not None:
+            cache_clear()
+
+
+def test_phi_bruteforce_builds_no_tpoly(monkeypatch):
+    # the x_sums' numerator slots go over one denominator (ZPoly.by_power)
+    # and into each z-power's series (Series.from_numerators) with one
+    # reduction: no TPoly is made, from cold caches, and the result is the
+    # one made from the x_sums' TPoly coefficients
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TPoly was built")
+
+    cases = [(4, 2, Fraction(1, 2), j, 3) for j in (-1, 0, 1)] + [
+        (5, 1, CycloNumber.zeta(5), 0, 3), (4, 1, CycloNumber.zeta(12), -1, 3),
+        (3, 1, Fraction(-3), 0, 2)]
+    for n, r, q, j, cap in cases:
+        want = ref_phi_bruteforce(n, r, q, j, cap)
+        clear_qseries_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(TPoly, "__init__", refuse)
+            for name in ("_from_form", "_from_numerators", "const"):
+                patch.setattr(TPoly, name, classmethod(refuse))
+            got = phi_bruteforce(n, r, q, j, cap)
+        assert got == want and got.to_json() == want.to_json(), (n, r, q, j)
+        assert got.coeffs
 
 
 def test_invariant_violations_raise_package_errors(monkeypatch):
@@ -559,6 +628,43 @@ def test_search_recovers_pinned_witness():
     found = search_qhs_witness()
     assert found is not None
     assert found.to_json() == PINNED_QHS_WITNESS.to_json()
+
+
+def ref_qhs_witnesses(coords, svals):
+    """The witness search in Fractions: for each candidate (x1, x2, t, s),
+    solve x3 from the t-discriminant s², skip x3 = 0 and x3 = x1·x2, and
+    keep it when the shifted discriminant is a rational square and the
+    witness validates."""
+    for x1 in coords:
+        for x2 in coords:
+            for t in genfun.QHS_T_VALUES:
+                b = x1 + t * x2
+                for s in svals:
+                    x3 = x1 * x2 + (s * s - b * b) / (4 * t)
+                    if x3 == 0 or x3 == x1 * x2:
+                        continue
+                    bm = x1 + (t - 1) * x2
+                    sm = genfun._rational_sqrt(bm * bm + 4 * (t - 1) * (x3 - x1 * x2))
+                    if sm is None:
+                        continue
+                    w = genfun.QhsWitness(x1=x1, x2=x2, x3=x3, t=t, q=genfun.QHS_Q,
+                                          n=genfun.QHS_N, s_t=s, s_tm1=sm)
+                    if validate_qhs_witness(w):
+                        yield w
+
+
+def test_qhs_search_matches_fraction_reference():
+    # the int search keeps the Fraction loop's candidates, order and hits:
+    # its first 40 witnesses at the real bounds (the candidates up to the
+    # 40th hit), and every witness at small bounds
+    coords = genfun._ordered_rationals(genfun.QHS_COORD_BOUND)
+    svals = genfun._ordered_s_values(genfun.QHS_S_DEN_BOUND, genfun.QHS_S_NUM_BOUND)
+    got = list(islice(genfun._qhs_witnesses(coords, svals), 40))
+    assert got == list(islice(ref_qhs_witnesses(coords, svals), 40))
+    assert got[0] == PINNED_QHS_WITNESS and len({w.x2 for w in got}) > 2
+    coords, svals = genfun._ordered_rationals(2), genfun._ordered_s_values(3, 6)
+    got = list(genfun._qhs_witnesses(coords, svals))
+    assert got and got == list(ref_qhs_witnesses(coords, svals))
 
 
 def test_identity_report_validation():

@@ -443,22 +443,49 @@ def test_division_by_sparse_divisors(order):
             assert q * b == a
 
 
+class CountingInt(int):
+    """An int whose products with another CountingInt are counted in
+    `products`; its sums and products stay CountingInts, so a numerator made
+    from them is one too, and a scaling by a plain int is not counted."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingInt.products += isinstance(other, CountingInt)
+        return CountingInt(int.__mul__(int(self), int(other)))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CountingInt(int.__add__(int(self), int(other)))
+
+    __radd__ = __add__
+
+
+def counting(s: Series) -> Series:
+    """s with CountingInt numerators."""
+    return Series._made(s.ring, None, s._denom, {k: CountingInt(v) for k, v in s._numer.items()})
+
+
+def numerator_count(tp: TPoly) -> int:
+    return len(tp.coeffs)
+
+
 @pytest.mark.parametrize("order", [None, 7])
 def test_division_forms_only_pairs_that_fit_the_cap(order, monkeypatch):
-    # Push order: each solved Q[t] meets the divisor's nonconstant terms e
-    # with deg(e) <= cap - deg(t), one product each, and nothing else.
-    # The raw product kernel is _accumulate on int numerators and
-    # _convolve_into on Z[zeta_7] ones; both are counted.
+    # Push order: each solved quotient term Q[K] meets the divisor's
+    # nonconstant terms e with deg(e) <= cap - deg(K), one product each,
+    # and nothing else.  On Z[zeta_7] numerators each pair is one call of
+    # _add_convolution; on int numerators (operands whose values are all
+    # rational) it is one product inline of two numerators made from the
+    # operands', counted on CountingInt numerators.
     rng = random.Random(f"series-div-pairs:{order}")
     calls = []
-    kernels = ("_accumulate", "_convolve_into")
-    originals = {name: getattr(series_module, name) for name in kernels}
+    original = series_module._add_convolution
 
-    def counting(name):
-        def spy(slot, left, right):
-            calls.append(1)
-            originals[name](slot, left, right)
-        return spy
+    def spy(out, x, y):
+        calls.append(1)
+        original(out, x, y)
 
     for ring in (SeriesRing(("x", "y", "z"), 6), SeriesRing(("x", "y", "z", "w"), 4),
                  SeriesRing(("x", "y"), 5)):
@@ -466,15 +493,23 @@ def test_division_forms_only_pairs_that_fit_the_cap(order, monkeypatch):
         for _ in range(5):
             b = sparse_unit(ring, rng, order, rng.randint(1, 4))
             a = rand_terms(ring, rng, order, rng.randint(1, 6))
-            for name in kernels:
-                monkeypatch.setattr(series_module, name, counting(name))
+            want_q = ref_mul(a, ref_invert(b)).to_json()
+            ints = a._order is None and b._order is None
+            if ints:
+                a, b = counting(fresh(a)), counting(fresh(b))
+            monkeypatch.setattr(series_module, "_add_convolution", spy)
             calls.clear()
+            CountingInt.products = 0
             q = a / b
             monkeypatch.undo()
-            degrees = [sum(e) for e in b.terms if e != zero]
-            want = sum(1 for t in q.terms for d in degrees if d <= ring.cap - sum(t))
-            assert len(calls) == want
-            assert q.to_json() == ref_mul(a, ref_invert(b)).to_json()
+            divisor = [(sum(e), numerator_count(tp)) for e, tp in b.terms.items() if e != zero]
+            want = sum(numerator_count(tp) * n for t, tp in q.terms.items()
+                       for d, n in divisor if d <= ring.cap - sum(t))
+            if ints:
+                assert calls == [] and CountingInt.products == want
+            else:
+                assert len(calls) == want
+            assert q.to_json() == want_q
 
 
 def ref_substitute(s: Series, bindings, target: SeriesRing) -> Series:
@@ -733,14 +768,14 @@ def terms_built(s: Series) -> bool:
 
 
 def numerators(s: Series) -> dict:
-    """s's numerators by exponent tuple: the keys of its form unpacked with
-    its ring, each the packed key of its tuple (so its degree field holds
-    the tuple's degree)."""
-    out = {}
-    for key, slot in s._numer.items():
-        exps = s.ring._unpack(key)
-        assert s.ring._pack(exps) == key, (key, exps)
-        out[exps] = slot
+    """s's numerators as {exponent tuple: {t-power: numerator}}: each key of
+    its flat form is the packed key of its tuple (so its degree field holds
+    the tuple's degree) below the t-power, which starts at bit `_toff`."""
+    ring, out = s.ring, {}
+    for key, v in s._numer.items():
+        exps = ring._unpack(key)
+        assert ring._pack(exps) == key & ring._mono == key % (1 << ring._toff), (key, exps)
+        out.setdefault(exps, {})[key >> ring._toff] = v
     return out
 
 
@@ -1339,3 +1374,147 @@ def test_series_powers_match_repeated_products(order):
             inv = u.invert()
             for exp in range(1, 10):
                 assert (u ** -exp).to_json() == repeated(inv, exp, ring.one()).to_json()
+
+
+# -- the flat form against a dict-of-TPoly model ------------------------------
+# The model keeps a series as {exponent tuple: TPoly} and writes every
+# operation term by term in TPoly arithmetic, with the cap applied to each
+# term; the kernels run on the flat (t-power, monomial) keys.  The two meet
+# in to_json and in the form of Series(ring, model), which scans TPolys.
+
+def m_trim(ring: SeriesRing, terms: dict) -> dict:
+    return {e: tp for e, tp in terms.items() if tp and sum(e) <= ring.cap}
+
+
+def m_add(ring: SeriesRing, a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, tp in b.items():
+        out[e] = out.get(e, TPoly.zero()) + tp * sign
+    return m_trim(ring, out)
+
+
+def m_mul(ring: SeriesRing, a: dict, b: dict) -> dict:
+    out = {}
+    for e1, t1 in a.items():
+        for e2, t2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if sum(e) <= ring.cap:
+                out[e] = out.get(e, TPoly.zero()) + t1 * t2
+    return m_trim(ring, out)
+
+
+def m_div(ring: SeriesRing, a: dict, b: dict) -> dict:
+    """Q with b·Q = a up to the cap, target by target in graded order."""
+    zero = (0,) * len(ring.variables)
+    inverse = value(1 / lift(b[zero].coeffs[0]))
+    q = {}
+    for target in ring.exponents_up_to_cap():
+        acc = a.get(target, TPoly.zero())
+        for e, tp in b.items():
+            rest = tuple(x - y for x, y in zip(target, e))
+            if e != zero and rest in q:
+                acc = acc - tp * q[rest]
+        if acc:
+            q[target] = acc * inverse
+    return q
+
+
+def m_substitute(source: SeriesRing, a: dict, images: dict, target: SeriesRing) -> dict:
+    total = {}
+    for exps, tp in a.items():
+        piece = {(0,) * len(target.variables): tp}
+        for name, e in zip(source.variables, exps):
+            for _ in range(e):
+                piece = m_mul(target, piece, images[name])
+        total = m_add(target, total, piece)
+    return total
+
+
+def m_json(terms: dict) -> list:
+    return [{"exps": list(e), "coeff": terms[e].to_json()}
+            for e in sorted(terms, key=series_module._term_sort_key)]
+
+
+def rand_model(ring: SeriesRing, rng: random.Random, order, size: int, tmax: int) -> dict:
+    terms = {}
+    for _ in range(size):
+        terms[rand_monomial(ring, rng, 0)] = TPoly({rng.randint(0, tmax): rand_scalar(rng, order)
+                                                    for _ in range(rng.randint(1, 3))})
+    return m_trim(ring, terms)
+
+
+def assert_matches(got: Series, want: dict):
+    """got is the model's series in value, form and JSON, and pickles."""
+    ring = got.ring
+    assert got.to_json() == m_json(want)
+    made = Series(ring, want)
+    assert got == made
+    assert (got._order, got._denom, got._numer) == (made._order, made._denom, made._numer)
+    twin = pickle.loads(pickle.dumps(got))
+    assert twin == got and twin.to_json() == got.to_json()
+
+
+@pytest.mark.parametrize("order", [None, 5, 12])
+def test_flat_form_matches_the_term_model(order):
+    rng = random.Random(f"flat-form:{order}")
+    for cap in range(1, 7):
+        ring = SeriesRing(("x", "y", "w")[:1 + cap % 3], cap)
+        names = ring.variables
+        for _ in range(3):
+            tmax = rng.choice((3, 70))
+            a = rand_model(ring, rng, order, rng.randint(0, 7), tmax)
+            b = rand_model(ring, rng, order, rng.randint(1, 7), tmax)
+            sa, sb = Series(ring, a), Series(ring, b)
+            assert_matches(sa + sb, m_add(ring, a, b))
+            assert_matches(sa - sb, m_add(ring, a, b, -1))
+            assert_matches(-sa, m_add(ring, {}, a, -1))
+            assert_matches(sa * sb, m_mul(ring, a, b))
+            # sums that cancel to zero
+            assert_matches(sa - sa, {})
+            assert_matches((sa + sb) - sb, a)
+            for factor in (TPoly({0: rand_scalar(rng, order), rng.randint(0, 70): Fraction(2, 3)}),
+                           rand_scalar(rng, order), Fraction(-5, 6), 3, 0):
+                assert_matches(sa * factor, m_trim(ring, {e: tp * factor for e, tp in a.items()}))
+            # a divisor whose constant term is a nonzero t-free scalar
+            unit = {e: tp for e, tp in rand_model(ring, rng, order, rng.randint(0, 4), 3).items()
+                    if sum(e)}
+            unit[(0,) * len(names)] = TPoly.const(rand_scalar(rng, order) or Fraction(1))
+            assert_matches(sa / Series(ring, unit), m_div(ring, a, unit))
+            for p, r in ((1, -1), (Fraction(1, 2), 0), (0, Fraction(2, 3)), (0, 0),
+                         (Fraction(-3, 4), Fraction(1, 5))):
+                assert_matches(sa.affine_t(p, r),
+                               m_trim(ring, {e: ref_affine_t(tp, p, r) for e, tp in a.items()}))
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            assert_matches(sa.negate_vars(picked), {
+                e: -tp if sum(e[names.index(v)] for v in picked) % 2 else tp
+                for e, tp in a.items()})
+            i, power = rng.randrange(len(names)), rng.randint(0, cap)
+            assert_matches(sa.coefficient_of(names[i], power), {
+                e[:i] + (0,) + e[i + 1:]: tp for e, tp in a.items() if e[i] == power})
+            # substitute into a ring of two variables, the images without
+            # constant term, one of them rational
+            dst = SeriesRing(("u", "v"), cap)
+            images = {v: {e: tp for e, tp in rand_model(dst, rng, order if k else None,
+                                                      rng.randint(1, 3), 2).items() if sum(e)}
+                      for k, v in enumerate(names)}
+            assert_matches(sa.substitute({v: Series(dst, img) for v, img in images.items()}, dst),
+                           m_substitute(ring, a, images, dst))
+
+
+@pytest.mark.parametrize("order", [5, 12])
+def test_flat_form_results_with_no_zeta_part_drop_to_ints(order):
+    rng = random.Random(f"flat-form-ints:{order}")
+    zeta = CycloNumber.zeta(order)
+    for cap in range(1, 7):
+        ring = SeriesRing(("x", "y")[:1 + cap % 2], cap)
+        a = rand_model(ring, rng, None, rng.randint(1, 6), 70)
+        sa = Series(ring, a)
+        with_zeta = Series(ring, rand_model(ring, rng, order, 4, 70)) + ring.var("x") * zeta
+        assert with_zeta._order == order
+        # ζ·ζ^(order−1) = 1, and a ζ-part added and taken away
+        last = CycloNumber.zeta_power(order, order - 1)
+        for got in ((sa * zeta) * last, (sa + with_zeta) - with_zeta,
+                    (sa * ring.scalar(zeta)).substitute({"x": ring.var("x")}, ring) * last,
+                    (sa * TPoly({0: zeta})) / ring.scalar(zeta)):
+            assert got._order is None and all(type(v) is int for v in got._numer.values())
+            assert_matches(got, a)

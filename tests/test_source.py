@@ -71,12 +71,15 @@ def test_only_series_reads_the_series_form():
     assert all(f'"{name}"' in series.read_text() for name in SERIES_FORM)
 
 
-# The keys of a Series' form: each exponent tuple packed into one int, the
-# degree above one field per exponent.  SeriesRing packs and unpacks them and
-# owns their layout (field width, degree shift, field offsets); other modules
+# The keys of a Series' form: each term's t-power above its exponent tuple
+# packed into one int, the degree above one field per exponent.  SeriesRing
+# packs and unpacks them and owns their layout (field width, degree shift,
+# field offsets, the t-power's offset and the monomial mask, and the maps
+# between the flat keys and {monomial: {t-power: numerator}}); other modules
 # read a series through exponent tuples, so the packing stays the series
 # module's business.
-SERIES_KEYS = {"_pack", "_unpack", "_exponent", "_width", "_shift", "_offsets"}
+SERIES_KEYS = {"_pack", "_unpack", "_exponent", "_by_degree", "_flat", "_grouped",
+               "_width", "_shift", "_offsets", "_toff", "_mono"}
 
 
 def test_only_series_reads_the_series_keys():
@@ -88,7 +91,7 @@ def test_only_series_reads_the_series_keys():
              or (isinstance(node, ast.Constant) and node.value in SERIES_KEYS)]
     assert found == []
     series = next(path for path in SOURCES if path.name == "series.py")
-    helpers = {"_pack", "_unpack", "_exponent"}
+    helpers = {"_pack", "_unpack", "_exponent", "_by_degree", "_flat", "_grouped"}
     assert all(f'"{name}"' in series.read_text() for name in SERIES_KEYS - helpers)
     assert {f"SeriesRing.{name}" for name in helpers} <= _definitions(series).keys()
 
@@ -188,8 +191,9 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "Series.negate_vars", "Series.coefficient_of",
                                   "Series.from_numerators", "Series.substitute",
                                   "Series.to_json", "SeriesRing._pack", "SeriesRing._unpack",
-                                  "SeriesRing._exponent",
-                                  "_term_products", "_quotient_form", "_affine_items"),
+                                  "SeriesRing._exponent", "SeriesRing._flat",
+                                  "SeriesRing._grouped", "SeriesRing._by_degree",
+                                  "_products", "_reduced_flat", "_lowest"),
                     "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
                                  "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
                                  "TPoly.__mul__", "TPoly.__eq__", "TPoly.is_zero",
@@ -197,7 +201,8 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_numerators", "_sum_form", "_times_form", "_reduced",
                                  "_settled", "_reduced_slot", "_common", "_scaled", "_lifted",
                                  "_paired", "_joint_order", "_add_tuples_into",
-                                 "_convolve_into", "_galois_cofactor", "_render_over",
+                                 "_convolve_into", "_add_convolution", "_galois_cofactor",
+                                 "_render_over",
                                  "_render_numerator", "scalar_to_json", "_joint_form", "_merge_into",
                                  "_order_settled", "ZPoly.__init__", "ZPoly._from_form",
                                  "ZPoly._from_numerators", "ZPoly.one", "ZPoly.sum_of",
