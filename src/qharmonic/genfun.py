@@ -8,7 +8,10 @@ This module builds both sides of every verified statement:
   of u(x) that clears its poles by a power of x₁;
 * the product representation of the height generating function (via
   `p_poly`, which gives P^t only: every t−1 side is its image under
-  t -> t−1) next to its brute-force definition (via profile sums);
+  t -> t−1) next to its brute-force definition (via profile sums); P's
+  coefficients and its values P(1 − q^j) (`eval_p`) are each one weighted
+  sum of series (`Series.weighted_sum`), so the product side multiplies
+  series only in x₁·x_j and in the chain of the n − 2 products;
 * the z-side generating functions Φ_j, each a polynomial in z over
   x-series (`PhiPoly`, one Series per z-power on the generic SparsePoly
   path, with its own z-shift and value at z = 1 and the per-class scaling
@@ -28,7 +31,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import comb, factorial, isqrt, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -218,37 +221,37 @@ def roundtrip_u(r: int, cap: int) -> tuple[Series, ...]:
 def p_poly(r: int, xs: Sequence[Series]) -> tuple[Series, ...]:
     """The coefficients, in ascending powers of T, of the monic
     P^t(T) = T^{r+1} − (x₁ + tx₂)T^r − t Σ_{i=0}^{r−1} (x_{r+2−i} − x₁x_{r+1−i})T^i.
-    P^{t−1} is its image under t -> t−1 (see `_t_ratio`)."""
+    P^{t−1} is its image under t -> t−1 (see `_t_ratio`).  Each coefficient
+    below the top is one weighted sum (`Series.weighted_sum`) whose weights
+    are −1, −t and t, so the only products are the r products x₁·x_j."""
     if len(xs) != r + 2:
         raise ValueError("need r+2 x-series")
+    minus, minus_t, plus_t = (None, 1, {0: -1}), (None, 1, {1: -1}), (None, 1, {1: 1})
     ring = xs[0].ring
-    cs: list[Series] = [ring.zero()] * (r + 2)
-    cs[r + 1] = ring.one()
-    cs[r] = -(xs[0] + xs[1] * T)
-    for i in range(r):
-        cs[i] = -((xs[r + 1 - i] - xs[0] * xs[r - i]) * T)
+    cs = [Series.weighted_sum(ring, ((xs[r + 1 - i], minus_t), (xs[0] * xs[r - i], plus_t)))
+          for i in range(r)]
+    cs.append(Series.weighted_sum(ring, ((xs[0], minus), (xs[1], minus_t))))
+    cs.append(ring.one())
     return tuple(cs)
 
 
-def eval_p(coeffs: Sequence[Series], value: TPoly) -> Series:
-    """Σ_i coeffs[i]·value^i for the coefficients of a monic P (the last is
-    one) and a constant TPoly value.  Each coefficient is scaled by a power
-    of the value: Horner's rule would scale the growing partial sum instead,
-    which is slower once the coefficients have different supports (r ≥ 2).
-    The powers start from the value and the monic top term is its power
-    alone, so no product has the operand one."""
-    out, power = coeffs[0], value
-    for c in coeffs[1:-1]:
-        out = out + c * power
-        power = power * value
-    return out + power
+def eval_p(coeffs: Sequence[Series], num, den: int, order: int | None = None) -> Series:
+    """Σ_i coeffs[i]·v^i at the constant v = num/den of NumeratorRing(order),
+    as one weighted sum (`Series.weighted_sum`): coeffs[i] is weighted by
+    num^i over den^i, the powers of num ints at rational q and `_product`
+    powers of its numerator list at a root, so no TPoly power and no series
+    product is formed.  P's monic top term is its last coefficient, one,
+    weighted by the top power of v."""
+    powers = accumulate(repeat(num, len(coeffs) - 1), NumeratorRing(order).mul)
+    weights = [(None, 1, {0: 1}), *((order, den ** i, {0: p}) for i, p in enumerate(powers, 1))]
+    return Series.weighted_sum(coeffs[0].ring, zip(coeffs, weights))
 
 
 def _p_products(coeffs: Sequence[Series], params: SeriesParams) -> list[Series]:
     """The prefix products Π_{j≤i} P(1−q^j), i = 0, …, n−1, of P's
     coefficients; the chain starts from P(1−q) itself, not from one."""
-    ring = NumeratorRing(_order(params))
-    values = (eval_p(coeffs, ring.const(*_one_minus_qpow(params, j))) for j in range(1, params.n))
+    order = _order(params)
+    values = (eval_p(coeffs, *_one_minus_qpow(params, j), order) for j in range(1, params.n))
     return [coeffs[0].ring.one(), *accumulate(values, operator.mul)]
 
 

@@ -191,11 +191,13 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     every evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the
     q-integer [m]_q = (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the
     polylogarithms ("L"), and q^(-m) for part 0, which only the literal
-    zbar((0,)) reads.  Part k > 1 multiplies the numerators of parts k - 1
-    and 1 and of q^m; the "L" part 1 is the "zbar" column.  The inverses in
-    the "z" part 1 and in part 1 at rational q are numerators over their
-    own denominators (NumeratorRing.inverse), put over one (`over`); at
-    rational q, part 0 and the q^m are scalars, scanned into a column once.
+    zbar((0,)) reads.  Part k > 1 multiplies the numerators of part 1 and
+    of q^m into each part from part 2 up to k, in one loop, so a part of
+    any size recurses no deeper than part 1; the "L" part 1 is the "zbar"
+    column.  The inverses in the "z" part 1 and in part 1 at rational q are
+    numerators over their own denominators (NumeratorRing.inverse), put
+    over one (`over`); at rational q, part 0 and the q^m are scalars,
+    scanned into a column once.
 
     At q = zeta_N^b no column builds a CycloNumber: part 0 is one _zeta_sum
     slot per m, and the "zbar" part 1 is the closed form of 1/(1 - q^m)
@@ -208,22 +210,26 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     z = (1-q)^w zbar still compares two computations."""
     ring, root, ms = NumeratorRing(_order(params)), params.root, range(1, params.n)
     if k > 1:
-        (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
+        den, column = db, b = _factor(params, kind, 1)
         if not root:
-            if kind == "L":
-                return da * db, list(map(ring.mul, a, b))
-            dq, powers = ring.column([_qpow(params, m) for m in ms])
-            return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
+            if kind != "L":
+                dq, powers = ring.column([_qpow(params, m) for m in ms])
+                db, b = db * dq, list(map(ring.mul, b, powers))
+            for _ in range(k - 1):
+                den, column = den * db, list(map(ring.mul, column, b))
+            return den, column
         order, step = root
-        column = []
-        for m, x, y in zip(ms, a, b):
-            if m > 1 and kind != "z" and gcd(m, order) == 1:
-                column.append(_conjugate(order, column[0], m))
-            elif kind == "L":
-                column.append(ring.mul(x, y))
-            else:  # times zeta^(step*m): a rotation
-                column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
-        return da * db, column
+        for _ in range(k - 1):
+            below, column = column, []
+            for m, x, y in zip(ms, below, b):
+                if m > 1 and kind != "z" and gcd(m, order) == 1:
+                    column.append(_conjugate(order, column[0], m))
+                elif kind == "L":
+                    column.append(ring.mul(x, y))
+                else:  # times zeta^(step*m): a rotation
+                    column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
+            den *= db
+        return den, column
     if k == 0:
         if root:
             return 1, [_zeta_sum(root[0], [(-root[1] * m, 1)]) for m in ms]
@@ -328,7 +334,8 @@ def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tu
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
     under taking tails.  The step reads the column of f_(k_1) from _factor,
-    and the denominators multiply."""
+    and the denominators multiply.  Callers go through `_tail_levels`, so
+    the tail is always cached here."""
     den, column = _factor(params, kind, parts[0])
     if len(parts) == 1:
         return den, (column,)
@@ -336,12 +343,21 @@ def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tu
     return below_den * den, _layer_step(column, below, NumeratorRing(_order(params)))
 
 
+def _tail_levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tuple]:
+    """`_levels` of a nonempty index, its tails asked for first in one loop,
+    the shortest first: each then finds its own tail cached, so no call
+    recurses more than one level at any depth."""
+    for i in range(len(parts) - 1, 0, -1):
+        _levels(parts[i:], params, kind)
+    return _levels(parts, params, kind)
+
+
 def _interpolated(parts: MultiIndex, params: SeriesParams, kind: str) -> TPoly:
     _check_parts(parts)
     if not parts:
         return TPoly.one()
     ring = NumeratorRing(_order(params))
-    den, layers = _levels(parts, params, kind)
+    den, layers = _tail_levels(parts, params, kind)
     return TPoly._from_numerators(ring.order, den, {j: reduce(ring.add, layer, ring.zero)
                                                     for j, layer in enumerate(layers)})
 
@@ -423,7 +439,7 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
         raise ValueError(f"unknown variant {variant!r}")
     if not parts:
         return ZPoly.one()
-    den, layers = _levels(parts, params, "L")
+    den, layers = _tail_levels(parts, params, "L")
     return ZPoly._from_numerators(_order(params), den, {m: dict(enumerate(coeffs))
                                                        for m, coeffs in enumerate(zip(*layers), 1)})
 

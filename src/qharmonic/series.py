@@ -31,7 +31,8 @@ takes and returns exponent tuples.
 
 Each operation has one kernel, which reads and writes the form directly and
 never builds a Fraction or a CycloNumber: ``+``, ``-`` and negation, ``*``,
-``/``, the t-shift t -> a*t + b (``Series.affine_t``) and ``substitute``.
+``/``, the t-shift t -> a*t + b (``Series.affine_t``) and the weighted sum
+(``Series.weighted_sum``), on which ``substitute`` runs.
 Two operands are first put at one order (``Series._pair``), an int
 numerator a reading (a, 0, ..., 0).  A sum puts both sides on the lcm of
 their denominators, a product multiplies them, and each result is divided
@@ -41,6 +42,15 @@ every pair into one unreduced int list per output key
 (``exact._add_convolution``), which is reduced modulo the N-th cyclotomic
 polynomial once (``exact._settled``).  A scalar or TPoly factor is the
 one-term series of its TPoly form, whose keys have no monomial bits.
+
+Weighted sum.  ``Series.weighted_sum`` forms Σ w_i·s_i for series s_i of
+one ring and weights w_i that are t-polynomials given by their numerators
+(the TPoly form), as one flat accumulation over the lcm of the terms'
+denominators with one reduction: a weight's t-power shifts the key, and
+no series-by-constant product, TPoly or partial sum is made.  It is the
+kernel beside the product: ``substitute`` weights each source monomial's
+piece by its t-polynomial, and ``genfun`` evaluates the characteristic
+polynomial P at 1 − q^j and builds P's coefficients with it.
 
 Product.  Multiplication sorts the right operand's keys by their monomial
 bits, so by degree, once; since degree is additive, each left key's inner
@@ -90,7 +100,6 @@ from .exact import (
     _galois_cofactor,
     _joint_form,
     _joint_order,
-    _lifted,
     _new,
     _numerators,
     _order_settled,
@@ -274,14 +283,14 @@ def _lowest(den: int, raw: dict, order: int | None) -> tuple[int, dict]:
     return _reduced_flat(den, _settled({0: raw}, order).get(0, {}), order)
 
 
-def _products(ring: SeriesRing, a: Mapping, b: Mapping, order: int | None, acc: dict) -> dict:
-    """The raw product of two flat maps up to the cap, added into `acc` and
-    returned with zero sums kept (at an order, one unreduced int list per
-    key).  b's keys are sorted by their monomial bits, so by degree, once:
-    each key of a stops at the first partner whose degree would pass the
-    cap, so dropped pairs are never formed, and the key of a pair that fits
-    is the sum of its keys."""
-    shift, mono, top = ring._shift, ring._mono, ring.cap + 1
+def _products(ring: SeriesRing, a: Mapping, b: Mapping, order: int | None) -> dict:
+    """The raw product of two flat maps up to the cap, with zero sums kept
+    (at an order, one unreduced int list per key), for ``*``.  b's keys are
+    sorted by their monomial bits, so by degree, once: each key of a stops
+    at the first partner whose degree would pass the cap, so dropped pairs
+    are never formed, and the key of a pair that fits is the sum of its
+    keys."""
+    shift, mono, top, acc = ring._shift, ring._mono, ring.cap + 1, {}
     right = sorted([(k & mono, k, v) for k, v in b.items()])
     if order is None:
         for k1, x in a.items():
@@ -367,6 +376,56 @@ class Series:
                           for e, slot in num.items() if ring.check_exponents(e)})
         return cls._made(ring, order, *_lowest(den, raw, order))
 
+    @classmethod
+    def weighted_sum(cls, ring: SeriesRing, terms: Iterable[tuple["Series", tuple]]) -> "Series":
+        """Σ w·s over the (s, w) pairs of `terms`, each s a series of `ring`
+        and each weight w a t-polynomial given by its numerators, as in a
+        TPoly's form: (order, den, {t-power: numerator}) with a positive int
+        den and nonnegative t-powers, the numerators ints at order None and
+        sequences of phi(order) ints at an order.
+
+        Every term goes over the lcm of the products of its series' and its
+        weight's denominators, at the one order of all of them, into one
+        flat accumulator: a weight's t-power is a shift of the key, ints
+        multiply inline, and at an order each product is convolved into one
+        unreduced int list per key, an int reading as a one-entry list.
+        The sum gets one reduction; no Series, TPoly or scalar is made
+        between the terms.  Two orders raise TypeError, and a series of
+        another ring ValueError."""
+        terms = list(terms)
+        if any(s.ring is not ring and s.ring != ring for s, _ in terms):
+            raise ValueError("series from different rings")
+        order = _joint_order(*(s._order for s, _ in terms), *(w[0] for _, w in terms))
+        den = lcm(*(s._denom * w[1] for s, w in terms))
+        toff, acc = ring._toff, {}
+        if order is None:
+            for s, (_, wden, slot) in terms:
+                scale = den // (s._denom * wden)
+                for j, c in slot.items():
+                    if c:
+                        c, shift = c * scale, j << toff
+                        for k, v in s._numer.items():
+                            key = k + shift
+                            acc[key] = acc[key] + v * c if key in acc else v * c
+            return cls._made(ring, None, *_lowest(den, acc, None))
+        width = 2 * euler_phi(order) - 1
+        for s, (own, wden, slot) in terms:
+            scale = den // (s._denom * wden)
+            num = s._numer if s._order is not None else {k: (v,) for k, v in s._numer.items()}
+            for j, c in slot.items():
+                if own is None or not any(c[1:]):
+                    c = [(c if own is None else c[0]) * scale]
+                else:
+                    c = [a * scale for a in c]
+                if any(c):
+                    shift = j << toff
+                    for k, v in num.items():
+                        out = acc.get(key := k + shift)
+                        if out is None:
+                            out = acc[key] = [0] * width
+                        _add_convolution(out, v, c)
+        return cls._made(ring, order, *_lowest(den, acc, order))
+
     def __getattr__(self, name):
         # Reached only when a slot is unset: `terms`, built once and kept.
         if name != "terms":
@@ -450,7 +509,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order, da, a, db, b = self._pair(other)
-        return Series._made(ring, order, *_lowest(da * db, _products(ring, a, b, order, {}), order))
+        return Series._made(ring, order, *_lowest(da * db, _products(ring, a, b, order), order))
 
     __rmul__ = __mul__
 
@@ -601,10 +660,8 @@ class Series:
         or the source is an exact polynomial.
 
         Each source monomial is multiplied out of the images' powers once,
-        as one piece, and the pieces are summed once: the piece of each
-        source monomial, over the lcm of the pieces' denominators at the one
-        order of the source and the pieces, is multiplied by its t-polynomial
-        (`_products`) into one accumulator."""
+        as one piece, and the pieces are summed once, each weighted by its
+        source monomial's t-polynomial (`weighted_sum`)."""
         source = self.ring
         images: dict[int, Series] = {}
         for name, img in bindings.items():
@@ -631,17 +688,8 @@ class Series:
             return reduce(mul, factors) if factors else target.one()
 
         own, dsrc = self._order, self._denom
-        slots = source._grouped(self._numer)
-        pieces = {m: piece(m) for m in slots}
-        order = _joint_order(own, *(p._order for p in pieces.values()))
-        den = lcm(*(p._denom for p in pieces.values()))
-        acc: dict = {}
-        for m, slot in slots.items():
-            p = pieces[m]
-            piece_num = _scaled(_lifted({0: p._numer}, p._order, order)[0], den // p._denom, order)
-            tslot = _lifted({0: target._flat({0: slot})}, own, order)[0]
-            _products(target, piece_num, tslot, order, acc)
-        return Series._made(target, order, *_lowest(den * dsrc, acc, order))
+        return Series.weighted_sum(target, ((piece(m), (own, dsrc, slot))
+                                            for m, slot in source._grouped(self._numer).items()))
 
     # -- comparison / serialization ----------------------------------------
 

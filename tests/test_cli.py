@@ -37,6 +37,13 @@ def test_compute_interpolated_pair(capsys):
     assert out == '{"t^0":"1/3","t^1":"1/3"}\n'
 
 
+def test_compute_interpolated_large_part(capsys):
+    # part 495 used to exhaust the recursion limit in the summand table
+    code, out = run(capsys, "compute", "zbar-t", "--n", "5", "--index", "495")
+    assert code == 0
+    assert list(json.loads(out)) == ["t^0"]
+
+
 def test_compute_rational_point(capsys):
     code, out = run(capsys, "compute", "zbar", "--n", "4", "--q", "1/2",
                     "--index", "2")

@@ -121,10 +121,11 @@ def test_roundtrip_forms_no_product_with_one(monkeypatch):
 
 
 def test_p_products_form_no_product_with_one(monkeypatch):
-    # eval_p starts its powers from the value and adds the monic top term
-    # alone, and _p_products starts its chain from P(1 - q): per point
-    # 1 - q^j, r TPoly powers and r Series x TPoly products, then n - 2
-    # chain products, none with one (the chain from one and the powers from
+    # eval_p is one weighted sum of P's coefficients (Series.weighted_sum),
+    # so it forms no Series or TPoly product, and _p_products starts its
+    # chain from P(1 - q): n - 2 chain products, none with one (the powers
+    # of the value and the Series x TPoly products of the evaluation made
+    # 2r(n - 1) more; before that, the chain from one and the powers from
     # TPoly.one() made 864 of 3,516 Series products and 702 of 1,932 TPoly
     # products with one over the 192 psi_product candidates of the benchmark)
     calls = []
@@ -141,13 +142,17 @@ def test_p_products_form_no_product_with_one(monkeypatch):
     for n, r, q in cases:
         pp = p_poly(r, x_from_u(r, 3))
         ring = pp[0].ring
+        params = SeriesParams(n, q)
         with monkeypatch.context() as patch:
             for cls in (Series, TPoly):
                 patch.setattr(cls, "__mul__", spy(cls.__mul__))
                 patch.setattr(cls, "__rmul__", spy(cls.__rmul__))
             calls.clear()
-            products[n, r, q] = _p_products(pp, SeriesParams(n, q))
-        assert len(calls) == 2 * r * (n - 1) + max(n - 2, 0), (n, r, q)
+            for j in range(1, n):
+                eval_p(pp, *qseries._one_minus_qpow(params, j), qseries._order(params))
+            assert calls == [], (n, r, q)
+            products[n, r, q] = _p_products(pp, params)
+        assert len(calls) == max(n - 2, 0), (n, r, q)
         assert not [pair for pair in calls if ring.one() in pair or TPoly.one() in pair]
     ring = pp[0].ring
     params = SeriesParams(7, Fraction(5, 7))
@@ -708,10 +713,19 @@ def eval_by_horner(coeffs, value):
 
 
 def test_p_evaluation_matches_horner():
-    xs = x_from_u(2, 3)
-    for coeffs in (p_poly(2, xs), hand_p_minus(2, xs)):
-        for v in (Fraction(0), Fraction(-3, 4), (1 - Ref.zeta(5, 2)).value):
-            assert eval_p(coeffs, TPoly.const(v)) == eval_by_horner(coeffs, v)
+    # eval_p takes the value as numerators over a denominator: an int at
+    # rational q, or the coefficient list of a Z[zeta_N] numerator
+    for r in (1, 2, 3):
+        xs = x_from_u(r, 3)
+        for coeffs in (p_poly(r, xs), hand_p_minus(r, xs)):
+            for v in (Fraction(0), Fraction(-3, 4), Fraction(7, 2)):
+                got = eval_p(coeffs, v.numerator, v.denominator)
+                assert got == eval_by_horner(coeffs, v), (r, v)
+            for order, b, den in ((5, 2, 1), (9, 1, 1), (9, 4, 3), (12, 5, 2)):
+                tval = (1 - Ref.zeta(order, b)) * Fraction(1, den)
+                num = [int(c * den) for c in tval.coeffs]
+                got = eval_p(coeffs, num, den, order)
+                assert got == eval_by_horner(coeffs, tval.value), (r, order, b)
 
 
 def ref_psi_product(n, r, q, cap):

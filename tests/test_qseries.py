@@ -860,6 +860,23 @@ def test_results_do_not_depend_on_cache_history(n, q, other_q):
     assert prefilled == fresh
 
 
+def test_large_parts_and_deep_indices_do_not_recurse():
+    # _factor builds part k in a loop from part 1 and the level sums ask
+    # for an index's tails shortest first, so neither recurses once per
+    # part or per level: parts past about 490 and 900 ones used to raise
+    # RecursionError
+    _clear_caches()
+    k = 1500
+    half = Fraction(1, 2)
+    want = sum(half ** ((k - 1) * m) / (1 - half ** m) ** k for m in (1, 2))
+    assert zbar_t((k,), SeriesParams(3, half)) == TPoly.const(want)
+    root = sum((Ref.zeta(3, (k - 1) * m) / (1 - Ref.zeta(3, m)) ** k for m in (1, 2)),
+               Ref(3))
+    assert zbar_t((k,), zeta_params(3)) == TPoly.const(value(root))
+    # n = 2 sums over m_1 = ... = m_1200 = 1 alone: 1199 equalities, f_1(1) = 2
+    assert zbar_t((1,) * 1200, SeriesParams(2, half)) == TPoly({1199: Fraction(2 ** 1200)})
+
+
 def test_layer_steps_make_no_product_with_zero(monkeypatch):
     # The t^0 layer has no equality terms and the top layer no running sum,
     # and every layer is zero below its first reachable m: the stepping

@@ -541,6 +541,71 @@ def test_substitute_matches_term_by_term_reference(order):
         assert got.to_json() == ref_substitute(s, bindings, dst).to_json()
 
 
+def ref_weighted_sum(ring: SeriesRing, pairs) -> Series:
+    """Σ w·s by repeated series-by-TPoly products and sums."""
+    total = ring.zero()
+    for s, w in pairs:
+        total = total + s * w
+    return total
+
+
+def rand_weight(rng: random.Random, order) -> TPoly:
+    """An int, Fraction or zeta-valued constant, a t-monomial, a t-polynomial
+    of two or more terms, or zero."""
+    kind = rng.choice(("int", "fraction", "zeta", "monomial", "poly", "zero"))
+    if kind == "int":
+        return TPoly.const(rng.choice((-3, -1, 1, 2, 5)))
+    if kind == "fraction":
+        return TPoly.const(Fraction(rng.choice((-5, 1, 3)), rng.choice((2, 3, 4))))
+    if kind == "zeta":
+        return TPoly.const(CycloNumber.zeta_power(order or 5, rng.randint(1, 4)))
+    if kind == "monomial":
+        return TPoly({rng.randint(1, 3): rand_scalar(rng, order)})
+    if kind == "poly":
+        return TPoly({j: rand_scalar(rng, order) or Fraction(1) for j in rng.sample(range(4), 2)})
+    return TPoly.zero()
+
+
+@pytest.mark.parametrize("order", [None, 5, 12])
+def test_weighted_sum_matches_products_and_sums(order):
+    rng = random.Random(f"weighted-sum:{order}")
+    ring = SeriesRing(("x", "y"), 4)
+    for _ in range(12):
+        pairs = [(rand_terms(ring, rng, rng.choice((order, None)), rng.randint(0, 6)),
+                  rand_weight(rng, order))  # a zeta weight at Q lifts the sum to zeta_5
+                 for _ in range(rng.randint(0, 5))]
+        got = Series.weighted_sum(ring, ((s, w._t_form) for s, w in pairs))
+        want = ref_weighted_sum(ring, pairs)
+        assert got == want and got.to_json() == want.to_json()
+    # a sum that cancels, and one at a root that drops back to ints
+    a = rand_terms(ring, rng, None, 6)
+    w = rand_weight(rng, order)
+    assert Series.weighted_sum(ring, [(a, w._t_form), (a, (-w)._t_form)]) == ring.zero()
+    if order:
+        z = TPoly.const(CycloNumber.zeta(order))
+        pairs = [(a, z), (a, 1 - z), (a * z, -TPoly.one())]
+        got = Series.weighted_sum(ring, ((s, w._t_form) for s, w in pairs))
+        assert got == ref_weighted_sum(ring, pairs) == a * (1 - z)
+        assert got.to_json() == (a * (1 - z)).to_json()
+        cancel = [(a, z._t_form), (a * z, (-TPoly.one())._t_form)]
+        assert Series.weighted_sum(ring, cancel) == ring.zero()
+        drop = Series.weighted_sum(ring, [(a, z._t_form), (a, (2 - z)._t_form)])
+        assert drop == a * 2 and drop.to_json() == (a * 2).to_json()
+
+
+def test_weighted_sum_refuses_two_orders_and_two_rings():
+    ring = SeriesRing(("x", "y"), 3)
+    x = ring.var("x")
+    z5, z7 = (TPoly.const(CycloNumber.zeta(n))._t_form for n in (5, 7))
+    with pytest.raises(TypeError):
+        Series.weighted_sum(ring, [(x * CycloNumber.zeta(5), z7)])
+    with pytest.raises(TypeError):
+        Series.weighted_sum(ring, [(x, z5), (x, z7)])
+    with pytest.raises(ValueError):
+        Series.weighted_sum(ring, [(SeriesRing(("x", "y"), 4).var("x"), TPoly.one()._t_form)])
+    assert Series.weighted_sum(ring, []) == ring.zero()
+
+
 def ref_affine_t(tp: TPoly, a, b) -> TPoly:
     """Substitute t -> a*t + b one power of the image at a time."""
     img = TPoly({1: Fraction(a), 0: Fraction(b)})

@@ -193,7 +193,8 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "Series.to_json", "SeriesRing._pack", "SeriesRing._unpack",
                                   "SeriesRing._exponent", "SeriesRing._flat",
                                   "SeriesRing._grouped", "SeriesRing._by_degree",
-                                  "_products", "_reduced_flat", "_lowest"),
+                                  "Series.weighted_sum", "_products", "_reduced_flat",
+                                  "_lowest"),
                     "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
                                  "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
                                  "TPoly.__mul__", "TPoly.__eq__", "TPoly.is_zero",
@@ -210,7 +211,7 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "ZPoly.__mul__", "ZPoly.__eq__", "ZPoly.first_mismatch",
                                  "ZPoly.shift", "ZPoly.eval_z_one", "ZPoly._scale_slots",
                                  "ZPoly.to_json"),
-                    "genfun.py": ("_change_of_variables", "u_poly"),
+                    "genfun.py": ("_change_of_variables", "u_poly", "p_poly", "eval_p"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
                                    "_q_integer_units", "_literal_sum")}
 
