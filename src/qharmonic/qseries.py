@@ -219,17 +219,17 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
                 den, column = den * db, list(map(ring.mul, column, b))
             return den, column
         order, step = root
+        # the entries at these m are conjugates of the top part's m = 1
+        # entry, made once at the end; no step reads them
+        conjugates = {m for m in ms if m > 1 and kind != "z" and gcd(m, order) == 1}
         for _ in range(k - 1):
-            below, column = column, []
-            for m, x, y in zip(ms, below, b):
-                if m > 1 and kind != "z" and gcd(m, order) == 1:
-                    column.append(_conjugate(order, column[0], m))
-                elif kind == "L":
-                    column.append(ring.mul(x, y))
-                else:  # times zeta^(step*m): a rotation
-                    column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
+            column = [x if m in conjugates
+                      else ring.mul(x, y) if kind == "L"
+                      else _zeta_sum(order, enumerate(_convolve(x, y), step * m))  # a rotation
+                      for m, x, y in zip(ms, column, b)]
             den *= db
-        return den, column
+        return den, [_conjugate(order, column[0], m) if m in conjugates else x
+                     for m, x in zip(ms, column)]
     if k == 0:
         if root:
             return 1, [_zeta_sum(root[0], [(-root[1] * m, 1)]) for m in ms]

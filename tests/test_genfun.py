@@ -353,6 +353,16 @@ def test_p_poly_r1_coefficients():
     assert shifted == hand_p_minus(1, fx)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_p_poly_matches_series_products_and_sums(r):
+    # p_poly's weighted sums against its coefficients formed by series
+    # products and sums, over rational x-series and over x-series at zeta_5
+    for xs in (x_from_u(r, 4), tuple(x * CycloNumber.zeta(5) for x in x_from_u(r, 3))):
+        want = [-((xs[r + 1 - i] - xs[0] * xs[r - i]) * T) for i in range(r)]
+        want += [-(xs[0] + xs[1] * T), xs[0].ring.one()]
+        assert p_poly(r, xs) == tuple(want)
+
+
 def test_p_poly_validation():
     fx = formal_xs(1, 4)
     with pytest.raises(ValueError):
