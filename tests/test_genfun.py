@@ -123,11 +123,7 @@ def test_roundtrip_forms_no_product_with_one(monkeypatch):
 def test_p_products_form_no_product_with_one(monkeypatch):
     # eval_p is one weighted sum of P's coefficients (Series.weighted_sum),
     # so it forms no Series or TPoly product, and _p_products starts its
-    # chain from P(1 - q): n - 2 chain products, none with one (the powers
-    # of the value and the Series x TPoly products of the evaluation made
-    # 2r(n - 1) more; before that, the chain from one and the powers from
-    # TPoly.one() made 864 of 3,516 Series products and 702 of 1,932 TPoly
-    # products with one over the 192 psi_product candidates of the benchmark)
+    # chain from P(1 - q): n - 2 chain products, none with one
     calls = []
 
     def spy(original):
