@@ -226,11 +226,10 @@ def p_poly(r: int, xs: Sequence[Series]) -> tuple[Series, ...]:
     are −1, −t and t, so the only products are the r products x₁·x_j."""
     if len(xs) != r + 2:
         raise ValueError("need r+2 x-series")
-    minus, minus_t, plus_t = (None, 1, {0: -1}), (None, 1, {1: -1}), (None, 1, {1: 1})
     ring = xs[0].ring
-    cs = [Series.weighted_sum(ring, ((xs[r + 1 - i], minus_t), (xs[0] * xs[r - i], plus_t)))
+    cs = [Series.weighted_sum(ring, ((xs[r + 1 - i], -1, 1, 1), (xs[0] * xs[r - i], 1, 1, 1)))
           for i in range(r)]
-    cs.append(Series.weighted_sum(ring, ((xs[0], minus), (xs[1], minus_t))))
+    cs.append(Series.weighted_sum(ring, ((xs[0], -1, 1, 0), (xs[1], -1, 1, 1))))
     cs.append(ring.one())
     return tuple(cs)
 
@@ -243,8 +242,9 @@ def eval_p(coeffs: Sequence[Series], num, den: int, order: int | None = None) ->
     product is formed.  P's monic top term is its last coefficient, one,
     weighted by the top power of v."""
     powers = accumulate(repeat(num, len(coeffs) - 1), NumeratorRing(order).mul)
-    weights = [(None, 1, {0: 1}), *((order, den ** i, {0: p}) for i, p in enumerate(powers, 1))]
-    return Series.weighted_sum(coeffs[0].ring, zip(coeffs, weights))
+    terms = [(coeffs[0], 1, 1, 0),
+             *((c, p, den ** i, 0) for i, (c, p) in enumerate(zip(coeffs[1:], powers), 1))]
+    return Series.weighted_sum(coeffs[0].ring, terms, order)
 
 
 def _p_products(coeffs: Sequence[Series], params: SeriesParams) -> list[Series]:

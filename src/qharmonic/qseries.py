@@ -191,13 +191,12 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     every evaluator: q^((k-1)m)/(1-q^m)^k for "zbar", the same over the
     q-integer [m]_q = (1-q^m)/(1-q) for "z", 1/(1-q^m)^k for the
     polylogarithms ("L"), and q^(-m) for part 0, which only the literal
-    zbar((0,)) reads.  Part k > 1 multiplies the numerators of part 1 and
-    of q^m into each part from part 2 up to k, in one loop, so a part of
-    any size recurses no deeper than part 1; the "L" part 1 is the "zbar"
-    column.  The inverses in the "z" part 1 and in part 1 at rational q are
-    numerators over their own denominators (NumeratorRing.inverse), put
-    over one (`over`); at rational q, part 0 and the q^m are scalars,
-    scanned into a column once.
+    zbar((0,)) reads.  Part k > 1 multiplies the numerators of parts k - 1
+    and 1 and of q^m; the "L" part 1 is the "zbar" column.  The inverses in
+    the "z" part 1 and in part 1 at rational q are numerators over their
+    own denominators (NumeratorRing.inverse), put over one (`over`); at
+    rational q, part 0 and the q^m are scalars, scanned into a column once.
+    Callers go through `_part`, so part k - 1 is always cached here.
 
     At q = zeta_N^b no column builds a CycloNumber: part 0 is one _zeta_sum
     slot per m, and the "zbar" part 1 is the closed form of 1/(1 - q^m)
@@ -210,26 +209,22 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     z = (1-q)^w zbar still compares two computations."""
     ring, root, ms = NumeratorRing(_order(params)), params.root, range(1, params.n)
     if k > 1:
-        den, column = db, b = _factor(params, kind, 1)
+        (da, a), (db, b) = _factor(params, kind, k - 1), _factor(params, kind, 1)
         if not root:
-            if kind != "L":
-                dq, powers = ring.column([_qpow(params, m) for m in ms])
-                db, b = db * dq, list(map(ring.mul, b, powers))
-            for _ in range(k - 1):
-                den, column = den * db, list(map(ring.mul, column, b))
-            return den, column
+            if kind == "L":
+                return da * db, list(map(ring.mul, a, b))
+            dq, powers = ring.column([_qpow(params, m) for m in ms])
+            return da * db * dq, list(map(ring.mul, map(ring.mul, a, b), powers))
         order, step = root
-        # the entries at these m are conjugates of the top part's m = 1
-        # entry, made once at the end; no step reads them
-        conjugates = {m for m in ms if m > 1 and kind != "z" and gcd(m, order) == 1}
-        for _ in range(k - 1):
-            column = [x if m in conjugates
-                      else ring.mul(x, y) if kind == "L"
-                      else _zeta_sum(order, enumerate(_convolve(x, y), step * m))  # a rotation
-                      for m, x, y in zip(ms, column, b)]
-            den *= db
-        return den, [_conjugate(order, column[0], m) if m in conjugates else x
-                     for m, x in zip(ms, column)]
+        column = []
+        for m, x, y in zip(ms, a, b):
+            if m > 1 and kind != "z" and gcd(m, order) == 1:
+                column.append(_conjugate(order, column[0], m))
+            elif kind == "L":
+                column.append(ring.mul(x, y))
+            else:  # times zeta^(step*m): a rotation
+                column.append(_zeta_sum(order, enumerate(_convolve(x, y), step * m)))
+        return da * db, column
     if k == 0:
         if root:
             return 1, [_zeta_sum(root[0], [(-root[1] * m, 1)]) for m in ms]
@@ -251,6 +246,15 @@ def _factor(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
     return ring.over([ring.inverse(*_one_minus_qpow(params, m)) for m in ms])
 
 
+def _part(params: SeriesParams, kind: str, k: int) -> tuple[int, list]:
+    """`_factor` of part k, parts 2, ..., k - 1 asked for first in one loop,
+    the smallest first: each then finds the part below it cached, so no
+    call recurses more than one level for a part of any size."""
+    for j in range(2, k):
+        _factor(params, kind, j)
+    return _factor(params, kind, k)
+
+
 def _check_parts(parts: MultiIndex):
     if any(p < 1 for p in parts):
         raise ValueError(f"index parts must be positive: {parts!r}")
@@ -261,7 +265,7 @@ def _literal_sum(parts: MultiIndex, params: SeriesParams, kind: str, strict: boo
     if not parts:  # the empty product: the rational 1 at every q
         return NumeratorRing(None).scalar(1, 1)
     ring = NumeratorRing(_order(params))
-    dens, columns = zip(*(_factor(params, kind, k) for k in reversed(parts)))
+    dens, columns = zip(*(_part(params, kind, k) for k in reversed(parts)))
     pool, l = range(params.n - 1), len(parts)
     tuples = combinations(pool, l) if strict else combinations_with_replacement(pool, l)
     total = ring.zero
@@ -333,10 +337,10 @@ def _levels(parts: MultiIndex, params: SeriesParams, kind: str) -> tuple[int, tu
     The layers of (k_1, ..., k_l) are one _layer_step above the layers of
     its tail (k_2, ..., k_l), read from this cache, so every index that
     shares a tail shares its levels; the enumerated index sets are closed
-    under taking tails.  The step reads the column of f_(k_1) from _factor,
+    under taking tails.  The step reads the column of f_(k_1) from _part,
     and the denominators multiply.  Callers go through `_tail_levels`, so
     the tail is always cached here."""
-    den, column = _factor(params, kind, parts[0])
+    den, column = _part(params, kind, parts[0])
     if len(parts) == 1:
         return den, (column,)
     below_den, below = _levels(parts[1:], params, kind)

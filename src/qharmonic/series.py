@@ -44,10 +44,10 @@ polynomial once (``exact._settled``).  A scalar or TPoly factor is the
 one-term series of its TPoly form, whose keys have no monomial bits.
 
 Weighted sum.  ``Series.weighted_sum`` forms Σ w_i·s_i for series s_i of
-one ring and weights w_i that are t-polynomials given by their numerators
-(the TPoly form), as one flat accumulation over the lcm of the terms'
-denominators with one reduction: a weight's t-power shifts the key, and
-no series-by-constant product, TPoly or partial sum is made.  It is the
+one ring and weights w_i = c_i·t^(j_i) given as a numerator, a
+denominator and a t-power each, as one flat accumulation over the lcm of
+the terms' denominators with one reduction: a weight's t-power shifts the
+key, and no series-by-constant product, TPoly or partial sum is made.  It is the
 kernel beside the product: ``substitute`` weights each source monomial's
 piece by its t-polynomial, and ``genfun`` evaluates the characteristic
 polynomial P at 1 − q^j and builds P's coefficients with it.
@@ -377,53 +377,50 @@ class Series:
         return cls._made(ring, order, *_lowest(den, raw, order))
 
     @classmethod
-    def weighted_sum(cls, ring: SeriesRing, terms: Iterable[tuple["Series", tuple]]) -> "Series":
-        """Σ w·s over the (s, w) pairs of `terms`, each s a series of `ring`
-        and each weight w a t-polynomial given by its numerators, as in a
-        TPoly's form: (order, den, {t-power: numerator}) with a positive int
-        den and nonnegative t-powers, the numerators ints at order None and
-        sequences of phi(order) ints at an order.
+    def weighted_sum(cls, ring: SeriesRing, terms: Iterable[tuple], order: int | None = None
+                     ) -> "Series":
+        """Σ (c/d)·t^j·s over the terms (s, c, d, j) of `terms`: s a series of
+        `ring`, c a numerator of NumeratorRing(order) over the positive int
+        d, and j a nonnegative t-power.  A numerator is an int, or at an
+        order a sequence of phi(order) ints, an int c reading (c, 0, ..., 0).
 
         Every term goes over the lcm of the products of its series' and its
-        weight's denominators, at the one order of all of them, into one
-        flat accumulator: a weight's t-power is a shift of the key, ints
-        multiply inline, and at an order each product is convolved into one
-        unreduced int list per key, an int reading as a one-entry list.
-        The sum gets one reduction; no Series, TPoly or scalar is made
-        between the terms.  Two orders raise TypeError, and a series of
-        another ring ValueError."""
+        weight's denominators, at the one order of the weights and the
+        series, into one flat accumulator: a weight's t-power is a shift of
+        the key, ints multiply inline, and at an order each product is
+        convolved into one unreduced int list per key.  The sum gets one
+        reduction; no Series, TPoly or scalar is made between the terms.
+        Two orders raise TypeError, and a series of another ring
+        ValueError."""
         terms = list(terms)
-        if any(s.ring is not ring and s.ring != ring for s, _ in terms):
+        if any(s.ring is not ring and s.ring != ring for s, *_ in terms):
             raise ValueError("series from different rings")
-        order = _joint_order(*(s._order for s, _ in terms), *(w[0] for _, w in terms))
-        den = lcm(*(s._denom * w[1] for s, w in terms))
+        order = _joint_order(order, *(s._order for s, *_ in terms))
+        den = lcm(*(s._denom * d for s, _, d, _ in terms))
         toff, acc = ring._toff, {}
         if order is None:
-            for s, (_, wden, slot) in terms:
-                scale = den // (s._denom * wden)
-                for j, c in slot.items():
-                    if c:
-                        c, shift = c * scale, j << toff
-                        for k, v in s._numer.items():
-                            key = k + shift
-                            acc[key] = acc[key] + v * c if key in acc else v * c
+            for s, c, d, j in terms:
+                if c:
+                    c, shift = c * (den // (s._denom * d)), j << toff
+                    for k, v in s._numer.items():
+                        key = k + shift
+                        acc[key] = acc[key] + v * c if key in acc else v * c
             return cls._made(ring, None, *_lowest(den, acc, None))
         width = 2 * euler_phi(order) - 1
-        for s, (own, wden, slot) in terms:
-            scale = den // (s._denom * wden)
-            num = s._numer if s._order is not None else {k: (v,) for k, v in s._numer.items()}
-            for j, c in slot.items():
-                if own is None or not any(c[1:]):
-                    c = [(c if own is None else c[0]) * scale]
-                else:
-                    c = [a * scale for a in c]
-                if any(c):
-                    shift = j << toff
-                    for k, v in num.items():
-                        out = acc.get(key := k + shift)
-                        if out is None:
-                            out = acc[key] = [0] * width
-                        _add_convolution(out, v, c)
+        for s, c, d, j in terms:
+            scale = den // (s._denom * d)
+            if isinstance(c, int) or not any(c[1:]):
+                c = [(c if isinstance(c, int) else c[0]) * scale]
+            else:
+                c = [a * scale for a in c]
+            if any(c):
+                num = s._numer if s._order is not None else {k: (v,) for k, v in s._numer.items()}
+                shift = j << toff
+                for k, v in num.items():
+                    out = acc.get(key := k + shift)
+                    if out is None:
+                        out = acc[key] = [0] * width
+                    _add_convolution(out, v, c)
         return cls._made(ring, order, *_lowest(den, acc, order))
 
     def __getattr__(self, name):
@@ -687,9 +684,11 @@ class Series:
             factors = [image_power(i, e) for i, e in enumerate(source._unpack(m)) if e]
             return reduce(mul, factors) if factors else target.one()
 
-        own, dsrc = self._order, self._denom
-        return Series.weighted_sum(target, ((piece(m), (own, dsrc, slot))
-                                            for m, slot in source._grouped(self._numer).items()))
+        terms = []
+        for m, slot in source._grouped(self._numer).items():
+            p = piece(m)
+            terms += [(p, c, self._denom, j) for j, c in slot.items()]
+        return Series.weighted_sum(target, terms, self._order)
 
     # -- comparison / serialization ----------------------------------------
 

@@ -861,8 +861,8 @@ def test_results_do_not_depend_on_cache_history(n, q, other_q):
 
 
 def test_large_parts_and_deep_indices_do_not_recurse():
-    # _factor builds part k in a loop from part 1 and the level sums ask
-    # for an index's tails shortest first, so neither recurses once per
+    # the summand parts and the level sums ask for the parts below a part
+    # and an index's tails smallest first, so neither recurses once per
     # part or per level: parts past about 490 and 900 ones used to raise
     # RecursionError
     _clear_caches()

@@ -549,6 +549,17 @@ def ref_weighted_sum(ring: SeriesRing, pairs) -> Series:
     return total
 
 
+def weighted_sum_of(ring: SeriesRing, pairs) -> Series:
+    """Series.weighted_sum of (series, TPoly weight) pairs: each weight's
+    terms (numerator, denominator, t-power) read from its form at the
+    weights' one order, and a zero weight as the numerator 0."""
+    forms = [(s, w._t_form) for s, w in pairs]
+    order = exact._joint_order(*(form[0] for _, form in forms))
+    terms = [(s, c, den, j) for s, (_, den, slot) in forms
+             for j, c in (slot.items() or [(0, 0)])]
+    return Series.weighted_sum(ring, terms, order)
+
+
 def rand_weight(rng: random.Random, order) -> TPoly:
     """An int, Fraction or zeta-valued constant, a t-monomial, a t-polynomial
     of two or more terms, or zero."""
@@ -574,35 +585,36 @@ def test_weighted_sum_matches_products_and_sums(order):
         pairs = [(rand_terms(ring, rng, rng.choice((order, None)), rng.randint(0, 6)),
                   rand_weight(rng, order))  # a zeta weight at Q lifts the sum to zeta_5
                  for _ in range(rng.randint(0, 5))]
-        got = Series.weighted_sum(ring, ((s, w._t_form) for s, w in pairs))
+        got = weighted_sum_of(ring, pairs)
         want = ref_weighted_sum(ring, pairs)
         assert got == want and got.to_json() == want.to_json()
     # a sum that cancels, and one at a root that drops back to ints
     a = rand_terms(ring, rng, None, 6)
     w = rand_weight(rng, order)
-    assert Series.weighted_sum(ring, [(a, w._t_form), (a, (-w)._t_form)]) == ring.zero()
+    assert weighted_sum_of(ring, [(a, w), (a, -w)]) == ring.zero()
     if order:
         z = TPoly.const(CycloNumber.zeta(order))
         pairs = [(a, z), (a, 1 - z), (a * z, -TPoly.one())]
-        got = Series.weighted_sum(ring, ((s, w._t_form) for s, w in pairs))
+        got = weighted_sum_of(ring, pairs)
         assert got == ref_weighted_sum(ring, pairs) == a * (1 - z)
         assert got.to_json() == (a * (1 - z)).to_json()
-        cancel = [(a, z._t_form), (a * z, (-TPoly.one())._t_form)]
-        assert Series.weighted_sum(ring, cancel) == ring.zero()
-        drop = Series.weighted_sum(ring, [(a, z._t_form), (a, (2 - z)._t_form)])
+        assert weighted_sum_of(ring, [(a, z), (a * z, -TPoly.one())]) == ring.zero()
+        drop = weighted_sum_of(ring, [(a, z), (a, 2 - z)])
         assert drop == a * 2 and drop.to_json() == (a * 2).to_json()
+        # an int numerator at an order reads (c, 0, ..., 0)
+        assert Series.weighted_sum(ring, [(a, 3, 2, 1)], order) == a * TPoly({1: Fraction(3, 2)})
 
 
 def test_weighted_sum_refuses_two_orders_and_two_rings():
     ring = SeriesRing(("x", "y"), 3)
     x = ring.var("x")
-    z5, z7 = (TPoly.const(CycloNumber.zeta(n))._t_form for n in (5, 7))
+    z5 = CycloNumber.zeta(5)
     with pytest.raises(TypeError):
-        Series.weighted_sum(ring, [(x * CycloNumber.zeta(5), z7)])
+        Series.weighted_sum(ring, [(x * z5, 1, 1, 0)], 7)
     with pytest.raises(TypeError):
-        Series.weighted_sum(ring, [(x, z5), (x, z7)])
+        Series.weighted_sum(ring, [(x * z5, 1, 1, 0), (x * CycloNumber.zeta(7), 1, 1, 0)])
     with pytest.raises(ValueError):
-        Series.weighted_sum(ring, [(SeriesRing(("x", "y"), 4).var("x"), TPoly.one()._t_form)])
+        Series.weighted_sum(ring, [(SeriesRing(("x", "y"), 4).var("x"), 1, 1, 0)])
     assert Series.weighted_sum(ring, []) == ring.zero()
 
 

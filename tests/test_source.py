@@ -360,6 +360,24 @@ def test_qseries_caches_are_bounded():
     assert sum(size is None for size in caches.values()) == 7
 
 
+# The two qseries caches that step from an entry one below: _factor builds
+# part k on part k - 1 and _levels an index on its tail.  Only their loop
+# helpers, which ask for the entries below smallest first, and the caches
+# themselves may call them, so no caller recurses once per part or level.
+STEPPED_CACHES = {"_factor": {"_factor", "_part"}, "_levels": {"_levels", "_tail_levels"}}
+
+
+def test_stepped_caches_are_called_through_their_loops():
+    found = {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in STEPPED_CACHES):
+                    found.setdefault(node.func.id, set()).add(getattr(top, "name", None))
+    assert found == STEPPED_CACHES
+
+
 def test_every_definition_is_used_or_exported():
     # a module-level function or class that nothing in the package refers to
     # and that is not exported is dead code (or a test's own reference)

@@ -3,10 +3,10 @@
 
     python3 tools/benchpairs.py --parent DIR --change DIR --seeds 3801-3810
         --claim genfun-rational.wall_s --out BENCH_38.json
-        [--seconds 20] [--describe TEXT] [--parent-commit SHA]
+        [--describe TEXT] [--parent-commit SHA]
 
 Each seed runs `python3 perfbench/run.py --workload all --seed S --seconds N
---trace 0` once in each tree, one run at a time: the parent first on odd
+--trace 0`, N the run length BENCHMARK.json fixes, once in each tree, one run at a time: the parent first on odd
 seeds, the change first on even ones.  Each tree needs its own
 BENCHMARK.json, perfbench/ and src/.  The last JSON line of a run holds its
 metrics, and the `passes_per_op_median` line under each workload its
@@ -67,7 +67,7 @@ def _r(x: float) -> float:
     return round(x, 4)
 
 
-def summarize(pairs: list[tuple[int, dict, dict]], bench: dict, claim: str | None) -> dict:
+def summarize(pairs: list[tuple[int, dict, dict]], bench: dict, claim: str) -> dict:
     """The summary of (seed, parent run, change run) triples, each run as
     `parse_run` reads it; `claim` names the claimed "workload.metric"."""
     sides = ("parent", "change")
@@ -114,20 +114,19 @@ def summarize(pairs: list[tuple[int, dict, dict]], bench: dict, claim: str | Non
             out["passes_per_op_runs"][workload] = got
             out["passes_per_op_median"][workload] = {side: statistics.median(v)
                                                      for side, v in got.items()}
-    if claim:
-        row = end_to_end[claim]
-        workload, metric = claim.rsplit(".", 1)
-        iqr = row["parent"]["q3"] - row["parent"]["q1"]
-        gap = row["parent"]["median"] - row["change"]["median"]
-        if next(s for s in bench["end_to_end"] if s["name"] == metric)["better"] != "lower":
-            gap = -gap
-        out["claim"] = {"workload": workload, "metric": metric,
-                        "parent_median": row["parent"]["median"], "parent_iqr": _r(iqr),
-                        "change_median": row["change"]["median"],
-                        "change_better_pairs": row["change_better_pairs"],
-                        "delta_frac": row["delta_frac"]}
-        out["claim_met"] = (row["change_better_pairs"] >= math.ceil(0.9 * len(pairs))
-                            and gap > iqr)
+    row = end_to_end[claim]
+    workload, metric = claim.rsplit(".", 1)
+    iqr = row["parent"]["q3"] - row["parent"]["q1"]
+    gap = row["parent"]["median"] - row["change"]["median"]
+    if next(s for s in bench["end_to_end"] if s["name"] == metric)["better"] != "lower":
+        gap = -gap
+    out["claim"] = {"workload": workload, "metric": metric,
+                    "parent_median": row["parent"]["median"], "parent_iqr": _r(iqr),
+                    "change_median": row["change"]["median"],
+                    "change_better_pairs": row["change_better_pairs"],
+                    "delta_frac": row["delta_frac"]}
+    out["claim_met"] = (row["change_better_pairs"] >= math.ceil(0.9 * len(pairs))
+                        and gap > iqr)
     return out
 
 
@@ -163,8 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--seeds", type=seed_range, required=True, help="FIRST-LAST")
-    ap.add_argument("--seconds", type=int, default=20)
-    ap.add_argument("--claim", help="the claimed workload.metric")
+    ap.add_argument("--claim", required=True, help="the claimed workload.metric")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--describe", help="what the change does")
     ap.add_argument("--parent-commit")
@@ -176,11 +174,12 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         runs = {}
         for side in order:
-            runs[side] = run_once(trees[side], seed, args.seconds)
+            runs[side] = run_once(trees[side], seed, bench["run_seconds"])
             print(f"seed {seed} {side}: correct {runs[side]['correct']}", file=sys.stderr)
         pairs.append((seed, runs["parent"], runs["change"]))
     head = {"change": args.describe, "parent_commit": args.parent_commit,
-            "command": COMMAND.format(seed="S", seconds=args.seconds), "machine": machine()}
+            "command": COMMAND.format(seed="S", seconds=bench["run_seconds"]),
+            "machine": machine()}
     summary = {**{k: v for k, v in head.items() if v is not None},
                **summarize(pairs, bench, args.claim)}
     args.out.write_text(json.dumps(summary, indent=1, ensure_ascii=False) + "\n")
