@@ -19,6 +19,13 @@ zeta and Galois conjugates ``_conjugate``, and the Galois-norm inverse
 ``NumeratorRing`` and the TPoly and Series kernels.  ``__mul__`` (of one
 order) and ``inverse`` remain as thin wrappers over those kernels.
 
+phi(n) and the n-th cyclotomic polynomial are read off the primes of n (a
+product over them, and the Moebius product over the divisors of n).
+``_reduce`` folds each degree d >= n into d - n, since zeta^n = 1, and adds
+each degree phi(n) <= d < n along one row of x^d mod Phi_n; the rows are
+built once per order in ``_REDUCTION_TERMS``, and ``_zeta_exponent`` reads
+the power b of a q = zeta^b off them too.
+
 ``SparsePoly`` is the sparse univariate polynomial core: an immutable
 {exponent: coefficient} map with an add-with-cancellation loop
 (``_add_into``) and a raw product kernel (``_accumulate``).
@@ -100,58 +107,98 @@ def _render_over(a: int, den: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense, ascending coefficients)
+# the cyclotomic polynomials, read off the factorisation of the order
 # ---------------------------------------------------------------------------
 
-def _poly_div_exact_int(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; division over Z is exact for cyclotomic factors
-    num = list(num)
-    quot = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1]
-        if c:
-            quot[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
+def _primes(n: int) -> list[int]:
+    """The primes dividing n >= 1, smallest first, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if not n % p:
+            out.append(p)
+            while not n % p:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 # Unbounded: one key per cyclotomic order.  Only the cached cyclotomic_polynomial
-# calls it, so it never hits; it stays a cache because perfbench reads it by name.
+# calls it, once per order, so it never hits; it stays a cache because
+# perfbench reads it by name.
 @lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-# Unbounded: one key per cyclotomic order, the divisors of the n a run asks for.
+# Unbounded: one key per cyclotomic order.  Only the reduction table below
+# calls it, once per order, when it builds that order's entry.
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the
-    proper divisors of n.
+    The Moebius product over the divisors d of n of (x^(n/d) - 1)^mu(d):
+    the factors with mu(d) = 1 are multiplied in first and those with
+    mu(d) = -1 divided out after, each in one pass, so every step stays an
+    integer polynomial and every division is exact.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        poly = _poly_div_exact_int(poly, cyclotomic_polynomial(d))
+    primes = _primes(n)
+    times, over = [], []
+    for d in _divisors(n):
+        ps = [p for p in primes if not d % p]
+        if all(d % (p * p) for p in ps):  # d squarefree, mu(d) = (-1)^len(ps)
+            (over if len(ps) & 1 else times).append(n // d)
+    poly = [1]
+    for k in times:
+        out = [-a for a in poly] + [0] * k
+        for i, a in enumerate(poly, k):
+            out[i] += a
+        poly = out
+    for k in over:
+        # poly = quot * (x^k - 1), so quot[i] = quot[i - k] - poly[i]
+        poly = [-a for a in poly[:len(poly) - k]]
+        for i in range(k, len(poly)):
+            poly[i] += poly[i - k]
     return tuple(poly)
-
-
-# What _reduce reads of the order-th cyclotomic polynomial: phi(order) and
-# its nonzero terms (i, c_i) below the leading one.  A plain dict beside the
-# cache above, one key per order like it, filled on first use; each entry is
-# a function of the order alone, so no result depends on whether it is filled.
-_REDUCTION_TERMS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
 
 
 # Unbounded: one key per cyclotomic order, as for cyclotomic_polynomial.
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    """n times the product of (1 - 1/p) over the primes p of n."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    for p in _primes(n):
+        n -= n // p
+    return n
+
+
+class _ReductionTable(dict):
+    """order -> (phi(order), rows): rows[d - phi] holds the nonzero terms
+    (i, c) of x^d mod the order-th cyclotomic polynomial, for phi <= d <
+    order, lowest i first (one row at a prime order).  An entry is built
+    on first use, row d + 1 as x times row d, and is a function of the order
+    alone, so no result depends on whether it is filled."""
+
+    def __missing__(self, order: int):
+        mod = cyclotomic_polynomial(order)
+        phi = len(mod) - 1
+        row, rows = [-m for m in mod[:phi]], []
+        for _ in range(phi, order):
+            rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [a - top * m for a, m in zip(row, mod)]
+        self[order] = entry = phi, tuple(rows)
+        return entry
+
+
+# What _reduce and _zeta_exponent read of each order: one key per order, like
+# the caches above, but no cache_clear empties it, so the rows outlive a
+# cleared cache (about 1.1k terms at order 105, 215k at 1155).
+_REDUCTION_TERMS = _ReductionTable()
 
 
 _NOT_RATIONAL = "CycloNumber coefficient must be an int or Fraction, not {}"
@@ -383,27 +430,37 @@ def _numerator_inverse(order: int, num, den: int) -> tuple[list[int], int]:
 
 
 def _zeta_exponent(x: CycloNumber) -> int | None:
-    """b in range(order) with x = zeta^b, or None when x is no power of zeta."""
-    num = list(x._num) if x._den == 1 else None
-    return next((b for b in range(x.order) if _zeta_sum(x.order, [(b, 1)]) == num), None)
+    """b in range(order) with x = zeta^b, or None when x is no power of zeta.
+
+    zeta^b is the unit vector e_b for b < phi(order) and the reduction
+    table's row b for phi <= b < order, so b is read off x's nonzero terms
+    with no reduction."""
+    if x._den != 1:
+        return None
+    phi, rows = _REDUCTION_TERMS[x.order]
+    terms = tuple((i, a) for i, a in enumerate(x._num) if a)
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+    return next((b for b, row in enumerate(rows, phi) if row == terms), None)
 
 
 def _reduce(order: int, prod: list[int]) -> None:
     """Reduce the integer coefficient list `prod` modulo the monic order-th
-    cyclotomic polynomial, in place, and cut it to phi(order) entries."""
-    try:
-        phi, low = _REDUCTION_TERMS[order]
-    except KeyError:
-        mod = cyclotomic_polynomial(order)
-        phi = len(mod) - 1
-        low = tuple((i, m) for i, m in enumerate(mod[:phi]) if m)
-        _REDUCTION_TERMS[order] = phi, low
-    for deg in range(len(prod) - 1, phi - 1, -1):
+    cyclotomic polynomial, in place, and cut it to phi(order) entries.
+
+    x^order = 1 modulo it, so each degree d >= order is first added into
+    d - order, top down, which folds a list longer than 2 * order fully;
+    each degree phi <= d < order is then added along its table row."""
+    phi, rows = _REDUCTION_TERMS[order]
+    for deg in range(len(prod) - 1, order - 1, -1):
         c = prod[deg]
         if c:
-            base = deg - phi
-            for i, m in low:
-                prod[base + i] -= c * m
+            prod[deg - order] += c
+    for deg in range(phi, min(len(prod), order)):
+        c = prod[deg]
+        if c:
+            for i, m in rows[deg - phi]:
+                prod[i] += c * m
     del prod[phi:]
 
 

@@ -31,7 +31,7 @@ from qharmonic.indices import HeightProfile
 from qharmonic.qseries import SeriesParams, ZPoly, _qpow, zeta_params
 from qharmonic.series import Series, SeriesRing
 
-from cyclo_reference import Ref, lift, value
+from cyclo_reference import Ref, lift, reduce_mod, value
 
 
 def test_cyclotomic_polynomials():
@@ -46,6 +46,43 @@ def test_cyclotomic_polynomials():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+
+def _times(a, b):
+    """The schoolbook product of two int coefficient lists, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x^N - 1 is the product of Phi_d over the divisors d of N, and phi(N) is
+    # the number of units mod N; both written here, apart from the package
+    for n in range(1, 301):
+        total = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total = _times(total, cyclotomic_polynomial(d))
+        assert total == [-1] + [0] * (n - 1) + [1]
+        assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n) \
+            == sum(gcd(k, n) == 1 for k in range(1, n + 1))
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    phi105 = cyclotomic_polynomial(105)
+    assert phi105[7] == phi105[41] == -2
+    assert sorted({c for c in phi105}) == [-2, -1, 0, 1]
+
+
+@pytest.mark.parametrize("order", (0, -1, -12))
+def test_orders_below_one_are_refused(order):
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(order)
+    with pytest.raises(ValueError):
+        euler_phi(order)
+    with pytest.raises(ValueError):
+        CycloNumber(order, [1])
 
 
 def test_zeta_powers_cycle():
@@ -591,11 +628,56 @@ def test_products_do_not_depend_on_the_reduction_table(order):
     rng = random.Random(f"reduction-table:{order}")
     pairs = [(random_pair(rng, order), random_pair(rng, order)) for _ in range(4)]
     for (x, rx), (y, ry) in pairs:
+        warm = exact._REDUCTION_TERMS[order]
         exact._REDUCTION_TERMS.clear()
         cold = x * y
-        assert order in exact._REDUCTION_TERMS
+        assert exact._REDUCTION_TERMS[order] == warm
         assert cold == x * y
         assert_same(cold, rx * ry)
+    # the rows are x^d by long division, phi <= d < order, nonzero terms only
+    phi, rows = exact._REDUCTION_TERMS[order]
+    assert phi == euler_phi(order)
+    assert rows == tuple(tuple((i, c) for i, c in enumerate(reduce_mod(order, [0] * d + [1])) if c)
+                         for d in range(phi, order))
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 105, 210, 1155])
+def test_reduce_matches_long_division_at_every_length(order):
+    # _reduce folds through x^order - 1 and then adds along the table; the
+    # reference reduces by long division only.  rows[d] is x^d mod Phi, each
+    # one step of reduce_mod from the row below.  Up to order 64 the lists
+    # are the prefixes of one dense list; at the large orders each length
+    # has its own list of at most five nonzero entries, the top one included.
+    # _reduce cuts a list to phi entries and leaves a shorter one as it is.
+    phi = euler_phi(order)
+    rows = [reduce_mod(order, [0] * d + [1]) for d in range(phi)]
+    while len(rows) < 3 * order:
+        rows.append(reduce_mod(order, [0] + rows[-1]))
+    rng = random.Random(f"reduce:{order}")
+    dense = [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in range(3 * order)]
+    want = [0] * phi
+    for length in range(1, 3 * order + 1):
+        if order <= 64:
+            cs = dense[:length]
+            spots = (length - 1,)
+        else:
+            spots = {length - 1, *rng.sample(range(length), min(4, length))}
+            cs = [0] * length
+            for d in spots:
+                cs[d] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+            want = [0] * phi
+        for d in spots:
+            for i, r in enumerate(rows[d]):
+                want[i] += cs[d] * r
+        got = list(cs)
+        exact._reduce(order, got)
+        assert got + [0] * (phi - len(got)) == want, length
+
+
+def test_reduce_folds_a_list_longer_than_twice_the_order():
+    # a one-pass upward fold leaves degree 2 of [1, 2, 3] at degree 1
+    assert CycloNumber(1, [1, 2, 3]) == CycloNumber(1, [6])
+    assert CycloNumber(2, [1, 2, 3, 4, 5]) == CycloNumber(2, [3])
 
 
 def embed(x, order):

@@ -113,6 +113,50 @@ def test_the_root_is_recognised_once_and_keys_the_params():
             SeriesParams(2, q)
 
 
+def test_root_recognition_reads_the_reduction_table(monkeypatch):
+    # zeta_N^b is the unit vector e_b below phi(N) and a row of the order's
+    # reduction table from phi(N) up, so recognising q reduces nothing and
+    # sums no zeta-powers
+    q = CycloNumber.zeta_power(1155, 1153)
+    others = [CycloNumber(1155, [0] * 1153 + [c]) for c in (-1, 2, Fraction(1, 2))]
+    others.append(CycloNumber(1155, [0] * 700 + [1, 1]))
+    calls = []
+    for name in ("_reduce", "_zeta_sum"):
+        monkeypatch.setattr(exact, name, lambda *args, name=name: calls.append(name))
+    assert SeriesParams(3, q).root == (1155, 1153)
+    for x in others:
+        with pytest.raises(InvalidQ, match=r"^q must be a rational or a power of zeta_1155"):
+            SeriesParams(2, x)
+    assert calls == []
+    monkeypatch.undo()
+    # every power of a small order is read back as itself
+    for order in range(3, 31):
+        for b in range(order):
+            x = CycloNumber.zeta_power(order, b)
+            if x.as_rational() is None:
+                assert SeriesParams(1, x).root == (order, b)
+
+
+def test_cyclotomic_polynomial_is_built_once_per_order_on_a_table_miss():
+    # phi(N) is read off the primes of N, so a cold pass at zeta_12 builds
+    # Phi_12 once, when the reduction table misses, and no other
+    # cyclotomic polynomial
+    for mod in (exact, qseries):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    exact._REDUCTION_TERMS.clear()
+    params = zeta_params(12)
+    zbar_t((1, 2, 1), params)
+    z_t((2, 1), params)
+    L_poly((1, 2), params, "interp")
+    g_sum(HeightProfile(3, 2, ()), params)
+    info = exact.cyclotomic_polynomial.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    assert list(exact._REDUCTION_TERMS) == [12]
+    assert not hasattr(exact, "_poly_div_exact_int")
+
+
 @lru_cache(maxsize=None)
 def _reference_factor(params, kind, k, m):
     """The summand by its definition, with the reference's powers and

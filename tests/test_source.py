@@ -134,6 +134,30 @@ def test_only_exact_reads_the_zpoly_form():
     assert all(f'"{name}"' in exact.read_text() for name in ZPOLY_FORM)
 
 
+# The reduction table: per order, phi(order) and the rows x^d mod Phi_order
+# that _reduce adds along and _zeta_exponent reads the powers of zeta off.
+# Other modules reduce through _reduce, so the row layout stays the exact
+# module's business.  The caches the table is built from keep their names
+# and stay unbounded, one key per order: the cache count pinned below and
+# perfbench's cache metrics name them.
+REDUCTION_TABLE = {"_REDUCTION_TERMS"}
+ORDER_CACHES = ("exact._divisors", "exact.cyclotomic_polynomial", "exact.euler_phi")
+
+
+def test_only_exact_reads_the_reduction_table():
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "exact.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Name) and node.id in REDUCTION_TABLE)
+             or (isinstance(node, ast.Attribute) and node.attr in REDUCTION_TABLE)
+             or (isinstance(node, ast.alias) and node.name in REDUCTION_TABLE)]
+    assert found == []
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    assert all(name in exact.read_text() for name in REDUCTION_TABLE)
+    caches = _package_caches()
+    assert [caches.get(name, "missing") for name in ORDER_CACHES] == [None] * 3
+
+
 # The integer kernels of Q(zeta_n): the product, the Galois-norm inverse
 # (_numerator_inverse) and zeta^e, the CycloNumber product and inverse that
 # wrap them, and the numerator-list closed forms at zeta_n (sums of
