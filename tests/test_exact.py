@@ -622,15 +622,17 @@ def test_cyclo_matches_fraction_reference(order):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_products_do_not_depend_on_the_reduction_table(order):
-    # _reduce keeps phi(order) and the low terms of the modulus in a plain
-    # dict filled on first use; a product right after the dict is emptied
-    # equals the one made with it filled, and both equal the reference
+    # _reduce reads phi(order) and the rows x^d mod Phi_order off a table
+    # that builds an order's entry on first use; a product right after the
+    # table is emptied fills it again with the same rows, and equals the
+    # product made with the table filled and the reference
     rng = random.Random(f"reduction-table:{order}")
     pairs = [(random_pair(rng, order), random_pair(rng, order)) for _ in range(4)]
     for (x, rx), (y, ry) in pairs:
         warm = exact._REDUCTION_TERMS[order]
         exact._REDUCTION_TERMS.clear()
         cold = x * y
+        assert order in exact._REDUCTION_TERMS
         assert exact._REDUCTION_TERMS[order] == warm
         assert cold == x * y
         assert_same(cold, rx * ry)
@@ -639,6 +641,9 @@ def test_products_do_not_depend_on_the_reduction_table(order):
     assert phi == euler_phi(order)
     assert rows == tuple(tuple((i, c) for i, c in enumerate(reduce_mod(order, [0] * d + [1])) if c)
                          for d in range(phi, order))
+    # a term (i, c) in several rows is one tuple, kept once
+    terms = [t for row in rows for t in row]
+    assert len({id(t) for t in terms}) == len(set(terms))
 
 
 @pytest.mark.parametrize("order", [*range(1, 65), 105, 210, 1155])
