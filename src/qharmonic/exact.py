@@ -26,16 +26,27 @@ each degree phi(n) <= d < n along one row of x^d mod Phi_n; the rows are
 built once per order in ``_REDUCTION_TERMS``, and ``_zeta_exponent`` reads
 the power b of a q = zeta^b off them too.
 
-``SparsePoly`` is the sparse univariate polynomial core: an immutable
-{exponent: coefficient} map with an add-with-cancellation loop
-(``_add_into``) and a raw product kernel (``_accumulate``).
-
 ``TPoly`` (in t) keeps a numerator form, and the kernels it shares with a
 Series (sums, reductions, the order of two operands) live here; a Series
 keeps the same form as one flat map keyed by (t-power, monomial), and its
-coefficients are TPolys, so t is never truncated.  ``ZPoly`` (in z, over t)
-keeps one TPoly slot per z-power over one denominator and runs on the same
-kernels.
+coefficients are TPolys, so t is never truncated.
+
+The z-form.  A polynomial in z (``ZForm``) is stored as ``_z_form`` =
+(order, den, {z-power: slot}): one numerator map per z-power over one
+denominator, in lowest terms.  A ``ZPoly`` (the truncated polylogarithms,
+in z over t) has TPoly slots {t-power: numerator}, and a
+``series.PhiPoly`` (each Phi_j, in z over x-series) has Series flat maps
+{key: numerator}.  Both slots are numerator maps, so ``+``, ``-``,
+negation, ``==``, ``shift``, the value at z = 1 and the eigenvalue scaling
+of Theta (``_scale_slots``, which qseries.theta_q calls) are defined once,
+on ZForm, each one call of the shared kernels (``_sum_form``,
+``_merge_into``, ``_reduced``).  A subclass supplies only what differs:
+the product of two slots (``_convolve_into``, or the capped
+``series._products``), the coefficient it hands out (a TPoly or a Series;
+``coeffs`` builds them on each read and never keeps them) and the form of
+a coefficient it promotes.  ``SparsePoly`` is what TPoly and the z-forms
+share beside their forms: immutability, truth, the promotion of constants,
+``zero`` and ``**``.
 """
 from __future__ import annotations
 
@@ -524,159 +535,12 @@ def scalar_from_json(obj) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# sparse univariate polynomials: the shared core
-# ---------------------------------------------------------------------------
-
-def _add_into(out: dict, items) -> dict:
-    """Add (key, coefficient) items into `out`, deleting every key whose sum
-    cancels to zero; returns `out`."""
-    for k, c in items:
-        if k in out:
-            c = out[k] + c
-            if not c:
-                del out[k]
-                continue
-        out[k] = c
-    return out
-
-
-def _accumulate(slot: dict, left, right) -> None:
-    """Add the polynomial product of two (exponent, coefficient) item views
-    into the raw dict `slot`; zero sums stay until the caller drops them."""
-    for a, x in left:
-        for b, y in right:
-            k = a + b
-            v = x * y
-            slot[k] = slot[k] + v if k in slot else v
-
-
-class SparsePoly:
-    """Immutable sparse polynomial in one variable, stored as
-    {exponent: coefficient} with zero coefficients never stored.
-
-    A subclass names its variable (`var`), the operand types promoted to
-    constants (`scalars`) and how a coefficient renders in JSON (`_render`).
-    `TPoly` and `ZPoly` keep numerator forms instead and override the
-    arithmetic; `genfun.PhiPoly` runs on this generic path."""
-
-    __slots__ = ("coeffs",)
-    var: str
-    scalars: tuple
-
-    def __init__(self, coeffs: Mapping | None = None) -> None:
-        clean = {}
-        for e, c in (coeffs or {}).items():
-            if e < 0:
-                raise ValueError(f"negative {self.var}-exponent")
-            if c:
-                clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    @classmethod
-    def _from_raw(cls, raw: Mapping):
-        """A value over raw coefficients that are already lifted and keyed
-        by nonnegative exponents: only zeros are dropped."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", {e: c for e, c in raw.items() if c})
-        return out
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self)._from_raw, (self.coeffs,)
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _promote(self, other):
-        """`other` as a value of this class, or None for a foreign type."""
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, self.scalars):
-            return type(self)({0: other})
-        return None
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self._from_raw(_add_into(dict(self.coeffs), other.coeffs.items()))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, self.scalars):
-            return self._from_raw({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        out: dict = {}
-        _accumulate(out, self.coeffs.items(), other.coeffs.items())
-        return self._from_raw(out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._from_raw({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError(f"negative {type(self).__name__} power")
-        return _power(self, exp, type(self)({0: 1}))
-
-    # -- comparison / serialization -----------------------------------------
-
-    def __eq__(self, other) -> bool:
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def first_mismatch(self, other):
-        """(exponent, lhs coefficient, rhs coefficient) at the lowest
-        exponent where the two differ, a missing one reading as the int 0;
-        None when they are equal."""
-        if self == other:
-            return None
-        mine, theirs = self.coeffs, other.coeffs
-        e = min(e for e in mine.keys() | theirs.keys() if mine.get(e, 0) != theirs.get(e, 0))
-        return e, mine.get(e, 0), theirs.get(e, 0)
-
-    def to_json(self) -> dict:
-        render = self._render
-        return {f"{self.var}^{e}": render(c) for e, c in sorted(self.coeffs.items())}
-
-    def __repr__(self) -> str:
-        import json  # here, so that importing the package does not load json
-
-        return f"{type(self).__name__}({json.dumps(self.to_json())})"
-
-
-# ---------------------------------------------------------------------------
 # numerator forms: a TPoly is {t-power: numerator}, and a Series one flat
 # {key: numerator} map, with no zero numerator over one positive int, in
 # lowest terms: ints, or at order N, when some numerator has a
 # zeta-component, tuples of phi(N) ints (Z[zeta_N] coefficients).  An int a
 # meets order N as (a, 0, ..., 0); two orders raise TypeError.  Kernels take
-# slot maps {key: slot}, a TPoly or a Series being {0: slot} and a ZPoly
+# slot maps {key: slot}, a TPoly or a Series being {0: slot} and a z-form
 # keyed by z-power; inner dicts are never changed.
 # ---------------------------------------------------------------------------
 
@@ -731,7 +595,7 @@ def _paired(oa: int | None, a: Mapping, ob: int | None, b: Mapping) -> tuple:
 
 
 def _joint_form(forms: Mapping) -> tuple[int | None, int, dict]:
-    """(order, den, num): the nonzero TPoly forms {key: (order, den, slot)}
+    """(order, den, num): the nonzero slot forms {key: (order, den, slot)}
     put over the lcm of their denominators at one order.  Each form is in
     lowest terms, so the result is: a prime's full power in the lcm divides
     some den, whose slot has a numerator it does not divide."""
@@ -809,6 +673,19 @@ def _scaled(slot: Mapping, s: int, order: int | None) -> Mapping:
     return {k: tuple(a * s for a in v) for k, v in slot.items()}
 
 
+def _add_into(out: dict, items) -> dict:
+    """Add (key, coefficient) items into `out`, deleting every key whose sum
+    cancels to zero; returns `out`."""
+    for k, c in items:
+        if k in out:
+            c = out[k] + c
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
+    return out
+
+
 def _add_tuples_into(out: dict, items) -> dict:
     """`_add_into` on Z[zeta] numerators, which add slot by slot."""
     for k, v in items:
@@ -848,44 +725,91 @@ def _sum_form(order: int | None, da: int, a: Mapping, db: int, b: Mapping,
     return _reduced(den, _merge_into(out, b, sign * (den // db), order), order)
 
 
-def _convolve_into(slot: dict, left, right) -> None:
-    """`_accumulate` on Z[zeta] numerators: each pair's product is convolved
-    into the int list at its t-power, unreduced, so the caller reduces each
-    sum once (`_reduce`) rather than each product."""
-    for a, x in left:
-        for b, y in right:
-            k = a + b
-            out = slot.get(k)
+def _convolve_into(acc: dict, a: Mapping, b: Mapping, order: int | None) -> None:
+    """Add the product of the t-slots a and b into the raw dict `acc`, the
+    slot product of a TPoly and a ZPoly: ints sum with zeros kept, and at
+    an order each pair's product is convolved into the int list at its
+    t-power, unreduced, so the caller drops the zeros (`_settled`) and
+    reduces each sum (`_reduce`) once."""
+    if order is None:
+        for i, x in a.items():
+            for j, y in b.items():
+                k, v = i + j, x * y
+                acc[k] = acc[k] + v if k in acc else v
+        return
+    for i, x in a.items():
+        for j, y in b.items():
+            out = acc.get(k := i + j)
             if out is None:
-                out = slot[k] = [0] * (len(x) + len(y) - 1)
+                out = acc[k] = [0] * (len(x) + len(y) - 1)
             _add_convolution(out, x, y)
 
 
 def _times_form(order: int | None, den: int, num: Mapping, pden: int,
-                pnum: Mapping) -> tuple[int, dict]:
+                pnum: Mapping, product) -> tuple[int, dict]:
     """num/den times pnum/pden, whose keys add to num's: a TPoly factor is
-    {0: slot}, a ZPoly one slot per z-power.  Each output key gets one raw
+    {0: slot}, a z-form one slot per z-power, and product(acc, a, b, order)
+    adds the raw product of two slots into acc (`_convolve_into`, or the
+    capped series product of a PhiPoly).  Each output key gets one raw
     dict, settled and reduced once."""
-    accumulate = _accumulate if order is None else _convolve_into
     out = {}
     for f, pslot in pnum.items():
-        pitems = pslot.items()
-        shifted = ((e + f, slot) for e, slot in num.items()) if f else num.items()
-        for e, slot in shifted:
-            accumulate(out.setdefault(e, {}), slot.items(), pitems)
+        for e, slot in num.items():
+            product(out.setdefault(e + f, {}), slot, pslot, order)
     return _reduced(den * pden, _settled(out, order), order)
 
 
 # ---------------------------------------------------------------------------
-# polynomials in t
+# the numerator-form polynomials, and those in t
 # ---------------------------------------------------------------------------
+
+class SparsePoly:
+    """What the numerator-form polynomials share: `TPoly` (its form
+    `_t_form`) and the z-forms `ZPoly` and `series.PhiPoly` (`ZForm`, its
+    form `_z_form`).  A value is immutable and has one form; a subclass
+    names the operand types it promotes to constants (`scalars`) and makes
+    such a constant (`_const`), and the zero and `**` are read off the form."""
+
+    __slots__ = ()
+    scalars: tuple
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls._from_form(None, 1, {})
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def _promote(self, other):
+        """`other` as a value of this class, a scalar as a constant, or None
+        for a foreign type."""
+        if isinstance(other, type(self)):
+            return other
+        return self._const(other) if isinstance(other, self.scalars) else None
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError(f"negative {type(self).__name__} power")
+        return _power(self, exp, self._const(1))
+
+    def __repr__(self) -> str:
+        import json  # here, so that importing the package does not load json
+
+        return f"{type(self).__name__}({json.dumps(self.to_json())})"
+
 
 class TPoly(SparsePoly):
     """Sparse polynomial in t over Q or Q(zeta_N), stored in the numerator
     form above as `_t_form` = (order, den, numerators); `coeffs`, its
     Fractions or CycloNumbers by t-power, is a view built when first read."""
 
-    __slots__ = ("_t_form",)
+    __slots__ = ("_t_form", "coeffs")
     var = "t"
     scalars = (int, Fraction, CycloNumber)
     _render = staticmethod(scalar_to_json)
@@ -976,7 +900,7 @@ class TPoly(SparsePoly):
             return NotImplemented
         (oa, da, a), (ob, db, b) = self._t_form, other._t_form
         order, a, b = _paired(oa, {0: a}, ob, {0: b})
-        den, num = _times_form(order, da, a, db, b)
+        den, num = _times_form(order, da, a, db, b, _convolve_into)
         return TPoly._from_form(order, den, num.get(0, {}))
 
     __rmul__ = __mul__
@@ -986,6 +910,18 @@ class TPoly(SparsePoly):
         if other is None:
             return NotImplemented
         return self._t_form == other._t_form  # each value has one form
+
+    def first_mismatch(self, other: "TPoly"):
+        """(t-power, lhs coefficient, rhs coefficient) at the lowest t-power
+        where the two differ, the lowest key of their difference, a missing
+        one reading as the int 0; None when equal.  No coeffs view is built."""
+        if self == other:
+            return None
+        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
+        order, pa, pb = _paired(oa, {0: a}, ob, {0: b})
+        e = min(_sum_form(order, da, pa, db, pb, -1)[1][0])
+        return (e, NumeratorRing(oa).scalar(a[e], da) if e in a else 0,
+                NumeratorRing(ob).scalar(b[e], db) if e in b else 0)
 
     def to_json(self) -> dict:
         """The JSON of the coeffs view, read off the form."""
@@ -997,6 +933,8 @@ class TPoly(SparsePoly):
         if isinstance(c, (int, Fraction)):
             return cls._from_form(None, c.denominator, {0: c.numerator} if c else {})
         return cls({0: c})
+
+    _const = const
 
     @classmethod
     def t(cls) -> "TPoly":
@@ -1039,42 +977,169 @@ def as_tpoly(value) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in z over t
+# polynomials in z: the z-form
 # ---------------------------------------------------------------------------
 
-class ZPoly(SparsePoly):
-    """Polynomial in the polylogarithm variable z with TPoly coefficients,
-    stored as `_z_form` = (order, den, {z-power: slot}): one TPoly numerator
-    slot per z-power over one denominator, in lowest terms.  Each operation
-    is one kernel call on the form.
-    `coeffs`, the TPolys by z-power, is a view built on each read and never
-    kept, so a cached value holds its form alone."""
+class ZForm(SparsePoly):
+    """A polynomial in z in the z-form of the module docstring, each
+    operation defined once for ZPoly and series.PhiPoly.  A subclass
+    supplies `_form_of(c)`, the (order, den, slot) of a coefficient c;
+    `_product(acc, a, b, order)`, which adds the raw product of two slots
+    into acc (`_times_form`); `_coefficient(order, den, slot)`, the
+    coefficient slot/den, not in lowest terms; and, when it keeps more than
+    its form, `_like(order, den, num)`, a value of its kind holding a
+    kernel's result in lowest terms."""
 
     __slots__ = ("_z_form",)
-    var = "z"
-    scalars = (int, Fraction, CycloNumber, TPoly)
-    _render = staticmethod(TPoly.to_json)
 
     def __init__(self, coeffs: Mapping | None = None) -> None:
-        """The ZPoly of {z-power: TPoly or exact scalar}; two orders raise
+        """The polynomial of {z-power: coefficient}; two orders raise
         TypeError."""
         forms = {}
         for e, c in (coeffs or {}).items():
             if e < 0:
                 raise ValueError("negative z-exponent")
-            c = as_tpoly(c)
-            if c:
-                forms[e] = c._t_form
+            order, den, slot = self._form_of(c)
+            if slot:
+                forms[e] = order, den, slot
         _set(self, "_z_form", _joint_form(forms))
 
     @classmethod
-    def _from_form(cls, order: int | None, den: int, num: dict) -> "ZPoly":
+    def _from_form(cls, order: int | None, den: int, num: dict):
         """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
         if order is not None:
             order, num = _order_settled(order, num)
         out = _new(cls)
         _set(out, "_z_form", (order, den, num))
         return out
+
+    _like = _from_form
+
+    def _const(self, c):
+        order, den, slot = self._form_of(c)
+        return self._like(order, den, {0: slot} if slot else {})
+
+    @property
+    def coeffs(self) -> dict:
+        order, den, num = self._z_form
+        return {e: self._coefficient(order, den, slot) for e, slot in num.items()}
+
+    def __reduce__(self):
+        return self._from_form, self._z_form
+
+    def is_zero(self) -> bool:
+        return not self._z_form[2]
+
+    def _sum(self, other, sign: int):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        if not a or not b:
+            return self if not b else other if sign == 1 else -other
+        order, a, b = _paired(oa, a, ob, b)
+        return self._like(order, *_sum_form(order, da, a, db, b, sign))
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        order, den, num = self._z_form
+        return self._like(order, den, {e: _scaled(slot, -1, order) for e, slot in num.items()})
+
+    def __mul__(self, other):
+        """The product with a promoted constant or a value of the same class."""
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        order, a, b = _paired(oa, a, ob, b)
+        return self._like(order, *_times_form(order, da, a, db, b, self._product))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self._z_form == other._z_form  # each value has one form
+
+    def first_mismatch(self, other):
+        """(z-power, lhs coefficient, rhs coefficient) at the lowest z-power
+        where the two differ, the lowest key of their difference; None when
+        equal."""
+        if self == other:
+            return None
+        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        order, pa, pb = _paired(oa, a, ob, b)
+        e = min(_sum_form(order, da, pa, db, pb, -1)[1])
+        return e, self._coefficient(oa, da, a.get(e, {})), self._coefficient(ob, db, b.get(e, {}))
+
+    def shift(self, s: int):
+        """The product with z^s: every z-power moves up by s.  s < 0 raises
+        ValueError, as a negative z-exponent does."""
+        if s < 0:
+            raise ValueError("negative z-exponent")
+        order, den, num = self._z_form
+        return self._like(order, den, {e + s: slot for e, slot in num.items()})
+
+    def eval_z_one(self):
+        """The sum of the coefficients, the value at z = 1: the slots merged
+        into one, with one reduction."""
+        order, den, num = self._z_form
+        total = {}
+        for slot in num.values():
+            _merge_into(total, {0: slot}, 1, order)
+        return self._coefficient(order, den, total.get(0, {}))
+
+    def _scale_slots(self, order: int | None, factor):
+        """The z^e slot times factor(e), a (numerator, den) pair at `order`,
+        read once per z-power, in one pass with one reduction: the factors go
+        over the lcm of their dens, ints multiply, and a Z[zeta] product is
+        index arithmetic (`_zeta_sum`) over the factor's nonzero slots.  The
+        q-difference operator (qseries.theta_q) is its one caller."""
+        own, den, num = self._z_form
+        joint = _joint_order(own, order)
+        factors = {e: factor(e) for e in num}
+        scale = lcm(*(d for _, d in factors.values()))
+        out = {}
+        if joint is None:
+            for e, slot in num.items():
+                w, d = factors[e]
+                if w:
+                    w *= scale // d
+                    out[e] = {k: v * w for k, v in slot.items()}
+        else:
+            for e, slot in _lifted(num, own, joint).items():
+                w, d = factors[e]
+                s = scale // d
+                ws = [(j, c * s) for j, c in (((0, w),) if order is None else enumerate(w)) if c]
+                if ws:
+                    out[e] = {k: tuple(_zeta_sum(joint, ((i + j, a * c) for j, c in ws
+                                                         for i, a in enumerate(v) if a)))
+                              for k, v in slot.items()}
+        return self._like(joint, *_reduced(den * scale, out, joint))
+
+
+class ZPoly(ZForm):
+    """Polynomial in the polylogarithm variable z with TPoly coefficients: a
+    z-form whose slots are TPoly numerator slots {t-power: numerator}."""
+
+    __slots__ = ()
+    var = "z"
+    scalars = (int, Fraction, CycloNumber, TPoly)
+    _render = staticmethod(TPoly.to_json)
+    _product = staticmethod(_convolve_into)
+    _coefficient = staticmethod(TPoly._from_numerators)
+
+    @staticmethod
+    def _form_of(c) -> tuple:
+        return as_tpoly(c)._t_form
 
     @classmethod
     def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "ZPoly":
@@ -1119,111 +1184,6 @@ class ZPoly(SparsePoly):
             for e, slot in _lifted(num, o, order).items():
                 out.setdefault(e, {})[key] = _scaled(slot, den // d, order)
         return order, den, out
-
-    @property
-    def coeffs(self) -> dict:
-        order, den, num = self._z_form
-        return {e: TPoly._from_numerators(order, den, slot) for e, slot in num.items()}
-
-    def __reduce__(self):
-        return ZPoly._from_form, self._z_form
-
-    def is_zero(self) -> bool:
-        return not self._z_form[2]
-
-    def _sum(self, other, sign: int):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
-        if not a or not b:
-            return self if not b else other if sign == 1 else -other
-        order, a, b = _paired(oa, a, ob, b)
-        return ZPoly._from_form(order, *_sum_form(order, da, a, db, b, sign))
-
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __neg__(self):
-        order, den, num = self._z_form
-        return ZPoly._from_form(order, den, {e: _scaled(slot, -1, order)
-                                             for e, slot in num.items()})
-
-    def __mul__(self, other):
-        """The product with a scalar, a TPoly (a constant in z) or a ZPoly."""
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
-        order, a, b = _paired(oa, a, ob, b)
-        return ZPoly._from_form(order, *_times_form(order, da, a, db, b))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self._z_form == other._z_form  # each value has one form
-
-    def first_mismatch(self, other: "ZPoly"):
-        """(z-power, lhs TPoly, rhs TPoly) at the lowest z-power where the
-        two differ, the lowest key of their difference; None when equal."""
-        if self == other:
-            return None
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
-        order, pa, pb = _paired(oa, a, ob, b)
-        e = min(_sum_form(order, da, pa, db, pb, -1)[1])
-        return (e, TPoly._from_numerators(oa, da, a.get(e, {})),
-                TPoly._from_numerators(ob, db, b.get(e, {})))
-
-    def shift(self, s: int) -> "ZPoly":
-        """The product with z^s (s >= 0): every z-power moves up by s."""
-        order, den, num = self._z_form
-        return ZPoly._from_form(order, den, {e + s: slot for e, slot in num.items()})
-
-    def eval_z_one(self) -> TPoly:
-        """The sum of the coefficients, the value at z = 1: the slots merged
-        into one t-slot, with one reduction."""
-        order, den, num = self._z_form
-        total = {}
-        for slot in num.values():
-            _merge_into(total, {0: slot}, 1, order)
-        den, total = _reduced(den, total, order)
-        return TPoly._from_form(order, den, total.get(0, {}))
-
-    def _scale_slots(self, order: int | None, factor) -> "ZPoly":
-        """The z^e slot times factor(e), a (numerator, den) pair at `order`,
-        read once per z-power, in one pass with one reduction: the factors go
-        over the lcm of their dens, ints multiply, and a Z[zeta] product is
-        index arithmetic (`_zeta_sum`) over the factor's nonzero slots.  The
-        q-difference operator (qseries.theta_q) is its one caller."""
-        own, den, num = self._z_form
-        joint = _joint_order(own, order)
-        factors = {e: factor(e) for e in num}
-        scale = lcm(*(d for _, d in factors.values()))
-        out = {}
-        if joint is None:
-            for e, slot in num.items():
-                w, d = factors[e]
-                if w:
-                    w *= scale // d
-                    out[e] = {k: v * w for k, v in slot.items()}
-        else:
-            for e, slot in _lifted(num, own, joint).items():
-                w, d = factors[e]
-                s = scale // d
-                ws = [(j, c * s) for j, c in (((0, w),) if order is None else enumerate(w)) if c]
-                if ws:
-                    out[e] = {k: tuple(_zeta_sum(joint, ((i + j, a * c) for j, c in ws
-                                                         for i, a in enumerate(v) if a)))
-                              for k, v in slot.items()}
-        return ZPoly._from_form(joint, *_reduced(den * scale, out, joint))
 
     def to_json(self) -> dict:
         """The JSON of the coeffs view, read off the form as TPoly.to_json

@@ -13,9 +13,7 @@ This module builds both sides of every verified statement:
   sum of series (`Series.weighted_sum`), so the product side multiplies
   series only in x₁·x_j and in the chain of the n − 2 products;
 * the z-side generating functions Φ_j, each a polynomial in z over
-  x-series (`PhiPoly`, one Series per z-power on the generic SparsePoly
-  path, with its own z-shift and value at z = 1 and the per-class scaling
-  hook through which qseries.theta_q applies Θ's eigenvalues), their
+  x-series (`series.PhiPoly`, a z-form: see the `exact` docstring), their
   q-difference system, and the closed coefficient product;
 * root-of-unity closed forms: the weight/depth sum formulas, the
   constant-index evaluations, the repeated-index generating functions with
@@ -65,7 +63,7 @@ from .qseries import (
     zbar,
     zeta_params,
 )
-from .series import Series, SeriesRing, first_term_mismatch
+from .series import PhiPoly, Series, SeriesRing, first_term_mismatch
 
 
 class ZeroPochhammerDenominator(QHarmonicError):
@@ -382,31 +380,6 @@ def scalar_mismatch(a: Scalar, b: Scalar) -> dict | None:
 # the z-side generating functions
 # ---------------------------------------------------------------------------
 
-class PhiPoly(SparsePoly):
-    """A polynomial in z whose coefficients are x-series: one Φ_j, one
-    Series per z-power on the generic SparsePoly path."""
-
-    __slots__ = ()
-    var = "z"
-    scalars = (Series,)
-    _render = staticmethod(Series.to_json)
-
-    def shift(self, s: int) -> "PhiPoly":
-        """The product with z^s (s >= 0): every z-power moves up by s."""
-        return self._from_raw({e + s: c for e, c in self.coeffs.items()})
-
-    def eval_z_one(self) -> Series:
-        """The sum of the coefficients, the value at z = 1."""
-        return sum(self.coeffs.values(), 0)
-
-    def _scale_slots(self, order: int | None, factor) -> "PhiPoly":
-        """Each z^e series times factor(e), a (numerator, den) pair at
-        `order`: the diagonal step of qseries.theta_q, whose factor at z^0,
-        1 − q^0, is zero."""
-        const = NumeratorRing(order).const
-        return self._from_raw({e: c * const(*factor(e)) for e, c in self.coeffs.items() if e})
-
-
 def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:
     """The generating function of profile sums of truncated interpolated
     polylogarithms: the x_sum of each x-monomial's profile, its z-powers
@@ -420,8 +393,8 @@ def phi_bruteforce(n: int, r: int, q: Scalar, j: int, cap: int) -> PhiPoly:
         base = profile_from_exponents(r, exps)
         sums[exps] = x_sum(HeightProfile(base.k, base.l, base.h, j), params)
     order, den, by_z = ZPoly.by_power(sums)
-    return PhiPoly({ze: Series.from_numerators(ring, den, num, order)
-                    for ze, num in by_z.items()})
+    return PhiPoly(ring, {ze: Series.from_numerators(ring, den, num, order)
+                          for ze, num in by_z.items()})
 
 
 def phi_mismatch(a: PhiPoly, b: PhiPoly, ring: SeriesRing) -> dict | None:
@@ -571,11 +544,11 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
     th = theta_q(phis[-1] - phis[0], params)
     lhs = th - th.shift(1)
     tv = ring.scalar(T)
-    blend = PhiPoly({0: tv, 1: one - tv})
+    blend = PhiPoly(ring, {0: tv, 1: one - tv})
     rhs = (
         blend * xv[2] * (phis[-1] - one)
-        + PhiPoly({1: xv[2]})
-        - PhiPoly({params.n: xv[2] * phi1})
+        + PhiPoly(ring, {1: xv[2]})
+        - PhiPoly(ring, {params.n: xv[2] * phi1})
     )
     record("prop2_2", "[base]", phi_mismatch(lhs, rhs, ring))
 
@@ -591,7 +564,7 @@ def phi_system_checks(n: int, r: int, q: Scalar, cap: int) -> Mapping[str, tuple
         return sum((coeffs[i] * powers[i] for i in range(r + 1)), powers[r + 1])
 
     lhs = apply_p(pp) - apply_p(pm).shift(1)
-    rhs = PhiPoly({1: xv[r + 2]}) - PhiPoly({params.n: xv[r + 2] * phi1})
+    rhs = PhiPoly(ring, {1: xv[r + 2]}) - PhiPoly(ring, {params.n: xv[r + 2] * phi1})
     record("cor2_3", "", phi_mismatch(lhs, rhs, ring))
 
     # thm2_4 multiplied through:  Φ(1)·Π P^t(1−q^j) = Π P^{t−1}(1−q^j)

@@ -450,10 +450,10 @@ def L_poly(parts: MultiIndex, params: SeriesParams, variant: str = "interp") -> 
 
 def theta_q(f, params: SeriesParams):
     """The q-difference operator f(z) - f(qz): diagonal on z-powers with
-    eigenvalue 1 - q^e, read once per z-power from `_one_minus_qpow`.  f's
-    class applies the eigenvalues (`_scale_slots`): a ZPoly scales its
-    numerator slots in one pass, and a genfun.PhiPoly, a z-polynomial over
-    x-series, multiplies each series; either way Θ returns f's own class."""
+    eigenvalue 1 - q^e, read once per z-power from `_one_minus_qpow`, for a
+    z-form f (a ZPoly or a series.PhiPoly): exact.ZForm._scale_slots scales
+    its numerator slots in one pass with one reduction and returns f's own
+    class."""
     return f._scale_slots(_order(params), partial(_one_minus_qpow, params))
 
 

@@ -85,6 +85,9 @@ are admissible by construction (products pruned at the cap, sums and maps
 over keys already in the ring, division targets pushed up to the cap) go
 through the private ``Series._made``, which trusts a form in lowest terms
 and only puts it at its order.
+
+``PhiPoly`` is the z-form of ``exact`` over the series of one ring (each
+Phi_j of ``genfun``); it lives here because it reads the series form.
 """
 from __future__ import annotations
 
@@ -96,6 +99,7 @@ from typing import Iterable, Mapping, Sequence
 from .exact import (
     QHarmonicError,
     TPoly,
+    ZForm,
     _add_convolution,
     _galois_cofactor,
     _joint_form,
@@ -283,14 +287,14 @@ def _lowest(den: int, raw: dict, order: int | None) -> tuple[int, dict]:
     return _reduced_flat(den, _settled({0: raw}, order).get(0, {}), order)
 
 
-def _products(ring: SeriesRing, a: Mapping, b: Mapping, order: int | None) -> dict:
-    """The raw product of two flat maps up to the cap, with zero sums kept
-    (at an order, one unreduced int list per key), for ``*``.  b's keys are
-    sorted by their monomial bits, so by degree, once: each key of a stops
-    at the first partner whose degree would pass the cap, so dropped pairs
-    are never formed, and the key of a pair that fits is the sum of its
-    keys."""
-    shift, mono, top, acc = ring._shift, ring._mono, ring.cap + 1, {}
+def _products(ring: SeriesRing, acc: dict, a: Mapping, b: Mapping, order: int | None) -> dict:
+    """Add the raw product of two flat maps up to the cap into `acc` and
+    return it, with zero sums kept (at an order, one unreduced int list per
+    key): the slot product of ``*`` and of a PhiPoly.  b's keys are sorted
+    by their monomial bits, so by degree, once: each key of a stops at the
+    first partner whose degree would pass the cap, so dropped pairs are
+    never formed, and the key of a pair that fits is the sum of its keys."""
+    shift, mono, top = ring._shift, ring._mono, ring.cap + 1
     right = sorted([(k & mono, k, v) for k, v in b.items()])
     if order is None:
         for k1, x in a.items():
@@ -312,6 +316,12 @@ def _products(ring: SeriesRing, a: Mapping, b: Mapping, order: int | None) -> di
                 out = acc[k] = [0] * width
             _add_convolution(out, x, y)
     return acc
+
+
+def _check_same_ring(a, b) -> None:
+    """ValueError unless a and b, series or PhiPolys, share a ring."""
+    if a.ring != b.ring:
+        raise ValueError("series from different rings")
 
 
 # What a Series multiplies and adds as a one-term series.
@@ -437,7 +447,7 @@ class Series:
         """(order, da, a, db, b): the two operands as flat numerator maps
         over a denominator at one order."""
         if self.ring is not other.ring:
-            self._check_same_ring(other)
+            _check_same_ring(self, other)
         order, a, b = _paired(self._order, {0: self._numer}, other._order, {0: other._numer})
         return order, self._denom, a[0], other._denom, b[0]
 
@@ -468,10 +478,6 @@ class Series:
         return self.terms.get((0,) * len(self.ring.variables), TPoly.zero())
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _check_same_ring(self, other: "Series"):
-        if self.ring != other.ring:
-            raise ValueError("series from different rings")
 
     def _sum(self, other, sign: int):
         if isinstance(other, _FACTORS):
@@ -506,7 +512,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order, da, a, db, b = self._pair(other)
-        return Series._made(ring, order, *_lowest(da * db, _products(ring, a, b, order), order))
+        return Series._made(ring, order, *_lowest(da * db, _products(ring, {}, a, b, order), order))
 
     __rmul__ = __mul__
 
@@ -702,7 +708,7 @@ class Series:
     def first_mismatch(self, other: "Series"):
         """(exps, lhs TPoly, rhs TPoly) of the graded-lex-first differing
         term, or None when equal."""
-        self._check_same_ring(other)
+        _check_same_ring(self, other)
         if self == other:
             return None
         return first_term_mismatch(self.terms, other.terms)
@@ -732,3 +738,46 @@ class Series:
             parts.append(f"({tp.to_json()}){'*' + mono if mono else ''}")
         more = "" if len(self.terms) <= 8 else f" ... [{len(self.terms)} terms]"
         return f"Series({' + '.join(parts) or '0'}{more})"
+
+
+class PhiPoly(ZForm):
+    """A polynomial in z over the series of one ring, as each Φ_j of
+    ``genfun`` is: a z-form (see ``exact``) whose slots are Series flat
+    numerator maps.  What differs from a ZPoly is all it adds: its ring, the
+    capped series product of two slots (`_products`), and its coefficients,
+    Series.  A series promotes to a constant; a series or a PhiPoly of
+    another ring raises ValueError, as Series arithmetic does."""
+
+    __slots__ = ("ring",)
+    scalars = (Series,)
+
+    def __init__(self, ring: SeriesRing, coeffs: Mapping[int, Series]) -> None:
+        """The polynomial Σ coeffs[e]·z^e, every coefficient a series of `ring`."""
+        _set(self, "ring", ring)
+        super().__init__(coeffs)
+
+    def _like(self, order: int | None, den: int, num: dict) -> "PhiPoly":
+        out = super()._like(order, den, num)
+        _set(out, "ring", self.ring)
+        return out
+
+    def __reduce__(self):
+        return PhiPoly, (self.ring, self.coeffs)
+
+    def _promote(self, other):
+        if isinstance(other, PhiPoly):
+            _check_same_ring(self, other)
+        return super()._promote(other)
+
+    def _form_of(self, s: Series) -> tuple:
+        _check_same_ring(self, s)
+        return s._order, s._denom, s._numer
+
+    def _product(self, acc: dict, a: Mapping, b: Mapping, order: int | None) -> None:
+        _products(self.ring, acc, a, b, order)
+
+    def _coefficient(self, order: int | None, den: int, slot: Mapping) -> Series:
+        return Series._made(self.ring, order, *_reduced_flat(den, slot, order))
+
+    def to_json(self) -> dict:
+        return {f"z^{e}": s.to_json() for e, s in sorted(self.coeffs.items())}

@@ -14,7 +14,6 @@ from qharmonic.exact import (
     CycloNumber,
     DivisionByZero,
     IrrationalCoefficient,
-    SparsePoly,
     TPoly,
     binomial,
     cyclotomic_polynomial,
@@ -26,7 +25,7 @@ from qharmonic.exact import (
     scalar_from_json,
     scalar_to_json,
 )
-from qharmonic.genfun import poly_mismatch
+from qharmonic.genfun import phi_bruteforce, poly_mismatch
 from qharmonic.indices import HeightProfile
 from qharmonic.qseries import SeriesParams, ZPoly, _qpow, zeta_params
 from qharmonic.series import Series, SeriesRing
@@ -424,7 +423,7 @@ def t_form(tp: TPoly) -> tuple:
 def coeffs_built(tp: TPoly) -> bool:
     """Whether tp holds its coeffs view, read without building it."""
     try:
-        SparsePoly.__dict__["coeffs"].__get__(tp, TPoly)
+        TPoly.__dict__["coeffs"].__get__(tp, TPoly)
     except AttributeError:
         return False
     return True
@@ -877,6 +876,8 @@ IMMUTABLE_VALUES = {
     "CycloNumber-with-denominator": CycloNumber(6, [Fraction(1, 2), Fraction(3, 4)]),
     "TPoly": TPoly.t(),
     "ZPoly": ZPoly.one(),
+    "PhiPoly-at-Q": phi_bruteforce(4, 1, Fraction(1, 2), 0, 2),
+    "PhiPoly-at-zeta5": phi_bruteforce(4, 1, CycloNumber.zeta(5), 0, 2),
     "SeriesRing": _RING,
     "Series": Series(_RING, {(0, 0): TPoly.one(), (1, 2): TPoly({1: Fraction(-1, 3)})}),
     "SeriesParams-at-root": zeta_params(5),

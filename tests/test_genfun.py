@@ -31,6 +31,7 @@ from qharmonic.genfun import (
     p_poly,
     pascal_T,
     phi_bruteforce,
+    phi_mismatch,
     phi_system_checks,
     poly_mismatch,
     profile_from_exponents,
@@ -193,7 +194,7 @@ def ref_phi_bruteforce(n: int, r: int, q, j: int, cap: int) -> PhiPoly:
         zp = qseries.x_sum(HeightProfile(base.k, base.l, base.h, j), params)
         for ze, tp in zp.coeffs.items():
             by_z.setdefault(ze, {})[exps] = tp
-    return PhiPoly({ze: Series(ring, terms) for ze, terms in by_z.items()})
+    return PhiPoly(ring, {ze: Series(ring, terms) for ze, terms in by_z.items()})
 
 
 def clear_qseries_caches():
@@ -1161,10 +1162,10 @@ def test_phi_mismatch_compares_by_value_and_reports_the_first_term():
 
     ring = SeriesRing(x_variable_names(1), 3)
     brute = phi_bruteforce(4, 1, CycloNumber.zeta(4), 0, 3)
-    twin = PhiPoly({z: s * 1 for z, s in brute.coeffs.items()})
+    twin = PhiPoly(ring, {z: s * 1 for z, s in brute.coeffs.items()})
     assert phi_mismatch(brute, twin, ring) is None
     assert phi_mismatch(twin, twin, ring) is None
-    bumped = twin + PhiPoly({2: ring.var("x2") * CycloNumber.zeta(4)})
+    bumped = twin + PhiPoly(ring, {2: ring.var("x2") * CycloNumber.zeta(4)})
 
     def flat(f):
         return {e + (z,): c for z, s in f.coeffs.items() for e, c in s.terms.items()}
@@ -1173,3 +1174,106 @@ def test_phi_mismatch_compares_by_value_and_reports_the_first_term():
     assert exps == (0, 1, 0, 2)
     assert phi_mismatch(brute, bumped, ring) == {
         "term": {"x2": 1, "z": 2}, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+
+
+# -- differential check of the z-form on x-series ----------------------------
+# A PhiPoly keeps one numerator form over all its z-powers, and its
+# arithmetic is the z-form's (exact.ZForm), shared with ZPoly.  The
+# reference below is the plain loop over {z-power: Series}, one series
+# operation per z-power.
+
+def rand_phi_terms(ring: SeriesRing, rng: random.Random, order) -> dict:
+    """{z-power: Series} with random terms; at an order some scalars are
+    rational, and with order None all are."""
+    out = {}
+    for z in rng.sample(range(5), rng.randint(0, 3)):
+        terms = {}
+        for exps in ring.exponents_up_to_cap():
+            if rng.random() < 0.3:
+                c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if order is not None and rng.random() < 0.7:
+                    c = CycloNumber(order, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                            for _ in range(rng.randint(1, 3))])
+                terms[exps] = TPoly({rng.randint(0, 2): c})
+        out[z] = Series(ring, terms)
+    return {z: s for z, s in out.items() if s}
+
+
+def ref_phi_sum(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for z, s in b.items():
+        out[z] = out[z] + s * sign if z in out else s * sign
+    return {z: s for z, s in out.items() if s}
+
+
+def ref_phi_product(a: dict, b: dict) -> dict:
+    out = {}
+    for z1, s1 in a.items():
+        for z2, s2 in b.items():
+            out[z1 + z2] = out[z1 + z2] + s1 * s2 if z1 + z2 in out else s1 * s2
+    return {z: s for z, s in out.items() if s}
+
+
+def ref_phi_mismatch(a: dict, b: dict, ring: SeriesRing) -> dict | None:
+    """The graded-lex-first differing (x, z) term of two {z: Series} maps."""
+    fa, fb = ({e + (z,): c for z, s in f.items() for e, c in s.terms.items()} for f in (a, b))
+    for key in sorted(fa.keys() | fb.keys(), key=lambda k: (sum(k), k)):
+        x, y = fa.get(key, TPoly.zero()), fb.get(key, TPoly.zero())
+        if x != y:
+            where = {v: e for v, e in zip(ring.variables + ("z",), key) if e}
+            return {"term": where or {"1": 0}, "lhs": x.to_json(), "rhs": y.to_json()}
+    return None
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), CycloNumber.zeta(5), CycloNumber.zeta(12)],
+                         ids=["half", "zeta5", "zeta12"])
+def test_phi_poly_matches_the_per_power_series_loop(q):
+    order = None if isinstance(q, Fraction) else q.order
+    rng = random.Random(4040 + (order or 0))
+    ring = SeriesRing(x_variable_names(1), 3)
+    params = SeriesParams(5, q)
+    for _ in range(12):
+        # an operand at q's order, one whose scalars are all rational (an int
+        # form meeting a zeta form), and one more at the order
+        refs = [rand_phi_terms(ring, rng, o) for o in (order, None, order)]
+        phis = [PhiPoly(ring, r) for r in refs]
+        s = rand_phi_terms(ring, rng, order).get(0, ring.one())
+        for (a, ra), (b, rb) in [(x, y) for x in zip(phis, refs) for y in zip(phis, refs)]:
+            assert (a + b).coeffs == ref_phi_sum(ra, rb, 1)
+            assert (a - b).coeffs == ref_phi_sum(ra, rb, -1)
+            assert (a * b).coeffs == ref_phi_product(ra, rb)
+            assert (a == b) is (ra == rb) and (a == PhiPoly(ring, rb)) is (ra == rb)
+            assert phi_mismatch(a, b, ring) == ref_phi_mismatch(ra, rb, ring)
+        for a, ra in zip(phis, refs):
+            # sums that cancel to zero, and a cancelled sum that leaves a
+            zero = PhiPoly(ring, {})
+            assert a - a == zero and a + (-a) == zero and (a - a).coeffs == {}
+            assert ((a + phis[1]) - phis[1]).coeffs == ra
+            assert (-a).coeffs == {z: -c for z, c in ra.items()}
+            assert (a * s).coeffs == (s * a).coeffs == {z: c * s for z, c in ra.items() if c * s}
+            assert (a - s).coeffs == ref_phi_sum(ra, {0: s}, -1)
+            assert (s - a).coeffs == ref_phi_sum({0: s}, ra, -1)
+            for k in range(3):
+                assert a.shift(k).coeffs == {z + k: c for z, c in ra.items()}
+            theta = theta_q(a, params)
+            assert type(theta) is PhiPoly and theta.ring == ring
+            assert theta.coeffs == {z: c * TPoly.const(value(1 - lift(q) ** z))
+                                    for z, c in ra.items() if z}
+            assert a.eval_z_one() == sum(ra.values(), ring.zero())
+
+
+def test_z_forms_refuse_a_negative_z_power():
+    ring = SeriesRing(x_variable_names(1), 2)
+    for f in (ZPoly({1: TPoly.t()}), PhiPoly(ring, {1: ring.var("x1")})):
+        assert f.shift(0) == f
+        with pytest.raises(ValueError, match="negative z-exponent"):
+            f.shift(-1)
+    with pytest.raises(ValueError, match="negative z-exponent"):
+        ZPoly({-1: 1})
+    with pytest.raises(ValueError, match="negative z-exponent"):
+        PhiPoly(ring, {-1: ring.one()})
+    other = SeriesRing(x_variable_names(1), 3)
+    with pytest.raises(ValueError, match="different rings"):
+        PhiPoly(ring, {0: other.one()})
+    with pytest.raises(ValueError, match="different rings"):
+        PhiPoly(ring, {0: ring.one()}) + PhiPoly(other, {0: other.one()})

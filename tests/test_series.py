@@ -1262,7 +1262,7 @@ def test_integer_form_sums_that_cancel_reduce():
 def views_built(tp: TPoly) -> bool:
     """Whether tp holds its coeffs view, read without building it."""
     try:
-        exact.SparsePoly.__dict__["coeffs"].__get__(tp, TPoly)
+        exact.TPoly.__dict__["coeffs"].__get__(tp, TPoly)
     except AttributeError:
         return False
     return True

@@ -115,15 +115,20 @@ def test_only_exact_and_series_read_the_tpoly_form():
     assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
 
 
-# A ZPoly's form: its cyclotomic order, denominator and one numerator slot
-# per z-power.  Other modules read a ZPoly through `coeffs`, the arithmetic,
-# the constructors and the kernel methods (L_poly's numerators, x_sum's
-# `sum_of`, theta_q's `_scale_slots`), so the format stays the exact
-# module's business.
+# A z-form's form: its cyclotomic order, denominator and one numerator slot
+# per z-power.  Both z-polynomial classes keep it in the one attribute of
+# exact.ZForm: a ZPoly (TPoly slots) and a series.PhiPoly (Series slots),
+# which adds its ring and no form of its own.  Other modules read a z-form
+# through `coeffs`, the arithmetic, the constructors and the kernel methods
+# (L_poly's numerators, x_sum's `sum_of`, theta_q's `_scale_slots`), so the
+# format stays the exact module's business.
 ZPOLY_FORM = {"_z_form"}
 
 
 def test_only_exact_reads_the_zpoly_form():
+    from qharmonic.exact import ZForm, ZPoly
+    from qharmonic.series import PhiPoly
+
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "exact.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -132,6 +137,8 @@ def test_only_exact_reads_the_zpoly_form():
     assert found == []
     exact = next(path for path in SOURCES if path.name == "exact.py")
     assert all(f'"{name}"' in exact.read_text() for name in ZPOLY_FORM)
+    assert set(ZForm.__slots__) == ZPOLY_FORM
+    assert (ZPoly.__slots__, PhiPoly.__slots__) == ((), ("ring",))
 
 
 # The reduction table: per order, phi(order) and the rows x^d mod Phi_order
@@ -198,14 +205,14 @@ def test_cyclo_kernels_do_no_fraction_arithmetic():
     assert found == []
 
 
-# The TPoly, ZPoly and Series kernels and the nested sums of qseries (the
-# summand table, the literal sums and the prefix-sum recursion) multiply and
-# add int numerators (ints, or Z[zeta_N] coefficient tuples) over one
-# denominator; a Fraction or a CycloNumber is built only in the coeffs view
-# of a TPoly (TPoly.__getattr__), when it is first read, and in
-# NumeratorRing.scalar, the one value a literal sum returns.  The kernels,
-# the TPoly, ZPoly and Series methods that dispatch to them (a ZPoly's
-# coeffs view builds TPolys, not scalars), the constructors, the one scan of scalars
+# The TPoly, z-form (ZPoly, PhiPoly) and Series kernels and the nested sums
+# of qseries (the summand table, the literal sums and the prefix-sum
+# recursion) multiply and add int numerators (ints, or Z[zeta_N] coefficient
+# tuples) over one denominator; a Fraction or a CycloNumber is built only in
+# the coeffs view of a TPoly (TPoly.__getattr__), when it is first read, and
+# in NumeratorRing.scalar, the one value a literal sum returns.  The kernels,
+# the TPoly, z-form and Series methods that dispatch to them (a z-form's
+# coeffs view builds TPolys or Series, not scalars), the constructors, the one scan of scalars
 # into numerators, and the helpers that put operands at one order, scale a
 # slot or reduce a result build none, so Fraction normalisation cannot creep
 # back into a loop.
@@ -218,7 +225,8 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "SeriesRing._exponent", "SeriesRing._flat",
                                   "SeriesRing._grouped", "SeriesRing._by_degree",
                                   "Series.weighted_sum", "_products", "_reduced_flat",
-                                  "_lowest"),
+                                  "_lowest", "PhiPoly._form_of", "PhiPoly._product",
+                                  "PhiPoly._coefficient"),
                     "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
                                  "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
                                  "TPoly.__mul__", "TPoly.__eq__", "TPoly.is_zero",
@@ -229,11 +237,12 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                  "_convolve_into", "_add_convolution", "_galois_cofactor",
                                  "_render_over",
                                  "_render_numerator", "scalar_to_json", "_joint_form", "_merge_into",
-                                 "_order_settled", "ZPoly.__init__", "ZPoly._from_form",
+                                 "_order_settled", "ZForm.__init__", "ZForm._from_form",
+                                 "ZForm._const", "ZPoly._form_of",
                                  "ZPoly._from_numerators", "ZPoly.one", "ZPoly.sum_of",
-                                 "ZPoly.coeffs", "ZPoly._sum", "ZPoly.__neg__",
-                                 "ZPoly.__mul__", "ZPoly.__eq__", "ZPoly.first_mismatch",
-                                 "ZPoly.shift", "ZPoly.eval_z_one", "ZPoly._scale_slots",
+                                 "ZForm.coeffs", "ZForm._sum", "ZForm.__neg__",
+                                 "ZForm.__mul__", "ZForm.__eq__", "ZForm.first_mismatch",
+                                 "ZForm.shift", "ZForm.eval_z_one", "ZForm._scale_slots",
                                  "ZPoly.to_json"),
                     "genfun.py": ("_change_of_variables", "u_poly", "p_poly", "eval_p"),
                     "qseries.py": ("_level_step", "_layer_step", "_levels", "_factor",
