@@ -26,27 +26,23 @@ each degree phi(n) <= d < n along one row of x^d mod Phi_n; the rows are
 built once per order in ``_REDUCTION_TERMS``, and ``_zeta_exponent`` reads
 the power b of a q = zeta^b off them too.
 
-``TPoly`` (in t) keeps a numerator form, and the kernels it shares with a
-Series (sums, reductions, the order of two operands) live here; a Series
-keeps the same form as one flat map keyed by (t-power, monomial), and its
-coefficients are TPolys, so t is never truncated.
-
-The z-form.  A polynomial in z (``ZForm``) is stored as ``_z_form`` =
-(order, den, {z-power: slot}): one numerator map per z-power over one
-denominator, in lowest terms.  A ``ZPoly`` (the truncated polylogarithms,
-in z over t) has TPoly slots {t-power: numerator}, and a
-``series.PhiPoly`` (each Phi_j, in z over x-series) has Series flat maps
-{key: numerator}.  Both slots are numerator maps, so ``+``, ``-``,
-negation, ``==``, ``shift``, the value at z = 1 and the eigenvalue scaling
-of Theta (``_scale_slots``, which qseries.theta_q calls) are defined once,
-on ZForm, each one call of the shared kernels (``_sum_form``,
-``_merge_into``, ``_reduced``).  A subclass supplies only what differs:
-the product of two slots (``_convolve_into``, or the capped
-``series._products``), the coefficient it hands out (a TPoly or a Series;
-``coeffs`` builds them on each read and never keeps them) and the form of
-a coefficient it promotes.  ``SparsePoly`` is what TPoly and the z-forms
-share beside their forms: immutability, truth, the promotion of constants,
-``zero`` and ``**``.
+The numerator-form polynomials.  ``TPoly`` (in t), ``ZPoly`` (the
+truncated polylogarithms, in z over t) and ``series.PhiPoly`` (each Phi_j,
+in z over x-series) keep one form, ``_form`` = (order, den, {key: slot}):
+one numerator map per key over one denominator, in lowest terms.  A TPoly
+has its one t-slot {t-power: numerator} at key 0; a z-form (``ZForm``) has
+one slot per z-power, a TPoly t-slot in a ZPoly and a Series flat map
+{key: numerator} in a PhiPoly.  So ``+``, ``-``, negation, ``*``, ``==`` and
+pickling are defined once, on ``SparsePoly``, each one call of the shared
+kernels (``_sum_form``, ``_times_form``, ``_reduced``), and a subclass
+supplies only what differs: the product of two slots (``_convolve_into``,
+or the capped ``series._products``) and the form of a constant it promotes.
+ZForm adds what belongs to z: ``coeffs`` (TPolys or Series, built on each
+read and never kept), ``shift``, the value at z = 1 and the eigenvalue
+scaling of Theta (``_scale_slots``, which qseries.theta_q calls).  A Series
+keeps the same numerators as one flat map keyed by (t-power, monomial), and
+its coefficients are TPolys, so t is never truncated.  Only this module
+reads ``_form``; the t-slot of a TPoly is read through ``_t_slot``.
 """
 from __future__ import annotations
 
@@ -540,8 +536,9 @@ def scalar_from_json(obj) -> Scalar:
 # lowest terms: ints, or at order N, when some numerator has a
 # zeta-component, tuples of phi(N) ints (Z[zeta_N] coefficients).  An int a
 # meets order N as (a, 0, ..., 0); two orders raise TypeError.  Kernels take
-# slot maps {key: slot}, a TPoly or a Series being {0: slot} and a z-form
-# keyed by z-power; inner dicts are never changed.
+# slot maps {key: slot}: a TPoly's form is one, at key 0, a Series map goes
+# in as {0: slot}, and a z-form is keyed by z-power; inner dicts are never
+# changed.
 # ---------------------------------------------------------------------------
 
 def _numerators(values, order: int | None = None) -> tuple[int | None, int, list]:
@@ -764,21 +761,45 @@ def _times_form(order: int | None, den: int, num: Mapping, pden: int,
 # ---------------------------------------------------------------------------
 
 class SparsePoly:
-    """What the numerator-form polynomials share: `TPoly` (its form
-    `_t_form`) and the z-forms `ZPoly` and `series.PhiPoly` (`ZForm`, its
-    form `_z_form`).  A value is immutable and has one form; a subclass
-    names the operand types it promotes to constants (`scalars`) and makes
-    such a constant (`_const`), and the zero and `**` are read off the form."""
+    """What the numerator-form polynomials share (see the module docstring):
+    the one form `_form`, immutability, and `+`, `-`, `*`, `==`, the zero,
+    `**` and pickling, read off the form.  A subclass supplies the operand
+    types it promotes to constants (`scalars`), the (order, den, slot) of a
+    coefficient or constant (`_form_of`), the product of two slots
+    (`_product(acc, a, b, order)`, which adds their raw product into acc)
+    and, when it keeps more than its form, `_like(order, den, num)`, a value
+    of its kind holding a kernel's result in lowest terms."""
 
-    __slots__ = ()
+    __slots__ = ("_form",)
     scalars: tuple
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
+    def _from_form(cls, order: int | None, den: int, num: dict):
+        """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
+        if order is not None:
+            order, num = _order_settled(order, num)
+        out = _new(cls)
+        _set(out, "_form", (order, den, num))
+        return out
+
+    _like = _from_form
+
+    @classmethod
     def zero(cls):
         return cls._from_form(None, 1, {})
+
+    def _const(self, c):
+        order, den, slot = self._form_of(c)
+        return self._like(order, den, {0: slot} if slot else {})
+
+    def __reduce__(self):
+        return self._from_form, self._form
+
+    def is_zero(self) -> bool:
+        return not self._form[2]
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -790,251 +811,11 @@ class SparsePoly:
             return other
         return self._const(other) if isinstance(other, self.scalars) else None
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError(f"negative {type(self).__name__} power")
-        return _power(self, exp, self._const(1))
-
-    def __repr__(self) -> str:
-        import json  # here, so that importing the package does not load json
-
-        return f"{type(self).__name__}({json.dumps(self.to_json())})"
-
-
-class TPoly(SparsePoly):
-    """Sparse polynomial in t over Q or Q(zeta_N), stored in the numerator
-    form above as `_t_form` = (order, den, numerators); `coeffs`, its
-    Fractions or CycloNumbers by t-power, is a view built when first read."""
-
-    __slots__ = ("_t_form", "coeffs")
-    var = "t"
-    scalars = (int, Fraction, CycloNumber)
-    _render = staticmethod(scalar_to_json)
-
-    def __init__(self, coeffs: Mapping | None = None) -> None:
-        """The TPoly of {t-power: exact scalar}; two orders raise TypeError."""
-        if not coeffs:
-            _set(self, "_t_form", (None, 1, {}))
-            return
-        if min(coeffs) < 0:
-            raise ValueError("negative t-exponent")
-        order, den, nums = _numerators(coeffs.values())
-        _set(self, "_t_form", (order, den, {e: v for e, v in zip(coeffs, nums)
-                                            if (v if order is None else any(v))}))
-
-    @classmethod
-    def _from_form(cls, order: int | None, den: int, num: dict) -> "TPoly":
-        """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
-        if order is not None and not any(any(v[1:]) for v in num.values()):
-            order, num = None, {k: v[0] for k, v in num.items()}
-        out = _new(cls)
-        _set(out, "_t_form", (order, den, num))
-        return out
-
-    @classmethod
-    def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "TPoly":
-        """raw/den for numerators at `order`, zeros allowed, not in lowest terms."""
-        if order is None:
-            slot = {k: v for k, v in raw.items() if v}
-        else:
-            slot = {k: tuple(v) for k, v in raw.items() if any(v)}
-        den, num = _reduced(den, {0: slot}, order)
-        return cls._from_form(order, den, num[0])
-
-    def __getattr__(self, name):
-        # Reached only when a slot is unset: `coeffs`, built once and kept.
-        if name != "coeffs":
-            raise AttributeError(name)
-        order, den, num = self._t_form
-        if order is None:
-            coeffs = {k: Fraction(v, den) for k, v in num.items()}
-        else:
-            coeffs = {k: _make(order, v, den) for k, v in num.items()}
-        _set(self, "coeffs", coeffs)
-        return coeffs
-
-    def __reduce__(self):
-        return TPoly._from_form, self._t_form
-
-    def is_zero(self) -> bool:
-        return not self._t_form[2]
-
-    def degree(self) -> int:
-        return max(self._t_form[2], default=-1)
-
     def _sum(self, other, sign: int):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
-        if not a or not b:
-            return self if not b else other if sign == 1 else -other
-        order, a, b = _paired(oa, {0: a}, ob, {0: b})
-        den, num = _sum_form(order, da, a, db, b, sign)
-        return TPoly._from_form(order, den, num.get(0, {}))
-
-    # Defined here, not inherited, so that TPoly arithmetic is its own
-    # method (and its own span under a tracer).
-    def __add__(self, other):
-        return self._sum(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._sum(other, -1)
-
-    def __neg__(self):
-        order, den, num = self._t_form
-        return TPoly._from_form(order, den, _scaled(num, -1, order))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            order, den, num = self._t_form
-            return TPoly._from_numerators(order, den * other.denominator,
-                                          _scaled(num, other.numerator, order))
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
-        order, a, b = _paired(oa, {0: a}, ob, {0: b})
-        den, num = _times_form(order, da, a, db, b, _convolve_into)
-        return TPoly._from_form(order, den, num.get(0, {}))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self._t_form == other._t_form  # each value has one form
-
-    def first_mismatch(self, other: "TPoly"):
-        """(t-power, lhs coefficient, rhs coefficient) at the lowest t-power
-        where the two differ, the lowest key of their difference, a missing
-        one reading as the int 0; None when equal.  No coeffs view is built."""
-        if self == other:
-            return None
-        (oa, da, a), (ob, db, b) = self._t_form, other._t_form
-        order, pa, pb = _paired(oa, {0: a}, ob, {0: b})
-        e = min(_sum_form(order, da, pa, db, pb, -1)[1][0])
-        return (e, NumeratorRing(oa).scalar(a[e], da) if e in a else 0,
-                NumeratorRing(ob).scalar(b[e], db) if e in b else 0)
-
-    def to_json(self) -> dict:
-        """The JSON of the coeffs view, read off the form."""
-        order, den, num = self._t_form
-        return {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(num.items())}
-
-    @classmethod
-    def const(cls, c) -> "TPoly":
-        if isinstance(c, (int, Fraction)):
-            return cls._from_form(None, c.denominator, {0: c.numerator} if c else {})
-        return cls({0: c})
-
-    _const = const
-
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls({1: 1})
-
-    @classmethod
-    def one(cls) -> "TPoly":
-        return cls({0: 1})
-
-    def eval(self, value) -> Scalar:
-        """Value at the rational t = value = p/s, on the numerator form: the
-        t^k numerator weighs p^k s^(top-k) over den * s^top."""
-        order, den, num = self._t_form
-        t, ring = Fraction(value), NumeratorRing(order)
-        p, s, top = t.numerator, t.denominator, max(num, default=0)
-        weighted = (_scaled({k: v}, p ** k * s ** (top - k), order)[k] for k, v in num.items())
-        return ring.scalar(reduce(ring.add, weighted, ring.zero), den * s ** top)
-
-    def rationalized(self) -> "TPoly":
-        """self, or IrrationalCoefficient when it has a zeta-component."""
-        order, _, num = self._t_form
-        if order is not None:
-            e = min(k for k, v in num.items() if any(v[1:]))
-            raise IrrationalCoefficient(f"t^{e} coefficient {self.coeffs[e]!r} is not rational")
-        return self
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "TPoly":
-        out = {}
-        for key, val in obj.items():
-            if not key.startswith("t^"):
-                raise ValueError(f"bad TPoly key {key!r}")
-            out[int(key[2:])] = scalar_from_json(val)
-        return cls(out)
-
-
-def as_tpoly(value) -> TPoly:
-    """Promote a scalar (or pass through a TPoly)."""
-    return value if isinstance(value, TPoly) else TPoly.const(value)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in z: the z-form
-# ---------------------------------------------------------------------------
-
-class ZForm(SparsePoly):
-    """A polynomial in z in the z-form of the module docstring, each
-    operation defined once for ZPoly and series.PhiPoly.  A subclass
-    supplies `_form_of(c)`, the (order, den, slot) of a coefficient c;
-    `_product(acc, a, b, order)`, which adds the raw product of two slots
-    into acc (`_times_form`); `_coefficient(order, den, slot)`, the
-    coefficient slot/den, not in lowest terms; and, when it keeps more than
-    its form, `_like(order, den, num)`, a value of its kind holding a
-    kernel's result in lowest terms."""
-
-    __slots__ = ("_z_form",)
-
-    def __init__(self, coeffs: Mapping | None = None) -> None:
-        """The polynomial of {z-power: coefficient}; two orders raise
-        TypeError."""
-        forms = {}
-        for e, c in (coeffs or {}).items():
-            if e < 0:
-                raise ValueError("negative z-exponent")
-            order, den, slot = self._form_of(c)
-            if slot:
-                forms[e] = order, den, slot
-        _set(self, "_z_form", _joint_form(forms))
-
-    @classmethod
-    def _from_form(cls, order: int | None, den: int, num: dict):
-        """A kernel's result num/den (lowest terms); ints if none has a zeta-part."""
-        if order is not None:
-            order, num = _order_settled(order, num)
-        out = _new(cls)
-        _set(out, "_z_form", (order, den, num))
-        return out
-
-    _like = _from_form
-
-    def _const(self, c):
-        order, den, slot = self._form_of(c)
-        return self._like(order, den, {0: slot} if slot else {})
-
-    @property
-    def coeffs(self) -> dict:
-        order, den, num = self._z_form
-        return {e: self._coefficient(order, den, slot) for e, slot in num.items()}
-
-    def __reduce__(self):
-        return self._from_form, self._z_form
-
-    def is_zero(self) -> bool:
-        return not self._z_form[2]
-
-    def _sum(self, other, sign: int):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        (oa, da, a), (ob, db, b) = self._form, other._form
         if not a or not b:
             return self if not b else other if sign == 1 else -other
         order, a, b = _paired(oa, a, ob, b)
@@ -1048,8 +829,11 @@ class ZForm(SparsePoly):
     def __sub__(self, other):
         return self._sum(other, -1)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __neg__(self):
-        order, den, num = self._z_form
+        order, den, num = self._form
         return self._like(order, den, {e: _scaled(slot, -1, order) for e, slot in num.items()})
 
     def __mul__(self, other):
@@ -1057,7 +841,7 @@ class ZForm(SparsePoly):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        (oa, da, a), (ob, db, b) = self._form, other._form
         order, a, b = _paired(oa, a, ob, b)
         return self._like(order, *_times_form(order, da, a, db, b, self._product))
 
@@ -1067,7 +851,187 @@ class ZForm(SparsePoly):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self._z_form == other._z_form  # each value has one form
+        return self._form == other._form  # each value has one form
+
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError(f"negative {type(self).__name__} power")
+        return _power(self, exp, self._const(1))
+
+    def __repr__(self) -> str:
+        import json  # here, so that importing the package does not load json
+
+        return f"{type(self).__name__}({json.dumps(self.to_json())})"
+
+
+def _t_slot(value) -> tuple:
+    """(order, den, t-slot) of a TPoly or an exact scalar: the one slot of
+    the TPoly's form ({} at zero), or the constant's {0: numerator}.  TPoly,
+    ZPoly and a Series read a t-polynomial through it."""
+    if isinstance(value, TPoly):
+        order, den, num = value._form
+        return order, den, num.get(0, {})
+    if isinstance(value, (int, Fraction)):
+        return None, value.denominator, {0: value.numerator} if value else {}
+    order, den, (v,) = _numerators((value,))
+    return order, den, {0: v} if v else {}
+
+
+class TPoly(SparsePoly):
+    """Sparse polynomial in t over Q or Q(zeta_N), its form the one t-slot
+    {t-power: numerator} at key 0 (`_t_slot`); `coeffs`, its Fractions or
+    CycloNumbers by t-power, is a view built when first read."""
+
+    __slots__ = ("coeffs",)
+    var = "t"
+    scalars = (int, Fraction, CycloNumber)
+    _render = staticmethod(scalar_to_json)
+    _form_of = staticmethod(_t_slot)
+    _product = staticmethod(_convolve_into)
+
+    def __init__(self, coeffs: Mapping | None = None) -> None:
+        """The TPoly of {t-power: exact scalar}; two orders raise TypeError."""
+        if not coeffs:
+            _set(self, "_form", (None, 1, {}))
+            return
+        if min(coeffs) < 0:
+            raise ValueError("negative t-exponent")
+        order, den, nums = _numerators(coeffs.values())
+        slot = {e: v for e, v in zip(coeffs, nums) if (v if order is None else any(v))}
+        _set(self, "_form", (order, den, {0: slot} if slot else {}))
+
+    @classmethod
+    def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "TPoly":
+        """raw/den for numerators at `order`, zeros allowed, not in lowest terms."""
+        if order is None:
+            slot = {k: v for k, v in raw.items() if v}
+        else:
+            slot = {k: tuple(v) for k, v in raw.items() if any(v)}
+        return cls._from_form(order, *_reduced(den, {0: slot} if slot else {}, order))
+
+    def __getattr__(self, name):
+        # Reached only when a slot is unset: `coeffs`, built once and kept.
+        if name != "coeffs":
+            raise AttributeError(name)
+        order, den, slot = _t_slot(self)
+        if order is None:
+            coeffs = {k: Fraction(v, den) for k, v in slot.items()}
+        else:
+            coeffs = {k: _make(order, v, den) for k, v in slot.items()}
+        _set(self, "coeffs", coeffs)
+        return coeffs
+
+    def degree(self) -> int:
+        return max(self._form[2].get(0, ()), default=-1)
+
+    # Defined again here, not inherited from SparsePoly, so that each is
+    # TPoly's own method: a tracer spans TPoly's + and * under their names
+    # and skips TPoly.is_zero by its name.
+    def is_zero(self) -> bool:
+        return not self._form[2]
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            order, den, slot = _t_slot(self)
+            return TPoly._from_numerators(order, den * other.denominator,
+                                          _scaled(slot, other.numerator, order))
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+    def first_mismatch(self, other: "TPoly"):
+        """(t-power, lhs coefficient, rhs coefficient) at the lowest t-power
+        where the two differ, the lowest key of their difference, a missing
+        one reading as the int 0; None when equal.  No coeffs view is built."""
+        if self == other:
+            return None
+        (oa, da, a), (ob, db, b) = _t_slot(self), _t_slot(other)
+        order, pa, pb = _paired(oa, {0: a}, ob, {0: b})
+        e = min(_sum_form(order, da, pa, db, pb, -1)[1][0])
+        return (e, NumeratorRing(oa).scalar(a[e], da) if e in a else 0,
+                NumeratorRing(ob).scalar(b[e], db) if e in b else 0)
+
+    def to_json(self) -> dict:
+        """The JSON of the coeffs view, read off the form."""
+        order, den, slot = _t_slot(self)
+        return {f"t^{k}": _render_numerator(order, v, den) for k, v in sorted(slot.items())}
+
+    # the constant c, an exact scalar: the promotion of SparsePoly, on the class
+    const = classmethod(SparsePoly._const)
+
+    @classmethod
+    def t(cls) -> "TPoly":
+        return cls({1: 1})
+
+    @classmethod
+    def one(cls) -> "TPoly":
+        return cls({0: 1})
+
+    def eval(self, value) -> Scalar:
+        """Value at the rational t = value = p/s, on the numerator form: the
+        t^k numerator weighs p^k s^(top-k) over den * s^top."""
+        order, den, slot = _t_slot(self)
+        t, ring = Fraction(value), NumeratorRing(order)
+        p, s, top = t.numerator, t.denominator, max(slot, default=0)
+        weighted = (_scaled({k: v}, p ** k * s ** (top - k), order)[k] for k, v in slot.items())
+        return ring.scalar(reduce(ring.add, weighted, ring.zero), den * s ** top)
+
+    def rationalized(self) -> "TPoly":
+        """self, or IrrationalCoefficient when it has a zeta-component."""
+        order, _, slot = _t_slot(self)
+        if order is not None:
+            e = min(k for k, v in slot.items() if any(v[1:]))
+            raise IrrationalCoefficient(f"t^{e} coefficient {self.coeffs[e]!r} is not rational")
+        return self
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "TPoly":
+        out = {}
+        for key, val in obj.items():
+            if not key.startswith("t^"):
+                raise ValueError(f"bad TPoly key {key!r}")
+            out[int(key[2:])] = scalar_from_json(val)
+        return cls(out)
+
+
+# ---------------------------------------------------------------------------
+# polynomials in z: the z-form
+# ---------------------------------------------------------------------------
+
+class ZForm(SparsePoly):
+    """A polynomial in z: the form of SparsePoly keyed by z-power, with what
+    belongs to z defined once for ZPoly and series.PhiPoly: the coefficients,
+    the first mismatch by z-power, the shift by z^s, the value at z = 1 and
+    the eigenvalue scaling of Theta.  Beside what SparsePoly asks, a
+    subclass supplies `_coefficient(order, den, slot)`, the coefficient
+    slot/den, not in lowest terms."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping | None = None) -> None:
+        """The polynomial of {z-power: coefficient}; two orders raise
+        TypeError."""
+        forms = {}
+        for e, c in (coeffs or {}).items():
+            if e < 0:
+                raise ValueError("negative z-exponent")
+            order, den, slot = self._form_of(c)
+            if slot:
+                forms[e] = order, den, slot
+        _set(self, "_form", _joint_form(forms))
+
+    @property
+    def coeffs(self) -> dict:
+        order, den, num = self._form
+        return {e: self._coefficient(order, den, slot) for e, slot in num.items()}
 
     def first_mismatch(self, other):
         """(z-power, lhs coefficient, rhs coefficient) at the lowest z-power
@@ -1075,7 +1039,7 @@ class ZForm(SparsePoly):
         equal."""
         if self == other:
             return None
-        (oa, da, a), (ob, db, b) = self._z_form, other._z_form
+        (oa, da, a), (ob, db, b) = self._form, other._form
         order, pa, pb = _paired(oa, a, ob, b)
         e = min(_sum_form(order, da, pa, db, pb, -1)[1])
         return e, self._coefficient(oa, da, a.get(e, {})), self._coefficient(ob, db, b.get(e, {}))
@@ -1085,13 +1049,13 @@ class ZForm(SparsePoly):
         ValueError, as a negative z-exponent does."""
         if s < 0:
             raise ValueError("negative z-exponent")
-        order, den, num = self._z_form
+        order, den, num = self._form
         return self._like(order, den, {e + s: slot for e, slot in num.items()})
 
     def eval_z_one(self):
         """The sum of the coefficients, the value at z = 1: the slots merged
         into one, with one reduction."""
-        order, den, num = self._z_form
+        order, den, num = self._form
         total = {}
         for slot in num.values():
             _merge_into(total, {0: slot}, 1, order)
@@ -1103,7 +1067,7 @@ class ZForm(SparsePoly):
         over the lcm of their dens, ints multiply, and a Z[zeta] product is
         index arithmetic (`_zeta_sum`) over the factor's nonzero slots.  The
         q-difference operator (qseries.theta_q) is its one caller."""
-        own, den, num = self._z_form
+        own, den, num = self._form
         joint = _joint_order(own, order)
         factors = {e: factor(e) for e in num}
         scale = lcm(*(d for _, d in factors.values()))
@@ -1136,10 +1100,7 @@ class ZPoly(ZForm):
     _render = staticmethod(TPoly.to_json)
     _product = staticmethod(_convolve_into)
     _coefficient = staticmethod(TPoly._from_numerators)
-
-    @staticmethod
-    def _form_of(c) -> tuple:
-        return as_tpoly(c)._t_form
+    _form_of = staticmethod(_t_slot)
 
     @classmethod
     def _from_numerators(cls, order: int | None, den: int, raw: Mapping) -> "ZPoly":
@@ -1163,7 +1124,7 @@ class ZPoly(ZForm):
         returns its value itself."""
         if len(values) == 1:
             return values[0]
-        forms = [v._z_form for v in values if v._z_form[2]]
+        forms = [v._form for v in values if v._form[2]]
         if not forms:
             return cls()
         order = _joint_order(*(o for o, _, _ in forms))
@@ -1177,7 +1138,7 @@ class ZPoly(ZForm):
         """(order, den, {z-power: {key: t-slot}}): the forms of the ZPolys
         {key: ZPoly} put over the lcm of their denominators at one order and
         grouped by z-power, with no TPoly built and nothing reduced."""
-        forms = [(key, v._z_form) for key, v in values.items()]
+        forms = [(key, v._form) for key, v in values.items()]
         order = _joint_order(*(o for _, (o, _, _) in forms))
         den, out = lcm(*(d for _, (_, d, _) in forms)), {}
         for key, (o, d, num) in forms:
@@ -1188,7 +1149,7 @@ class ZPoly(ZForm):
     def to_json(self) -> dict:
         """The JSON of the coeffs view, read off the form as TPoly.to_json
         reads it: no TPoly is built."""
-        order, den, num = self._z_form
+        order, den, num = self._form
         return {f"z^{e}": {f"t^{k}": _render_numerator(order, v, den)
                            for k, v in sorted(slot.items())}
                 for e, slot in sorted(num.items())}

@@ -465,7 +465,7 @@ def x_sum(profile: HeightProfile, params: SeriesParams) -> ZPoly:
     return ZPoly.sum_of([L_poly(parts, params) for parts in enumerate_indices(profile)])
 
 
-def x_sum_or_zero(k: int, l: int, h=(), j: int = -1, params: SeriesParams = None) -> ZPoly:
+def x_sum_or_zero(k: int, l: int, h, j: int, params: SeriesParams) -> ZPoly:
     """x_sum with out-of-shape profiles reading as the empty index set."""
     profile = HeightProfile.try_make(k, l, h, j)
     if profile is None:

@@ -118,7 +118,7 @@ from .exact import (
     _settled,
     _slot_add,
     _sum_form,
-    as_tpoly,
+    _t_slot,
     euler_phi,
 )
 from .indices import compositions
@@ -138,7 +138,9 @@ class SeriesRing:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        cap, k = int(cap), len(variables)
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            raise ValueError(f"cap must be a nonnegative int, not {cap!r}")
+        k = len(variables)
         width = max(cap, 1).bit_length()
         toff = (k + 1) * width
         object.__setattr__(self, "variables", variables)
@@ -229,7 +231,7 @@ class SeriesRing:
         return self.scalar(1)
 
     def scalar(self, value) -> "Series":
-        order, den, slot = as_tpoly(value)._t_form
+        order, den, slot = _t_slot(value)
         return Series._made(self, order, den, self._flat({0: slot}))
 
     def var(self, name: str, power: int = 1) -> "Series":
@@ -242,7 +244,7 @@ class SeriesRing:
             e[self._index[name]] = p
         if not self.check_exponents(e := tuple(e)):
             return self.zero()
-        order, den, slot = as_tpoly(coeff)._t_form
+        order, den, slot = _t_slot(coeff)
         return Series._made(self, order, den, self._flat({self._pack(e): slot}))
 
     def exponents_up_to_cap(self) -> list[tuple[int, ...]]:
@@ -350,7 +352,7 @@ class Series:
     def __init__(self, ring: SeriesRing, terms: Mapping[tuple[int, ...], TPoly]) -> None:
         """The series with the given TPoly coefficients (a term over the cap
         is dropped), their forms put over one denominator at one order."""
-        order, den, slots = _joint_form({ring._pack(exps): tp._t_form
+        order, den, slots = _joint_form({ring._pack(exps): _t_slot(tp)
                                          for exps, tp in terms.items()
                                          if tp and ring.check_exponents(exps)})
         _store(self, ring, order, den, ring._flat(slots))

@@ -417,7 +417,7 @@ def test_tpoly_refuses_two_orders_when_made():
 
 
 def t_form(tp: TPoly) -> tuple:
-    return tp._t_form
+    return exact._t_slot(tp)
 
 
 def coeffs_built(tp: TPoly) -> bool:
@@ -875,7 +875,12 @@ IMMUTABLE_VALUES = {
     "CycloNumber": CycloNumber.zeta(5),
     "CycloNumber-with-denominator": CycloNumber(6, [Fraction(1, 2), Fraction(3, 4)]),
     "TPoly": TPoly.t(),
+    "TPoly-zero": TPoly.zero(),
+    "TPoly-at-zeta7-with-denominator": TPoly({0: Fraction(-2, 3),
+                                              3: CycloNumber(7, [Fraction(1, 6), 0, 5])}),
     "ZPoly": ZPoly.one(),
+    "ZPoly-at-zeta5": ZPoly({1: TPoly({0: CycloNumber.zeta(5)}),
+                             2: TPoly({1: Fraction(3, 4), 2: CycloNumber(5, [1, 0, -1])})}),
     "PhiPoly-at-Q": phi_bruteforce(4, 1, Fraction(1, 2), 0, 2),
     "PhiPoly-at-zeta5": phi_bruteforce(4, 1, CycloNumber.zeta(5), 0, 2),
     "SeriesRing": _RING,
@@ -905,6 +910,24 @@ def test_immutable_values_survive_pickle_and_copy(name, how):
         assert (twin.n, twin.q, twin.root, twin._key) == (value.n, value.q, value.root, value._key)
     with pytest.raises(AttributeError, match="immutable"):
         setattr(twin.q if isinstance(twin, SeriesParams) else twin, "order", 1)
+
+
+# The numerator-form arithmetic is defined once, on exact.SparsePoly: TPoly,
+# ZPoly and PhiPoly inherit it rather than keep copies.  PhiPoly pickles
+# through its ring and coefficients, so it keeps its own __reduce__.
+SHARED_FORM_METHODS = ("_sum", "__neg__", "__eq__", "_from_form", "__reduce__")
+
+
+def test_numerator_form_arithmetic_has_one_definition():
+    from qharmonic.exact import SparsePoly
+    from qharmonic.series import PhiPoly
+
+    def owner(cls, name):
+        return next(c for c in cls.__mro__ if name in vars(c))
+
+    for name in SHARED_FORM_METHODS:
+        assert [owner(cls, name) for cls in (TPoly, ZPoly, PhiPoly)] == \
+            [SparsePoly, SparsePoly, PhiPoly if name == "__reduce__" else SparsePoly], name
 
 
 def test_value_records_read_and_compare_as_before():

@@ -220,7 +220,7 @@ def test_phi_bruteforce_builds_no_tpoly(monkeypatch):
         clear_qseries_caches()
         with monkeypatch.context() as patch:
             patch.setattr(TPoly, "__init__", refuse)
-            for name in ("_from_form", "_from_numerators", "const"):
+            for name in ("_from_form", "_like", "_from_numerators", "const"):
                 patch.setattr(TPoly, name, classmethod(refuse))
             got = phi_bruteforce(n, r, q, j, cap)
         assert got == want and got.to_json() == want.to_json(), (n, r, q, j)

@@ -765,7 +765,8 @@ def test_z_side_builds_no_tpoly(monkeypatch):
         init(self, *args)
 
     _clear_caches()
-    monkeypatch.setattr(TPoly, "_from_form", classmethod(spy_from_form))
+    for name in ("_from_form", "_like"):  # _like: what the shared arithmetic calls
+        monkeypatch.setattr(TPoly, name, classmethod(spy_from_form))
     monkeypatch.setattr(TPoly, "__init__", spy_init)
     for params in (SeriesParams(5, Fraction(2, 3)), zeta_params(7)):
         for profile in (HeightProfile(4, 2, (1,), 0), HeightProfile(5, 3), HeightProfile(3, 1)):
@@ -817,6 +818,15 @@ def test_x_sum_conventions():
     # head-bounded x_sum only sees indices with k1 >= j+2
     got = x_sum(HeightProfile(5, 2, (2, 1), 0), HALF)
     assert not got.is_zero()
+
+
+def test_x_sum_or_zero_needs_its_point():
+    # every argument is required: the point has no default to fall back on
+    with pytest.raises(TypeError, match="params"):
+        x_sum_or_zero(2, 1)
+    with pytest.raises(TypeError, match="params"):
+        x_sum_or_zero(2, 1, (), -1)
+    assert x_sum_or_zero(2, 1, (), -1, HALF) == x_sum(HeightProfile(2, 1, (), -1), HALF)
 
 
 def test_float_matches_exact_embedding():

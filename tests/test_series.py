@@ -56,7 +56,8 @@ def test_monomial_is_the_series_of_its_coefficient():
                   TPoly({0: Fraction(1, 2), 2: zeta}), 0, Fraction(0), TPoly.zero()):
         for exps in ({}, {"x": 1}, {"x": 2, "y": 1}, {"y": 4}):
             e = (exps.get("x", 0), exps.get("y", 0))
-            got, want = ring.monomial(exps, coeff), Series(ring, {e: exact.as_tpoly(coeff)})
+            tp = coeff if isinstance(coeff, TPoly) else TPoly.const(coeff)
+            got, want = ring.monomial(exps, coeff), Series(ring, {e: tp})
             assert got == want, (coeff, exps)
             assert (got._order, got._denom, got._numer) == \
                 (want._order, want._denom, want._numer), (coeff, exps)
@@ -172,6 +173,18 @@ def test_in_ring_projection():
     proj = Series(small, s.terms)
     assert proj.ring is small
     assert set(proj.terms) == {(0,), (1,), (2,)}
+
+
+def test_ring_refuses_a_cap_that_is_not_a_nonnegative_int():
+    # int(cap) used to cut 2.7 to 2 and keep -1, a ring with no admissible
+    # exponent whose one() still held the constant term
+    for cap in (2.7, -1, Fraction(2), "2", True, False, None):
+        with pytest.raises(ValueError, match="cap must be a nonnegative int"):
+            SeriesRing(("x",), cap)
+    ring = SeriesRing(("x",), 0)
+    assert ring.exponents_up_to_cap() == [(0,)]
+    assert ring.one().terms == {(0,): TPoly.one()}
+    assert ring.var("x").is_zero()
 
 
 def test_negate_vars():
@@ -553,7 +566,7 @@ def weighted_sum_of(ring: SeriesRing, pairs) -> Series:
     """Series.weighted_sum of (series, TPoly weight) pairs: each weight's
     terms (numerator, denominator, t-power) read from its form at the
     weights' one order, and a zero weight as the numerator 0."""
-    forms = [(s, w._t_form) for s, w in pairs]
+    forms = [(s, exact._t_slot(w)) for s, w in pairs]
     order = exact._joint_order(*(form[0] for _, form in forms))
     terms = [(s, c, den, j) for s, (_, den, slot) in forms
              for j, c in (slot.items() or [(0, 0)])]
@@ -671,7 +684,7 @@ def spy_views(monkeypatch, check=None) -> list:
 
     def spy(tp, name):
         if name == "coeffs":
-            calls.append(tp._t_form[:2])
+            calls.append(tp._form[:2])
             if check is not None:
                 check(*calls[-1])
         return original(tp, name)
@@ -1269,7 +1282,7 @@ def views_built(tp: TPoly) -> bool:
 
 
 def t_form(tp: TPoly) -> tuple:
-    return tp._t_form
+    return exact._t_slot(tp)
 
 
 # The TPoly operations among SCALAR_FORM_OPS, on TPoly operands.
@@ -1310,7 +1323,7 @@ def test_integer_form_results_do_not_depend_on_reads(op):
         for ta, tb in zip(fresh(a).terms.values(), fresh(b).terms.values()):
             unread = t_kernel(ta, tb)
             assert not views_built(ta) and not views_built(tb) and not views_built(unread)
-            ra, rb = (TPoly._from_form(*t_form(tp)) for tp in (ta, tb))
+            ra, rb = (TPoly._from_form(*tp._form) for tp in (ta, tb))
             _ = ra.coeffs, rb.coeffs
             once_read = t_kernel(ra, rb)
             assert t_form(once_read) == t_form(unread)

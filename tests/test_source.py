@@ -96,49 +96,35 @@ def test_only_series_reads_the_series_keys():
     assert {f"SeriesRing.{name}" for name in helpers} <= _definitions(series).keys()
 
 
-# A TPoly's form: its cyclotomic order, denominator and numerators.  A
-# Series keeps the same form slot by slot, so the series module reads it
-# too; other modules read a TPoly through `coeffs`, the arithmetic and the
-# constructors.  The name differs from the Series form's, so that the guard
-# above still tells the two apart.
-TPOLY_FORM = {"_t_form"}
+# The numerator form of a polynomial: its cyclotomic order, denominator and
+# one numerator slot per key.  TPoly (its one t-slot at key 0), ZPoly (TPoly
+# slots by z-power) and series.PhiPoly (Series slots by z-power, plus its
+# ring) keep it in the one attribute of exact.SparsePoly.  Other modules read
+# a TPoly's slot through exact._t_slot, and the polynomials through `coeffs`,
+# the arithmetic, the constructors and the kernel methods (L_poly's
+# numerators, x_sum's `sum_of`, theta_q's `_scale_slots`), so the format
+# stays the exact module's business.  The name differs from the Series
+# form's, so that the guard above still tells the two apart.
+NUMERATOR_FORM = {"_form"}
 
 
-def test_only_exact_and_series_read_the_tpoly_form():
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES if path.name not in ("exact.py", "series.py")
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if (isinstance(node, ast.Attribute) and node.attr in TPOLY_FORM)
-             or (isinstance(node, ast.Constant) and node.value in TPOLY_FORM)]
-    assert found == []
-    exact = next(path for path in SOURCES if path.name == "exact.py")
-    assert all(f'"{name}"' in exact.read_text() for name in TPOLY_FORM)
-
-
-# A z-form's form: its cyclotomic order, denominator and one numerator slot
-# per z-power.  Both z-polynomial classes keep it in the one attribute of
-# exact.ZForm: a ZPoly (TPoly slots) and a series.PhiPoly (Series slots),
-# which adds its ring and no form of its own.  Other modules read a z-form
-# through `coeffs`, the arithmetic, the constructors and the kernel methods
-# (L_poly's numerators, x_sum's `sum_of`, theta_q's `_scale_slots`), so the
-# format stays the exact module's business.
-ZPOLY_FORM = {"_z_form"}
-
-
-def test_only_exact_reads_the_zpoly_form():
-    from qharmonic.exact import ZForm, ZPoly
+def test_only_exact_reads_the_numerator_form():
+    from qharmonic.exact import SparsePoly, TPoly, ZForm, ZPoly
     from qharmonic.series import PhiPoly
 
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "exact.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if (isinstance(node, ast.Attribute) and node.attr in ZPOLY_FORM)
-             or (isinstance(node, ast.Constant) and node.value in ZPOLY_FORM)]
+             if (isinstance(node, ast.Attribute) and node.attr in NUMERATOR_FORM)
+             or (isinstance(node, ast.Constant) and node.value in NUMERATOR_FORM)]
     assert found == []
     exact = next(path for path in SOURCES if path.name == "exact.py")
-    assert all(f'"{name}"' in exact.read_text() for name in ZPOLY_FORM)
-    assert set(ZForm.__slots__) == ZPOLY_FORM
-    assert (ZPoly.__slots__, PhiPoly.__slots__) == ((), ("ring",))
+    assert all(f'"{name}"' in exact.read_text() for name in NUMERATOR_FORM)
+    assert set(SparsePoly.__slots__) == NUMERATOR_FORM
+    assert (TPoly.__slots__, ZForm.__slots__, ZPoly.__slots__, PhiPoly.__slots__) == \
+        (("coeffs",), (), (), ("ring",))
+    assert [path.name for path in SOURCES
+            if "_t_form" in path.read_text() or "_z_form" in path.read_text()] == []
 
 
 # The reduction table: per order, phi(order) and the rows x^d mod Phi_order
@@ -227,21 +213,21 @@ RATIONAL_KERNELS = {"series.py": ("Series.__mul__", "Series.__truediv__", "Serie
                                   "Series.weighted_sum", "_products", "_reduced_flat",
                                   "_lowest", "PhiPoly._form_of", "PhiPoly._product",
                                   "PhiPoly._coefficient"),
-                    "exact.py": ("TPoly.__init__", "TPoly._from_form", "TPoly._from_numerators",
-                                 "TPoly._sum", "TPoly.__add__", "TPoly.__sub__", "TPoly.__neg__",
-                                 "TPoly.__mul__", "TPoly.__eq__", "TPoly.is_zero",
+                    "exact.py": ("TPoly.__init__", "TPoly._from_numerators", "TPoly.__add__",
+                                 "TPoly.__sub__", "TPoly.__mul__", "TPoly.is_zero",
                                  "TPoly.degree", "TPoly.rationalized", "TPoly.to_json",
+                                 "SparsePoly._from_form", "SparsePoly._const",
+                                 "SparsePoly._sum", "SparsePoly.__neg__",
+                                 "SparsePoly.__mul__", "SparsePoly.__eq__", "_t_slot",
                                  "_numerators", "_sum_form", "_times_form", "_reduced",
                                  "_settled", "_reduced_slot", "_common", "_scaled", "_lifted",
                                  "_paired", "_joint_order", "_add_tuples_into",
                                  "_convolve_into", "_add_convolution", "_galois_cofactor",
                                  "_render_over",
                                  "_render_numerator", "scalar_to_json", "_joint_form", "_merge_into",
-                                 "_order_settled", "ZForm.__init__", "ZForm._from_form",
-                                 "ZForm._const", "ZPoly._form_of",
+                                 "_order_settled", "ZForm.__init__",
                                  "ZPoly._from_numerators", "ZPoly.one", "ZPoly.sum_of",
-                                 "ZForm.coeffs", "ZForm._sum", "ZForm.__neg__",
-                                 "ZForm.__mul__", "ZForm.__eq__", "ZForm.first_mismatch",
+                                 "ZForm.coeffs", "ZForm.first_mismatch",
                                  "ZForm.shift", "ZForm.eval_z_one", "ZForm._scale_slots",
                                  "ZPoly.to_json"),
                     "genfun.py": ("_change_of_variables", "u_poly", "p_poly", "eval_p"),
