@@ -96,35 +96,57 @@ def test_only_series_reads_the_series_keys():
     assert {f"SeriesRing.{name}" for name in helpers} <= _definitions(series).keys()
 
 
+# A TPoly's form: its cyclotomic order, denominator and the one t-slot it
+# keeps at key 0 of the numerator form below.  A Series keeps the same form
+# slot by slot, so the series module reads a TPoly's slot too, through
+# exact._t_slot; other modules read a TPoly through `coeffs`, the arithmetic
+# and the constructors.
+TPOLY_FORM = {"_t_slot"}
+
+
+def test_only_exact_and_series_read_the_tpoly_form():
+    from qharmonic.exact import TPoly
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name not in ("exact.py", "series.py")
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr in TPOLY_FORM)
+             or (isinstance(node, ast.Name) and node.id in TPOLY_FORM)
+             or (isinstance(node, ast.alias) and node.name in TPOLY_FORM)
+             or (isinstance(node, ast.Constant) and node.value in TPOLY_FORM)]
+    assert found == []
+    exact = next(path for path in SOURCES if path.name == "exact.py")
+    assert TPOLY_FORM <= _definitions(exact).keys()
+    assert TPoly.__slots__ == ("coeffs",)
+    assert [path.name for path in SOURCES if "_t_form" in path.read_text()] == []
+
+
 # The numerator form of a polynomial: its cyclotomic order, denominator and
 # one numerator slot per key.  TPoly (its one t-slot at key 0), ZPoly (TPoly
 # slots by z-power) and series.PhiPoly (Series slots by z-power, plus its
 # ring) keep it in the one attribute of exact.SparsePoly.  Other modules read
-# a TPoly's slot through exact._t_slot, and the polynomials through `coeffs`,
-# the arithmetic, the constructors and the kernel methods (L_poly's
-# numerators, x_sum's `sum_of`, theta_q's `_scale_slots`), so the format
-# stays the exact module's business.  The name differs from the Series
-# form's, so that the guard above still tells the two apart.
-NUMERATOR_FORM = {"_form"}
+# a z-form through `coeffs`, the arithmetic, the constructors and the kernel
+# methods (L_poly's numerators, x_sum's `sum_of`, theta_q's `_scale_slots`),
+# so the format stays the exact module's business.  The name differs from
+# the Series form's, so that the guard above still tells the two apart.
+ZPOLY_FORM = {"_form"}
 
 
-def test_only_exact_reads_the_numerator_form():
-    from qharmonic.exact import SparsePoly, TPoly, ZForm, ZPoly
+def test_only_exact_reads_the_zpoly_form():
+    from qharmonic.exact import SparsePoly, ZForm, ZPoly
     from qharmonic.series import PhiPoly
 
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "exact.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if (isinstance(node, ast.Attribute) and node.attr in NUMERATOR_FORM)
-             or (isinstance(node, ast.Constant) and node.value in NUMERATOR_FORM)]
+             if (isinstance(node, ast.Attribute) and node.attr in ZPOLY_FORM)
+             or (isinstance(node, ast.Constant) and node.value in ZPOLY_FORM)]
     assert found == []
     exact = next(path for path in SOURCES if path.name == "exact.py")
-    assert all(f'"{name}"' in exact.read_text() for name in NUMERATOR_FORM)
-    assert set(SparsePoly.__slots__) == NUMERATOR_FORM
-    assert (TPoly.__slots__, ZForm.__slots__, ZPoly.__slots__, PhiPoly.__slots__) == \
-        (("coeffs",), (), (), ("ring",))
-    assert [path.name for path in SOURCES
-            if "_t_form" in path.read_text() or "_z_form" in path.read_text()] == []
+    assert all(f'"{name}"' in exact.read_text() for name in ZPOLY_FORM)
+    assert set(SparsePoly.__slots__) == ZPOLY_FORM
+    assert (ZForm.__slots__, ZPoly.__slots__, PhiPoly.__slots__) == ((), (), ("ring",))
+    assert [path.name for path in SOURCES if "_z_form" in path.read_text()] == []
 
 
 # The reduction table: per order, phi(order) and the rows x^d mod Phi_order
